@@ -542,23 +542,21 @@ Value Interp::evalExpr(const Expr *E) {
         return Value{};
       const Type *ValTy = E->Ty;
       // Reading from a nil map yields the zero value, like Go.
-      alignas(8) char Buf[64];
-      assert(ValTy->size() <= sizeof(Buf) && "map value too large");
-      std::memset(Buf, 0, sizeof(Buf));
+      MapValueBuf Buf(ValTy->size());
       if (M.A)
-        rt::mapLookup(M.A, K.I, Buf, ValTy->size());
+        rt::mapLookup(M.A, K.I, Buf.data(), ValTy->size());
       if (ValTy->isStruct()) {
         // Copy into per-site-free temp storage is unnecessary: map values
         // of struct type are copied straight out of the buffer into the
         // destination by storeValue; hand out a frame-arena copy.
         uintptr_t Tmp = Frames.back()->Arena.allocate(ValTy->size());
-        std::memcpy(reinterpret_cast<void *>(Tmp), Buf, ValTy->size());
+        std::memcpy(reinterpret_cast<void *>(Tmp), Buf.data(), ValTy->size());
         Value V;
         V.Ty = ValTy;
         V.A = Tmp;
         return V;
       }
-      return loadValue(reinterpret_cast<uintptr_t>(Buf), ValTy);
+      return loadValue(Buf.addr(), ValTy);
     }
     Value Base = evalExpr(IE->Base);
     if (interrupted())
@@ -776,11 +774,10 @@ Interp::Flow Interp::execAssign(const AssignStmt *AS) {
       size_t Mark = tempMark();
       pushTemp(M);
       pushTemp(V);
-      alignas(8) char Buf[64];
-      assert(V.Ty->size() <= sizeof(Buf) && "map value too large");
+      MapValueBuf Buf(V.Ty->size());
       Value Tmp = V;
-      storeValue(reinterpret_cast<uintptr_t>(Buf), Tmp);
-      rt::mapAssign(mapCtxFor(IE->Base->Ty), M.A, K.I, Buf);
+      storeValue(Buf.addr(), Tmp);
+      rt::mapAssign(mapCtxFor(IE->Base->Ty), M.A, K.I, Buf.data());
       popTemps(Mark);
       return true;
     }

@@ -190,6 +190,30 @@ inline void storeValueAt(rt::Heap &H, TypeLower &Types, uintptr_t Addr,
   storeValueAt(Addr, V);
 }
 
+/// Scratch copy of one map value on its way into or out of a bucket:
+/// inline up to 64 bytes, on the C++ heap beyond (a map value may be a
+/// struct of any size). Starts zeroed, the value a nil map reads as.
+class MapValueBuf {
+public:
+  explicit MapValueBuf(size_t Bytes) {
+    if (Bytes > sizeof(Inline)) {
+      Big.reset(new uint64_t[(Bytes + 7) / 8]);
+      Ptr = Big.get();
+    }
+    std::memset(Ptr, 0, Bytes);
+  }
+  // Ptr may point into this object's own Inline storage.
+  MapValueBuf(const MapValueBuf &) = delete;
+  MapValueBuf &operator=(const MapValueBuf &) = delete;
+  void *data() { return Ptr; }
+  uintptr_t addr() const { return reinterpret_cast<uintptr_t>(Ptr); }
+
+private:
+  uint64_t Inline[8];
+  std::unique_ptr<uint64_t[]> Big;
+  uint64_t *Ptr = Inline;
+};
+
 /// Marks whatever \p V keeps alive: pointers and maps by address, slices by
 /// their backing array, struct references by scanning the pointed-to region
 /// with its lowered descriptor. Both engines use this for temporary roots.
@@ -216,7 +240,8 @@ struct Frame {
   std::vector<StackObj> StackObjs;
   std::vector<DeferRecord> Defers;
   /// Allocation-site id -> fixed stack slot for that site (reused on every
-  /// execution, mirroring Go's per-site stack slots).
+  /// execution, mirroring Go's per-site stack slots). Tree-walker only: the
+  /// VM indexes a dense per-chunk site table at the end of Slots instead.
   std::unordered_map<uint32_t, uintptr_t> SiteMem;
 
   uintptr_t slotAddr(const minigo::VarDecl *V) const {

@@ -20,10 +20,18 @@ const char *gofree::vm::opName(Op O) {
   case Op::Pop: return "pop";
   case Op::PopN: return "popn";
   case Op::Pick: return "pick";
+  case Op::LoadSlotI: return "load.slot.i";
+  case Op::LoadSlotA: return "load.slot.a";
+  case Op::StoreSlotI: return "store.slot.i";
+  case Op::StoreSlotA: return "store.slot.a";
   case Op::Jump: return "jump";
   case Op::JumpIfFalse: return "jfalse";
   case Op::JumpIfFalsePeek: return "jfalse.peek";
   case Op::JumpIfTruePeek: return "jtrue.peek";
+  case Op::JumpIfNotLt: return "jnot.lt";
+  case Op::JumpIfNotLe: return "jnot.le";
+  case Op::JumpIfNotGt: return "jnot.gt";
+  case Op::JumpIfNotGe: return "jnot.ge";
   case Op::Neg: return "neg";
   case Op::Not: return "not";
   case Op::Add: return "add";
@@ -77,6 +85,14 @@ const char *gofree::vm::opName(Op O) {
   return "???";
 }
 
+/// The local whose frame slot sits at \p Off in \p Fn (slot-op listings).
+static const minigo::VarDecl *varAtOffset(const minigo::FuncDecl *Fn,
+                                          uint32_t Off) {
+  for (const minigo::VarDecl *V : Fn->AllVars)
+    if (V->FrameOffset == Off && !V->MovedToHeap)
+      return V;
+  return nullptr;
+}
 
 std::string gofree::vm::disassemble(const Module &M, const Chunk &C) {
   std::string Out = C.Fn->Name + ":\n";
@@ -97,6 +113,13 @@ std::string gofree::vm::disassemble(const Module &M, const Chunk &C) {
     case Op::InitVar:
       Out += "\t; " + M.Vars[C.Code[I + 1]]->Name;
       break;
+    case Op::LoadSlotI:
+    case Op::LoadSlotA:
+    case Op::StoreSlotI:
+    case Op::StoreSlotA:
+      if (const minigo::VarDecl *V = varAtOffset(C.Fn, C.Code[I + 1]))
+        Out += "\t; " + V->Name;
+      break;
     case Op::Call:
     case Op::CallMulti:
     case Op::CallStmt:
@@ -113,7 +136,6 @@ std::string gofree::vm::disassemble(const Module &M, const Chunk &C) {
   }
   return Out;
 }
-
 std::string gofree::vm::disassemble(const Module &M) {
   std::string Out;
   for (const Chunk &C : M.Chunks)

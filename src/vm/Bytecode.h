@@ -16,7 +16,9 @@
 /// pointer back to their AST node in a side pool: the node carries exactly
 /// the fields the runtime needs (AllocId, const-size info, field lists) and
 /// outlives the module, so re-encoding them per-opcode would only add a
-/// second copy to keep in sync.
+/// second copy to keep in sync. What the compiler can resolve once -- the
+/// runtime type descriptors a site or op needs, and each site's dense
+/// per-chunk stack-slot index -- travels with the site or as an operand.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,9 +38,9 @@ namespace vm {
 
 /// Opcodes. The operand words each op consumes are listed in the comment;
 /// `t` is a TypePool index, `v` a VarPool index, `f` a FuncPool index,
-/// `k` an IntPool index, `off` a raw byte offset, `tgt` an absolute code
-/// index. The operand stack grows upward; "pop a, b" pops a first (a was
-/// on top).
+/// `k` an IntPool index, `d` a Descs index, `mt` a MapTypes index, `off` a
+/// raw byte offset, `tgt` an absolute code index. The operand stack grows
+/// upward; "pop a, b" pops a first (a was on top).
 enum class Op : uint32_t {
   // Constants and variables.
   Const,    ///< t k    : push {Ty, I=IntPool[k]}
@@ -46,14 +48,29 @@ enum class Op : uint32_t {
   LoadVar,  ///< v      : push load(varAddr(v), v->Ty)
   Pop,      ///<        : drop the top value
   PopN,     ///< n      : drop the top n values
-  Pick,     ///< d      : push a copy of the value d slots below the top
-            ///<          (d=1 duplicates the top)
+  Pick,     ///< n      : push a copy of the value n slots below the top
+            ///<          (n=1 duplicates the top)
+  // Slot operands: a local that is not MovedToHeap, of int/bool (I) or
+  // pointer/map (A) type, is read and written at its frame offset with no
+  // varAddr/type dispatch. Slot stores skip the write barrier: a frame slot
+  // is never a heap word (the barrier's span filter drops it anyway) and
+  // the final mark flip rescans frame roots.
+  LoadSlotI,  ///< off t : push {Ty=t, I=slot}
+  LoadSlotA,  ///< off t : push {Ty=t, A=slot}
+  StoreSlotI, ///< off   : pop v, slot = v.I
+  StoreSlotA, ///< off   : pop v, slot = v.A
 
   // Control flow (within one chunk).
   Jump,            ///< tgt
   JumpIfFalse,     ///< tgt : pop cond, jump when zero
   JumpIfFalsePeek, ///< tgt : peek cond, jump when zero (And short-circuit)
   JumpIfTruePeek,  ///< tgt : peek cond, jump when non-zero (Or)
+  // Fused compare-and-branch for `if`/`for` conditions `l < r` etc.: one
+  // dispatch (and one fuel step) instead of Lt + JumpIfFalse.
+  JumpIfNotLt, ///< tgt : pop r, l, jump unless l < r
+  JumpIfNotLe, ///< tgt
+  JumpIfNotGt, ///< tgt
+  JumpIfNotGe, ///< tgt
 
   // Arithmetic and logic (Go wrap semantics; see support/GoArith.h).
   Neg, ///< t : pop v, push -v (wrapping)
@@ -95,7 +112,7 @@ enum class Op : uint32_t {
   StoreVarInit, ///< v   : initVarSlot(v) (may heap-box), pop v, store
   InitVar,      ///< v   : initVarSlot(v) only (zero / fresh box)
   MapNilCheck,  ///<     : peek map, fault "assignment to entry in nil map"
-  StoreMap,     ///< t   : stack [v, m, k]; mapAssign(m, k, v); pop 3
+  StoreMap,     ///< mt  : stack [v, m, k]; mapAssign(m, k, v); pop 3
 
   // Calls, defers, returns.
   Call,      ///< f argc t : args on stack; push one result (zero {t} if
@@ -114,9 +131,10 @@ enum class Op : uint32_t {
   LenSlice,  ///< t
   LenMap,    ///< t
   CapOf,     ///< t
-  Append,    ///< t   : stack [s, v] (both stay rooted across growth)
+  Append,    ///< t d : stack [s, v] (both stay rooted across growth);
+             ///<         d is the backing array's descriptor
   Slicing,   ///< t flags : bit0 = has lo, bit1 = has hi
-  Copy,      ///< t sz    : pop src, dst; push count
+  Copy,      ///< t sz d  : pop src, dst; push count
 
   // Statements with runtime support.
   Panic,  ///<   : pop v; record panic
@@ -130,7 +148,9 @@ enum class Op : uint32_t {
 /// to the enum so the two cannot drift.
 #define GOFREE_VM_FOR_EACH_OP(X)                                             \
   X(Const) X(Nil) X(LoadVar) X(Pop) X(PopN) X(Pick)                          \
+  X(LoadSlotI) X(LoadSlotA) X(StoreSlotI) X(StoreSlotA)                      \
   X(Jump) X(JumpIfFalse) X(JumpIfFalsePeek) X(JumpIfTruePeek)                \
+  X(JumpIfNotLt) X(JumpIfNotLe) X(JumpIfNotGt) X(JumpIfNotGe)                \
   X(Neg) X(Not) X(Add) X(Sub) X(Mul) X(Div) X(Mod)                           \
   X(Lt) X(Le) X(Gt) X(Ge) X(Eq) X(Ne)                                        \
   X(Deref) X(MkPtr) X(FieldPtr) X(FieldVal) X(IndexSlice) X(IndexMap)        \
@@ -163,6 +183,40 @@ static_assert((uint32_t)OpOrder::Count_ == (uint32_t)Op::Tcfree + 1,
 struct Chunk {
   const minigo::FuncDecl *Fn = nullptr;
   std::vector<uint32_t> Code;
+  /// Most operand-stack entries the chunk holds at once, above the callee's
+  /// arguments. The VM guarantees this much headroom on entry, so no push
+  /// inside the chunk checks capacity.
+  uint32_t MaxDepth = 0;
+  /// Allocation sites in the chunk; each owns one dense index into its
+  /// frame's site-slot table (the fixed slot of a stack-placed site).
+  uint32_t NumSites = 0;
+};
+
+/// A runtime type descriptor an op needs, named by how it derives from a
+/// frontend type. Descriptors belong to each VM's TypeLower, so a module
+/// records only the request; the VM resolves the whole pool once.
+struct DescRef {
+  enum Kind : uint8_t {
+    Object, ///< TypeLower::lower(T)
+    Array,  ///< TypeLower::arrayOf(T): a backing array of T elements
+  };
+  Kind K;
+  const minigo::Type *T;
+};
+
+/// make(): the AST node plus what the VM resolves in advance.
+struct MakeSite {
+  const minigo::MakeExpr *E;
+  uint32_t Desc; ///< Slices: Descs index of the backing array.
+  uint32_t Map;  ///< Maps: MapTypes index.
+  uint32_t Site; ///< Dense per-chunk site-slot index.
+};
+
+/// new() or a composite literal: the allocated object's descriptor.
+template <typename ExprT> struct ObjSite {
+  const ExprT *E;
+  uint32_t Desc; ///< Descs index of the object's type.
+  uint32_t Site; ///< Dense per-chunk site-slot index.
 };
 
 /// A compiled program: one chunk per function plus the shared pools the
@@ -178,9 +232,12 @@ struct Module {
   std::vector<const minigo::Type *> Types;
   std::vector<const minigo::VarDecl *> Vars;
   std::vector<const minigo::FuncDecl *> Funcs;
-  std::vector<const minigo::MakeExpr *> Makes;
-  std::vector<const minigo::NewExpr *> News;
-  std::vector<const minigo::CompositeExpr *> Composites;
+  std::vector<DescRef> Descs;
+  /// Map types whose assignments or heap makes need a rt::MapCtx.
+  std::vector<const minigo::Type *> MapTypes;
+  std::vector<MakeSite> Makes;
+  std::vector<ObjSite<minigo::NewExpr>> News;
+  std::vector<ObjSite<minigo::CompositeExpr>> Composites;
   std::vector<const minigo::TcfreeStmt *> Tcfrees;
 
   const Chunk *chunkFor(const minigo::FuncDecl *Fn) const {
@@ -209,10 +266,16 @@ constexpr unsigned opOperands(Op O) {
   case Op::LoadVar:
   case Op::PopN:
   case Op::Pick:
+  case Op::StoreSlotI:
+  case Op::StoreSlotA:
   case Op::Jump:
   case Op::JumpIfFalse:
   case Op::JumpIfFalsePeek:
   case Op::JumpIfTruePeek:
+  case Op::JumpIfNotLt:
+  case Op::JumpIfNotLe:
+  case Op::JumpIfNotGt:
+  case Op::JumpIfNotGe:
   case Op::Neg:
   case Op::Not:
   case Op::Add:
@@ -243,10 +306,11 @@ constexpr unsigned opOperands(Op O) {
   case Op::LenSlice:
   case Op::LenMap:
   case Op::CapOf:
-  case Op::Append:
   case Op::Tcfree:
     return 1;
   case Op::Const:
+  case Op::LoadSlotI:
+  case Op::LoadSlotA:
   case Op::Eq:
   case Op::Ne:
   case Op::FieldPtr:
@@ -254,10 +318,11 @@ constexpr unsigned opOperands(Op O) {
   case Op::CallMulti:
   case Op::CallStmt:
   case Op::Defer:
+  case Op::Append:
   case Op::Slicing:
-  case Op::Copy:
     return 2;
   case Op::Call:
+  case Op::Copy:
     return 3;
   }
   assert(false && "unknown opcode");

@@ -7,6 +7,7 @@
 
 #include "vm/Compiler.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace gofree;
@@ -21,7 +22,22 @@ struct Pools {
   std::unordered_map<const Type *, uint32_t> Types;
   std::unordered_map<const VarDecl *, uint32_t> Vars;
   std::unordered_map<const FuncDecl *, uint32_t> Funcs;
+  std::unordered_map<const Type *, uint32_t> Descs[2]; // By DescRef::Kind.
+  std::unordered_map<const Type *, uint32_t> MapTypes;
 };
+
+/// Which slot opcodes a local gets, if any (see Op::LoadSlotI).
+enum class SlotKind { None, I, A };
+
+SlotKind slotKind(const VarDecl *V) {
+  if (V->MovedToHeap || !V->Ty)
+    return SlotKind::None;
+  if (V->Ty->isScalar())
+    return SlotKind::I;
+  if (V->Ty->isPointer() || V->Ty->isMap())
+    return SlotKind::A;
+  return SlotKind::None;
+}
 
 class FuncCompiler {
 public:
@@ -37,6 +53,8 @@ public:
       emit(Op::Return, 0);
     else
       emit(Op::MissingRet);
+    assert(Depth == 0 && "statements must leave the operand stack empty");
+    C.MaxDepth = MaxDepth;
   }
 
 private:
@@ -44,6 +62,11 @@ private:
   Pools &P;
   Chunk &C;
   const FuncDecl *Fn = nullptr;
+  /// Operand-stack depth after the last emitted op, and its high-water
+  /// mark. Statements are depth-neutral and every jump joins at equal
+  /// depth, so the straight-line count is exact.
+  int Depth = 0;
+  int MaxDepth = 0;
 
   struct LoopInfo {
     std::vector<uint32_t> Breaks;
@@ -81,19 +104,120 @@ private:
       M.Funcs.push_back(F);
     return It->second;
   }
+  uint32_t descIdx(DescRef::Kind K, const Type *T) {
+    auto [It, New] = P.Descs[K].try_emplace(T, (uint32_t)M.Descs.size());
+    if (New)
+      M.Descs.push_back({K, T});
+    return It->second;
+  }
+  uint32_t mapTypeIdx(const Type *MapTy) {
+    auto [It, New] =
+        P.MapTypes.try_emplace(MapTy, (uint32_t)M.MapTypes.size());
+    if (New)
+      M.MapTypes.push_back(MapTy);
+    return It->second;
+  }
 
-  void emit(Op O) { C.Code.push_back((uint32_t)O); }
-  void emit(Op O, uint32_t A) {
-    emit(O);
-    C.Code.push_back(A);
+  void emit(Op O, std::initializer_list<uint32_t> Operands = {}) {
+    assert(Operands.size() == opOperands(O) && "operand count mismatch");
+    C.Code.push_back((uint32_t)O);
+    C.Code.insert(C.Code.end(), Operands.begin(), Operands.end());
+    Depth += stackEffect(O, Operands.begin());
+    assert(Depth >= 0 && "operand stack underflow");
+    MaxDepth = std::max(MaxDepth, Depth);
   }
-  void emit(Op O, uint32_t A, uint32_t B) {
-    emit(O, A);
-    C.Code.push_back(B);
-  }
-  void emit(Op O, uint32_t A, uint32_t B, uint32_t D) {
-    emit(O, A, B);
-    C.Code.push_back(D);
+  void emit(Op O, uint32_t A) { emit(O, {A}); }
+  void emit(Op O, uint32_t A, uint32_t B) { emit(O, {A, B}); }
+  void emit(Op O, uint32_t A, uint32_t B, uint32_t D) { emit(O, {A, B, D}); }
+
+  /// Net number of operand-stack entries \p O pushes (negative: pops).
+  int stackEffect(Op O, const uint32_t *W) const {
+    switch (O) {
+    case Op::Const:
+    case Op::Nil:
+    case Op::LoadVar:
+    case Op::Pick:
+    case Op::LoadSlotI:
+    case Op::LoadSlotA:
+    case Op::LvalVar:
+    case Op::New:
+    case Op::Composite:
+      return 1;
+    case Op::Jump:
+    case Op::JumpIfFalsePeek:
+    case Op::JumpIfTruePeek:
+    case Op::Neg:
+    case Op::Not:
+    case Op::Deref:
+    case Op::MkPtr:
+    case Op::FieldPtr:
+    case Op::FieldVal:
+    case Op::LvalDeref:
+    case Op::LvalFieldPtr:
+    case Op::LvalField:
+    case Op::InitVar:
+    case Op::MapNilCheck:
+    case Op::MissingRet:
+    case Op::LenSlice:
+    case Op::LenMap:
+    case Op::CapOf:
+    case Op::Tcfree:
+      return 0;
+    case Op::Pop:
+    case Op::StoreSlotI:
+    case Op::StoreSlotA:
+    case Op::JumpIfFalse:
+    case Op::Add:
+    case Op::Sub:
+    case Op::Mul:
+    case Op::Div:
+    case Op::Mod:
+    case Op::Lt:
+    case Op::Le:
+    case Op::Gt:
+    case Op::Ge:
+    case Op::Eq:
+    case Op::Ne:
+    case Op::IndexSlice:
+    case Op::IndexMap:
+    case Op::LvalIndex:
+    case Op::StoreVarInit:
+    case Op::SetField:
+    case Op::Append:
+    case Op::Copy:
+    case Op::Panic:
+    case Op::Sink:
+      return -1;
+    case Op::JumpIfNotLt:
+    case Op::JumpIfNotLe:
+    case Op::JumpIfNotGt:
+    case Op::JumpIfNotGe:
+    case Op::Store:
+    case Op::Delete:
+      return -2;
+    case Op::StoreMap:
+      return -3;
+    case Op::PopN:
+    case Op::Return:
+      return -(int)W[0];
+    case Op::Call:
+      return 1 - (int)W[1];
+    case Op::CallStmt:
+    case Op::Defer:
+      return -(int)W[1];
+    case Op::CallMulti: {
+      const FuncDecl *Callee = M.Funcs[W[0]];
+      return (Callee ? (int)Callee->Results.size() : 0) - (int)W[1];
+    }
+    case Op::Make: {
+      const MakeExpr *ME = M.Makes[W[0]].E;
+      return 1 - (ME->Len ? 1 : 0) - (ME->CapExpr ? 1 : 0);
+    }
+    case Op::Slicing:
+      return -(int)((W[1] & 1) + ((W[1] >> 1) & 1));
+    }
+    assert(false && "unknown opcode");
+    return 0;
   }
 
   uint32_t here() const { return (uint32_t)C.Code.size(); }
@@ -104,6 +228,44 @@ private:
   }
   void patch(uint32_t At) { C.Code[At] = here(); }
   void patch(uint32_t At, uint32_t Target) { C.Code[At] = Target; }
+
+  /// Emits \p Cond and a jump taken when it is false; returns the jump's
+  /// operand position. An ordered comparison fuses into one JumpIfNot*.
+  uint32_t condJump(const minigo::Expr *Cond) {
+    if (const auto *BE = dyn_cast<BinaryExpr>(Cond)) {
+      Op Fused;
+      switch (BE->Op) {
+      case BinaryOp::Lt: Fused = Op::JumpIfNotLt; break;
+      case BinaryOp::Le: Fused = Op::JumpIfNotLe; break;
+      case BinaryOp::Gt: Fused = Op::JumpIfNotGt; break;
+      case BinaryOp::Ge: Fused = Op::JumpIfNotGe; break;
+      default: Fused = Op::JumpIfFalse; break;
+      }
+      if (Fused != Op::JumpIfFalse) {
+        expr(BE->Lhs);
+        expr(BE->Rhs);
+        return emitJump(Fused);
+      }
+    }
+    expr(Cond);
+    return emitJump(Op::JumpIfFalse);
+  }
+  /// Emits the slot store of the top of the stack into \p V when V has
+  /// slot operands; returns false (emitting nothing) otherwise.
+  bool storeSlot(const VarDecl *V) {
+    SlotKind K = slotKind(V);
+    if (K == SlotKind::None)
+      return false;
+    emit(K == SlotKind::I ? Op::StoreSlotI : Op::StoreSlotA,
+         (uint32_t)V->FrameOffset);
+    return true;
+  }
+  /// Stores the top of the stack into local \p V, initializing it first
+  /// (a slot store fills the whole slot, which subsumes the zeroing).
+  void storeVarInit(const VarDecl *V) {
+    if (!storeSlot(V))
+      emit(Op::StoreVarInit, varIdx(V));
+  }
 
   //===--------------------------------------------------------------------===//
   // Expressions
@@ -135,9 +297,13 @@ private:
       emit(Op::Nil, typeIdx(E->Ty));
       return;
     case ExprKind::Ident: {
-      const auto *Id = cast<IdentExpr>(E);
-      assert(Id->Decl && "reading the blank identifier");
-      emit(Op::LoadVar, varIdx(Id->Decl));
+      const VarDecl *V = cast<IdentExpr>(E)->Decl;
+      assert(V && "reading the blank identifier");
+      if (SlotKind K = slotKind(V); K != SlotKind::None)
+        emit(K == SlotKind::I ? Op::LoadSlotI : Op::LoadSlotA,
+             (uint32_t)V->FrameOffset, typeIdx(V->Ty));
+      else
+        emit(Op::LoadVar, varIdx(V));
       return;
     }
     case ExprKind::Unary: {
@@ -215,17 +381,24 @@ private:
         expr(ME->Len);
       if (ME->CapExpr)
         expr(ME->CapExpr);
-      M.Makes.push_back(ME);
+      const Type *T = ME->MadeTy;
+      M.Makes.push_back({ME,
+                         T->isSlice() ? descIdx(DescRef::Array, T->elem()) : 0,
+                         T->isMap() ? mapTypeIdx(T) : 0, C.NumSites++});
       emit(Op::Make, (uint32_t)M.Makes.size() - 1);
       return;
     }
-    case ExprKind::New:
-      M.News.push_back(cast<NewExpr>(E));
+    case ExprKind::New: {
+      const auto *NE = cast<NewExpr>(E);
+      M.News.push_back(
+          {NE, descIdx(DescRef::Object, NE->AllocTy), C.NumSites++});
       emit(Op::New, (uint32_t)M.News.size() - 1);
       return;
+    }
     case ExprKind::Composite: {
       const auto *CE = cast<CompositeExpr>(E);
-      M.Composites.push_back(CE);
+      M.Composites.push_back(
+          {CE, descIdx(DescRef::Object, CE->StructTy), C.NumSites++});
       emit(Op::Composite, (uint32_t)M.Composites.size() - 1);
       // The object stays on the stack (rooted) while initializers run.
       for (size_t I = 0; I < CE->Inits.size(); ++I) {
@@ -248,7 +421,8 @@ private:
       const auto *AE = cast<AppendExpr>(E);
       expr(AE->SliceArg);
       expr(AE->Value);
-      emit(Op::Append, typeIdx(AE->SliceArg->Ty));
+      emit(Op::Append, typeIdx(AE->SliceArg->Ty),
+           descIdx(DescRef::Array, AE->SliceArg->Ty->elem()));
       return;
     }
     case ExprKind::Slicing: {
@@ -270,8 +444,9 @@ private:
       const auto *CE = cast<CopyExpr>(E);
       expr(CE->Dst);
       expr(CE->Src);
-      emit(Op::Copy, typeIdx(E->Ty),
-           (uint32_t)CE->Dst->Ty->elem()->size());
+      const Type *Elem = CE->Dst->Ty->elem();
+      emit(Op::Copy, typeIdx(E->Ty), (uint32_t)Elem->size(),
+           descIdx(DescRef::Array, Elem));
       return;
     }
     }
@@ -330,9 +505,11 @@ private:
       expr(IE->Base);
       emit(Op::MapNilCheck); // Faults before the key is evaluated.
       expr(IE->Idx);
-      emit(Op::StoreMap, typeIdx(IE->Base->Ty));
+      emit(Op::StoreMap, mapTypeIdx(IE->Base->Ty));
       return;
     }
+    if (const auto *Id = dyn_cast<IdentExpr>(Lhs); Id && storeSlot(Id->Decl))
+      return;
     lvalue(Lhs);
     emit(Op::Store);
   }
@@ -362,7 +539,7 @@ private:
         uint32_t N = (uint32_t)DS->Vars.size();
         for (uint32_t I = 0; I < N; ++I) {
           emit(Op::Pick, N - I);
-          emit(Op::StoreVarInit, varIdx(DS->Vars[I]));
+          storeVarInit(DS->Vars[I]);
         }
         emit(Op::PopN, N);
         return;
@@ -370,7 +547,7 @@ private:
       for (size_t I = 0; I < DS->Vars.size(); ++I) {
         if (I < DS->Inits.size()) {
           expr(DS->Inits[I]);
-          emit(Op::StoreVarInit, varIdx(DS->Vars[I]));
+          storeVarInit(DS->Vars[I]);
         } else {
           emit(Op::InitVar, varIdx(DS->Vars[I]));
         }
@@ -402,8 +579,7 @@ private:
     }
     case StmtKind::If: {
       const auto *IS = cast<IfStmt>(S);
-      expr(IS->Cond);
-      uint32_t Else = emitJump(Op::JumpIfFalse);
+      uint32_t Else = condJump(IS->Cond);
       block(IS->Then);
       if (IS->Else) {
         uint32_t End = emitJump(Op::Jump);
@@ -422,10 +598,8 @@ private:
       uint32_t CondAt = here();
       uint32_t ExitJump = 0;
       bool HasCond = FS->Cond != nullptr;
-      if (HasCond) {
-        expr(FS->Cond);
-        ExitJump = emitJump(Op::JumpIfFalse);
-      }
+      if (HasCond)
+        ExitJump = condJump(FS->Cond);
       Loops.emplace_back();
       block(FS->Body);
       uint32_t PostAt = here();

@@ -47,6 +47,21 @@ Vm::Vm(const Program &Prog, const escape::ProgramAnalysis &Analysis,
     M = &Own;
   }
   FuelHooks = Opts.MigrationPeriod != 0 || Opts.GcEveryNSteps != 0;
+  // Resolve the module's descriptor requests; ops index these arrays.
+  Descs.reserve(M->Descs.size());
+  for (const DescRef &D : M->Descs)
+    Descs.push_back(D.K == DescRef::Array ? Types.arrayOf(D.T)
+                                          : Types.lower(D.T));
+  MapCtxs.reserve(M->MapTypes.size());
+  for (const Type *MapTy : M->MapTypes) {
+    rt::MapCtx Ctx;
+    Ctx.H = &Heap;
+    Ctx.BucketArrayDesc = Types.mapBuckets(MapTy->elem());
+    Ctx.ValueDesc = Types.lower(MapTy->elem());
+    Ctx.ValueSize = MapTy->elem()->size();
+    Ctx.Opts = Opts.Map;
+    MapCtxs.push_back(Ctx);
+  }
   // Same registration discipline as the interpreter: register before the
   // thread enters its MutatorScope, deregister after it leaves.
   Heap.addRootScanner(this);
@@ -73,7 +88,8 @@ void Vm::scanRoots(rt::Heap &H) {
   for (const auto &Rets : ReturnedStack)
     for (const Value &V : Rets)
       interp::scanValueRoots(H, Types, V);
-  for (const Value &V : Stack) {
+  for (const Value *P = StackBuf.data(); P != Sp; ++P) {
+    const Value &V = *P;
     if (!V.Ty)
       // Raw lvalue address: an interior pointer into the object about to
       // be stored to. Marking it keeps the containing object alive even
@@ -107,17 +123,6 @@ void Vm::initVarSlot(interp::Frame &F, const VarDecl *V) {
   std::memset(reinterpret_cast<void *>(Slot), 0, V->Ty->size());
 }
 
-rt::MapCtx Vm::mapCtxFor(const Type *MapTy) {
-  rt::MapCtx Ctx;
-  Ctx.H = &Heap;
-  Ctx.BucketArrayDesc = Types.mapBuckets(MapTy->elem());
-  Ctx.ValueDesc = Types.lower(MapTy->elem());
-  Ctx.ValueSize = MapTy->elem()->size();
-  Ctx.CacheId = Opts.CacheId;
-  Ctx.Opts = Opts.Map;
-  return Ctx;
-}
-
 void Vm::noteStackAlloc(rt::AllocCat Cat, size_t Bytes) {
   Heap.stats().StackAllocCountByCat[(int)Cat].fetch_add(
       1, std::memory_order_relaxed);
@@ -148,11 +153,34 @@ bool Vm::outOfFuel() {
   return false;
 }
 
+void Vm::growStack(size_t N) {
+  size_t D = depth();
+  StackBuf.resize(std::max(2 * StackBuf.size(), D + N));
+  setDepth(D);
+}
+
 //===----------------------------------------------------------------------===//
 // Allocation sites
 //===----------------------------------------------------------------------===//
 
-Vm::Flow Vm::doMake(const MakeExpr *ME) {
+template <typename RegisterFn>
+uintptr_t Vm::siteStorage(interp::Frame &F, uint32_t Site, size_t Bytes,
+                          RegisterFn Register) {
+  uintptr_t Entry = reinterpret_cast<uintptr_t>(F.Slots.data()) +
+                    F.Fn->FrameSize + (uintptr_t)Site * 8;
+  uintptr_t Storage = readU64(Entry);
+  if (Storage) {
+    std::memset(reinterpret_cast<void *>(Storage), 0, Bytes);
+    return Storage;
+  }
+  Storage = F.Arena.allocate(Bytes ? Bytes : 8);
+  writeU64(Entry, Storage);
+  Register(Storage);
+  return Storage;
+}
+
+Vm::Flow Vm::doMake(const MakeSite &S) {
+  const MakeExpr *ME = S.E;
   // The compiled code pushed Len then Cap (when present).
   int64_t Len = 0, Cap = 0;
   if (ME->CapExpr)
@@ -169,7 +197,8 @@ Vm::Flow Vm::doMake(const MakeExpr *ME) {
       fault("make: invalid slice size");
       return Flow::Fault;
     }
-    const Type *Elem = ME->MadeTy->elem();
+    const rt::TypeDesc *ArrayDesc = Descs[S.Desc];
+    size_t ElemSize = ME->MadeTy->elem()->size();
     Value V;
     V.Ty = ME->MadeTy;
     V.S.Len = Len;
@@ -177,22 +206,15 @@ Vm::Flow Vm::doMake(const MakeExpr *ME) {
     if (OnStack) {
       assert(ME->SizeIsConst && Cap <= ME->ConstSize &&
              "stack slice exceeding its site size");
+      size_t Bytes = (size_t)ME->ConstSize * ElemSize;
       interp::Frame &F = *Frames.back();
-      auto It = F.SiteMem.find(ME->AllocId);
-      if (It != F.SiteMem.end()) {
-        V.S.Data = It->second;
-        std::memset(reinterpret_cast<void *>(V.S.Data), 0,
-                    (size_t)ME->ConstSize * Elem->size());
-      } else {
-        size_t Bytes = (size_t)ME->ConstSize * Elem->size();
-        V.S.Data = F.Arena.allocate(Bytes ? Bytes : 8);
-        F.SiteMem[ME->AllocId] = V.S.Data;
-        F.StackObjs.push_back({V.S.Data, Types.arrayOf(Elem), Bytes});
-      }
-      noteStackAlloc(rt::AllocCat::Slice, (size_t)ME->ConstSize * Elem->size());
+      V.S.Data = siteStorage(F, S.Site, Bytes, [&](uintptr_t At) {
+        F.StackObjs.push_back({At, ArrayDesc, Bytes});
+      });
+      noteStackAlloc(rt::AllocCat::Slice, Bytes);
     } else {
-      V.S.Data = rt::sliceAllocArray(Heap, Types.arrayOf(Elem), Cap,
-                                     Elem->size(), Opts.CacheId);
+      V.S.Data =
+          rt::sliceAllocArray(Heap, ArrayDesc, Cap, ElemSize, Opts.CacheId);
       if (!V.S.Data) {
         fault("make: invalid slice size");
         return Flow::Fault;
@@ -210,53 +232,40 @@ Vm::Flow Vm::doMake(const MakeExpr *ME) {
   if (OnStack) {
     interp::Frame &F = *Frames.back();
     int64_t NBuckets = rt::mapBucketsForHint(Hint);
-    size_t BucketBytes =
-        rt::mapBucketBytes(NBuckets, ME->MadeTy->elem()->size());
-    auto It = F.SiteMem.find(ME->AllocId);
-    uintptr_t Block;
-    if (It != F.SiteMem.end()) {
-      Block = It->second;
-      std::memset(reinterpret_cast<void *>(Block), 0,
-                  rt::HMapHeaderSize + BucketBytes);
-    } else {
-      Block = F.Arena.allocate(rt::HMapHeaderSize + BucketBytes);
-      F.SiteMem[ME->AllocId] = Block;
-      F.StackObjs.push_back({Block, Types.hmap(), rt::HMapHeaderSize});
-      F.StackObjs.push_back({Block + rt::HMapHeaderSize,
-                             Types.mapBuckets(ME->MadeTy->elem()),
-                             BucketBytes});
-    }
-    rt::mapInit(Block, NBuckets, Block + rt::HMapHeaderSize,
-                ME->MadeTy->elem()->size());
+    size_t ValueSize = ME->MadeTy->elem()->size();
+    size_t BucketBytes = rt::mapBucketBytes(NBuckets, ValueSize);
+    const rt::TypeDesc *BucketDesc = MapCtxs[S.Map].BucketArrayDesc;
+    uintptr_t Block = siteStorage(
+        F, S.Site, rt::HMapHeaderSize + BucketBytes, [&](uintptr_t At) {
+          F.StackObjs.push_back({At, Types.hmap(), rt::HMapHeaderSize});
+          F.StackObjs.push_back(
+              {At + rt::HMapHeaderSize, BucketDesc, BucketBytes});
+        });
+    rt::mapInit(Block, NBuckets, Block + rt::HMapHeaderSize, ValueSize);
     V.A = Block;
     noteStackAlloc(rt::AllocCat::Map, rt::HMapHeaderSize + BucketBytes);
   } else {
-    V.A = rt::mapMakeHeap(mapCtxFor(ME->MadeTy), Types.hmap(), Hint);
+    V.A = rt::mapMakeHeap(mapCtx(S.Map), Types.hmap(), Hint);
   }
   push(V);
   return Flow::Normal;
 }
 
-Vm::Flow Vm::doNew(const NewExpr *NE) {
+Vm::Flow Vm::doNew(const ObjSite<NewExpr> &S) {
+  const NewExpr *NE = S.E;
   bool OnStack = NE->AllocId < Analysis.SiteOnStack.size() &&
                  Analysis.SiteOnStack[NE->AllocId];
+  const rt::TypeDesc *Desc = Descs[S.Desc];
   uintptr_t Storage;
   size_t Bytes = NE->AllocTy->size();
   if (OnStack) {
     interp::Frame &F = *Frames.back();
-    auto It = F.SiteMem.find(NE->AllocId);
-    if (It != F.SiteMem.end()) {
-      Storage = It->second;
-      std::memset(reinterpret_cast<void *>(Storage), 0, Bytes);
-    } else {
-      Storage = F.Arena.allocate(Bytes ? Bytes : 8);
-      F.SiteMem[NE->AllocId] = Storage;
-      F.StackObjs.push_back({Storage, Types.lower(NE->AllocTy), Bytes});
-    }
+    Storage = siteStorage(F, S.Site, Bytes, [&](uintptr_t At) {
+      F.StackObjs.push_back({At, Desc, Bytes});
+    });
     noteStackAlloc(rt::AllocCat::Other, Bytes);
   } else {
-    Storage = Heap.allocate(Bytes, Types.lower(NE->AllocTy),
-                            rt::AllocCat::Other, Opts.CacheId);
+    Storage = Heap.allocate(Bytes, Desc, rt::AllocCat::Other, Opts.CacheId);
   }
   Value V;
   V.Ty = NE->Ty;
@@ -265,28 +274,23 @@ Vm::Flow Vm::doNew(const NewExpr *NE) {
   return Flow::Normal;
 }
 
-Vm::Flow Vm::doComposite(const CompositeExpr *CE) {
-  interp::Frame &F = *Frames.back();
+Vm::Flow Vm::doComposite(const ObjSite<CompositeExpr> &S) {
+  const CompositeExpr *CE = S.E;
   const Type *StructTy = CE->StructTy;
+  const rt::TypeDesc *Desc = Descs[S.Desc];
   size_t Bytes = StructTy->size();
   uintptr_t Storage;
   bool OnStack = !CE->TakeAddr || (CE->AllocId < Analysis.SiteOnStack.size() &&
                                    Analysis.SiteOnStack[CE->AllocId]);
   if (OnStack) {
-    auto It = F.SiteMem.find(CE->AllocId);
-    if (It != F.SiteMem.end()) {
-      Storage = It->second;
-      std::memset(reinterpret_cast<void *>(Storage), 0, Bytes);
-    } else {
-      Storage = F.Arena.allocate(Bytes ? Bytes : 8);
-      F.SiteMem[CE->AllocId] = Storage;
-      F.StackObjs.push_back({Storage, Types.lower(StructTy), Bytes});
-    }
+    interp::Frame &F = *Frames.back();
+    Storage = siteStorage(F, S.Site, Bytes, [&](uintptr_t At) {
+      F.StackObjs.push_back({At, Desc, Bytes});
+    });
     if (CE->TakeAddr)
       noteStackAlloc(rt::AllocCat::Other, Bytes);
   } else {
-    Storage = Heap.allocate(Bytes, Types.lower(StructTy), rt::AllocCat::Other,
-                            Opts.CacheId);
+    Storage = Heap.allocate(Bytes, Desc, rt::AllocCat::Other, Opts.CacheId);
   }
   // The object stays on the operand stack (rooted) while the compiled
   // SetField initializers that follow run -- they may allocate.
@@ -328,10 +332,12 @@ Vm::Flow Vm::execChunk(const Chunk &C) {
   const int64_t *IntPool = M->Ints.data();
   const VarDecl *const *VarPool = M->Vars.data();
   const FuncDecl *const *FuncPool = M->Funcs.data();
+  const rt::TypeDesc *const *DescPool = Descs.data();
   // The executing frame is fixed for the duration of a chunk: runFunction
   // pushes it before execChunk and pops it after, and nested calls restore
-  // Frames before returning here.
+  // Frames before returning here. Its slot buffer never moves either.
   interp::Frame &CurF = *Frames.back();
+  const uintptr_t SlotBase = reinterpret_cast<uintptr_t>(CurF.Slots.data());
   size_t IP = 0;
   // Threaded dispatch: every handler knows its own static operand width and
   // jumps straight to the next handler through its own indirect branch,
@@ -365,10 +371,13 @@ Vm::Flow Vm::execChunk(const Chunk &C) {
     goto *Targets[Code[IP]];                                                   \
   } while (0)
   // Advance over this opcode plus its \p Words operand words. The width must
-  // match opOperands() -- asserted in debug builds at every dispatch.
+  // match opOperands(), and the pushes so far must fit the headroom the
+  // chunk's MaxDepth reserved -- both asserted in debug builds at every
+  // dispatch.
 #define NEXT(Words)                                                            \
   do {                                                                         \
     assert(opOperands((Op)Code[IP]) == (Words) && "operand width mismatch");   \
+    assert(depth() <= StackBuf.size() && "operand stack overflow");            \
     DISPATCH_AT(IP + 1 + (Words));                                             \
   } while (0)
 
@@ -401,26 +410,56 @@ Do_LoadVar: {
   NEXT(1);
 }
 Do_Pop:
-  Stack.pop_back();
+  --Sp;
   NEXT(0);
 Do_PopN:
-  Stack.resize(Stack.size() - Code[IP + 1]);
+  Sp -= Code[IP + 1];
   NEXT(1);
 Do_Pick: {
-  Value V = Stack[Stack.size() - Code[IP + 1]];
+  Value V = Sp[-(ptrdiff_t)Code[IP + 1]];
   push(V);
   NEXT(1);
 }
+// Slot operands write only the fields their type reads; the rest of the
+// stack entry is dead (as after every in-place rewrite below).
+Do_LoadSlotI: {
+  Value &V = *Sp++;
+  V.Ty = TypePool[Code[IP + 2]];
+  V.I = (int64_t)readU64(SlotBase + Code[IP + 1]);
+  NEXT(2);
+}
+Do_LoadSlotA: {
+  Value &V = *Sp++;
+  V.Ty = TypePool[Code[IP + 2]];
+  V.A = readU64(SlotBase + Code[IP + 1]);
+  NEXT(2);
+}
+Do_StoreSlotI:
+  --Sp;
+  writeU64(SlotBase + Code[IP + 1], (uint64_t)Sp->I);
+  NEXT(1);
+Do_StoreSlotA:
+  --Sp;
+  writeU64(SlotBase + Code[IP + 1], Sp->A);
+  NEXT(1);
 
 Do_Jump:
   DISPATCH_AT(Code[IP + 1]);
-Do_JumpIfFalse: {
-  const bool Taken = !Stack.back().I;
-  Stack.pop_back();
-  if (Taken)
+Do_JumpIfFalse:
+  --Sp;
+  if (!Sp->I)
     DISPATCH_AT(Code[IP + 1]);
   NEXT(1);
-}
+#define GOFREE_VM_CMPJUMP(name, cmp)                                          \
+  Do_##name : Sp -= 2;                                                        \
+  if (!(Sp[0].I cmp Sp[1].I))                                                 \
+    DISPATCH_AT(Code[IP + 1]);                                                \
+  NEXT(1);
+GOFREE_VM_CMPJUMP(JumpIfNotLt, <)
+GOFREE_VM_CMPJUMP(JumpIfNotLe, <=)
+GOFREE_VM_CMPJUMP(JumpIfNotGt, >)
+GOFREE_VM_CMPJUMP(JumpIfNotGe, >=)
+#undef GOFREE_VM_CMPJUMP
 Do_JumpIfFalsePeek:
   if (!top().I)
     DISPATCH_AT(Code[IP + 1]);
@@ -443,13 +482,12 @@ Do_Not: {
   NEXT(1);
 }
 // The binary scalar ops pop the right operand and rewrite the left in
-// place; 32-byte Value copies through pop()/push() are what made the
+// place; 48-byte Value copies through pop()/push() are what made the
 // dispatch loop lose to the tree-walker before.
 #define GOFREE_VM_BINOP(name, expr)                                           \
   Do_##name : {                                                               \
-    const int64_t R = Stack.back().I;                                         \
-    Stack.pop_back();                                                         \
-    Value &L = Stack.back();                                                  \
+    const int64_t R = (--Sp)->I;                                              \
+    Value &L = Sp[-1];                                                        \
     L.Ty = TypePool[Code[IP + 1]];                                            \
     L.I = (expr);                                                             \
     NEXT(1);                                                                  \
@@ -465,9 +503,8 @@ GOFREE_VM_BINOP(Ge, L.I >= R)
 Do_Div:
 Do_Mod: {
   const bool IsDiv = (Op)Code[IP] == Op::Div;
-  const int64_t R = Stack.back().I;
-  Stack.pop_back();
-  Value &L = Stack.back();
+  const int64_t R = (--Sp)->I;
+  Value &L = Sp[-1];
   bool DivZero = false;
   L.Ty = TypePool[Code[IP + 1]];
   L.I = IsDiv ? arith::goDiv(L.I, R, DivZero) : arith::goMod(L.I, R, DivZero);
@@ -480,7 +517,7 @@ Do_Mod: {
 Do_Eq:
 Do_Ne: {
   const Value R = pop();
-  Value &L = Stack.back();
+  Value &L = top();
   bool Equal;
   switch (Code[IP + 2]) {
   case 0:
@@ -527,9 +564,8 @@ Do_FieldVal: {
   NEXT(2);
 }
 Do_IndexSlice: {
-  const int64_t Idx = Stack.back().I;
-  Stack.pop_back();
-  Value &B = Stack.back();
+  const int64_t Idx = (--Sp)->I;
+  Value &B = top();
   if (Idx < 0 || Idx >= B.S.Len) {
     fault("slice index out of range");
     return Flow::Fault;
@@ -543,20 +579,18 @@ Do_IndexMap: {
   Value MV = pop();
   const Type *ValTy = TypePool[Code[IP + 1]];
   // Reading from a nil map yields the zero value, like Go.
-  alignas(8) char Buf[64];
-  assert(ValTy->size() <= sizeof(Buf) && "map value too large");
-  std::memset(Buf, 0, sizeof(Buf));
+  interp::MapValueBuf Buf(ValTy->size());
   if (MV.A)
-    rt::mapLookup(MV.A, K.I, Buf, ValTy->size());
+    rt::mapLookup(MV.A, K.I, Buf.data(), ValTy->size());
   if (ValTy->isStruct()) {
     uintptr_t Tmp = CurF.Arena.allocate(ValTy->size());
-    std::memcpy(reinterpret_cast<void *>(Tmp), Buf, ValTy->size());
+    std::memcpy(reinterpret_cast<void *>(Tmp), Buf.data(), ValTy->size());
     Value V;
     V.Ty = ValTy;
     V.A = Tmp;
     push(V);
   } else {
-    push(interp::loadValueAt(reinterpret_cast<uintptr_t>(Buf), ValTy));
+    push(interp::loadValueAt(Buf.addr(), ValTy));
   }
   NEXT(1);
 }
@@ -593,9 +627,8 @@ Do_LvalField: {
   NEXT(1);
 }
 Do_LvalIndex: {
-  const int64_t Idx = Stack.back().I;
-  Stack.pop_back();
-  Value &B = Stack.back();
+  const int64_t Idx = (--Sp)->I;
+  Value &B = top();
   if (Idx < 0 || Idx >= B.S.Len) {
     fault("slice index out of range");
     return Flow::Fault;
@@ -605,13 +638,10 @@ Do_LvalIndex: {
   NEXT(1);
 }
 
-Do_Store: {
-  const uintptr_t Addr = Stack.back().A;
-  Stack.pop_back();
-  interp::storeValueAt(Heap, Types, Addr, Stack.back());
-  Stack.pop_back();
+Do_Store:
+  interp::storeValueAt(Heap, Types, Sp[-1].A, Sp[-2]);
+  Sp -= 2;
   NEXT(0);
-}
 Do_StoreVarInit: {
   const VarDecl *Var = VarPool[Code[IP + 1]];
   initVarSlot(CurF, Var); // The value stays on the stack, rooted, meanwhile.
@@ -630,28 +660,26 @@ Do_MapNilCheck:
   NEXT(0);
 Do_StoreMap: {
   // Stack: [v, m, k]; all three stay rooted while mapAssign may grow.
-  const Type *MapTy = TypePool[Code[IP + 1]];
-  Value &K = Stack[Stack.size() - 1];
-  Value &MV = Stack[Stack.size() - 2];
-  Value &V = Stack[Stack.size() - 3];
-  alignas(8) char Buf[64];
-  assert(V.Ty->size() <= sizeof(Buf) && "map value too large");
-  interp::storeValueAt(reinterpret_cast<uintptr_t>(Buf), V);
-  rt::mapAssign(mapCtxFor(MapTy), MV.A, K.I, Buf);
-  Stack.resize(Stack.size() - 3);
+  const Value &K = Sp[-1];
+  const Value &MV = Sp[-2];
+  const Value &V = Sp[-3];
+  interp::MapValueBuf Buf(V.Ty->size());
+  interp::storeValueAt(Buf.addr(), V);
+  rt::mapAssign(mapCtx(Code[IP + 1]), MV.A, K.I, Buf.data());
+  Sp -= 3;
   NEXT(1);
 }
 
 Do_Call: {
   uint32_t Argc = Code[IP + 2];
-  size_t ArgBase = Stack.size() - Argc;
+  size_t ArgBase = depth() - Argc;
   std::vector<Value> Results;
   FuelUsed = Fuel; // The callee burns fuel through the member.
   Flow Fl = runFunction(FuncPool[Code[IP + 1]], ArgBase, Argc, Results);
   Fuel = FuelUsed;
   if (Fl != Flow::Normal)
     return Fl;
-  Stack.resize(ArgBase);
+  setDepth(ArgBase);
   if (Results.empty()) {
     Value V;
     V.Ty = TypePool[Code[IP + 3]];
@@ -663,43 +691,43 @@ Do_Call: {
 }
 Do_CallMulti: {
   uint32_t Argc = Code[IP + 2];
-  size_t ArgBase = Stack.size() - Argc;
+  size_t ArgBase = depth() - Argc;
   std::vector<Value> Results;
   FuelUsed = Fuel; // The callee burns fuel through the member.
   Flow Fl = runFunction(FuncPool[Code[IP + 1]], ArgBase, Argc, Results);
   Fuel = FuelUsed;
   if (Fl != Flow::Normal)
     return Fl;
-  Stack.resize(ArgBase);
+  setDepth(ArgBase);
   for (const Value &V : Results)
     push(V);
   NEXT(2);
 }
 Do_CallStmt: {
   uint32_t Argc = Code[IP + 2];
-  size_t ArgBase = Stack.size() - Argc;
+  size_t ArgBase = depth() - Argc;
   std::vector<Value> Results;
   FuelUsed = Fuel; // The callee burns fuel through the member.
   Flow Fl = runFunction(FuncPool[Code[IP + 1]], ArgBase, Argc, Results);
   Fuel = FuelUsed;
   if (Fl != Flow::Normal)
     return Fl;
-  Stack.resize(ArgBase);
+  setDepth(ArgBase);
   NEXT(2);
 }
 Do_Defer: {
   uint32_t Argc = Code[IP + 2];
   interp::DeferRecord Rec;
   Rec.Fn = FuncPool[Code[IP + 1]];
-  Rec.Args.assign(Stack.end() - Argc, Stack.end());
-  Stack.resize(Stack.size() - Argc);
+  Rec.Args.assign(Sp - Argc, Sp);
+  Sp -= Argc;
   CurF.Defers.push_back(std::move(Rec));
   NEXT(2);
 }
 Do_Return: {
   uint32_t N = Code[IP + 1];
-  ReturnedStack.back().assign(Stack.end() - N, Stack.end());
-  Stack.resize(Stack.size() - N);
+  ReturnedStack.back().assign(Sp - N, Sp);
+  Sp -= N;
   return Flow::Return;
 }
 Do_MissingRet:
@@ -751,9 +779,9 @@ Do_Append: {
   // Stack: [s, v]; both stay rooted while the backing array may grow.
   const Type *SliceTy = TypePool[Code[IP + 1]];
   const Type *ElemTy = SliceTy->elem();
-  Value &S = Stack[Stack.size() - 2];
-  Value &Elem = Stack[Stack.size() - 1];
-  if (rt::sliceGrowForAppend(Heap, S.S, Types.arrayOf(ElemTy), ElemTy->size(),
+  Value &S = Sp[-2];
+  Value &Elem = Sp[-1];
+  if (rt::sliceGrowForAppend(Heap, S.S, DescPool[Code[IP + 2]], ElemTy->size(),
                              Opts.CacheId,
                              Opts.Slice) == rt::SliceGrow::Overflow) {
     fault("growslice: cap out of range");
@@ -762,11 +790,9 @@ Do_Append: {
   interp::storeValueAt(Heap, Types,
                        S.S.Data + (uintptr_t)S.S.Len * ElemTy->size(), Elem);
   ++S.S.Len;
-  Value Res = S;
-  Res.Ty = SliceTy;
-  Stack.resize(Stack.size() - 2);
-  push(Res);
-  NEXT(1);
+  S.Ty = SliceTy;
+  --Sp;
+  NEXT(2);
 }
 Do_Slicing: {
   uint32_t Flags = Code[IP + 2];
@@ -797,14 +823,14 @@ Do_Copy: {
   int64_t N = std::min(Dst.S.Len, Src.S.Len);
   if (N > 0) {
     Heap.gcCopyBarrier(Dst.S.Data, Src.S.Data, (size_t)N * Code[IP + 2],
-                       Types.arrayOf(Dst.Ty->elem()));
+                       DescPool[Code[IP + 3]]);
     rt::copyWordsRelaxed(Dst.S.Data, Src.S.Data, (size_t)N * Code[IP + 2]);
   }
   Value V;
   V.Ty = TypePool[Code[IP + 1]];
   V.I = N;
   push(V);
-  NEXT(2);
+  NEXT(3);
 }
 
 Do_Panic: {
@@ -814,10 +840,9 @@ Do_Panic: {
   return Flow::Panic;
 }
 Do_Sink:
-  Result.Checksum =
-      Result.Checksum * 1099511628211ULL ^ (uint64_t)Stack.back().I;
+  --Sp;
+  Result.Checksum = Result.Checksum * 1099511628211ULL ^ (uint64_t)Sp->I;
   ++Result.SinkCount;
-  Stack.pop_back();
   NEXT(0);
 Do_Delete: {
   Value K = pop();
@@ -841,12 +866,13 @@ void Vm::runDefers(interp::Frame &F) {
   while (!F.Defers.empty()) {
     interp::DeferRecord Rec = std::move(F.Defers.back());
     F.Defers.pop_back();
-    size_t ArgBase = Stack.size();
+    size_t ArgBase = depth();
+    reserveStack(Rec.Args.size());
     for (const Value &V : Rec.Args)
       push(V); // Rooted for the duration of the deferred call.
     std::vector<Value> Ignored;
     runFunction(Rec.Fn, ArgBase, Rec.Args.size(), Ignored);
-    Stack.resize(ArgBase);
+    setDepth(ArgBase);
     // A panic from a deferred call is recorded but does not stop the
     // remaining defers (matching the tree-walker); a fault does.
     if (faulted())
@@ -871,7 +897,7 @@ Vm::Flow Vm::runFunction(const FuncDecl *Fn, size_t ArgBase, size_t Argc,
   auto FramePtr = std::make_unique<interp::Frame>();
   interp::Frame &F = *FramePtr;
   F.Fn = Fn;
-  F.Slots.assign(Fn->FrameSize, 0);
+  F.Slots.assign(Fn->FrameSize + 8 * (size_t)C->NumSites, 0);
   Frames.push_back(std::move(FramePtr));
   ReturnedStack.emplace_back();
 
@@ -882,14 +908,16 @@ Vm::Flow Vm::runFunction(const FuncDecl *Fn, size_t ArgBase, size_t Argc,
     if (faulted())
       break;
     interp::storeValueAt(Heap, Types, varAddr(F, Fn->Params[I]),
-                         Stack[ArgBase + I]);
+                         StackBuf[ArgBase + I]);
   }
 
   size_t TransientBase = ArgBase + Argc;
+  assert(depth() == TransientBase && "arguments must be on top");
+  reserveStack(C->MaxDepth);
   Flow F1 = faulted() ? Flow::Fault : execChunk(*C);
   // An abrupt exit (panic, fault) leaves partial expression state on the
   // operand stack; drop it. The arguments below stay for the caller.
-  Stack.resize(TransientBase);
+  setDepth(TransientBase);
 
   // Defers run on return and panic; a fault (including the missing-return
   // fault) skips them, exactly like the tree-walker.
@@ -934,10 +962,9 @@ interp::RunResult Vm::run(const std::string &Entry,
   FuelUsed = 0;
   Frames.clear();
   ReturnedStack.clear();
-  Stack.clear();
-  // Pre-size the operand stack so the hot push path never reallocates
-  // (expression depth is bounded by nesting, far under this).
-  Stack.reserve(4096);
+  if (StackBuf.empty())
+    StackBuf.resize(256); // Grows on demand; see reserveStack.
+  setDepth(0);
 
   const FuncDecl *Fn = Prog.findFunc(Entry);
   if (!Fn) {
@@ -948,6 +975,7 @@ interp::RunResult Vm::run(const std::string &Entry,
     Result.Error = "entry argument count mismatch";
     return Result;
   }
+  reserveStack(Args.size());
   for (size_t I = 0; I < Args.size(); ++I) {
     Value V;
     V.Ty = Fn->Params[I]->Ty;
@@ -965,6 +993,6 @@ interp::RunResult Vm::run(const std::string &Entry,
     Result.Error = FaultMsg;
   Frames.clear();
   ReturnedStack.clear();
-  Stack.clear();
+  setDepth(0);
   return Result;
 }

@@ -15,6 +15,12 @@
 /// -- replacing the interpreter's explicit temp roots -- every value on the
 /// operand stack and in the pending-return slots.
 ///
+/// A VM frame's Slots buffer holds the function's variable slots followed
+/// by one word per allocation site of its chunk (Chunk::NumSites): the
+/// address of that site's fixed stack storage once the site has run, zero
+/// before. The tail is never scanned; the storage itself is registered in
+/// Frame::StackObjs.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GOFREE_VM_VM_H
@@ -63,43 +69,54 @@ private:
   void runDefers(interp::Frame &F);
 
   // Allocation-site execution, mirroring the interpreter's eval* helpers.
-  Flow doMake(const minigo::MakeExpr *ME);
-  Flow doComposite(const minigo::CompositeExpr *CE);
-  Flow doNew(const minigo::NewExpr *NE);
+  Flow doMake(const MakeSite &S);
+  Flow doComposite(const ObjSite<minigo::CompositeExpr> &S);
+  Flow doNew(const ObjSite<minigo::NewExpr> &S);
   void doTcfree(const minigo::TcfreeStmt *TS);
+  /// Fixed storage of stack-placed site \p Site in \p F: carved from the
+  /// frame arena (and registered for scanning via \p Register) the first
+  /// time, zeroed on every later execution.
+  template <typename RegisterFn>
+  uintptr_t siteStorage(interp::Frame &F, uint32_t Site, size_t Bytes,
+                        RegisterFn Register);
 
   // Shared-with-interp bookkeeping (same semantics; see Interp.cpp).
   // Take the frame explicitly: the dispatch loop hoists *Frames.back()
   // once per chunk instead of reloading it per variable access.
   uintptr_t varAddr(interp::Frame &F, const minigo::VarDecl *V);
   void initVarSlot(interp::Frame &F, const minigo::VarDecl *V);
-  rt::MapCtx mapCtxFor(const minigo::Type *MapTy);
+  /// The map context of M->MapTypes[Idx] for the current cache id.
+  rt::MapCtx mapCtx(uint32_t Idx) const {
+    rt::MapCtx Ctx = MapCtxs[Idx];
+    Ctx.CacheId = Opts.CacheId;
+    return Ctx;
+  }
   void noteStackAlloc(rt::AllocCat Cat, size_t Bytes);
   bool faulted() const { return !FaultMsg.empty(); }
   void fault(const std::string &Msg);
 
-  /// Per-opcode fuel accounting. The fast path is two increments and a
-  /// compare; migration/GC-torture hooks (rare) and fuel exhaustion take
-  /// the out-of-line slow paths.
-  bool burnFuel() {
-    ++FuelUsed;
-    if (FuelHooks)
-      return burnFuelHooks();
-    if (FuelUsed <= Opts.MaxSteps)
-      return true;
-    return outOfFuel();
-  }
+  /// Fuel slow paths of the dispatch loop (which keeps the counter in a
+  /// register): migration/GC-torture hooks, and fuel exhaustion.
   bool burnFuelHooks();
   bool outOfFuel();
 
-  // Operand stack.
-  void push(const interp::Value &V) { Stack.push_back(V); }
-  interp::Value pop() {
-    interp::Value V = Stack.back();
-    Stack.pop_back();
-    return V;
+  // Operand stack: a buffer and one top pointer, so push and pop do no
+  // capacity check. runFunction reserves each chunk's MaxDepth on entry
+  // (and runDefers/run reserve the arguments they push), so every push
+  // inside a chunk has room. Reserving may move the buffer; that is safe
+  // because no handler holds a Value& or Value* into the stack across a
+  // call -- call handlers keep stack positions as indices.
+  void push(const interp::Value &V) { *Sp++ = V; }
+  interp::Value pop() { return *--Sp; }
+  interp::Value &top() { return Sp[-1]; }
+  size_t depth() const { return (size_t)(Sp - StackBuf.data()); }
+  void setDepth(size_t D) { Sp = StackBuf.data() + D; }
+  /// Makes room for \p N more entries above the top.
+  void reserveStack(size_t N) {
+    if (StackBuf.size() - depth() < N)
+      growStack(N);
   }
-  interp::Value &top() { return Stack.back(); }
+  void growStack(size_t N);
 
   const minigo::Program &Prog;
   const escape::ProgramAnalysis &Analysis;
@@ -114,7 +131,12 @@ private:
   /// Parallel to Frames: each frame's captured return values (alive and
   /// scanned while that frame's defers run).
   std::vector<std::vector<interp::Value>> ReturnedStack;
-  std::vector<interp::Value> Stack; ///< Operand stack; every entry is a root.
+  /// Operand stack storage; every entry below Sp is a root.
+  std::vector<interp::Value> StackBuf;
+  interp::Value *Sp = nullptr;
+  /// M->Descs and M->MapTypes resolved through Types, once per VM.
+  std::vector<const rt::TypeDesc *> Descs;
+  std::vector<rt::MapCtx> MapCtxs;
   interp::RunResult Result;
   std::string FaultMsg;
   uint64_t FuelUsed = 0;

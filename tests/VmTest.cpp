@@ -141,6 +141,91 @@ TEST(VmCompilerTest, ShortCircuitCompilesToJumpsNotCalls) {
   EXPECT_NE(Listing.find("jtrue.peek"), std::string::npos);
 }
 
+/// Listing of the chunk compiled for function \p Name.
+std::string chunkListing(const vm::Module &M, const minigo::Program &Prog,
+                         const std::string &Name) {
+  const vm::Chunk *Ch = M.chunkFor(Prog.findFunc(Name));
+  return Ch ? vm::disassemble(M, *Ch) : std::string();
+}
+
+TEST(VmCompilerTest, UnboxedIntLocalUsesSlotOperands) {
+  Compilation C = compiled("func main() {\n"
+                           "  i := 0\n"
+                           "  i = i + 1\n"
+                           "  sink(i)\n"
+                           "}\n",
+                           CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "main");
+  EXPECT_NE(Listing.find("load.slot.i"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("store.slot.i"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("; i"), std::string::npos) << Listing;
+  EXPECT_EQ(Listing.find("loadvar"), std::string::npos) << Listing;
+  EXPECT_EQ(Listing.find("lval.var"), std::string::npos) << Listing;
+  EXPECT_EQ(Listing.find("storevar.init"), std::string::npos) << Listing;
+}
+
+TEST(VmCompilerTest, EscapedLocalKeepsVariableOps) {
+  // Negative control: x's address escapes through the result, so x is
+  // MovedToHeap and lives in a heap box the slot only points at.
+  const char *Src = "func f() *int {\n"
+                    "  x := 1\n"
+                    "  p := &x\n"
+                    "  x = x + 1\n"
+                    "  return p\n"
+                    "}\n"
+                    "func main() { sink(*f()) }\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  const minigo::FuncDecl *F = C.Prog->findFunc("f");
+  ASSERT_NE(F, nullptr);
+  const minigo::VarDecl *X = nullptr;
+  for (const minigo::VarDecl *V : F->AllVars)
+    if (V->Name == "x")
+      X = V;
+  ASSERT_NE(X, nullptr);
+  ASSERT_TRUE(X->MovedToHeap);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "f");
+  EXPECT_NE(Listing.find("loadvar"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("lval.var"), std::string::npos) << Listing;
+  EXPECT_EQ(Listing.find("slot.i"), std::string::npos) << Listing;
+  // p itself is an unboxed pointer local.
+  EXPECT_NE(Listing.find("store.slot.a"), std::string::npos) << Listing;
+  EXPECT_EQ(vmChecksum(Src), vmChecksum("func main() { sink(2) }\n"));
+}
+
+TEST(VmCompilerTest, OrderedConditionsFuseCompareAndBranch) {
+  const char *Src = "func main(n int) {\n"
+                    "  t := 0\n"
+                    "  for i := 0; i < n; i = i + 1 {\n"
+                    "    if i <= 3 { t = t + 1 }\n"
+                    "    if i > 5 { t = t + 10 }\n"
+                    "    if i >= 8 { t = t + 100 }\n"
+                    "    if i == 2 { t = t + 1000 }\n"
+                    "  }\n"
+                    "  sink(t)\n"
+                    "}\n";
+  Compilation C = compiled(Src);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = vm::disassemble(M);
+  for (const char *Op : {"jnot.lt", "jnot.le", "jnot.gt", "jnot.ge"})
+    EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
+  // == is not an ordered comparison: it keeps eq + jfalse.
+  EXPECT_NE(Listing.find("jfalse"), std::string::npos) << Listing;
+  for (int64_t N : {0, 1, 4, 6, 9, 12})
+    expectEngineEquivalence(Src, {N});
+}
+
+TEST(VmCompilerTest, ChunkRecordsMaxOperandDepth) {
+  // sink(a + (b + (c + d))) holds four operands at once.
+  Compilation C = compiled("func main() {\n"
+                           "  a := 1\n  b := 2\n  c := 3\n  d := 4\n"
+                           "  sink(a + (b + (c + d)))\n"
+                           "}\n");
+  vm::Module M = vm::compileProgram(*C.Prog);
+  EXPECT_EQ(M.chunkFor(C.Prog->findFunc("main"))->MaxDepth, 4u);
+}
+
 //===----------------------------------------------------------------------===//
 // Dispatch: arithmetic, control flow, calls
 //===----------------------------------------------------------------------===//
@@ -237,6 +322,27 @@ TEST(VmTest, SlicesMapsStructsMatchTreeWalker) {
       "  sink(copy(dst, s))\n"
       "  sink(dst[4])\n"
       "}\n");
+}
+
+TEST(VmTest, MapValuesLargerThan64BytesMatchTreeWalker) {
+  // A 96-byte map value: both engines copy map values through a scratch
+  // buffer that used to be a fixed 64-byte array.
+  ExecOutcome O = expectEngineEquivalence(
+      "type Big struct { a int\n b int\n c int\n d int\n e int\n f int\n"
+      " g int\n h int\n i int\n j int\n k int\n l int\n }\n"
+      "func main(n int) {\n"
+      "  m := make(map[int]Big)\n"
+      "  s := 0\n"
+      "  for i := 0; i < n; i = i + 1 {\n"
+      "    m[i] = Big{a: i, f: i * 2, l: i * 3}\n"
+      "    s = s + m[i].l + m[i].a - m[i].f\n"
+      "  }\n"
+      "  var nilMap map[int]Big\n"
+      "  sink(s + nilMap[7].l + len(m))\n"
+      "}\n",
+      {50});
+  EXPECT_TRUE(O.Run.ok()) << O.Run.Error;
+  EXPECT_EQ(O.Run.SinkCount, 1u);
 }
 
 TEST(VmTest, EqualityClassesMatchTreeWalker) {
@@ -424,6 +530,40 @@ TEST(VmTest, GcTortureDuringPanicUnwind) {
   EXPECT_EQ(O.Run.SinkCount, 2u);
   ExecOutcome Plain = runEngine(Src, ExecEngine::Vm);
   EXPECT_EQ(O.Run.Checksum, Plain.Run.Checksum);
+}
+
+TEST(VmTest, DeepRecursionGrowsOperandStackUnderGcTorture) {
+  // Each frame holds live operands (a pending sum, a product and a heap
+  // pointer argument) below the callee's arguments, so deep recursion must
+  // grow the operand stack past its initial capacity mid-call, several
+  // times. Every entry must survive the move and stay a root. 3000 frames
+  // run plain; the GC-at-every-opcode run uses 800 frames (4000+ live
+  // entries, still several growths), because each forced collection scans
+  // every frame and 3000 frames would take tens of seconds.
+  const char *Src = "type Box struct { v int\n }\n"
+                    "func deep(n int, b *Box, k int) int {\n"
+                    "  if n <= 0 { return b.v + k }\n"
+                    "  return b.v + k * (n + deep(n - 1, &Box{v: b.v + n},"
+                    " k + 1))\n"
+                    "}\n"
+                    "func main(n int) { sink(deep(n, &Box{v: 1}, 3)) }\n";
+  for (int64_t Depth : {3000, 800}) {
+    ExecOutcome Ast = runEngine(Src, ExecEngine::Ast, CompileMode::GoFree,
+                                {Depth});
+    ASSERT_TRUE(Ast.Run.ok()) << Ast.Run.Error;
+    ExecOptions EO;
+    if (Depth < 1000) {
+      EO.Interp.GcEveryNSteps = 1;
+      EO.Heap.Gc.Verify = true;
+      EO.Heap.Gc.MinHeapTrigger = 0;
+    }
+    ExecOutcome V =
+        runEngine(Src, ExecEngine::Vm, CompileMode::GoFree, {Depth}, EO);
+    EXPECT_TRUE(V.ok()) << V.Error;
+    EXPECT_TRUE(V.Run.ok()) << Depth << ": " << V.Run.Error;
+    EXPECT_EQ(V.Run.Checksum, Ast.Run.Checksum) << Depth;
+    EXPECT_EQ(V.Run.SinkCount, 1u);
+  }
 }
 
 //===----------------------------------------------------------------------===//
