@@ -3,11 +3,12 @@
 // Part of the GoFree-CPP project, reproducing "GoFree: Reducing Garbage
 // Collection via Compiler-Inserted Freeing" (CGO 2025).
 //
-// Two measurements of the collector's pause work, straight against the
+// Three measurements of the collector's pause work, straight against the
 // heap (no interpreter in the timed region):
 //
 //   1. Mark scaling: wall time of the mark phase over a fixed retained
-//      graph as --gc-workers goes 1 -> 2 -> 4. The graph is many medium
+//      graph as the mark worker count (GcConfig::Workers, the CLI's
+//      --gc=workers=N) goes 1 -> 2 -> 4. The graph is many medium
 //      chains, so the workers have independent roots to partition and
 //      chunks to steal.
 //
@@ -102,7 +103,7 @@ MarkPoint measureMark(int Workers, size_t NumChains, size_t ChainLen,
   O.Gc.MinHeapTrigger = 1ull << 30; // Only forced cycles, no pacer noise.
   Heap H(O);
   Retained R;
-  H.setRootScanner(&R);
+  H.addRootScanner(&R);
   buildGraph(H, R, NumChains, ChainLen);
   H.runGc(); // Warm-up: spawns the worker pool, faults in mark bits.
   uint64_t Before = H.stats().GcMarkNanos.load();
@@ -138,7 +139,7 @@ PausePoint measurePause(const char *Name, int Workers, bool Eager,
   O.Gc.MinHeapTrigger = 8ull << 20;
   Heap H(O);
   Retained R;
-  H.setRootScanner(&R);
+  H.addRootScanner(&R);
   buildGraph(H, R, /*NumChains=*/32, /*ChainLen=*/512); // ~0.5 MiB retained.
   for (size_t I = 0; I < Churn; ++I) {
     size_t Bytes = 64 + (I % 8) * 64;
@@ -175,7 +176,7 @@ ScalePoint measureScale(bool Conc, size_t NumChains, size_t ChainLen,
   O.Gc.MinHeapTrigger = 256 << 10;
   Heap H(O);
   Retained R;
-  H.setRootScanner(&R);
+  H.addRootScanner(&R);
   buildGraph(H, R, NumChains, ChainLen);
   // Churn paced cycles at full heap size; the pacer retriggers at ~2x the
   // marked live set, so every cycle marks the whole retained graph.

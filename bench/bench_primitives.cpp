@@ -131,7 +131,7 @@ void BM_GcCycleCost(benchmark::State &State) {
   };
   Heap H;
   Roots R;
-  H.setRootScanner(&R);
+  H.addRootScanner(&R);
   int64_t N = State.range(0);
   for (int64_t I = 0; I < N; ++I)
     R.Live.push_back(H.allocate(64, scalarDesc(), AllocCat::Other, 0));
@@ -140,29 +140,6 @@ void BM_GcCycleCost(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * N);
 }
 BENCHMARK(BM_GcCycleCost)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_TcfreeBatchVsSingles(benchmark::State &State) {
-  // Section 5's batching question: how much does sharing the validation
-  // across a scope's frees save?
-  Heap H;
-  bool Batched = State.range(0) != 0;
-  constexpr size_t N = 16;
-  uintptr_t Addrs[N];
-  for (auto _ : State) {
-    for (size_t I = 0; I < N; ++I)
-      Addrs[I] = H.allocate(64, scalarDesc(), AllocCat::Other, 0);
-    if (Batched) {
-      benchmark::DoNotOptimize(
-          H.tcfreeBatch(Addrs, N, 0, FreeSource::TcfreeObject));
-    } else {
-      for (size_t I = 0; I < N; ++I)
-        benchmark::DoNotOptimize(
-            H.tcfreeObject(Addrs[I], 0, FreeSource::TcfreeObject));
-    }
-  }
-  State.SetItemsProcessed(State.iterations() * N);
-}
-BENCHMARK(BM_TcfreeBatchVsSingles)->Arg(0)->Arg(1);
 
 } // namespace
 

@@ -41,7 +41,7 @@ int main() {
   Opts.Gc.MinHeapTrigger = 256 * 1024;
   Heap H(Opts);
   Handles Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
 
   // 1. Thread-cached small allocation: size-classed spans, lock-free in
   //    the owning cache.

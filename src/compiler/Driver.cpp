@@ -9,9 +9,8 @@
 
 #include <charconv>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
-#include <mutex>
-#include <set>
 
 using namespace gofree;
 using namespace gofree::compiler;
@@ -58,27 +57,6 @@ FlagParse invalid(std::string *Err, const std::string &Msg) {
   return FlagParse::Invalid;
 }
 
-/// One stderr line, once per process per deprecated flag, so scripted runs
-/// keep working while nudging toward the structured --gc syntax. The set
-/// doubles as the deprecationWarningCount() backing store.
-struct DeprecationState {
-  std::mutex Mu;
-  std::set<std::string> Warned;
-};
-
-DeprecationState &deprecationState() {
-  static DeprecationState S;
-  return S;
-}
-
-void warnDeprecated(const std::string &Old, const std::string &New) {
-  DeprecationState &S = deprecationState();
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  if (S.Warned.insert(Old).second)
-    std::fprintf(stderr, "warning: %s is deprecated; use %s\n", Old.c_str(),
-                 New.c_str());
-}
-
 /// Applies one `--gc=` config string to \p Cfg. Grammar: comma-separated
 /// tokens; a token without '=' names the backend, `key=val` tokens set one
 /// knob each. Only mentioned fields change, so a leg's flags compose with
@@ -122,6 +100,8 @@ bool parseGcConfig(std::string_view Spec, rt::GcConfig &Cfg,
     if (Key == "gogc") {
       if (!WantInt())
         return false;
+      if (IV < INT_MIN || IV > INT_MAX)
+        return Fail("gogc: out of int range");
       Cfg.Gogc = (int)IV;
     } else if (Key == "min-trigger") {
       if (!WantNonNeg())
@@ -156,8 +136,8 @@ bool parseGcConfig(std::string_view Spec, rt::GcConfig &Cfg,
     } else if (Key == "promote-after") {
       if (!WantInt())
         return false;
-      if (IV < 1)
-        return Fail("promote-after: must be positive");
+      if (IV < 1 || IV > INT_MAX)
+        return Fail("promote-after: must be in [1, 2147483647]");
       Cfg.PromoteAfter = (int)IV;
     } else if (Key == "zct-threshold") {
       if (!WantInt())
@@ -185,12 +165,6 @@ bool parseGcConfig(std::string_view Spec, rt::GcConfig &Cfg,
 
 } // namespace
 
-unsigned gofree::compiler::driver::deprecationWarningCount() {
-  DeprecationState &S = deprecationState();
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  return (unsigned)S.Warned.size();
-}
-
 FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
                                               PipelineOptions &Opts,
                                               std::string *Err) {
@@ -198,16 +172,14 @@ FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
     return FlagParse::Unknown;
   std::string_view Body = Flag.substr(2);
   std::string_view Name = Body, Value;
-  bool HasValue = false;
   if (size_t Eq = Body.find('='); Eq != std::string_view::npos) {
     Name = Body.substr(0, Eq);
     Value = Body.substr(Eq + 1);
-    HasValue = true;
   }
   std::string N(Name), V(Value);
 
   auto WantValue = [&](FlagParse &Out) {
-    if (HasValue && !Value.empty())
+    if (!Value.empty())
       return true;
     Out = invalid(Err, "--" + N + " requires a value");
     return false;
@@ -270,27 +242,6 @@ FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
       return FlagParse::Invalid;
     return FlagParse::Ok;
   }
-  // Deprecated aliases for the pre-GcConfig ad-hoc GC flags. Each parses
-  // into the same GcConfig field the --gc key would set, warns once, and
-  // stays out of usageText (docs steer to --gc).
-  if (N == "gogc") {
-    int64_t IV;
-    if (!WantInt(IV, Bad))
-      return Bad;
-    warnDeprecated("--gogc", "--gc=gogc=N");
-    Opts.Exec.Heap.Gc.Gogc = (int)IV;
-    return FlagParse::Ok;
-  }
-  if (N == "gc-min-trigger") {
-    int64_t IV;
-    if (!WantInt(IV, Bad))
-      return Bad;
-    if (IV < 0)
-      return invalid(Err, "--gc-min-trigger: must be non-negative");
-    warnDeprecated("--gc-min-trigger", "--gc=min-trigger=BYTES");
-    Opts.Exec.Heap.Gc.MinHeapTrigger = (uint64_t)IV;
-    return FlagParse::Ok;
-  }
   if (N == "mock") {
     if (!WantValue(Bad))
       return Bad;
@@ -320,36 +271,6 @@ FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
     if (IV < 1 || IV > 4096)
       return invalid(Err, "--num-caches: must be in [1, 4096]");
     Opts.Exec.Heap.NumCaches = (int)IV;
-    return FlagParse::Ok;
-  }
-  if (N == "gc-workers") {
-    int64_t IV;
-    if (!WantInt(IV, Bad))
-      return Bad;
-    if (IV < 1 || IV > 256)
-      return invalid(Err, "--gc-workers: must be in [1, 256]");
-    warnDeprecated("--gc-workers", "--gc=workers=N");
-    Opts.Exec.Heap.Gc.Workers = (int)IV;
-    return FlagParse::Ok;
-  }
-  if (N == "gc-eager-sweep") {
-    if (!HasValue || V == "1" || V == "true")
-      Opts.Exec.Heap.Gc.EagerSweep = true;
-    else if (V == "0" || V == "false")
-      Opts.Exec.Heap.Gc.EagerSweep = false;
-    else
-      return invalid(Err, "--gc-eager-sweep: expected no value or 0|1");
-    warnDeprecated("--gc-eager-sweep", "--gc=eager-sweep=0|1");
-    return FlagParse::Ok;
-  }
-  if (N == "verify-heap") {
-    if (!HasValue || V == "1" || V == "true")
-      Opts.Exec.Heap.Gc.Verify = true;
-    else if (V == "0" || V == "false")
-      Opts.Exec.Heap.Gc.Verify = false;
-    else
-      return invalid(Err, "--verify-heap: expected no value or 0|1");
-    warnDeprecated("--verify-heap", "--gc=verify=0|1");
     return FlagParse::Ok;
   }
   if (N == "max-steps") {

@@ -88,11 +88,6 @@ ExecOutcome compileAndRun(const std::string &Source,
                           const std::vector<int64_t> &Args,
                           Compilation *Compiled = nullptr);
 
-/// How many distinct deprecated flags have warned so far in this process.
-/// Warnings are once-per-flag (warnDeprecated dedups), so tests can pin
-/// "parsing X warned exactly once" without scraping stderr.
-unsigned deprecationWarningCount();
-
 /// One-line machine-readable JSON for an outcome (`gofree run --json`):
 /// schema-versioned like the trace stream, carrying ok/error, the
 /// observables (checksum, sinks, steps, panic), wall/GC time, and the

@@ -28,10 +28,10 @@
 // Stopping the world. runGcImpl serializes cycles on GcMu, then raises
 // StopWorld and waits until every registered mutator (Heap::MutatorScope)
 // is parked in Heap::parkAtSafepoint -- safepoints sit at the entry of
-// allocate/tcfreeObject/tcfreeBatch, so a parked mutator is never mid-
-// operation. The park handshake (both sides cross ParkMu) gives the
-// collector a happens-before edge to everything mutators wrote, which is
-// why mark may touch span interiors without per-span locks. Lazy sweepers
+// allocate/tcfreeObject, so a parked mutator is never mid-operation. The
+// park handshake (both sides cross ParkMu) gives the collector a
+// happens-before edge to everything mutators wrote, which is why mark may
+// touch span interiors without per-span locks. Lazy sweepers
 // synchronize with each other and with refills purely through SweepGen
 // (CAS to claim, release store to publish) and the central-list mutexes.
 //
@@ -282,29 +282,20 @@ void Heap::runGcImpl(GcCycleKind Kind, bool Forced) {
   // Concurrent tricolor mark when configured and the backend's cycle kind
   // supports it; everything else runs the classic stop-the-world body.
   bool Conc = Opts.Gc.Concurrent && Backend->supportsConcurrentMark(Kind);
-  bool Eager;
   uint64_t CycleNanos;
   if (Conc) {
     auto Start = std::chrono::steady_clock::now();
     // Manages its own two pauses (and their notePause / GcCycleEnd
     // bookkeeping) and returns with the world running.
-    Eager = concurrentMarkCycle(Kind, Forced);
+    concurrentMarkCycle(Kind, Forced);
     CycleNanos = nanosSince(Start);
   } else {
     // The pause clock starts before the stop request: time spent waiting
     // for mutators to park is pause the program observes.
     auto PauseStart = std::chrono::steady_clock::now();
     stopTheWorld();
-
-    // A forced cycle with the world to itself sweeps eagerly: its caller
-    // is single-threaded and expects the seed's exact post-GC heap (freed
-    // bytes, retired spans) the moment runGc returns. (The generational
-    // and rc backends force EagerSweep outright; see the Heap
-    // constructor.)
-    Eager = Opts.Gc.EagerSweep || (Forced && soloWorld());
-
     auto Start = std::chrono::steady_clock::now();
-    Backend->collectStw(Kind, Eager);
+    Backend->collectStw(Kind, Forced);
     CycleNanos = nanosSince(Start);
     Stats.notePause(nanosSince(PauseStart));
     if (trace::TraceSink *T = traceSink())
@@ -338,29 +329,80 @@ void Heap::runGcImpl(GcCycleKind Kind, bool Forced) {
 
   // A forced full cycle promises "garbage is collected" even with other
   // mutators around: finish the sweep work outside the pause rather than
-  // leaving it all to lazy sweepers. (Solo forced cycles took the eager
-  // path and have nothing queued; partial cycles never queue sweep work.)
-  if (Kind == GcCycleKind::Full && Forced && !Eager)
+  // leaving it all to lazy sweepers. (A cycle that swept eagerly left the
+  // queue empty, and partial cycles never queue sweep work, so for those
+  // this returns at once.)
+  if (Kind == GcCycleKind::Full && Forced)
     drainSweepQueue();
 }
 
-void Heap::fullMarkSweepStw(bool Eager) {
+void Heap::backstopSweepStw() {
+  // Whatever the last cycle's lazy sweepers did not get to is finished
+  // here, so mark sees only swept spans (mark-bit classification of a
+  // half-swept span would be wrong) and so sweep debt never survives two
+  // cycles. Attributed to the previous cycle's GcSweepEnd accounting.
+  uint64_t B0 = Stats.GcSweptBytes.load(std::memory_order_relaxed);
+  uint64_t C0 = Stats.GcSweptCount.load(std::memory_order_relaxed);
+  finishSweepStw();
+  uint64_t DB = Stats.GcSweptBytes.load(std::memory_order_relaxed) - B0;
+  uint64_t DC = Stats.GcSweptCount.load(std::memory_order_relaxed) - C0;
   trace::TraceSink *T = traceSink();
+  if (T && (DB || DC))
+    T->emit(trace::EventKind::GcSweepEnd, 0, DB, DC);
+}
 
-  // Backstop sweep: whatever the last cycle's lazy sweepers did not get to
-  // is finished here, so mark below sees only swept spans (mark-bit
-  // classification of a half-swept span would be wrong) and so sweep debt
-  // never survives two cycles. Attributed to the previous cycle's
-  // GcSweepEnd accounting.
-  {
-    uint64_t B0 = Stats.GcSweptBytes.load(std::memory_order_relaxed);
-    uint64_t C0 = Stats.GcSweptCount.load(std::memory_order_relaxed);
-    finishSweepStw();
-    uint64_t DB = Stats.GcSweptBytes.load(std::memory_order_relaxed) - B0;
-    uint64_t DC = Stats.GcSweptCount.load(std::memory_order_relaxed) - C0;
-    if (T && (DB || DC))
-      T->emit(trace::EventKind::GcSweepEnd, 0, DB, DC);
+void Heap::retireDanglingSpans() {
+  // TcfreeLarge step 2 (fig. 9): dangling control blocks are returned to
+  // the idle pool after the mark phase, like any unmarked span.
+  std::lock_guard<std::mutex> Lock(Mu);
+  for (MSpan *S : Dangling)
+    retireSpan(S);
+  Dangling.clear();
+}
+
+void Heap::sweepOrQueueStw(bool Forced) {
+  // Flip the sweep generation: every in-use span is now "survived mark,
+  // not yet swept" (SweepGen == G - 2).
+  SweepGenGlobal.fetch_add(2, std::memory_order_relaxed);
+
+  // A forced cycle with the world to itself sweeps eagerly: its caller is
+  // single-threaded and expects the seed's exact post-GC heap (freed
+  // bytes, retired spans) the moment runGc returns. (The generational and
+  // rc backends force EagerSweep outright; see the Heap constructor.)
+  if (!Opts.Gc.EagerSweep && !(Forced && soloWorld())) {
+    buildSweepQueue();
+    Phase.store(GcPhase::Idle, std::memory_order_release);
+    verifyAtSafepoint("post-mark");
+    return;
   }
+  // Nothing sweeps between the backstop and here (the world was stopped,
+  // or every span was already swept for the concurrent window), so this
+  // delta is exactly this cycle's sweep.
+  uint64_t B0 = Stats.GcSweptBytes.load(std::memory_order_relaxed);
+  uint64_t C0 = Stats.GcSweptCount.load(std::memory_order_relaxed);
+  Phase.store(GcPhase::Sweeping, std::memory_order_release);
+  finishSweepStw();
+  SweepWork.clear();
+  SweepWorkNext.store(0, std::memory_order_relaxed);
+  Phase.store(GcPhase::Idle, std::memory_order_release);
+  verifyAtSafepoint("post-sweep");
+  if (trace::TraceSink *T = traceSink())
+    T->emit(trace::EventKind::GcSweepEnd, 0,
+            Stats.GcSweptBytes.load(std::memory_order_relaxed) - B0,
+            Stats.GcSweptCount.load(std::memory_order_relaxed) - C0);
+}
+
+void Heap::repace() {
+  // Pacing on this cycle's *marked* bytes, not HeapLive: under lazy sweep
+  // HeapLive still counts unswept garbage and would inflate the trigger.
+  NextTrigger.store(gcTriggerFor(Mark->MarkedBytesTotal, Opts.Gc.Gogc,
+                                 Opts.Gc.MinHeapTrigger),
+                    std::memory_order_relaxed);
+}
+
+void Heap::fullMarkSweepStw(bool Forced) {
+  trace::TraceSink *T = traceSink();
+  backstopSweepStw();
 
   // Debug validation (HeapOptions::Verify): the world is stopped, so the
   // heap is at a clean safepoint here and again after this cycle's sweep
@@ -370,9 +412,6 @@ void Heap::fullMarkSweepStw(bool Eager) {
   verifyAtSafepoint("pre-mark");
 
   auto Start = std::chrono::steady_clock::now();
-  uint64_t SweptBytesBefore = Stats.GcSweptBytes.load(std::memory_order_relaxed);
-  uint64_t SweptCountBefore = Stats.GcSweptCount.load(std::memory_order_relaxed);
-
   Phase.store(GcPhase::Marking, std::memory_order_release);
   if (T)
     T->emit(trace::EventKind::GcMarkStart, 0,
@@ -381,43 +420,9 @@ void Heap::fullMarkSweepStw(bool Eager) {
   if (T)
     T->emit(trace::EventKind::GcMarkEnd, 0, nanosSince(Start));
 
-  // TcfreeLarge step 2 (fig. 9): dangling control blocks are returned to
-  // the idle pool after the mark phase, like any unmarked span.
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (MSpan *S : Dangling)
-      retireSpan(S);
-    Dangling.clear();
-  }
-
-  // Flip the sweep generation: every in-use span is now "survived mark,
-  // not yet swept" (SweepGen == G - 2).
-  SweepGenGlobal.fetch_add(2, std::memory_order_relaxed);
-
-  if (Eager) {
-    Phase.store(GcPhase::Sweeping, std::memory_order_release);
-    finishSweepStw();
-    SweepWork.clear();
-    SweepWorkNext.store(0, std::memory_order_relaxed);
-    Phase.store(GcPhase::Idle, std::memory_order_release);
-    verifyAtSafepoint("post-sweep");
-    if (T)
-      T->emit(trace::EventKind::GcSweepEnd, 0,
-              Stats.GcSweptBytes.load(std::memory_order_relaxed) -
-                  SweptBytesBefore,
-              Stats.GcSweptCount.load(std::memory_order_relaxed) -
-                  SweptCountBefore);
-  } else {
-    buildSweepQueue();
-    Phase.store(GcPhase::Idle, std::memory_order_release);
-    verifyAtSafepoint("post-mark");
-  }
-
-  // Pacing on this cycle's *marked* bytes, not HeapLive: under lazy sweep
-  // HeapLive still counts unswept garbage and would inflate the trigger.
-  NextTrigger.store(gcTriggerFor(Mark->MarkedBytesTotal, Opts.Gc.Gogc,
-                                 Opts.Gc.MinHeapTrigger),
-                    std::memory_order_relaxed);
+  retireDanglingSpans();
+  sweepOrQueueStw(Forced);
+  repace();
 }
 
 //===----------------------------------------------------------------------===//
@@ -445,7 +450,7 @@ void Heap::fullMarkSweepStw(bool Eager) {
 // black removes new objects from the race, tryMarkBit dedups), so the gray
 // supply is finite even though mutators keep allocating.
 
-bool Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
+void Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
   (void)Kind; // Only root-to-full kinds reach here (supportsConcurrentMark).
   trace::TraceSink *T = traceSink();
   auto CycleStart = std::chrono::steady_clock::now();
@@ -457,20 +462,8 @@ bool Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
   // --- Flip 1: stop, finish sweep, clear marks, snapshot roots. ---
   auto Pause1Start = std::chrono::steady_clock::now();
   stopTheWorld();
-  {
-    uint64_t B0 = Stats.GcSweptBytes.load(std::memory_order_relaxed);
-    uint64_t C0 = Stats.GcSweptCount.load(std::memory_order_relaxed);
-    finishSweepStw();
-    uint64_t DB = Stats.GcSweptBytes.load(std::memory_order_relaxed) - B0;
-    uint64_t DC = Stats.GcSweptCount.load(std::memory_order_relaxed) - C0;
-    if (T && (DB || DC))
-      T->emit(trace::EventKind::GcSweepEnd, 0, DB, DC);
-  }
+  backstopSweepStw();
   verifyAtSafepoint("pre-mark");
-  uint64_t SweptBytesBefore =
-      Stats.GcSweptBytes.load(std::memory_order_relaxed);
-  uint64_t SweptCountBefore =
-      Stats.GcSweptCount.load(std::memory_order_relaxed);
   Phase.store(GcPhase::Marking, std::memory_order_release);
   if (T)
     T->emit(trace::EventKind::GcMarkStart, 0,
@@ -530,40 +523,12 @@ bool Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
     T->emit(trace::EventKind::GcMarkEnd, 0, nanosSince(MarkT0));
   markFold();
   verifyTricolor("final-flip");
-
-  // TcfreeLarge step 2 (fig. 9), same as the STW cycle.
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (MSpan *S : Dangling)
-      retireSpan(S);
-    Dangling.clear();
-  }
-  SweepGenGlobal.fetch_add(2, std::memory_order_relaxed);
   ConcMarkActive.store(false, std::memory_order_relaxed);
   BarrierOn.store(BarrierAlways, std::memory_order_relaxed);
 
-  bool Eager = Opts.Gc.EagerSweep || (Forced && soloWorld());
-  if (Eager) {
-    Phase.store(GcPhase::Sweeping, std::memory_order_release);
-    finishSweepStw();
-    SweepWork.clear();
-    SweepWorkNext.store(0, std::memory_order_relaxed);
-    Phase.store(GcPhase::Idle, std::memory_order_release);
-    verifyAtSafepoint("post-sweep");
-    if (T)
-      T->emit(trace::EventKind::GcSweepEnd, 0,
-              Stats.GcSweptBytes.load(std::memory_order_relaxed) -
-                  SweptBytesBefore,
-              Stats.GcSweptCount.load(std::memory_order_relaxed) -
-                  SweptCountBefore);
-  } else {
-    buildSweepQueue();
-    Phase.store(GcPhase::Idle, std::memory_order_release);
-    verifyAtSafepoint("post-mark");
-  }
-  NextTrigger.store(gcTriggerFor(Mark->MarkedBytesTotal, Opts.Gc.Gogc,
-                                 Opts.Gc.MinHeapTrigger),
-                    std::memory_order_relaxed);
+  retireDanglingSpans();
+  sweepOrQueueStw(Forced);
+  repace();
   Stats.GcConcCycles.fetch_add(1, std::memory_order_relaxed);
 
   uint64_t Pause2 = nanosSince(Pause2Start);
@@ -579,7 +544,6 @@ bool Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
             Stats.HeapLive.load(std::memory_order_relaxed));
   }
   startTheWorld();
-  return Eager;
 }
 
 void Heap::gcMaybeAssist() {

@@ -58,10 +58,10 @@ public:
                : GcCycleKind::None;
   }
 
-  void collectStw(GcCycleKind, bool Eager) override {
+  void collectStw(GcCycleKind, bool Forced) override {
     // Minor / ZctDrain requests (runGcCycle test hook) fall back to the
     // only cycle this backend has.
-    H.fullMarkSweepStw(Eager);
+    H.fullMarkSweepStw(Forced);
   }
 
   bool supportsConcurrentMark(GcCycleKind Kind) const override {

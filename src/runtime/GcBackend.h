@@ -141,9 +141,10 @@ public:
   /// Called from the allocation slow path with the world running.
   virtual GcCycleKind pace(uint64_t Live) = 0;
   /// The collection body. World stopped, GcMu held by the caller.
-  /// \p Eager: sweep inside the pause (always true for forced solo cycles
-  /// and whenever GcConfig::EagerSweep is set).
-  virtual void collectStw(GcCycleKind Kind, bool Eager) = 0;
+  /// \p Forced: the cycle was requested (runGc/runGcCycle), not paced; a
+  /// forced full cycle with no other mutator sweeps inside the pause
+  /// (see Heap::sweepOrQueueStw).
+  virtual void collectStw(GcCycleKind Kind, bool Forced) = 0;
   /// Whether cycles of \p Kind may run as concurrent tricolor mark
   /// (Heap::concurrentMarkCycle) instead of collectStw. Only whole-heap
   /// marking is eligible; partial cycles (minor, zct-drain) free objects

@@ -70,13 +70,13 @@ public:
     return GcCycleKind::None;
   }
 
-  void collectStw(GcCycleKind Kind, bool Eager) override {
+  void collectStw(GcCycleKind Kind, bool Forced) override {
     if (Kind == GcCycleKind::Full) {
       // Major: the shared full mark-sweep. Generations are untouched --
       // surviving young spans keep aging via minors -- but the remembered
       // set may now hold slots of swept objects; the next minor's pruning
       // pass drops them.
-      H.fullMarkSweepStw(Eager);
+      H.fullMarkSweepStw(Forced);
       AllocatedYoung.store(0, std::memory_order_relaxed);
       return;
     }
@@ -162,12 +162,7 @@ private:
 
     // Dangling large-span control blocks retire at any mark phase's end
     // (fig. 9's "next GC"), minor ones included.
-    {
-      std::lock_guard<std::mutex> Lock(H.Mu);
-      for (MSpan *S : H.Dangling)
-        H.retireSpan(S);
-      H.Dangling.clear();
-    }
+    H.retireDanglingSpans();
 
     // Sweep the young spans in-pause (this backend forces EagerSweep, so
     // SweepGen is already current everywhere and sweepSpanSlots leaves it

@@ -94,12 +94,12 @@ public:
     return GcCycleKind::None;
   }
 
-  void collectStw(GcCycleKind Kind, bool Eager) override {
+  void collectStw(GcCycleKind Kind, bool Forced) override {
     if (Kind == GcCycleKind::Full) {
       // Backup collector: cycles (and anything the counts missed) fall to
       // tracing; afterwards the counts are recomputed from the surviving
       // object graph because sweeping freed objects behind their back.
-      H.fullMarkSweepStw(Eager);
+      H.fullMarkSweepStw(Forced);
       recomputeStw();
       return;
     }

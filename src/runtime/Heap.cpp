@@ -209,15 +209,6 @@ void Heap::popInternalRoot(uintptr_t Addr) {
   assert(false && "popInternalRoot: root not found");
 }
 
-void Heap::setRootScanner(RootScanner *S) {
-  std::lock_guard<std::mutex> GcLock(GcMu); // No cycle in flight.
-  std::lock_guard<std::mutex> Lock(RootsMu);
-  Scanners.clear();
-  if (S)
-    Scanners.push_back(S);
-  HasScanner.store(S != nullptr, std::memory_order_relaxed);
-}
-
 void Heap::addRootScanner(RootScanner *S) {
   std::lock_guard<std::mutex> GcLock(GcMu);
   std::lock_guard<std::mutex> Lock(RootsMu);
@@ -748,29 +739,6 @@ bool Heap::tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source) {
   if (Slot < S->FreeIndex)
     S->FreeIndex = Slot; // Revert the allocator pointer (section 5).
   return Freed(S->ElemSize);
-}
-
-size_t Heap::tcfreeBatch(const uintptr_t *Addrs, size_t N, int CacheId,
-                         FreeSource Source) {
-  safepoint();
-  // One shared GC-phase check covers the whole batch (the paper notes most
-  // of tcfree's cost is validation); each object then runs the usual
-  // per-object checks, so a batch is never less safe than N single calls.
-  if (Phase.load(std::memory_order_acquire) != GcPhase::Idle) {
-    Stats.TcfreeCalls.fetch_add(N, std::memory_order_relaxed);
-    Stats.TcfreeGiveUpsByReason[(int)trace::GiveUpReason::GcRunning].fetch_add(
-        N, std::memory_order_relaxed);
-    tlsStalls().TcfreeGiveUps += N;
-    if (trace::TraceSink *T = traceSink())
-      T->emit(trace::EventKind::TcfreeGiveUp,
-              (uint8_t)trace::GiveUpReason::GcRunning, N);
-    return 0;
-  }
-  size_t Freed = 0;
-  for (size_t I = 0; I < N; ++I)
-    if (tcfreeObject(Addrs[I], CacheId, Source))
-      ++Freed;
-  return Freed;
 }
 
 void Heap::poison(uintptr_t Addr, size_t Bytes) {

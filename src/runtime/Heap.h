@@ -29,12 +29,12 @@
 ///    wraps its work in a Heap::MutatorScope. runGc (forced or paced, from
 ///    any thread) stops the world first: it raises a stop request and
 ///    waits until every registered mutator is parked at a safepoint.
-///    Safepoints sit at the entry of allocate / tcfreeObject / tcfreeBatch,
-///    so a parked mutator is never mid-operation and the collector can
-///    mark and sweep without locks racing mutator work. A registered
-///    mutator must therefore keep reaching heap calls (or exit its scope);
-///    a registered thread that blocks indefinitely outside the heap will
-///    stall any collector waiting on it.
+///    Safepoints sit at the entry of allocate / tcfreeObject, so a parked
+///    mutator is never mid-operation and the collector can mark and sweep
+///    without locks racing mutator work. A registered mutator must
+///    therefore keep reaching heap calls (or exit its scope); a registered
+///    thread that blocks indefinitely outside the heap will stall any
+///    collector waiting on it.
 ///
 /// Cache ownership: a cache id must be used by at most one running thread
 /// at a time. tcfree's small-object path relies on this -- it mutates span
@@ -132,13 +132,6 @@ public:
   /// and tcfree would free another thread's live object.
   bool tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source);
 
-  /// Batched tcfree (section 5, "Possibility of Batching"): frees several
-  /// same-scope objects under one safety check. Returns how many were
-  /// actually reclaimed; each object individually follows tcfree's
-  /// best-effort rules.
-  size_t tcfreeBatch(const uintptr_t *Addrs, size_t N, int CacheId,
-                     FreeSource Source);
-
   /// Runs a full stop-the-world collection now (on every backend: the rc
   /// backend's backup mark-sweep doubles as its cycle collector). If
   /// another thread is already collecting, parks until that cycle
@@ -183,12 +176,10 @@ public:
       gcCopyBarrierSlow(Dst, Src, Bytes, Desc);
   }
 
-  /// Registers \p S as the only root provider (legacy single-threaded
-  /// API). Passing null clears all scanners. GC cannot run without one.
-  void setRootScanner(RootScanner *S);
-  /// Adds / removes one root provider (one per mutator thread). Removal
-  /// blocks until any in-flight GC cycle completes, so never call it while
-  /// registered as a mutator (unregister first).
+  /// Adds / removes one root provider (one per mutator thread). GC cannot
+  /// run without one. Removal blocks until any in-flight GC cycle
+  /// completes, so never call it while registered as a mutator (unregister
+  /// first).
   void addRootScanner(RootScanner *S);
   void removeRootScanner(RootScanner *S);
 
@@ -436,6 +427,20 @@ private:
   /// this condition a forced cycle sweeps eagerly so its caller observes
   /// the seed's exact post-GC state.
   bool soloWorld();
+  // Cycle steps shared by the full STW cycle, the concurrent cycle and the
+  // generational minor cycle (Gc.cpp). Stopped world, GcMu held.
+  /// Sweeps whatever the previous cycle left unswept and traces it as a
+  /// GcSweepEnd (only when something was swept). Start of a full cycle.
+  void backstopSweepStw();
+  /// Retires the dangling large-span control blocks (TcfreeLarge step 2,
+  /// fig. 9). End of any mark phase.
+  void retireDanglingSpans();
+  /// After a full mark: bumps the sweep generation, then sweeps every span
+  /// inside the pause (GcConfig::EagerSweep, or a \p Forced cycle with no
+  /// other mutator) or queues them for lazy sweepers. Leaves Phase Idle.
+  void sweepOrQueueStw(bool Forced);
+  /// Sets NextTrigger from this cycle's marked bytes.
+  void repace();
 
   // Write barrier slow paths (world running; see gcWriteBarrier).
   void gcWriteBarrierSlow(uintptr_t Slot, uintptr_t NewVal);
@@ -459,11 +464,10 @@ private:
   void markPhase(GcMarkMode Mode,
                  const std::vector<uintptr_t> *ExtraSlots = nullptr);
   /// The shared full mark-sweep cycle body (stopped world, GcMu held):
-  /// backstop sweep, full mark, dangling retirement, sweep-generation
-  /// bump, then eager or queued sweeping and retrigger computation. The
-  /// marksweep backend's whole collectStw; the generational major cycle
-  /// and the rc backup collector call it too.
-  void fullMarkSweepStw(bool Eager);
+  /// backstop sweep, full mark, dangling retirement, eager or queued
+  /// sweeping, re-pace. The marksweep backend's whole collectStw; the
+  /// generational major cycle and the rc backup collector call it too.
+  void fullMarkSweepStw(bool Forced);
   void markWorkerMain(int Index);          ///< Helper-thread loop.
   void runMarkWorker(int Index);           ///< One worker's cycle work.
   void pushMark(int Worker, const MarkItem &Item);
@@ -484,9 +488,8 @@ private:
   // the Dijkstra barrier on), a mark window with mutators running (the
   // worker pool drains gray; barrier hits and fresh allocations shade into
   // ConcGray), flip 2 (STW: rescan roots, drain residual gray, start lazy
-  // sweep). Returns with the world running; the result is whether flip 2
-  // swept eagerly (the caller's drain decision needs it).
-  bool concurrentMarkCycle(GcCycleKind Kind, bool Forced);
+  // sweep). Returns with the world running.
+  void concurrentMarkCycle(GcCycleKind Kind, bool Forced);
   /// Publishes one job of \p Job kind (GcMarkShared::Job values) to the
   /// worker pool, participates as worker 0, and waits for completion.
   /// Requires Mark set up for the cycle.

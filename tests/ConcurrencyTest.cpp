@@ -326,7 +326,8 @@ TEST(ConcurrencySafepointTest, MutatorScopeChurnDuringGc) {
           Objs[J] = H.allocate(48, nullptr, AllocCat::Other, T);
           ASSERT_NE(Objs[J], 0u);
         }
-        H.tcfreeBatch(Objs, 8, T, FreeSource::TcfreeObject);
+        for (uintptr_t A : Objs)
+          H.tcfreeObject(A, T, FreeSource::TcfreeObject);
       }
     });
   }

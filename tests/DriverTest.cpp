@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -146,51 +147,15 @@ TEST(DriverFlagTest, NumCachesRoundTrips) {
   EXPECT_EQ(parsedOk("--num-caches=8").Exec.Heap.NumCaches, 8);
 }
 
-// The pre-GcConfig flags survive as deprecated aliases; each must keep
-// parsing and land on the same GcConfig field its --gc key sets (scripted
-// runs must not break). They are deliberately absent from usageText.
-TEST(DriverFlagTest, DeprecatedGcAliasesStillParse) {
-  EXPECT_EQ(parsedOk("--gogc=250").Exec.Heap.Gc.Gogc, 250);
-  EXPECT_EQ(parsedOk("--gogc=-1").Exec.Heap.Gc.Gogc, -1); // Go-GCOff
-  EXPECT_EQ(parsedOk("--gc-min-trigger=65536").Exec.Heap.Gc.MinHeapTrigger,
-            65536u);
-  EXPECT_EQ(parsedOk("--gc-min-trigger=0").Exec.Heap.Gc.MinHeapTrigger, 0u);
-  EXPECT_EQ(parsedOk("--gc-workers=4").Exec.Heap.Gc.Workers, 4);
-  EXPECT_EQ(parsedOk("--gc-workers=1").Exec.Heap.Gc.Workers, 1);
-  EXPECT_EQ(parsedOk("--gc-workers=256").Exec.Heap.Gc.Workers, 256);
-  EXPECT_TRUE(parsedOk("--gc-eager-sweep").Exec.Heap.Gc.EagerSweep);
-  EXPECT_TRUE(parsedOk("--gc-eager-sweep=1").Exec.Heap.Gc.EagerSweep);
-  EXPECT_TRUE(parsedOk("--gc-eager-sweep=true").Exec.Heap.Gc.EagerSweep);
-  EXPECT_FALSE(parsedOk("--gc-eager-sweep=0").Exec.Heap.Gc.EagerSweep);
-  EXPECT_FALSE(parsedOk("--gc-eager-sweep=false").Exec.Heap.Gc.EagerSweep);
-  EXPECT_TRUE(parsedOk("--verify-heap").Exec.Heap.Gc.Verify);
-  EXPECT_TRUE(parsedOk("--verify-heap=1").Exec.Heap.Gc.Verify);
-  EXPECT_TRUE(parsedOk("--verify-heap=true").Exec.Heap.Gc.Verify);
-  EXPECT_FALSE(parsedOk("--verify-heap=0").Exec.Heap.Gc.Verify);
-  EXPECT_FALSE(parsedOk("--verify-heap=false").Exec.Heap.Gc.Verify);
-}
-
-// The deprecation warning is observable as a counter, not just a stderr
-// line: each deprecated flag warns exactly once per process, and the
-// modern --gc= spelling never warns -- even when both set the same
-// GcConfig field in one parse sequence.
-TEST(DriverFlagTest, DeprecationWarningsCountOncePerFlag) {
-  PipelineOptions P;
-  std::string Err;
-  ASSERT_TRUE(parseFlags({"--gc-eager-sweep=1", "--gc=eager-sweep=0"}, P,
-                         &Err))
-      << Err;
-  EXPECT_FALSE(P.Exec.Heap.Gc.EagerSweep) << "later --gc= wins the field";
-  unsigned After = deprecationWarningCount();
-  EXPECT_GE(After, 1u) << "--gc-eager-sweep should have warned";
-  // Re-parsing the deprecated alias does not warn a second time (warnings
-  // dedup per flag per process)...
-  ASSERT_TRUE(parseFlags({"--gc-eager-sweep=1"}, P, &Err)) << Err;
-  EXPECT_EQ(deprecationWarningCount(), After);
-  // ...and the modern spelling is not deprecated at all.
-  ASSERT_TRUE(parseFlags({"--gc=eager-sweep=1,conc=1,chaos=3"}, P, &Err))
-      << Err;
-  EXPECT_EQ(deprecationWarningCount(), After);
+// The pre-GcConfig spellings are gone; each must now be Unknown (so the
+// CLI prints usage) rather than silently setting a GcConfig field.
+TEST(DriverFlagTest, RemovedGcAliasesAreUnknown) {
+  for (const char *F :
+       {"--gogc=250", "--gc-min-trigger=65536", "--gc-workers=4",
+        "--gc-eager-sweep", "--verify-heap"}) {
+    PipelineOptions P;
+    EXPECT_EQ(parseFlag(F, P), FlagParse::Unknown) << F;
+  }
 }
 
 TEST(DriverFlagTest, MaxStepsRoundTrips) {
@@ -228,8 +193,6 @@ TEST(DriverFlagTest, RejectsBadValues) {
   EXPECT_NE(invalidErr("--mode=xyz").find("go|gofree"), std::string::npos);
   EXPECT_NE(invalidErr("--targets=slices").find("all|sm|none"),
             std::string::npos);
-  invalidErr("--gogc=abc");
-  invalidErr("--gc-min-trigger=-1");
   EXPECT_NE(invalidErr("--gc=tricolor").find("marksweep|generational|rc"),
             std::string::npos);
   invalidErr("--gc=gogc=abc");
@@ -252,18 +215,29 @@ TEST(DriverFlagTest, RejectsBadValues) {
   invalidErr("--num-threads=0");
   invalidErr("--num-threads=1025");
   invalidErr("--num-caches=0");
-  invalidErr("--gc-workers=0");
-  invalidErr("--gc-workers=257");
-  invalidErr("--gc-workers=four");
-  invalidErr("--gc-eager-sweep=banana");
-  invalidErr("--verify-heap=banana");
   invalidErr("--max-steps=0");
   invalidErr("--migration-period=-5");
   // Missing values.
   invalidErr("--mode");
   invalidErr("--mode=");
   invalidErr("--entry=");
-  invalidErr("--gogc");
+  invalidErr("--num-threads");
+}
+
+// gogc and promote-after are stored as int, so a value outside the int
+// range must be rejected, not wrapped: gogc=4294967295 would wrap to -1
+// (collector off) and promote-after=4294967296 to 0 (promote every span).
+TEST(DriverFlagTest, GcIntKeysRejectValuesOutsideIntRange) {
+  EXPECT_EQ(parsedOk("--gc=gogc=2147483647").Exec.Heap.Gc.Gogc, 2147483647);
+  EXPECT_EQ(parsedOk("--gc=gogc=-2147483648").Exec.Heap.Gc.Gogc, INT_MIN);
+  invalidErr("--gc=gogc=2147483648");
+  invalidErr("--gc=gogc=4294967295");
+  invalidErr("--gc=gogc=4294967396");
+  invalidErr("--gc=gogc=-2147483649");
+  EXPECT_EQ(parsedOk("--gc=promote-after=2147483647").Exec.Heap.Gc.PromoteAfter,
+            2147483647);
+  invalidErr("--gc=promote-after=2147483648");
+  invalidErr("--gc=promote-after=4294967296");
 }
 
 TEST(DriverFlagTest, UnknownFlagsPassThrough) {
@@ -279,7 +253,7 @@ TEST(DriverFlagTest, UnknownFlagsPassThrough) {
 TEST(DriverFlagTest, ParseFlagsAppliesAllOrFails) {
   PipelineOptions P;
   std::string Err;
-  ASSERT_TRUE(parseFlags({"--mode=go", "--gogc=-1", "--verify-heap"}, P, &Err))
+  ASSERT_TRUE(parseFlags({"--mode=go", "--gc=gogc=-1,verify=1"}, P, &Err))
       << Err;
   EXPECT_EQ(P.Compile.Mode, CompileMode::Go);
   EXPECT_EQ(P.Exec.Heap.Gc.Gogc, -1);
@@ -288,7 +262,7 @@ TEST(DriverFlagTest, ParseFlagsAppliesAllOrFails) {
   PipelineOptions Q;
   EXPECT_FALSE(parseFlags({"--mode=go", "--stats"}, Q, &Err));
   EXPECT_NE(Err.find("--stats"), std::string::npos);
-  EXPECT_FALSE(parseFlags({"--gogc=zz"}, Q, &Err));
+  EXPECT_FALSE(parseFlags({"--gc=gogc=zz"}, Q, &Err));
 
   std::vector<std::string> Vec = {"--num-threads=2", "--num-caches=2"};
   PipelineOptions R;

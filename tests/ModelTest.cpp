@@ -143,7 +143,7 @@ TEST_P(ChurnModelTest, LiveObjectsKeepTheirContents) {
   O.Gc.MinHeapTrigger = 64 * 1024;
   Heap H(O);
   OracleRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   Rng R(GetParam() * 104729 + 17);
 
   std::vector<uintptr_t> Order;

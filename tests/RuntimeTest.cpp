@@ -223,7 +223,7 @@ TEST(TcfreeTest, LargeFreeIsTwoStep) {
   EXPECT_EQ(H.spanOf(A), nullptr) << "pages must leave the page map";
   // Step 2: the next GC cycle retires the control block.
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   H.runGc();
   EXPECT_EQ(H.danglingSpanCount(), 0u);
 }
@@ -250,7 +250,7 @@ TEST(TcfreeTest, GivesUpDuringGc) {
   Heap H;
   HostileRoots Roots;
   Roots.Target = H.allocate(32, scalarDesc(), AllocCat::Other, 0);
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   H.runGc();
   EXPECT_FALSE(Roots.Result);
   EXPECT_TRUE(H.isLiveObject(Roots.Target));
@@ -275,7 +275,7 @@ TEST(TcfreeTest, FreedBytesCountedBySource) {
 TEST(GcTest, UnreachableObjectsAreSwept) {
   Heap H;
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   uintptr_t Kept = H.allocate(32, scalarDesc(), AllocCat::Other, 0);
   uintptr_t Dead = H.allocate(32, scalarDesc(), AllocCat::Other, 0);
   Roots.Direct.push_back(Kept);
@@ -288,7 +288,7 @@ TEST(GcTest, UnreachableObjectsAreSwept) {
 TEST(GcTest, MarkFollowsPointerChains) {
   Heap H;
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   // Build a 100-node list; root only the head.
   uintptr_t Head = 0;
   std::vector<uintptr_t> Nodes;
@@ -316,7 +316,7 @@ TEST(GcTest, MarkFollowsPointerChains) {
 TEST(GcTest, PointerArraysAreScannedElementWise) {
   Heap H;
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   uintptr_t Arr = H.allocate(10 * 8, ptrArrayDesc(), AllocCat::Slice, 0);
   std::vector<uintptr_t> Targets;
   for (int I = 0; I < 10; ++I) {
@@ -333,7 +333,7 @@ TEST(GcTest, PointerArraysAreScannedElementWise) {
 TEST(GcTest, RootRegionsScanSliceHeaders) {
   Heap H;
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   uintptr_t Arr = H.allocate(64, intArrayDesc(), AllocCat::Slice, 0);
   // A fake stack frame holding one slice header.
   static const TypeDesc FrameDesc{
@@ -351,7 +351,7 @@ TEST(GcTest, RootRegionsScanSliceHeaders) {
 TEST(GcTest, InteriorPointerKeepsWholeObject) {
   Heap H;
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   uintptr_t Arr = H.allocate(80, intArrayDesc(), AllocCat::Slice, 0);
   Roots.Direct.push_back(Arr + 40); // &arr[5]
   H.runGc();
@@ -363,7 +363,7 @@ TEST(GcTest, PacingTriggersCollection) {
   O.Gc.MinHeapTrigger = 64 * 1024;
   Heap H(O);
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   // Allocate 1 MiB of garbage: several cycles must fire and the live heap
   // must stay bounded.
   for (int I = 0; I < 1024; ++I)
@@ -378,7 +378,7 @@ TEST(GcTest, GcOffNeverCollects) {
   O.Gc.MinHeapTrigger = 4096;
   Heap H(O);
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   for (int I = 0; I < 1000; ++I)
     H.allocate(1024, scalarDesc(), AllocCat::Other, 0);
   EXPECT_EQ(H.stats().GcCycles.load(), 0u);
@@ -392,7 +392,7 @@ TEST(GcTest, TcfreeReducesGcFrequency) {
     O.Gc.MinHeapTrigger = 64 * 1024;
     Heap H(O);
     TestRoots Roots;
-    H.setRootScanner(&Roots);
+    H.addRootScanner(&Roots);
     for (int I = 0; I < 4096; ++I) {
       uintptr_t A = H.allocate(512, scalarDesc(), AllocCat::Slice, 0);
       if (UseTcfree)
@@ -467,7 +467,7 @@ TEST(GcScanTest, DeeplyNestedArrayDescriptorsScanIteratively) {
 
   Heap H;
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   uintptr_t Target = H.allocate(16, nodeDesc(), AllocCat::Other, 0);
   uintptr_t Obj = H.allocate(8, Prev, AllocCat::Other, 0);
   writeWord(Obj, Target);
@@ -484,7 +484,7 @@ TEST(GcScanTest, HugeFlatPointerArraySplitsOntoMarkStack) {
   // slot, including the very last one.
   Heap H;
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   constexpr size_t Slots = 8192;
   uintptr_t Arr = H.allocate(Slots * 8, ptrArrayDesc(), AllocCat::Slice, 0);
   std::vector<uintptr_t> Targets;
@@ -514,7 +514,7 @@ TEST(GcParallelTest, FourWorkersMarkTheSameLiveSet) {
   O.Gc.Workers = 4;
   Heap H(O);
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   // A forest of linked lists with garbage interleaved between the nodes,
   // so the workers have real pointer chasing and stealing to do.
   std::vector<uintptr_t> Live, Dead;
@@ -551,7 +551,7 @@ TEST(GcLazySweepTest, PacedGcDefersSweepingToAllocation) {
   O.Gc.MinHeapTrigger = 64 * 1024;
   Heap H(O);
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   // Garbage across several size classes, so one paced cycle leaves spans
   // of the non-triggering classes unswept when the pause ends.
   const size_t Sizes[] = {32, 256, 2048};
@@ -590,7 +590,7 @@ TEST(GcLazySweepTest, EmptyCachedSpanIsDetachedAndRetired) {
   // the cache holding a retired span (finishSweepStw's OwnerCache branch).
   Heap H;
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   std::vector<uintptr_t> Objs;
   for (int I = 0; I < 8; ++I)
     Objs.push_back(H.allocate(32, scalarDesc(), AllocCat::Other, 0));
@@ -795,7 +795,7 @@ TEST(MapRtTest, GcScansMapValues) {
   // map[int]*Node: values must keep their targets alive.
   Heap H;
   TestRoots Roots;
-  H.setRootScanner(&Roots);
+  H.addRootScanner(&Roots);
   static const TypeDesc Entry{
       "entryP", 24, false, nullptr, {{16, SlotKind::Raw}}};
   static const TypeDesc Buckets{"bucketsP", 8, true, &Entry, {}};
@@ -848,57 +848,6 @@ TEST(HeapThreadTest, ParallelAllocateAndFree) {
   uint64_t Expected =
       (uint64_t)NumThreads * ((uint64_t)PerThread * (PerThread - 1) / 2);
   EXPECT_EQ(Sum.load(), Expected);
-}
-
-//===----------------------------------------------------------------------===//
-// Batched tcfree (section 5's batching discussion)
-//===----------------------------------------------------------------------===//
-
-TEST(TcfreeBatchTest, FreesAllEligibleObjects) {
-  Heap H;
-  std::vector<uintptr_t> Addrs;
-  for (int I = 0; I < 32; ++I)
-    Addrs.push_back(H.allocate(64, scalarDesc(), AllocCat::Other, 0));
-  size_t Freed =
-      H.tcfreeBatch(Addrs.data(), Addrs.size(), 0, FreeSource::TcfreeObject);
-  EXPECT_EQ(Freed, 32u);
-  for (uintptr_t A : Addrs)
-    EXPECT_FALSE(H.isLiveObject(A));
-}
-
-TEST(TcfreeBatchTest, MixedBatchFreesOnlyEligible) {
-  Heap H;
-  uintptr_t Good = H.allocate(64, scalarDesc(), AllocCat::Other, 0);
-  uintptr_t Foreign = H.allocate(64, scalarDesc(), AllocCat::Other, 1);
-  int Local = 0;
-  uintptr_t Addrs[3] = {Good, Foreign, reinterpret_cast<uintptr_t>(&Local)};
-  size_t Freed = H.tcfreeBatch(Addrs, 3, 0, FreeSource::TcfreeObject);
-  EXPECT_EQ(Freed, 1u);
-  EXPECT_FALSE(H.isLiveObject(Good));
-  EXPECT_TRUE(H.isLiveObject(Foreign));
-}
-
-TEST(TcfreeBatchTest, WholeBatchGivesUpDuringGc) {
-  class BatchingRoots : public RootScanner {
-  public:
-    std::vector<uintptr_t> Targets;
-    size_t FreedDuringGc = 0;
-    void scanRoots(Heap &H) override {
-      FreedDuringGc = H.tcfreeBatch(Targets.data(), Targets.size(), 0,
-                                    FreeSource::TcfreeObject);
-      for (uintptr_t A : Targets)
-        H.gcMarkAddr(A);
-    }
-  };
-  Heap H;
-  BatchingRoots Roots;
-  for (int I = 0; I < 8; ++I)
-    Roots.Targets.push_back(H.allocate(32, scalarDesc(), AllocCat::Other, 0));
-  H.setRootScanner(&Roots);
-  H.runGc();
-  EXPECT_EQ(Roots.FreedDuringGc, 0u);
-  for (uintptr_t A : Roots.Targets)
-    EXPECT_TRUE(H.isLiveObject(A));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1066,7 +1015,7 @@ TEST(PauseHistTest, SnapshotPercentilesComeFromLiveHistogram) {
   // with recomputing from its own histogram, and is bounded by the max.
   Heap H;
   TestRoots R;
-  H.setRootScanner(&R);
+  H.addRootScanner(&R);
   for (int I = 0; I < 64; ++I)
     R.Direct.push_back(H.allocate(64, scalarDesc(), AllocCat::Other, 0));
   for (int I = 0; I < 5; ++I)

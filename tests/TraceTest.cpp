@@ -245,27 +245,56 @@ TEST(TraceRuntimeTest, AllocationsAreCategorized) {
 }
 
 TEST(TraceRuntimeTest, GcCycleEmitsPhaseEvents) {
-  TraceSink Sink;
-  rt::HeapOptions HO;
-  HO.Trace = &Sink;
-  rt::Heap H(HO);
+  // The STW and concurrent cycle bodies share their end-of-cycle steps
+  // (dangling retirement, sweep-or-queue, re-pace); pin each body's exact
+  // GC event order so the shared tail is checked in both.
+  for (bool Conc : {false, true}) {
+    SCOPED_TRACE(Conc ? "conc=1" : "conc=0");
+    TraceSink Sink;
+    rt::HeapOptions HO;
+    HO.Trace = &Sink;
+    HO.Gc.Concurrent = Conc;
+    rt::Heap H(HO);
 
-  // Unreachable garbage (no root scanner installed), then a forced cycle.
-  for (int I = 0; I < 64; ++I)
-    H.allocate(256, nullptr, rt::AllocCat::Other, 0);
-  H.runGc();
+    // Unreachable garbage (no root scanner installed), then a forced
+    // cycle. Solo and forced, so it sweeps inside the (last) pause.
+    for (int I = 0; I < 64; ++I)
+      H.allocate(256, nullptr, rt::AllocCat::Other, 0);
+    H.runGc();
 
-  EXPECT_EQ(countKind(Sink, EventKind::GcMarkStart), 1u);
-  EXPECT_EQ(countKind(Sink, EventKind::GcMarkEnd), 1u);
-  EXPECT_EQ(countKind(Sink, EventKind::GcSweepEnd), 1u);
-  EXPECT_EQ(countKind(Sink, EventKind::GcCycleEnd), 1u);
-  std::vector<Event> Sweeps = eventsOfKind(Sink, EventKind::GcSweepEnd);
-  EXPECT_GE(Sweeps[0].V0, 64u * 256u); // Swept at least the garbage.
-  EXPECT_GE(Sweeps[0].V1, 64u);        // Object count.
+    std::vector<std::string> Got;
+    for (size_t I = 0, N = Sink.size(); I < N; ++I)
+      if (Sink[I].Kind != EventKind::HeapAlloc)
+        Got.push_back(eventKindName(Sink[I].Kind));
+    std::vector<EventKind> Want =
+        Conc ? std::vector<EventKind>{EventKind::GcMarkStart,
+                                      EventKind::GcStwFlip,
+                                      EventKind::GcMarkEnd,
+                                      EventKind::GcMarkWorker,
+                                      EventKind::GcSweepEnd,
+                                      EventKind::GcStwFlip,
+                                      EventKind::GcConcMark,
+                                      EventKind::GcCycleEnd}
+             : std::vector<EventKind>{EventKind::GcMarkStart,
+                                      EventKind::GcMarkWorker,
+                                      EventKind::GcMarkEnd,
+                                      EventKind::GcSweepEnd,
+                                      EventKind::GcCycleEnd};
+    std::vector<std::string> WantNames;
+    for (EventKind K : Want)
+      WantNames.push_back(eventKindName(K));
+    EXPECT_EQ(Got, WantNames);
+    EXPECT_EQ(countKind(Sink, EventKind::GcStwFlip), Conc ? 2u : 0u);
 
-  TraceSummary Sum = summarize(Sink);
-  EXPECT_EQ(Sum.GcCycles, 1u);
-  EXPECT_GE(Sum.GcSweptBytes, 64u * 256u);
+    std::vector<Event> Sweeps = eventsOfKind(Sink, EventKind::GcSweepEnd);
+    ASSERT_EQ(Sweeps.size(), 1u);
+    EXPECT_GE(Sweeps[0].V0, 64u * 256u); // Swept at least the garbage.
+    EXPECT_GE(Sweeps[0].V1, 64u);        // Object count.
+
+    TraceSummary Sum = summarize(Sink);
+    EXPECT_EQ(Sum.GcCycles, 1u);
+    EXPECT_GE(Sum.GcSweptBytes, 64u * 256u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -54,6 +54,7 @@
 # The smoke test runs examples/quickstart.minigo under --trace-out and
 # asserts the trace is valid JSON-lines containing at least one GC event,
 # one tcfree outcome with a give-up reason, and per-pass compiler timings.
+# It also checks that serve-sim rejects --rps=nan and --rps=-1.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -98,6 +99,14 @@ PYEOF
   grep -q '"ev":"pass","pass":"escape-solve"' "$tmp/t.jsonl" || fail "no pass timing events"
   grep -q '"ev":"trace-end"' "$tmp/t.jsonl" || fail "no trace-end record"
   grep -q '"dropped":0' "$tmp/t.jsonl" || echo "check.sh: note: trace dropped events" >&2
+
+  # serve-sim must refuse rates that are not a finite non-negative number.
+  local rps
+  for rps in nan -1; do
+    if "$gofree" serve-sim --requests=1 --rps="$rps" > /dev/null 2>&1; then
+      fail "serve-sim accepted --rps=$rps"
+    fi
+  done
 
   echo "check.sh: trace smoke OK ($(wc -l < "$tmp/t.jsonl") lines)"
 }

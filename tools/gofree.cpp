@@ -35,6 +35,7 @@
 #include "support/Trace.h"
 #include "workloads/ServeSim.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -207,8 +208,10 @@ int cmdServeSim(int Argc, char **Argv, int I, driver::PipelineOptions P,
         return usage();
       SO.Requests = (uint64_t)V;
     } else if (Flag.rfind("--rps=", 0) == 0) {
+      // 0 means closed-loop; NaN/inf would print invalid JSON and a
+      // negative rate would silently mean closed-loop too.
       double V = parseCliDouble(Flag, 6, Ok);
-      if (!Ok)
+      if (!Ok || !std::isfinite(V) || V < 0)
         return usage();
       SO.OfferedRps = V;
     } else if (Flag.rfind("--workers=", 0) == 0) {
