@@ -6,7 +6,8 @@
 // Throughput of the allocate/tcfree hot paths when 1/2/4/8 mutator threads
 // share one heap, each owning its thread cache. The design target is that
 // threads contend only on central-list refills (per-size-class locks) and
-// page-heap growth, not on every operation; the measure of that is
+// the page-heap lock when a refill carves a fresh span, not on every
+// operation; the measure of that is
 // ops/second scaling versus the single-thread baseline.
 //
 // Honesty note: scaling can only show up when hardware threads exist.

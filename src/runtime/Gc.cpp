@@ -1,13 +1,16 @@
-//===- runtime/Gc.cpp - Parallel-mark, lazy-sweep collector ---------------===//
+//===- runtime/Gc.cpp - Concurrent parallel-mark, lazy-sweep collector ----===//
 //
 // Part of the GoFree-CPP project, reproducing "GoFree: Reducing Garbage
 // Collection via Compiler-Inserted Freeing" (CGO 2025).
 //
-// Go's collector is concurrent tri-color; this reproduction keeps the
-// stop-the-world structure but borrows two of Go's scalability devices so
-// the cost profile GoFree attacks stays realistic:
+// Like Go's, the collector is concurrent tri-color by default
+// (GcConfig::Concurrent): a short stop-the-world flip scans the roots and
+// turns on the Dijkstra write barrier, the workers mark while mutators run,
+// and a second flip drains the residual gray (see "Concurrent tricolor
+// mark" below). `--gc=...,conc=0` marks entirely inside one pause instead.
+// Both shapes share two more of Go's scalability devices:
 //
-//  * **Parallel marking.** The pause runs GcWorkers mark workers (the
+//  * **Parallel marking.** Marking runs GcWorkers mark workers (the
 //    collecting thread is worker 0; the rest are persistent helper threads
 //    woken per cycle). Each worker keeps a private mark stack and
 //    publishes fixed-size chunks of it for idle workers to steal;
@@ -16,12 +19,14 @@
 //    fetch_or (MSpan::tryMarkBit), so two workers racing to an object
 //    cannot double-count or double-scan it.
 //
-//  * **Lazy (incremental) sweeping.** The stop-the-world window ends right
-//    after mark. Spans are swept on demand afterwards, following Go's
-//    sweepgen protocol (see MSpan::SweepGen): at cache refill, by a small
-//    sweep credit on the allocation slow path, when tcfree touches an
-//    unswept span, and -- as a backstop -- at the start of the next cycle.
-//    Fully-empty spans are retired by whoever sweeps them. Forced runGc()
+//  * **Lazy (incremental) sweeping.** By default nothing is swept inside
+//    the pause that ends mark. Spans are swept on demand afterwards,
+//    following Go's sweepgen protocol (see MSpan::SweepGen): at cache
+//    refill, by a small sweep credit on the allocation slow path, when
+//    tcfree touches an unswept span, and -- as a backstop -- at the start
+//    of the next cycle. Fully-empty spans are retired by whoever sweeps
+//    them (a refill or tcfree that merely waited out another sweeper
+//    leaves that to it; see ensureSwept). Forced runGc()
 //    calls with no other registered mutator sweep eagerly inside the pause
 //    so single-threaded callers observe the seed's exact post-GC state.
 //
@@ -47,6 +52,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <sys/mman.h>
 #include <thread>
 
 using namespace gofree;
@@ -178,8 +184,9 @@ struct Heap::GcMarkShared {
   }
 };
 
-// Lives here (not Heap.cpp) because destroying the unique_ptr<GcMarkShared>
-// needs the complete type, and the helper pool must be shut down first.
+// Lives here (not Heap.cpp) because destroying the GcMarkShared block needs
+// the complete type, and the helper pool must be shut down before the
+// reserved range it may still be marking is unmapped.
 Heap::~Heap() {
   {
     std::lock_guard<std::mutex> Lock(PoolMu);
@@ -189,6 +196,8 @@ Heap::~Heap() {
   for (std::thread &T : GcPool)
     T.join();
   delete Mark;
+  munmap(PageMap, ArenaPages * sizeof(MSpan *));
+  munmap(reinterpret_cast<void *>(ArenaBase), ArenaBytes);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1055,17 +1064,18 @@ bool Heap::trySweepSpan(MSpan *S, trace::SweepWhere Where) {
   return true;
 }
 
-void Heap::ensureSwept(MSpan *S, trace::SweepWhere Where) {
+bool Heap::ensureSwept(MSpan *S, trace::SweepWhere Where) {
   uint32_t G = SweepGenGlobal.load(std::memory_order_acquire);
   if (S->SweepGen.load(std::memory_order_acquire) == G)
-    return; // Common case: already swept this generation.
+    return false; // Common case: already swept this generation.
   if (trySweepSpan(S, Where))
-    return;
+    return true;
   // Another sweeper holds the claim; wait out its release store. Safe
   // even while the caller holds a central-list or page-heap lock: a
   // sweeper publishes the generation without taking any lock first.
   while (S->SweepGen.load(std::memory_order_acquire) != G)
     std::this_thread::yield();
+  return false;
 }
 
 void Heap::postSweepFixup(MSpan *S) {
@@ -1244,18 +1254,9 @@ void Heap::buildSweepQueue() {
 //===----------------------------------------------------------------------===//
 
 void Heap::gcWriteBarrierSlow(uintptr_t Slot, uintptr_t NewVal) {
-  bool Conc = ConcMarkActive.load(std::memory_order_relaxed);
-  // Cheap bounds filter: most barriered stores target interpreter stack
-  // slots or other C++ memory. The bounds are conservative (malloc'd
-  // C++ allocations can interleave with arena chunks), so lookupSpan
-  // below is the real heap test. During concurrent mark the filter is
-  // skipped outright: the bounds widen with relaxed CAS loops, so a
-  // storing thread could read a stale bound, filter a genuinely-heap
-  // slot, and lose a shade -- the one failure mode the Dijkstra barrier
-  // cannot tolerate. lookupSpan's shard mutex has no such window.
-  if (!Conc && (Slot < HeapLo.load(std::memory_order_relaxed) ||
-                Slot >= HeapHi.load(std::memory_order_relaxed)))
-    return;
+  // Stack slots and other C++ memory lie outside the reserved range (or on
+  // a page no span covers), so the exact, lock-free lookup doubles as the
+  // non-heap filter.
   MSpan *S = lookupSpan(Slot);
   if (!S || S->State.load(std::memory_order_relaxed) != SpanState::InUse)
     return;
@@ -1263,7 +1264,7 @@ void Heap::gcWriteBarrierSlow(uintptr_t Slot, uintptr_t NewVal) {
   // retires, so the marker can never miss the only reference to it. Runs
   // before the Old == NewVal early-out -- the shade is about NewVal's
   // liveness, not about the edge changing.
-  if (Conc)
+  if (ConcMarkActive.load(std::memory_order_relaxed))
     gcMarkAddr(NewVal);
   // The old value is read from memory -- this is why the barrier must run
   // *before* the store it covers. Relaxed atomic: a concurrent marker (or

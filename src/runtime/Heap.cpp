@@ -3,13 +3,14 @@
 // Part of the GoFree-CPP project, reproducing "GoFree: Reducing Garbage
 // Collection via Compiler-Inserted Freeing" (CGO 2025).
 //
-// Locking. Three lock tiers, always acquired in this order when nested:
+// Locking. Two lock tiers, always acquired in this order when nested:
 //   1. a per-size-class central-list mutex (Central[Class].Mu),
-//   2. the page-heap mutex Mu (chunks, free runs, span lifecycle),
-//   3. a page-map shard mutex (PageShards[I].Mu).
+//   2. the page-heap mutex Mu (free runs, page-map writes, span lifecycle).
 // The fast paths (cache-hit allocation, owned-span tcfree) take no locks at
 // all; their safety comes from the cache-ownership invariant documented in
-// MSpan.h plus the stop-the-world handshake in Gc.cpp.
+// MSpan.h plus the stop-the-world handshake in Gc.cpp. Page-map reads
+// (lookupSpan) take no lock either: entries are published with release
+// stores under Mu and read with acquire loads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <new>
+#include <sys/mman.h>
 
 using namespace gofree;
 using namespace gofree::rt;
@@ -80,10 +83,29 @@ Heap::Heap(HeapOptions O) : Opts(O) {
   BarrierAlways = Opts.Gc.Backend != GcBackendKind::MarkSweep;
   BarrierOn.store(BarrierAlways, std::memory_order_relaxed);
   Central = std::make_unique<CentralList[]>((size_t)numSizeClasses());
-  PageShards = std::make_unique<PageShard[]>(NumPageShards);
   Caches.resize((size_t)Opts.NumCaches);
   for (Cache &C : Caches)
     C.Current.assign((size_t)numSizeClasses(), nullptr);
+  // Reserve the page range and its page map last, so that nothing can
+  // throw after them and leak them (hence the free-run list is allocated
+  // first). MAP_NORESERVE keeps the reservation free: the OS backs a page
+  // only once a span (or a page-map entry) on it is written.
+  FreeRuns.resize(1);
+  auto Reserve = [](size_t Bytes) {
+    return mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  };
+  void *Arena = Reserve(ArenaBytes);
+  if (Arena == MAP_FAILED)
+    throw std::bad_alloc();
+  void *Map = Reserve(ArenaPages * sizeof(MSpan *));
+  if (Map == MAP_FAILED) {
+    munmap(Arena, ArenaBytes);
+    throw std::bad_alloc();
+  }
+  ArenaBase = reinterpret_cast<uintptr_t>(Arena);
+  PageMap = static_cast<MSpan **>(Map);
+  FreeRuns[0] = {ArenaBase, ArenaPages};
 }
 
 // ~Heap lives in Gc.cpp: it must join the mark-worker pool and destroy the
@@ -118,7 +140,13 @@ Heap::MutatorScope::MutatorScope(Heap &H, int CacheId, trace::TraceSink *Sink)
   // Nested scopes on the same heap keep the outer registration (the thread
   // can only park once).
   if (PrevHeap != &H) {
-    std::lock_guard<std::mutex> Lock(H.ParkMu);
+    std::unique_lock<std::mutex> Lock(H.ParkMu);
+    // Join only while the world runs: a thread registering mid-stop is not
+    // in the collector's quorum, yet would run mutator code (and change
+    // its roots) while the collector scans them.
+    H.ParkCv.wait(Lock, [&] {
+      return !H.StopWorld.load(std::memory_order_relaxed);
+    });
     ++H.RegisteredMutators;
   }
 }
@@ -233,51 +261,41 @@ void Heap::removeRootScanner(RootScanner *S) {
 //===----------------------------------------------------------------------===//
 
 Heap::Run Heap::allocPages(size_t NPages) {
-  // First fit over the free runs, splitting the remainder.
+  // First fit over the free runs, splitting the remainder. The runs start
+  // as one run covering the whole reservation, so a miss means it is used
+  // up.
   for (size_t I = 0; I < FreeRuns.size(); ++I) {
     if (FreeRuns[I].NPages < NPages)
       continue;
-    Run R{FreeRuns[I].Base, NPages, FreeRuns[I].Chunk};
+    Run R{FreeRuns[I].Base, NPages};
     if (FreeRuns[I].NPages == NPages) {
       FreeRuns.erase(FreeRuns.begin() + (ptrdiff_t)I);
     } else {
       FreeRuns[I].Base += NPages * PageSize;
       FreeRuns[I].NPages -= NPages;
     }
+    ArenaHighPage = std::max(ArenaHighPage,
+                             ((R.Base - ArenaBase) >> PageShift) + NPages);
     return R;
   }
-  // Grow the arena: chunks of at least 2 MiB, page aligned.
-  size_t ChunkPages = std::max<size_t>(NPages, 256);
-  size_t Bytes = ChunkPages * PageSize + PageSize;
-  auto Mem = std::make_unique<char[]>(Bytes);
-  uintptr_t Raw = reinterpret_cast<uintptr_t>(Mem.get());
-  uintptr_t Aligned = (Raw + PageSize - 1) & ~(uintptr_t)(PageSize - 1);
-  size_t Id = Chunks.size();
-  Chunks.push_back({std::move(Mem), Aligned, ChunkPages});
-  if (ChunkPages > NPages)
-    freePages(Aligned + NPages * PageSize, ChunkPages - NPages, Id);
-  return Run{Aligned, NPages, Id};
+  throw std::bad_alloc();
 }
 
-void Heap::freePages(uintptr_t Base, size_t NPages, size_t ChunkId) {
-  // Insert sorted and coalesce with neighbours -- but only neighbours from
-  // the same arena chunk. Separately allocated chunks can be
-  // address-adjacent, and a run merged across that boundary would later be
-  // handed out as one span straddling two allocations.
-  Run R{Base, NPages, ChunkId};
+void Heap::freePages(uintptr_t Base, size_t NPages) {
+  // Insert sorted and coalesce with address-adjacent neighbours.
+  Run R{Base, NPages};
   auto It = std::lower_bound(
       FreeRuns.begin(), FreeRuns.end(), R,
       [](const Run &A, const Run &B) { return A.Base < B.Base; });
   It = FreeRuns.insert(It, R);
-  if (It + 1 != FreeRuns.end() && It->Chunk == (It + 1)->Chunk &&
+  if (It + 1 != FreeRuns.end() &&
       It->Base + It->NPages * PageSize == (It + 1)->Base) {
     It->NPages += (It + 1)->NPages;
     FreeRuns.erase(It + 1);
   }
   if (It != FreeRuns.begin()) {
     auto Prev = It - 1;
-    if (Prev->Chunk == It->Chunk &&
-        Prev->Base + Prev->NPages * PageSize == It->Base) {
+    if (Prev->Base + Prev->NPages * PageSize == It->Base) {
       Prev->NPages += It->NPages;
       FreeRuns.erase(It);
     }
@@ -287,48 +305,6 @@ void Heap::freePages(uintptr_t Base, size_t NPages, size_t ChunkId) {
 size_t Heap::freeRunCount() {
   std::lock_guard<std::mutex> Lock(Mu);
   return FreeRuns.size();
-}
-
-size_t Heap::chunkCount() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Chunks.size();
-}
-
-bool Heap::pageHeapConsistent() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (size_t I = 0; I < FreeRuns.size(); ++I) {
-    const Run &R = FreeRuns[I];
-    if (R.NPages == 0 || R.Chunk >= Chunks.size())
-      return false;
-    const Chunk &C = Chunks[R.Chunk];
-    if (R.Base < C.Base ||
-        R.Base + R.NPages * PageSize > C.Base + C.NPages * PageSize)
-      return false; // Run escapes its chunk.
-    if (I > 0) {
-      const Run &P = FreeRuns[I - 1];
-      if (P.Base + P.NPages * PageSize > R.Base)
-        return false; // Unsorted or overlapping.
-      if (P.Chunk == R.Chunk && P.Base + P.NPages * PageSize == R.Base)
-        return false; // Same-chunk neighbours left uncoalesced.
-    }
-  }
-  return true;
-}
-
-void Heap::testInjectAdjacentChunks(size_t NPagesEach) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  size_t Bytes = 2 * NPagesEach * PageSize + PageSize;
-  auto Mem = std::make_unique<char[]>(Bytes);
-  uintptr_t Raw = reinterpret_cast<uintptr_t>(Mem.get());
-  uintptr_t Aligned = (Raw + PageSize - 1) & ~(uintptr_t)(PageSize - 1);
-  size_t IdA = Chunks.size();
-  Chunks.push_back({std::move(Mem), Aligned, NPagesEach});
-  size_t IdB = Chunks.size();
-  // Chunk B's storage is owned by chunk A's allocation; what matters is
-  // that its page range begins exactly where A's ends.
-  Chunks.push_back({nullptr, Aligned + NPagesEach * PageSize, NPagesEach});
-  freePages(Aligned, NPagesEach, IdA);
-  freePages(Aligned + NPagesEach * PageSize, NPagesEach, IdB);
 }
 
 MSpan *Heap::newSpan(const Run &R, size_t ElemSize, int Class) {
@@ -343,20 +319,9 @@ MSpan *Heap::newSpan(const Run &R, size_t ElemSize, int Class) {
   // Stamped with the current sweep generation: a fresh span is "swept" by
   // definition, and the stamp also neutralizes any stale pointer to this
   // control block left in the sweep queue (the claim CAS expects G - 2).
-  S->reset(R.Base, R.NPages, ElemSize, Class, R.Chunk,
+  S->reset(R.Base, R.NPages, ElemSize, Class,
            SweepGenGlobal.load(std::memory_order_relaxed));
   registerSpan(S);
-  // Widen the write barrier's conservative heap bounds (monotonic; spans
-  // come and go but chunks never shrink).
-  uintptr_t Lo = HeapLo.load(std::memory_order_relaxed);
-  while (R.Base < Lo &&
-         !HeapLo.compare_exchange_weak(Lo, R.Base, std::memory_order_relaxed))
-    ;
-  uintptr_t End = R.Base + R.NPages * PageSize;
-  uintptr_t Hi = HeapHi.load(std::memory_order_relaxed);
-  while (End > Hi &&
-         !HeapHi.compare_exchange_weak(Hi, End, std::memory_order_relaxed))
-    ;
   Backend->spanCreated(*S);
   Stats.Committed.fetch_add(R.NPages * PageSize, std::memory_order_relaxed);
   Stats.notePeaks();
@@ -364,29 +329,18 @@ MSpan *Heap::newSpan(const Run &R, size_t ElemSize, int Class) {
 }
 
 void Heap::registerSpan(MSpan *S) {
-  for (size_t P = 0; P < S->NPages; ++P) {
-    uintptr_t Page = (S->Base >> PageShift) + P;
-    PageShard &Shard = PageShards[Page % NumPageShards];
-    std::lock_guard<std::mutex> Lock(Shard.Mu);
-    Shard.Map[Page] = S;
-  }
+  // Release: a thread whose lookupSpan observes S also observes the
+  // control block reset() just wrote.
+  size_t First = (S->Base - ArenaBase) >> PageShift;
+  for (size_t P = First; P < First + S->NPages; ++P)
+    std::atomic_ref<MSpan *>(PageMap[P]).store(S, std::memory_order_release);
 }
 
 void Heap::unregisterSpan(MSpan *S) {
-  for (size_t P = 0; P < S->NPages; ++P) {
-    uintptr_t Page = (S->Base >> PageShift) + P;
-    PageShard &Shard = PageShards[Page % NumPageShards];
-    std::lock_guard<std::mutex> Lock(Shard.Mu);
-    Shard.Map.erase(Page);
-  }
-}
-
-MSpan *Heap::lookupSpan(uintptr_t Addr) {
-  uintptr_t Page = Addr >> PageShift;
-  PageShard &Shard = PageShards[Page % NumPageShards];
-  std::lock_guard<std::mutex> Lock(Shard.Mu);
-  auto It = Shard.Map.find(Page);
-  return It == Shard.Map.end() ? nullptr : It->second;
+  size_t First = (S->Base - ArenaBase) >> PageShift;
+  for (size_t P = First; P < First + S->NPages; ++P)
+    std::atomic_ref<MSpan *>(PageMap[P]).store(nullptr,
+                                               std::memory_order_release);
 }
 
 void Heap::retireSpan(MSpan *S) {
@@ -394,7 +348,7 @@ void Heap::retireSpan(MSpan *S) {
   // in-use spans release everything here.
   if (S->State.load(std::memory_order_relaxed) == SpanState::InUse) {
     unregisterSpan(S);
-    freePages(S->Base, S->NPages, S->Chunk);
+    freePages(S->Base, S->NPages);
     Stats.Committed.fetch_sub(S->NPages * PageSize, std::memory_order_relaxed);
   }
   S->State.store(SpanState::Free, std::memory_order_relaxed);
@@ -405,8 +359,6 @@ void Heap::retireSpan(MSpan *S) {
                     std::memory_order_relaxed);
   SpanPool.push_back(S);
 }
-
-MSpan *Heap::spanOf(uintptr_t Addr) { return lookupSpan(Addr); }
 
 bool Heap::isLiveObject(uintptr_t Addr) {
   MSpan *S = lookupSpan(Addr);
@@ -544,15 +496,16 @@ MSpan *Heap::refillCache(int CacheId, int Class) {
     // Sweep outside the list lock. Popping the span (OnList = None) made
     // it ours: a queue sweeper that claims it first finishes harmlessly
     // (its fixup sees OnList None and leaves placement to us).
-    ensureSwept(Got, trace::SweepWhere::Refill);
-    if (Got->liveCount() == 0 &&
+    bool SweptHere = ensureSwept(Got, trace::SweepWhere::Refill);
+    if (SweptHere && Got->liveCount() == 0 &&
         Phase.load(std::memory_order_acquire) == GcPhase::Idle) {
       // Everything in it was garbage: return the pages instead of caching.
       // Only while the collector is idle -- during concurrent mark a
       // background marker may still hold this MSpan* (lookupSpan precedes
       // the InUse check), and retiring would let newSpan reassign its
       // bitmaps under the marker's feet. Mid-cycle the empty span is
-      // simply used as the new cache span instead.
+      // simply used as the new cache span instead, and so is one a queue
+      // sweeper emptied (see ensureSwept).
       std::lock_guard<std::mutex> Lock(Mu);
       retireSpan(Got);
       continue;
@@ -572,7 +525,7 @@ MSpan *Heap::refillCache(int CacheId, int Class) {
   // Central miss: carve a fresh span out of the page heap. The class lock
   // is dropped first (lock order is central -> page heap, but there is no
   // invariant connecting the two lists mid-refill, and holding it would
-  // serialize all refills of this class behind chunk growth).
+  // serialize all refills of this class behind the page heap).
   MSpan *S;
   {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -693,10 +646,11 @@ bool Heap::tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source) {
     // clears and this call is a double free (the liveness contract says a
     // *live* object's address keeps it marked). Deadlock-free under Mu:
     // any competing sweeper publishes the generation before it takes a
-    // lock. An emptied span is retired here, not leaked as floating InUse.
-    ensureSwept(S, trace::SweepWhere::Tcfree);
+    // lock. An emptied span is retired here, not leaked as floating InUse
+    // (or by the queue sweeper that emptied it, in its postSweepFixup).
+    bool SweptHere = ensureSwept(S, trace::SweepWhere::Tcfree);
     if (!S->allocBit(0)) {
-      if (S->liveCount() == 0)
+      if (SweptHere)
         retireSpan(S);
       return GiveUp(trace::GiveUpReason::DoubleFree);
     }
@@ -706,7 +660,7 @@ bool Heap::tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source) {
       Backend->noteExplicitFree(*S, 0); // Fields still intact here.
     S->clearAllocBit(0);
     unregisterSpan(S);
-    freePages(S->Base, S->NPages, S->Chunk);
+    freePages(S->Base, S->NPages);
     Stats.Committed.fetch_sub(S->NPages * PageSize, std::memory_order_relaxed);
     S->State.store(SpanState::Dangling, std::memory_order_release);
     Dangling.push_back(S);

@@ -8,11 +8,17 @@
 /// \file
 /// The runtime substrate of sections 3.3 and 5: a TCMalloc-style heap
 /// (page heap -> central lists -> per-thread caches of size-classed spans),
-/// a non-moving stop-the-world mark-sweep collector with Go's GOGC pacing
-/// rule, and the tcfree family of best-effort explicit deallocation
+/// a non-moving mark-sweep collector with Go's GOGC pacing rule (concurrent
+/// tricolor mark by default, stop-the-world with `conc=0`; see
+/// docs/GC.md), and the tcfree family of best-effort explicit deallocation
 /// primitives. tcfree never compromises safety: whenever freeing would be
 /// unsafe (GC running, span owned by another cache, unknown address) it
 /// gives up and leaves the object to the GC.
+///
+/// The page heap lives in one address range reserved when the heap is
+/// built (ArenaBytes, backed by the OS only where spans are used). A flat
+/// page map with one MSpan* per page answers "which span holds this
+/// address" with a range check and one atomic load, no lock.
 ///
 /// Threading model
 /// ---------------
@@ -58,7 +64,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace gofree {
@@ -219,7 +224,15 @@ public:
   trace::TraceSink *traceSink() const;
 
   /// Looks up the span containing \p Addr; null for non-heap addresses.
-  MSpan *spanOf(uintptr_t Addr);
+  MSpan *spanOf(uintptr_t Addr) { return lookupSpan(Addr); }
+
+  /// Address space each heap reserves for its pages, typically more than
+  /// the host's RAM: it is mmap'd with MAP_NORESERVE, so only pages that
+  /// spans actually touch cost memory. Exhausting it throws std::bad_alloc.
+  static constexpr size_t ArenaBytes = size_t(64) << 30;
+  static constexpr size_t ArenaPages = ArenaBytes / PageSize;
+  /// First byte of the reserved range.
+  uintptr_t arenaBase() const { return ArenaBase; }
 
   /// True if \p Addr lies in a live heap object. Not safe concurrently
   /// with mutators of that object's span; meant for tests at quiesce.
@@ -248,41 +261,29 @@ public:
   /// to another cache, exercising tcfree's ownership give-up path.
   void reassignSpanOwner(uintptr_t Addr, int NewOwner);
 
-  /// Test hooks for the page heap (satellite: cross-chunk coalescing).
-  /// Number of free page runs / arena chunks currently held.
+  /// Test hook: number of free page runs currently held.
   size_t freeRunCount();
-  size_t chunkCount();
-  /// Verifies the page-heap invariants: every free run lies inside a
-  /// single arena chunk, runs are sorted, disjoint, and same-chunk
-  /// adjacent runs are coalesced. Returns false on any violation.
-  bool pageHeapConsistent();
   /// Exhaustive structural validation of the whole heap: free-run
-  /// integrity (sorted, disjoint, same-chunk coalesced, no cross-chunk
-  /// runs), span accounting (every page of the arena is exactly one of
-  /// free-run / in-use span; Committed and HeapLive match the spans),
-  /// page-map exactness, cache ownership (a span cached by a thread is
-  /// in-use, of the right class, owned by that cache, and cached nowhere
-  /// else), and central-list discipline (unowned, in-use, Partial has a
-  /// free slot iff listed there). Returns true when everything holds;
-  /// otherwise returns false and, if \p Report is non-null, fills it with
-  /// one line per violation.
+  /// integrity (sorted, disjoint, coalesced, inside the reserved range),
+  /// span accounting (every reserved page is exactly one of free run /
+  /// in-use span; Committed and HeapLive match the spans), page-map
+  /// exactness, cache ownership (a span cached by a thread is in-use, of
+  /// the right class, owned by that cache, and cached nowhere else), and
+  /// central-list discipline (unowned, in-use, Partial has a free slot iff
+  /// listed there). Returns true when everything holds; otherwise returns
+  /// false and, if \p Report is non-null, fills it with one line per
+  /// violation.
   ///
   /// Caller must have the heap quiesced: either the world is stopped (the
-  /// collector calls this under HeapOptions::Verify) or no other thread is
-  /// touching the heap. Takes the page-heap, shard, and central locks so
-  /// the walk is also clean under ThreadSanitizer.
+  /// collector calls this under GcConfig::Verify) or no other thread is
+  /// touching the heap. Takes the page-heap and central locks so the walk
+  /// is also clean under ThreadSanitizer.
   bool verifyInvariants(std::string *Report = nullptr);
 
   /// First invariant violation recorded by a GC-safepoint verification
   /// (HeapOptions::Verify), or empty. Sticky until the heap dies, so a
   /// violation mid-run is still visible to the post-run report.
   std::string invariantFailure() const;
-
-  /// Test hook: registers one allocation as two *address-adjacent* chunks
-  /// of \p NPagesEach pages, the situation where coalescing by address
-  /// alone would merge runs across chunk bounds and later hand out a span
-  /// straddling two allocations.
-  void testInjectAdjacentChunks(size_t NPagesEach);
 
   /// Registers the calling thread as a mutator for the stop-the-world
   /// handshake, optionally with a per-thread trace sink (merged at drain
@@ -342,19 +343,10 @@ private:
   struct Cache {
     std::vector<MSpan *> Current; ///< One span per size class, or null.
   };
-  /// A free run of pages. Chunk tags runs with their arena chunk so the
-  /// coalescer never merges address-adjacent runs from different malloc'd
-  /// chunks (a run handed out by allocPages must be one contiguous
-  /// allocation).
+  /// A free run of pages.
   struct Run {
     uintptr_t Base;
     size_t NPages;
-    size_t Chunk;
-  };
-  struct Chunk {
-    std::unique_ptr<char[]> Mem;
-    uintptr_t Base;  ///< Page-aligned usable base.
-    size_t NPages;   ///< Usable pages starting at Base.
   };
   /// Central free lists for one size class. Sharded per class so refills
   /// of different classes never contend (the seed serialized every refill
@@ -364,15 +356,6 @@ private:
     std::vector<MSpan *> Partial;
     std::vector<MSpan *> Full;
   };
-  /// One shard of the page map (page index -> span). Sharded so tcfree's
-  /// span lookup -- the hottest read path -- does not serialize on a
-  /// global lock.
-  struct PageShard {
-    std::mutex Mu;
-    std::unordered_map<uintptr_t, MSpan *> Map;
-  };
-  static constexpr size_t NumPageShards = 64;
-
   // Safepoint / stop-the-world machinery.
   /// Fast path: one acquire load when the world is running.
   void safepoint() {
@@ -404,14 +387,21 @@ private:
 
   // Page heap. All require Mu.
   Run allocPages(size_t NPages);
-  void freePages(uintptr_t Base, size_t NPages, size_t ChunkId);
+  void freePages(uintptr_t Base, size_t NPages);
   MSpan *newSpan(const Run &R, size_t ElemSize, int Class);
   void retireSpan(MSpan *S);
 
-  // Page map (own shard locks; safe without Mu).
+  // Page map. register/unregister require Mu and publish each entry with
+  // a release store; lookupSpan takes no lock and may run on any thread.
   void registerSpan(MSpan *S);
   void unregisterSpan(MSpan *S);
-  MSpan *lookupSpan(uintptr_t Addr);
+  MSpan *lookupSpan(uintptr_t Addr) const {
+    uintptr_t Off = Addr - ArenaBase; // Below the base wraps to huge.
+    if (Off >= ArenaBytes)
+      return nullptr;
+    return std::atomic_ref<MSpan *>(PageMap[Off >> PageShift])
+        .load(std::memory_order_acquire);
+  }
 
   // GC internals.
   /// Runs verifyInvariants (HeapOptions::Verify only) and records the
@@ -512,8 +502,11 @@ private:
   /// swept it. \p Where tags the GcSweepLazy trace event.
   bool trySweepSpan(MSpan *S, trace::SweepWhere Where);
   /// Guarantees \p S is swept on return (sweeps it, or waits out another
-  /// sweeper). No locks held by the sweep itself.
-  void ensureSwept(MSpan *S, trace::SweepWhere Where);
+  /// sweeper). No locks held by the sweep itself. Returns true iff this
+  /// call swept it. Only then may the caller retire an emptied \p S: a
+  /// queue sweeper still reads the span in postSweepFixup after it
+  /// publishes, so recycling the control block under it would race.
+  bool ensureSwept(MSpan *S, trace::SweepWhere Where);
   /// The actual per-slot sweep of one claimed span. Returns bytes freed.
   uint64_t sweepSpanSlots(MSpan *S, trace::SweepWhere Where);
   /// After sweeping a span outside the pause: fix its central-list
@@ -536,11 +529,18 @@ private:
   HeapOptions Opts;
   HeapStats Stats;
 
-  std::mutex Mu; ///< Guards page heap (Chunks, FreeRuns), span lifecycle
-                 ///< (AllSpans, SpanPool, Dangling).
-  std::vector<Chunk> Chunks;
+  /// The reserved range [ArenaBase, ArenaBase + ArenaBytes) and its page
+  /// map (ArenaPages entries, indexed by page offset from ArenaBase). Both
+  /// are mmap'd by the constructor and unmapped by ~Heap.
+  uintptr_t ArenaBase = 0;
+  MSpan **PageMap = nullptr;
+
+  std::mutex Mu; ///< Guards page heap (FreeRuns, ArenaHighPage), span
+                 ///< lifecycle (AllSpans, SpanPool, Dangling).
   std::vector<Run> FreeRuns;
-  std::unique_ptr<PageShard[]> PageShards;
+  /// One past the highest page index allocPages ever handed out; bounds
+  /// the verifier's stale-entry scan of the page map.
+  size_t ArenaHighPage = 0;
   std::vector<std::unique_ptr<MSpan>> AllSpans;
   std::vector<MSpan *> SpanPool; ///< Free control blocks.
   std::vector<MSpan *> Dangling; ///< TcfreeLarge step-1 spans (fig. 9).
@@ -586,11 +586,6 @@ private:
   /// Current mark pass mode; written by the collector before workers
   /// start, read by them during the pass (stopped world).
   GcMarkMode MarkMode = GcMarkMode::Full;
-  /// Conservative bounds of all arena chunks ever allocated, for the
-  /// write barrier's cheap non-heap filter (malloc'd C++ memory can
-  /// interleave, so lookupSpan remains the real test).
-  std::atomic<uintptr_t> HeapLo{UINTPTR_MAX};
-  std::atomic<uintptr_t> HeapHi{0};
   /// Completed-cycle counters per kind, for the lost-the-GcMu-race
   /// protocol: a parked forced Full must not be satisfied by a Minor that
   /// finished in the meantime. Bumped with release under GcMu.

@@ -9,13 +9,14 @@
 // next GC safepoint instead of surfacing later as a wrong checksum (or not
 // at all). The checks mirror the documented invariants:
 //
-//   - page heap: free runs are sorted, disjoint, confined to one arena
-//     chunk each, and same-chunk neighbours are coalesced (Heap.cpp's
-//     freePages contract);
-//   - span accounting: every usable arena page is exactly one of
-//     {free run, in-use span}; Stats.Committed and Stats.HeapLive equal
-//     what the spans say;
-//   - page map: a page maps to S iff S is in-use and covers it;
+//   - page heap: free runs are sorted, disjoint, coalesced (Heap.cpp's
+//     freePages contract) and inside the reserved range;
+//   - span accounting: every reserved page is exactly one of
+//     {free run, in-use span}; every in-use span lies inside the reserved
+//     range; Stats.Committed and Stats.HeapLive equal what the spans say;
+//   - page map: a page maps to S iff S is in-use and covers it (the
+//     stale-entry count stops at the highest page ever handed out, so a
+//     pass costs O(heap), not O(reservation));
 //   - cache ownership (MSpan.h): a cached span is in-use, of the cache
 //     slot's size class, owned by that cache, and cached nowhere else;
 //   - central lists: listed spans are in-use, unowned, of the list's
@@ -148,11 +149,15 @@ bool Heap::verifyInvariants(std::string *Report) {
     }
   }
 
-  // Phase 3: page heap + spans, under Mu (shard locks nest inside, the
-  // same order registerSpan uses).
-  uint64_t SpanPages = 0, FreePages = 0, ChunkPages = 0;
+  // Phase 3: page heap + spans, under Mu (which also excludes page-map
+  // writers).
+  uint64_t SpanPages = 0, FreePages = 0;
   uint64_t LiveBytes = 0, CommittedBytes = 0;
   size_t InUseSpans = 0;
+  auto InArena = [&](uintptr_t Base, size_t NPages) {
+    return Base >= ArenaBase && NPages <= ArenaPages &&
+           Base - ArenaBase <= ArenaBytes - NPages * PageSize;
+  };
   {
     std::lock_guard<std::mutex> Lock(Mu);
 
@@ -161,25 +166,16 @@ bool Heap::verifyInvariants(std::string *Report) {
       FreePages += R.NPages;
       if (R.NPages == 0)
         V.add("free run %zu: empty", I);
-      if (R.Chunk >= Chunks.size()) {
-        V.add("free run %zu: bad chunk id %zu", I, R.Chunk);
-        continue;
-      }
-      const Chunk &C = Chunks[R.Chunk];
-      if (R.Base < C.Base ||
-          R.Base + R.NPages * PageSize > C.Base + C.NPages * PageSize)
-        V.add("free run %zu: escapes chunk %zu", I, R.Chunk);
+      if (!InArena(R.Base, R.NPages))
+        V.add("free run %zu: escapes the reserved range", I);
       if (I > 0) {
         const Run &P = FreeRuns[I - 1];
         if (P.Base + P.NPages * PageSize > R.Base)
           V.add("free runs %zu/%zu: unsorted or overlapping", I - 1, I);
-        else if (P.Chunk == R.Chunk && P.Base + P.NPages * PageSize == R.Base)
-          V.add("free runs %zu/%zu: same-chunk neighbours uncoalesced", I - 1,
-                I);
+        else if (P.Base + P.NPages * PageSize == R.Base)
+          V.add("free runs %zu/%zu: neighbours uncoalesced", I - 1, I);
       }
     }
-    for (const Chunk &C : Chunks)
-      ChunkPages += C.NPages;
 
     std::unordered_set<MSpan *> Pooled(SpanPool.begin(), SpanPool.end());
     for (const auto &SP : AllSpans) {
@@ -205,14 +201,8 @@ bool Heap::verifyInvariants(std::string *Report) {
       LiveBytes += (uint64_t)S->liveCount() * S->ElemSize;
       if (Pooled.count(S))
         V.add("span %p: in-use but pooled", (void *)S);
-      if (S->Chunk >= Chunks.size()) {
-        V.add("span %p: bad chunk id %zu", (void *)S, S->Chunk);
-      } else {
-        const Chunk &C = Chunks[S->Chunk];
-        if (S->Base < C.Base ||
-            S->Base + S->NPages * PageSize > C.Base + C.NPages * PageSize)
-          V.add("span %p: escapes chunk %zu", (void *)S, S->Chunk);
-      }
+      if (!InArena(S->Base, S->NPages))
+        V.add("span %p: escapes the reserved range", (void *)S);
       if (S->SizeClass >= 0) {
         if (S->SizeClass >= numSizeClasses())
           V.add("span %p: bad size class %d", (void *)S, S->SizeClass);
@@ -256,38 +246,33 @@ bool Heap::verifyInvariants(std::string *Report) {
       }
       // Every page of an in-use span must map back to it.
       for (size_t P = 0; P < S->NPages; ++P) {
-        uintptr_t Page = (S->Base >> PageShift) + P;
-        PageShard &Shard = PageShards[Page % NumPageShards];
-        std::lock_guard<std::mutex> ShardLock(Shard.Mu);
-        auto It = Shard.Map.find(Page);
-        if (It == Shard.Map.end() || It->second != S) {
-          V.add("span %p: page %" PRIuPTR " maps to %p", (void *)S, Page,
-                It == Shard.Map.end() ? nullptr : (void *)It->second);
+        MSpan *M = lookupSpan(S->Base + P * PageSize);
+        if (M != S) {
+          V.add("span %p: page %zu maps to %p", (void *)S, P, (void *)M);
           break;
         }
       }
       // Free runs and in-use spans must not overlap (cheap proxy: the
-      // exact partition check below, plus run-in-chunk and span-in-chunk
-      // above, makes an overlap show up as a page-count mismatch).
+      // exact partition check below, plus the range checks above, makes
+      // an overlap show up as a page-count mismatch).
     }
 
-    // No stale page-map entries: total mapped pages == in-use span pages.
+    // No stale page-map entries: mapped pages == in-use span pages. No
+    // page at or past ArenaHighPage was ever handed out, let alone mapped.
     uint64_t MappedPages = 0;
-    for (size_t Sh = 0; Sh < NumPageShards; ++Sh) {
-      std::lock_guard<std::mutex> ShardLock(PageShards[Sh].Mu);
-      MappedPages += PageShards[Sh].Map.size();
-    }
+    for (size_t P = 0; P < ArenaHighPage; ++P)
+      MappedPages += lookupSpan(ArenaBase + P * PageSize) != nullptr;
     if (MappedPages != SpanPages)
       V.add("page map holds %" PRIu64 " pages but in-use spans cover %" PRIu64,
             MappedPages, SpanPages);
   }
 
-  // Phase 4: global accounting. Every usable arena page is exactly one of
+  // Phase 4: global accounting. Every reserved page is exactly one of
   // free / in-use, and the stats counters agree with the span walk.
-  if (FreePages + SpanPages != ChunkPages)
+  if (FreePages + SpanPages != ArenaPages)
     V.add("page partition broken: %" PRIu64 " free + %" PRIu64
-          " spanned != %" PRIu64 " chunk pages",
-          FreePages, SpanPages, ChunkPages);
+          " spanned != %zu reserved pages",
+          FreePages, SpanPages, ArenaPages);
   uint64_t StatCommitted = Stats.Committed.load(std::memory_order_relaxed);
   if (StatCommitted != CommittedBytes)
     V.add("Committed=%" PRIu64 " but in-use spans hold %" PRIu64 " bytes",

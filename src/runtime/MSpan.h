@@ -82,9 +82,6 @@ struct MSpan {
   size_t NPages = 0;
   size_t ElemSize = 0;
   size_t NElems = 0;
-  /// Arena chunk the pages came from; freePages only coalesces runs of the
-  /// same chunk (separately malloc'd chunks can be address-adjacent).
-  size_t Chunk = 0;
   int SizeClass = -1; ///< -1 for large (dedicated) spans.
   /// Read cross-thread by tcfree's foreign-span check; see the ownership
   /// invariant in the file comment.
@@ -126,12 +123,11 @@ struct MSpan {
   std::vector<uint8_t> InZct;
 
   void reset(uintptr_t NewBase, size_t Pages, size_t Elem, int Class,
-             size_t ChunkId, uint32_t SweepG) {
+             uint32_t SweepG) {
     Base = NewBase;
     NPages = Pages;
     ElemSize = Elem;
     NElems = Pages * PageSize / Elem;
-    Chunk = ChunkId;
     SizeClass = Class;
     OwnerCache.store(NoOwner, std::memory_order_relaxed);
     State.store(SpanState::InUse, std::memory_order_release);

@@ -167,7 +167,8 @@ TEST(ConcurrencyTortureTest, MixedAllocFreeGcWithMockFlip) {
   EXPECT_LE(S.tcfreeFreedBytes() + S.GcSweptBytes, S.AllocedBytes);
   EXPECT_LE(S.PeakLive, S.PeakCommitted);
   EXPECT_GE(S.GcCycles, 1u);
-  EXPECT_TRUE(H.pageHeapConsistent());
+  std::string Report;
+  EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
   for (auto &R : Roots)
     H.removeRootScanner(R.get());
 }
@@ -231,7 +232,8 @@ TEST(ConcurrencyTortureTest, NoDoubleHandoutAcrossThreads) {
       EXPECT_TRUE(H.isLiveObject(O.Addr));
       EXPECT_TRUE(checkPattern(O.Addr, O.Bytes, O.Pattern));
     }
-  EXPECT_TRUE(H.pageHeapConsistent());
+  std::string Report;
+  EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
 }
 
 //===----------------------------------------------------------------------===//
@@ -509,7 +511,6 @@ TEST(ConcurrencyGcWorkersTest, ParallelMarkTortureKeepsChainsAlive) {
   EXPECT_GE(H.stats().snap().GcCycles, 1u);
   std::string Report;
   EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
-  EXPECT_TRUE(H.pageHeapConsistent());
   for (auto &R : Roots)
     H.removeRootScanner(R.get());
 }
@@ -583,7 +584,6 @@ TEST(ConcurrencyGcWorkersTest, LazySweepNeverDoubleCountsBytes) {
       << "swept/freed/live bytes do not add back up to allocated bytes";
   std::string Report;
   EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
-  EXPECT_TRUE(H.pageHeapConsistent());
   for (auto &R : Roots)
     H.removeRootScanner(R.get());
 }
@@ -714,7 +714,6 @@ TEST(ConcurrencyBarrierTest, OldToYoungStoresSurviveConcurrentMinors) {
       << "no minor ever swept a replaced target; the torture was vacuous";
   std::string Report;
   EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
-  EXPECT_TRUE(H.pageHeapConsistent());
   for (auto &R : Roots)
     H.removeRootScanner(R.get());
 }
@@ -871,7 +870,6 @@ TEST(ConcurrencyConcMarkTest, PointerChurnDuringConcurrentMarkStaysReachable) {
   EXPECT_TRUE(H.invariantFailure().empty()) << H.invariantFailure();
   std::string Report;
   EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
-  EXPECT_TRUE(H.pageHeapConsistent());
   for (auto &R : Roots)
     H.removeRootScanner(R.get());
 }

@@ -13,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <new>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace gofree;
 using namespace gofree::rt;
@@ -155,6 +158,32 @@ TEST(HeapTest, StackAddressIsNotInHeap) {
   int Local = 0;
   EXPECT_EQ(H.spanOf(reinterpret_cast<uintptr_t>(&Local)), nullptr);
   EXPECT_FALSE(H.isLiveObject(reinterpret_cast<uintptr_t>(&Local)));
+}
+
+// The flat page map answers for any address with a range check and one
+// load. Probe the edges: both ends of a span, both ends of the reserved
+// range, a page whose span was just freed, and C++ heap memory -- the kind
+// of address the write barrier now hands to the lookup unfiltered.
+TEST(HeapTest, PageMapEdges) {
+  Heap H;
+  uintptr_t A = H.allocate(5 * PageSize, scalarDesc(), AllocCat::Slice, 0);
+  ASSERT_EQ(A, H.arenaBase()) << "first fit starts at the bottom";
+  MSpan *S = H.spanOf(A);
+  ASSERT_NE(S, nullptr);
+  EXPECT_EQ(S->NPages, 5u);
+  EXPECT_EQ(H.spanOf(A + S->NPages * PageSize - 1), S);
+  EXPECT_EQ(H.spanOf(A - 1), nullptr);
+  EXPECT_EQ(H.spanOf(H.arenaBase() + Heap::ArenaBytes), nullptr);
+  EXPECT_EQ(H.spanOf(H.arenaBase() + Heap::ArenaBytes - 1), nullptr);
+
+  ASSERT_TRUE(H.tcfreeObject(A, 0, FreeSource::TcfreeObject));
+  EXPECT_EQ(H.spanOf(A), nullptr);
+  EXPECT_EQ(H.spanOf(A + 5 * PageSize - 1), nullptr);
+
+  std::vector<uint64_t> Buf(64);
+  EXPECT_EQ(H.spanOf(reinterpret_cast<uintptr_t>(Buf.data())), nullptr);
+  std::string Report;
+  EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
 }
 
 TEST(HeapTest, PerCacheSpansAreIndependent) {
@@ -851,54 +880,35 @@ TEST(HeapThreadTest, ParallelAllocateAndFree) {
 }
 
 //===----------------------------------------------------------------------===//
-// Page heap: chunk-tagged free runs
+// Page heap: first-fit runs in one reserved range
 //===----------------------------------------------------------------------===//
 
-// Regression: freePages used to coalesce runs by address adjacency alone.
-// Two separately malloc'd arena chunks can be address-adjacent, and a run
-// merged across that boundary gets handed out by allocPages as one span
-// straddling two allocations. Runs are now tagged with their chunk and only
-// same-chunk neighbours merge.
-TEST(PageHeapTest, NoCoalesceAcrossAdjacentChunks) {
+TEST(PageHeapTest, FreedNeighbourRunsCoalesce) {
   Heap H;
-  EXPECT_EQ(H.chunkCount(), 0u);
-  H.testInjectAdjacentChunks(5);
-  EXPECT_EQ(H.chunkCount(), 2u);
-  // Address-adjacent, but different chunks: the runs must stay separate.
-  EXPECT_EQ(H.freeRunCount(), 2u);
-  EXPECT_TRUE(H.pageHeapConsistent());
-
-  // An 8-page request fits no single 5-page chunk; it must grow a fresh
-  // chunk rather than be served from a merged straddling run.
-  uintptr_t A = H.allocate(8 * PageSize, nullptr, AllocCat::Other, 0);
-  ASSERT_NE(A, 0u);
-  MSpan *S = H.spanOf(A);
-  ASSERT_NE(S, nullptr);
-  EXPECT_EQ(S->NPages, 8u);
-  EXPECT_GE(S->Chunk, 2u); // Neither injected chunk.
-  EXPECT_TRUE(H.pageHeapConsistent());
-
-  // A request that fits one injected chunk may use it.
-  uintptr_t B = H.allocate(5 * PageSize, nullptr, AllocCat::Other, 0);
-  ASSERT_NE(B, 0u);
-  MSpan *SB = H.spanOf(B);
-  ASSERT_NE(SB, nullptr);
-  EXPECT_LT(SB->Chunk, 2u);
-  EXPECT_TRUE(H.pageHeapConsistent());
-}
-
-TEST(PageHeapTest, SameChunkRunsStillCoalesce) {
-  Heap H;
-  // Two large spans carved back-to-back from one chunk; freeing both must
-  // merge them back into a single run (plus the chunk's remainder, which
-  // is adjacent to the second span and folds in too).
+  // Two large spans carved back-to-back; freeing both must merge them back
+  // into a single run (plus the rest of the reservation, which is adjacent
+  // to the second span and folds in too).
   uintptr_t A = H.allocate(5 * PageSize, nullptr, AllocCat::Other, 0);
   uintptr_t B = H.allocate(5 * PageSize, nullptr, AllocCat::Other, 0);
-  ASSERT_EQ(H.chunkCount(), 1u);
+  EXPECT_EQ(B, A + 5 * PageSize);
   EXPECT_TRUE(H.tcfreeObject(A, 0, FreeSource::TcfreeObject));
+  EXPECT_EQ(H.freeRunCount(), 2u);
   EXPECT_TRUE(H.tcfreeObject(B, 0, FreeSource::TcfreeObject));
   EXPECT_EQ(H.freeRunCount(), 1u);
-  EXPECT_TRUE(H.pageHeapConsistent());
+  std::string Report;
+  EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
+}
+
+// The reservation never grows: a request no free run can hold throws, like
+// operator new, and leaves the heap intact.
+TEST(PageHeapTest, ExhaustedReservationThrows) {
+  Heap H;
+  EXPECT_THROW(
+      H.allocate(Heap::ArenaBytes + PageSize, nullptr, AllocCat::Other, 0),
+      std::bad_alloc);
+  EXPECT_NE(H.allocate(3 * PageSize, nullptr, AllocCat::Other, 0), 0u);
+  std::string Report;
+  EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,6 +16,16 @@
 #                             suite and a 100-seed fuzz slice under it (the
 #                             int64 wrap/boundary arithmetic of both engines
 #                             must be UB-free by construction)
+#   tools/check.sh asan       AddressSanitizer pass: configure a separate
+#                             build-asan tree with -DGOFREE_SANITIZE=address,
+#                             run the full test suite and a 100-seed fuzz
+#                             slice under it (with a 256 MiB C stack: the
+#                             3000-frame tree-walker test overflows the
+#                             default 8 MiB under ASan's larger frames).
+#                             Leak checking is off: the compile-scoped
+#                             arenas (support/Arena.h) never run their
+#                             nodes' destructors by design, so leaks are
+#                             not checked by this mode
 #   tools/check.sh fuzz       differential fuzzing pass: a 200-seed corpus
 #                             with the regular build, then a shorter corpus
 #                             with the ThreadSanitizer build (the fuzz legs
@@ -54,7 +64,8 @@
 # The smoke test runs examples/quickstart.minigo under --trace-out and
 # asserts the trace is valid JSON-lines containing at least one GC event,
 # one tcfree outcome with a give-up reason, and per-pass compiler timings.
-# It also checks that serve-sim rejects --rps=nan and --rps=-1.
+# It also checks that serve-sim rejects --rps=nan, --rps=-1 and
+# --theta=nan.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -108,6 +119,11 @@ PYEOF
     fi
   done
 
+  # The Zipf skew must be a number strictly inside (0, 1).
+  if "$gofree" serve-sim --requests=1 --theta=nan > /dev/null 2>&1; then
+    fail "serve-sim accepted --theta=nan"
+  fi
+
   echo "check.sh: trace smoke OK ($(wc -l < "$tmp/t.jsonl") lines)"
 }
 
@@ -139,6 +155,15 @@ ubsan)
   (ulimit -s 65536 && "$ROOT/build-ubsan/tools/gofree" fuzz --seed=1 --count=100) \
     || fail "differential fuzz corpus failed under UBSan"
   echo "check.sh: ubsan pass OK (full suite + 100-seed fuzz)"
+  ;;
+asan)
+  cmake -B "$ROOT/build-asan" -S "$ROOT" -DGOFREE_SANITIZE=address
+  cmake --build "$ROOT/build-asan" -j
+  export ASAN_OPTIONS="detect_leaks=0${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
+  (cd "$ROOT/build-asan" && ulimit -s 262144 && ctest --output-on-failure -j)
+  (ulimit -s 262144 && "$ROOT/build-asan/tools/gofree" fuzz --seed=1 --count=100) \
+    || fail "differential fuzz corpus failed under AddressSanitizer"
+  echo "check.sh: asan pass OK (full suite + 100-seed fuzz)"
   ;;
 fuzz)
   cmake -B "$ROOT/build" -S "$ROOT"
@@ -230,6 +255,6 @@ server)
   echo "check.sh: server OK (smoke + tsan + wrote BENCH_server.json)"
   ;;
 *)
-  fail "unknown mode '$MODE' (expected 'all', 'smoke', 'tsan', 'ubsan', 'fuzz', 'gc', 'conc', 'bench', or 'server')"
+  fail "unknown mode '$MODE' (expected 'all', 'smoke', 'tsan', 'ubsan', 'asan', 'fuzz', 'gc', 'conc', 'bench', or 'server')"
   ;;
 esac

@@ -231,7 +231,7 @@ int cmdServeSim(int Argc, char **Argv, int I, driver::PipelineOptions P,
       SO.CacheSlots = (uint64_t)V;
     } else if (Flag.rfind("--theta=", 0) == 0) {
       double V = parseCliDouble(Flag, 8, Ok);
-      if (!Ok || V <= 0 || V >= 1)
+      if (!Ok || !std::isfinite(V) || V <= 0 || V >= 1)
         return usage();
       SO.ZipfTheta = V;
     } else if (Flag.rfind("--profile=", 0) == 0) {
