@@ -105,15 +105,13 @@ int main() {
   std::printf("map grew to %lld entries; GrowMapAndFreeOld reclaimed %.0f "
               "KB of old buckets\n",
               (long long)mapLen(M),
-              H.stats()
-                      .FreedBytesBySource[(int)FreeSource::MapGrowOld]
-                      .load() /
+              H.stats().snap().FreedBytesBySource[(int)FreeSource::MapGrowOld] /
                   1024.0);
 
+  StatsSnapshot S = H.stats().snap();
   std::printf("\ntotal: %.1f MB allocated, %.1f MB explicitly freed, %llu "
               "tcfree give-ups (all safe)\n",
-              H.stats().AllocedBytes.load() / 1048576.0,
-              H.stats().tcfreeFreedBytes() / 1048576.0,
-              (unsigned long long)H.stats().snap().TcfreeGiveUps);
+              S.AllocedBytes / 1048576.0, S.tcfreeFreedBytes() / 1048576.0,
+              (unsigned long long)S.TcfreeGiveUps);
   return 0;
 }

@@ -230,13 +230,6 @@ uintptr_t Interp::evalLvalueAddr(const Expr *E, const Type **TyOut) {
   }
 }
 
-void Interp::noteStackAlloc(rt::AllocCat Cat, size_t Bytes) {
-  Heap.stats().StackAllocCountByCat[(int)Cat].fetch_add(
-      1, std::memory_order_relaxed);
-  if (trace::TraceSink *T = Heap.traceSink())
-    T->emit(trace::EventKind::StackAlloc, (uint8_t)Cat, Bytes);
-}
-
 Value Interp::evalMake(const MakeExpr *ME) {
   int64_t Len = 0, Cap = 0;
   if (ME->Len) {
@@ -276,7 +269,8 @@ Value Interp::evalMake(const MakeExpr *ME) {
         F.SiteMem[ME->AllocId] = V.S.Data;
         F.StackObjs.push_back({V.S.Data, Types.arrayOf(Elem), Bytes});
       }
-      noteStackAlloc(rt::AllocCat::Slice, (size_t)ME->ConstSize * Elem->size());
+      Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Slice,
+                          (size_t)ME->ConstSize * Elem->size());
     } else {
       V.S.Data = rt::sliceAllocArray(Heap, Types.arrayOf(Elem), Cap,
                                      Elem->size(), Opts.CacheId);
@@ -313,7 +307,8 @@ Value Interp::evalMake(const MakeExpr *ME) {
     rt::mapInit(Block, NBuckets, Block + rt::HMapHeaderSize,
                 ME->MadeTy->elem()->size());
     V.A = Block;
-    noteStackAlloc(rt::AllocCat::Map, rt::HMapHeaderSize + BucketBytes);
+    Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Map,
+                        rt::HMapHeaderSize + BucketBytes);
   } else {
     V.A = rt::mapMakeHeap(mapCtxFor(ME->MadeTy), Types.hmap(), Hint);
   }
@@ -338,7 +333,7 @@ Value Interp::evalComposite(const CompositeExpr *CE) {
       F.StackObjs.push_back({Storage, Types.lower(StructTy), Bytes});
     }
     if (CE->TakeAddr)
-      noteStackAlloc(rt::AllocCat::Other, Bytes);
+      Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Other, Bytes);
   } else {
     Storage = Heap.allocate(Bytes, Types.lower(StructTy), rt::AllocCat::Other,
                             Opts.CacheId);
@@ -615,7 +610,7 @@ Value Interp::evalExpr(const Expr *E) {
         F.SiteMem[NE->AllocId] = Storage;
         F.StackObjs.push_back({Storage, Types.lower(NE->AllocTy), Bytes});
       }
-      noteStackAlloc(rt::AllocCat::Other, Bytes);
+      Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Other, Bytes);
     } else {
       Storage = Heap.allocate(Bytes, Types.lower(NE->AllocTy),
                               rt::AllocCat::Other, Opts.CacheId);

@@ -281,10 +281,6 @@ private:
   Value evalMake(const minigo::MakeExpr *ME);
   Value evalComposite(const minigo::CompositeExpr *CE);
 
-  /// Records an escape-analysis stack allocation in the heap's stats and,
-  /// when tracing is on, the event stream (table 8's stack column).
-  void noteStackAlloc(rt::AllocCat Cat, size_t Bytes);
-
   /// Resolves an lvalue to the address of its storage. Map element lvalues
   /// are handled separately in execAssign.
   uintptr_t evalLvalueAddr(const minigo::Expr *E, const minigo::Type **TyOut);

@@ -135,6 +135,17 @@ struct Heap::GcMarkShared {
     uint64_t MarkedObjs = 0;
     uint64_t MarkedBytes = 0;
     uint64_t BusyNanos = 0;
+
+    /// Moves the newest published chunk into \p Out; false if none.
+    bool popShared(std::vector<MarkItem> &Out) {
+      std::lock_guard<std::mutex> Lock(Mu);
+      if (Shared.empty())
+        return false;
+      Out = std::move(Shared.back());
+      Shared.pop_back();
+      NShared.fetch_sub(1, std::memory_order_seq_cst);
+      return true;
+    }
   };
 
   /// unique_ptr because Worker owns a mutex (immovable).
@@ -218,7 +229,7 @@ uint64_t Heap::gcTriggerFor(uint64_t MarkedBytes, int Gogc,
   return std::max(Trigger, MinTrigger);
 }
 
-void Heap::maybeTriggerGc() {
+void Heap::maybeTriggerGc(int CacheId) {
   if (Opts.Gc.Gogc < 0 || !HasScanner.load(std::memory_order_relaxed) ||
       currentThreadIsCollector())
     return;
@@ -226,7 +237,12 @@ void Heap::maybeTriggerGc() {
   // re-evaluate on the next allocation instead.
   if (Phase.load(std::memory_order_relaxed) != GcPhase::Idle)
     return;
-  uint64_t Live = Stats.HeapLive.load(std::memory_order_relaxed);
+  // The folded count plus this cache's own unfolded delta: exact for a
+  // lone mutator, and within (NumCaches - 1) * LiveFoldBytes otherwise.
+  int64_t Own = Stats.shard(CacheId).LiveDelta.load(std::memory_order_relaxed);
+  int64_t Signed =
+      (int64_t)Stats.HeapLive.load(std::memory_order_relaxed) + Own;
+  uint64_t Live = Signed < 0 ? 0 : (uint64_t)Signed;
   GcCycleKind K = Backend->pace(Live);
   if (K == GcCycleKind::None)
     return;
@@ -495,15 +511,23 @@ void Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
   auto ConcT0 = std::chrono::steady_clock::now();
   for (;;) {
     runMarkJob(GcMarkShared::JobDrain);
-    // The workers went dry; collect whatever barrier shades (and assist
-    // leftovers) accumulated meanwhile and go around again. An assist
-    // holding claimed items mid-scan is fine: it flushes its leftovers
-    // back to ConcGray before its next safepoint, so flip 2's stop
-    // observes them.
+    // The workers went dry; collect whatever barrier shades and assist
+    // leftovers accumulated meanwhile and go around again. An assist
+    // still scanning may hold a whole stolen chunk and its descendants:
+    // wait for it to flush them to ConcGray (it stops counting in
+    // AssistsActive only after the flush, so reading the count first
+    // makes an empty ConcGray final). Shades that arrive later are few;
+    // flip 2 drains them.
     std::vector<MarkItem> Residual;
-    {
-      std::lock_guard<std::mutex> Lock(GrayMu);
-      Residual.swap(ConcGray);
+    for (;;) {
+      bool AssistsIdle = AssistsActive.load(std::memory_order_seq_cst) == 0;
+      {
+        std::lock_guard<std::mutex> Lock(GrayMu);
+        Residual.swap(ConcGray);
+      }
+      if (!Residual.empty() || AssistsIdle)
+        break;
+      std::this_thread::yield();
     }
     if (Residual.empty())
       break;
@@ -558,48 +582,69 @@ void Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
 void Heap::gcMaybeAssist() {
   // Thresholds: mutators start assisting once the fleet has allocated
   // AssistDebtThreshold bytes since the last payback, and each assist
-  // scans at most AssistBudgetBytes before returning to the program.
-  constexpr uint64_t AssistDebtThreshold = 64 << 10;
-  constexpr uint64_t AssistBudgetBytes = 64 << 10;
+  // scans at most AssistBudgetBytes before returning to the program. The
+  // cycle starts only once the heap reaches its pacing goal, so the
+  // marker has no allocation runway left (Go's assist ratio, remaining
+  // scan work over remaining runway, would be unbounded): an allocating
+  // mutator marks whenever there is work to take, up to 32 bytes scanned
+  // per byte allocated.
+  constexpr uint64_t AssistDebtThreshold = 4 << 10;
+  constexpr uint64_t AssistBudgetBytes = 128 << 10;
   constexpr size_t AssistBatchItems = 256;
   if (AssistDebt.load(std::memory_order_relaxed) < AssistDebtThreshold)
     return;
   if (TlsMarkIdx >= 0 || currentThreadIsCollector())
     return; // Mark workers and the collector never assist themselves.
   auto T0 = std::chrono::steady_clock::now();
+  // Counted from before the batch leaves the shared queues until its
+  // leftovers are back in ConcGray (see concurrentMarkCycle).
+  AssistsActive.fetch_add(1, std::memory_order_seq_cst);
   std::vector<MarkItem> Batch;
   {
     std::lock_guard<std::mutex> Lock(GrayMu);
-    if (ConcGray.empty()) {
-      // Nothing to help with (the workers keep the gray backlog drained);
-      // clear the debt so the fast path stays fast.
-      AssistDebt.store(0, std::memory_order_relaxed);
-      return;
-    }
     size_t Take = std::min(ConcGray.size(), AssistBatchItems);
     Batch.assign(ConcGray.end() - (ptrdiff_t)Take, ConcGray.end());
     ConcGray.resize(ConcGray.size() - Take);
   }
+  // No barrier shades queued: take a chunk a mark worker published. The
+  // collector's worker publishes during the concurrent window even when it
+  // marks alone (see pushMark), so mutators that allocate faster than it
+  // marks share its backlog instead. The window stays open while we hold
+  // the chunk (AssistsActive), so our leftovers are marked in it.
+  GcMarkShared &M = *Mark;
+  for (int I = 0; I < M.NumWorkers && Batch.empty(); ++I) {
+    GcMarkShared::Worker &V = *M.Workers[(size_t)I];
+    if (V.NShared.load(std::memory_order_seq_cst) != 0)
+      V.popShared(Batch);
+  }
+  if (Batch.empty()) {
+    // Nothing to help with; clear the debt so the fast path stays fast.
+    AssistsActive.fetch_sub(1, std::memory_order_seq_cst);
+    AssistDebt.store(0, std::memory_order_relaxed);
+    return;
+  }
   // Scan with a local gray sink: produced items stay on this thread until
-  // the budget runs out, then flush back to the global list. No safepoint
-  // is reachable from gcScanRegion, so flip 2 cannot complete while this
-  // thread holds claimed items.
+  // the budget runs out, then what is left flushes back to the global
+  // list. No safepoint is reachable from gcScanRegion, so flip 2 cannot
+  // complete while this thread holds claimed items.
   std::vector<MarkItem> Out;
   TlsGraySink = &Out;
   uint64_t Scanned = 0;
-  while (!Batch.empty()) {
+  while (!Batch.empty() && Scanned < AssistBudgetBytes) {
     MarkItem It = Batch.back();
     Batch.pop_back();
     Scanned += It.Bytes;
     gcScanRegion(It.Addr, It.Desc, It.Bytes);
-    if (Batch.empty() && Scanned < AssistBudgetBytes)
+    if (Batch.empty())
       Batch.swap(Out);
   }
   TlsGraySink = nullptr;
-  if (!Out.empty()) {
+  if (!Batch.empty() || !Out.empty()) {
     std::lock_guard<std::mutex> Lock(GrayMu);
+    ConcGray.insert(ConcGray.end(), Batch.begin(), Batch.end());
     ConcGray.insert(ConcGray.end(), Out.begin(), Out.end());
   }
+  AssistsActive.fetch_sub(1, std::memory_order_seq_cst);
   // Pay the debt down by what was scanned (saturating CAS; other mutators
   // keep adding concurrently).
   uint64_t D = AssistDebt.load(std::memory_order_relaxed);
@@ -805,18 +850,8 @@ void Heap::runMarkWorker(int Index) {
         W.Active.pop_back();
         gcScanRegion(It.Addr, It.Desc, It.Bytes);
       }
-      std::vector<MarkItem> Chunk;
-      {
-        std::lock_guard<std::mutex> Lock(W.Mu);
-        if (!W.Shared.empty()) {
-          Chunk = std::move(W.Shared.back());
-          W.Shared.pop_back();
-          W.NShared.fetch_sub(1, std::memory_order_seq_cst);
-        }
-      }
-      if (Chunk.empty())
+      if (!W.popShared(W.Active))
         break;
-      W.Active = std::move(Chunk);
     }
     // Locally dry: count ourselves out before hunting for work.
     M.ActiveWorkers.fetch_sub(1, std::memory_order_seq_cst);
@@ -831,20 +866,10 @@ void Heap::runMarkWorker(int Index) {
         // possession of work must always be visible in ActiveWorkers, or
         // the detector below could declare quiescence mid-theft.
         M.ActiveWorkers.fetch_add(1, std::memory_order_seq_cst);
-        std::vector<MarkItem> Chunk;
-        {
-          std::lock_guard<std::mutex> Lock(V.Mu);
-          if (!V.Shared.empty()) {
-            Chunk = std::move(V.Shared.back());
-            V.Shared.pop_back();
-            V.NShared.fetch_sub(1, std::memory_order_seq_cst);
-          }
-        }
-        if (Chunk.empty()) {
+        if (!V.popShared(W.Active)) {
           M.ActiveWorkers.fetch_sub(1, std::memory_order_seq_cst);
           continue; // Lost the race for the victim's last chunk.
         }
-        W.Active = std::move(Chunk);
         Stole = true;
       }
       if (Stole)
@@ -876,7 +901,11 @@ void Heap::runMarkWorker(int Index) {
 void Heap::pushMark(int Worker, const MarkItem &Item) {
   GcMarkShared::Worker &W = *Mark->Workers[(size_t)Worker];
   W.Active.push_back(Item);
-  if (W.Active.size() < MarkChunkCap || Mark->NumWorkers == 1)
+  // A lone worker publishes only during the concurrent window, where
+  // mutator assists are its thieves (see gcMaybeAssist).
+  if (W.Active.size() < MarkChunkCap ||
+      (Mark->NumWorkers == 1 &&
+       !ConcMarkActive.load(std::memory_order_relaxed)))
     return;
   // Publish the whole stack as one stealable chunk. The owner drains its
   // own Shared before stealing, so nothing is lost if nobody takes it.
@@ -1013,20 +1042,24 @@ void Heap::gcScanRegion(uintptr_t Addr, const TypeDesc *Desc, size_t Bytes) {
 uint64_t Heap::sweepSpanSlots(MSpan *S, trace::SweepWhere Where) {
   // Caller owns the sweep: it claimed the span via the SweepGen CAS, or
   // the world is stopped. Frees every allocated-but-unmarked slot.
-  uint64_t FreedBytes = 0;
   uint64_t FreedSlots = 0;
+  uint64_t FreedByCat[NumAllocCats] = {};
   for (size_t Slot = 0; Slot < S->NElems; ++Slot) {
     if (!S->allocBit(Slot) || S->markBit(Slot))
       continue;
     S->clearAllocBit(Slot);
-    uint8_t Cat = S->SlotCats[Slot];
     S->SlotDescs[Slot] = nullptr;
-    FreedBytes += S->ElemSize;
     ++FreedSlots;
-    Stats.GcSweptCountByCat[Cat].fetch_add(1, std::memory_order_relaxed);
+    ++FreedByCat[S->SlotCats[Slot]];
   }
+  uint64_t FreedBytes = FreedSlots * S->ElemSize;
   if (FreedSlots) {
+    // Shared counters: once per span, never per slot.
     S->FreeIndex = 0;
+    for (int C = 0; C < NumAllocCats; ++C)
+      if (FreedByCat[C])
+        Stats.GcSweptCountByCat[C].fetch_add(FreedByCat[C],
+                                             std::memory_order_relaxed);
     Stats.GcSweptCount.fetch_add(FreedSlots, std::memory_order_relaxed);
     Stats.GcSweptBytes.fetch_add(FreedBytes, std::memory_order_relaxed);
     Stats.HeapLive.fetch_sub(FreedBytes, std::memory_order_relaxed);

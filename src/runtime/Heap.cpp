@@ -61,7 +61,8 @@ Heap::ThreadStalls &Heap::tlsStalls() { return StallsTls; }
 
 Heap::ThreadStalls Heap::threadStalls() { return StallsTls; }
 
-Heap::Heap(HeapOptions O) : Opts(O) {
+Heap::Heap(HeapOptions O)
+    : Opts(O), Stats(std::max(O.NumCaches, 1)) {
   // Clamp unconditionally: an assert would compile away in release builds
   // and leave Caches empty, making the very first allocSmall read out of
   // bounds.
@@ -204,7 +205,9 @@ void Heap::stopTheWorld() {
              [&] { return ParkedMutators >= RegisteredMutators - Self; });
   // Every registered mutator is now blocked in parkAtSafepoint; their
   // ParkMu critical sections give the collector a happens-before edge to
-  // everything they wrote before parking.
+  // everything they wrote before parking -- their stat shards included,
+  // so the collector can fold them: HeapLive is exact for the whole pause.
+  Stats.foldAllLive();
 }
 
 void Heap::startTheWorld() {
@@ -323,8 +326,7 @@ MSpan *Heap::newSpan(const Run &R, size_t ElemSize, int Class) {
            SweepGenGlobal.load(std::memory_order_relaxed));
   registerSpan(S);
   Backend->spanCreated(*S);
-  Stats.Committed.fetch_add(R.NPages * PageSize, std::memory_order_relaxed);
-  Stats.notePeaks();
+  Stats.noteCommitted(R.NPages * PageSize);
   return S;
 }
 
@@ -390,7 +392,7 @@ uintptr_t Heap::allocate(size_t Bytes, const TypeDesc *Desc, AllocCat Cat,
   if (Bytes == 0)
     Bytes = 8;
   Bytes = (Bytes + 7) & ~(size_t)7;
-  maybeTriggerGc();
+  maybeTriggerGc(CacheId);
   // Concurrent mark in progress: charge this allocation against the
   // assist debt, and pay some of it off by marking when allocation is
   // outrunning the background workers.
@@ -399,7 +401,7 @@ uintptr_t Heap::allocate(size_t Bytes, const TypeDesc *Desc, AllocCat Cat,
     gcMaybeAssist();
   }
   return Bytes <= MaxSmallSize ? allocSmall(Bytes, Desc, Cat, CacheId)
-                               : allocLarge(Bytes, Desc, Cat);
+                               : allocLarge(Bytes, Desc, Cat, CacheId);
 }
 
 uintptr_t Heap::allocSmall(size_t Bytes, const TypeDesc *Desc, AllocCat Cat,
@@ -440,19 +442,17 @@ uintptr_t Heap::allocSmall(size_t Bytes, const TypeDesc *Desc, AllocCat Cat,
   if (gcBarrierActive())
     Backend->noteAlloc(*S, Slot);
 
-  Stats.AllocedBytes.fetch_add(ElemSize, std::memory_order_relaxed);
-  Stats.AllocCount.fetch_add(1, std::memory_order_relaxed);
-  Stats.AllocCountByCat[(int)Cat].fetch_add(1, std::memory_order_relaxed);
-  Stats.AllocBytesByCat[(int)Cat].fetch_add(ElemSize,
-                                            std::memory_order_relaxed);
-  Stats.HeapLive.fetch_add(ElemSize, std::memory_order_relaxed);
-  Stats.notePeaks();
+  Stats.noteAlloc(Stats.shard(CacheId), Cat, ElemSize);
   if (trace::TraceSink *T = traceSink())
     T->emit(trace::EventKind::HeapAlloc, (uint8_t)Cat, ElemSize, 0);
   return Addr;
 }
 
 MSpan *Heap::refillCache(int CacheId, int Class) {
+  // Fold before the exhausted span goes back to the central list: once
+  // another cache or a sweeper can free its objects, their bytes must
+  // already be in HeapLive (see HeapStats).
+  Stats.foldLive(Stats.shard(CacheId));
   Cache &C = Caches[(size_t)CacheId];
   CentralList &CL = Central[(size_t)Class];
   // Stable for the whole refill: the generation only moves while the world
@@ -537,7 +537,8 @@ MSpan *Heap::refillCache(int CacheId, int Class) {
   return S;
 }
 
-uintptr_t Heap::allocLarge(size_t Bytes, const TypeDesc *Desc, AllocCat Cat) {
+uintptr_t Heap::allocLarge(size_t Bytes, const TypeDesc *Desc, AllocCat Cat,
+                           int CacheId) {
   MSpan *S;
   {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -559,13 +560,11 @@ uintptr_t Heap::allocLarge(size_t Bytes, const TypeDesc *Desc, AllocCat Cat) {
   if (gcBarrierActive())
     Backend->noteAlloc(*S, 0);
 
-  Stats.AllocedBytes.fetch_add(S->ElemSize, std::memory_order_relaxed);
-  Stats.AllocCount.fetch_add(1, std::memory_order_relaxed);
-  Stats.AllocCountByCat[(int)Cat].fetch_add(1, std::memory_order_relaxed);
-  Stats.AllocBytesByCat[(int)Cat].fetch_add(S->ElemSize,
-                                            std::memory_order_relaxed);
-  Stats.HeapLive.fetch_add(S->ElemSize, std::memory_order_relaxed);
-  Stats.notePeaks();
+  // Folded at once: any thread may tcfree a large object, so its bytes
+  // must be in HeapLive before the address escapes this call.
+  StatShard &Sh = Stats.shard(CacheId);
+  Stats.noteAlloc(Sh, Cat, S->ElemSize);
+  Stats.foldLive(Sh);
   if (trace::TraceSink *T = traceSink())
     T->emit(trace::EventKind::HeapAlloc, (uint8_t)Cat, S->ElemSize, 1);
   return S->Base;
@@ -578,10 +577,10 @@ uintptr_t Heap::allocLarge(size_t Bytes, const TypeDesc *Desc, AllocCat Cat) {
 bool Heap::tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source) {
   CacheId = clampCacheId(CacheId);
   safepoint();
-  Stats.TcfreeCalls.fetch_add(1, std::memory_order_relaxed);
+  StatShard &Sh = Stats.shard(CacheId);
+  bumpShard(Sh.TcfreeCalls, uint64_t(1));
   auto GiveUp = [&](trace::GiveUpReason R) {
-    Stats.TcfreeGiveUpsByReason[(int)R].fetch_add(1,
-                                                  std::memory_order_relaxed);
+    bumpShard(Sh.TcfreeGiveUpsByReason[(int)R], uint64_t(1));
     ++tlsStalls().TcfreeGiveUps;
     if (trace::TraceSink *T = traceSink())
       T->emit(trace::EventKind::TcfreeGiveUp, (uint8_t)R, 1);
@@ -592,19 +591,17 @@ bool Heap::tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source) {
   // and bucketed under the Mock reason for table 9.
   auto MockPoison = [&](uintptr_t P, size_t Bytes) {
     poison(P, Bytes);
-    Stats.TcfreeGiveUpsByReason[(int)trace::GiveUpReason::Mock].fetch_add(
-        1, std::memory_order_relaxed);
+    bumpShard(Sh.TcfreeGiveUpsByReason[(int)trace::GiveUpReason::Mock],
+              uint64_t(1));
     if (trace::TraceSink *T = traceSink())
       T->emit(trace::EventKind::TcfreeGiveUp,
               (uint8_t)trace::GiveUpReason::Mock, 1);
     return true;
   };
   auto Freed = [&](size_t Bytes) {
-    Stats.FreedBytesBySource[(int)Source].fetch_add(Bytes,
-                                                    std::memory_order_relaxed);
-    Stats.FreedCountBySource[(int)Source].fetch_add(1,
-                                                    std::memory_order_relaxed);
-    Stats.HeapLive.fetch_sub(Bytes, std::memory_order_relaxed);
+    bumpShard(Sh.FreedBytesBySource[(int)Source], (uint64_t)Bytes);
+    bumpShard(Sh.FreedCountBySource[(int)Source], uint64_t(1));
+    Stats.addLive(Sh, -(int64_t)Bytes);
     if (trace::TraceSink *T = traceSink())
       T->emit(trace::EventKind::TcfreeFreed, (uint8_t)Source, Bytes);
     return true;
@@ -693,6 +690,13 @@ bool Heap::tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source) {
   if (Slot < S->FreeIndex)
     S->FreeIndex = Slot; // Revert the allocator pointer (section 5).
   return Freed(S->ElemSize);
+}
+
+void Heap::noteStackAlloc(int CacheId, AllocCat Cat, size_t Bytes) {
+  bumpShard(Stats.shard(clampCacheId(CacheId)).StackAllocCountByCat[(int)Cat],
+            uint64_t(1));
+  if (trace::TraceSink *T = traceSink())
+    T->emit(trace::EventKind::StackAlloc, (uint8_t)Cat, Bytes);
 }
 
 void Heap::poison(uintptr_t Addr, size_t Bytes) {

@@ -45,7 +45,9 @@
 /// Cache ownership: a cache id must be used by at most one running thread
 /// at a time. tcfree's small-object path relies on this -- it mutates span
 /// state without locks exactly when the span's OwnerCache equals the
-/// caller's cache id (see MSpan.h for the full invariant).
+/// caller's cache id (see MSpan.h for the full invariant) -- and so do the
+/// stats: each cache's hot-path counters are a single-writer StatShard
+/// (see HeapStats.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -136,6 +138,10 @@ public:
   /// span at the same address is indistinguishable from the original,
   /// and tcfree would free another thread's live object.
   bool tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source);
+
+  /// Records an escape-analysis stack allocation of \p Bytes (table 8's
+  /// stack column) in cache \p CacheId's stats, and traces it.
+  void noteStackAlloc(int CacheId, AllocCat Cat, size_t Bytes);
 
   /// Runs a full stop-the-world collection now (on every backend: the rc
   /// backend's backup mark-sweep doubles as its cycle collector). If
@@ -340,6 +346,10 @@ private:
   friend class GenerationalGc;
   friend class RcGc;
 
+  /// One thread cache. Its id must be used by at most one running thread
+  /// at a time: that owner alone touches Current and writes the cache's
+  /// StatShard (Stats.shard(id)). The collector touches both only while
+  /// the world is stopped and the owner is parked.
   struct Cache {
     std::vector<MSpan *> Current; ///< One span per size class, or null.
   };
@@ -382,7 +392,8 @@ private:
   // Small-object path.
   uintptr_t allocSmall(size_t Bytes, const TypeDesc *Desc, AllocCat Cat,
                        int CacheId);
-  uintptr_t allocLarge(size_t Bytes, const TypeDesc *Desc, AllocCat Cat);
+  uintptr_t allocLarge(size_t Bytes, const TypeDesc *Desc, AllocCat Cat,
+                       int CacheId);
   MSpan *refillCache(int CacheId, int Class);
 
   // Page heap. All require Mu.
@@ -408,7 +419,8 @@ private:
   /// first failure, tagged with \p When, in InvariantFailure.
   void verifyAtSafepoint(const char *When);
   void poison(uintptr_t Addr, size_t Bytes);
-  void maybeTriggerGc();
+  /// The pacer, run at allocation entry on cache \p CacheId.
+  void maybeTriggerGc(int CacheId);
   /// One stop-the-world entry: serializes on GcMu (losers of the race park
   /// and accept the winner's completed cycle of the same kind), stops the
   /// world, delegates the body to Backend->collectStw, and restarts.
@@ -581,6 +593,10 @@ private:
   /// Allocation bytes since the last assist check, summed across mutators;
   /// past a threshold the allocating thread pays debt by marking.
   std::atomic<uint64_t> AssistDebt{0};
+  /// Mutator assists holding gray items taken from the shared queues: the
+  /// concurrent window does not end while one is mid-scan, so that its
+  /// leftovers are marked in the window rather than inside flip 2.
+  std::atomic<int> AssistsActive{0};
   /// Deterministic counter behind GcConfig::TcfreeChaos.
   std::atomic<uint64_t> TcfreeChaosCounter{0};
   /// Current mark pass mode; written by the collector before workers

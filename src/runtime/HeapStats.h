@@ -17,8 +17,10 @@
 
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 namespace gofree {
 namespace rt {
@@ -164,31 +166,115 @@ struct StatsSnapshot {
   }
 };
 
-/// All counters are relaxed atomics: hot paths bump them without ordering,
-/// so concurrent mutators never contend on stats. Totals are exact once
-/// the threads that produced them have quiesced (joined, or parked for a
-/// stop-the-world); tests/ConcurrencyTest.cpp asserts the cross-counter
-/// invariants (e.g. every tcfree call lands in exactly one outcome bucket)
-/// at exactly such points. Mid-run snapshots from another thread are
-/// merely approximate -- individual counters are current, but no snapshot
-/// is a single consistent cut.
-struct HeapStats {
-  // Allocation (table 5 "alloced").
+/// The hot-path counters of one thread cache (Go's heapStatsDelta): every
+/// allocation, tcfree call and stack allocation is counted in the shard of
+/// the cache it ran on, never in shared memory. Cache-line aligned, so two
+/// caches' shards never share a line.
+///
+/// Single writer: only the thread that currently owns the cache writes its
+/// shard (the cache-ownership rule in Heap.h), so a bump is a relaxed load
+/// and store with no read-modify-write. The one other writer is the
+/// collector, which folds LiveDelta while the world is stopped and the
+/// owner is parked. Any thread may read a shard.
+struct alignas(64) StatShard {
   std::atomic<uint64_t> AllocedBytes{0};
   std::atomic<uint64_t> AllocCount{0};
   std::atomic<uint64_t> AllocCountByCat[NumAllocCats] = {};
-  std::atomic<uint64_t> AllocBytesByCat[NumAllocCats] = {};
-  // Stack allocations (reported by the interpreter, for table 8).
+  /// Escape-analysis stack allocations reported by the engines (table 8).
   std::atomic<uint64_t> StackAllocCountByCat[NumAllocCats] = {};
-
-  // Explicit deallocation (table 5 "freed", table 9 breakdown). There is
-  // no separate total give-up counter: the give-up hot path bumps exactly
-  // one atomic (its reason bucket) and snap() derives the total, so the
-  // per-reason breakdown costs nothing over the seed's single counter.
+  // There is no give-up total: a give-up bumps exactly one reason bucket
+  // and snap() derives the total.
   std::atomic<uint64_t> TcfreeCalls{0};
   std::atomic<uint64_t> TcfreeGiveUpsByReason[trace::NumGiveUpReasons] = {};
   std::atomic<uint64_t> FreedBytesBySource[NumFreeSources] = {};
   std::atomic<uint64_t> FreedCountBySource[NumFreeSources] = {};
+  /// Bytes this cache allocated minus bytes it tcfreed that are not yet
+  /// folded into HeapStats::HeapLive; within +-LiveFoldBytes between calls.
+  std::atomic<int64_t> LiveDelta{0};
+};
+
+/// Single-writer increment of a shard counter (see StatShard).
+template <typename T> inline void bumpShard(std::atomic<T> &C, T N) {
+  C.store(C.load(std::memory_order_relaxed) + N, std::memory_order_relaxed);
+}
+
+/// The heap's counters: one StatShard per thread cache for the allocation
+/// and tcfree hot paths, plus shared relaxed atomics for everything bumped
+/// once per GC cycle, span, pause or page-heap operation.
+///
+/// HeapLive is the folded live-byte count that the pacer, the sweeps and
+/// the trace read. A cache folds its LiveDelta into it on every refill and
+/// every large allocation, and whenever the delta passes LiveFoldBytes
+/// either way; the collector folds every shard as soon as the world is
+/// stopped. So while mutators run HeapLive lags the exact count
+/// (liveBytes()) by at most NumCaches * LiveFoldBytes, and at every
+/// stop-the-world it is exact. It never wraps: a byte leaves HeapLive (a
+/// sweep, or the fold of a negative delta) only after the fold that added
+/// it. PeakLive samples HeapLive at each fold, and snap() reports at least
+/// the exact count, so it undershoots the true peak by at most that lag.
+///
+/// Totals are exact once the threads that produced them have quiesced
+/// (joined, or parked for a stop-the-world); tests/ConcurrencyTest.cpp
+/// asserts the cross-counter invariants (e.g. every tcfree call lands in
+/// exactly one outcome bucket) at exactly such points. Mid-run snapshots
+/// from another thread are merely approximate -- individual counters are
+/// current, but no snapshot is a single consistent cut.
+struct HeapStats {
+  /// A shard folds its LiveDelta into HeapLive once the delta's magnitude
+  /// passes this many bytes.
+  static constexpr int64_t LiveFoldBytes = 64 << 10;
+
+  explicit HeapStats(int NumShards)
+      : Shards(new StatShard[(size_t)NumShards]), NumShards(NumShards) {}
+
+  StatShard &shard(int CacheId) { return Shards[(size_t)CacheId]; }
+
+  /// Counts one heap allocation of \p Bytes in the owner's shard \p Sh.
+  void noteAlloc(StatShard &Sh, AllocCat Cat, uint64_t Bytes) {
+    bumpShard(Sh.AllocedBytes, Bytes);
+    bumpShard(Sh.AllocCount, uint64_t(1));
+    bumpShard(Sh.AllocCountByCat[(int)Cat], uint64_t(1));
+    addLive(Sh, (int64_t)Bytes);
+  }
+
+  /// Adds \p Bytes (negative for a free) to the owner's shard \p Sh,
+  /// folding the delta once it passes LiveFoldBytes.
+  void addLive(StatShard &Sh, int64_t Bytes) {
+    int64_t D = Sh.LiveDelta.load(std::memory_order_relaxed) + Bytes;
+    if (D > LiveFoldBytes || D < -LiveFoldBytes) {
+      Sh.LiveDelta.store(0, std::memory_order_relaxed);
+      foldDelta(D);
+      return;
+    }
+    Sh.LiveDelta.store(D, std::memory_order_relaxed);
+  }
+
+  /// Moves \p Sh's live delta into HeapLive. Called by the shard's owner,
+  /// or by the collector with the world stopped.
+  void foldLive(StatShard &Sh) {
+    int64_t D = Sh.LiveDelta.load(std::memory_order_relaxed);
+    if (D == 0)
+      return;
+    Sh.LiveDelta.store(0, std::memory_order_relaxed);
+    foldDelta(D);
+  }
+
+  /// foldLive on every shard. Stopped world (or no mutator running) only.
+  void foldAllLive() {
+    for (int I = 0; I < NumShards; ++I)
+      foldLive(Shards[I]);
+  }
+
+  /// The exact live-byte count: HeapLive plus every shard's unfolded delta.
+  /// Exact at quiescence; a read racing a fold may be off by that delta.
+  uint64_t liveBytes() const {
+    int64_t L = (int64_t)HeapLive.load(std::memory_order_relaxed);
+    for (int I = 0; I < NumShards; ++I)
+      L += Shards[I].LiveDelta.load(std::memory_order_relaxed);
+    return L < 0 ? 0 : (uint64_t)L;
+  }
+
+  // Mock-mode poisonings (robustness runs only; off the default path).
   std::atomic<uint64_t> MockPoisonedCount{0};
 
   // Garbage collection. GcNanos is the whole cycle (pause plus any forced
@@ -222,90 +308,88 @@ struct HeapStats {
   std::atomic<uint64_t> PeakCommitted{0};
   std::atomic<uint64_t> PeakLive{0};
 
-  uint64_t tcfreeFreedBytes() const {
-    uint64_t Total = 0;
-    for (const auto &B : FreedBytesBySource)
-      Total += B.load(std::memory_order_relaxed);
-    return Total;
-  }
-
-  /// freed / alloced, the paper's "free ratio".
-  double freeRatio() const {
-    uint64_t A = AllocedBytes.load(std::memory_order_relaxed);
-    return A == 0 ? 0.0 : (double)tcfreeFreedBytes() / (double)A;
-  }
-
   StatsSnapshot snap() const {
+    auto Ld = [](const auto &A) { return A.load(std::memory_order_relaxed); };
     StatsSnapshot S;
-    S.AllocedBytes = AllocedBytes.load(std::memory_order_relaxed);
-    S.AllocCount = AllocCount.load(std::memory_order_relaxed);
-    for (int I = 0; I < NumAllocCats; ++I) {
-      S.AllocCountByCat[I] = AllocCountByCat[I].load(std::memory_order_relaxed);
-      S.StackAllocCountByCat[I] =
-          StackAllocCountByCat[I].load(std::memory_order_relaxed);
-      S.GcSweptCountByCat[I] =
-          GcSweptCountByCat[I].load(std::memory_order_relaxed);
+    for (int I = 0; I < NumShards; ++I) {
+      const StatShard &Sh = Shards[I];
+      S.AllocedBytes += Ld(Sh.AllocedBytes);
+      S.AllocCount += Ld(Sh.AllocCount);
+      for (int C = 0; C < NumAllocCats; ++C) {
+        S.AllocCountByCat[C] += Ld(Sh.AllocCountByCat[C]);
+        S.StackAllocCountByCat[C] += Ld(Sh.StackAllocCountByCat[C]);
+      }
+      S.TcfreeCalls += Ld(Sh.TcfreeCalls);
+      for (int R = 0; R < trace::NumGiveUpReasons; ++R)
+        S.TcfreeGiveUpsByReason[R] += Ld(Sh.TcfreeGiveUpsByReason[R]);
+      for (int F = 0; F < NumFreeSources; ++F) {
+        S.FreedBytesBySource[F] += Ld(Sh.FreedBytesBySource[F]);
+        S.FreedCountBySource[F] += Ld(Sh.FreedCountBySource[F]);
+      }
     }
-    S.TcfreeCalls = TcfreeCalls.load(std::memory_order_relaxed);
-    for (int I = 0; I < trace::NumGiveUpReasons; ++I) {
-      S.TcfreeGiveUpsByReason[I] =
-          TcfreeGiveUpsByReason[I].load(std::memory_order_relaxed);
-      if (I != (int)trace::GiveUpReason::Mock)
-        S.TcfreeGiveUps += S.TcfreeGiveUpsByReason[I];
-    }
-    for (int I = 0; I < NumFreeSources; ++I) {
-      S.FreedBytesBySource[I] =
-          FreedBytesBySource[I].load(std::memory_order_relaxed);
-      S.FreedCountBySource[I] =
-          FreedCountBySource[I].load(std::memory_order_relaxed);
-    }
-    S.GcCycles = GcCycles.load(std::memory_order_relaxed);
-    S.GcNanos = GcNanos.load(std::memory_order_relaxed);
-    S.GcMarkNanos = GcMarkNanos.load(std::memory_order_relaxed);
-    S.GcPauseNanos = GcPauseNanos.load(std::memory_order_relaxed);
-    S.GcMaxPauseNanos = GcMaxPauseNanos.load(std::memory_order_relaxed);
+    for (int R = 0; R < trace::NumGiveUpReasons; ++R)
+      if (R != (int)trace::GiveUpReason::Mock)
+        S.TcfreeGiveUps += S.TcfreeGiveUpsByReason[R];
+    for (int C = 0; C < NumAllocCats; ++C)
+      S.GcSweptCountByCat[C] = Ld(GcSweptCountByCat[C]);
+    S.GcCycles = Ld(GcCycles);
+    S.GcNanos = Ld(GcNanos);
+    S.GcMarkNanos = Ld(GcMarkNanos);
+    S.GcPauseNanos = Ld(GcPauseNanos);
+    S.GcMaxPauseNanos = Ld(GcMaxPauseNanos);
     for (int I = 0; I < NumPauseBuckets; ++I)
-      S.GcPauseHist[I] = GcPauseHist[I].load(std::memory_order_relaxed);
-    S.GcSpansSweptLazy = GcSpansSweptLazy.load(std::memory_order_relaxed);
-    S.GcSweptBytes = GcSweptBytes.load(std::memory_order_relaxed);
-    S.GcMinorCycles = GcMinorCycles.load(std::memory_order_relaxed);
-    S.GcMajorCycles = GcMajorCycles.load(std::memory_order_relaxed);
-    S.GcZctDrains = GcZctDrains.load(std::memory_order_relaxed);
-    S.GcBarrierHits = GcBarrierHits.load(std::memory_order_relaxed);
-    S.GcPauses = GcPauses.load(std::memory_order_relaxed);
-    S.GcConcCycles = GcConcCycles.load(std::memory_order_relaxed);
-    S.GcAssists = GcAssists.load(std::memory_order_relaxed);
-    S.GcAssistBytes = GcAssistBytes.load(std::memory_order_relaxed);
-    S.TcfreeChaosForced = TcfreeChaosForced.load(std::memory_order_relaxed);
-    S.PeakCommitted = PeakCommitted.load(std::memory_order_relaxed);
-    S.PeakLive = PeakLive.load(std::memory_order_relaxed);
+      S.GcPauseHist[I] = Ld(GcPauseHist[I]);
+    S.GcSpansSweptLazy = Ld(GcSpansSweptLazy);
+    S.GcSweptBytes = Ld(GcSweptBytes);
+    S.GcMinorCycles = Ld(GcMinorCycles);
+    S.GcMajorCycles = Ld(GcMajorCycles);
+    S.GcZctDrains = Ld(GcZctDrains);
+    S.GcBarrierHits = Ld(GcBarrierHits);
+    S.GcPauses = Ld(GcPauses);
+    S.GcConcCycles = Ld(GcConcCycles);
+    S.GcAssists = Ld(GcAssists);
+    S.GcAssistBytes = Ld(GcAssistBytes);
+    S.TcfreeChaosForced = Ld(TcfreeChaosForced);
+    S.PeakCommitted = Ld(PeakCommitted);
+    S.PeakLive = std::max(Ld(PeakLive), liveBytes());
     return S;
   }
 
-  /// Records one stop-the-world pause: total, count, CAS-max, histogram.
+  /// Records one stop-the-world pause: total, count, max, histogram.
   void notePause(uint64_t Nanos) {
     GcPauseNanos.fetch_add(Nanos, std::memory_order_relaxed);
     GcPauses.fetch_add(1, std::memory_order_relaxed);
-    uint64_t M = GcMaxPauseNanos.load(std::memory_order_relaxed);
-    while (Nanos > M && !GcMaxPauseNanos.compare_exchange_weak(
-                            M, Nanos, std::memory_order_relaxed))
-      ;
+    raiseMax(GcMaxPauseNanos, Nanos);
     GcPauseHist[pauseBucketFor(Nanos / 1000)].fetch_add(
         1, std::memory_order_relaxed);
   }
 
-  void notePeaks() {
-    uint64_t C = Committed.load(std::memory_order_relaxed);
-    uint64_t P = PeakCommitted.load(std::memory_order_relaxed);
-    while (C > P &&
-           !PeakCommitted.compare_exchange_weak(P, C, std::memory_order_relaxed))
-      ;
-    uint64_t L = HeapLive.load(std::memory_order_relaxed);
-    uint64_t PL = PeakLive.load(std::memory_order_relaxed);
-    while (L > PL &&
-           !PeakLive.compare_exchange_weak(PL, L, std::memory_order_relaxed))
+  /// Adds \p Bytes of fresh spans to Committed and records the peak.
+  /// Page-heap lock held.
+  void noteCommitted(uint64_t Bytes) {
+    raiseMax(PeakCommitted,
+             Committed.fetch_add(Bytes, std::memory_order_relaxed) + Bytes);
+  }
+
+private:
+  /// CAS-max of \p M with \p V.
+  static void raiseMax(std::atomic<uint64_t> &M, uint64_t V) {
+    uint64_t Cur = M.load(std::memory_order_relaxed);
+    while (V > Cur &&
+           !M.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
       ;
   }
+
+  /// Adds a folded shard delta to HeapLive and records the peak.
+  /// Unsigned wrap-around makes a negative \p D a subtraction.
+  void foldDelta(int64_t D) {
+    raiseMax(PeakLive,
+             HeapLive.fetch_add((uint64_t)D, std::memory_order_relaxed) +
+                 (uint64_t)D);
+  }
+
+  std::unique_ptr<StatShard[]> Shards;
+  int NumShards;
 };
 
 } // namespace rt

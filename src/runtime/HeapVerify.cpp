@@ -13,7 +13,9 @@
 //     freePages contract) and inside the reserved range;
 //   - span accounting: every reserved page is exactly one of
 //     {free run, in-use span}; every in-use span lies inside the reserved
-//     range; Stats.Committed and Stats.HeapLive equal what the spans say;
+//     range; Stats.Committed and the live-byte count (HeapLive plus the
+//     shards' unfolded deltas, which a stop-the-world has just folded)
+//     equal what the spans say;
 //   - page map: a page maps to S iff S is in-use and covers it (the
 //     stale-entry count stops at the highest page ever handed out, so a
 //     pass costs O(heap), not O(reservation));
@@ -277,9 +279,9 @@ bool Heap::verifyInvariants(std::string *Report) {
   if (StatCommitted != CommittedBytes)
     V.add("Committed=%" PRIu64 " but in-use spans hold %" PRIu64 " bytes",
           StatCommitted, CommittedBytes);
-  uint64_t StatLive = Stats.HeapLive.load(std::memory_order_relaxed);
+  uint64_t StatLive = Stats.liveBytes();
   if (StatLive != LiveBytes)
-    V.add("HeapLive=%" PRIu64 " but alloc bits say %" PRIu64
+    V.add("live bytes=%" PRIu64 " but alloc bits say %" PRIu64
           " bytes across %zu spans",
           StatLive, LiveBytes, InUseSpans);
 

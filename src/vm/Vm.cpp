@@ -123,13 +123,6 @@ void Vm::initVarSlot(interp::Frame &F, const VarDecl *V) {
   std::memset(reinterpret_cast<void *>(Slot), 0, V->Ty->size());
 }
 
-void Vm::noteStackAlloc(rt::AllocCat Cat, size_t Bytes) {
-  Heap.stats().StackAllocCountByCat[(int)Cat].fetch_add(
-      1, std::memory_order_relaxed);
-  if (trace::TraceSink *T = Heap.traceSink())
-    T->emit(trace::EventKind::StackAlloc, (uint8_t)Cat, Bytes);
-}
-
 void Vm::fault(const std::string &Msg) {
   if (FaultMsg.empty())
     FaultMsg = Msg;
@@ -211,7 +204,7 @@ Vm::Flow Vm::doMake(const MakeSite &S) {
       V.S.Data = siteStorage(F, S.Site, Bytes, [&](uintptr_t At) {
         F.StackObjs.push_back({At, ArrayDesc, Bytes});
       });
-      noteStackAlloc(rt::AllocCat::Slice, Bytes);
+      Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Slice, Bytes);
     } else {
       V.S.Data =
           rt::sliceAllocArray(Heap, ArrayDesc, Cap, ElemSize, Opts.CacheId);
@@ -243,7 +236,8 @@ Vm::Flow Vm::doMake(const MakeSite &S) {
         });
     rt::mapInit(Block, NBuckets, Block + rt::HMapHeaderSize, ValueSize);
     V.A = Block;
-    noteStackAlloc(rt::AllocCat::Map, rt::HMapHeaderSize + BucketBytes);
+    Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Map,
+                        rt::HMapHeaderSize + BucketBytes);
   } else {
     V.A = rt::mapMakeHeap(mapCtx(S.Map), Types.hmap(), Hint);
   }
@@ -263,7 +257,7 @@ Vm::Flow Vm::doNew(const ObjSite<NewExpr> &S) {
     Storage = siteStorage(F, S.Site, Bytes, [&](uintptr_t At) {
       F.StackObjs.push_back({At, Desc, Bytes});
     });
-    noteStackAlloc(rt::AllocCat::Other, Bytes);
+    Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Other, Bytes);
   } else {
     Storage = Heap.allocate(Bytes, Desc, rt::AllocCat::Other, Opts.CacheId);
   }
@@ -288,7 +282,7 @@ Vm::Flow Vm::doComposite(const ObjSite<CompositeExpr> &S) {
       F.StackObjs.push_back({At, Desc, Bytes});
     });
     if (CE->TakeAddr)
-      noteStackAlloc(rt::AllocCat::Other, Bytes);
+      Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Other, Bytes);
   } else {
     Storage = Heap.allocate(Bytes, Desc, rt::AllocCat::Other, Opts.CacheId);
   }

@@ -91,7 +91,6 @@ private:
     Ctx.CacheId = Opts.CacheId;
     return Ctx;
   }
-  void noteStackAlloc(rt::AllocCat Cat, size_t Bytes);
   bool faulted() const { return !FaultMsg.empty(); }
   void fault(const std::string &Msg);
 

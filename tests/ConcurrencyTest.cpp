@@ -163,7 +163,7 @@ TEST(ConcurrencyTortureTest, MixedAllocFreeGcWithMockFlip) {
   EXPECT_EQ(S.FreedCountBySource[(int)FreeSource::TcfreeObject], 0u);
 
   // Heap accounting invariants at quiesce.
-  EXPECT_LE(H.stats().HeapLive.load(), H.stats().Committed.load());
+  EXPECT_LE(H.stats().liveBytes(), H.stats().Committed.load());
   EXPECT_LE(S.tcfreeFreedBytes() + S.GcSweptBytes, S.AllocedBytes);
   EXPECT_LE(S.PeakLive, S.PeakCommitted);
   EXPECT_GE(S.GcCycles, 1u);
@@ -234,6 +234,156 @@ TEST(ConcurrencyTortureTest, NoDoubleHandoutAcrossThreads) {
     }
   std::string Report;
   EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
+}
+
+//===----------------------------------------------------------------------===//
+// Per-cache stat shards fold back to exact totals
+//===----------------------------------------------------------------------===//
+
+// Four threads, each on its own cache with the pacer off, allocate in all
+// three categories (small and large), tcfree part of it, take give-ups and
+// report stack allocations. Each thread counts what it did; once they are
+// joined, the shard sums and the live-byte count must match exactly, and
+// again after a collection sweeps the unretained rest.
+TEST(ConcurrencyTest, StatShardsFoldExactly) {
+  constexpr int NumThreads = 4;
+  constexpr uint64_t PerThread = 6000;
+  HeapOptions HO;
+  HO.NumCaches = NumThreads;
+  HO.Gc.Gogc = -1;
+  Heap H(HO);
+
+  struct Tally {
+    uint64_t Allocs[NumAllocCats] = {};
+    uint64_t StackAllocs[NumAllocCats] = {};
+    uint64_t AllocBytes = 0;
+    uint64_t Calls = 0;
+    uint64_t Freed = 0;
+    uint64_t FreedBytes = 0;
+    uint64_t GiveUps = 0;
+  };
+  std::vector<Tally> Tallies(NumThreads);
+  std::vector<std::unique_ptr<RetainedRoots>> Roots;
+  for (int T = 0; T < NumThreads; ++T)
+    Roots.push_back(std::make_unique<RetainedRoots>());
+
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      Tally &Ty = Tallies[(size_t)T];
+      RetainedRoots &R = *Roots[(size_t)T];
+      for (uint64_t I = 0; I < PerThread; ++I) {
+        size_t Bytes = sizeFor(I);
+        size_t Rounded = Bytes > MaxSmallSize
+                             ? (Bytes + PageSize - 1) / PageSize * PageSize
+                             : classSize(sizeClassFor(Bytes));
+        auto Cat = (AllocCat)(I % NumAllocCats);
+        uintptr_t A = H.allocate(Bytes, nullptr, Cat, T);
+        ++Ty.Allocs[(int)Cat];
+        Ty.AllocBytes += Rounded;
+        switch (I % 4) {
+        case 0: // Retained across the collection below.
+          R.Objs.push_back({A, Rounded, 0});
+          break;
+        case 1: // Garbage for the collection.
+          break;
+        case 2: // Freed, then a give-up on the second free.
+          Ty.Calls += 2;
+          EXPECT_TRUE(H.tcfreeObject(A, T, FreeSource::TcfreeSlice));
+          EXPECT_FALSE(H.tcfreeObject(A, T, FreeSource::TcfreeSlice));
+          ++Ty.Freed;
+          Ty.FreedBytes += Rounded;
+          ++Ty.GiveUps;
+          break;
+        case 3: // Freed.
+          ++Ty.Calls;
+          EXPECT_TRUE(H.tcfreeObject(A, T, FreeSource::TcfreeObject));
+          ++Ty.Freed;
+          Ty.FreedBytes += Rounded;
+          break;
+        }
+        if (I % 97 == 0) {
+          ++Ty.Calls;
+          EXPECT_FALSE(H.tcfreeObject(0, T, FreeSource::TcfreeMap));
+          ++Ty.GiveUps;
+          H.noteStackAlloc(T, Cat, Bytes);
+          ++Ty.StackAllocs[(int)Cat];
+        }
+      }
+      // Past LiveFoldBytes both ways without a refill in between: three
+      // MaxSmallSize objects share one fresh span (it holds four), and
+      // freeing them takes the delta back down past the negative bound.
+      uintptr_t Big[3];
+      for (uintptr_t &A : Big) {
+        A = H.allocate(MaxSmallSize, nullptr, AllocCat::Map, T);
+        ++Ty.Allocs[(int)AllocCat::Map];
+        Ty.AllocBytes += MaxSmallSize;
+      }
+      for (uintptr_t A : Big) {
+        ++Ty.Calls;
+        EXPECT_TRUE(H.tcfreeObject(A, T, FreeSource::TcfreeMap));
+        ++Ty.Freed;
+        Ty.FreedBytes += MaxSmallSize;
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+
+  Tally Sum;
+  for (const Tally &Ty : Tallies) {
+    for (int C = 0; C < NumAllocCats; ++C) {
+      Sum.Allocs[C] += Ty.Allocs[C];
+      Sum.StackAllocs[C] += Ty.StackAllocs[C];
+    }
+    Sum.AllocBytes += Ty.AllocBytes;
+    Sum.Calls += Ty.Calls;
+    Sum.Freed += Ty.Freed;
+    Sum.FreedBytes += Ty.FreedBytes;
+    Sum.GiveUps += Ty.GiveUps;
+  }
+  auto CheckCounts = [&](const StatsSnapshot &S) {
+    EXPECT_EQ(S.AllocCount, (uint64_t)NumThreads * (PerThread + 3));
+    for (int C = 0; C < NumAllocCats; ++C) {
+      EXPECT_EQ(S.AllocCountByCat[C], Sum.Allocs[C]) << "category " << C;
+      EXPECT_EQ(S.StackAllocCountByCat[C], Sum.StackAllocs[C])
+          << "category " << C;
+    }
+    EXPECT_EQ(S.AllocedBytes, Sum.AllocBytes);
+    uint64_t FreedCount = 0;
+    for (uint64_t N : S.FreedCountBySource)
+      FreedCount += N;
+    EXPECT_EQ(S.TcfreeCalls, Sum.Calls);
+    EXPECT_EQ(S.TcfreeGiveUps, Sum.GiveUps);
+    EXPECT_EQ(FreedCount, Sum.Freed);
+    EXPECT_EQ(S.TcfreeCalls, S.TcfreeGiveUps + FreedCount);
+    EXPECT_EQ(S.tcfreeFreedBytes(), Sum.FreedBytes);
+  };
+  StatsSnapshot S = H.stats().snap();
+  CheckCounts(S);
+  EXPECT_EQ(H.stats().liveBytes(), S.AllocedBytes - S.tcfreeFreedBytes());
+  std::string Report;
+  EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
+
+  // The collection folds every shard, then sweeps all but the retained
+  // quarter; the hot-path counters must not move.
+  for (auto &R : Roots)
+    H.addRootScanner(R.get());
+  H.runGc();
+  S = H.stats().snap();
+  CheckCounts(S);
+  uint64_t RetainedBytes = 0;
+  for (auto &R : Roots)
+    for (const RetainedRoots::Obj &O : R->Objs)
+      RetainedBytes += O.Bytes;
+  EXPECT_GT(S.GcSweptBytes, 0u);
+  EXPECT_EQ(H.stats().liveBytes(),
+            S.AllocedBytes - S.tcfreeFreedBytes() - S.GcSweptBytes);
+  EXPECT_EQ(H.stats().liveBytes(), RetainedBytes);
+  EXPECT_EQ(H.stats().HeapLive.load(), RetainedBytes)
+      << "the stop-the-world fold left a delta behind";
+  EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
+  for (auto &R : Roots)
+    H.removeRootScanner(R.get());
 }
 
 //===----------------------------------------------------------------------===//
@@ -580,7 +730,7 @@ TEST(ConcurrencyGcWorkersTest, LazySweepNeverDoubleCountsBytes) {
     }
   EXPECT_EQ(LiveExpected, (uint64_t)NumThreads * 48);
   EXPECT_EQ(S.AllocedBytes, S.GcSweptBytes + S.tcfreeFreedBytes() +
-                                H.stats().HeapLive.load())
+                                H.stats().liveBytes())
       << "swept/freed/live bytes do not add back up to allocated bytes";
   std::string Report;
   EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
@@ -752,27 +902,26 @@ public:
   }
 };
 
-} // namespace
-
-TEST(ConcurrencyConcMarkTest, PointerChurnDuringConcurrentMarkStaysReachable) {
-  // Four mutators race concurrent mark windows (marksweep, conc on by
-  // default, aggressive pacing) while continuously splicing chain tails
-  // between chains through the barriered store path. Mid-window a splice
-  // stores a possibly-white tail into a possibly-already-scanned (black)
-  // node and then severs the old edge -- exactly the interleaving that
-  // loses objects if the Dijkstra barrier misses a shade. The per-thread
-  // ground-truth vectors say what each chain must look like afterwards;
-  // verify=1 additionally runs the tricolor invariant check at every
-  // final flip and the whole-heap verifier at every cycle.
+// Four mutators race concurrent mark windows (marksweep, conc on by
+// default, aggressive pacing) while continuously splicing chain tails
+// between chains through the barriered store path. Mid-window a splice
+// stores a possibly-white tail into a possibly-already-scanned (black)
+// node and then severs the old edge -- exactly the interleaving that
+// loses objects if the Dijkstra barrier misses a shade. The per-thread
+// ground-truth vectors say what each chain must look like afterwards;
+// verify=1 additionally runs the tricolor invariant check at every
+// final flip and the whole-heap verifier at every cycle. The final stats
+// land in \p Out.
+void runPointerChurn(int Workers, int NumChains, size_t GarbageBytes,
+                     StatsSnapshot &Out) {
   HeapOptions HO;
   HO.NumCaches = 4;
-  HO.Gc.Workers = 4;
+  HO.Gc.Workers = Workers;
   HO.Gc.MinHeapTrigger = 192 << 10;
   HO.Gc.Verify = true;
   Heap H(HO);
 
   constexpr int NumThreads = 4;
-  constexpr int NumChains = 8;
   constexpr int InitLen = 24;
   constexpr uint64_t Iters = 3000;
 
@@ -834,7 +983,7 @@ TEST(ConcurrencyConcMarkTest, PointerChurnDuringConcurrentMarkStaysReachable) {
           Recv.insert(Recv.begin(), N);
         }
         // Unrooted garbage keeps the pacer honest mid-churn.
-        H.allocate(48, nullptr, AllocCat::Other, T);
+        H.allocate(GarbageBytes, nullptr, AllocCat::Other, T);
         if (I % 750 == 375)
           H.runGc(); // Forced cycles race the paced ones.
       }
@@ -858,7 +1007,8 @@ TEST(ConcurrencyConcMarkTest, PointerChurnDuringConcurrentMarkStaysReachable) {
       EXPECT_EQ(At, 0u) << "chain longer than ground truth";
     }
 
-  StatsSnapshot S = H.stats().snap();
+  Out = H.stats().snap();
+  const StatsSnapshot &S = Out;
   EXPECT_GE(S.GcConcCycles, 1u) << "no cycle ran the concurrent path";
   // Two pauses per concurrent cycle, one per STW cycle, and the histogram
   // buckets every one of them.
@@ -872,4 +1022,21 @@ TEST(ConcurrencyConcMarkTest, PointerChurnDuringConcurrentMarkStaysReachable) {
   EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
   for (auto &R : Roots)
     H.removeRootScanner(R.get());
+}
+
+} // namespace
+
+TEST(ConcurrencyConcMarkTest, PointerChurnDuringConcurrentMarkStaysReachable) {
+  StatsSnapshot S;
+  runPointerChurn(/*Workers=*/4, /*NumChains=*/8, /*GarbageBytes=*/48, S);
+}
+
+// One mark worker, and enough chains that the root scan leaves it more
+// than a chunk of gray: during the window it publishes chunks, and the
+// mutators, allocating fast enough to owe assists, steal them while it
+// keeps marking.
+TEST(ConcurrencyConcMarkTest, LoneWorkerChunksStolenByAssists) {
+  StatsSnapshot S;
+  runPointerChurn(/*Workers=*/1, /*NumChains=*/96, /*GarbageBytes=*/2048, S);
+  EXPECT_GT(S.GcAssists, 0u) << "no mutator assist ran";
 }

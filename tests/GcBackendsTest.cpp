@@ -270,7 +270,7 @@ TEST(GcBackendsTest, RcBackupMarkSweepReclaimsRefcountCycle) {
   uintptr_t C = H.allocate(16, nodeDesc(), AllocCat::Other, 0);
   ASSERT_NE(C, 0u);
 
-  uint64_t LiveBefore = H.stats().HeapLive.load();
+  uint64_t LiveBefore = H.stats().liveBytes();
   uint64_t SweptBefore = H.stats().GcSweptCount.load();
 
   // Drain with everything unrooted except the cycle's internal edges: C
@@ -280,7 +280,7 @@ TEST(GcBackendsTest, RcBackupMarkSweepReclaimsRefcountCycle) {
   H.runGcCycle(GcCycleKind::ZctDrain);
   EXPECT_EQ(H.stats().GcSweptCount.load(), SweptBefore + 1)
       << "drain should reclaim exactly the acyclic garbage";
-  EXPECT_EQ(H.stats().HeapLive.load(), LiveBefore - 16);
+  EXPECT_EQ(H.stats().liveBytes(), LiveBefore - 16);
   EXPECT_EQ(readWord(A), B) << "cycle member freed by a ZCT drain";
   EXPECT_EQ(readWord(B), A) << "cycle member freed by a ZCT drain";
 
@@ -288,7 +288,7 @@ TEST(GcBackendsTest, RcBackupMarkSweepReclaimsRefcountCycle) {
   H.runGc();
   EXPECT_EQ(H.stats().GcSweptCount.load(), SweptBefore + 3)
       << "backup mark-sweep failed to reclaim the refcount cycle";
-  EXPECT_EQ(H.stats().HeapLive.load(), LiveBefore - 48);
+  EXPECT_EQ(H.stats().liveBytes(), LiveBefore - 48);
   EXPECT_GE(H.stats().GcZctDrains.load(), 1u);
   std::string Report;
   EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
@@ -310,17 +310,17 @@ TEST(GcBackendsTest, RcDrainSparesRootedZeroCountObjects) {
   ASSERT_NE(Kept, 0u);
   writeWord(Kept + 8, 0x1234567890abcdefull);
   R.Addrs = {Kept};
-  uint64_t LiveBefore = H.stats().HeapLive.load();
+  uint64_t LiveBefore = H.stats().liveBytes();
   H.runGcCycle(GcCycleKind::ZctDrain);
   EXPECT_EQ(readWord(Kept + 8), 0x1234567890abcdefull)
       << "drain freed a rooted zero-count object";
-  EXPECT_EQ(H.stats().HeapLive.load(), LiveBefore);
+  EXPECT_EQ(H.stats().liveBytes(), LiveBefore);
 
   // Unrooted, the same object is exactly what the ZCT exists to reclaim:
   // the drain re-enqueued it (rooted-at-drain objects stay candidates).
   R.Addrs.clear();
   H.runGcCycle(GcCycleKind::ZctDrain);
-  EXPECT_EQ(H.stats().HeapLive.load(), LiveBefore - 16);
+  EXPECT_EQ(H.stats().liveBytes(), LiveBefore - 16);
   H.removeRootScanner(&R);
 }
 
@@ -346,10 +346,10 @@ TEST(GcBackendsTest, TcfreeInteropOnEveryBackend) {
     ASSERT_NE(Child, 0u);
     ASSERT_NE(Obj, 0u);
     storePtr(H, Obj, Child);
-    uint64_t FreedBefore = H.stats().TcfreeCalls.load();
+    uint64_t FreedBefore = H.stats().snap().TcfreeCalls;
     EXPECT_TRUE(H.tcfreeObject(Obj, 0, FreeSource::TcfreeObject))
         << gcBackendName(K);
-    EXPECT_EQ(H.stats().TcfreeCalls.load(), FreedBefore + 1);
+    EXPECT_EQ(H.stats().snap().TcfreeCalls, FreedBefore + 1);
     // Double free must give up on every backend (section 5 rules).
     EXPECT_FALSE(H.tcfreeObject(Obj, 0, FreeSource::TcfreeObject))
         << gcBackendName(K);

@@ -110,7 +110,7 @@ TEST(MapModelTest, SurvivesGrowthWaves) {
     }
     ASSERT_EQ(mapLen(M), (int64_t)Model.size()) << "wave " << Wave;
   }
-  EXPECT_GT(H.stats().FreedCountBySource[(int)FreeSource::MapGrowOld].load(),
+  EXPECT_GT(H.stats().snap().FreedCountBySource[(int)FreeSource::MapGrowOld],
             5u);
   for (const auto &[K, V] : Model) {
     int64_t Got;

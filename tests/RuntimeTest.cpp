@@ -130,8 +130,8 @@ TEST(HeapTest, SmallAllocationsAreDistinctAndZeroed) {
     EXPECT_EQ(readWord(A + 16), 0u);
     writeWord(A, 0xDEADBEEF); // Dirty it for the zeroing check on reuse.
   }
-  EXPECT_EQ(H.stats().AllocCount.load(), 1000u);
-  EXPECT_GE(H.stats().AllocedBytes.load(), 24000u);
+  EXPECT_EQ(H.stats().snap().AllocCount, 1000u);
+  EXPECT_GE(H.stats().snap().AllocedBytes, 24000u);
 }
 
 TEST(HeapTest, LargeAllocationGetsDedicatedSpan) {
@@ -209,7 +209,7 @@ TEST(TcfreeTest, SmallFreeAllowsSlotReuse) {
   uintptr_t B = H.allocate(48, scalarDesc(), AllocCat::Slice, 0);
   EXPECT_EQ(B, A);
   EXPECT_EQ(readWord(B), 0u);
-  EXPECT_EQ(H.stats().FreedCountBySource[(int)FreeSource::TcfreeSlice].load(),
+  EXPECT_EQ(H.stats().snap().FreedCountBySource[(int)FreeSource::TcfreeSlice],
             1u);
 }
 
@@ -238,7 +238,7 @@ TEST(TcfreeTest, DoubleFreeIsBenign) {
   EXPECT_TRUE(H.tcfreeObject(A, 0, FreeSource::TcfreeObject));
   EXPECT_FALSE(H.tcfreeObject(A, 0, FreeSource::TcfreeObject));
   EXPECT_EQ(
-      H.stats().FreedCountBySource[(int)FreeSource::TcfreeObject].load(), 1u);
+      H.stats().snap().FreedCountBySource[(int)FreeSource::TcfreeObject], 1u);
 }
 
 TEST(TcfreeTest, LargeFreeIsTwoStep) {
@@ -291,9 +291,9 @@ TEST(TcfreeTest, FreedBytesCountedBySource) {
   uintptr_t B = H.allocate(64, scalarDesc(), AllocCat::Map, 0);
   H.tcfreeObject(A, 0, FreeSource::TcfreeMap);
   H.tcfreeObject(B, 0, FreeSource::MapGrowOld);
-  EXPECT_EQ(H.stats().FreedBytesBySource[(int)FreeSource::TcfreeMap].load(),
+  EXPECT_EQ(H.stats().snap().FreedBytesBySource[(int)FreeSource::TcfreeMap],
             64u);
-  EXPECT_EQ(H.stats().FreedBytesBySource[(int)FreeSource::MapGrowOld].load(),
+  EXPECT_EQ(H.stats().snap().FreedBytesBySource[(int)FreeSource::MapGrowOld],
             64u);
 }
 
@@ -398,7 +398,7 @@ TEST(GcTest, PacingTriggersCollection) {
   for (int I = 0; I < 1024; ++I)
     H.allocate(1024, scalarDesc(), AllocCat::Other, 0);
   EXPECT_GE(H.stats().GcCycles.load(), 2u);
-  EXPECT_LT(H.stats().HeapLive.load(), 256u * 1024);
+  EXPECT_LT(H.stats().liveBytes(), 256u * 1024);
 }
 
 TEST(GcTest, GcOffNeverCollects) {
@@ -633,7 +633,7 @@ TEST(GcLazySweepTest, EmptyCachedSpanIsDetachedAndRetired) {
   // path, not scribble on the retired one.
   uintptr_t B = H.allocate(32, scalarDesc(), AllocCat::Other, 0);
   EXPECT_TRUE(H.isLiveObject(B));
-  EXPECT_EQ(H.stats().HeapLive.load(), 32u);
+  EXPECT_EQ(H.stats().liveBytes(), 32u);
   ASSERT_TRUE(H.verifyInvariants(&Report)) << Report;
 }
 
@@ -652,7 +652,7 @@ TEST(MockTcfreeTest, PoisonsInsteadOfFreeing) {
   EXPECT_TRUE(H.isLiveObject(A));
   EXPECT_EQ(readWord(A), 0xFF00FF00FF00FF00ull);
   EXPECT_EQ(H.stats().MockPoisonedCount.load(), 1u);
-  EXPECT_EQ(H.stats().tcfreeFreedBytes(), 0u);
+  EXPECT_EQ(H.stats().snap().tcfreeFreedBytes(), 0u);
 }
 
 TEST(MockTcfreeTest, ZeroModeZeroes) {
@@ -776,7 +776,7 @@ TEST(MapRtTest, GrowthKeepsAllEntriesAndFreesOldBuckets) {
   }
   // Growth happened and GrowMapAndFreeOld reclaimed the abandoned arrays.
   EXPECT_GT(
-      H.stats().FreedCountBySource[(int)FreeSource::MapGrowOld].load(), 2u);
+      H.stats().snap().FreedCountBySource[(int)FreeSource::MapGrowOld], 2u);
 }
 
 TEST(MapRtTest, GrowFreeOldDisabledLeavesGarbageToGc) {
@@ -787,7 +787,7 @@ TEST(MapRtTest, GrowFreeOldDisabledLeavesGarbageToGc) {
   for (int64_t K = 0; K < 1000; ++K)
     mapAssign(Ctx, M, K, &K);
   EXPECT_EQ(
-      H.stats().FreedCountBySource[(int)FreeSource::MapGrowOld].load(), 0u);
+      H.stats().snap().FreedCountBySource[(int)FreeSource::MapGrowOld], 0u);
 }
 
 TEST(MapRtTest, ManyDeletesViaTombstonesStillWork) {
@@ -817,7 +817,7 @@ TEST(MapRtTest, TcfreeMapFreesBucketsAndHeader) {
   EXPECT_TRUE(tcfreeMap(H, M, 0));
   EXPECT_FALSE(H.isLiveObject(M));
   EXPECT_GE(
-      H.stats().FreedCountBySource[(int)FreeSource::TcfreeMap].load(), 2u);
+      H.stats().snap().FreedCountBySource[(int)FreeSource::TcfreeMap], 2u);
 }
 
 TEST(MapRtTest, GcScansMapValues) {
@@ -872,7 +872,7 @@ TEST(HeapThreadTest, ParallelAllocateAndFree) {
   }
   for (auto &Th : Threads)
     Th.join();
-  EXPECT_EQ(H.stats().AllocCount.load(), (uint64_t)NumThreads * PerThread);
+  EXPECT_EQ(H.stats().snap().AllocCount, (uint64_t)NumThreads * PerThread);
   // Every thread read back exactly what it wrote.
   uint64_t Expected =
       (uint64_t)NumThreads * ((uint64_t)PerThread * (PerThread - 1) / 2);

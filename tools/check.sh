@@ -48,9 +48,15 @@
 #                             gofree-conc leg runs --gc=workers=2,conc=1,
 #                             chaos=7 with heap verification (including the
 #                             tricolor check at both flips) on every leg
-#   tools/check.sh bench      benchmarks: runs bench_gc_pause and bench_vm
-#                             and writes BENCH_gc_pause.json / BENCH_vm.json
-#                             at the repo root
+#   tools/check.sh bench      benchmarks: runs bench_gc_pause, bench_vm and
+#                             bench_mt_contention and writes
+#                             BENCH_gc_pause.json / BENCH_vm.json /
+#                             BENCH_mt_contention.json at the repo root. On a
+#                             host with >= 4 hardware threads it fails when
+#                             the 4-thread alloc+tcfree aggregate is below 2x
+#                             the 1-thread figure (mutators serializing on
+#                             shared state); smaller hosts print "scaling not
+#                             checked"
 #   tools/check.sh server     serving-workload pass: the fixed-seed
 #                             serve-sim smoke suite (ctest label
 #                             server_smoke) with the regular build and again
@@ -218,14 +224,32 @@ conc)
   ;;
 bench)
   cmake -B "$ROOT/build" -S "$ROOT"
-  cmake --build "$ROOT/build" -j --target bench_gc_pause --target bench_vm
+  cmake --build "$ROOT/build" -j --target bench_gc_pause --target bench_vm \
+    --target bench_mt_contention
   "$ROOT/build/bench/bench_gc_pause" --json > "$ROOT/BENCH_gc_pause.json" \
     || fail "bench_gc_pause failed"
   "$ROOT/build/bench/bench_gc_pause" --quick
   "$ROOT/build/bench/bench_vm" --json > "$ROOT/BENCH_vm.json" \
     || fail "bench_vm failed"
   "$ROOT/build/bench/bench_vm"
-  echo "check.sh: bench OK (wrote BENCH_gc_pause.json, BENCH_vm.json)"
+  "$ROOT/build/bench/bench_mt_contention" --json \
+    > "$ROOT/BENCH_mt_contention.json" || fail "bench_mt_contention failed"
+  # Scaling gate: each cache counts into its own stat shard, so mutators on
+  # separate caches share nothing on the alloc/tcfree fast paths.
+  python3 - "$ROOT/BENCH_mt_contention.json" <<'PYEOF' || fail "bench_mt_contention: 4 threads below 2x the 1-thread throughput"
+import json, sys
+d = json.load(open(sys.argv[1]))
+ops = {t["threads"]: t["ops_per_sec"] for t in d["throughput"]}
+ratio = ops[4] / ops[1]
+if not d["scaling_valid"]:
+    print("check.sh: bench_mt_contention: %d hardware threads, scaling not "
+          "checked (4 threads / 1 thread = %.2fx)" % (d["hardware_threads"], ratio))
+    sys.exit(0)
+print("check.sh: bench_mt_contention: 4 threads / 1 thread = %.2fx (need >= 2x)"
+      % ratio)
+sys.exit(0 if ratio >= 2.0 else 1)
+PYEOF
+  echo "check.sh: bench OK (wrote BENCH_gc_pause.json, BENCH_vm.json, BENCH_mt_contention.json)"
   ;;
 server)
   # Serving-harness smoke with the regular build: determinism, percentile
