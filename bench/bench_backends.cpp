@@ -6,17 +6,17 @@
 // The headline question the pluggable-backend work unlocks: does
 // compiler-inserted freeing still pay off when the collector is NOT the
 // paper's mark-sweep? Each of the six subject programs runs under
-// tcfree on (gofree) and off (go) for each backend -- marksweep,
-// generational, rc -- on one shared heap configuration per backend. The
-// reported ratios are GoFree/Go per backend (below 100% = tcfree wins);
-// checksums must agree across all twelve cells of a subject's row or the
-// bench aborts.
+// tcfree on (gofree) and off (go) for each backend -- marksweep and rc --
+// on one shared heap configuration per backend. The reported ratios are
+// GoFree/Go per backend (below 100% = tcfree wins); checksums must agree
+// across all four cells of a subject's row or the bench aborts.
 //
 //===----------------------------------------------------------------------===//
 
 #include "../bench/BenchUtil.h"
 
 #include <cstdio>
+#include <iterator>
 
 using namespace gofree;
 using namespace gofree::bench;
@@ -31,9 +31,9 @@ struct BackendSpec {
 
 const BackendSpec Backends[] = {
     {"marksweep", "--gc=marksweep"},
-    {"generational", "--gc=generational"},
     {"rc", "--gc=rc"},
 };
+constexpr size_t NumBackends = std::size(Backends);
 
 SettingSample runCell(const Workload &W, bool Tcfree, const BackendSpec &B,
                       int Runs) {
@@ -90,17 +90,18 @@ int main() {
   }
   std::printf("\n");
   std::printf("------------+");
-  for (size_t I = 0; I < 3; ++I)
+  for (size_t I = 0; I < NumBackends; ++I)
     std::printf("-----------------------------------+");
   std::printf("\n");
 
-  double SumGcT[3] = {}, SumGcs[3] = {}, SumTime[3] = {};
+  double SumGcT[NumBackends] = {}, SumGcs[NumBackends] = {},
+         SumTime[NumBackends] = {};
   int N = 0;
   for (const Workload &W : subjectWorkloads()) {
     std::printf("%-11s |", W.Name.c_str());
     uint64_t Checksum = 0;
     bool First = true;
-    for (size_t BI = 0; BI < 3; ++BI) {
+    for (size_t BI = 0; BI < NumBackends; ++BI) {
       const BackendSpec &B = Backends[BI];
       SettingSample Go = runCell(W, /*Tcfree=*/false, B, Runs);
       SettingSample Free = runCell(W, /*Tcfree=*/true, B, Runs);
@@ -128,13 +129,13 @@ int main() {
     ++N;
   }
   std::printf("------------+");
-  for (size_t I = 0; I < 3; ++I)
+  for (size_t I = 0; I < NumBackends; ++I)
     std::printf("-----------------------------------+");
   std::printf("\n%-11s |", "average");
-  for (size_t BI = 0; BI < 3; ++BI)
+  for (size_t BI = 0; BI < NumBackends; ++BI)
     std::printf("              %4.0f%%  %4.0f%%  %4.0f%% |", SumGcT[BI] / N,
                 SumGcs[BI] / N, SumTime[BI] / N);
   std::printf("\n\npaper (marksweep avg): GC time 87%%, GCs 93%%, time 98%%; "
-              "the generational and rc columns have no paper counterpart\n");
+              "the rc column has no paper counterpart\n");
   return 0;
 }

@@ -11,22 +11,23 @@
 // keys, mixed hugo/gojson/badger handlers -- precomputed from the seed,
 // byte-identical everywhere) is served by every cell of the
 //
-//     {go, gofree} x {marksweep, generational, rc} x {conc on, off}
+//     {go, gofree} x {marksweep conc off, marksweep conc on, rc}
 //
 // matrix. Per cell: p50/p99/p999 request latency measured from the
 // *scheduled* arrival (queueing included -- no coordinated omission),
 // per-request allocation-stall time (safepoint parks + mark assists),
 // GC pause percentiles from the pause histogram, and the summed handler
-// checksum. The checksums must agree across all twelve cells; a mismatch
+// checksum. The checksums must agree across all six cells; a mismatch
 // means a collector configuration changed program behavior, and the run
 // says so loudly.
 //
 // Honesty notes (same contract as bench_gc_pause):
 //   * hardware_threads and scaling_valid are recorded; with fewer cores
 //     than workers the latency numbers include timesharing noise.
-//   * rc has no concurrent mark; its conc=1 cell runs identically to
-//     conc=0 and is reported as-is (the "conc" field records what was
-//     *requested*).
+//   * rc has no concurrent mark, so it gets one cell, reported with
+//     "conc": false (a conc=1 request would run identically).
+//   * rc is validated single-threaded (GcRc.cpp); its cell runs the
+//     multi-worker stream outside that envelope.
 //   * Latencies are wall-clock and vary run to run; the request stream,
 //     per-cell GC work, and checksums are seed-deterministic.
 //
@@ -110,27 +111,27 @@ int main(int argc, char **argv) {
   struct {
     rt::GcBackendKind Kind;
     const char *Name;
-  } Backends[] = {{rt::GcBackendKind::MarkSweep, "marksweep"},
-                  {rt::GcBackendKind::Generational, "generational"},
-                  {rt::GcBackendKind::Rc, "rc"}};
+    bool Conc;
+  } Backends[] = {{rt::GcBackendKind::MarkSweep, "marksweep", false},
+                  {rt::GcBackendKind::MarkSweep, "marksweep", true},
+                  {rt::GcBackendKind::Rc, "rc", false}};
 
   std::vector<Cell> Cells;
   bool AllOk = true;
   for (const auto &M : Modes)
-    for (const auto &B : Backends)
-      for (int Conc = 0; Conc < 2; ++Conc) {
-        ServeSimOptions SO = Base;
-        SO.Mode = M.Mode;
-        SO.Heap.Gc.Backend = B.Kind;
-        SO.Heap.Gc.Concurrent = Conc != 0;
-        Cell C{M.Name, B.Name, Conc != 0, runServeSim(SO)};
-        if (!C.R.ok()) {
-          std::fprintf(stderr, "bench_server: %s/%s/conc=%d failed: %s\n",
-                       M.Name, B.Name, Conc, C.R.Error.c_str());
-          AllOk = false;
-        }
-        Cells.push_back(std::move(C));
+    for (const auto &B : Backends) {
+      ServeSimOptions SO = Base;
+      SO.Mode = M.Mode;
+      SO.Heap.Gc.Backend = B.Kind;
+      SO.Heap.Gc.Concurrent = B.Conc;
+      Cell C{M.Name, B.Name, B.Conc, runServeSim(SO)};
+      if (!C.R.ok()) {
+        std::fprintf(stderr, "bench_server: %s/%s/conc=%d failed: %s\n",
+                     M.Name, B.Name, (int)B.Conc, C.R.Error.c_str());
+        AllOk = false;
       }
+      Cells.push_back(std::move(C));
+    }
 
   // Differential honesty: every cell served the byte-identical stream, so
   // every cell's summed handler checksum must match the first's.
@@ -192,13 +193,13 @@ int main(int argc, char **argv) {
               "%llu requests @ %.0f rps, seed %llu)\n\n",
               Cores, Base.Workers, (unsigned long long)Base.Requests,
               Base.OfferedRps, (unsigned long long)Base.Seed);
-  std::printf("%-7s %-13s %-5s | %9s %9s %9s | %9s | %7s %6s\n", "mode",
+  std::printf("%-7s %-9s %-5s | %9s %9s %9s | %9s | %7s %6s\n", "mode",
               "backend", "conc", "p50 ms", "p99 ms", "p999 ms", "stall p99",
               "pauses", "p99us");
-  std::printf("--------------------------------+-------------------------"
+  std::printf("------------------------+-------------------------"
               "------+-----------+---------------\n");
   for (const Cell &C : Cells)
-    std::printf("%-7s %-13s %-5s | %9.3f %9.3f %9.3f | %9.3f | %7llu %6llu\n",
+    std::printf("%-7s %-9s %-5s | %9.3f %9.3f %9.3f | %9.3f | %7llu %6llu\n",
                 C.ModeName, C.R.GcBackend, C.Conc ? "on" : "off",
                 C.R.latencyPercentileNs(0.50) * 1e-6,
                 C.R.latencyPercentileNs(0.99) * 1e-6,

@@ -34,9 +34,8 @@ constexpr FlagSpec Specs[] = {
     {"entry", "NAME", "entry function (default main)"},
     {"targets", "all|sm|none", "free targets (default sm = slices and maps)"},
     {"gc", "BACKEND[,KEY=V...]",
-     "collector: marksweep|generational|rc + gogc/min-trigger/workers/"
-     "eager-sweep/verify/nursery/promote-after/zct-threshold/conc/chaos "
-     "keys"},
+     "collector: marksweep|rc + gogc/min-trigger/workers/eager-sweep/"
+     "verify/zct-threshold/conc/chaos keys"},
     {"mock", "off|zero|flip", "poisoning tcfree (robustness testing)"},
     {"num-threads", "N", "run N real mutator threads (checksums add)"},
     {"num-caches", "N", "thread caches in the heap (default 4)"},
@@ -78,7 +77,7 @@ bool parseGcConfig(std::string_view Spec, rt::GcConfig &Cfg,
     if (Eq == std::string_view::npos) {
       if (!rt::parseGcBackendKind(Tok, Cfg.Backend))
         return Fail("unknown backend '" + std::string(Tok) +
-                    "' (expected marksweep|generational|rc)");
+                    "' (expected marksweep|rc)");
       continue;
     }
     std::string Key(Tok.substr(0, Eq)), Val(Tok.substr(Eq + 1));
@@ -127,18 +126,6 @@ bool parseGcConfig(std::string_view Spec, rt::GcConfig &Cfg,
         Cfg.Verify = false;
       else
         return Fail("verify: expected 0|1");
-    } else if (Key == "nursery") {
-      if (!WantInt())
-        return false;
-      if (IV < 1)
-        return Fail("nursery: must be positive");
-      Cfg.NurseryBytes = (uint64_t)IV;
-    } else if (Key == "promote-after") {
-      if (!WantInt())
-        return false;
-      if (IV < 1 || IV > INT_MAX)
-        return Fail("promote-after: must be in [1, 2147483647]");
-      Cfg.PromoteAfter = (int)IV;
     } else if (Key == "zct-threshold") {
       if (!WantInt())
         return false;
@@ -419,8 +406,8 @@ std::string gofree::compiler::driver::outcomeJson(const ExecOutcome &O,
       ",\"tcfree_calls\":%" PRIu64 ",\"tcfree_giveups\":%" PRIu64
       ",\"freed_bytes\":%" PRIu64 ",\"gc_cycles\":%" PRIu64
       ",\"peak_committed\":%" PRIu64 ",\"peak_live\":%" PRIu64 "},"
-      "\"gc\":{\"backend\":\"%s\",\"minor_cycles\":%" PRIu64
-      ",\"major_cycles\":%" PRIu64 ",\"barrier_hits\":%" PRIu64
+      "\"gc\":{\"backend\":\"%s\",\"major_cycles\":%" PRIu64
+      ",\"barrier_hits\":%" PRIu64
       ",\"zct_drains\":%" PRIu64 ",\"conc_cycles\":%" PRIu64
       ",\"assists\":%" PRIu64 ",\"pauses\":%" PRIu64
       ",\"pause_p50_us\":%" PRIu64 ",\"pause_p99_us\":%" PRIu64
@@ -432,8 +419,8 @@ std::string gofree::compiler::driver::outcomeJson(const ExecOutcome &O,
       O.Stats.AllocedBytes, O.Stats.AllocCount, O.Stats.TcfreeCalls,
       O.Stats.TcfreeGiveUps, O.Stats.tcfreeFreedBytes(), O.Stats.GcCycles,
       O.Stats.PeakCommitted, O.Stats.PeakLive,
-      O.GcBackend ? O.GcBackend : "marksweep", O.Stats.GcMinorCycles,
-      O.Stats.GcMajorCycles, O.Stats.GcBarrierHits, O.Stats.GcZctDrains,
+      O.GcBackend ? O.GcBackend : "marksweep", O.Stats.GcMajorCycles,
+      O.Stats.GcBarrierHits, O.Stats.GcZctDrains,
       O.Stats.GcConcCycles, O.Stats.GcAssists, O.Stats.GcPauses,
       O.Stats.pausePercentileUs(0.50), O.Stats.pausePercentileUs(0.99),
       O.Stats.pausePercentileUs(0.999));

@@ -91,12 +91,9 @@ std::vector<LegResult> gofree::fuzz::standardLegs(const DiffOptions &Opts) {
   // Parallel mark + lazy sweep: observables must not depend on how many
   // workers marked or when spans got swept.
   Legs.push_back(Leg("gofree-par", {"--mode=gofree", "--gc=workers=4"}));
-  // Collector backends: a tiny nursery / low drain threshold forces many
-  // minor cycles and ZCT drains per seed, and observables still may not
-  // depend on which collector reclaimed the garbage.
-  Legs.push_back(Leg(
-      "gofree-gen",
-      {"--mode=gofree", "--gc=generational,nursery=32768,promote-after=1"}));
+  // The rc backend: a low drain threshold forces many ZCT drains per seed,
+  // and observables still may not depend on which collector reclaimed the
+  // garbage.
   Legs.push_back(
       Leg("gofree-rc", {"--mode=gofree", "--gc=rc,zct-threshold=256"}));
   // Concurrent tricolor marking under tcfree chaos: mark windows overlap

@@ -177,10 +177,6 @@ struct Heap::GcMarkShared {
   // start; workers consume it by strided partition.
   std::vector<uintptr_t> Roots;
   std::vector<RootScanner *> Providers;
-  /// Extra root *slot addresses* (e.g. the generational remembered set):
-  /// workers load each slot's 8-byte value and mark it. Copied in by
-  /// markPhase per cycle.
-  std::vector<uintptr_t> ExtraSlots;
 
   void barrier() {
     std::unique_lock<std::mutex> Lock(BMu);
@@ -271,6 +267,10 @@ void Heap::runGc() { runGcImpl(GcCycleKind::Full, /*Forced=*/true); }
 void Heap::runGcCycle(GcCycleKind Kind) {
   if (Kind == GcCycleKind::None)
     return;
+  // A kind the backend does not implement runs as the Full cycle every
+  // backend has, so it is counted and traced as one too.
+  if (Kind == GcCycleKind::ZctDrain && Backend->kind() != GcBackendKind::Rc)
+    Kind = GcCycleKind::Full;
   runGcImpl(Kind, /*Forced=*/true);
 }
 
@@ -284,8 +284,8 @@ void Heap::runGcImpl(GcCycleKind Kind, bool Forced) {
     return; // Re-entrant force (e.g. from a root scanner) is a no-op.
   assert(Kind != GcCycleKind::None && "None is not a runnable cycle");
   // The lost-the-race protocol is keyed per cycle *kind*: a thread that
-  // wanted a Full must not be satisfied by a Minor or a ZCT drain that
-  // completed while it waited.
+  // wanted a Full must not be satisfied by a ZCT drain that completed
+  // while it waited.
   std::atomic<uint64_t> &Seq = CycleSeq[(size_t)Kind];
   uint64_t SeqBefore = Seq.load(std::memory_order_acquire);
   // Trying, not blocking, on GcMu: a registered mutator that blocked here
@@ -333,9 +333,6 @@ void Heap::runGcImpl(GcCycleKind Kind, bool Forced) {
   case GcCycleKind::Full:
     Stats.GcMajorCycles.fetch_add(1, std::memory_order_relaxed);
     break;
-  case GcCycleKind::Minor:
-    Stats.GcMinorCycles.fetch_add(1, std::memory_order_relaxed);
-    break;
   case GcCycleKind::ZctDrain:
     Stats.GcZctDrains.fetch_add(1, std::memory_order_relaxed);
     break;
@@ -355,8 +352,8 @@ void Heap::runGcImpl(GcCycleKind Kind, bool Forced) {
   // A forced full cycle promises "garbage is collected" even with other
   // mutators around: finish the sweep work outside the pause rather than
   // leaving it all to lazy sweepers. (A cycle that swept eagerly left the
-  // queue empty, and partial cycles never queue sweep work, so for those
-  // this returns at once.)
+  // queue empty, and ZCT drains never queue sweep work, so for those this
+  // returns at once.)
   if (Kind == GcCycleKind::Full && Forced)
     drainSweepQueue();
 }
@@ -392,8 +389,8 @@ void Heap::sweepOrQueueStw(bool Forced) {
 
   // A forced cycle with the world to itself sweeps eagerly: its caller is
   // single-threaded and expects the seed's exact post-GC heap (freed
-  // bytes, retired spans) the moment runGc returns. (The generational and
-  // rc backends force EagerSweep outright; see the Heap constructor.)
+  // bytes, retired spans) the moment runGc returns. (The rc backend forces
+  // EagerSweep outright; see the Heap constructor.)
   if (!Opts.Gc.EagerSweep && !(Forced && soloWorld())) {
     buildSweepQueue();
     Phase.store(GcPhase::Idle, std::memory_order_release);
@@ -455,7 +452,7 @@ void Heap::fullMarkSweepStw(bool Forced) {
 //===----------------------------------------------------------------------===//
 //
 // The cycle body when GcConfig::Concurrent is on and the backend supports
-// the kind (marksweep Full; generational major). Structure:
+// the kind (marksweep Full). Structure:
 //
 //   flip 1 (STW)  finish leftover sweep, clear marks, scan roots, turn the
 //                 Dijkstra barrier on. O(roots), not O(live heap).
@@ -495,7 +492,7 @@ void Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
             Stats.HeapLive.load(std::memory_order_relaxed));
   auto MarkT0 = std::chrono::steady_clock::now();
   markSetup(GcMarkMode::Full);
-  size_t Roots1 = snapshotMarkRoots(nullptr);
+  size_t Roots1 = snapshotMarkRoots();
   runMarkJob(GcMarkShared::JobFlip1);
   // Everything below is published to resuming mutators by the park
   // handshake (they re-cross ParkMu), so relaxed stores suffice.
@@ -540,7 +537,7 @@ void Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
   // --- Flip 2: stop, rescan roots, drain the residue, start the sweep. ---
   auto Pause2Start = std::chrono::steady_clock::now();
   stopTheWorld();
-  size_t Roots2 = snapshotMarkRoots(nullptr);
+  size_t Roots2 = snapshotMarkRoots();
   {
     // Late barrier shades (between the last drain and the stop) seed the
     // final job alongside the rescanned roots.
@@ -689,7 +686,7 @@ void Heap::markSetup(GcMarkMode Mode) {
   }
 }
 
-size_t Heap::snapshotMarkRoots(const std::vector<uintptr_t> *ExtraSlots) {
+size_t Heap::snapshotMarkRoots() {
   // The mutators supply roots; gcMarkAddr queues grey objects which the
   // workers blacken by scanning their pointer maps. Runtime-internal roots
   // cover objects mid-construction (see Heap::InternalRoot). Scanner
@@ -699,15 +696,12 @@ size_t Heap::snapshotMarkRoots(const std::vector<uintptr_t> *ExtraSlots) {
   // garbage. (Forced runGc() must not crash on such a heap; pacing already
   // refuses to trigger without a scanner.)
   GcMarkShared &M = *Mark;
-  M.ExtraSlots.clear();
-  if (ExtraSlots)
-    M.ExtraSlots = *ExtraSlots;
   {
     std::lock_guard<std::mutex> Lock(RootsMu);
     M.Roots = InternalRoots;
     M.Providers = Scanners;
   }
-  return M.Roots.size() + M.ExtraSlots.size() + M.Providers.size();
+  return M.Roots.size() + M.Providers.size();
 }
 
 void Heap::runMarkJob(uint8_t Job) {
@@ -755,13 +749,12 @@ void Heap::markFold() {
   }
 }
 
-void Heap::markPhase(GcMarkMode Mode,
-                     const std::vector<uintptr_t> *ExtraSlots) {
+void Heap::markPhase(GcMarkMode Mode) {
   // The world is stopped: mutator state is stable and happens-before us
   // (see the park handshake), so span interiors need no locks here. The
   // helper threads inherit that edge through PoolMu.
   markSetup(Mode);
-  snapshotMarkRoots(ExtraSlots);
+  snapshotMarkRoots();
   auto T0 = std::chrono::steady_clock::now();
   runMarkJob(GcMarkShared::JobFull);
   Stats.GcMarkNanos.fetch_add(nanosSince(T0), std::memory_order_relaxed);
@@ -798,9 +791,7 @@ void Heap::runMarkWorker(int Index) {
 
   if (Job == GcMarkShared::JobFull) {
     // 1. Clear mark bits, partitioned by span index. (AllSpans is stable:
-    // the world is stopped and we hold GcMu.) A minor cycle only clears --
-    // and will only sweep -- young spans; old spans' stale bits are never
-    // consulted (gcMarkAddr skips old spans entirely in Minor mode).
+    // the world is stopped and we hold GcMu.)
     // JobFlip1 skips this pass entirely -- that is what keeps the initial
     // flip O(roots), not O(spans): sweepSpanSlots clears a span's marks
     // after consuming them, and flip 1's finishSweepStw backstop has just
@@ -809,25 +800,18 @@ void Heap::runMarkWorker(int Index) {
     // without a sweep ever consuming those bits.)
     for (size_t I = (size_t)Index; I < AllSpans.size(); I += (size_t)N) {
       MSpan *S = AllSpans[I].get();
-      if (S->State.load(std::memory_order_relaxed) != SpanState::InUse)
-        continue;
-      if (MarkMode == GcMarkMode::Minor &&
-          S->Gen.load(std::memory_order_relaxed) != GenYoung)
-        continue;
-      S->clearMarks();
+      if (S->State.load(std::memory_order_relaxed) == SpanState::InUse)
+        S->clearMarks();
     }
     // 2. Barrier: nobody marks until every span's bits are clear.
     M.barrier();
   }
   if (Job != GcMarkShared::JobDrain) {
-    // 3. Roots, partitioned the same way. ExtraSlots hold slot *addresses*
-    // (remembered-set entries); their current values are the roots.
+    // 3. Roots, partitioned the same way.
     // JobFinal rescans them from scratch (tryMarkBit dedups): roots and
     // provider stacks changed while the concurrent window ran.
     for (size_t I = (size_t)Index; I < M.Roots.size(); I += (size_t)N)
       gcMarkAddr(M.Roots[I]);
-    for (size_t I = (size_t)Index; I < M.ExtraSlots.size(); I += (size_t)N)
-      gcMarkAddr(loadWordRelaxed(M.ExtraSlots[I]));
     for (size_t I = (size_t)Index; I < M.Providers.size(); I += (size_t)N)
       M.Providers[I]->scanRoots(*this);
   }
@@ -945,12 +929,6 @@ void Heap::gcMarkAddr(uintptr_t Addr) {
     return; // Stack address, foreign pointer, or freed large object.
   // Dangling spans are skipped rather than marked (section 5).
   if (S->State.load(std::memory_order_relaxed) != SpanState::InUse)
-    return;
-  // Minor cycles neither mark nor trace old spans: the remembered set
-  // already contributed every old->young edge as a root, and old spans
-  // are not swept, so their objects need no mark bits.
-  if (MarkMode == GcMarkMode::Minor &&
-      S->Gen.load(std::memory_order_relaxed) != GenYoung)
     return;
   size_t Slot = S->slotOf(Addr);
   // Alloc bits of objects that predate the cycle are frozen (every span

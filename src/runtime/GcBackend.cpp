@@ -21,8 +21,6 @@ const char *gcBackendName(GcBackendKind K) {
   switch (K) {
   case GcBackendKind::MarkSweep:
     return "marksweep";
-  case GcBackendKind::Generational:
-    return "generational";
   case GcBackendKind::Rc:
     return "rc";
   }
@@ -32,10 +30,6 @@ const char *gcBackendName(GcBackendKind K) {
 bool parseGcBackendKind(std::string_view Name, GcBackendKind &Out) {
   if (Name == "marksweep") {
     Out = GcBackendKind::MarkSweep;
-    return true;
-  }
-  if (Name == "generational" || Name == "gen") {
-    Out = GcBackendKind::Generational;
     return true;
   }
   if (Name == "rc") {
@@ -59,8 +53,7 @@ public:
   }
 
   void collectStw(GcCycleKind, bool Forced) override {
-    // Minor / ZctDrain requests (runGcCycle test hook) fall back to the
-    // only cycle this backend has.
+    // Always Full: Heap::runGcCycle relabels a forced ZctDrain as one.
     H.fullMarkSweepStw(Forced);
   }
 
@@ -73,8 +66,6 @@ std::unique_ptr<GcBackend> makeGcBackend(Heap &H, const GcConfig &Cfg) {
   switch (Cfg.Backend) {
   case GcBackendKind::MarkSweep:
     return std::make_unique<MarkSweepGc>(H);
-  case GcBackendKind::Generational:
-    return makeGenerationalGc(H, Cfg);
   case GcBackendKind::Rc:
     return makeRcGc(H, Cfg);
   }

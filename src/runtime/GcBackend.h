@@ -13,22 +13,15 @@
 /// lifecycle, safepoints, the parallel marker, sweep bookkeeping) stays in
 /// Heap; backends compose it into different reclamation schemes:
 ///
-///  * `marksweep`    -- the paper's baseline: parallel-mark, lazy-sweep
-///                      stop-the-world cycles (Gc.cpp), no barrier.
-///  * `generational` -- span-granularity young generation. New spans are
-///                      born young; minor cycles mark from roots plus a
-///                      remembered set fed by the write barrier (old slots
-///                      that received young pointers), sweep only young
-///                      spans, and promote spans that survive
-///                      GcConfig::PromoteAfter minors. Major cycles are
-///                      full mark-sweep.
-///  * `rc`           -- deferred reference counting with a zero-count
-///                      table (aquario's design, SNIPPETS.md 1-3): the
-///                      barrier adjusts per-object counts, objects whose
-///                      count reaches zero enter the ZCT, and a drain
-///                      frees unrooted zero-count entries with cascading
-///                      decrements. A backup mark-sweep reclaims cycles
-///                      and recomputes the counts.
+///  * `marksweep` -- the paper's baseline: parallel-mark, lazy-sweep
+///                   cycles (Gc.cpp), concurrent tricolor mark by default,
+///                   no standing barrier.
+///  * `rc`        -- deferred reference counting with a zero-count table
+///                   (aquario's design, SNIPPETS.md 1-3): the barrier
+///                   adjusts per-object counts, objects whose count reaches
+///                   zero enter the ZCT, and a drain frees unrooted
+///                   zero-count entries with cascading decrements. A backup
+///                   mark-sweep reclaims cycles and recomputes the counts.
 ///
 /// tcfree is a legal fast path on every backend: the paper's section 5
 /// give-up rules run unchanged, and a successful free notifies the backend
@@ -56,18 +49,18 @@ class Heap;
 class MSpan;
 
 /// The collector behind the heap. Selected once at Heap construction.
-enum class GcBackendKind : uint8_t { MarkSweep, Generational, Rc };
+enum class GcBackendKind : uint8_t { MarkSweep, Rc };
 
-/// Stable CLI / JSON name of a backend ("marksweep", "generational", "rc").
+/// Stable CLI / JSON name of a backend ("marksweep", "rc").
 const char *gcBackendName(GcBackendKind K);
 /// Parses a backend name; returns false (Out untouched) if unknown.
 bool parseGcBackendKind(std::string_view Name, GcBackendKind &Out);
 
-/// What one stop-the-world entry does. Full is the classic whole-heap
-/// mark-sweep every backend supports (forced runGc() always runs one);
-/// Minor and ZctDrain are the generational / rc partial cycles.
-enum class GcCycleKind : uint8_t { Full = 0, Minor = 1, ZctDrain = 2, None };
-constexpr size_t NumGcCycleKinds = 3;
+/// What one collection does. Full is the classic whole-heap mark-sweep
+/// every backend supports (forced runGc() always runs one); ZctDrain is
+/// the rc backend's partial cycle.
+enum class GcCycleKind : uint8_t { Full = 0, ZctDrain = 1, None };
+constexpr size_t NumGcCycleKinds = 2;
 
 /// All GC knobs, collapsed from the former ad-hoc HeapOptions fields into
 /// one structured config (the `--gc=<backend>[,key=val...]` flag).
@@ -84,19 +77,13 @@ struct GcConfig {
   /// threads on first use. Clamped into [1, 256].
   int Workers = 1;
   /// Forces every full cycle to sweep inside the stop-the-world window.
-  /// Off, the marksweep backend sweeps lazily (see docs/GC.md); the
-  /// generational and rc backends force this on -- their partial cycles
-  /// free in-pause and must never race a lazy sweeper.
+  /// Off, the marksweep backend sweeps lazily (see docs/GC.md); the rc
+  /// backend forces this on -- its ZCT drains free in-pause and must never
+  /// race a lazy sweeper.
   bool EagerSweep = false;
   /// Debug validation: run Heap::verifyInvariants at GC safepoints.
   /// O(heap) per check, so off by default; the fuzz harness turns it on.
   bool Verify = false;
-  /// generational: a minor cycle triggers once this many bytes have been
-  /// allocated into young spans since the last cycle.
-  uint64_t NurseryBytes = 1ull << 20;
-  /// generational: a young span surviving this many minor cycles is
-  /// promoted (with its live objects rescanned into the remembered set).
-  int PromoteAfter = 2;
   /// rc: a ZCT drain triggers once the table holds this many entries.
   uint64_t ZctThreshold = 4096;
   /// Run full cycles as concurrent tricolor mark (two short STW flips with
@@ -147,8 +134,8 @@ public:
   virtual void collectStw(GcCycleKind Kind, bool Forced) = 0;
   /// Whether cycles of \p Kind may run as concurrent tricolor mark
   /// (Heap::concurrentMarkCycle) instead of collectStw. Only whole-heap
-  /// marking is eligible; partial cycles (minor, zct-drain) free objects
-  /// in-pause and stay STW.
+  /// marking is eligible; the partial zct-drain cycle frees objects
+  /// in-pause and stays STW.
   virtual bool supportsConcurrentMark(GcCycleKind /*Kind*/) const {
     return false;
   }
@@ -157,14 +144,6 @@ public:
   /// heap's cycle machinery finishes, still under GcMu.
   virtual void concCycleEnd(GcCycleKind /*Kind*/) {}
 
-  /// Introspection of the backend's remembered set, for tests and the
-  /// serving harness's boundedness assertions. Backends without one (the
-  /// default) report an empty set. Quiesced callers only: the counts are
-  /// taken shard-by-shard, so a snapshot racing mutators is approximate.
-  virtual size_t rememberedSlots() const { return 0; }
-  /// Whether slot address \p Slot is currently in the remembered set.
-  virtual bool rememberedContains(uintptr_t /*Slot*/) const { return false; }
-
 protected:
   Heap &H;
 };
@@ -172,14 +151,13 @@ protected:
 /// Builds the backend selected by \p Cfg. Never fails (unknown kinds are
 /// rejected at parse time).
 std::unique_ptr<GcBackend> makeGcBackend(Heap &H, const GcConfig &Cfg);
-/// Concrete factories (GcGenerational.cpp / GcRc.cpp), used by the above.
-std::unique_ptr<GcBackend> makeGenerationalGc(Heap &H, const GcConfig &Cfg);
+/// The rc backend's factory (GcRc.cpp), used by the above.
 std::unique_ptr<GcBackend> makeRcGc(Heap &H, const GcConfig &Cfg);
 
 /// Walks every pointer-bearing 8-byte slot of a region of \p Bytes bytes
 /// laid out as \p Desc, invoking F(SlotAddr, LoadedValue) for each --
 /// the precise-scanning twin of Heap::gcScanRegion, shared by the copy
-/// barrier, generational promotion rescans, and rc count recomputation.
+/// barrier and rc count recomputation.
 /// Recursion depth is bounded by descriptor nesting, not element count.
 template <typename Fn>
 inline void forEachPtrSlot(uintptr_t Base, const TypeDesc *Desc, size_t Bytes,

@@ -72,15 +72,15 @@ Heap::Heap(HeapOptions O)
     Opts.Gc.Workers = 1;
   if (Opts.Gc.Workers > 256)
     Opts.Gc.Workers = 256;
-  // The generational and rc backends free inside their partial cycles'
-  // pauses; a lazy sweeper racing a partial cycle's bookkeeping has no
-  // sound protocol, so those backends always sweep full cycles eagerly.
+  // The rc backend frees inside its ZCT drains' pauses; a lazy sweeper
+  // racing a drain's bookkeeping has no sound protocol, so rc always
+  // sweeps full cycles eagerly.
   if (Opts.Gc.Backend != GcBackendKind::MarkSweep)
     Opts.Gc.EagerSweep = true;
   NextTrigger.store(Opts.Gc.MinHeapTrigger, std::memory_order_relaxed);
   Backend = makeGcBackend(*this, Opts.Gc);
-  // Generational and rc need their barrier standing (remembered set /
-  // refcounts); marksweep raises BarrierOn only during concurrent mark.
+  // rc needs its barrier standing (refcounts); marksweep raises BarrierOn
+  // only during concurrent mark.
   BarrierAlways = Opts.Gc.Backend != GcBackendKind::MarkSweep;
   BarrierOn.store(BarrierAlways, std::memory_order_relaxed);
   Central = std::make_unique<CentralList[]>((size_t)numSizeClasses());

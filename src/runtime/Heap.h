@@ -150,15 +150,16 @@ public:
   void runGc();
 
   /// Forces one cycle of the given kind (test / embedder hook). Full is
-  /// runGc(); Minor and ZctDrain are no-ops unless the active backend
-  /// implements them (marksweep treats both as Full).
+  /// runGc(); ZctDrain runs the rc backend's drain. A kind the active
+  /// backend does not implement (ZctDrain on marksweep) runs as Full and
+  /// is counted and traced as Full.
   void runGcCycle(GcCycleKind Kind);
 
   /// The active collector backend (never null).
   const GcBackend &gcBackend() const { return *Backend; }
 
   /// True when stores must currently run the mutator write barrier. For
-  /// the generational and rc backends this is fixed-on; for marksweep it
+  /// the rc backend this is fixed-on; for marksweep it
   /// turns on only for the span of a concurrent mark (Dijkstra barrier)
   /// and is toggled while the world is stopped, so the relaxed read here
   /// is ordered by the safepoint handshake.
@@ -343,7 +344,6 @@ private:
   // not inherited, so each concrete backend is named.
   friend class GcBackend;
   friend class MarkSweepGc;
-  friend class GenerationalGc;
   friend class RcGc;
 
   /// One thread cache. Its id must be used by at most one running thread
@@ -429,8 +429,8 @@ private:
   /// this condition a forced cycle sweeps eagerly so its caller observes
   /// the seed's exact post-GC state.
   bool soloWorld();
-  // Cycle steps shared by the full STW cycle, the concurrent cycle and the
-  // generational minor cycle (Gc.cpp). Stopped world, GcMu held.
+  // Cycle steps shared by the full STW cycle and the concurrent cycle
+  // (Gc.cpp). Stopped world, GcMu held.
   /// Sweeps whatever the previous cycle left unswept and traces it as a
   /// GcSweepEnd (only when something was swept). Start of a full cycle.
   void backstopSweepStw();
@@ -454,21 +454,16 @@ private:
   struct GcMarkShared;
   /// What a mark pass covers.
   ///  * Full:      clear all marks, trace the whole reachable graph.
-  ///  * Minor:     clear young spans' marks only; gcMarkAddr ignores old
-  ///               spans (the remembered set stands in for them).
   ///  * RootsOnly: clear all marks, mark objects directly referenced from
   ///               roots but do not trace through them (the rc drain's
   ///               rooted-object check).
-  enum class GcMarkMode : uint8_t { Full, Minor, RootsOnly };
-  /// Runs one parallel mark pass. \p ExtraSlots, if non-null, are slot
-  /// *addresses* (e.g. the generational remembered set) whose 8-byte
-  /// values are marked as additional roots, partitioned across workers.
-  void markPhase(GcMarkMode Mode,
-                 const std::vector<uintptr_t> *ExtraSlots = nullptr);
+  enum class GcMarkMode : uint8_t { Full, RootsOnly };
+  /// Runs one parallel stop-the-world mark pass from the snapshotted roots.
+  void markPhase(GcMarkMode Mode);
   /// The shared full mark-sweep cycle body (stopped world, GcMu held):
   /// backstop sweep, full mark, dangling retirement, eager or queued
-  /// sweeping, re-pace. The marksweep backend's whole collectStw; the
-  /// generational major cycle and the rc backup collector call it too.
+  /// sweeping, re-pace. The marksweep backend's whole collectStw; the rc
+  /// backup collector calls it too.
   void fullMarkSweepStw(bool Forced);
   void markWorkerMain(int Index);          ///< Helper-thread loop.
   void runMarkWorker(int Index);           ///< One worker's cycle work.
@@ -498,7 +493,7 @@ private:
   void runMarkJob(uint8_t Job);
   /// Snapshots root providers/internal roots into the shared mark state.
   /// Stopped world. Returns the number of root slots snapshotted.
-  size_t snapshotMarkRoots(const std::vector<uintptr_t> *ExtraSlots);
+  size_t snapshotMarkRoots();
   /// Mutator mark assist: when concurrent mark is on and this thread's
   /// allocation debt passed the threshold, scan a bounded batch of the
   /// global gray list. Called from the allocation slow path.
@@ -577,9 +572,9 @@ private:
   /// the hot path; every transition happens while the world is stopped, so
   /// the safepoint handshake orders it for mutators.
   std::atomic<bool> BarrierOn{false};
-  /// Backends with a standing barrier (generational remembered set, rc
-  /// counts) keep BarrierOn permanently true; marksweep leaves this false
-  /// and raises BarrierOn only during concurrent mark.
+  /// The rc backend's standing barrier (its counts) keeps BarrierOn
+  /// permanently true; marksweep leaves this false and raises BarrierOn
+  /// only during concurrent mark.
   bool BarrierAlways = false;
   /// True between flip 1 and flip 2 of a concurrent mark: allocations are
   /// born black, the write barrier shades stored values, and tcfree's
@@ -603,8 +598,8 @@ private:
   /// start, read by them during the pass (stopped world).
   GcMarkMode MarkMode = GcMarkMode::Full;
   /// Completed-cycle counters per kind, for the lost-the-GcMu-race
-  /// protocol: a parked forced Full must not be satisfied by a Minor that
-  /// finished in the meantime. Bumped with release under GcMu.
+  /// protocol: a parked forced Full must not be satisfied by a ZCT drain
+  /// that finished in the meantime. Bumped with release under GcMu.
   std::atomic<uint64_t> CycleSeq[NumGcCycleKinds] = {};
 
   // Parallel mark: worker contexts plus the persistent helper pool. The

@@ -127,11 +127,11 @@ struct StatsSnapshot {
   uint64_t GcSweptBytes = 0;
   uint64_t GcSweptCountByCat[NumAllocCats] = {};
   uint64_t GcSpansSweptLazy = 0;
-  // Per-backend counters ("v":2 of the JSON schema). GcCycles counts
-  // cycles of every kind; the next three break it down (marksweep cycles
-  // are all major). BarrierHits counts write-barrier invocations that
-  // reached the backend (heap-resident destination slots).
-  uint64_t GcMinorCycles = 0;
+  // Per-backend counters. GcCycles counts cycles of every kind; the next
+  // two break it down (marksweep cycles are all major, forced ZCT drains
+  // included, since marksweep runs them as full cycles). BarrierHits counts
+  // write-barrier invocations that reached the backend (heap-resident
+  // destination slots).
   uint64_t GcMajorCycles = 0;
   uint64_t GcZctDrains = 0;
   uint64_t GcBarrierHits = 0;
@@ -291,7 +291,6 @@ struct HeapStats {
   std::atomic<uint64_t> GcSweptCountByCat[NumAllocCats] = {};
   std::atomic<uint64_t> GcSpansSweptLazy{0};
   // Backend breakdown (see StatsSnapshot).
-  std::atomic<uint64_t> GcMinorCycles{0};
   std::atomic<uint64_t> GcMajorCycles{0};
   std::atomic<uint64_t> GcZctDrains{0};
   std::atomic<uint64_t> GcBarrierHits{0};
@@ -341,7 +340,6 @@ struct HeapStats {
       S.GcPauseHist[I] = Ld(GcPauseHist[I]);
     S.GcSpansSweptLazy = Ld(GcSpansSweptLazy);
     S.GcSweptBytes = Ld(GcSweptBytes);
-    S.GcMinorCycles = Ld(GcMinorCycles);
     S.GcMajorCycles = Ld(GcMajorCycles);
     S.GcZctDrains = Ld(GcZctDrains);
     S.GcBarrierHits = Ld(GcBarrierHits);

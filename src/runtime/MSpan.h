@@ -52,12 +52,6 @@ namespace rt {
 /// Owner id meaning "not cached by any thread".
 inline constexpr int NoOwner = -1;
 
-/// Span generations (the generational backend's unit of aging). Old is the
-/// zero value so the marksweep and rc backends, which never look at
-/// generations, see a uniformly old heap.
-inline constexpr uint8_t GenOld = 0;
-inline constexpr uint8_t GenYoung = 1;
-
 /// Lifecycle of a span.
 enum class SpanState : uint8_t {
   InUse,    ///< Holds live slots; registered in the page map.
@@ -108,14 +102,6 @@ struct MSpan {
   std::vector<const TypeDesc *> SlotDescs;
   /// Per-slot allocation category (AllocCat), for sweep accounting.
   std::vector<uint8_t> SlotCats;
-  /// Which generation the span's objects belong to (generational backend
-  /// only; GenOld everywhere else). Atomic because the write barrier reads
-  /// it on spans it does not own while promotion flips it under
-  /// stop-the-world; both spans involved in a barriered store hold live
-  /// objects, so the value read is never of a recycled control block.
-  std::atomic<uint8_t> Gen{GenOld};
-  /// Minor cycles this young span has survived (collector only, STW).
-  uint32_t Survivals = 0;
   /// Per-slot deferred reference counts and ZCT membership flags (rc
   /// backend only; sized by GcBackend::spanCreated, empty otherwise).
   /// Mutators update them through atomic_ref at barrier sites.
@@ -138,8 +124,6 @@ struct MSpan {
     MarkBits.assign((NElems + 63) / 64, 0);
     SlotDescs.assign(NElems, nullptr);
     SlotCats.assign(NElems, 0);
-    Gen.store(GenOld, std::memory_order_relaxed);
-    Survivals = 0;
     RefCnt.clear();
     InZct.clear();
   }

@@ -108,8 +108,8 @@ void mapGrow(const MapCtx &Ctx, HMapView M) {
       Idx = (Idx + 1) & Mask;
     uintptr_t NewEntry = NewBuckets + (uintptr_t)Idx * EntrySize;
     // Entry descriptor = BucketArrayDesc->Elem; the fresh entry is zeroed,
-    // so the barrier sees null old values, but the new array may already be
-    // old space (pretenured span) holding young pointers.
+    // so the barrier sees null old values, but the rc backend still has to
+    // count the pointers being copied in.
     if (Ctx.BucketArrayDesc)
       Ctx.H->gcCopyBarrier(NewEntry, OldEntry, EntrySize,
                            Ctx.BucketArrayDesc->Elem);

@@ -70,8 +70,8 @@ SliceGrow gofree::rt::sliceGrowForAppend(Heap &H, SliceHeader &Hdr,
   if (!NewData)
     return SliceGrow::Overflow;
   if (Hdr.Len > 0) {
-    // The fresh array is zeroed (null old values), but a backend still has
-    // to see the young/counted pointers being copied in.
+    // The fresh array is zeroed (null old values), but the rc backend
+    // still has to count the pointers being copied in.
     H.gcCopyBarrier(NewData, Hdr.Data, CopyBytes, ArrayDesc);
     copyWordsRelaxed(NewData, Hdr.Data, CopyBytes);
   }

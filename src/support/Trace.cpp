@@ -73,8 +73,6 @@ const char *gcCycleKindName(uint8_t K) {
   case 0:
     return "full";
   case 1:
-    return "minor";
-  case 2:
     return "zct-drain";
   }
   return "unknown";
@@ -214,7 +212,7 @@ static void foldEvent(TraceSummary &S, const Event &E) {
     case EventKind::GcCycleEnd:
       ++S.GcCycles;
       S.GcCycleNanos += E.V0;
-      ++S.GcCyclesByKind[E.Arg < 3 ? E.Arg : 0];
+      ++S.GcCyclesByKind[E.Arg < 2 ? E.Arg : 0];
       break;
     case EventKind::TcfreeFreed:
       ++S.TcfreeFreedCount;
@@ -499,11 +497,11 @@ void printSummary(FILE *Out, const TraceSummary &S) {
                " objects / %" PRIu64 " bytes\n",
                S.GcPaceTriggers, S.GcCycles, ms(S.GcCycleNanos),
                ms(S.GcMarkNanos), S.GcSweptObjects, S.GcSweptBytes);
-  if (S.GcCyclesByKind[1] || S.GcCyclesByKind[2])
+  if (S.GcCyclesByKind[1])
     std::fprintf(Out,
                  "  gc cycles by kind: %" PRIu64 " full, %" PRIu64
-                 " minor, %" PRIu64 " zct-drain\n",
-                 S.GcCyclesByKind[0], S.GcCyclesByKind[1], S.GcCyclesByKind[2]);
+                 " zct-drain\n",
+                 S.GcCyclesByKind[0], S.GcCyclesByKind[1]);
   if (S.GcMarkWorkersSeen)
     std::fprintf(Out,
                  "  gc workers: %" PRIu64 " worker-cycles, %.3f ms busy\n",
@@ -564,9 +562,8 @@ void printSummaryDiff(FILE *Out, const char *NameA, const TraceSummary &A,
   std::fprintf(Out, "\n");
   // Per-kind breakdown, shown only when a partial collector ran on either
   // side (a marksweep-vs-marksweep diff stays as terse as in v1).
-  if (A.GcCyclesByKind[1] || B.GcCyclesByKind[1] || A.GcCyclesByKind[2] ||
-      B.GcCyclesByKind[2])
-    for (int K = 0; K < 3; ++K) {
+  if (A.GcCyclesByKind[1] || B.GcCyclesByKind[1])
+    for (int K = 0; K < 2; ++K) {
       if (!A.GcCyclesByKind[K] && !B.GcCyclesByKind[K])
         continue;
       char Label[32];

@@ -43,7 +43,7 @@ enum class EventKind : uint8_t {
   GcMarkEnd,         ///< Mark phase ends. V0 = mark nanos.
   GcSweepEnd,        ///< Sweep phase ends. V0 = swept bytes, V1 = objects.
   GcCycleEnd,        ///< Cycle complete. V0 = cycle nanos, V1 = live after.
-                     ///< Arg = cycle kind (0 full, 1 minor, 2 zct-drain).
+                     ///< Arg = cycle kind (0 full, 1 zct-drain).
   TcfreeFreed,       ///< tcfree reclaimed memory. Arg = free source
                      ///< (mirrors rt::FreeSource), V0 = bytes.
   TcfreeGiveUp,      ///< tcfree gave up. Arg = GiveUpReason, V0 = count.
@@ -120,7 +120,7 @@ inline constexpr int NumAllocCats = 3;
 inline constexpr int NumFreeSources = 4;
 
 const char *eventKindName(EventKind K);
-/// Name of a GcCycleEnd Arg value: "full", "minor", "zct-drain".
+/// Name of a GcCycleEnd Arg value: "full", "zct-drain".
 const char *gcCycleKindName(uint8_t K);
 const char *sweepWhereName(uint8_t W);
 const char *giveUpReasonName(GiveUpReason R);
@@ -252,9 +252,8 @@ struct TraceSummary {
 
   uint64_t GcPaceTriggers = 0;
   uint64_t GcCycles = 0;
-  /// GcCycles split by GcCycleEnd Arg: [0] full, [1] minor, [2] zct-drain
-  /// (schema v2; a v1 stream folds everything into [0]).
-  uint64_t GcCyclesByKind[3] = {};
+  /// GcCycles split by GcCycleEnd Arg: [0] full, [1] zct-drain.
+  uint64_t GcCyclesByKind[2] = {};
   uint64_t GcMarkNanos = 0;
   uint64_t GcCycleNanos = 0;
   uint64_t GcSweptBytes = 0;
@@ -307,11 +306,13 @@ TraceSummary summarize(const TraceHub &Hub);
 /// Version of the JSONL event schema; every line carries it as `"v"`.
 /// Bump on any incompatible change to field names or meanings. v2 added
 /// the collector-backend fields (gc-cycle-end "kind", the run-record
-/// "gc" object) without renaming any v1 field.
-inline constexpr int JsonSchemaVersion = 2;
+/// "gc" object) without renaming any v1 field. v3 dropped the "minor"
+/// cycle kind (zct-drain's Arg moved from 2 to 1) and the run record's
+/// "gc.minor_cycles" key.
+inline constexpr int JsonSchemaVersion = 3;
 
 /// Streams every event as one JSON object per line, then a final
-/// `{"v":2,...,"ev":"trace-end",...}` record carrying the drop counter.
+/// `{"v":3,...,"ev":"trace-end",...}` record carrying the drop counter.
 /// Every line starts with the schema version; a non-null \p Leg adds a
 /// `"leg"` field naming the pipeline leg ("go", "gofree", ...) that
 /// produced the stream, so multi-leg consumers (the fuzz differ,

@@ -286,7 +286,7 @@ ServeSimResult gofree::workloads::runServeSim(const ServeSimOptions &Opts) {
             // Session touch: bump the hit counter, install a fresh digest
             // through the write barrier. The displaced digest has no
             // tcfree site -- it is exactly the long-lived-heap churn that
-            // feeds the generational remembered set.
+            // only the collector reclaims.
             uintptr_t Sess = Roots.Sessions[Rq.Session % Slots];
             rt::storeWordRelaxed(Sess + 8, rt::loadWordRelaxed(Sess + 8) + 1);
             size_t DigestBytes = 32 + (size_t)(I % 4) * 32;

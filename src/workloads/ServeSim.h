@@ -15,12 +15,12 @@
 ///    delay lands in the latency numbers instead of being silently
 ///    absorbed -- no coordinated omission).
 ///  * Each request looks up a Zipfian-keyed session in a shared long-lived
-///    session cache (the old-generation heap), installs a fresh digest
-///    object through the write barrier (feeding the generational
-///    remembered set exactly like a production session store), then runs
-///    a per-request MiniGo handler -- one of the hugo / gojson / badger
-///    workload profiles at per-request size -- whose garbage dies at
-///    request end. That per-request garbage is what compiler-inserted
+///    session cache (the long-lived heap), installs a fresh digest object
+///    through the write barrier exactly like a production session store
+///    (the displaced digest is garbage only the collector reclaims), then
+///    runs a per-request MiniGo handler -- one of the hugo / gojson /
+///    badger workload profiles at per-request size -- whose garbage dies
+///    at request end. That per-request garbage is what compiler-inserted
 ///    freeing reclaims before the collector ever sees it.
 ///  * Request latency is measured from the *scheduled arrival* (not
 ///    service start), and each request is billed its allocation-stall

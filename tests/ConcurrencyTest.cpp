@@ -751,124 +751,6 @@ TEST(TraceHubTest, DroppedEventsAreCountedAcrossSinks) {
 }
 
 //===----------------------------------------------------------------------===//
-// Write-barrier torture: concurrent old->young stores under the
-// generational backend, survival only via the remembered set
-//===----------------------------------------------------------------------===//
-
-namespace {
-/// 16-byte node: pointer slot at offset 0, pattern word at offset 8.
-const TypeDesc *barrierNodeDesc() {
-  static const TypeDesc D{"BarrierNode", 16, false, nullptr,
-                          {{0, SlotKind::Raw}}};
-  return &D;
-}
-/// 32-byte target: same layout, different size class. Targets must not
-/// share a size class with the containers, or the cache's promoted span
-/// pretenures them old and the remembered-set path goes untested.
-const TypeDesc *barrierTargetDesc() {
-  static const TypeDesc D{"BarrierTarget", 32, false, nullptr,
-                          {{0, SlotKind::Raw}}};
-  return &D;
-}
-} // namespace
-
-TEST(ConcurrencyBarrierTest, OldToYoungStoresSurviveConcurrentMinors) {
-  // Minor cycles skip old spans entirely at the root scan (gcMarkAddr is a
-  // no-op on them), so a young object referenced only from a promoted
-  // container lives or dies purely on the write barrier's remembered-set
-  // entry. Four mutators hammer exactly that edge while paced and forced
-  // minors race them; a single missed barrier shows up as a torn pattern
-  // (the slot's young target swept and its memory reused).
-  HeapOptions HO;
-  HO.NumCaches = 4;
-  HO.Gc.Backend = GcBackendKind::Generational;
-  HO.Gc.PromoteAfter = 1;
-  HO.Gc.NurseryBytes = 64 << 10;   // Tiny nursery: the pacer minors often.
-  HO.Gc.MinHeapTrigger = 1 << 30;  // Majors never fire; minors carry alone.
-  Heap H(HO);
-
-  constexpr int NumThreads = 4;
-  constexpr int ContainersPerThread = 8;
-  constexpr uint64_t Iters = 3000;
-  std::vector<std::unique_ptr<RetainedRoots>> Roots;
-  for (int T = 0; T < NumThreads; ++T) {
-    Roots.push_back(std::make_unique<RetainedRoots>());
-    H.addRootScanner(Roots.back().get());
-  }
-
-  std::vector<std::thread> Threads;
-  for (int T = 0; T < NumThreads; ++T) {
-    Threads.emplace_back([&, T] {
-      RetainedRoots &R = *Roots[(size_t)T];
-      Heap::MutatorScope Scope(H, T);
-
-      // Rooted containers, aged to the old generation: PromoteAfter=1
-      // promotes a survivor at its first minor's sweep, so two forced
-      // minors guarantee old-ness no matter how paced cycles interleave.
-      uintptr_t Containers[ContainersPerThread];
-      for (int I = 0; I < ContainersPerThread; ++I) {
-        Containers[I] = H.allocate(16, barrierNodeDesc(), AllocCat::Other, T);
-        ASSERT_NE(Containers[I], 0u);
-        R.Objs.push_back({Containers[I], 8, 0}); // Pattern unused (slot 0).
-      }
-      H.runGcCycle(GcCycleKind::Minor);
-      H.runGcCycle(GcCycleKind::Minor);
-
-      for (uint64_t I = 0; I < Iters; ++I) {
-        uintptr_t C = Containers[I % ContainersPerThread];
-        // The previous target is reachable ONLY through the old
-        // container; any number of minors may have run since it was
-        // stored. Its pattern intact is the remembered set working.
-        uintptr_t Prev;
-        std::memcpy(&Prev, reinterpret_cast<void *>(C), 8);
-        if (Prev) {
-          uint64_t Want;
-          std::memcpy(&Want, reinterpret_cast<void *>(Prev + 8), 8);
-          ASSERT_EQ(Want, patternFor(T, Prev))
-              << "young target lost across a minor: missed write barrier";
-        }
-        // Fresh young target; no safepoint between the allocation and the
-        // barriered store, so no cycle can sweep it in the window where
-        // the container is its only (not yet written) referent.
-        uintptr_t Y = H.allocate(32, barrierTargetDesc(), AllocCat::Other, T);
-        ASSERT_NE(Y, 0u);
-        uint64_t Pat = patternFor(T, Y);
-        std::memcpy(reinterpret_cast<void *>(Y + 8), &Pat, 8);
-        H.gcWriteBarrier(C, Y);
-        std::memcpy(reinterpret_cast<void *>(C), &Y, 8);
-        if (I % 256 == 128)
-          H.runGcCycle(GcCycleKind::Minor); // Forced minors race the pacer.
-      }
-    });
-  }
-  for (std::thread &Th : Threads)
-    Th.join();
-
-  // Every container's final target survived the run's last minors.
-  for (int T = 0; T < NumThreads; ++T)
-    for (const RetainedRoots::Obj &O : Roots[(size_t)T]->Objs) {
-      uintptr_t Target;
-      std::memcpy(&Target, reinterpret_cast<void *>(O.Addr), 8);
-      if (!Target)
-        continue;
-      uint64_t Want;
-      std::memcpy(&Want, reinterpret_cast<void *>(Target + 8), 8);
-      EXPECT_EQ(Want, patternFor(T, Target));
-    }
-
-  StatsSnapshot S = H.stats().snap();
-  EXPECT_GT(S.GcMinorCycles, 0u);
-  EXPECT_EQ(S.GcMajorCycles, 0u) << "a major fired despite the 1 GiB trigger";
-  EXPECT_GT(S.GcBarrierHits, 0u);
-  EXPECT_GT(H.stats().GcSweptCount.load(), 0u)
-      << "no minor ever swept a replaced target; the torture was vacuous";
-  std::string Report;
-  EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
-  for (auto &R : Roots)
-    H.removeRootScanner(R.get());
-}
-
-//===----------------------------------------------------------------------===//
 // Concurrent tricolor mark torture: pointer churn mid-window, reachability
 // preserved only by the Dijkstra write barrier
 //===----------------------------------------------------------------------===//

@@ -89,10 +89,6 @@ TEST(DriverFlagTest, TargetsRoundTrips) {
 TEST(DriverFlagTest, GcRoundTrips) {
   EXPECT_EQ(parsedOk("--gc=marksweep").Exec.Heap.Gc.Backend,
             rt::GcBackendKind::MarkSweep);
-  EXPECT_EQ(parsedOk("--gc=generational").Exec.Heap.Gc.Backend,
-            rt::GcBackendKind::Generational);
-  EXPECT_EQ(parsedOk("--gc=gen").Exec.Heap.Gc.Backend,
-            rt::GcBackendKind::Generational);
   EXPECT_EQ(parsedOk("--gc=rc").Exec.Heap.Gc.Backend, rt::GcBackendKind::Rc);
   EXPECT_EQ(parsedOk("--gc=gogc=250").Exec.Heap.Gc.Gogc, 250);
   EXPECT_EQ(parsedOk("--gc=gogc=-1").Exec.Heap.Gc.Gogc, -1); // Go-GCOff
@@ -102,8 +98,6 @@ TEST(DriverFlagTest, GcRoundTrips) {
   EXPECT_TRUE(parsedOk("--gc=eager-sweep=1").Exec.Heap.Gc.EagerSweep);
   EXPECT_FALSE(parsedOk("--gc=eager-sweep=0").Exec.Heap.Gc.EagerSweep);
   EXPECT_TRUE(parsedOk("--gc=verify=1").Exec.Heap.Gc.Verify);
-  EXPECT_EQ(parsedOk("--gc=nursery=32768").Exec.Heap.Gc.NurseryBytes, 32768u);
-  EXPECT_EQ(parsedOk("--gc=promote-after=3").Exec.Heap.Gc.PromoteAfter, 3);
   EXPECT_EQ(parsedOk("--gc=zct-threshold=256").Exec.Heap.Gc.ZctThreshold,
             256u);
   EXPECT_TRUE(parsedOk("--gc=conc=1").Exec.Heap.Gc.Concurrent);
@@ -114,11 +108,10 @@ TEST(DriverFlagTest, GcRoundTrips) {
   EXPECT_EQ(parsedOk("--gc=chaos=0").Exec.Heap.Gc.TcfreeChaos, 0u)
       << "chaos=0 disables the knob";
   // Combined form, and composition: later tokens touch only their own key.
-  PipelineOptions P =
-      parsedOk("--gc=generational,nursery=8192,promote-after=1,verify=1");
-  EXPECT_EQ(P.Exec.Heap.Gc.Backend, rt::GcBackendKind::Generational);
-  EXPECT_EQ(P.Exec.Heap.Gc.NurseryBytes, 8192u);
-  EXPECT_EQ(P.Exec.Heap.Gc.PromoteAfter, 1);
+  PipelineOptions P = parsedOk("--gc=rc,zct-threshold=8192,conc=0,verify=1");
+  EXPECT_EQ(P.Exec.Heap.Gc.Backend, rt::GcBackendKind::Rc);
+  EXPECT_EQ(P.Exec.Heap.Gc.ZctThreshold, 8192u);
+  EXPECT_FALSE(P.Exec.Heap.Gc.Concurrent);
   EXPECT_TRUE(P.Exec.Heap.Gc.Verify);
   EXPECT_EQ(P.Exec.Heap.Gc.Gogc, 100) << "unmentioned keys keep defaults";
   std::string Err;
@@ -193,16 +186,21 @@ TEST(DriverFlagTest, RejectsBadValues) {
   EXPECT_NE(invalidErr("--mode=xyz").find("go|gofree"), std::string::npos);
   EXPECT_NE(invalidErr("--targets=slices").find("all|sm|none"),
             std::string::npos);
-  EXPECT_NE(invalidErr("--gc=tricolor").find("marksweep|generational|rc"),
+  EXPECT_NE(invalidErr("--gc=tricolor").find("marksweep|rc"),
             std::string::npos);
+  // The deleted generational backend: its names are unknown backends and
+  // its keys unknown keys.
+  EXPECT_NE(invalidErr("--gc=generational").find("marksweep|rc"),
+            std::string::npos);
+  EXPECT_NE(invalidErr("--gc=gen").find("marksweep|rc"), std::string::npos);
+  invalidErr("--gc=nursery=8192");
+  invalidErr("--gc=promote-after=1");
   invalidErr("--gc=gogc=abc");
   invalidErr("--gc=min-trigger=-1");
   invalidErr("--gc=workers=0");
   invalidErr("--gc=workers=257");
   invalidErr("--gc=eager-sweep=banana");
   invalidErr("--gc=verify=banana");
-  invalidErr("--gc=nursery=0");
-  invalidErr("--gc=promote-after=0");
   invalidErr("--gc=zct-threshold=0");
   invalidErr("--gc=conc=banana");
   invalidErr("--gc=chaos=-1");
@@ -224,9 +222,8 @@ TEST(DriverFlagTest, RejectsBadValues) {
   invalidErr("--num-threads");
 }
 
-// gogc and promote-after are stored as int, so a value outside the int
-// range must be rejected, not wrapped: gogc=4294967295 would wrap to -1
-// (collector off) and promote-after=4294967296 to 0 (promote every span).
+// gogc is stored as int, so a value outside the int range must be
+// rejected, not wrapped: gogc=4294967295 would wrap to -1 (collector off).
 TEST(DriverFlagTest, GcIntKeysRejectValuesOutsideIntRange) {
   EXPECT_EQ(parsedOk("--gc=gogc=2147483647").Exec.Heap.Gc.Gogc, 2147483647);
   EXPECT_EQ(parsedOk("--gc=gogc=-2147483648").Exec.Heap.Gc.Gogc, INT_MIN);
@@ -234,10 +231,6 @@ TEST(DriverFlagTest, GcIntKeysRejectValuesOutsideIntRange) {
   invalidErr("--gc=gogc=4294967295");
   invalidErr("--gc=gogc=4294967396");
   invalidErr("--gc=gogc=-2147483649");
-  EXPECT_EQ(parsedOk("--gc=promote-after=2147483647").Exec.Heap.Gc.PromoteAfter,
-            2147483647);
-  invalidErr("--gc=promote-after=2147483648");
-  invalidErr("--gc=promote-after=4294967296");
 }
 
 TEST(DriverFlagTest, UnknownFlagsPassThrough) {
@@ -354,7 +347,7 @@ TEST(DriverJsonTest, CarriesSchemaVersionLegAndObservables) {
   ExecOutcome O = compileAndRun(OkProg, optsFor({"--mode=gofree"}), {10});
   ASSERT_TRUE(O.ok()) << O.Error;
   std::string J = outcomeJson(O, legName(CompileMode::GoFree));
-  EXPECT_EQ(J.rfind("{\"v\":2,", 0), 0u) << J;
+  EXPECT_EQ(J.rfind("{\"v\":3,", 0), 0u) << J;
   EXPECT_NE(J.find("\"leg\":\"gofree\""), std::string::npos) << J;
   EXPECT_NE(J.find("\"ok\":true"), std::string::npos) << J;
   EXPECT_NE(J.find("\"error\":\"\""), std::string::npos) << J;
@@ -367,7 +360,8 @@ TEST(DriverJsonTest, CarriesSchemaVersionLegAndObservables) {
   EXPECT_NE(J.find("\"gc\":{\"backend\":\"marksweep\""),
             std::string::npos)
       << J;
-  EXPECT_NE(J.find("\"minor_cycles\":"), std::string::npos) << J;
+  EXPECT_EQ(J.find("\"minor_cycles\""), std::string::npos)
+      << "v3 dropped the deleted generational backend's key: " << J;
   EXPECT_NE(J.find("\"zct_drains\":"), std::string::npos) << J;
   // Concurrent-mark counters ride the same gc object.
   EXPECT_NE(J.find("\"conc_cycles\":"), std::string::npos) << J;
@@ -376,11 +370,11 @@ TEST(DriverJsonTest, CarriesSchemaVersionLegAndObservables) {
 
 TEST(DriverJsonTest, BackendNameFollowsGcFlag) {
   ExecOutcome O = compileAndRun(
-      OkProg, optsFor({"--mode=gofree", "--gc=generational"}), {10});
+      OkProg, optsFor({"--mode=gofree", "--gc=rc"}), {10});
   ASSERT_TRUE(O.ok()) << O.Error;
-  EXPECT_STREQ(O.GcBackend, "generational");
+  EXPECT_STREQ(O.GcBackend, "rc");
   std::string J = outcomeJson(O, "gofree");
-  EXPECT_NE(J.find("\"gc\":{\"backend\":\"generational\""),
+  EXPECT_NE(J.find("\"gc\":{\"backend\":\"rc\""),
             std::string::npos)
       << J;
 }

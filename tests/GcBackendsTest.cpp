@@ -5,20 +5,20 @@
 //
 // The backend contract: observables cannot depend on which collector
 // reclaims the garbage. This suite runs one pointer-heavy program under
-// all three backends x tcfree on/off with the heap-invariant verifier on,
-// pins the generational remembered set (an old->young edge with no other
-// root survives a minor), and proves the rc backend's known hole -- a
-// refcount cycle the ZCT can never drain -- is closed by the backup
-// mark-sweep. Runs under the `gc_backends` ctest label.
+// both backends x tcfree on/off with the heap-invariant verifier on, pins
+// how a forced cycle the backend lacks is run and labelled, and proves the
+// rc backend's known hole -- a refcount cycle the ZCT can never drain --
+// is closed by the backup mark-sweep. Runs under the `gc_backends` ctest
+// label.
 //
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Driver.h"
 #include "runtime/Heap.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -134,13 +134,8 @@ TEST(GcBackendsTest, ObservablesAgreeAcrossBackendsAndTcfree) {
   };
   std::vector<LegSpec> Legs = {
       {"go-marksweep", {"--mode=go", Common}},
-      {"go-gen",
-       {"--mode=go", Common, "--gc=generational,nursery=16384,promote-after=1"}},
       {"go-rc", {"--mode=go", Common, "--gc=rc,zct-threshold=64"}},
       {"gofree-marksweep", {"--mode=gofree", Common}},
-      {"gofree-gen",
-       {"--mode=gofree", Common,
-        "--gc=generational,nursery=16384,promote-after=1"}},
       {"gofree-rc", {"--mode=gofree", Common, "--gc=rc,zct-threshold=64"}},
   };
 
@@ -156,90 +151,38 @@ TEST(GcBackendsTest, ObservablesAgreeAcrossBackendsAndTcfree) {
 }
 
 TEST(GcBackendsTest, PartialCycleCountersReachTheSnapshot) {
-  ExecOutcome Gen = runLeg({"--mode=gofree",
-                            "--gc=generational,nursery=8192,promote-after=1,"
-                            "min-trigger=1048576,verify=1"});
-  ASSERT_TRUE(Gen.ok()) << Gen.Error;
-  EXPECT_STREQ(Gen.GcBackend, "generational");
-  EXPECT_GT(Gen.Stats.GcMinorCycles, 0u) << "tiny nursery never went minor";
-  EXPECT_GT(Gen.Stats.GcBarrierHits, 0u) << "pointer stores missed the barrier";
-
   ExecOutcome Rc = runLeg(
       {"--mode=gofree", "--gc=rc,zct-threshold=128,min-trigger=1048576,verify=1"});
   ASSERT_TRUE(Rc.ok()) << Rc.Error;
   EXPECT_STREQ(Rc.GcBackend, "rc");
   EXPECT_GT(Rc.Stats.GcZctDrains, 0u) << "ZCT never filled to its threshold";
+  EXPECT_GT(Rc.Stats.GcBarrierHits, 0u) << "pointer stores missed the barrier";
 }
 
-//===----------------------------------------------------------------------===//
-// Generational: the remembered set is the only thing keeping an old->young
-// edge's target alive across a minor cycle
-//===----------------------------------------------------------------------===//
+// A forced cycle of a kind the backend does not implement runs as the Full
+// cycle every backend has, and must be counted and traced as Full: a
+// marksweep "ZCT drain" is a whole-heap mark-sweep, not a drain.
+TEST(GcBackendsTest, ForcedCycleTheBackendLacksIsLabelledFull) {
+  for (bool Conc : {false, true}) {
+    trace::TraceSink Sink;
+    HeapOptions HO;
+    HO.Gc.Gogc = -1; // Only the forced cycle runs.
+    HO.Gc.Concurrent = Conc;
+    HO.Trace = &Sink;
+    Heap H(HO);
+    ASSERT_NE(H.allocate(16, nodeDesc(), AllocCat::Other, 0), 0u);
 
-TEST(GcBackendsTest, GenerationalRememberedSetKeepsOldToYoungEdgeAlive) {
-  HeapOptions HO;
-  HO.Gc.Backend = GcBackendKind::Generational;
-  HO.Gc.Gogc = -1; // Only forced cycles: the test drives every minor.
-  HO.Gc.PromoteAfter = 2;
-  HO.Gc.Verify = true;
-  Heap H(HO);
-  Roots R;
-  H.addRootScanner(&R);
-
-  // Container ages to old over two forced minors (span promotion after
-  // PromoteAfter=2 survivals). The target below uses a DIFFERENT size
-  // class: allocating it at 16 bytes would pretenure it into the
-  // container's now-old cached span (see GcGenerational's noteAlloc) and
-  // the test would prove nothing about the remembered set.
-  uintptr_t Container = H.allocate(16, nodeDesc(), AllocCat::Other, 0);
-  ASSERT_NE(Container, 0u);
-  R.Addrs.push_back(Container);
-  H.runGcCycle(GcCycleKind::Minor);
-  H.runGcCycle(GcCycleKind::Minor);
-
-  // 32-byte node: pointer slot at offset 0, pattern word at offset 8.
-  static const TypeDesc WideDesc{"Node32", 32, false, nullptr,
-                                 {{0, SlotKind::Raw}}};
-
-  // Negative control: minors really do sweep unrooted young objects, so
-  // the target's survival below is the remembered set and not a no-op
-  // sweep. (Unreferenced garbage dies; the edge-held object must not.)
-  uintptr_t Garbage = H.allocate(32, &WideDesc, AllocCat::Other, 0);
-  ASSERT_NE(Garbage, 0u);
-
-  // A fresh (young) target, reachable ONLY through the old container's
-  // pointer slot -- never a root itself.
-  uintptr_t Target = H.allocate(32, &WideDesc, AllocCat::Other, 0);
-  ASSERT_NE(Target, 0u);
-  writeWord(Target + 8, 0xfeedfacecafebeefull);
-  storePtr(H, Container, Target);
-
-  // gcMarkAddr skips old spans in a minor, so without the write barrier's
-  // remembered-set entry nothing marks Target and the sweep frees it.
-  H.runGcCycle(GcCycleKind::Minor);
-  EXPECT_FALSE(H.isLiveObject(Garbage))
-      << "the minor was a no-op sweep; the test would prove nothing";
-  EXPECT_EQ(readWord(Container), Target) << "old slot rewritten by the minor";
-  EXPECT_EQ(readWord(Target + 8), 0xfeedfacecafebeefull)
-      << "young object swept despite a live old->young edge";
-  EXPECT_TRUE(H.isLiveObject(Target));
-
-  // The edge must survive a second minor with no new store re-creating it
-  // -- the sweep's snapshot re-insert path, not a fresh barrier hit, is
-  // what carries it (Target's span promotes only after this cycle).
-  H.runGcCycle(GcCycleKind::Minor);
-  EXPECT_EQ(readWord(Target + 8), 0xfeedfacecafebeefull);
-
-  // Once the container's slot is cleared, the next minor may reclaim the
-  // (by now possibly promoted) target only via a full cycle; either way
-  // the heap stays coherent under the verifier.
-  storePtr(H, Container, 0);
-  H.runGcCycle(GcCycleKind::Minor);
-  H.runGc();
-  std::string Report;
-  EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
-  EXPECT_GE(H.stats().GcMinorCycles.load(), 5u);
-  H.removeRootScanner(&R);
+    H.runGcCycle(GcCycleKind::ZctDrain);
+    StatsSnapshot S = H.stats().snap();
+    EXPECT_EQ(S.GcMajorCycles, 1u) << "conc=" << Conc;
+    EXPECT_EQ(S.GcZctDrains, 0u) << "conc=" << Conc;
+    std::vector<uint8_t> Kinds;
+    for (size_t I = 0; I < Sink.size(); ++I)
+      if (Sink[I].Kind == trace::EventKind::GcCycleEnd)
+        Kinds.push_back(Sink[I].Arg);
+    ASSERT_EQ(Kinds.size(), 1u) << "conc=" << Conc;
+    EXPECT_STREQ(trace::gcCycleKindName(Kinds[0]), "full") << "conc=" << Conc;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -329,8 +272,7 @@ TEST(GcBackendsTest, RcDrainSparesRootedZeroCountObjects) {
 //===----------------------------------------------------------------------===//
 
 TEST(GcBackendsTest, TcfreeInteropOnEveryBackend) {
-  for (GcBackendKind K : {GcBackendKind::MarkSweep, GcBackendKind::Generational,
-                          GcBackendKind::Rc}) {
+  for (GcBackendKind K : {GcBackendKind::MarkSweep, GcBackendKind::Rc}) {
     HeapOptions HO;
     HO.Gc.Backend = K;
     HO.Gc.Gogc = -1;
@@ -355,7 +297,7 @@ TEST(GcBackendsTest, TcfreeInteropOnEveryBackend) {
         << gcBackendName(K);
 
     // With the last reference gone, a drain (rc) or a forced full cycle
-    // (others) reclaims child; either way the verifier stays green.
+    // (marksweep) reclaims child; either way the verifier stays green.
     if (K == GcBackendKind::Rc)
       H.runGcCycle(GcCycleKind::ZctDrain);
     H.runGc();
@@ -449,108 +391,4 @@ TEST(GcBackendsTest, ConcurrentMarkPausesStayBelowEagerStw) {
       << "conc max pause " << Conc.GcMaxPauseNanos << "ns vs stw "
       << Stw.GcMaxPauseNanos << "ns";
   EXPECT_LT(Conc.GcMaxPauseNanos, Stw.GcMaxPauseNanos);
-}
-
-//===----------------------------------------------------------------------===//
-// Mixed-lifetime torture: a long-lived session cache (old gen) plus
-// per-request garbage (young gen, mostly tcfree'd) -- the serving
-// workload's heap shape. The remembered set must stay bounded by the
-// number of old pointer slots across many minors, and slots inside
-// tcfree'd per-request objects must never appear in it.
-//===----------------------------------------------------------------------===//
-
-TEST(GcBackendsTest, MixedLifetimeRememberedSetStaysBounded) {
-  constexpr size_t NumSessions = 64;
-  constexpr int Requests = 200;
-  constexpr int MinorEvery = 10;
-
-  HeapOptions HO;
-  HO.Gc.Backend = GcBackendKind::Generational;
-  HO.Gc.Gogc = -1; // The test drives every cycle.
-  HO.Gc.PromoteAfter = 2;
-  HO.Gc.Verify = true;
-  Heap H(HO);
-  Roots R;
-  H.addRootScanner(&R);
-  const GcBackend &B = H.gcBackend();
-
-  // One pointer slot at offset 0, payload at offset 8. Digests use a
-  // DIFFERENT size class than sessions: a 32-byte digest would be
-  // pretenured straight into the sessions' promoted span (noteAlloc) and
-  // the old->young positive control below would never fire.
-  static const TypeDesc SessDesc{"Session", 32, false, nullptr,
-                                 {{0, SlotKind::Raw}}};
-  static const TypeDesc DigestDesc{"Digest", 64, false, nullptr,
-                                   {{0, SlotKind::Raw}}};
-
-  // Long-lived cache, aged to old over two forced minors.
-  std::vector<uintptr_t> Sessions;
-  for (size_t S = 0; S < NumSessions; ++S) {
-    uintptr_t A = H.allocate(32, &SessDesc, AllocCat::Other, 0);
-    ASSERT_NE(A, 0u);
-    R.Addrs.push_back(A);
-    Sessions.push_back(A);
-  }
-  H.runGcCycle(GcCycleKind::Minor);
-  H.runGcCycle(GcCycleKind::Minor);
-
-  // Serving loop: every request installs a fresh young digest into a
-  // session (old->young edge, remembered) and produces per-request
-  // garbage that tcfree reclaims before any collector sees it.
-  size_t MaxRemembered = 0;
-  std::vector<uintptr_t> Freed; // tcfree'd per-request objects.
-  for (int Req = 0; Req < Requests; ++Req) {
-    uintptr_t Sess = Sessions[(size_t)Req % NumSessions];
-    uintptr_t Digest = H.allocate(64, &DigestDesc, AllocCat::Other, 0);
-    ASSERT_NE(Digest, 0u);
-    storePtr(H, Sess, Digest);
-    // Positive control, valid only while digests are guaranteed young: in
-    // the steady state, surviving digest spans promote and later digests
-    // can be pretenured into them (noteAlloc), making the store old->old
-    // -- which the barrier correctly does NOT remember.
-    if (Req < MinorEvery)
-      EXPECT_TRUE(B.rememberedContains(Sess))
-          << "old->young store missed the remembered set (request " << Req
-          << ")";
-
-    // Per-request garbage: allocated, used, tcfree'd -- request-scoped.
-    for (int G = 0; G < 4; ++G) {
-      uintptr_t Junk = H.allocate(48, &SessDesc, AllocCat::Other, 0);
-      ASSERT_NE(Junk, 0u);
-      ASSERT_TRUE(H.tcfreeObject(Junk, 0, FreeSource::TcfreeObject));
-      Freed.push_back(Junk);
-    }
-
-    MaxRemembered = std::max(MaxRemembered, B.rememberedSlots());
-    if ((Req + 1) % MinorEvery == 0) {
-      H.runGcCycle(GcCycleKind::Minor);
-      // After a minor's prune/re-insert, live old->young edges can only
-      // originate in session slots: one pointer slot each.
-      EXPECT_LE(B.rememberedSlots(), NumSessions)
-          << "remembered set grew past the old pointer-slot population "
-             "after minor at request "
-          << Req;
-    }
-  }
-
-  // Bounded at every point in the run, not just after minors: the only
-  // rememberable slots are the NumSessions session pointers (entries are
-  // keyed by slot address, so re-stores must not duplicate).
-  EXPECT_LE(MaxRemembered, NumSessions)
-      << "mid-churn remembered set exceeded the session-slot population";
-
-  // tcfree'd per-request objects never appear: their slots were young at
-  // every store, and they died before any promotion could age them.
-  for (uintptr_t A : Freed)
-    EXPECT_FALSE(B.rememberedContains(A))
-        << "slot of a tcfree'd request-scoped object leaked into the "
-           "remembered set";
-
-  // The cache survived it all (spot check: slots still point at their
-  // latest digest and the digests are live).
-  for (size_t S = 0; S < NumSessions; ++S) {
-    uintptr_t D = readWord(Sessions[S]);
-    if (D != 0)
-      EXPECT_TRUE(H.isLiveObject(D)) << "session " << S;
-  }
 }

@@ -55,17 +55,13 @@ TEST(ServeSimTest, DeterministicChecksumAcrossRunsAndBackends) {
   ASSERT_TRUE(Again.ok()) << Again.Error;
   EXPECT_EQ(Again.Checksum, First.Checksum);
 
-  // Every collector backend and the stock-Go mode serve the identical
-  // stream -- the differential-honesty law bench_server enforces.
-  for (rt::GcBackendKind K :
-       {rt::GcBackendKind::Generational, rt::GcBackendKind::Rc}) {
-    ServeSimOptions BO = O;
-    BO.Heap.Gc.Backend = K;
-    ServeSimResult R = runServeSim(BO);
-    ASSERT_TRUE(R.ok()) << R.Error;
-    EXPECT_EQ(R.Checksum, First.Checksum)
-        << "backend " << rt::gcBackendName(K) << " changed behavior";
-  }
+  // The rc backend and the stock-Go mode serve the identical stream --
+  // the differential-honesty law bench_server enforces.
+  ServeSimOptions RcO = O;
+  RcO.Heap.Gc.Backend = rt::GcBackendKind::Rc;
+  ServeSimResult Rc = runServeSim(RcO);
+  ASSERT_TRUE(Rc.ok()) << Rc.Error;
+  EXPECT_EQ(Rc.Checksum, First.Checksum) << "backend rc changed behavior";
   ServeSimOptions GoO = O;
   GoO.Mode = CompileMode::Go;
   ServeSimResult Go = runServeSim(GoO);

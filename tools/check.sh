@@ -36,10 +36,9 @@
 #                             the regular build, the parallel-mark /
 #                             lazy-sweep / write-barrier torture tests under
 #                             ThreadSanitizer, then a 100-seed fuzz slice
-#                             whose legs cover all three backends
-#                             (gofree-par runs --gc=workers=4, gofree-gen and
-#                             gofree-rc the generational and rc collectors)
-#                             with heap verification on every leg
+#                             whose legs cover both backends (gofree-par
+#                             runs --gc=workers=4, gofree-rc the rc
+#                             collector) with heap verification on every leg
 #   tools/check.sh conc       concurrent-mark pass: the tricolor pointer-
 #                             churn torture test under ThreadSanitizer
 #                             (mutators store through the Dijkstra barrier
@@ -64,8 +63,9 @@
 #                             race the collector), a deterministic
 #                             fixed-request serve-sim run through the CLI,
 #                             then bench_server --json into
-#                             BENCH_server.json at the repo root (the full
-#                             tcfree x backend x conc matrix)
+#                             BENCH_server.json at the repo root (the
+#                             {go, gofree} x {marksweep conc off, marksweep
+#                             conc on, rc} matrix)
 #
 # The smoke test runs examples/quickstart.minigo under --trace-out and
 # asserts the trace is valid JSON-lines containing at least one GC event,
@@ -184,24 +184,23 @@ fuzz)
   ;;
 gc)
   # Backend conformance with the regular build: cross-backend observable
-  # equivalence, remembered-set and ZCT semantics, tcfree interop.
+  # equivalence, ZCT semantics, tcfree interop.
   cmake -B "$ROOT/build" -S "$ROOT"
   cmake --build "$ROOT/build" -j
   (cd "$ROOT/build" && ctest -L gc_backends --output-on-failure) \
     || fail "gc_backends conformance tests failed"
   # Parallel mark + lazy sweep + write-barrier torture under TSan: real
   # mutator threads race the mark workers, the concurrent sweep entry
-  # points, and the generational remembered set.
+  # points, and the concurrent-mark Dijkstra barrier.
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DGOFREE_SANITIZE=thread
   cmake --build "$ROOT/build-tsan" -j --target concurrency_test
   "$ROOT/build-tsan/tests/concurrency_test" \
-    --gtest_filter='ConcurrencyGcWorkersTest.*:ConcurrencyTortureTest.*:ConcurrencyBarrierTest.*:ConcurrencyConcMarkTest.*' \
+    --gtest_filter='ConcurrencyGcWorkersTest.*:ConcurrencyTortureTest.*:ConcurrencyConcMarkTest.*' \
     || fail "GC torture tests failed under ThreadSanitizer"
-  # Fuzz slice: gofree-par runs --gc=workers=4, gofree-gen the generational
-  # collector, gofree-rc the rc collector; DiffOptions.Verify (on by
-  # default) adds --gc=verify=1 to every leg.
+  # Fuzz slice: gofree-par runs --gc=workers=4, gofree-rc the rc collector;
+  # DiffOptions.Verify (on by default) adds --gc=verify=1 to every leg.
   "$ROOT/build/tools/gofree" fuzz --seed=1 --count=100 \
-    || fail "GC fuzz slice failed (parallel/generational/rc legs, heap verify)"
+    || fail "GC fuzz slice failed (parallel/rc legs, heap verify)"
   echo "check.sh: gc pass OK (conformance + tsan torture + 100-seed fuzz)"
   ;;
 conc)
@@ -267,13 +266,13 @@ server)
   # Deterministic fixed-seed CLI run: a fixed request count must come back
   # ok with the request count echoed (the checksum is pinned by ctest; here
   # we check the end-to-end plumbing).
-  out="$("$ROOT/build/tools/gofree" --json --gc=generational serve-sim \
+  out="$("$ROOT/build/tools/gofree" --json serve-sim \
         --seed=11 --requests=200 --workers=2)" \
     || fail "gofree serve-sim exited non-zero"
   echo "$out" | grep -q '"requests":200' || fail "serve-sim lost requests: $out"
   echo "$out" | grep -q '"ok":true' || fail "serve-sim run not ok: $out"
-  # The headline artifact: the full {go,gofree} x {marksweep,generational,
-  # rc} x {conc on,off} matrix with tail-latency SLO metrics.
+  # The headline artifact: the {go,gofree} x {marksweep conc off, marksweep
+  # conc on, rc} matrix with tail-latency SLO metrics.
   "$ROOT/build/bench/bench_server" --json > "$ROOT/BENCH_server.json" \
     || fail "bench_server failed (cell error or checksum mismatch)"
   echo "check.sh: server OK (smoke + tsan + wrote BENCH_server.json)"

@@ -152,8 +152,7 @@ trace::TraceSummary exactSummary(const rt::StatsSnapshot &S,
   trace::TraceSummary T;
   T.GcCycles = S.GcCycles;
   T.GcCyclesByKind[0] = S.GcMajorCycles;
-  T.GcCyclesByKind[1] = S.GcMinorCycles;
-  T.GcCyclesByKind[2] = S.GcZctDrains;
+  T.GcCyclesByKind[1] = S.GcZctDrains;
   T.GcCycleNanos = S.GcNanos;
   T.GcSweptBytes = S.GcSweptBytes;
   T.GiveUps = S.TcfreeGiveUps;
