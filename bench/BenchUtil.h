@@ -23,20 +23,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 namespace gofree {
 namespace bench {
-
-/// Opt-in trace summary per setting (GOFREE_BENCH_TRACE=1): prints the
-/// give-up-reason distribution of the last run, so bench output can carry
-/// table 9's breakdown. Off by default to keep the timed loop untouched.
-inline bool benchTraceEnabled() {
-  const char *Env = std::getenv("GOFREE_BENCH_TRACE");
-  return Env && *Env && std::strcmp(Env, "0") != 0;
-}
 
 /// Number of repetitions per setting (GOFREE_BENCH_RUNS, default 7).
 inline int runCount() {
@@ -132,19 +123,19 @@ runSetting(const workloads::Workload &W, Setting S, int Runs,
     Out.LastStats = O.Stats;
     Out.Checksum = O.Run.Checksum;
   }
-  if (benchTraceEnabled()) {
-    const rt::StatsSnapshot &LS = Out.LastStats;
-    std::fprintf(stderr, "[trace] %-20s %-8s tcfree %llu calls, %llu give-ups",
-                 W.Name.c_str(), settingName(S),
-                 (unsigned long long)LS.TcfreeCalls,
-                 (unsigned long long)LS.TcfreeGiveUps);
-    for (int R = 0; R < trace::NumGiveUpReasons; ++R)
-      if (LS.TcfreeGiveUpsByReason[R])
-        std::fprintf(stderr, ", %s=%llu",
-                     trace::giveUpReasonName((trace::GiveUpReason)R),
-                     (unsigned long long)LS.TcfreeGiveUpsByReason[R]);
-    std::fprintf(stderr, "\n");
-  }
+  // The last run's give-up breakdown (table 9), on stderr so stdout keeps
+  // the table alone. Built from counters already taken, outside the loop.
+  const rt::StatsSnapshot &LS = Out.LastStats;
+  std::fprintf(stderr, "[trace] %-20s %-8s tcfree %llu calls, %llu give-ups",
+               W.Name.c_str(), settingName(S),
+               (unsigned long long)LS.TcfreeCalls,
+               (unsigned long long)LS.TcfreeGiveUps);
+  for (int R = 0; R < trace::NumGiveUpReasons; ++R)
+    if (LS.TcfreeGiveUpsByReason[R])
+      std::fprintf(stderr, ", %s=%llu",
+                   trace::giveUpReasonName((trace::GiveUpReason)R),
+                   (unsigned long long)LS.TcfreeGiveUpsByReason[R]);
+  std::fprintf(stderr, "\n");
   return Out;
 }
 

@@ -38,7 +38,6 @@ constexpr FlagSpec Specs[] = {
      "verify/zct-threshold/conc/chaos keys"},
     {"mock", "off|zero|flip", "poisoning tcfree (robustness testing)"},
     {"num-threads", "N", "run N real mutator threads (checksums add)"},
-    {"num-caches", "N", "thread caches in the heap (default 4)"},
     {"max-steps", "N", "interpreter fuel budget"},
     {"migration-period", "N",
      "rotate the thread-cache id every N steps (single-threaded only)"},
@@ -249,15 +248,6 @@ FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
     if (IV < 1 || IV > 1024)
       return invalid(Err, "--num-threads: must be in [1, 1024]");
     Opts.Exec.NumThreads = (int)IV;
-    return FlagParse::Ok;
-  }
-  if (N == "num-caches") {
-    int64_t IV;
-    if (!WantInt(IV, Bad))
-      return Bad;
-    if (IV < 1 || IV > 4096)
-      return invalid(Err, "--num-caches: must be in [1, 4096]");
-    Opts.Exec.Heap.NumCaches = (int)IV;
     return FlagParse::Ok;
   }
   if (N == "max-steps") {

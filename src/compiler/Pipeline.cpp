@@ -11,6 +11,7 @@
 #include "vm/Compiler.h"
 #include "vm/Vm.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -95,75 +96,49 @@ ExecOutcome gofree::compiler::execute(const Compilation &C,
     Opts.Interp.Map.GrowFreeOld = false;
     Opts.Interp.Slice.FreeOldOnGrow = false;
   }
-  if (Opts.NumThreads <= 1) {
-    rt::Heap Heap(Opts.Heap);
-    // Engine construction (including bytecode compilation for the VM) is
-    // setup, not execution: only run() is timed.
-    auto TimedRun = [&](auto &Engine) {
-      auto Start = std::chrono::steady_clock::now();
-      O.Run = Engine.run(Entry, Args);
-      auto End = std::chrono::steady_clock::now();
-      O.WallSeconds = std::chrono::duration<double>(End - Start).count();
-    };
-    if (Opts.Engine == ExecEngine::Ast) {
-      interp::Interp I(*C.Prog, C.Analysis, Heap, Opts.Interp);
-      TimedRun(I);
-    } else {
-      vm::Vm V(*C.Prog, C.Analysis, Heap, Opts.Interp);
-      TimedRun(V);
-    }
-    O.Stats = Heap.stats().snap();
-    O.GcBackend = Heap.gcBackend().name();
-    flattenOutcome(O, Heap, Opts.Heap.Gc.Verify);
-    return O;
-  }
-
-  // Parallel mode: N workers share one heap, each owning cache id = its
-  // worker index. Real threads make cache-id rotation both unnecessary and
-  // wrong (two threads could land on one cache), so it is forced off.
-  int N = Opts.NumThreads;
+  // N workers share one heap, each owning cache id = its worker index.
+  // Real threads make cache-id rotation wrong (two threads could land on
+  // one cache), so simulated migration is left to a lone mutator.
+  int N = std::max(Opts.NumThreads, 1);
   if (Opts.Heap.NumCaches < N)
     Opts.Heap.NumCaches = N;
-  Opts.Interp.MigrationPeriod = 0;
-  // TraceSink is single-producer; a heap-wide sink shared by N workers
-  // would race. Worker events go to per-thread hub sinks (or nowhere).
-  Opts.Heap.Trace = nullptr;
+  if (N > 1)
+    Opts.Interp.MigrationPeriod = 0;
   rt::Heap Heap(Opts.Heap);
   // A vm::Module is immutable during execution, so all workers share one
-  // compilation instead of each compiling its own copy.
+  // compilation, done here, before the clock starts.
   vm::Module SharedModule;
   if (Opts.Engine == ExecEngine::Vm)
     SharedModule = vm::compileProgram(*C.Prog);
   std::vector<interp::RunResult> Results((size_t)N);
+  auto Worker = [&](int W) {
+    trace::TraceSink *Sink = Opts.Hub ? Opts.Hub->makeSink() : nullptr;
+    interp::InterpOptions IO = Opts.Interp;
+    IO.CacheId = W;
+    // The engine registers its root scanner before the thread becomes a
+    // registered mutator, and deregisters after the scope ends (scanner
+    // add/remove waits out GC cycles, which a mutator must not block on).
+    auto Run = [&](auto &Engine) {
+      rt::Heap::MutatorScope Scope(Heap, W, Sink);
+      Results[(size_t)W] = Engine.run(Entry, Args);
+    };
+    if (Opts.Engine == ExecEngine::Ast) {
+      interp::Interp I(*C.Prog, C.Analysis, Heap, IO);
+      Run(I);
+    } else {
+      vm::Vm V(*C.Prog, C.Analysis, Heap, IO, SharedModule);
+      Run(V);
+    }
+  };
+  // Worker 0 runs on the calling thread; the rest are spawned.
   auto Start = std::chrono::steady_clock::now();
   {
-    std::vector<std::thread> Workers;
-    Workers.reserve((size_t)N);
-    for (int W = 0; W < N; ++W) {
-      Workers.emplace_back([&, W] {
-        trace::TraceSink *Sink = Opts.Hub ? Opts.Hub->makeSink() : nullptr;
-        interp::InterpOptions IO = Opts.Interp;
-        IO.CacheId = W;
-        // The interpreter registers its root scanner before the thread
-        // becomes a registered mutator, and deregisters after the scope
-        // ends (scanner add/remove waits out GC cycles, which a mutator
-        // must not block on).
-        if (Opts.Engine == ExecEngine::Ast) {
-          interp::Interp I(*C.Prog, C.Analysis, Heap, IO);
-          {
-            rt::Heap::MutatorScope Scope(Heap, W, Sink);
-            Results[(size_t)W] = I.run(Entry, Args);
-          }
-        } else {
-          vm::Vm V(*C.Prog, C.Analysis, Heap, IO, &SharedModule);
-          {
-            rt::Heap::MutatorScope Scope(Heap, W, Sink);
-            Results[(size_t)W] = V.run(Entry, Args);
-          }
-        }
-      });
-    }
-    for (std::thread &T : Workers)
+    std::vector<std::thread> Spawned;
+    Spawned.reserve((size_t)N - 1);
+    for (int W = 1; W < N; ++W)
+      Spawned.emplace_back(Worker, W);
+    Worker(0);
+    for (std::thread &T : Spawned)
       T.join();
   }
   auto End = std::chrono::steady_clock::now();

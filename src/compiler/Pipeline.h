@@ -90,17 +90,16 @@ struct ExecOptions {
   rt::HeapOptions Heap;
   interp::InterpOptions Interp;
   ExecEngine Engine = ExecEngine::Vm;
-  /// Number of real mutator threads. 1 runs the classic single-threaded
-  /// pipeline. N > 1 runs N workers on one shared heap, each with its own
-  /// interpreter, thread cache (cache id = worker index; Heap.NumCaches is
-  /// raised to N if needed) and root scanner, all executing the same entry
-  /// function; the GC stops the world across all of them. Per-worker
-  /// results are combined: checksums/steps add (wrapping), the first
-  /// failure wins. MigrationPeriod is forced to 0 (see InterpOptions).
+  /// Number of real mutator threads, at least 1. Every worker runs the
+  /// entry function on one shared heap with its own engine, thread cache
+  /// (cache id = worker index; Heap.NumCaches is raised to N if needed) and
+  /// root scanner, as a registered mutator inside the GC's stop-the-world
+  /// handshake. Worker 0 runs on the calling thread. Per-worker results
+  /// are combined: checksums/steps add (wrapping), the first failure wins.
+  /// With N > 1, MigrationPeriod is forced to 0 (see InterpOptions).
   int NumThreads = 1;
-  /// With NumThreads > 1, per-thread trace sinks come from here (merged at
-  /// drain time); Heap.Trace is ignored for worker-emitted events. Not
-  /// owned. Null disables tracing of worker events.
+  /// Each worker traces into its own sink from here (merged at drain
+  /// time). Not owned. Null disables runtime tracing.
   trace::TraceHub *Hub = nullptr;
 };
 
@@ -109,7 +108,7 @@ struct ExecOutcome {
   interp::RunResult Run;
   rt::StatsSnapshot Stats;
   /// Stable name of the collector backend the run used (rt::gcBackendName;
-  /// the `gc.backend` field of `gofree run --json` v2). Static storage.
+  /// the `gc.backend` field of `gofree run --json` v3). Static storage.
   const char *GcBackend = "marksweep";
   double WallSeconds = 0.0;
   /// Flattened failure description, empty on success. Folds the cases

@@ -47,7 +47,6 @@ std::vector<LegResult> gofree::fuzz::standardLegs(const DiffOptions &Opts) {
       "--max-steps=" + std::to_string(Opts.MaxSteps),
       "--gc=min-trigger=" + std::to_string(Opts.GcMinTrigger) +
           (Opts.Verify ? ",verify=1" : ""),
-      "--num-caches=4",
   };
 
   auto Leg = [&](const char *Name, std::vector<std::string> Flags,

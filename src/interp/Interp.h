@@ -164,9 +164,10 @@ inline void storeValueAt(uintptr_t Addr, const Value &V) {
 /// Barrier-aware store: notifies the heap's write barrier for every pointer
 /// slot the store will overwrite, then performs the plain store. Both
 /// engines route every store that may target the heap through this overload;
-/// stores into frame slots also pass through, but the barrier's address-range
-/// filter rejects them before any backend work. The barrier must observe the
-/// slot's *old* value, so it runs strictly before the bytes move.
+/// stores into frame slots also pass through, but gcWriteBarrierSlow's
+/// page-map lookup finds no span for them and returns before any backend
+/// work. The barrier must observe the slot's *old* value, so it runs
+/// strictly before the bytes move.
 inline void storeValueAt(rt::Heap &H, TypeLower &Types, uintptr_t Addr,
                          const Value &V) {
   if (H.gcBarrierActive()) {

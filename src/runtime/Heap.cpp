@@ -123,9 +123,7 @@ int Heap::clampCacheId(int CacheId) const {
 }
 
 trace::TraceSink *Heap::traceSink() const {
-  if (Tls.H == this && Tls.Sink)
-    return Tls.Sink;
-  return Opts.Trace;
+  return Tls.H == this ? Tls.Sink : nullptr;
 }
 
 bool Heap::currentThreadIsMutatorHere() const { return Tls.H == this; }

@@ -24,8 +24,9 @@
 /// ---------------
 /// The heap is genuinely concurrent. Three usage modes are supported:
 ///
-/// 1. **Single-threaded** (the interpreter's default): one thread does
-///    everything; no registration needed.
+/// 1. **Single-threaded**: one thread does everything; no registration
+///    needed, though only a registered thread's events are traced.
+///    compiler::execute registers even a lone mutator, like any other.
 /// 2. **Concurrent mutators without GC**: any number of threads may call
 ///    allocate/tcfree concurrently as long as each uses its own cache id
 ///    and no GC can run (no root scanner registered, or Gogc < 0, and no
@@ -90,19 +91,14 @@ public:
 enum class MockTcfree : uint8_t { Off, Zero, Flip };
 
 /// Runtime configuration. All collector policy lives in GcConfig (see
-/// GcBackend.h); the former ad-hoc Gogc / MinHeapTrigger / GcWorkers /
-/// EagerSweep / Verify fields are its members now.
+/// GcBackend.h). Tracing is per mutator: a thread registers its sink with
+/// Heap::MutatorScope (see docs/TRACING.md).
 struct HeapOptions {
   /// Collector selection and tuning (`--gc=<backend>[,key=val...]`).
   GcConfig Gc;
   MockTcfree Mock = MockTcfree::Off;
   /// Number of thread caches ("P"s). Values < 1 are clamped to 1.
   int NumCaches = 4;
-  /// Optional event sink; null disables tracing (the only cost left on the
-  /// hot paths is this null check). Not owned; must outlive the heap.
-  /// A mutator registered with a per-thread sink (MutatorScope) overrides
-  /// this for events it produces; see docs/TRACING.md.
-  trace::TraceSink *Trace = nullptr;
 };
 
 /// GC phase; tcfree gives up whenever the collector is active (section 5).
@@ -225,9 +221,8 @@ public:
   /// Snapshot of the calling thread's stall counters.
   static ThreadStalls threadStalls();
 
-  /// The event sink the current thread should emit to: its per-thread sink
-  /// if it is a mutator registered with one, else the heap-wide
-  /// HeapOptions::Trace.
+  /// The event sink the current thread should emit to: the sink it
+  /// registered with MutatorScope on this heap, else null (no tracing).
   trace::TraceSink *traceSink() const;
 
   /// Looks up the span containing \p Addr; null for non-heap addresses.

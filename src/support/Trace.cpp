@@ -193,8 +193,7 @@ size_t TraceHub::sinkCount() const {
   return Sinks.size();
 }
 
-/// Folds one event into the running summary (shared by both summarize
-/// overloads).
+/// Folds one event into the running summary.
 static void foldEvent(TraceSummary &S, const Event &E) {
   switch (E.Kind) {
     case EventKind::GcPaceTrigger:
@@ -278,16 +277,6 @@ static void foldEvent(TraceSummary &S, const Event &E) {
   }
 }
 
-TraceSummary summarize(const TraceSink &Sink) {
-  TraceSummary S;
-  size_t N = Sink.size();
-  S.Events = N;
-  S.DroppedEvents = Sink.dropped();
-  for (size_t I = 0; I < N; ++I)
-    foldEvent(S, Sink[I]);
-  return S;
-}
-
 TraceSummary summarize(const std::vector<Event> &Events, uint64_t Dropped) {
   TraceSummary S;
   S.Events = Events.size();
@@ -313,8 +302,7 @@ static int formatPrefix(char *Line, size_t Size, const char *Leg) {
   return std::snprintf(Line, Size, "{\"v\":%d", JsonSchemaVersion);
 }
 
-/// Formats one event as a JSON line (shared by both writeJsonLines
-/// overloads).
+/// Formats one event as a JSON line.
 static void formatEvent(char *Line, size_t Size, const Event &E,
                         const char *Leg) {
   int N = formatPrefix(Line, Size, Leg);
@@ -445,17 +433,6 @@ static void writeTraceEnd(std::ostream &Os, size_t Events, uint64_t Dropped,
                 "}\n",
                 Events, Dropped);
   Os << Line;
-}
-
-void writeJsonLines(std::ostream &Os, const TraceSink &Sink,
-                    const char *Leg) {
-  char Line[320];
-  size_t N = Sink.size();
-  for (size_t I = 0; I < N; ++I) {
-    formatEvent(Line, sizeof(Line), Sink[I], Leg);
-    Os << Line;
-  }
-  writeTraceEnd(Os, N, Sink.dropped(), Leg);
 }
 
 void writeJsonLines(std::ostream &Os, const std::vector<Event> &Events,

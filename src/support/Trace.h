@@ -243,7 +243,7 @@ private:
   std::chrono::steady_clock::time_point Epoch;
 };
 
-/// Aggregation of one sink's events, shaped like the paper's tables: GC
+/// Aggregation of a trace's events, shaped like the paper's tables: GC
 /// activity (table 5), allocation by category (table 8), frees by source
 /// and give-ups by reason (table 9), and per-pass compile time (6.7).
 struct TraceSummary {
@@ -294,10 +294,9 @@ struct TraceSummary {
   std::vector<uint64_t> DroppedBySink;
 };
 
-/// Folds the sink's events into a summary. Note: when events were dropped
-/// the aggregates undercount; DroppedEvents says by how many records.
-TraceSummary summarize(const TraceSink &Sink);
-/// Same, over an already-merged event stream (TraceHub::merge()).
+/// Folds a merged event stream (TraceHub::merge()) into a summary. Note:
+/// when events were dropped the aggregates undercount; DroppedEvents says
+/// by how many records.
 TraceSummary summarize(const std::vector<Event> &Events, uint64_t Dropped);
 /// Merges the hub's sinks and fills DroppedBySink, so multi-threaded
 /// consumers see which producer overflowed (drain time only, like merge).
@@ -317,10 +316,8 @@ inline constexpr int JsonSchemaVersion = 3;
 /// `"leg"` field naming the pipeline leg ("go", "gofree", ...) that
 /// produced the stream, so multi-leg consumers (the fuzz differ,
 /// `gofree compare`) can concatenate files and still attribute events.
-/// The schema is documented in docs/TRACING.md.
-void writeJsonLines(std::ostream &Os, const TraceSink &Sink,
-                    const char *Leg = nullptr);
-/// Same, over an already-merged event stream (TraceHub::merge()).
+/// The schema is documented in docs/TRACING.md. \p Events is a merged
+/// stream (TraceHub::merge()) and \p Dropped its drop count.
 void writeJsonLines(std::ostream &Os, const std::vector<Event> &Events,
                     uint64_t Dropped, const char *Leg = nullptr);
 

@@ -8,7 +8,6 @@
 #include "vm/Vm.h"
 
 #include "support/GoArith.h"
-#include "vm/Compiler.h"
 
 #include <algorithm>
 #include <cstring>
@@ -37,15 +36,9 @@ void writeU64(uintptr_t Addr, uint64_t V) {
 //===----------------------------------------------------------------------===//
 
 Vm::Vm(const Program &Prog, const escape::ProgramAnalysis &Analysis,
-       rt::Heap &Heap, interp::InterpOptions Opts, const Module *Shared)
-    : Prog(Prog), Analysis(Analysis), Heap(Heap), Opts(Opts) {
-  if (Shared) {
-    assert(Shared->Prog == &Prog && "shared module for a different program");
-    M = Shared;
-  } else {
-    Own = compileProgram(Prog);
-    M = &Own;
-  }
+       rt::Heap &Heap, interp::InterpOptions Opts, const Module &Mod)
+    : Prog(Prog), Analysis(Analysis), Heap(Heap), Opts(Opts), M(&Mod) {
+  assert(Mod.Prog == &Prog && "module compiled from a different program");
   FuelHooks = Opts.MigrationPeriod != 0 || Opts.GcEveryNSteps != 0;
   // Resolve the module's descriptor requests; ops index these arrays.
   Descs.reserve(M->Descs.size());

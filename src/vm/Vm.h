@@ -37,20 +37,15 @@ namespace vm {
 /// interp::Interp exactly; the fuzz differ enforces this law.
 class Vm : public rt::RootScanner {
 public:
-  /// When \p Shared is null the VM compiles its own module; parallel
-  /// workers pass one pre-compiled module (it is immutable during
-  /// execution) to share the compile across threads.
+  /// Runs \p Mod, the vm::compileProgram of \p Prog. The module is
+  /// immutable during execution, so every worker of a run shares one.
   Vm(const minigo::Program &Prog, const escape::ProgramAnalysis &Analysis,
-     rt::Heap &Heap, interp::InterpOptions Opts = {},
-     const Module *Shared = nullptr);
+     rt::Heap &Heap, interp::InterpOptions Opts, const Module &Mod);
   ~Vm() override;
 
   /// Runs \p Entry with integer arguments (same contract as Interp::run).
   interp::RunResult run(const std::string &Entry,
                         const std::vector<int64_t> &Args = {});
-
-  /// The executing module (for disassembly in tests and tools).
-  const Module &module() const { return *M; }
 
   // RootScanner: frames, stack objects, deferred args, operand stack and
   // pending returns.
@@ -123,7 +118,6 @@ private:
   interp::InterpOptions Opts;
   interp::TypeLower Types;
 
-  Module Own;          ///< Compiled here unless a shared module was given.
   const Module *M;
 
   std::vector<std::unique_ptr<interp::Frame>> Frames;

@@ -208,7 +208,6 @@ ServeSimResult gofree::workloads::runServeSim(const ServeSimOptions &Opts) {
   rt::HeapOptions HO = Opts.Heap;
   if (HO.NumCaches < Workers)
     HO.NumCaches = Workers;
-  HO.Trace = nullptr; // Worker events go to per-thread hub sinks.
   rt::Heap Heap(HO);
   SessionRoots Roots;
   Heap.addRootScanner(&Roots);
@@ -254,9 +253,9 @@ ServeSimResult gofree::workloads::runServeSim(const ServeSimOptions &Opts) {
         // must never run while registered as a mutator. Vms are re-runnable,
         // so each request reuses the profile's instance.
         vm::Vm *Vms[3];
-        vm::Vm V0(*Profiles[0].Prog, Profiles[0].Analysis, Heap, IO, &Modules[0]);
-        vm::Vm V1(*Profiles[1].Prog, Profiles[1].Analysis, Heap, IO, &Modules[1]);
-        vm::Vm V2(*Profiles[2].Prog, Profiles[2].Analysis, Heap, IO, &Modules[2]);
+        vm::Vm V0(*Profiles[0].Prog, Profiles[0].Analysis, Heap, IO, Modules[0]);
+        vm::Vm V1(*Profiles[1].Prog, Profiles[1].Analysis, Heap, IO, Modules[1]);
+        vm::Vm V2(*Profiles[2].Prog, Profiles[2].Analysis, Heap, IO, Modules[2]);
         Vms[0] = &V0;
         Vms[1] = &V1;
         Vms[2] = &V2;

@@ -51,8 +51,8 @@ std::string invalidErr(const std::string &Flag) {
 const std::set<std::string> &testedFlags() {
   static const std::set<std::string> Names = {
       "mode",       "engine",    "entry",      "targets",
-      "gc",         "mock",      "num-threads", "num-caches",
-      "max-steps",  "migration-period",
+      "gc",         "mock",      "num-threads", "max-steps",
+      "migration-period",
   };
   return Names;
 }
@@ -136,16 +136,13 @@ TEST(DriverFlagTest, NumThreadsRoundTrips) {
   EXPECT_EQ(parsedOk("--num-threads=1024").Exec.NumThreads, 1024);
 }
 
-TEST(DriverFlagTest, NumCachesRoundTrips) {
-  EXPECT_EQ(parsedOk("--num-caches=8").Exec.Heap.NumCaches, 8);
-}
-
-// The pre-GcConfig spellings are gone; each must now be Unknown (so the
-// CLI prints usage) rather than silently setting a GcConfig field.
-TEST(DriverFlagTest, RemovedGcAliasesAreUnknown) {
+// The pre-GcConfig spellings and --num-caches (execute sizes the caches
+// from --num-threads) are gone; each must now be Unknown (so the CLI
+// prints usage) rather than silently setting a field.
+TEST(DriverFlagTest, RemovedFlagsAreUnknown) {
   for (const char *F :
        {"--gogc=250", "--gc-min-trigger=65536", "--gc-workers=4",
-        "--gc-eager-sweep", "--verify-heap"}) {
+        "--gc-eager-sweep", "--verify-heap", "--num-caches=8"}) {
     PipelineOptions P;
     EXPECT_EQ(parseFlag(F, P), FlagParse::Unknown) << F;
   }
@@ -212,7 +209,6 @@ TEST(DriverFlagTest, RejectsBadValues) {
   invalidErr("--mock=poison");
   invalidErr("--num-threads=0");
   invalidErr("--num-threads=1025");
-  invalidErr("--num-caches=0");
   invalidErr("--max-steps=0");
   invalidErr("--migration-period=-5");
   // Missing values.
@@ -257,11 +253,11 @@ TEST(DriverFlagTest, ParseFlagsAppliesAllOrFails) {
   EXPECT_NE(Err.find("--stats"), std::string::npos);
   EXPECT_FALSE(parseFlags({"--gc=gogc=zz"}, Q, &Err));
 
-  std::vector<std::string> Vec = {"--num-threads=2", "--num-caches=2"};
+  std::vector<std::string> Vec = {"--num-threads=2", "--max-steps=7"};
   PipelineOptions R;
   ASSERT_TRUE(parseFlags(Vec, R, &Err)) << Err;
   EXPECT_EQ(R.Exec.NumThreads, 2);
-  EXPECT_EQ(R.Exec.Heap.NumCaches, 2);
+  EXPECT_EQ(R.Exec.Interp.MaxSteps, 7u);
 }
 
 TEST(DriverFlagTest, LegNames) {

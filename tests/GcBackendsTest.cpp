@@ -168,8 +168,8 @@ TEST(GcBackendsTest, ForcedCycleTheBackendLacksIsLabelledFull) {
     HeapOptions HO;
     HO.Gc.Gogc = -1; // Only the forced cycle runs.
     HO.Gc.Concurrent = Conc;
-    HO.Trace = &Sink;
     Heap H(HO);
+    Heap::MutatorScope Scope(H, 0, &Sink);
     ASSERT_NE(H.allocate(16, nodeDesc(), AllocCat::Other, 0), 0u);
 
     H.runGcCycle(GcCycleKind::ZctDrain);

@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Pipeline.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -110,4 +111,77 @@ TEST(PipelineTest, WallSecondsAndStatsPopulated) {
   EXPECT_GT(O.WallSeconds, 0.0);
   EXPECT_GT(O.Stats.AllocedBytes, 0u);
   EXPECT_EQ(O.Run.SinkCount, 1u);
+}
+
+// Every thread count takes one route: each worker, the lone worker of a
+// one-thread run included, is a registered mutator tracing into its own
+// hub sink. A one-thread run used to ignore ExecOptions::Hub.
+TEST(PipelineTest, OneThreadRunTracesIntoHub) {
+  // Short-lived slices (tcfree'd) and a retained slice grown past the
+  // small pacing floor, so one run has allocations, frees and GC cycles.
+  Compilation C = compile("func work(n int) int {\n"
+                          "  s := make([]int, n)\n"
+                          "  s[0] = n\n"
+                          "  return s[0]\n"
+                          "}\n"
+                          "func main(rounds int) {\n"
+                          "  acc := 0\n"
+                          "  keep := make([]int, 0, 4)\n"
+                          "  for i := 0; i < rounds; i = i + 1 {\n"
+                          "    acc = acc + work(i % 64 + 16)\n"
+                          "    keep = append(keep, i)\n"
+                          "  }\n"
+                          "  sink(acc + len(keep))\n"
+                          "}\n",
+                          {});
+  ASSERT_TRUE(C.ok()) << C.Errors;
+
+  struct Counts {
+    uint64_t Tcfree = 0, Alloc = 0, GcCycles = 0;
+  };
+  auto Run = [&](int Threads) {
+    trace::TraceHub Hub;
+    ExecOptions EO;
+    EO.NumThreads = Threads;
+    EO.Hub = &Hub;
+    EO.Heap.Gc.MinHeapTrigger = 64 << 10;
+    ExecOutcome O = execute(C, "main", {20000}, EO);
+    EXPECT_TRUE(O.ok()) << O.Error;
+    EXPECT_EQ(Hub.sinkCount(), (size_t)Threads);
+    EXPECT_EQ(Hub.dropped(), 0u);
+    Counts N;
+    bool Freed = false;
+    for (const trace::Event &E : Hub.merge()) {
+      switch (E.Kind) {
+      case trace::EventKind::TcfreeFreed:
+        Freed = true;
+        ++N.Tcfree;
+        break;
+      case trace::EventKind::TcfreeGiveUp:
+        ++N.Tcfree;
+        break;
+      case trace::EventKind::HeapAlloc:
+      case trace::EventKind::StackAlloc:
+        ++N.Alloc;
+        break;
+      case trace::EventKind::GcCycleEnd:
+        ++N.GcCycles;
+        break;
+      default:
+        break;
+      }
+    }
+    EXPECT_TRUE(Freed) << Threads << " threads: no TcfreeFreed event";
+    return N;
+  };
+
+  Counts One = Run(1);
+  EXPECT_GT(One.Alloc, 0u);
+  EXPECT_GT(One.Tcfree, 0u);
+  EXPECT_GT(One.GcCycles, 0u);
+  // Two workers run the same program: every tcfree call and allocation
+  // is traced once per worker.
+  Counts Two = Run(2);
+  EXPECT_EQ(Two.Tcfree, 2 * One.Tcfree);
+  EXPECT_EQ(Two.Alloc, 2 * One.Alloc);
 }

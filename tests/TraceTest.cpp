@@ -41,6 +41,13 @@ uint64_t countKind(const TraceSink &S, EventKind K) {
   return (uint64_t)eventsOfKind(S, K).size();
 }
 
+uint64_t countKind(const TraceHub &H, EventKind K) {
+  uint64_t N = 0;
+  for (const Event &E : H.merge())
+    N += E.Kind == K;
+  return N;
+}
+
 /// Give-up events carry the reason in Arg and the call count in V0.
 uint64_t giveUpsWithReason(const TraceSink &S, GiveUpReason R) {
   uint64_t N = 0;
@@ -86,7 +93,8 @@ TEST(TraceSinkTest, TimestampsAreMonotonic) {
 }
 
 TEST(TraceSinkTest, JsonLinesAreObjectsWithTerminator) {
-  TraceSink S(8);
+  TraceHub Hub(8);
+  TraceSink &S = *Hub.makeSink();
   S.emit(EventKind::GcPaceTrigger, 0, 1000, 2000);
   S.emit(EventKind::TcfreeFreed, (uint8_t)rt::FreeSource::TcfreeSlice, 64);
   S.emit(EventKind::TcfreeGiveUp, (uint8_t)GiveUpReason::DoubleFree, 1);
@@ -96,7 +104,7 @@ TEST(TraceSinkTest, JsonLinesAreObjectsWithTerminator) {
     S.emit(EventKind::HeapAlloc, 0, 8);
 
   std::ostringstream Os;
-  writeJsonLines(Os, S);
+  writeJsonLines(Os, Hub.merge(), Hub.dropped());
   std::istringstream Is(Os.str());
   std::string Line;
   std::vector<std::string> Lines;
@@ -119,7 +127,8 @@ TEST(TraceSinkTest, JsonLinesAreObjectsWithTerminator) {
 }
 
 TEST(TraceSinkTest, SummarizeFoldsEveryFamily) {
-  TraceSink S(32);
+  TraceHub Hub(32);
+  TraceSink &S = *Hub.makeSink();
   S.emit(EventKind::GcPaceTrigger, 0, 100, 200);
   S.emit(EventKind::GcMarkStart, 0, 100);
   S.emit(EventKind::GcMarkEnd, 0, 50);
@@ -132,7 +141,7 @@ TEST(TraceSinkTest, SummarizeFoldsEveryFamily) {
   S.emit(EventKind::StackAlloc, (uint8_t)rt::AllocCat::Other, 24);
   S.emit(EventKind::PassTime, (uint8_t)Pass::Lifetime, 999);
 
-  TraceSummary Sum = summarize(S);
+  TraceSummary Sum = summarize(Hub);
   EXPECT_EQ(Sum.Events, 11u);
   EXPECT_EQ(Sum.DroppedEvents, 0u);
   EXPECT_EQ(Sum.GcPaceTriggers, 1u);
@@ -162,9 +171,8 @@ TEST(TraceSinkTest, SummarizeFoldsEveryFamily) {
 
 TEST(TraceRuntimeTest, GiveUpReasonsAreBucketed) {
   TraceSink Sink;
-  rt::HeapOptions HO;
-  HO.Trace = &Sink;
-  rt::Heap H(HO);
+  rt::Heap H;
+  rt::Heap::MutatorScope Scope(H, 0, &Sink);
 
   uintptr_t A = H.allocate(64, nullptr, rt::AllocCat::Slice, 0);
   ASSERT_NE(A, 0u);
@@ -209,9 +217,9 @@ TEST(TraceRuntimeTest, GiveUpReasonsAreBucketed) {
 TEST(TraceRuntimeTest, MockIsTracedButNotAGiveUp) {
   TraceSink Sink;
   rt::HeapOptions HO;
-  HO.Trace = &Sink;
   HO.Mock = rt::MockTcfree::Zero;
   rt::Heap H(HO);
+  rt::Heap::MutatorScope Scope(H, 0, &Sink);
 
   uintptr_t A = H.allocate(32, nullptr, rt::AllocCat::Other, 0);
   ASSERT_NE(A, 0u);
@@ -228,9 +236,8 @@ TEST(TraceRuntimeTest, MockIsTracedButNotAGiveUp) {
 
 TEST(TraceRuntimeTest, AllocationsAreCategorized) {
   TraceSink Sink;
-  rt::HeapOptions HO;
-  HO.Trace = &Sink;
-  rt::Heap H(HO);
+  rt::Heap H;
+  rt::Heap::MutatorScope Scope(H, 0, &Sink);
 
   H.allocate(64, nullptr, rt::AllocCat::Slice, 0);
   H.allocate(128, nullptr, rt::AllocCat::Map, 0);
@@ -250,11 +257,12 @@ TEST(TraceRuntimeTest, GcCycleEmitsPhaseEvents) {
   // GC event order so the shared tail is checked in both.
   for (bool Conc : {false, true}) {
     SCOPED_TRACE(Conc ? "conc=1" : "conc=0");
-    TraceSink Sink;
+    TraceHub Hub;
+    TraceSink &Sink = *Hub.makeSink();
     rt::HeapOptions HO;
-    HO.Trace = &Sink;
     HO.Gc.Concurrent = Conc;
     rt::Heap H(HO);
+    rt::Heap::MutatorScope Scope(H, 0, &Sink);
 
     // Unreachable garbage (no root scanner installed), then a forced
     // cycle. Solo and forced, so it sweeps inside the (last) pause.
@@ -291,7 +299,7 @@ TEST(TraceRuntimeTest, GcCycleEmitsPhaseEvents) {
     EXPECT_GE(Sweeps[0].V0, 64u * 256u); // Swept at least the garbage.
     EXPECT_GE(Sweeps[0].V1, 64u);        // Object count.
 
-    TraceSummary Sum = summarize(Sink);
+    TraceSummary Sum = summarize(Hub);
     EXPECT_EQ(Sum.GcCycles, 1u);
     EXPECT_GE(Sum.GcSweptBytes, 64u * 256u);
   }
@@ -367,10 +375,10 @@ TEST(TraceEndToEndTest, CompareLegsStatsAreIsolated) {
   compiler::Compilation Go = compiler::compile(CompareSrc, GoCO);
   ASSERT_TRUE(Go.ok()) << Go.Errors;
 
-  TraceSink FreeSink, GoSink;
+  TraceHub FreeHub, GoHub;
   compiler::ExecOptions FreeEO, GoEO;
-  FreeEO.Heap.Trace = &FreeSink;
-  GoEO.Heap.Trace = &GoSink;
+  FreeEO.Hub = &FreeHub;
+  GoEO.Hub = &GoHub;
 
   // GoFree leg first, then the Go leg, like compare does.
   compiler::ExecOutcome OFree =
@@ -381,15 +389,15 @@ TEST(TraceEndToEndTest, CompareLegsStatsAreIsolated) {
 
   EXPECT_EQ(OFree.Run.Checksum, OGo.Run.Checksum);
   EXPECT_GT(OFree.Stats.TcfreeCalls, 0u);
-  EXPECT_GT(countKind(FreeSink, EventKind::TcfreeFreed), 0u);
+  EXPECT_GT(countKind(FreeHub, EventKind::TcfreeFreed), 0u);
 
   // The Go leg saw none of the GoFree leg's activity.
   EXPECT_EQ(OGo.Stats.TcfreeCalls, 0u);
   EXPECT_EQ(OGo.Stats.TcfreeGiveUps, 0u);
   for (int R = 0; R < NumGiveUpReasons; ++R)
     EXPECT_EQ(OGo.Stats.TcfreeGiveUpsByReason[R], 0u);
-  EXPECT_EQ(countKind(GoSink, EventKind::TcfreeFreed), 0u);
-  EXPECT_EQ(countKind(GoSink, EventKind::TcfreeGiveUp), 0u);
+  EXPECT_EQ(countKind(GoHub, EventKind::TcfreeFreed), 0u);
+  EXPECT_EQ(countKind(GoHub, EventKind::TcfreeGiveUp), 0u);
 }
 
 // Regression for the panic-tail skip (FreeInserter): a scope whose tail
@@ -423,10 +431,9 @@ TEST(TraceEndToEndTest, PanicTailSkippedFreesReclaimedByGc) {
   // Drive the interpreter on our own heap so we can force a GC after the
   // panic unwinds and watch the sweep reclaim the skipped objects.
   TraceSink Sink;
-  rt::HeapOptions HO;
-  HO.Trace = &Sink;
-  rt::Heap H(HO);
+  rt::Heap H;
   interp::Interp I(*C.Prog, C.Analysis, H, {});
+  rt::Heap::MutatorScope Scope(H, 0, &Sink);
   interp::RunResult R = I.run("main", {100});
   EXPECT_TRUE(R.Panicked);
 
@@ -487,18 +494,19 @@ TEST(TraceOverflowTest, HubMergesAndAttributesDrops) {
 }
 
 TEST(TraceOverflowTest, RequestEventsFoldIntoSummary) {
-  TraceSink S;
+  TraceHub Hub;
+  TraceSink &S = *Hub.makeSink();
   S.emit(EventKind::Request, /*Profile=*/1, /*LatencyNs=*/2'000'000,
          /*StallNs=*/250'000);
   S.emit(EventKind::Request, /*Profile=*/0, /*LatencyNs=*/1'000'000,
          /*StallNs=*/0);
-  TraceSummary Sum = summarize(S);
+  TraceSummary Sum = summarize(Hub);
   EXPECT_EQ(Sum.Requests, 2u);
   EXPECT_EQ(Sum.RequestLatencyNanos, 3'000'000u);
   EXPECT_EQ(Sum.RequestStallNanos, 250'000u);
   // And the JSONL writer names the event (schema v2).
   std::ostringstream Os;
-  writeJsonLines(Os, S, "gofree");
+  writeJsonLines(Os, Hub.merge(), Hub.dropped(), "gofree");
   EXPECT_NE(Os.str().find("\"ev\":\"request\""), std::string::npos);
   EXPECT_NE(Os.str().find("\"latency_ns\":2000000"), std::string::npos);
 }

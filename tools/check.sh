@@ -67,17 +67,49 @@
 #                             {go, gofree} x {marksweep conc off, marksweep
 #                             conc on, rc} matrix)
 #
-# The smoke test runs examples/quickstart.minigo under --trace-out and
-# asserts the trace is valid JSON-lines containing at least one GC event,
-# one tcfree outcome with a give-up reason, and per-pass compiler timings.
-# It also checks that serve-sim rejects --rps=nan, --rps=-1 and
-# --theta=nan.
+# The smoke test runs examples/quickstart.minigo under --trace-out, once
+# on one mutator thread and once on two, and asserts each trace is valid
+# JSON-lines containing at least one GC event, one tcfree outcome with a
+# give-up reason, and per-pass compiler timings. It also checks that
+# `run` rejects a non-integer program argument (exit 2) and that
+# serve-sim rejects --rps=nan, --rps=-1 and --theta=nan.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 MODE="${1:-all}"
 
 fail() { echo "check.sh: FAIL: $*" >&2; exit 1; }
+
+# check_trace FILE LABEL: FILE is valid JSON-lines with at least one GC
+# event, one tcfree outcome with a give-up reason and per-pass timings.
+check_trace() {
+  local t="$1" label="$2"
+  [ -s "$t" ] || fail "trace file is empty ($label)"
+
+  # Every line must parse as a JSON object.
+  if command -v python3 > /dev/null 2>&1; then
+    python3 - "$t" <<'PYEOF' || fail "trace is not valid JSON-lines ($label)"
+import json, sys
+with open(sys.argv[1]) as f:
+    for n, line in enumerate(f, 1):
+        obj = json.loads(line)
+        assert isinstance(obj, dict) and "ev" in obj, f"line {n}: not an event object"
+PYEOF
+  else
+    # Fallback shape check: one {"..."} object per line.
+    if grep -qv '^{"[a-z]*":.*}$' "$t"; then
+      fail "trace has lines that do not look like JSON objects ($label)"
+    fi
+  fi
+
+  grep -q '"ev":"gc-pace-trigger"' "$t" || fail "no GC pace-trigger event ($label)"
+  grep -q '"ev":"gc-cycle-end"' "$t" || fail "no GC cycle event ($label)"
+  grep -q '"ev":"tcfree","outcome":"freed"' "$t" || fail "no tcfree freed event ($label)"
+  grep -q '"outcome":"give-up","reason":"' "$t" || fail "no tcfree give-up with a reason ($label)"
+  grep -q '"ev":"pass","pass":"escape-solve"' "$t" || fail "no pass timing events ($label)"
+  grep -q '"ev":"trace-end"' "$t" || fail "no trace-end record ($label)"
+  grep -q '"dropped":0' "$t" || echo "check.sh: note: trace dropped events ($label)" >&2
+}
 
 smoke() {
   local gofree="$1"
@@ -87,35 +119,22 @@ smoke() {
   # shellcheck disable=SC2064
   trap "rm -rf '$tmp'" EXIT
 
-  "$gofree" --trace-out="$tmp/t.jsonl" --trace-summary --stats \
+  # Every thread count takes the same trace route (one sink per mutator,
+  # merged by a hub), so the default run and a 2-thread run must both
+  # carry every event family.
+  "$gofree" --trace-out="$tmp/t1.jsonl" --trace-summary --stats \
     run "$ROOT/examples/quickstart.minigo" 2000 > "$tmp/run.out" \
     || fail "traced run exited non-zero"
+  check_trace "$tmp/t1.jsonl" "default threads"
+  "$gofree" --num-threads=2 --trace-out="$tmp/t2.jsonl" --trace-summary \
+    --stats run "$ROOT/examples/quickstart.minigo" 2000 > "$tmp/run.out" \
+    || fail "traced 2-thread run exited non-zero"
+  check_trace "$tmp/t2.jsonl" "2 threads"
 
-  [ -s "$tmp/t.jsonl" ] || fail "trace file is empty"
-
-  # Every line must parse as a JSON object.
-  if command -v python3 > /dev/null 2>&1; then
-    python3 - "$tmp/t.jsonl" <<'PYEOF' || fail "trace is not valid JSON-lines"
-import json, sys
-with open(sys.argv[1]) as f:
-    for n, line in enumerate(f, 1):
-        obj = json.loads(line)
-        assert isinstance(obj, dict) and "ev" in obj, f"line {n}: not an event object"
-PYEOF
-  else
-    # Fallback shape check: one {"..."} object per line.
-    if grep -qv '^{"[a-z]*":.*}$' "$tmp/t.jsonl"; then
-      fail "trace has lines that do not look like JSON objects"
-    fi
-  fi
-
-  grep -q '"ev":"gc-pace-trigger"' "$tmp/t.jsonl" || fail "no GC pace-trigger event"
-  grep -q '"ev":"gc-cycle-end"' "$tmp/t.jsonl" || fail "no GC cycle event"
-  grep -q '"ev":"tcfree","outcome":"freed"' "$tmp/t.jsonl" || fail "no tcfree freed event"
-  grep -q '"outcome":"give-up","reason":"' "$tmp/t.jsonl" || fail "no tcfree give-up with a reason"
-  grep -q '"ev":"pass","pass":"escape-solve"' "$tmp/t.jsonl" || fail "no pass timing events"
-  grep -q '"ev":"trace-end"' "$tmp/t.jsonl" || fail "no trace-end record"
-  grep -q '"dropped":0' "$tmp/t.jsonl" || echo "check.sh: note: trace dropped events" >&2
+  # Program arguments must be integers; anything else is a usage error.
+  local rc=0
+  "$gofree" run "$ROOT/examples/quickstart.minigo" abc > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || fail "run with argument 'abc' exited $rc, want 2"
 
   # serve-sim must refuse rates that are not a finite non-negative number.
   local rps
@@ -130,7 +149,7 @@ PYEOF
     fail "serve-sim accepted --theta=nan"
   fi
 
-  echo "check.sh: trace smoke OK ($(wc -l < "$tmp/t.jsonl") lines)"
+  echo "check.sh: trace smoke OK ($(wc -l < "$tmp/t1.jsonl") + $(wc -l < "$tmp/t2.jsonl") lines)"
 }
 
 case "$MODE" in

@@ -35,13 +35,13 @@
 #include "support/Trace.h"
 #include "workloads/ServeSim.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -100,15 +100,11 @@ bool readFile(const std::string &Path, std::string &Out, std::string &Err) {
   return true;
 }
 
-bool writeTrace(const std::string &Path, const trace::TraceSink &Sink,
-                const char *Leg) {
-  std::ofstream Out(Path);
-  if (!Out) {
-    std::fprintf(stderr, "gofree: cannot write trace to %s\n", Path.c_str());
-    return false;
-  }
-  trace::writeJsonLines(Out, Sink, Leg);
-  return true;
+/// Routes a leg's compile-pass events and every mutator's runtime events
+/// into \p Hub, so they share one timeline.
+void traceInto(driver::PipelineOptions &P, trace::TraceHub &Hub) {
+  P.Compile.Trace = Hub.makeSink();
+  P.Exec.Hub = &Hub;
 }
 
 bool writeTrace(const std::string &Path, const trace::TraceHub &Hub,
@@ -171,11 +167,14 @@ trace::TraceSummary exactSummary(const rt::StatsSnapshot &S,
   return T;
 }
 
+/// Parses the decimal integer after \p Prefix characters of \p Flag; \p Ok
+/// is false for trailing junk, an empty value or one outside int64.
 int64_t parseCliInt(const std::string &Flag, size_t Prefix, bool &Ok) {
   char *End = nullptr;
   const char *S = Flag.c_str() + Prefix;
+  errno = 0;
   int64_t V = std::strtoll(S, &End, 10);
-  Ok = End != S && *End == '\0';
+  Ok = End != S && *End == '\0' && errno != ERANGE;
   return V;
 }
 
@@ -250,11 +249,9 @@ int cmdServeSim(int Argc, char **Argv, int I, driver::PipelineOptions P,
     }
   }
 
-  std::unique_ptr<trace::TraceHub> Hub;
-  if (TraceSummary || !TraceOut.empty()) {
-    Hub = std::make_unique<trace::TraceHub>();
-    SO.Hub = Hub.get();
-  }
+  trace::TraceHub Hub;
+  if (TraceSummary || !TraceOut.empty())
+    SO.Hub = &Hub;
   const char *Leg = driver::legName(SO.Mode);
   workloads::ServeSimResult R = workloads::runServeSim(SO);
   if (!R.ok())
@@ -322,12 +319,10 @@ int cmdServeSim(int Argc, char **Argv, int I, driver::PipelineOptions P,
     if (Stats)
       printStats(R.Stats, R.WallSeconds);
   }
-  if (Hub) {
-    if (!TraceOut.empty() && !writeTrace(TraceOut, *Hub, Leg))
-      return 1;
-    if (TraceSummary)
-      trace::printSummary(stdout, trace::summarize(*Hub));
-  }
+  if (!TraceOut.empty() && !writeTrace(TraceOut, Hub, Leg))
+    return 1;
+  if (TraceSummary)
+    trace::printSummary(stdout, trace::summarize(Hub));
   return R.ok() ? 0 : 1;
 }
 
@@ -417,8 +412,14 @@ int main(int Argc, char **Argv) {
     return usage();
   std::string Path = Argv[I++];
   std::vector<int64_t> Args;
-  for (; I < Argc; ++I)
-    Args.push_back(std::atoll(Argv[I]));
+  for (; I < Argc; ++I) {
+    bool Ok = false;
+    Args.push_back(parseCliInt(Argv[I], 0, Ok));
+    if (!Ok) {
+      std::fprintf(stderr, "gofree: bad program argument '%s'\n", Argv[I]);
+      return usage();
+    }
+  }
   bool Tracing = TraceSummary || !TraceOut.empty();
 
   std::string Source, ReadErr;
@@ -453,23 +454,9 @@ int main(int Argc, char **Argv) {
 
   if (Command == "run") {
     const char *Leg = driver::legName(P.Compile.Mode);
-    std::unique_ptr<trace::TraceSink> Sink;
-    std::unique_ptr<trace::TraceHub> Hub;
-    if (Tracing) {
-      if (P.Exec.NumThreads > 1) {
-        // The single-producer ring cannot take N writers; each worker gets
-        // its own sink from the hub and the streams merge at drain time.
-        // Compile-pass events use a hub sink too, so everything shares one
-        // timeline.
-        Hub = std::make_unique<trace::TraceHub>();
-        P.Compile.Trace = Hub->makeSink();
-        P.Exec.Hub = Hub.get();
-      } else {
-        Sink = std::make_unique<trace::TraceSink>();
-        P.Compile.Trace = Sink.get();
-        P.Exec.Heap.Trace = Sink.get();
-      }
-    }
+    trace::TraceHub Hub;
+    if (Tracing)
+      traceInto(P, Hub);
     Compilation C;
     ExecOutcome O = driver::compileAndRun(Source, P, Args, &C);
     if (Json) {
@@ -488,17 +475,10 @@ int main(int Argc, char **Argv) {
         printStats(O.Stats, O.WallSeconds);
     }
     if (C.ok()) {
-      if (Sink) {
-        if (!TraceOut.empty() && !writeTrace(TraceOut, *Sink, Leg))
-          return 1;
-        if (TraceSummary)
-          trace::printSummary(stdout, trace::summarize(*Sink));
-      } else if (Hub) {
-        if (!TraceOut.empty() && !writeTrace(TraceOut, *Hub, Leg))
-          return 1;
-        if (TraceSummary)
-          trace::printSummary(stdout, trace::summarize(*Hub));
-      }
+      if (!TraceOut.empty() && !writeTrace(TraceOut, Hub, Leg))
+        return 1;
+      if (TraceSummary)
+        trace::printSummary(stdout, trace::summarize(Hub));
     }
     return O.ok() ? 0 : 1;
   }
@@ -507,26 +487,12 @@ int main(int Argc, char **Argv) {
     driver::PipelineOptions GoP = P, FreeP = P;
     GoP.Compile.Mode = CompileMode::Go;
     FreeP.Compile.Mode = CompileMode::GoFree;
-    // One sink per leg: sharing a sink (or any mutable counters) across
-    // the legs would let the first run contaminate the second's report.
-    std::unique_ptr<trace::TraceSink> GoSink, FreeSink;
-    std::unique_ptr<trace::TraceHub> GoHub, FreeHub;
+    // One hub per leg: sharing one across the legs would let the first
+    // run contaminate the second's report.
+    trace::TraceHub GoHub, FreeHub;
     if (Tracing) {
-      if (P.Exec.NumThreads > 1) {
-        GoHub = std::make_unique<trace::TraceHub>();
-        FreeHub = std::make_unique<trace::TraceHub>();
-        GoP.Compile.Trace = GoHub->makeSink();
-        FreeP.Compile.Trace = FreeHub->makeSink();
-        GoP.Exec.Hub = GoHub.get();
-        FreeP.Exec.Hub = FreeHub.get();
-      } else {
-        GoSink = std::make_unique<trace::TraceSink>();
-        FreeSink = std::make_unique<trace::TraceSink>();
-        GoP.Compile.Trace = GoSink.get();
-        FreeP.Compile.Trace = FreeSink.get();
-        GoP.Exec.Heap.Trace = GoSink.get();
-        FreeP.Exec.Heap.Trace = FreeSink.get();
-      }
+      traceInto(GoP, GoHub);
+      traceInto(FreeP, FreeHub);
     }
     Compilation Go, Free;
     ExecOutcome OGo = driver::compileAndRun(Source, GoP, Args, &Go);
@@ -562,26 +528,15 @@ int main(int Argc, char **Argv) {
       std::printf("%s\n", driver::outcomeJson(OGo, "go").c_str());
       std::printf("%s\n", driver::outcomeJson(OFree, "gofree").c_str());
     }
-    if (!TraceOut.empty()) {
-      bool Ok = GoSink ? writeTrace(TraceOut + ".go", *GoSink, "go") &&
-                             writeTrace(TraceOut + ".gofree", *FreeSink,
-                                        "gofree")
-                       : writeTrace(TraceOut + ".go", *GoHub, "go") &&
-                             writeTrace(TraceOut + ".gofree", *FreeHub,
-                                        "gofree");
-      if (!Ok)
-        return 1;
-    }
-    if (TraceSummary && GoSink) {
+    if (!TraceOut.empty() &&
+        !(writeTrace(TraceOut + ".go", GoHub, "go") &&
+          writeTrace(TraceOut + ".gofree", FreeHub, "gofree")))
+      return 1;
+    if (TraceSummary) {
       std::printf("--- Go trace summary ---\n");
-      trace::printSummary(stdout, trace::summarize(*GoSink));
+      trace::printSummary(stdout, trace::summarize(GoHub));
       std::printf("--- GoFree trace summary ---\n");
-      trace::printSummary(stdout, trace::summarize(*FreeSink));
-    } else if (TraceSummary && GoHub) {
-      std::printf("--- Go trace summary ---\n");
-      trace::printSummary(stdout, trace::summarize(*GoHub));
-      std::printf("--- GoFree trace summary ---\n");
-      trace::printSummary(stdout, trace::summarize(*FreeHub));
+      trace::printSummary(stdout, trace::summarize(FreeHub));
     }
     std::printf("checksums %s\n", Same ? "match" : "DIFFER (bug!)");
     return Same ? 0 : 1;
