@@ -27,6 +27,8 @@ uint64_t nanosSince(std::chrono::steady_clock::time_point Start) {
 std::unique_ptr<Program> gofree::minigo::parseAndCheck(
     const std::string &Source, DiagSink &Diags, FrontendTimes *Times) {
   auto Start = std::chrono::steady_clock::now();
+  // The tokens borrow Source; the parser copies every name it keeps into
+  // the AST, so nothing refers to Source once this function returns.
   Lexer Lex(Source, Diags);
   std::vector<Token> Toks = Lex.lexAll();
   if (Times)

@@ -7,8 +7,9 @@
 
 #include "minigo/Lexer.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <algorithm>
+#include <cstdint>
+#include <string>
 
 using namespace gofree;
 using namespace gofree::minigo;
@@ -86,44 +87,73 @@ const char *gofree::minigo::tokKindName(TokKind K) {
   return "<bad token>";
 }
 
-static const std::unordered_map<std::string, TokKind> &keywordTable() {
-  static const std::unordered_map<std::string, TokKind> Table = {
-      {"func", TokKind::KwFunc},     {"var", TokKind::KwVar},
-      {"type", TokKind::KwType},     {"struct", TokKind::KwStruct},
-      {"if", TokKind::KwIf},         {"else", TokKind::KwElse},
-      {"for", TokKind::KwFor},       {"return", TokKind::KwReturn},
-      {"range", TokKind::KwRange},   {"switch", TokKind::KwSwitch},
-      {"case", TokKind::KwCase},     {"default", TokKind::KwDefault},
-      {"break", TokKind::KwBreak},   {"continue", TokKind::KwContinue},
-      {"defer", TokKind::KwDefer},   {"panic", TokKind::KwPanic},
-      {"make", TokKind::KwMake},     {"new", TokKind::KwNew},
-      {"len", TokKind::KwLen},       {"cap", TokKind::KwCap},
-      {"append", TokKind::KwAppend}, {"delete", TokKind::KwDelete},
-      {"copy", TokKind::KwCopy},
-      {"sink", TokKind::KwSink},     {"map", TokKind::KwMap},
-      {"true", TokKind::KwTrue},     {"false", TokKind::KwFalse},
-      {"nil", TokKind::KwNil},
-      {"int", TokKind::KwInt},       {"bool", TokKind::KwBool},
-  };
-  return Table;
+namespace {
+
+bool isLetter(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isIdentChar(char C) { return isLetter(C) || isDigit(C); }
+
+/// The keyword \p W spells, or Ident. Switching on the length leaves at
+/// most nine fixed-size comparisons.
+TokKind keywordKind(std::string_view W) {
+  switch (W.size()) {
+  case 2:
+    if (W == "if") return TokKind::KwIf;
+    break;
+  case 3:
+    if (W == "var") return TokKind::KwVar;
+    if (W == "for") return TokKind::KwFor;
+    if (W == "new") return TokKind::KwNew;
+    if (W == "len") return TokKind::KwLen;
+    if (W == "cap") return TokKind::KwCap;
+    if (W == "map") return TokKind::KwMap;
+    if (W == "nil") return TokKind::KwNil;
+    if (W == "int") return TokKind::KwInt;
+    break;
+  case 4:
+    if (W == "func") return TokKind::KwFunc;
+    if (W == "type") return TokKind::KwType;
+    if (W == "else") return TokKind::KwElse;
+    if (W == "case") return TokKind::KwCase;
+    if (W == "make") return TokKind::KwMake;
+    if (W == "copy") return TokKind::KwCopy;
+    if (W == "sink") return TokKind::KwSink;
+    if (W == "true") return TokKind::KwTrue;
+    if (W == "bool") return TokKind::KwBool;
+    break;
+  case 5:
+    if (W == "range") return TokKind::KwRange;
+    if (W == "break") return TokKind::KwBreak;
+    if (W == "defer") return TokKind::KwDefer;
+    if (W == "panic") return TokKind::KwPanic;
+    if (W == "false") return TokKind::KwFalse;
+    break;
+  case 6:
+    if (W == "struct") return TokKind::KwStruct;
+    if (W == "switch") return TokKind::KwSwitch;
+    if (W == "return") return TokKind::KwReturn;
+    if (W == "append") return TokKind::KwAppend;
+    if (W == "delete") return TokKind::KwDelete;
+    break;
+  case 7:
+    if (W == "default") return TokKind::KwDefault;
+    break;
+  case 8:
+    if (W == "continue") return TokKind::KwContinue;
+    break;
+  }
+  return TokKind::Ident;
 }
 
-Lexer::Lexer(std::string Source, DiagSink &Diags)
-    : Src(std::move(Source)), Diags(Diags) {}
+} // namespace
+
+Lexer::Lexer(std::string_view Source, DiagSink &Diags)
+    : Src(Source), Diags(Diags) {}
 
 char Lexer::peek(size_t Ahead) const {
   return Pos + Ahead < Src.size() ? Src[Pos + Ahead] : '\0';
-}
-
-char Lexer::bump() {
-  char C = Src[Pos++];
-  if (C == '\n') {
-    ++Line;
-    Col = 1;
-  } else {
-    ++Col;
-  }
-  return C;
 }
 
 bool Lexer::endsStatement(TokKind K) {
@@ -152,33 +182,36 @@ bool Lexer::endsStatement(TokKind K) {
 void Lexer::skipSpaceAndComments(bool &SawNewline) {
   SawNewline = false;
   while (!atEnd()) {
-    char C = peek();
+    char C = Src[Pos];
     if (C == '\n') {
       SawNewline = true;
-      bump();
+      newline();
       continue;
     }
     if (C == ' ' || C == '\t' || C == '\r') {
-      bump();
+      ++Pos;
       continue;
     }
     if (C == '/' && peek(1) == '/') {
-      while (!atEnd() && peek() != '\n')
-        bump();
+      // Stop at the newline so the loop above counts it.
+      Pos = std::min(Src.find('\n', Pos), Src.size());
       continue;
     }
     if (C == '/' && peek(1) == '*') {
-      bump();
-      bump();
-      while (!atEnd() && !(peek() == '*' && peek(1) == '/')) {
-        if (peek() == '\n')
+      SourceLoc Open = here();
+      Pos += 2;
+      while (!atEnd() && !(Src[Pos] == '*' && peek(1) == '/')) {
+        if (Src[Pos] == '\n') {
           SawNewline = true;
-        bump();
+          newline();
+        } else {
+          ++Pos;
+        }
       }
-      if (!atEnd()) {
-        bump();
-        bump();
-      }
+      if (atEnd())
+        Diags.error(Open, "comment not terminated");
+      else
+        Pos += 2;
       continue;
     }
     break;
@@ -192,26 +225,34 @@ Token Lexer::next() {
     T.Kind = TokKind::Eof;
     return T;
   }
-  char C = bump();
-  if (std::isalpha((unsigned char)C) || C == '_') {
-    std::string Word(1, C);
-    while (!atEnd() && (std::isalnum((unsigned char)peek()) || peek() == '_'))
-      Word.push_back(bump());
-    auto It = keywordTable().find(Word);
-    if (It != keywordTable().end()) {
-      T.Kind = It->second;
-    } else {
-      T.Kind = TokKind::Ident;
-      T.Text = std::move(Word);
-    }
+  size_t Start = Pos;
+  char C = Src[Pos++];
+  if (isLetter(C)) {
+    while (!atEnd() && isIdentChar(Src[Pos]))
+      ++Pos;
+    std::string_view Word = Src.substr(Start, Pos - Start);
+    T.Kind = keywordKind(Word);
+    if (T.Kind == TokKind::Ident)
+      T.Text = Word;
     return T;
   }
-  if (std::isdigit((unsigned char)C)) {
+  if (isDigit(C)) {
+    // Checked before each step, so the accumulation never overflows.
     int64_t V = C - '0';
-    while (!atEnd() && std::isdigit((unsigned char)peek()))
-      V = V * 10 + (bump() - '0');
+    bool Overflow = false;
+    while (!atEnd() && isDigit(Src[Pos])) {
+      int D = Src[Pos++] - '0';
+      Overflow |= V > (INT64_MAX - D) / 10;
+      if (!Overflow)
+        V = V * 10 + D;
+    }
     T.Kind = TokKind::IntLit;
-    T.IntValue = V;
+    if (Overflow)
+      Diags.error(T.Loc, "integer literal " +
+                             std::string(Src.substr(Start, Pos - Start)) +
+                             " overflows int");
+    else
+      T.IntValue = V;
     return T;
   }
   switch (C) {
@@ -226,7 +267,7 @@ Token Lexer::next() {
   case '.': T.Kind = TokKind::Dot; return T;
   case '*':
     if (peek() == '=') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::StarEq;
     } else {
       T.Kind = TokKind::Star;
@@ -234,10 +275,10 @@ Token Lexer::next() {
     return T;
   case '+':
     if (peek() == '=') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::PlusEq;
     } else if (peek() == '+') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::PlusPlus;
     } else {
       T.Kind = TokKind::Plus;
@@ -245,10 +286,10 @@ Token Lexer::next() {
     return T;
   case '-':
     if (peek() == '=') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::MinusEq;
     } else if (peek() == '-') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::MinusMinus;
     } else {
       T.Kind = TokKind::Minus;
@@ -256,7 +297,7 @@ Token Lexer::next() {
     return T;
   case '/':
     if (peek() == '=') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::SlashEq;
     } else {
       T.Kind = TokKind::Slash;
@@ -264,7 +305,7 @@ Token Lexer::next() {
     return T;
   case '%':
     if (peek() == '=') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::PercentEq;
     } else {
       T.Kind = TokKind::Percent;
@@ -272,7 +313,7 @@ Token Lexer::next() {
     return T;
   case ':':
     if (peek() == '=') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::Define;
     } else {
       T.Kind = TokKind::Colon;
@@ -280,7 +321,7 @@ Token Lexer::next() {
     return T;
   case '=':
     if (peek() == '=') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::EqEq;
     } else {
       T.Kind = TokKind::Assign;
@@ -288,7 +329,7 @@ Token Lexer::next() {
     return T;
   case '!':
     if (peek() == '=') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::NotEq;
     } else {
       T.Kind = TokKind::Not;
@@ -296,7 +337,7 @@ Token Lexer::next() {
     return T;
   case '<':
     if (peek() == '=') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::Le;
     } else {
       T.Kind = TokKind::Lt;
@@ -304,7 +345,7 @@ Token Lexer::next() {
     return T;
   case '>':
     if (peek() == '=') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::Ge;
     } else {
       T.Kind = TokKind::Gt;
@@ -312,7 +353,7 @@ Token Lexer::next() {
     return T;
   case '&':
     if (peek() == '&') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::AndAnd;
     } else {
       T.Kind = TokKind::Amp;
@@ -320,7 +361,7 @@ Token Lexer::next() {
     return T;
   case '|':
     if (peek() == '|') {
-      bump();
+      ++Pos;
       T.Kind = TokKind::OrOr;
       return T;
     }
@@ -334,7 +375,10 @@ Token Lexer::next() {
 }
 
 std::vector<Token> Lexer::lexAll() {
+  // Synthesized programs lex to ~0.37 tokens per byte; reserving that once
+  // spares the vector its doubling copies on the 2 MB compile inputs.
   std::vector<Token> Out;
+  Out.reserve(Src.size() * 3 / 8 + 2);
   while (true) {
     bool SawNewline = false;
     skipSpaceAndComments(SawNewline);
@@ -353,7 +397,7 @@ std::vector<Token> Lexer::lexAll() {
       Semi.Loc = T.Loc;
       Out.push_back(Semi);
     }
-    Out.push_back(std::move(T));
+    Out.push_back(T);
     if (IsEof)
       break;
   }

@@ -17,16 +17,21 @@
 #include "minigo/Token.h"
 #include "support/Diag.h"
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace gofree {
 namespace minigo {
 
 /// Lexes a whole MiniGo source buffer into a token vector.
+///
+/// The lexer does not copy the source: identifier tokens' Text views point
+/// into it. The caller must keep \p Source alive for as long as it uses the
+/// tokens lexAll returns (parseAndCheck keeps it for the whole parse; the
+/// parser copies each name into the AST).
 class Lexer {
 public:
-  Lexer(std::string Source, DiagSink &Diags);
+  Lexer(std::string_view Source, DiagSink &Diags);
 
   /// Lexes the entire buffer. The result always ends with an Eof token.
   std::vector<Token> lexAll();
@@ -34,18 +39,22 @@ public:
 private:
   Token next();
   char peek(size_t Ahead = 0) const;
-  char bump();
   bool atEnd() const { return Pos >= Src.size(); }
-  SourceLoc here() const { return {Line, Col}; }
+  SourceLoc here() const { return {Line, uint32_t(Pos - LineStart + 1)}; }
+  /// Consumes the '\n' at Pos and starts a new line.
+  void newline() {
+    ++Line;
+    LineStart = ++Pos;
+  }
   void skipSpaceAndComments(bool &SawNewline);
   /// True if a newline after \p K triggers semicolon insertion.
   static bool endsStatement(TokKind K);
 
-  std::string Src;
+  std::string_view Src;
   DiagSink &Diags;
   size_t Pos = 0;
+  size_t LineStart = 0; ///< Offset of the first byte of the current line.
   uint32_t Line = 1;
-  uint32_t Col = 1;
 };
 
 } // namespace minigo

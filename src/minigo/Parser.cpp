@@ -59,7 +59,7 @@ void Parser::parseTypeDecl() {
     syncToStmtBoundary();
     return;
   }
-  std::string Name = cur().Text;
+  std::string Name(cur().Text);
   advance();
   expect(TokKind::KwStruct, "type declaration");
   expect(TokKind::LBrace, "struct body");
@@ -119,7 +119,7 @@ const Type *Parser::parseType() {
     return Prog.Types->getMap(Key, Value);
   }
   if (at(TokKind::Ident)) {
-    std::string Name = cur().Text;
+    std::string Name(cur().Text);
     advance();
     return Prog.Types->declareStruct(Name);
   }
@@ -418,7 +418,7 @@ std::string Parser::freshName() {
 ///   { rng := s; n := len(rng)
 ///     for i := 0; i < n; i++ { v := rng[i]; ... } }
 Stmt *Parser::parseRangeFor(SourceLoc Loc) {
-  std::string IdxName = cur().Text;
+  std::string IdxName(cur().Text);
   advance();
   std::string ValName;
   bool HasVal = false;
@@ -738,7 +738,7 @@ Expr *Parser::parseUnary() {
   if (accept(TokKind::Amp)) {
     // &T{...} is an allocating composite literal.
     if (at(TokKind::Ident) && lookahead().is(TokKind::LBrace)) {
-      std::string Name = cur().Text;
+      std::string Name(cur().Text);
       advance();
       return parseCompositeBody(std::move(Name), Loc, /*TakeAddr=*/true);
     }
@@ -757,7 +757,7 @@ Expr *Parser::parsePostfix(Expr *Base) {
         error("expected field name after '.'");
         return Base;
       }
-      Base = make<FieldExpr>(Loc, Base, cur().Text);
+      Base = make<FieldExpr>(Loc, Base, std::string(cur().Text));
       advance();
       continue;
     }
@@ -806,7 +806,7 @@ Expr *Parser::parseCompositeBody(std::string TypeName, SourceLoc Loc,
       error("expected field name in composite literal");
       break;
     }
-    std::string FieldName = cur().Text;
+    std::string FieldName(cur().Text);
     advance();
     expect(TokKind::Colon, "composite literal");
     Expr *Init = parseExpr();
@@ -838,7 +838,7 @@ Expr *Parser::parsePrimary() {
     advance();
     return make<NilLitExpr>(Loc);
   case TokKind::Ident: {
-    std::string Name = cur().Text;
+    std::string Name(cur().Text);
     advance();
     if (CompositeOK && at(TokKind::LBrace))
       return parseCompositeBody(std::move(Name), Loc, /*TakeAddr=*/false);

@@ -19,7 +19,7 @@
 #include "support/SourceLoc.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace gofree {
 namespace minigo {
@@ -100,15 +100,19 @@ enum class TokKind : uint8_t {
 /// Human-readable spelling of a token kind, for diagnostics.
 const char *tokKindName(TokKind K);
 
-/// One lexed token.
+/// One lexed token. It owns nothing: an identifier's Text points into the
+/// source buffer the Lexer was given.
 struct Token {
   TokKind Kind = TokKind::Eof;
   SourceLoc Loc;
-  std::string Text;  ///< Identifier spelling; empty otherwise.
+  std::string_view Text; ///< Identifier spelling; empty otherwise.
   int64_t IntValue = 0;
 
   bool is(TokKind K) const { return Kind == K; }
 };
+
+// A 2 MB program lexes to ~800k tokens; keep each one small.
+static_assert(sizeof(Token) <= 40, "Token grew past 40 bytes");
 
 } // namespace minigo
 } // namespace gofree

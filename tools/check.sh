@@ -71,8 +71,10 @@
 # on one mutator thread and once on two, and asserts each trace is valid
 # JSON-lines containing at least one GC event, one tcfree outcome with a
 # give-up reason, and per-pass compiler timings. It also checks that
-# `run` rejects a non-integer program argument (exit 2) and that
-# serve-sim rejects --rps=nan, --rps=-1 and --theta=nan.
+# `run` rejects a non-integer program argument (exit 2), that it exits 1
+# with the diagnostic on an overflowing integer literal and on an
+# unterminated block comment, and that serve-sim rejects --rps=nan,
+# --rps=-1 and --theta=nan.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -135,6 +137,25 @@ smoke() {
   local rc=0
   "$gofree" run "$ROOT/examples/quickstart.minigo" abc > /dev/null 2>&1 || rc=$?
   [ "$rc" -eq 2 ] || fail "run with argument 'abc' exited $rc, want 2"
+
+  # Lexical errors are program faults: exit 1 with the diagnostic.
+  local src want out
+  for src in overflow comment; do
+    case "$src" in
+    overflow)
+      printf 'func main(n int) {\n\tx := 99999999999999999999\n\tsink(x)\n}\n' \
+        > "$tmp/$src.minigo"
+      want="2:7: error: integer literal 99999999999999999999 overflows int" ;;
+    comment)
+      printf 'func main(n int) {\n\tsink(n)\n}\n/* unterminated\n' \
+        > "$tmp/$src.minigo"
+      want="4:1: error: comment not terminated" ;;
+    esac
+    rc=0
+    out="$("$gofree" run "$tmp/$src.minigo" 1 2>&1)" || rc=$?
+    [ "$rc" -eq 1 ] || fail "run of the $src fixture exited $rc, want 1"
+    grep -qF "$want" <<< "$out" || fail "run of the $src fixture did not print '$want'"
+  done
 
   # serve-sim must refuse rates that are not a finite non-negative number.
   local rps
