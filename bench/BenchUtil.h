@@ -76,24 +76,30 @@ inline const char *settingName(Setting S) {
   return "?";
 }
 
-/// The driver flag strings for one setting: the same grammar the CLI and
-/// the fuzz legs use, so a bench configuration can be replayed verbatim
-/// with `gofree <these flags> run`.
-inline std::vector<std::string> settingFlags(Setting S) {
+/// The driver flag strings for one setting, plus \p GcFlag (a `--gc=`
+/// flag) when non-null: the same grammar the CLI and the fuzz legs use, so
+/// a bench configuration can be replayed verbatim with
+/// `gofree <these flags> run`.
+inline std::vector<std::string> settingFlags(Setting S,
+                                             const char *GcFlag = nullptr) {
   std::vector<std::string> Flags;
   Flags.push_back(S == Setting::GoFree ? "--mode=gofree" : "--mode=go");
   if (S == Setting::GoGcOff)
     Flags.push_back("--gc=gogc=-1");
+  if (GcFlag)
+    Flags.push_back(GcFlag);
   return Flags;
 }
 
-/// Compiles and runs \p W under \p S, \p Runs times.
+/// Compiles and runs \p W under \p S (and \p GcFlag, see settingFlags),
+/// \p Runs times.
 inline SettingSample
 runSetting(const workloads::Workload &W, Setting S, int Runs,
-           const std::vector<int64_t> &ArgsOverride = {}) {
+           const std::vector<int64_t> &ArgsOverride = {},
+           const char *GcFlag = nullptr) {
   compiler::driver::PipelineOptions P;
   std::string Err;
-  if (!compiler::driver::parseFlags(settingFlags(S), P, &Err)) {
+  if (!compiler::driver::parseFlags(settingFlags(S, GcFlag), P, &Err)) {
     std::fprintf(stderr, "bad setting flags: %s\n", Err.c_str());
     std::exit(1);
   }
@@ -111,8 +117,9 @@ runSetting(const workloads::Workload &W, Setting S, int Runs,
   for (int R = 0; R < Runs; ++R) {
     compiler::ExecOutcome O = compiler::execute(C, P.Entry, Args, P.Exec);
     if (!O.ok()) {
-      std::fprintf(stderr, "run failed for %s: %s\n", W.Name.c_str(),
-                   O.Error.c_str());
+      std::fprintf(stderr, "run failed for %s (%s%s%s): %s\n",
+                   W.Name.c_str(), settingName(S), GcFlag ? " " : "",
+                   GcFlag ? GcFlag : "", O.Error.c_str());
       std::exit(1);
     }
     Out.TimeSec.push_back(O.WallSeconds);

@@ -35,45 +35,6 @@ const BackendSpec Backends[] = {
 };
 constexpr size_t NumBackends = std::size(Backends);
 
-SettingSample runCell(const Workload &W, bool Tcfree, const BackendSpec &B,
-                      int Runs) {
-  compiler::driver::PipelineOptions P;
-  std::string Err;
-  std::vector<std::string> Flags = {Tcfree ? "--mode=gofree" : "--mode=go",
-                                    B.Flag};
-  if (!compiler::driver::parseFlags(Flags, P, &Err)) {
-    std::fprintf(stderr, "bad flags: %s\n", Err.c_str());
-    std::exit(1);
-  }
-  P.Entry = W.Entry;
-  compiler::Compilation C = compiler::compile(W.Source, P.Compile);
-  if (!C.ok()) {
-    std::fprintf(stderr, "compile failed for %s:\n%s", W.Name.c_str(),
-                 C.Errors.c_str());
-    std::exit(1);
-  }
-  std::vector<int64_t> Args = W.Args;
-  for (int64_t &A : Args)
-    A = scaledArg(A);
-  SettingSample Out;
-  for (int R = 0; R < Runs; ++R) {
-    compiler::ExecOutcome O = compiler::execute(C, P.Entry, Args, P.Exec);
-    if (!O.ok()) {
-      std::fprintf(stderr, "run failed for %s (%s, %s): %s\n", W.Name.c_str(),
-                   Tcfree ? "gofree" : "go", B.Label, O.Error.c_str());
-      std::exit(1);
-    }
-    Out.TimeSec.push_back(O.WallSeconds);
-    Out.GcTimeSec.push_back((double)O.Stats.GcNanos * 1e-9);
-    Out.GcCycles.push_back((double)O.Stats.GcCycles);
-    Out.MaxHeap.push_back((double)O.Stats.PeakCommitted);
-    Out.FreeRatio.push_back(O.Stats.freeRatio());
-    Out.LastStats = O.Stats;
-    Out.Checksum = O.Run.Checksum;
-  }
-  return Out;
-}
-
 } // namespace
 
 int main() {
@@ -103,8 +64,8 @@ int main() {
     bool First = true;
     for (size_t BI = 0; BI < NumBackends; ++BI) {
       const BackendSpec &B = Backends[BI];
-      SettingSample Go = runCell(W, /*Tcfree=*/false, B, Runs);
-      SettingSample Free = runCell(W, /*Tcfree=*/true, B, Runs);
+      SettingSample Go = runSetting(W, Setting::Go, Runs, {}, B.Flag);
+      SettingSample Free = runSetting(W, Setting::GoFree, Runs, {}, B.Flag);
       if (First) {
         Checksum = Go.Checksum;
         First = false;

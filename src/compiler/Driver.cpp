@@ -378,7 +378,8 @@ std::string jsonEscape(const std::string &S) {
 } // namespace
 
 std::string gofree::compiler::driver::outcomeJson(const ExecOutcome &O,
-                                                  const char *Leg) {
+                                                  const char *Leg,
+                                                  const std::string &Extra) {
   // Bound the (escaped, possibly multi-line) error so the record always
   // fits one line of fixed buffer; a truncated diagnostic still names the
   // failure class.
@@ -401,7 +402,7 @@ std::string gofree::compiler::driver::outcomeJson(const ExecOutcome &O,
       ",\"zct_drains\":%" PRIu64 ",\"conc_cycles\":%" PRIu64
       ",\"assists\":%" PRIu64 ",\"pauses\":%" PRIu64
       ",\"pause_p50_us\":%" PRIu64 ",\"pause_p99_us\":%" PRIu64
-      ",\"pause_p999_us\":%" PRIu64 "}}",
+      ",\"pause_p999_us\":%" PRIu64 "}",
       trace::JsonSchemaVersion, Leg, O.ok() ? "true" : "false",
       Err.c_str(), O.Run.Checksum, O.Run.SinkCount,
       O.Run.Steps, O.Run.Panicked ? "true" : "false",
@@ -414,5 +415,25 @@ std::string gofree::compiler::driver::outcomeJson(const ExecOutcome &O,
       O.Stats.GcConcCycles, O.Stats.GcAssists, O.Stats.GcPauses,
       O.Stats.pausePercentileUs(0.50), O.Stats.pausePercentileUs(0.99),
       O.Stats.pausePercentileUs(0.999));
-  return Buf;
+  std::string Out = Buf;
+  Out += ",\"freed_by_source\":{";
+  for (int F = 0; F < rt::NumFreeSources; ++F) {
+    std::snprintf(Buf, sizeof(Buf),
+                  "%s\"%s\":{\"count\":%" PRIu64 ",\"bytes\":%" PRIu64 "}",
+                  F ? "," : "", trace::freeSourceName((uint8_t)F),
+                  O.Stats.FreedCountBySource[F], O.Stats.FreedBytesBySource[F]);
+    Out += Buf;
+  }
+  Out += "},\"giveups_by_reason\":{";
+  for (int R = 0; R < trace::NumGiveUpReasons; ++R) {
+    std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%" PRIu64, R ? "," : "",
+                  trace::giveUpReasonName((trace::GiveUpReason)R),
+                  O.Stats.TcfreeGiveUpsByReason[R]);
+    Out += Buf;
+  }
+  Out += "}";
+  if (!Extra.empty())
+    Out += "," + Extra;
+  Out += "}";
+  return Out;
 }

@@ -88,11 +88,15 @@ ExecOutcome compileAndRun(const std::string &Source,
                           const std::vector<int64_t> &Args,
                           Compilation *Compiled = nullptr);
 
-/// One-line machine-readable JSON for an outcome (`gofree run --json`):
-/// schema-versioned like the trace stream, carrying ok/error, the
-/// observables (checksum, sinks, steps, panic), wall/GC time, and the
-/// headline allocator counters. Documented in docs/TRACING.md.
-std::string outcomeJson(const ExecOutcome &O, const char *Leg);
+/// One-line machine-readable JSON for an outcome: the run record that
+/// `gofree run`, `compare` and `serve-sim` print under --json. Schema-
+/// versioned like the trace stream, carrying ok/error, the observables
+/// (checksum, sinks, steps, panic), wall/GC time, the allocator and
+/// collector counters, and frees by source and give-ups by reason. \p Extra,
+/// when non-empty, is appended as further top-level members (no leading
+/// comma), e.g. serve-sim's `"serve":{...}`. Documented in docs/TRACING.md.
+std::string outcomeJson(const ExecOutcome &O, const char *Leg,
+                        const std::string &Extra = {});
 
 } // namespace driver
 } // namespace compiler

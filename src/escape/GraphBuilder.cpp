@@ -92,9 +92,9 @@ private:
       return false;
     if (ME->MadeTy->isSlice()) {
       size_t Bytes = (size_t)ME->ConstSize * ME->MadeTy->elem()->size();
-      return Bytes <= Opts.MaxStackAllocBytes;
+      return Bytes <= MaxStackAllocBytes;
     }
-    return ME->ConstSize <= Opts.MaxStackMapHint;
+    return ME->ConstSize <= MaxStackMapHint;
   }
 
   //===--------------------------------------------------------------------===//
@@ -170,7 +170,7 @@ private:
     }
     case ExprKind::New: {
       const auto *NE = cast<NewExpr>(E);
-      bool ForceHeap = NE->AllocTy->size() > Opts.MaxStackAllocBytes;
+      bool ForceHeap = NE->AllocTy->size() > MaxStackAllocBytes;
       uint32_t A = makeAllocLoc(NE, NE->AllocId, "new@" + NE->Loc.str(),
                                 ForceHeap);
       return {{A, -1}};
@@ -206,13 +206,11 @@ private:
         for (const Flow &F : Out)
           graph().loc(F.Base).ExposesStore = true;
       }
-      if (Opts.ModelAppendContent) {
-        // Section 4.6.1: growth may allocate a fresh heap array; model it
-        // with a content location the result points to.
-        uint32_t M = makeAllocLoc(AE, AE->AllocId, "append@" + AE->Loc.str(),
-                                  /*ForceHeap=*/true);
-        Out.push_back({M, -1});
-      }
+      // Section 4.6.1: growth may allocate a fresh heap array; model it
+      // with a content location the result points to.
+      uint32_t M = makeAllocLoc(AE, AE->AllocId, "append@" + AE->Loc.str(),
+                                /*ForceHeap=*/true);
+      Out.push_back({M, -1});
       return Out;
     }
     case ExprKind::Slicing: {

@@ -60,20 +60,19 @@ struct FuncTag {
 
 using TagMap = std::unordered_map<const minigo::FuncDecl *, FuncTag>;
 
+/// Largest constant-size allocation eligible for the stack, in bytes
+/// (mirrors Go's 64 KiB implicit-allocation limit).
+inline constexpr size_t MaxStackAllocBytes = 64 * 1024;
+/// Largest constant map size hint eligible for stack allocation (Go can
+/// keep an hmap plus one 8-entry bucket on the stack).
+inline constexpr int64_t MaxStackMapHint = 8;
+
 /// Options controlling graph construction.
 struct BuildOptions {
   /// Use extended parameter tags at call sites with known callees. When
   /// false every call uses the default "everything escapes" tag, modeling
   /// Go without GoFree's IPA.
   bool UseTags = true;
-  /// Model slice appends with a heap content location (section 4.6.1).
-  bool ModelAppendContent = true;
-  /// Largest constant-size allocation eligible for the stack, in bytes
-  /// (mirrors Go's 64 KiB implicit-allocation limit).
-  size_t MaxStackAllocBytes = 64 * 1024;
-  /// Largest constant map size hint eligible for stack allocation (Go can
-  /// keep an hmap plus one 8-entry bucket on the stack).
-  int64_t MaxStackMapHint = 8;
 };
 
 /// The escape graph of one function plus AST-to-location mappings.

@@ -1022,7 +1022,7 @@ Interp::Flow Interp::callFunction(const FuncDecl *Fn, std::vector<Value> Args,
     fault("call to unresolved function");
     return Flow::Fault;
   }
-  if (Frames.size() >= Opts.MaxFrames) {
+  if (Frames.size() >= MaxFrames) {
     Result.OutOfFuel = true;
     fault("call stack overflow");
     return Flow::Fault;

@@ -51,10 +51,13 @@ struct RunResult {
   bool ok() const { return !Panicked && !OutOfFuel && Error.empty(); }
 };
 
+/// Call depth at which both engines (this interpreter and vm::Vm) stop a
+/// run as out of fuel with "call stack overflow".
+inline constexpr size_t MaxFrames = 4096;
+
 /// Interpreter knobs.
 struct InterpOptions {
   uint64_t MaxSteps = 2'000'000'000;
-  unsigned MaxFrames = 4096;
   int CacheId = 0;
   /// Simulates Go's runtime rescheduling the goroutine onto another P:
   /// every this-many interpreter steps the thread-cache id rotates, so

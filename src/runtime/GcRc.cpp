@@ -236,6 +236,10 @@ private:
     }
     ZctCount.store(0, std::memory_order_relaxed);
 
+    // Only this drain frees slots while the world is stopped, so the
+    // counter deltas are exactly its sweep (like Heap::sweepOrQueueStw).
+    uint64_t B0 = H.Stats.GcSweptBytes.load(std::memory_order_relaxed);
+    uint64_t C0 = H.Stats.GcSweptCount.load(std::memory_order_relaxed);
     H.Phase.store(GcPhase::Sweeping, std::memory_order_release);
     std::vector<MSpan *> Touched;
     for (uintptr_t Addr : Pending) {
@@ -276,6 +280,10 @@ private:
 
     H.Phase.store(GcPhase::Idle, std::memory_order_release);
     H.verifyAtSafepoint("post-drain");
+    if (trace::TraceSink *T = H.traceSink())
+      T->emit(trace::EventKind::GcSweepEnd, 0,
+              H.Stats.GcSweptBytes.load(std::memory_order_relaxed) - B0,
+              H.Stats.GcSweptCount.load(std::memory_order_relaxed) - C0);
   }
 
   /// After the backup mark-sweep: rebuild every count from the surviving

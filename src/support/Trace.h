@@ -14,9 +14,9 @@
 /// blocking the mutator. A null sink pointer disables tracing, so the
 /// disabled fast path in the runtime is a single branch.
 ///
-/// Consumers either stream the raw events as JSON-lines
-/// (see docs/TRACING.md) or aggregate them into a TraceSummary whose
-/// per-reason give-up breakdown mirrors table 9 of the paper.
+/// Consumers stream the raw events as JSON-lines (see docs/TRACING.md).
+/// Totals come from the exact runtime counters (rt::StatsSnapshot), not
+/// from the events: a full ring drops events, the counters never do.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -141,7 +140,7 @@ static_assert(sizeof(Event) == 32, "trace events must stay compact");
 
 /// Bounded event sink. The emit fast path is lock-free for the single
 /// producer the interpreter/runtime is: a relaxed load of the cursor, an
-/// in-place write, and a release store. Readers (summary, JSON writer)
+/// in-place write, and a release store. Readers (the JSON writer, tests)
 /// run after the producer quiesces, or tolerate a slightly stale prefix.
 /// A full buffer drops new events and counts them (bounded memory is the
 /// contract; the drop counter makes the loss observable).
@@ -231,7 +230,7 @@ public:
   /// Per-sink drop counts, in sink-creation order. A merged stream that
   /// lost events is not just short, it is *biased* (whichever thread
   /// overflowed goes quiet); this breakdown says which producer lost how
-  /// much, so --trace-summary can point at the guilty thread.
+  /// much, so the trace writer can point at the guilty thread.
   std::vector<uint64_t> droppedBySink() const;
   size_t sinkCount() const;
   std::chrono::steady_clock::time_point epoch() const { return Epoch; }
@@ -242,65 +241,6 @@ private:
   size_t CapacityPerSink;
   std::chrono::steady_clock::time_point Epoch;
 };
-
-/// Aggregation of a trace's events, shaped like the paper's tables: GC
-/// activity (table 5), allocation by category (table 8), frees by source
-/// and give-ups by reason (table 9), and per-pass compile time (6.7).
-struct TraceSummary {
-  uint64_t Events = 0;
-  uint64_t DroppedEvents = 0;
-
-  uint64_t GcPaceTriggers = 0;
-  uint64_t GcCycles = 0;
-  /// GcCycles split by GcCycleEnd Arg: [0] full, [1] zct-drain.
-  uint64_t GcCyclesByKind[2] = {};
-  uint64_t GcMarkNanos = 0;
-  uint64_t GcCycleNanos = 0;
-  uint64_t GcSweptBytes = 0;
-  uint64_t GcSweptObjects = 0;
-  uint64_t GcMarkWorkerNanos = 0;  ///< Summed busy time of mark workers.
-  uint64_t GcMarkWorkersSeen = 0;  ///< GcMarkWorker events folded.
-  uint64_t GcLazySweeps = 0;       ///< GcSweepLazy events folded; their
-                                   ///< bytes/objects land in GcSweptBytes
-                                   ///< and GcSweptObjects like STW sweeps.
-  uint64_t GcStwFlips = 0;         ///< GcStwFlip events (2 per conc cycle).
-  uint64_t GcStwFlipNanos = 0;     ///< Summed flip pause time.
-  uint64_t GcConcMarks = 0;        ///< Concurrent mark windows completed.
-  uint64_t GcConcMarkNanos = 0;    ///< Wall time mutators ran mid-mark.
-  uint64_t GcAssists = 0;          ///< Mutator mark assists.
-  uint64_t GcAssistBytes = 0;      ///< Bytes scanned by assists.
-
-  uint64_t TcfreeFreedCount = 0;
-  uint64_t TcfreeFreedBytes = 0;
-  uint64_t FreedCountBySource[NumFreeSources] = {};
-  uint64_t FreedBytesBySource[NumFreeSources] = {};
-  uint64_t GiveUps = 0;
-  uint64_t GiveUpsByReason[NumGiveUpReasons] = {};
-
-  uint64_t HeapAllocCount[NumAllocCats] = {};
-  uint64_t HeapAllocBytes[NumAllocCats] = {};
-  uint64_t StackAllocCount[NumAllocCats] = {};
-
-  uint64_t PassNanos[NumPasses] = {};
-  bool PassSeen[NumPasses] = {};
-
-  // Serving-harness requests (EventKind::Request).
-  uint64_t Requests = 0;
-  uint64_t RequestLatencyNanos = 0; ///< Summed request latency.
-  uint64_t RequestStallNanos = 0;   ///< Summed per-request allocation stall.
-
-  /// Per-producer drop counts when the summary came from a TraceHub
-  /// (empty otherwise). Parallel to the hub's sink-creation order.
-  std::vector<uint64_t> DroppedBySink;
-};
-
-/// Folds a merged event stream (TraceHub::merge()) into a summary. Note:
-/// when events were dropped the aggregates undercount; DroppedEvents says
-/// by how many records.
-TraceSummary summarize(const std::vector<Event> &Events, uint64_t Dropped);
-/// Merges the hub's sinks and fills DroppedBySink, so multi-threaded
-/// consumers see which producer overflowed (drain time only, like merge).
-TraceSummary summarize(const TraceHub &Hub);
 
 /// Version of the JSONL event schema; every line carries it as `"v"`.
 /// Bump on any incompatible change to field names or meanings. v2 added
@@ -320,14 +260,6 @@ inline constexpr int JsonSchemaVersion = 3;
 /// stream (TraceHub::merge()) and \p Dropped its drop count.
 void writeJsonLines(std::ostream &Os, const std::vector<Event> &Events,
                     uint64_t Dropped, const char *Leg = nullptr);
-
-/// Human-readable dump of a summary (the --trace-summary output).
-void printSummary(FILE *Out, const TraceSummary &S);
-
-/// Side-by-side diff of two runs' summaries: per-reason give-up breakdown,
-/// GC cycles avoided, and per-pass timing -- what `gofree compare` shows.
-void printSummaryDiff(FILE *Out, const char *NameA, const TraceSummary &A,
-                      const char *NameB, const TraceSummary &B);
 
 } // namespace trace
 } // namespace gofree

@@ -873,7 +873,7 @@ Vm::Flow Vm::runFunction(const FuncDecl *Fn, size_t ArgBase, size_t Argc,
     fault("call to unresolved function");
     return Flow::Fault;
   }
-  if (Frames.size() >= Opts.MaxFrames) {
+  if (Frames.size() >= interp::MaxFrames) {
     Result.OutOfFuel = true;
     fault("call stack overflow");
     return Flow::Fault;

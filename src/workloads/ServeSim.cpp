@@ -259,7 +259,7 @@ ServeSimResult gofree::workloads::runServeSim(const ServeSimOptions &Opts) {
         Vms[0] = &V0;
         Vms[1] = &V1;
         Vms[2] = &V2;
-        uint64_t LocalChecksum = 0;
+        uint64_t LocalChecksum = 0, LocalSteps = 0, LocalSinks = 0;
         for (;;) {
           uint64_t I = Next.fetch_add(1, std::memory_order_relaxed);
           if (I >= NumReq)
@@ -310,6 +310,8 @@ ServeSimResult gofree::workloads::runServeSim(const ServeSimOptions &Opts) {
           Res.LatencyNs[I] = End > From ? End - From : 0;
           Res.StallNs[I] = Stall;
           LocalChecksum += RR.Checksum;
+          LocalSteps += RR.Steps;
+          LocalSinks += RR.SinkCount;
           if (Sink)
             Sink->emit(trace::EventKind::Request, Rq.Profile,
                        Res.LatencyNs[I], Stall);
@@ -331,6 +333,8 @@ ServeSimResult gofree::workloads::runServeSim(const ServeSimOptions &Opts) {
         // born for this run, so their absolute values are the run's.
         rt::Heap::ThreadStalls St = rt::Heap::threadStalls();
         std::lock_guard<std::mutex> Lock(ErrMu);
+        Res.Steps += LocalSteps;
+        Res.Sinks += LocalSinks;
         Res.GcParkNanos += St.GcParkNanos;
         Res.GcParks += St.GcParks;
         Res.GcAssistNanos += St.GcAssistNanos;

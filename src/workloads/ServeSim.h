@@ -96,6 +96,9 @@ struct ServeSimResult {
   /// every backend/mode/conc cell of the same seed, or something is
   /// wrong with the runtime (the bench asserts this).
   uint64_t Checksum = 0;
+  /// Handler steps and sink() calls, summed over requests.
+  uint64_t Steps = 0;
+  uint64_t Sinks = 0;
 
   rt::StatsSnapshot Stats;
   const char *GcBackend = "marksweep";

@@ -133,13 +133,18 @@ TEST(ServeSimTest, HubReceivesOneRequestEventPerRequest) {
   O.Hub = &Hub;
   ServeSimResult R = runServeSim(O);
   ASSERT_TRUE(R.ok()) << R.Error;
-  trace::TraceSummary S = trace::summarize(Hub);
-  EXPECT_EQ(S.Requests, 50u);
-  EXPECT_EQ(S.DroppedBySink.size(), (size_t)O.Workers);
-  // Latency totals folded by the summary match the recorded vector.
-  EXPECT_EQ(S.RequestLatencyNanos,
-            std::accumulate(R.LatencyNs.begin(), R.LatencyNs.end(),
-                            (uint64_t)0));
+  uint64_t Requests = 0, LatencyNs = 0;
+  for (const trace::Event &E : Hub.merge())
+    if (E.Kind == trace::EventKind::Request) {
+      ++Requests;
+      LatencyNs += E.V0;
+    }
+  EXPECT_EQ(Requests, 50u);
+  EXPECT_EQ(Hub.sinkCount(), (size_t)O.Workers);
+  EXPECT_EQ(Hub.droppedBySink().size(), (size_t)O.Workers);
+  // The events' latencies add up to the recorded vector.
+  EXPECT_EQ(LatencyNs, std::accumulate(R.LatencyNs.begin(),
+                                       R.LatencyNs.end(), (uint64_t)0));
 }
 
 TEST(ServeSimTest, OpenLoopMeasuresFromScheduledArrival) {

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compiler/Driver.h"
 #include "compiler/Pipeline.h"
 #include "interp/Interp.h"
 #include "runtime/Heap.h"
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -124,45 +126,6 @@ TEST(TraceSinkTest, JsonLinesAreObjectsWithTerminator) {
   EXPECT_NE(Lines[3].find("\"pass\":\"escape-solve\""), std::string::npos);
   EXPECT_NE(Lines.back().find("\"ev\":\"trace-end\""), std::string::npos);
   EXPECT_NE(Lines.back().find("\"dropped\":1"), std::string::npos);
-}
-
-TEST(TraceSinkTest, SummarizeFoldsEveryFamily) {
-  TraceHub Hub(32);
-  TraceSink &S = *Hub.makeSink();
-  S.emit(EventKind::GcPaceTrigger, 0, 100, 200);
-  S.emit(EventKind::GcMarkStart, 0, 100);
-  S.emit(EventKind::GcMarkEnd, 0, 50);
-  S.emit(EventKind::GcSweepEnd, 0, 4096, 3);
-  S.emit(EventKind::GcCycleEnd, 0, 80, 64);
-  S.emit(EventKind::TcfreeFreed, (uint8_t)rt::FreeSource::TcfreeMap, 128);
-  S.emit(EventKind::TcfreeGiveUp, (uint8_t)GiveUpReason::GcRunning, 5);
-  S.emit(EventKind::TcfreeGiveUp, (uint8_t)GiveUpReason::Mock, 2);
-  S.emit(EventKind::HeapAlloc, (uint8_t)rt::AllocCat::Slice, 256);
-  S.emit(EventKind::StackAlloc, (uint8_t)rt::AllocCat::Other, 24);
-  S.emit(EventKind::PassTime, (uint8_t)Pass::Lifetime, 999);
-
-  TraceSummary Sum = summarize(Hub);
-  EXPECT_EQ(Sum.Events, 11u);
-  EXPECT_EQ(Sum.DroppedEvents, 0u);
-  EXPECT_EQ(Sum.GcPaceTriggers, 1u);
-  EXPECT_EQ(Sum.GcCycles, 1u);
-  EXPECT_EQ(Sum.GcMarkNanos, 50u);
-  EXPECT_EQ(Sum.GcCycleNanos, 80u);
-  EXPECT_EQ(Sum.GcSweptBytes, 4096u);
-  EXPECT_EQ(Sum.GcSweptObjects, 3u);
-  EXPECT_EQ(Sum.TcfreeFreedCount, 1u);
-  EXPECT_EQ(Sum.TcfreeFreedBytes, 128u);
-  EXPECT_EQ(Sum.FreedBytesBySource[(int)rt::FreeSource::TcfreeMap], 128u);
-  // Mock is bucketed but excluded from the give-up total.
-  EXPECT_EQ(Sum.GiveUps, 5u);
-  EXPECT_EQ(Sum.GiveUpsByReason[(int)GiveUpReason::GcRunning], 5u);
-  EXPECT_EQ(Sum.GiveUpsByReason[(int)GiveUpReason::Mock], 2u);
-  EXPECT_EQ(Sum.HeapAllocCount[(int)rt::AllocCat::Slice], 1u);
-  EXPECT_EQ(Sum.HeapAllocBytes[(int)rt::AllocCat::Slice], 256u);
-  EXPECT_EQ(Sum.StackAllocCount[(int)rt::AllocCat::Other], 1u);
-  EXPECT_EQ(Sum.PassNanos[(int)Pass::Lifetime], 999u);
-  EXPECT_TRUE(Sum.PassSeen[(int)Pass::Lifetime]);
-  EXPECT_FALSE(Sum.PassSeen[(int)Pass::Lex]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -299,9 +262,15 @@ TEST(TraceRuntimeTest, GcCycleEmitsPhaseEvents) {
     EXPECT_GE(Sweeps[0].V0, 64u * 256u); // Swept at least the garbage.
     EXPECT_GE(Sweeps[0].V1, 64u);        // Object count.
 
-    TraceSummary Sum = summarize(Hub);
-    EXPECT_EQ(Sum.GcCycles, 1u);
-    EXPECT_GE(Sum.GcSweptBytes, 64u * 256u);
+    std::vector<Event> Merged = Hub.merge();
+    uint64_t Cycles = 0, SweptBytes = 0;
+    for (const Event &E : Merged) {
+      Cycles += E.Kind == EventKind::GcCycleEnd;
+      if (E.Kind == EventKind::GcSweepEnd || E.Kind == EventKind::GcSweepLazy)
+        SweptBytes += E.V0;
+    }
+    EXPECT_EQ(Cycles, 1u);
+    EXPECT_GE(SweptBytes, 64u * 256u);
   }
 }
 
@@ -360,6 +329,123 @@ const char *CompareSrc = "func work(n int) int {\n"
                          "}\n";
 
 } // namespace
+
+// The trace and the counters are two records of one run: with nothing
+// dropped, every event family that has a counter must add up to it. The
+// reports print the counters only, so this is what keeps the event stream
+// honest. quickstart has tcfree'd slices and maps, a double-free give-up
+// per round and retained growth that forces GC cycles; the legs cover both
+// modes, one and three mutators, mock frees, the STW and concurrent
+// collectors, and rc with a threshold low enough that ZCT drains run on
+// every leg (at 64, the one-mutator gofree leg drains nothing: its frees
+// leave too few zero-count objects).
+TEST(TraceEndToEndTest, EventsAddUpToCounters) {
+  std::ifstream In(GOFREE_SOURCE_DIR "/examples/quickstart.minigo");
+  ASSERT_TRUE(In) << "cannot read examples/quickstart.minigo";
+  std::stringstream Src;
+  Src << In.rdbuf();
+
+  for (const char *Mode : {"--mode=go", "--mode=gofree"})
+    for (const char *Threads : {"--num-threads=1", "--num-threads=3"})
+      for (const char *Leg :
+           {"--gc=marksweep", "--mock=zero", "--gc=conc=0",
+            "--gc=rc,zct-threshold=16"}) {
+        SCOPED_TRACE(std::string(Mode) + " " + Threads + " " + Leg);
+        compiler::driver::PipelineOptions P;
+        std::string Err;
+        ASSERT_TRUE(compiler::driver::parseFlags({Mode, Threads, Leg}, P, &Err))
+            << Err;
+        TraceHub Hub;
+        P.Compile.Trace = Hub.makeSink();
+        P.Exec.Hub = &Hub;
+        compiler::Compilation C;
+        compiler::ExecOutcome O =
+            compiler::driver::compileAndRun(Src.str(), P, {500}, &C);
+        ASSERT_TRUE(O.ok()) << O.Error;
+        ASSERT_EQ(Hub.dropped(), 0u);
+        const rt::StatsSnapshot &S = O.Stats;
+
+        uint64_t FreedCount[NumFreeSources] = {};
+        uint64_t FreedBytes[NumFreeSources] = {};
+        uint64_t GiveUps[NumGiveUpReasons] = {};
+        uint64_t HeapAllocs[NumAllocCats] = {}, StackAllocs[NumAllocCats] = {};
+        uint64_t PassNs[NumPasses] = {};
+        uint64_t Cycles = 0, SweptBytes = 0, LazySweeps = 0, Assists = 0,
+                 Flips = 0;
+        for (const Event &E : Hub.merge()) {
+          switch (E.Kind) {
+          case EventKind::TcfreeFreed:
+            ++FreedCount[E.Arg];
+            FreedBytes[E.Arg] += E.V0;
+            break;
+          case EventKind::TcfreeGiveUp:
+            GiveUps[E.Arg] += E.V0;
+            break;
+          case EventKind::HeapAlloc:
+            ++HeapAllocs[E.Arg];
+            break;
+          case EventKind::StackAlloc:
+            ++StackAllocs[E.Arg];
+            break;
+          case EventKind::GcCycleEnd:
+            ++Cycles;
+            break;
+          case EventKind::GcSweepEnd:
+            SweptBytes += E.V0;
+            break;
+          case EventKind::GcSweepLazy:
+            ++LazySweeps;
+            SweptBytes += E.V0;
+            break;
+          case EventKind::GcAssist:
+            ++Assists;
+            break;
+          case EventKind::GcStwFlip:
+            ++Flips;
+            break;
+          case EventKind::PassTime:
+            PassNs[E.Arg] += E.V0;
+            break;
+          default:
+            break;
+          }
+        }
+
+        for (int F = 0; F < NumFreeSources; ++F) {
+          EXPECT_EQ(FreedCount[F], S.FreedCountBySource[F]) << "source " << F;
+          EXPECT_EQ(FreedBytes[F], S.FreedBytesBySource[F]) << "source " << F;
+        }
+        for (int R = 0; R < NumGiveUpReasons; ++R)
+          EXPECT_EQ(GiveUps[R], S.TcfreeGiveUpsByReason[R])
+              << giveUpReasonName((GiveUpReason)R);
+        for (int Cat = 0; Cat < NumAllocCats; ++Cat) {
+          EXPECT_EQ(HeapAllocs[Cat], S.AllocCountByCat[Cat]) << "cat " << Cat;
+          EXPECT_EQ(StackAllocs[Cat], S.StackAllocCountByCat[Cat])
+              << "cat " << Cat;
+        }
+        EXPECT_EQ(Cycles, S.GcCycles);
+        EXPECT_EQ(SweptBytes, S.GcSweptBytes);
+        EXPECT_EQ(LazySweeps, S.GcSpansSweptLazy);
+        EXPECT_EQ(Assists, S.GcAssists);
+        EXPECT_EQ(Flips, 2 * S.GcConcCycles);
+        for (int Pass = 0; Pass < NumPasses; ++Pass)
+          EXPECT_EQ(PassNs[Pass], C.Passes.Nanos[Pass])
+              << passName((trace::Pass)Pass);
+
+        // Each leg exercised what it is there for.
+        bool GoFree = std::string(Mode) == "--mode=gofree";
+        EXPECT_GT(S.GcCycles, 0u);
+        if (GoFree) {
+          EXPECT_GT(S.TcfreeCalls, 0u);
+        }
+        if (GoFree && std::string(Leg) == "--mock=zero") {
+          EXPECT_GT(S.TcfreeGiveUpsByReason[(int)GiveUpReason::Mock], 0u);
+        }
+        if (std::string(Leg) == "--gc=rc,zct-threshold=16") {
+          EXPECT_GT(S.GcZctDrains, 0u);
+        }
+      }
+}
 
 // Regression for `gofree compare`: the two legs run in one process and must
 // not share heap statistics or a trace sink -- the Go leg must come out
@@ -454,7 +540,8 @@ TEST(TraceEndToEndTest, PanicTailSkippedFreesReclaimedByGc) {
 //===----------------------------------------------------------------------===//
 // Ring overflow accounting. The ring is bounded by design; what used to be
 // silent truncation is now a per-sink drop counter that the hub merges and
-// --trace-summary prints, so a biased merged stream is always flagged.
+// `gofree --trace-out` reports on stderr, so a biased merged stream is
+// always flagged.
 //===----------------------------------------------------------------------===//
 
 TEST(TraceOverflowTest, TinyRingCountsEveryDroppedEvent) {
@@ -485,25 +572,27 @@ TEST(TraceOverflowTest, HubMergesAndAttributesDrops) {
   ASSERT_EQ(PerSink.size(), 2u);
   EXPECT_EQ(PerSink[0], 6u) << "the overflowing sink is identifiable";
   EXPECT_EQ(PerSink[1], 0u);
-  // The summary carries both the total and the per-sink breakdown.
-  TraceSummary Sum = summarize(Hub);
-  EXPECT_EQ(Sum.DroppedEvents, 6u);
-  ASSERT_EQ(Sum.DroppedBySink.size(), 2u);
-  EXPECT_EQ(Sum.DroppedBySink[0], 6u);
-  EXPECT_EQ(Sum.Events, 7u) << "merge keeps what the rings retained";
+  ASSERT_EQ(Hub.sinkCount(), 2u);
+  EXPECT_EQ(Hub.merge().size(), 7u) << "merge keeps what the rings retained";
 }
 
-TEST(TraceOverflowTest, RequestEventsFoldIntoSummary) {
+TEST(TraceOverflowTest, RequestEventsCarryLatencyAndStall) {
   TraceHub Hub;
   TraceSink &S = *Hub.makeSink();
   S.emit(EventKind::Request, /*Profile=*/1, /*LatencyNs=*/2'000'000,
          /*StallNs=*/250'000);
   S.emit(EventKind::Request, /*Profile=*/0, /*LatencyNs=*/1'000'000,
          /*StallNs=*/0);
-  TraceSummary Sum = summarize(Hub);
-  EXPECT_EQ(Sum.Requests, 2u);
-  EXPECT_EQ(Sum.RequestLatencyNanos, 3'000'000u);
-  EXPECT_EQ(Sum.RequestStallNanos, 250'000u);
+  uint64_t Requests = 0, LatencyNs = 0, StallNs = 0;
+  for (const Event &E : Hub.merge())
+    if (E.Kind == EventKind::Request) {
+      ++Requests;
+      LatencyNs += E.V0;
+      StallNs += E.V1;
+    }
+  EXPECT_EQ(Requests, 2u);
+  EXPECT_EQ(LatencyNs, 3'000'000u);
+  EXPECT_EQ(StallNs, 250'000u);
   // And the JSONL writer names the event (schema v2).
   std::ostringstream Os;
   writeJsonLines(Os, Hub.merge(), Hub.dropped(), "gofree");

@@ -70,7 +70,10 @@
 # The smoke test runs examples/quickstart.minigo under --trace-out, once
 # on one mutator thread and once on two, and asserts each trace is valid
 # JSON-lines containing at least one GC event, one tcfree outcome with a
-# give-up reason, and per-pass compiler timings. It also checks that
+# give-up reason, and per-pass compiler timings. It checks that the --stats
+# counters report has the give-up, free-source and pass rows, that
+# --trace-summary is rejected (exit 2), and that --json compare and
+# --json serve-sim print only v3 run records. It also checks that
 # `run` rejects a non-integer program argument (exit 2), that it exits 1
 # with the diagnostic on an overflowing integer literal and on an
 # unterminated block comment, and that serve-sim rejects --rps=nan,
@@ -124,17 +127,45 @@ smoke() {
   # Every thread count takes the same trace route (one sink per mutator,
   # merged by a hub), so the default run and a 2-thread run must both
   # carry every event family.
-  "$gofree" --trace-out="$tmp/t1.jsonl" --trace-summary --stats \
-    run "$ROOT/examples/quickstart.minigo" 2000 > "$tmp/run.out" \
+  "$gofree" --trace-out="$tmp/t1.jsonl" --stats \
+    run "$ROOT/examples/quickstart.minigo" 2000 > "$tmp/run1.out" \
     || fail "traced run exited non-zero"
   check_trace "$tmp/t1.jsonl" "default threads"
-  "$gofree" --num-threads=2 --trace-out="$tmp/t2.jsonl" --trace-summary \
-    --stats run "$ROOT/examples/quickstart.minigo" 2000 > "$tmp/run.out" \
+  "$gofree" --num-threads=2 --trace-out="$tmp/t2.jsonl" \
+    --stats run "$ROOT/examples/quickstart.minigo" 2000 > "$tmp/run2.out" \
     || fail "traced 2-thread run exited non-zero"
   check_trace "$tmp/t2.jsonl" "2 threads"
 
-  # Program arguments must be integers; anything else is a usage error.
+  # --stats is the counters report: quickstart's per-round double free,
+  # its map-growth frees and the pass times must be in it.
+  local row
+  for row in 'give-up double-free +2000$' 'freed map-grow-old +4000 ' \
+    '^pass escape-solve '; do
+    grep -Eq -- "$row" "$tmp/run1.out" || fail "--stats report has no '$row' row"
+  done
+
+  # Reports come from the counters only; no flag folds the trace.
   local rc=0
+  "$gofree" --trace-summary run "$ROOT/examples/quickstart.minigo" 20 \
+    > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || fail "--trace-summary exited $rc, want 2"
+
+  # Under --json every command prints run records and nothing else.
+  "$gofree" --json compare "$ROOT/examples/quickstart.minigo" 200 \
+    > "$tmp/compare.json" || fail "--json compare exited non-zero"
+  "$gofree" --json serve-sim --requests=50 > "$tmp/serve.json" \
+    || fail "--json serve-sim exited non-zero"
+  python3 - "$tmp/compare.json" "$tmp/serve.json" <<'PYEOF' || fail "--json printed a line that is not a v3 run record"
+import json, sys
+for path in sys.argv[1:]:
+    lines = open(path).read().splitlines()
+    assert lines, path + ": no output"
+    for line in lines:
+        assert json.loads(line)["v"] == 3, line
+PYEOF
+
+  # Program arguments must be integers; anything else is a usage error.
+  rc=0
   "$gofree" run "$ROOT/examples/quickstart.minigo" abc > /dev/null 2>&1 || rc=$?
   [ "$rc" -eq 2 ] || fail "run with argument 'abc' exited $rc, want 2"
 
@@ -195,8 +226,9 @@ ubsan)
   # slice-growth overflow guards and both execution engines are UB-free.
   cmake -B "$ROOT/build-ubsan" -S "$ROOT" -DGOFREE_SANITIZE=undefined
   cmake --build "$ROOT/build-ubsan" -j
-  # Instrumentation inflates native frames ~4x; the MaxFrames=4096 recursion
-  # guard tests need more than the default 8 MiB C stack to reach the guard.
+  # Instrumentation inflates native frames ~4x; the recursion guard tests
+  # (interp::MaxFrames, 4096 frames in both engines) need more than the
+  # default 8 MiB C stack to reach the guard.
   (cd "$ROOT/build-ubsan" && ulimit -s 65536 && ctest --output-on-failure -j)
   (ulimit -s 65536 && "$ROOT/build-ubsan/tools/gofree" fuzz --seed=1 --count=100) \
     || fail "differential fuzz corpus failed under UBSan"
@@ -304,12 +336,13 @@ server)
   (cd "$ROOT/build-tsan" && ctest -L server_smoke --output-on-failure) \
     || fail "server_smoke suite failed under ThreadSanitizer"
   # Deterministic fixed-seed CLI run: a fixed request count must come back
-  # ok with the request count echoed (the checksum is pinned by ctest; here
-  # we check the end-to-end plumbing).
+  # ok with the request count echoed in the run record's serve object (the
+  # checksum is pinned by ctest; here we check the end-to-end plumbing).
   out="$("$ROOT/build/tools/gofree" --json serve-sim \
         --seed=11 --requests=200 --workers=2)" \
     || fail "gofree serve-sim exited non-zero"
-  echo "$out" | grep -q '"requests":200' || fail "serve-sim lost requests: $out"
+  python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["serve"]["requests"] == 200 else 1)' "$out" \
+    || fail "serve-sim lost requests: $out"
   echo "$out" | grep -q '"ok":true' || fail "serve-sim run not ok: $out"
   # The headline artifact: the {go,gofree} x {marksweep conc off, marksweep
   # conc on, rc} matrix with tail-latency SLO metrics.

@@ -8,7 +8,7 @@
 // analogue of invoking the paper's modified Go toolchain.
 //
 //   gofree run prog.minigo [args...]      compile with GoFree and run main
-//   gofree compare prog.minigo [args...]  run under Go and GoFree, diff stats
+//   gofree compare prog.minigo [args...]  run under Go and GoFree, side by side
 //   gofree dump prog.minigo               print analysis + instrumented code
 //   gofree fuzz [--seed=S] [--count=N]    differential fuzzing campaign
 //   gofree serve-sim [--requests=N] ...   open-loop request-serving harness
@@ -16,11 +16,17 @@
 // Pipeline flags (before the command) are shared with every other front
 // end through compiler::driver -- see `gofree` with no arguments for the
 // list. CLI-only flags:
-//   --stats               print runtime statistics after the run
-//   --json                print one machine-readable JSON line per run
+//   --stats               print the counters report after the run (compare
+//                         always prints it, one column per leg)
+//   --json                print only the JSON run record, one line per run
 //   --trace-out=FILE      write the event trace as JSON-lines (for compare,
 //                         FILE.go and FILE.gofree, one per leg)
-//   --trace-summary       print an aggregated trace summary after the run
+//
+// Every report comes from the runtime's exact counters (rt::StatsSnapshot)
+// and the compile-pass times: the text report and the JSON run record
+// (driver::outcomeJson) show the same numbers. The event trace is a
+// separate, bounded stream; events a full ring drops are reported on
+// stderr.
 //
 // Exit codes: 0 on success, 1 when the program fails (frontend error,
 // runtime fault, panic, fuel, heap-invariant violation -- anything that
@@ -37,6 +43,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,10 +69,9 @@ int usage() {
                "[--profile=P] [--seed=S]\n"
                "pipeline flags (shared with the bench binaries):\n%s"
                "cli flags:\n"
-               "  --stats                      print runtime statistics\n"
-               "  --json                       one JSON line per run\n"
-               "  --trace-out=FILE             write the JSONL event trace\n"
-               "  --trace-summary              print a trace summary\n",
+               "  --stats                      print the counters report\n"
+               "  --json                       one JSON run record per run\n"
+               "  --trace-out=FILE             write the JSONL event trace\n",
                driver::usageText().c_str());
   return 2;
 }
@@ -107,6 +113,8 @@ void traceInto(driver::PipelineOptions &P, trace::TraceHub &Hub) {
   P.Exec.Hub = &Hub;
 }
 
+/// Writes \p Hub's merged events to \p Path, and names on stderr every
+/// sink whose ring filled: its thread's events are missing from the file.
 bool writeTrace(const std::string &Path, const trace::TraceHub &Hub,
                 const char *Leg) {
   std::ofstream Out(Path);
@@ -115,56 +123,130 @@ bool writeTrace(const std::string &Path, const trace::TraceHub &Hub,
     return false;
   }
   trace::writeJsonLines(Out, Hub.merge(), Hub.dropped(), Leg);
+  std::vector<uint64_t> Dropped = Hub.droppedBySink();
+  for (size_t I = 0; I < Dropped.size(); ++I)
+    if (Dropped[I])
+      std::fprintf(stderr,
+                   "gofree: %s: trace sink %zu dropped %llu events (ring "
+                   "full)\n",
+                   Path.c_str(), I, (unsigned long long)Dropped[I]);
   return true;
 }
 
-void printStats(const rt::StatsSnapshot &S, double WallSeconds) {
-  std::printf("--- runtime statistics ---\n");
-  std::printf("wall time       %.4f s (GC %.4f s)\n", WallSeconds,
-              S.GcNanos * 1e-9);
-  std::printf("heap allocated  %.2f MB in %llu objects\n",
-              S.AllocedBytes / 1048576.0, (unsigned long long)S.AllocCount);
-  std::printf("tcfree          %llu calls, %llu give-ups, %.2f MB freed "
-              "(ratio %.1f%%)\n",
-              (unsigned long long)S.TcfreeCalls,
-              (unsigned long long)S.TcfreeGiveUps,
-              S.tcfreeFreedBytes() / 1048576.0, 100.0 * S.freeRatio());
-  for (int R = 0; R < trace::NumGiveUpReasons; ++R)
-    if (S.TcfreeGiveUpsByReason[R])
-      std::printf("  give-up %-12s %llu\n",
-                  trace::giveUpReasonName((trace::GiveUpReason)R),
-                  (unsigned long long)S.TcfreeGiveUpsByReason[R]);
-  std::printf("GC              %llu cycles, %.2f MB swept\n",
-              (unsigned long long)S.GcCycles, S.GcSweptBytes / 1048576.0);
-  std::printf("peak heap       %.2f MB committed, %.2f MB live\n",
-              S.PeakCommitted / 1048576.0, S.PeakLive / 1048576.0);
+/// printf into a std::string (report cells and JSON fragments).
+__attribute__((format(printf, 1, 2))) std::string format(const char *Fmt,
+                                                         ...) {
+  va_list Ap, Again;
+  va_start(Ap, Fmt);
+  va_copy(Again, Ap);
+  std::string Out((size_t)std::vsnprintf(nullptr, 0, Fmt, Ap), '\0');
+  va_end(Ap);
+  std::vsnprintf(Out.data(), Out.size() + 1, Fmt, Again);
+  va_end(Again);
+  return Out;
 }
 
-/// Builds a trace summary from the exact runtime counters and pass times,
-/// independent of ring-buffer capacity (a full buffer drops events; the
-/// stats counters never do). Used by `compare`, whose diff must be exact.
-trace::TraceSummary exactSummary(const rt::StatsSnapshot &S,
-                                 const PassTimes &P) {
-  trace::TraceSummary T;
-  T.GcCycles = S.GcCycles;
-  T.GcCyclesByKind[0] = S.GcMajorCycles;
-  T.GcCyclesByKind[1] = S.GcZctDrains;
-  T.GcCycleNanos = S.GcNanos;
-  T.GcSweptBytes = S.GcSweptBytes;
-  T.GiveUps = S.TcfreeGiveUps;
-  for (int I = 0; I < trace::NumGiveUpReasons; ++I)
-    T.GiveUpsByReason[I] = S.TcfreeGiveUpsByReason[I];
-  for (int I = 0; I < rt::NumFreeSources; ++I) {
-    T.TcfreeFreedCount += S.FreedCountBySource[I];
-    T.TcfreeFreedBytes += S.FreedBytesBySource[I];
-    T.FreedCountBySource[I] = S.FreedCountBySource[I];
-    T.FreedBytesBySource[I] = S.FreedBytesBySource[I];
+/// One row of the counters report, in one run's column.
+struct ReportRow {
+  std::string Label, Cell;
+  bool Show; ///< Headline row, or a breakdown row with a non-zero count.
+};
+
+/// The counters report of one run: every row from the exact counters and,
+/// when the run compiled one program, its pass times (serve-sim compiles
+/// its handlers inside the harness, so it passes none). Every run yields
+/// the same rows in the same order.
+std::vector<ReportRow> reportRows(const rt::StatsSnapshot &S, double Wall,
+                                  const PassTimes *Passes) {
+  std::vector<ReportRow> R;
+  auto N = [](uint64_t V) { return (unsigned long long)V; };
+  auto Count = [&](std::string Label, bool Show, uint64_t V) {
+    R.push_back({std::move(Label), format("%llu", N(V)), Show});
+  };
+  auto CountBytes = [&](std::string Label, bool Show, uint64_t V, uint64_t B) {
+    R.push_back({std::move(Label), format("%llu (%llu B)", N(V), N(B)), Show});
+  };
+  auto Ms = [&](std::string Label, bool Show, uint64_t Nanos) {
+    R.push_back({std::move(Label), format("%.3f", Nanos * 1e-6), Show});
+  };
+
+  R.push_back({"wall time (s)", format("%.4f", Wall), true});
+  Count("gc cycles", true, S.GcCycles);
+  // The per-kind split only says something when the rc backend drained.
+  bool Drained = S.GcZctDrains != 0;
+  Count("  full", Drained, S.GcMajorCycles);
+  Count("  zct-drain", Drained, S.GcZctDrains);
+  Count("gc concurrent cycles", true, S.GcConcCycles);
+  Ms("gc time (ms)", true, S.GcNanos);
+  Ms("gc mark time (ms)", true, S.GcMarkNanos);
+  Ms("gc pause time (ms)", true, S.GcPauseNanos);
+  Count("gc pauses", true, S.GcPauses);
+  R.push_back({"gc pause p50/p99/p999 us",
+               format("%llu/%llu/%llu", N(S.pausePercentileUs(0.50)),
+                      N(S.pausePercentileUs(0.99)),
+                      N(S.pausePercentileUs(0.999))),
+               true});
+  CountBytes("gc assists", true, S.GcAssists, S.GcAssistBytes);
+  Count("gc swept bytes", true, S.GcSweptBytes);
+  Count("gc lazily swept spans", true, S.GcSpansSweptLazy);
+
+  CountBytes("heap allocated", true, S.AllocCount, S.AllocedBytes);
+  for (int C = 0; C < rt::NumAllocCats; ++C) {
+    std::string Cat = trace::allocCatName((uint8_t)C);
+    Count("  alloc " + Cat + " heap", S.AllocCountByCat[C] != 0,
+          S.AllocCountByCat[C]);
+    Count("  alloc " + Cat + " stack", S.StackAllocCountByCat[C] != 0,
+          S.StackAllocCountByCat[C]);
   }
-  for (int I = 0; I < trace::NumPasses; ++I) {
-    T.PassNanos[I] = P.Nanos[I];
-    T.PassSeen[I] = P.Nanos[I] != 0;
+  R.push_back({"peak committed (MB)",
+               format("%.2f", S.PeakCommitted / 1048576.0), true});
+  R.push_back({"peak live (MB)", format("%.2f", S.PeakLive / 1048576.0), true});
+
+  Count("tcfree calls", true, S.TcfreeCalls);
+  uint64_t Freed = 0;
+  for (uint64_t F : S.FreedCountBySource)
+    Freed += F;
+  CountBytes("tcfree freed", true, Freed, S.tcfreeFreedBytes());
+  for (int F = 0; F < rt::NumFreeSources; ++F)
+    CountBytes(std::string("  freed ") + trace::freeSourceName((uint8_t)F),
+               S.FreedCountBySource[F] != 0, S.FreedCountBySource[F],
+               S.FreedBytesBySource[F]);
+  Count("tcfree give-ups", true, S.TcfreeGiveUps);
+  for (int G = 0; G < trace::NumGiveUpReasons; ++G)
+    Count(std::string("  give-up ") +
+              trace::giveUpReasonName((trace::GiveUpReason)G),
+          S.TcfreeGiveUpsByReason[G] != 0, S.TcfreeGiveUpsByReason[G]);
+  R.push_back({"free ratio", format("%.1f%%", 100.0 * S.freeRatio()), true});
+
+  for (int P = 0; P < trace::NumPasses; ++P) {
+    uint64_t Ns = Passes ? Passes->Nanos[P] : 0;
+    Ms(std::string("pass ") + trace::passName((trace::Pass)P) + " (ms)",
+       Ns != 0, Ns);
   }
-  return T;
+  return R;
+}
+
+/// Prints the counters report, one named column of reportRows per run:
+/// `--stats` (one column) and `compare` (two). Every number is an exact
+/// counter, so it holds even when the trace ring dropped events. A row
+/// shows when any column shows it.
+void printReport(
+    const std::vector<std::pair<const char *, std::vector<ReportRow>>> &Cols) {
+  std::printf("%-26s", "--- counters ---");
+  for (const auto &[Name, Rows] : Cols)
+    std::printf(" %22s", Name);
+  std::printf("\n");
+  for (size_t I = 0; I < Cols[0].second.size(); ++I) {
+    bool Show = false;
+    for (const auto &Col : Cols)
+      Show |= Col.second[I].Show;
+    if (!Show)
+      continue;
+    std::printf("%-26s", Cols[0].second[I].Label.c_str());
+    for (const auto &Col : Cols)
+      std::printf(" %22s", Col.second[I].Cell.c_str());
+    std::printf("\n");
+  }
 }
 
 /// Parses the decimal integer after \p Prefix characters of \p Flag; \p Ok
@@ -190,8 +272,7 @@ double parseCliDouble(const std::string &Flag, size_t Prefix, bool &Ok) {
 /// SLOs). Pipeline flags before the command pick the mode and collector;
 /// the flags here shape the workload.
 int cmdServeSim(int Argc, char **Argv, int I, driver::PipelineOptions P,
-                bool Stats, bool Json, bool TraceSummary,
-                const std::string &TraceOut) {
+                bool Stats, bool Json, const std::string &TraceOut) {
   workloads::ServeSimOptions SO;
   SO.Mode = P.Compile.Mode;
   SO.Heap = P.Exec.Heap;
@@ -250,7 +331,7 @@ int cmdServeSim(int Argc, char **Argv, int I, driver::PipelineOptions P,
   }
 
   trace::TraceHub Hub;
-  if (TraceSummary || !TraceOut.empty())
+  if (!TraceOut.empty())
     SO.Hub = &Hub;
   const char *Leg = driver::legName(SO.Mode);
   workloads::ServeSimResult R = workloads::runServeSim(SO);
@@ -258,34 +339,33 @@ int cmdServeSim(int Argc, char **Argv, int I, driver::PipelineOptions P,
     std::fprintf(stderr, "gofree serve-sim: %s\n", R.Error.c_str());
 
   if (Json) {
-    std::printf(
-        "{\"tool\":\"serve-sim\",\"v\":1,\"leg\":\"%s\",\"seed\":%llu,"
-        "\"gc\":{\"backend\":\"%s\"},\"requests\":%llu,\"workers\":%d,"
+    // The run record every command prints, plus what only serving has.
+    ExecOutcome O;
+    O.Run.Checksum = R.Checksum;
+    O.Run.SinkCount = R.Sinks;
+    O.Run.Steps = R.Steps;
+    O.Stats = R.Stats;
+    O.GcBackend = R.GcBackend;
+    O.WallSeconds = R.WallSeconds;
+    O.Error = R.Error;
+    auto Pct = [&](const std::vector<uint64_t> &V, double Q) {
+      return (unsigned long long)R.percentileNs(V, Q);
+    };
+    std::string Serve = format(
+        "\"serve\":{\"seed\":%llu,\"requests\":%llu,\"workers\":%d,"
         "\"open_loop\":%s,\"offered_rps\":%.1f,\"achieved_rps\":%.1f,"
-        "\"wall_s\":%.4f,"
         "\"latency_ns\":{\"p50\":%llu,\"p99\":%llu,\"p999\":%llu},"
         "\"stall_ns\":{\"p50\":%llu,\"p99\":%llu,\"p999\":%llu},"
         "\"alloc_stall\":{\"park_ns\":%llu,\"parks\":%llu,"
-        "\"assist_ns\":%llu,\"tcfree_giveups\":%llu},"
-        "\"gc_pause_us\":{\"p50\":%llu,\"p99\":%llu,\"p999\":%llu},"
-        "\"gc_pauses\":%llu,\"checksum\":\"%016llx\",\"ok\":%s}\n",
-        Leg, (unsigned long long)SO.Seed, R.GcBackend,
-        (unsigned long long)R.Requests, SO.Workers,
-        R.OpenLoop ? "true" : "false", SO.OfferedRps, R.AchievedRps,
-        R.WallSeconds, (unsigned long long)R.latencyPercentileNs(0.50),
-        (unsigned long long)R.latencyPercentileNs(0.99),
-        (unsigned long long)R.latencyPercentileNs(0.999),
-        (unsigned long long)R.stallPercentileNs(0.50),
-        (unsigned long long)R.stallPercentileNs(0.99),
-        (unsigned long long)R.stallPercentileNs(0.999),
-        (unsigned long long)R.GcParkNanos, (unsigned long long)R.GcParks,
-        (unsigned long long)R.GcAssistNanos,
-        (unsigned long long)R.TcfreeGiveUps,
-        (unsigned long long)R.Stats.pausePercentileUs(0.50),
-        (unsigned long long)R.Stats.pausePercentileUs(0.99),
-        (unsigned long long)R.Stats.pausePercentileUs(0.999),
-        (unsigned long long)R.Stats.GcPauses,
-        (unsigned long long)R.Checksum, R.ok() ? "true" : "false");
+        "\"assist_ns\":%llu,\"tcfree_giveups\":%llu}}",
+        (unsigned long long)SO.Seed, (unsigned long long)R.Requests,
+        SO.Workers, R.OpenLoop ? "true" : "false", SO.OfferedRps,
+        R.AchievedRps, Pct(R.LatencyNs, 0.50), Pct(R.LatencyNs, 0.99),
+        Pct(R.LatencyNs, 0.999), Pct(R.StallNs, 0.50), Pct(R.StallNs, 0.99),
+        Pct(R.StallNs, 0.999), (unsigned long long)R.GcParkNanos,
+        (unsigned long long)R.GcParks, (unsigned long long)R.GcAssistNanos,
+        (unsigned long long)R.TcfreeGiveUps);
+    std::printf("%s\n", driver::outcomeJson(O, Leg, Serve).c_str());
   } else {
     std::printf("serve-sim: %llu requests on %d workers, %s",
                 (unsigned long long)R.Requests, SO.Workers,
@@ -305,24 +385,16 @@ int cmdServeSim(int Argc, char **Argv, int I, driver::PipelineOptions P,
                 R.stallPercentileNs(0.50) * 1e-6,
                 R.stallPercentileNs(0.99) * 1e-6,
                 R.stallPercentileNs(0.999) * 1e-6);
-    std::printf("gc pause  p50 %8llu us   p99 %8llu us   p999 %8llu us "
-                "(%llu pauses)\n",
-                (unsigned long long)R.Stats.pausePercentileUs(0.50),
-                (unsigned long long)R.Stats.pausePercentileUs(0.99),
-                (unsigned long long)R.Stats.pausePercentileUs(0.999),
-                (unsigned long long)R.Stats.GcPauses);
     std::printf("alloc stall: %.3f ms parked (%llu parks), %.3f ms assist, "
                 "%llu tcfree give-ups\n",
                 R.GcParkNanos * 1e-6, (unsigned long long)R.GcParks,
                 R.GcAssistNanos * 1e-6, (unsigned long long)R.TcfreeGiveUps);
     std::printf("checksum %016llx\n", (unsigned long long)R.Checksum);
     if (Stats)
-      printStats(R.Stats, R.WallSeconds);
+      printReport({{Leg, reportRows(R.Stats, R.WallSeconds, nullptr)}});
   }
   if (!TraceOut.empty() && !writeTrace(TraceOut, Hub, Leg))
     return 1;
-  if (TraceSummary)
-    trace::printSummary(stdout, trace::summarize(Hub));
   return R.ok() ? 0 : 1;
 }
 
@@ -368,7 +440,6 @@ int cmdFuzz(int Argc, char **Argv, int I) {
 int main(int Argc, char **Argv) {
   driver::PipelineOptions P;
   bool Stats = false;
-  bool TraceSummary = false;
   bool Json = false;
   std::string TraceOut;
 
@@ -386,8 +457,6 @@ int main(int Argc, char **Argv) {
     // Unknown to the shared grammar: one of the CLI-layer flags.
     if (Flag == "--stats") {
       Stats = true;
-    } else if (Flag == "--trace-summary") {
-      TraceSummary = true;
     } else if (Flag == "--json") {
       Json = true;
     } else if (Flag.rfind("--trace-out=", 0) == 0) {
@@ -406,7 +475,7 @@ int main(int Argc, char **Argv) {
   if (Command == "fuzz")
     return cmdFuzz(Argc, Argv, I);
   if (Command == "serve-sim")
-    return cmdServeSim(Argc, Argv, I, P, Stats, Json, TraceSummary, TraceOut);
+    return cmdServeSim(Argc, Argv, I, P, Stats, Json, TraceOut);
 
   if (Argc - I < 1)
     return usage();
@@ -420,7 +489,7 @@ int main(int Argc, char **Argv) {
       return usage();
     }
   }
-  bool Tracing = TraceSummary || !TraceOut.empty();
+  bool Tracing = !TraceOut.empty();
 
   std::string Source, ReadErr;
   if (!readFile(Path, Source, ReadErr)) {
@@ -472,14 +541,10 @@ int main(int Argc, char **Argv) {
                   (unsigned long long)O.Run.Checksum,
                   (unsigned long long)O.Run.SinkCount);
       if (Stats)
-        printStats(O.Stats, O.WallSeconds);
+        printReport({{Leg, reportRows(O.Stats, O.WallSeconds, &C.Passes)}});
     }
-    if (C.ok()) {
-      if (!TraceOut.empty() && !writeTrace(TraceOut, Hub, Leg))
-        return 1;
-      if (TraceSummary)
-        trace::printSummary(stdout, trace::summarize(Hub));
-    }
+    if (C.ok() && Tracing && !writeTrace(TraceOut, Hub, Leg))
+      return 1;
     return O.ok() ? 0 : 1;
   }
 
@@ -508,37 +573,18 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     bool Same = OGo.Run.Checksum == OFree.Run.Checksum;
-    std::printf("%-9s %10s %12s %8s %9s %10s\n", "", "time", "alloc MB",
-                "GCs", "free%", "peak MB");
-    std::printf("%-9s %9.3fs %12.2f %8llu %8.1f%% %10.2f\n", "Go",
-                OGo.WallSeconds, OGo.Stats.AllocedBytes / 1048576.0,
-                (unsigned long long)OGo.Stats.GcCycles,
-                100.0 * OGo.Stats.freeRatio(),
-                OGo.Stats.PeakCommitted / 1048576.0);
-    std::printf("%-9s %9.3fs %12.2f %8llu %8.1f%% %10.2f\n", "GoFree",
-                OFree.WallSeconds, OFree.Stats.AllocedBytes / 1048576.0,
-                (unsigned long long)OFree.Stats.GcCycles,
-                100.0 * OFree.Stats.freeRatio(),
-                OFree.Stats.PeakCommitted / 1048576.0);
-    // The diff below comes from the exact stats counters (not the bounded
-    // event ring), so it is right even when the trace dropped events.
-    trace::printSummaryDiff(stdout, "Go", exactSummary(OGo.Stats, Go.Passes),
-                            "GoFree", exactSummary(OFree.Stats, Free.Passes));
     if (Json) {
       std::printf("%s\n", driver::outcomeJson(OGo, "go").c_str());
       std::printf("%s\n", driver::outcomeJson(OFree, "gofree").c_str());
+    } else {
+      printReport({{"Go", reportRows(OGo.Stats, OGo.WallSeconds, &Go.Passes)},
+                   {"GoFree", reportRows(OFree.Stats, OFree.WallSeconds,
+                                         &Free.Passes)}});
+      std::printf("checksums %s\n", Same ? "match" : "DIFFER (bug!)");
     }
-    if (!TraceOut.empty() &&
-        !(writeTrace(TraceOut + ".go", GoHub, "go") &&
-          writeTrace(TraceOut + ".gofree", FreeHub, "gofree")))
+    if (Tracing && !(writeTrace(TraceOut + ".go", GoHub, "go") &&
+                     writeTrace(TraceOut + ".gofree", FreeHub, "gofree")))
       return 1;
-    if (TraceSummary) {
-      std::printf("--- Go trace summary ---\n");
-      trace::printSummary(stdout, trace::summarize(GoHub));
-      std::printf("--- GoFree trace summary ---\n");
-      trace::printSummary(stdout, trace::summarize(FreeHub));
-    }
-    std::printf("checksums %s\n", Same ? "match" : "DIFFER (bug!)");
     return Same ? 0 : 1;
   }
 
