@@ -35,12 +35,10 @@ constexpr FlagSpec Specs[] = {
     {"targets", "all|sm|none", "free targets (default sm = slices and maps)"},
     {"gc", "BACKEND[,KEY=V...]",
      "collector: marksweep|rc + gogc/min-trigger/workers/eager-sweep/"
-     "verify/zct-threshold/conc/chaos keys"},
+     "verify/zct-threshold/conc keys"},
     {"mock", "off|zero|flip", "poisoning tcfree (robustness testing)"},
     {"num-threads", "N", "run N real mutator threads (checksums add)"},
     {"max-steps", "N", "interpreter fuel budget"},
-    {"migration-period", "N",
-     "rotate the thread-cache id every N steps (single-threaded only)"},
 };
 
 bool parseI64(std::string_view V, int64_t &Out) {
@@ -138,10 +136,6 @@ bool parseGcConfig(std::string_view Spec, rt::GcConfig &Cfg,
         Cfg.Concurrent = false;
       else
         return Fail("conc: expected 0|1|on|off");
-    } else if (Key == "chaos") {
-      if (!WantNonNeg())
-        return false;
-      Cfg.TcfreeChaos = (uint64_t)IV;
     } else {
       return Fail("unknown key '" + Key + "'");
     }
@@ -259,21 +253,14 @@ FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
     Opts.Exec.Interp.MaxSteps = (uint64_t)IV;
     return FlagParse::Ok;
   }
-  if (N == "migration-period") {
-    int64_t IV;
-    if (!WantInt(IV, Bad))
-      return Bad;
-    if (IV < 0)
-      return invalid(Err, "--migration-period: must be non-negative");
-    Opts.Exec.Interp.MigrationPeriod = (uint64_t)IV;
-    return FlagParse::Ok;
-  }
   return FlagParse::Unknown;
 }
 
-bool gofree::compiler::driver::parseFlags(
-    std::initializer_list<std::string_view> Flags, PipelineOptions &Opts,
-    std::string *Err) {
+namespace {
+
+/// The one body behind both parseFlags overloads.
+template <typename Range>
+bool parseEach(const Range &Flags, PipelineOptions &Opts, std::string *Err) {
   for (std::string_view F : Flags) {
     switch (parseFlag(F, Opts, Err)) {
     case FlagParse::Ok:
@@ -289,22 +276,18 @@ bool gofree::compiler::driver::parseFlags(
   return true;
 }
 
+} // namespace
+
+bool gofree::compiler::driver::parseFlags(
+    std::initializer_list<std::string_view> Flags, PipelineOptions &Opts,
+    std::string *Err) {
+  return parseEach(Flags, Opts, Err);
+}
+
 bool gofree::compiler::driver::parseFlags(const std::vector<std::string> &Flags,
                                           PipelineOptions &Opts,
                                           std::string *Err) {
-  for (const std::string &F : Flags) {
-    switch (parseFlag(F, Opts, Err)) {
-    case FlagParse::Ok:
-      break;
-    case FlagParse::Unknown:
-      if (Err)
-        *Err = "unknown flag '" + F + "'";
-      return false;
-    case FlagParse::Invalid:
-      return false;
-    }
-  }
-  return true;
+  return parseEach(Flags, Opts, Err);
 }
 
 std::string gofree::compiler::driver::usageText() {

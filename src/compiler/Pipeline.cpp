@@ -97,13 +97,9 @@ ExecOutcome gofree::compiler::execute(const Compilation &C,
     Opts.Interp.Slice.FreeOldOnGrow = false;
   }
   // N workers share one heap, each owning cache id = its worker index.
-  // Real threads make cache-id rotation wrong (two threads could land on
-  // one cache), so simulated migration is left to a lone mutator.
   int N = std::max(Opts.NumThreads, 1);
   if (Opts.Heap.NumCaches < N)
     Opts.Heap.NumCaches = N;
-  if (N > 1)
-    Opts.Interp.MigrationPeriod = 0;
   rt::Heap Heap(Opts.Heap);
   // A vm::Module is immutable during execution, so all workers share one
   // compilation, done here, before the clock starts.

@@ -96,7 +96,6 @@ struct ExecOptions {
   /// root scanner, as a registered mutator inside the GC's stop-the-world
   /// handshake. Worker 0 runs on the calling thread. Per-worker results
   /// are combined: checksums/steps add (wrapping), the first failure wins.
-  /// With N > 1, MigrationPeriod is forced to 0 (see InterpOptions).
   int NumThreads = 1;
   /// Each worker traces into its own sink from here (merged at drain
   /// time). Not owned. Null disables runtime tracing.

@@ -11,12 +11,12 @@
 /// stock Go on the bytecode VM (the engine-equivalence law), GoFree with
 /// the default and the aggressive target set, GoFree back on the
 /// tree-walker, GoFree with zero/flip mock-tcfree poisoning, GoFree with
-/// GC disabled, with forced cache migration, and with N real mutator
-/// threads -- and their observables are compared:
+/// GC disabled, and with N real mutator threads (also under concurrent
+/// mark) -- and their observables are compared:
 ///
 ///  - checksum, sink count, panic flag/value and runtime-fault string must
-///    match the Go leg exactly (the multi-threaded leg runs the entry N
-///    times, so its checksum/sinks must be exactly N x the reference,
+///    match the Go leg exactly (the multi-threaded legs run the entry N
+///    times, so their checksum/sinks must be exactly N x the reference,
 ///    wrapping);
 ///  - the poisoning legs encode the paper's soundness claim: a tcfree that
 ///    merely *poisons* instead of freeing must never change observables,
@@ -45,7 +45,7 @@ namespace fuzz {
 struct DiffOptions {
   /// Arguments for the entry function (one int for generated programs).
   std::vector<int64_t> Args = {9};
-  /// Worker count for the multi-threaded leg (0 or 1 drops the leg).
+  /// Worker count for the multi-threaded legs (0 or 1 drops them).
   int MtThreads = 3;
   /// Fuel per leg. Generated programs have Fibonacci-bounded call trees
   /// that stay far under this; a leg that still runs out is recorded as
@@ -59,7 +59,7 @@ struct DiffOptions {
 
 /// One pipeline leg: a name, the driver flag strings that configure it
 /// (reproducible from the CLI), and the expected checksum/sink multiplier
-/// relative to the reference leg (1 except for the multi-threaded leg).
+/// relative to the reference leg (1 except for the multi-threaded legs).
 struct LegResult {
   std::string Name;
   std::vector<std::string> Flags;

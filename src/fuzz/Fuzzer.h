@@ -30,7 +30,7 @@ namespace fuzz {
 struct FuzzOptions {
   uint64_t Seed = 1; ///< First seed; seeds Seed..Seed+Count-1 are run.
   int Count = 100;
-  int MtThreads = 3; ///< Worker count for the MT leg (<=1 drops the leg).
+  int MtThreads = 3; ///< Worker count for the MT legs (<=1 drops them).
   bool Reduce = true;
   /// Progress/report stream; null is silent (the library default -- tests
   /// read the report struct instead).

@@ -158,11 +158,7 @@ Interp::Flow Interp::unwindStmt() {
 }
 
 bool Interp::burnFuel() {
-  ++FuelUsed;
-  // Simulated P-migration: rotate to the next thread cache.
-  if (Opts.MigrationPeriod && FuelUsed % Opts.MigrationPeriod == 0)
-    Opts.CacheId = (Opts.CacheId + 1) % Heap.options().NumCaches;
-  if (FuelUsed <= Opts.MaxSteps)
+  if (++FuelUsed <= Opts.MaxSteps)
     return true;
   Result.OutOfFuel = true;
   fault("step budget exhausted");

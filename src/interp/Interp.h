@@ -59,15 +59,6 @@ inline constexpr size_t MaxFrames = 4096;
 struct InterpOptions {
   uint64_t MaxSteps = 2'000'000'000;
   int CacheId = 0;
-  /// Simulates Go's runtime rescheduling the goroutine onto another P:
-  /// every this-many interpreter steps the thread-cache id rotates, so
-  /// spans cached before the switch belong to a "different thread" and
-  /// tcfree exercises its ownership give-up path (section 5). 0 disables.
-  /// Single-threaded runs only: with real worker threads (ExecOptions::
-  /// NumThreads > 1) each thread must keep its own cache id for the
-  /// ownership invariant to hold, so the pipeline forces this to 0 there
-  /// (genuine cross-thread contention replaces the simulation).
-  uint64_t MigrationPeriod = 0;
   /// Test hook honored by the bytecode VM only: force a full collection
   /// every this-many executed opcodes (0 disables). The GC-torture tests
   /// use it to run a collection at essentially every dispatch point,
@@ -323,7 +314,7 @@ private:
   const minigo::Program &Prog;
   const escape::ProgramAnalysis &Analysis;
   rt::Heap &Heap;
-  InterpOptions Opts;
+  const InterpOptions Opts;
   TypeLower Types;
 
   std::vector<std::unique_ptr<Frame>> Frames;

@@ -90,10 +90,6 @@ struct GcConfig {
   /// background marking between them) on backends that support it
   /// (supportsConcurrentMark). `--gc=...,conc=0` restores fully-STW marking.
   bool Concurrent = true;
-  /// Fuzz chaos knob: every Nth tcfree call is forced down the GcRunning
-  /// give-up path as if the collector were mid-cycle, exercising the
-  /// paper's section 5 give-up accounting. 0 disables.
-  uint64_t TcfreeChaos = 0;
 };
 
 /// One collector policy. Constructed against a heap; all methods except

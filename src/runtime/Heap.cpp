@@ -606,16 +606,6 @@ bool Heap::tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source) {
   };
   if (!Addr)
     return GiveUp(trace::GiveUpReason::NullAddr);
-  // Fuzz chaos knob (--gc=...,chaos=N): every Nth call is forced down the
-  // GcRunning give-up path as if a cycle were active, exercising section 5
-  // give-up accounting on paths real cycles rarely hit.
-  if (Opts.Gc.TcfreeChaos &&
-      TcfreeChaosCounter.fetch_add(1, std::memory_order_relaxed) %
-              Opts.Gc.TcfreeChaos ==
-          0) {
-    Stats.TcfreeChaosForced.fetch_add(1, std::memory_order_relaxed);
-    return GiveUp(trace::GiveUpReason::GcRunning);
-  }
   // Never race the collector (section 5). For a registered mutator this is
   // belt-and-braces (the collector only runs while we are parked); it is
   // the load that stops the collector's *own* re-entrant tcfree calls, and

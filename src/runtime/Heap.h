@@ -587,8 +587,6 @@ private:
   /// concurrent window does not end while one is mid-scan, so that its
   /// leftovers are marked in the window rather than inside flip 2.
   std::atomic<int> AssistsActive{0};
-  /// Deterministic counter behind GcConfig::TcfreeChaos.
-  std::atomic<uint64_t> TcfreeChaosCounter{0};
   /// Current mark pass mode; written by the collector before workers
   /// start, read by them during the pass (stopped world).
   GcMarkMode MarkMode = GcMarkMode::Full;

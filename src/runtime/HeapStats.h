@@ -143,9 +143,6 @@ struct StatsSnapshot {
   uint64_t GcConcCycles = 0;
   uint64_t GcAssists = 0;
   uint64_t GcAssistBytes = 0;
-  /// tcfree calls forced down the GcRunning give-up path by the
-  /// GcConfig::TcfreeChaos fuzz knob (a subset of that reason's bucket).
-  uint64_t TcfreeChaosForced = 0;
   uint64_t PeakCommitted = 0;
   uint64_t PeakLive = 0;
 
@@ -299,7 +296,6 @@ struct HeapStats {
   std::atomic<uint64_t> GcConcCycles{0};
   std::atomic<uint64_t> GcAssists{0};
   std::atomic<uint64_t> GcAssistBytes{0};
-  std::atomic<uint64_t> TcfreeChaosForced{0};
 
   // Heap footprint (table 5 "maxheap").
   std::atomic<uint64_t> HeapLive{0};        ///< Live object bytes.
@@ -347,7 +343,6 @@ struct HeapStats {
     S.GcConcCycles = Ld(GcConcCycles);
     S.GcAssists = Ld(GcAssists);
     S.GcAssistBytes = Ld(GcAssistBytes);
-    S.TcfreeChaosForced = Ld(TcfreeChaosForced);
     S.PeakCommitted = Ld(PeakCommitted);
     S.PeakLive = std::max(Ld(PeakLive), liveBytes());
     return S;

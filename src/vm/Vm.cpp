@@ -39,7 +39,7 @@ Vm::Vm(const Program &Prog, const escape::ProgramAnalysis &Analysis,
        rt::Heap &Heap, interp::InterpOptions Opts, const Module &Mod)
     : Prog(Prog), Analysis(Analysis), Heap(Heap), Opts(Opts), M(&Mod) {
   assert(Mod.Prog == &Prog && "module compiled from a different program");
-  FuelHooks = Opts.MigrationPeriod != 0 || Opts.GcEveryNSteps != 0;
+  FuelHooks = Opts.GcEveryNSteps != 0;
   // Resolve the module's descriptor requests; ops index these arrays.
   Descs.reserve(M->Descs.size());
   for (const DescRef &D : M->Descs)
@@ -52,6 +52,7 @@ Vm::Vm(const Program &Prog, const escape::ProgramAnalysis &Analysis,
     Ctx.BucketArrayDesc = Types.mapBuckets(MapTy->elem());
     Ctx.ValueDesc = Types.lower(MapTy->elem());
     Ctx.ValueSize = MapTy->elem()->size();
+    Ctx.CacheId = Opts.CacheId;
     Ctx.Opts = Opts.Map;
     MapCtxs.push_back(Ctx);
   }
@@ -122,11 +123,8 @@ void Vm::fault(const std::string &Msg) {
 }
 
 bool Vm::burnFuelHooks() {
-  // Simulated P-migration: rotate to the next thread cache.
-  if (Opts.MigrationPeriod && FuelUsed % Opts.MigrationPeriod == 0)
-    Opts.CacheId = (Opts.CacheId + 1) % Heap.options().NumCaches;
   // GC torture: a forced collection at (essentially) every dispatch point.
-  if (Opts.GcEveryNSteps && FuelUsed % Opts.GcEveryNSteps == 0)
+  if (FuelUsed % Opts.GcEveryNSteps == 0)
     Heap.runGc();
   if (FuelUsed <= Opts.MaxSteps)
     return true;
@@ -341,9 +339,9 @@ Vm::Flow Vm::execChunk(const Chunk &C) {
   // Fuel lives in a register for the duration of the chunk; the member is
   // the source of truth only across calls (flushed before runFunction,
   // reloaded after) and on exit (the Sync destructor covers every return
-  // path). With no hooks installed the per-opcode cost is one increment and
-  // one never-taken branch to the shared slow path below; with hooks
-  // (migration / GC torture) FastLimit is 0 so every dispatch goes slow.
+  // path). Without the GC-torture hook the per-opcode cost is one increment
+  // and one never-taken branch to the shared slow path below; with it
+  // FastLimit is 0 so every dispatch goes slow.
   uint64_t Fuel = FuelUsed;
   const uint64_t FastLimit = FuelHooks ? 0 : Opts.MaxSteps;
   struct FuelSync {
@@ -372,7 +370,8 @@ Vm::Flow Vm::execChunk(const Chunk &C) {
 
 SlowFuel:
   // One call-free branch target shared by all dispatch sites: run the rare
-  // hooks (which also enforce MaxSteps) or report fuel exhaustion.
+  // GC-torture hook (which also enforces MaxSteps) or report fuel
+  // exhaustion.
   FuelUsed = Fuel;
   if (!(FuelHooks ? burnFuelHooks() : outOfFuel()))
     return Flow::Fault;

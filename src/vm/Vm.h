@@ -80,17 +80,14 @@ private:
   // once per chunk instead of reloading it per variable access.
   uintptr_t varAddr(interp::Frame &F, const minigo::VarDecl *V);
   void initVarSlot(interp::Frame &F, const minigo::VarDecl *V);
-  /// The map context of M->MapTypes[Idx] for the current cache id.
-  rt::MapCtx mapCtx(uint32_t Idx) const {
-    rt::MapCtx Ctx = MapCtxs[Idx];
-    Ctx.CacheId = Opts.CacheId;
-    return Ctx;
-  }
+  /// The map context of M->MapTypes[Idx] (built with this engine's cache
+  /// id, which is fixed for the engine's lifetime).
+  const rt::MapCtx &mapCtx(uint32_t Idx) const { return MapCtxs[Idx]; }
   bool faulted() const { return !FaultMsg.empty(); }
   void fault(const std::string &Msg);
 
   /// Fuel slow paths of the dispatch loop (which keeps the counter in a
-  /// register): migration/GC-torture hooks, and fuel exhaustion.
+  /// register): the GC-torture hook, and fuel exhaustion.
   bool burnFuelHooks();
   bool outOfFuel();
 
@@ -115,7 +112,7 @@ private:
   const minigo::Program &Prog;
   const escape::ProgramAnalysis &Analysis;
   rt::Heap &Heap;
-  interp::InterpOptions Opts;
+  const interp::InterpOptions Opts;
   interp::TypeLower Types;
 
   const Module *M;
@@ -133,9 +130,8 @@ private:
   interp::RunResult Result;
   std::string FaultMsg;
   uint64_t FuelUsed = 0;
-  /// True when MigrationPeriod or GcEveryNSteps is set (both need per-step
-  /// modulo checks); false keeps the dispatch loop's fuel check branchless
-  /// of them.
+  /// True when GcEveryNSteps is set (it needs a per-step modulo check);
+  /// false keeps the dispatch loop's fuel check branchless of it.
   bool FuelHooks = false;
 };
 

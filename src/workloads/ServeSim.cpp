@@ -231,7 +231,6 @@ ServeSimResult gofree::workloads::runServeSim(const ServeSimOptions &Opts) {
   std::string FirstError;
 
   interp::InterpOptions BaseIO;
-  BaseIO.MigrationPeriod = 0;
   // Stock Go has no tcfree at all, runtime-side optimizations included
   // (same rule as compiler::execute).
   if (Opts.Mode == CompileMode::Go) {

@@ -68,7 +68,7 @@ struct ServeSimOptions {
   std::string Profile = "mix";
   /// Go (no tcfree) vs GoFree (compiler-inserted freeing).
   compiler::CompileMode Mode = compiler::CompileMode::GoFree;
-  /// Runtime configuration (collector backend, conc, chaos, ...).
+  /// Runtime configuration (collector backend, conc, workers, ...).
   rt::HeapOptions Heap;
   /// Per-thread trace sinks come from here when non-null (one Request
   /// event per request, plus the usual runtime events). Not owned.

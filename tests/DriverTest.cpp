@@ -52,7 +52,6 @@ const std::set<std::string> &testedFlags() {
   static const std::set<std::string> Names = {
       "mode",       "engine",    "entry",      "targets",
       "gc",         "mock",      "num-threads", "max-steps",
-      "migration-period",
   };
   return Names;
 }
@@ -104,9 +103,6 @@ TEST(DriverFlagTest, GcRoundTrips) {
   EXPECT_TRUE(parsedOk("--gc=conc=on").Exec.Heap.Gc.Concurrent);
   EXPECT_FALSE(parsedOk("--gc=conc=0").Exec.Heap.Gc.Concurrent);
   EXPECT_FALSE(parsedOk("--gc=conc=off").Exec.Heap.Gc.Concurrent);
-  EXPECT_EQ(parsedOk("--gc=chaos=7").Exec.Heap.Gc.TcfreeChaos, 7u);
-  EXPECT_EQ(parsedOk("--gc=chaos=0").Exec.Heap.Gc.TcfreeChaos, 0u)
-      << "chaos=0 disables the knob";
   // Combined form, and composition: later tokens touch only their own key.
   PipelineOptions P = parsedOk("--gc=rc,zct-threshold=8192,conc=0,verify=1");
   EXPECT_EQ(P.Exec.Heap.Gc.Backend, rt::GcBackendKind::Rc);
@@ -136,13 +132,16 @@ TEST(DriverFlagTest, NumThreadsRoundTrips) {
   EXPECT_EQ(parsedOk("--num-threads=1024").Exec.NumThreads, 1024);
 }
 
-// The pre-GcConfig spellings and --num-caches (execute sizes the caches
-// from --num-threads) are gone; each must now be Unknown (so the CLI
-// prints usage) rather than silently setting a field.
+// The pre-GcConfig spellings, --num-caches (execute sizes the caches from
+// --num-threads) and the simulated P-migration (real mutator threads reach
+// the same give-up) are gone; each must now be Unknown (so the CLI prints
+// usage and an old reproduction line fails loudly) rather than silently
+// setting a field.
 TEST(DriverFlagTest, RemovedFlagsAreUnknown) {
   for (const char *F :
        {"--gogc=250", "--gc-min-trigger=65536", "--gc-workers=4",
-        "--gc-eager-sweep", "--verify-heap", "--num-caches=8"}) {
+        "--gc-eager-sweep", "--verify-heap", "--num-caches=8",
+        "--migration-period=1024"}) {
     PipelineOptions P;
     EXPECT_EQ(parseFlag(F, P), FlagParse::Unknown) << F;
   }
@@ -150,12 +149,6 @@ TEST(DriverFlagTest, RemovedFlagsAreUnknown) {
 
 TEST(DriverFlagTest, MaxStepsRoundTrips) {
   EXPECT_EQ(parsedOk("--max-steps=12345").Exec.Interp.MaxSteps, 12345u);
-}
-
-TEST(DriverFlagTest, MigrationPeriodRoundTrips) {
-  EXPECT_EQ(parsedOk("--migration-period=1024").Exec.Interp.MigrationPeriod,
-            1024u);
-  EXPECT_EQ(parsedOk("--migration-period=0").Exec.Interp.MigrationPeriod, 0u);
 }
 
 TEST(DriverFlagTest, CoversEveryUsageLine) {
@@ -192,6 +185,9 @@ TEST(DriverFlagTest, RejectsBadValues) {
   EXPECT_NE(invalidErr("--gc=gen").find("marksweep|rc"), std::string::npos);
   invalidErr("--gc=nursery=8192");
   invalidErr("--gc=promote-after=1");
+  // The deleted tcfree chaos knob (real mutators reach gc-running).
+  EXPECT_NE(invalidErr("--gc=chaos=7").find("unknown key 'chaos'"),
+            std::string::npos);
   invalidErr("--gc=gogc=abc");
   invalidErr("--gc=min-trigger=-1");
   invalidErr("--gc=workers=0");
@@ -200,8 +196,6 @@ TEST(DriverFlagTest, RejectsBadValues) {
   invalidErr("--gc=verify=banana");
   invalidErr("--gc=zct-threshold=0");
   invalidErr("--gc=conc=banana");
-  invalidErr("--gc=chaos=-1");
-  invalidErr("--gc=chaos=sometimes");
   invalidErr("--gc=color=blue");
   invalidErr("--gc=rc,,verify=1");
   invalidErr("--gc");
@@ -210,7 +204,6 @@ TEST(DriverFlagTest, RejectsBadValues) {
   invalidErr("--num-threads=0");
   invalidErr("--num-threads=1025");
   invalidErr("--max-steps=0");
-  invalidErr("--migration-period=-5");
   // Missing values.
   invalidErr("--mode");
   invalidErr("--mode=");
@@ -385,39 +378,6 @@ TEST(DriverJsonTest, ErrorStaysOneEscapedLine) {
   EXPECT_EQ(J.find('\n'), std::string::npos) << J;
   EXPECT_NE(J.find("\"ok\":false"), std::string::npos) << J;
   EXPECT_NE(J.find("compile error:"), std::string::npos) << J;
-}
-
-//===----------------------------------------------------------------------===//
-// Chaos knob edge semantics. The parse pins above say chaos=0 round-trips;
-// these pin what the *runtime* does with the edges: 0 is "off" (notably:
-// no modulo-by-zero on the call-counting path), 1 forces every tcfree down
-// the GcRunning give-up path.
-//===----------------------------------------------------------------------===//
-
-TEST(DriverRunTest, ChaosZeroDisablesForcing) {
-  ExecOutcome O = compileAndRun(
-      OkProg, optsFor({"--mode=gofree", "--gc=chaos=0"}), {64});
-  ASSERT_TRUE(O.ok()) << O.Error;
-  EXPECT_EQ(O.Stats.TcfreeChaosForced, 0u);
-  EXPECT_GT(O.Stats.TcfreeCalls, 0u);
-  EXPECT_GT(O.Stats.tcfreeFreedBytes(), 0u)
-      << "chaos=0 must behave exactly like no chaos: frees happen";
-}
-
-TEST(DriverRunTest, ChaosOneForcesEveryTcfree) {
-  ExecOutcome O = compileAndRun(
-      OkProg, optsFor({"--mode=gofree", "--gc=chaos=1"}), {64});
-  ASSERT_TRUE(O.ok()) << O.Error;
-  EXPECT_GT(O.Stats.TcfreeCalls, 0u);
-  EXPECT_GT(O.Stats.TcfreeChaosForced, 0u);
-  EXPECT_GE(O.Stats.TcfreeGiveUps, O.Stats.TcfreeChaosForced);
-  EXPECT_EQ(O.Stats.tcfreeFreedBytes(), 0u)
-      << "every call was forced to give up; nothing tcfrees";
-  // Give-ups only defer reclamation to the GC -- observable behavior
-  // must not change.
-  ExecOutcome Base = compileAndRun(OkProg, optsFor({"--mode=gofree"}), {64});
-  ASSERT_TRUE(Base.ok());
-  EXPECT_EQ(O.Run.Checksum, Base.Run.Checksum);
 }
 
 TEST(DriverRunTest, OutcomeJsonCarriesPausePercentiles) {

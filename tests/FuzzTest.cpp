@@ -127,6 +127,22 @@ TEST(DifferTest, StandardLegMatrix) {
   EXPECT_TRUE(SawMt);
   EXPECT_TRUE(SawZero);
   EXPECT_TRUE(SawFlip);
+  // The concurrent-mark leg overlaps real mutators, so it runs N threads and
+  // goes away with the MT leg when there is only one.
+  auto Conc = std::find_if(Legs.begin(), Legs.end(), [](const LegResult &L) {
+    return L.Name == "gofree-conc";
+  });
+  ASSERT_NE(Conc, Legs.end());
+  EXPECT_EQ(Conc->Factor, O.MtThreads);
+  for (int Threads : {0, 1}) {
+    DiffOptions One;
+    One.MtThreads = Threads;
+    for (const LegResult &L : standardLegs(One)) {
+      EXPECT_NE(L.Name, "gofree-conc") << "MtThreads=" << Threads;
+      EXPECT_NE(L.Name, "gofree-mt") << "MtThreads=" << Threads;
+      EXPECT_EQ(L.Factor, 1) << L.Name;
+    }
+  }
 }
 
 TEST(DifferTest, CleanSeedsDiffOk) {

@@ -162,19 +162,3 @@ TEST(StressTest, DeepCallChains) {
   EXPECT_GT(O.Stats.AllocCount, 0u);
 }
 
-TEST_P(SynthPropertyTest, ThreadMigrationOnlyCostsGiveUps) {
-  // Simulated P-migration makes tcfree hit its ownership give-up path;
-  // behavior must not change and give-ups must actually occur.
-  std::string Src = sourceFor(GetParam());
-  Compilation Free = compile(Src, {});
-  ASSERT_TRUE(Free.ok());
-  ExecOutcome Pinned = execute(Free, "main", {30});
-  ExecOptions Roaming;
-  Roaming.Interp.MigrationPeriod = 97;
-  ExecOutcome Moved = execute(Free, "main", {30}, Roaming);
-  ASSERT_TRUE(Moved.Run.ok()) << Moved.Run.Error;
-  EXPECT_EQ(Pinned.Run.Checksum, Moved.Run.Checksum);
-  // Migration can only lose freeing opportunities, never gain them.
-  EXPECT_LE(Moved.Stats.tcfreeFreedBytes(), Pinned.Stats.tcfreeFreedBytes());
-  EXPECT_GE(Moved.Stats.TcfreeGiveUps, Pinned.Stats.TcfreeGiveUps);
-}

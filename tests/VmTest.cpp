@@ -643,7 +643,8 @@ namespace {
 
 /// Runs one boundary program through every standard differ leg (go oracle
 /// on the tree-walker, vm engine law, gofree on both engines, poisoning,
-/// gcoff, migration, multi-threaded, parallel GC) and expects agreement.
+/// gcoff, multi-threaded, parallel GC, rc, concurrent mark) and expects
+/// agreement.
 void expectDiffsClean(const std::string &Src) {
   fuzz::DiffOptions D;
   D.Args = {};

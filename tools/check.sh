@@ -44,9 +44,11 @@
 #                             (mutators store through the Dijkstra barrier
 #                             while mark workers drain gray and assists
 #                             steal batches), then a 200-seed fuzz run whose
-#                             gofree-conc leg runs --gc=workers=2,conc=1,
-#                             chaos=7 with heap verification (including the
-#                             tricolor check at both flips) on every leg
+#                             gofree-conc leg runs 3 real mutators over
+#                             --gc=workers=2,conc=1 (the others store and
+#                             tcfree while one collects) with heap
+#                             verification (including the tricolor check at
+#                             both flips) on every leg
 #   tools/check.sh bench      benchmarks: runs bench_gc_pause, bench_vm and
 #                             bench_mt_contention and writes
 #                             BENCH_gc_pause.json / BENCH_vm.json /
@@ -284,13 +286,15 @@ conc)
   "$ROOT/build-tsan/tests/concurrency_test" \
     --gtest_filter='ConcurrencyConcMarkTest.*' \
     || fail "concurrent-mark torture failed under ThreadSanitizer"
-  # Fuzz slice: the gofree-conc leg forces concurrent full cycles with two
-  # mark workers and chaos-forced tcfree give-ups; every leg runs with heap
-  # verification, which includes the tricolor invariant check at each flip.
+  # Fuzz slice: the gofree-conc leg runs 3 real mutators over concurrent
+  # full cycles with two mark workers, so the mutators that are not
+  # collecting store through the barrier and take tcfree's gc-running
+  # give-up inside the window; every leg runs with heap verification, which
+  # includes the tricolor invariant check at each flip.
   cmake -B "$ROOT/build" -S "$ROOT"
   cmake --build "$ROOT/build" -j --target gofree
   "$ROOT/build/tools/gofree" fuzz --seed=1 --count=200 \
-    || fail "concurrent-mark fuzz slice failed (gofree-conc leg)"
+    || fail "concurrent-mark fuzz slice failed (gofree-conc: 3 real mutators, conc=1)"
   echo "check.sh: conc pass OK (tsan torture + 200-seed fuzz)"
   ;;
 bench)
