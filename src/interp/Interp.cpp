@@ -28,7 +28,9 @@ uintptr_t FrameArena::allocate(size_t Bytes) {
       SlabSize = Bytes;
     if (SlabSize > (1u << 20) && SlabSize > Bytes)
       SlabSize = std::max<size_t>(1u << 20, Bytes);
-    Slabs.emplace_back(std::make_unique<char[]>(SlabSize), SlabSize);
+    // Uninitialized: every block is zeroed below as it is handed out.
+    Slabs.emplace_back(std::make_unique_for_overwrite<char[]>(SlabSize),
+                       SlabSize);
     Used = 0;
   }
   uintptr_t Addr = reinterpret_cast<uintptr_t>(Slabs.back().first.get()) + Used;

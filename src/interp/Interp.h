@@ -221,13 +221,14 @@ struct StackObj {
   size_t Bytes;
 };
 
-/// A pending deferred call.
+/// A pending deferred call of the tree-walker.
 struct DeferRecord {
   const minigo::FuncDecl *Fn;
   std::vector<Value> Args;
 };
 
-/// An activation record.
+/// An activation record of the tree-walker (vm::Vm keeps its own frame
+/// records on a slot stack).
 struct Frame {
   const minigo::FuncDecl *Fn = nullptr;
   std::vector<char> Slots;
@@ -235,8 +236,7 @@ struct Frame {
   std::vector<StackObj> StackObjs;
   std::vector<DeferRecord> Defers;
   /// Allocation-site id -> fixed stack slot for that site (reused on every
-  /// execution, mirroring Go's per-site stack slots). Tree-walker only: the
-  /// VM indexes a dense per-chunk site table at the end of Slots instead.
+  /// execution, mirroring Go's per-site stack slots).
   std::unordered_map<uint32_t, uintptr_t> SiteMem;
 
   uintptr_t slotAddr(const minigo::VarDecl *V) const {

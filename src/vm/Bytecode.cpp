@@ -22,6 +22,7 @@ const char *gofree::vm::opName(Op O) {
   case Op::Pick: return "pick";
   case Op::LoadSlotI: return "load.slot.i";
   case Op::LoadSlotA: return "load.slot.a";
+  case Op::LoadSlotS: return "load.slot.s";
   case Op::StoreSlotI: return "store.slot.i";
   case Op::StoreSlotA: return "store.slot.a";
   case Op::Jump: return "jump";
@@ -115,6 +116,7 @@ std::string gofree::vm::disassemble(const Module &M, const Chunk &C) {
       break;
     case Op::LoadSlotI:
     case Op::LoadSlotA:
+    case Op::LoadSlotS:
     case Op::StoreSlotI:
     case Op::StoreSlotA:
       if (const minigo::VarDecl *V = varAtOffset(C.Fn, C.Code[I + 1]))

@@ -50,13 +50,14 @@ enum class Op : uint32_t {
   PopN,     ///< n      : drop the top n values
   Pick,     ///< n      : push a copy of the value n slots below the top
             ///<          (n=1 duplicates the top)
-  // Slot operands: a local that is not MovedToHeap, of int/bool (I) or
-  // pointer/map (A) type, is read and written at its frame offset with no
-  // varAddr/type dispatch. Slot stores skip the write barrier: a frame slot
-  // is never a heap word (the barrier's span filter drops it anyway) and
-  // the final mark flip rescans frame roots.
+  // Slot operands: a local that is not MovedToHeap, of int/bool (I),
+  // pointer/map (A) or slice (S, loads only) type, is read and written at
+  // its frame offset with no varAddr/type dispatch. Slot stores skip the
+  // write barrier: a frame slot is never a heap word (the barrier's span
+  // filter drops it anyway) and the final mark flip rescans frame roots.
   LoadSlotI,  ///< off t : push {Ty=t, I=slot}
   LoadSlotA,  ///< off t : push {Ty=t, A=slot}
+  LoadSlotS,  ///< off t : push {Ty=t, S=the 24-byte slice header at slot}
   StoreSlotI, ///< off   : pop v, slot = v.I
   StoreSlotA, ///< off   : pop v, slot = v.A
 
@@ -94,7 +95,7 @@ enum class Op : uint32_t {
   FieldVal,   ///< off t : pop struct s, push load(s.A+off, t)
   IndexSlice, ///< t     : pop i, s (bounds check), push load of element
   IndexMap,   ///< t     : pop k, m; nil map reads zero; struct values get
-              ///<         a frame-arena copy (the interpreter's rule)
+              ///<         a copy that extends the executing frame
 
   // Lvalues: raw storage addresses as untyped (Ty=null) stack values. The
   // compiler guarantees no allocating op runs between the first Lval* op
@@ -119,8 +120,9 @@ enum class Op : uint32_t {
              ///<            the callee returns nothing)
   CallMulti, ///< f argc   : push every result (multi-value contexts)
   CallStmt,  ///< f argc   : discard results (expression statements)
-  Defer,     ///< f argc   : pop argc args into a DeferRecord
-  Return,    ///< n        : pop n values into the frame's return slot
+  Defer,     ///< f argc   : pop argc args into a pending defer
+  Return,    ///< n        : return the top n values (they stay on the
+             ///<            stack; the call moves them over the args)
   MissingRet,///<          : fault "missing return in 'NAME'"
 
   // Allocation and built-ins.
@@ -148,7 +150,7 @@ enum class Op : uint32_t {
 /// to the enum so the two cannot drift.
 #define GOFREE_VM_FOR_EACH_OP(X)                                             \
   X(Const) X(Nil) X(LoadVar) X(Pop) X(PopN) X(Pick)                          \
-  X(LoadSlotI) X(LoadSlotA) X(StoreSlotI) X(StoreSlotA)                      \
+  X(LoadSlotI) X(LoadSlotA) X(LoadSlotS) X(StoreSlotI) X(StoreSlotA)         \
   X(Jump) X(JumpIfFalse) X(JumpIfFalsePeek) X(JumpIfTruePeek)                \
   X(JumpIfNotLt) X(JumpIfNotLe) X(JumpIfNotGt) X(JumpIfNotGe)                \
   X(Neg) X(Not) X(Add) X(Sub) X(Mul) X(Div) X(Mod)                           \
@@ -190,6 +192,9 @@ struct Chunk {
   /// Allocation sites in the chunk; each owns one dense index into its
   /// frame's site-slot table (the fixed slot of a stack-placed site).
   uint32_t NumSites = 0;
+  /// Bytes the caller sets aside for copies of the function's struct
+  /// results: their sizes, each rounded up to 8.
+  uint32_t StructResultBytes = 0;
 };
 
 /// A runtime type descriptor an op needs, named by how it derives from a
@@ -311,6 +316,7 @@ constexpr unsigned opOperands(Op O) {
   case Op::Const:
   case Op::LoadSlotI:
   case Op::LoadSlotA:
+  case Op::LoadSlotS:
   case Op::Eq:
   case Op::Ne:
   case Op::FieldPtr:

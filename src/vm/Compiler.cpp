@@ -26,8 +26,9 @@ struct Pools {
   std::unordered_map<const Type *, uint32_t> MapTypes;
 };
 
-/// Which slot opcodes a local gets, if any (see Op::LoadSlotI).
-enum class SlotKind { None, I, A };
+/// Which slot opcodes a local gets, if any (see Op::LoadSlotI). Slice
+/// locals (S) get the load only.
+enum class SlotKind { None, I, A, S };
 
 SlotKind slotKind(const VarDecl *V) {
   if (V->MovedToHeap || !V->Ty)
@@ -36,6 +37,8 @@ SlotKind slotKind(const VarDecl *V) {
     return SlotKind::I;
   if (V->Ty->isPointer() || V->Ty->isMap())
     return SlotKind::A;
+  if (V->Ty->isSlice())
+    return SlotKind::S;
   return SlotKind::None;
 }
 
@@ -55,6 +58,9 @@ public:
       emit(Op::MissingRet);
     assert(Depth == 0 && "statements must leave the operand stack empty");
     C.MaxDepth = MaxDepth;
+    for (const Type *R : Fn->Results)
+      if (R->isStruct())
+        C.StructResultBytes += (uint32_t)((R->size() + 7) & ~(size_t)7);
   }
 
 private:
@@ -139,6 +145,7 @@ private:
     case Op::Pick:
     case Op::LoadSlotI:
     case Op::LoadSlotA:
+    case Op::LoadSlotS:
     case Op::LvalVar:
     case Op::New:
     case Op::Composite:
@@ -254,7 +261,7 @@ private:
   /// slot operands; returns false (emitting nothing) otherwise.
   bool storeSlot(const VarDecl *V) {
     SlotKind K = slotKind(V);
-    if (K == SlotKind::None)
+    if (K != SlotKind::I && K != SlotKind::A)
       return false;
     emit(K == SlotKind::I ? Op::StoreSlotI : Op::StoreSlotA,
          (uint32_t)V->FrameOffset);
@@ -300,7 +307,9 @@ private:
       const VarDecl *V = cast<IdentExpr>(E)->Decl;
       assert(V && "reading the blank identifier");
       if (SlotKind K = slotKind(V); K != SlotKind::None)
-        emit(K == SlotKind::I ? Op::LoadSlotI : Op::LoadSlotA,
+        emit(K == SlotKind::I   ? Op::LoadSlotI
+             : K == SlotKind::A ? Op::LoadSlotA
+                                : Op::LoadSlotS,
              (uint32_t)V->FrameOffset, typeIdx(V->Ty));
       else
         emit(Op::LoadVar, varIdx(V));

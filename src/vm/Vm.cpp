@@ -32,6 +32,28 @@ void writeU64(uintptr_t Addr, uint64_t V) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
+// Slot stack
+//===----------------------------------------------------------------------===//
+
+uintptr_t SlotStack::pushSlow(size_t Bytes) {
+  // The region does not fit the rest of this segment: start the next one,
+  // replacing it if it was made for a smaller request. Segments above the
+  // current one hold nothing live, so replacing one moves no live frame.
+  size_t Next = Segs.empty() ? 0 : Seg + 1;
+  if (Next == Segs.size() || Segs[Next].Size < Bytes) {
+    size_t Size = std::max(SegmentBytes, Bytes);
+    Segment S{std::make_unique_for_overwrite<char[]>(Size), Size};
+    if (Next == Segs.size())
+      Segs.push_back(std::move(S));
+    else
+      Segs[Next] = std::move(S);
+  }
+  Seg = Next;
+  Used = Bytes;
+  return reinterpret_cast<uintptr_t>(Segs[Seg].Mem.get());
+}
+
+//===----------------------------------------------------------------------===//
 // Construction and roots
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +62,11 @@ Vm::Vm(const Program &Prog, const escape::ProgramAnalysis &Analysis,
     : Prog(Prog), Analysis(Analysis), Heap(Heap), Opts(Opts), M(&Mod) {
   assert(Mod.Prog == &Prog && "module compiled from a different program");
   FuelHooks = Opts.GcEveryNSteps != 0;
-  // Resolve the module's descriptor requests; ops index these arrays.
+  // Resolve the module's callee and descriptor requests; ops index these
+  // arrays.
+  Callees.reserve(M->Funcs.size());
+  for (const FuncDecl *F : M->Funcs)
+    Callees.push_back(F ? M->chunkFor(F) : nullptr);
   Descs.reserve(M->Descs.size());
   for (const DescRef &D : M->Descs)
     Descs.push_back(D.K == DescRef::Array ? Types.arrayOf(D.T)
@@ -64,24 +90,20 @@ Vm::Vm(const Program &Prog, const escape::ProgramAnalysis &Analysis,
 Vm::~Vm() { Heap.removeRootScanner(this); }
 
 void Vm::scanRoots(rt::Heap &H) {
-  for (const auto &FP : Frames) {
-    const interp::Frame &F = *FP;
+  for (const FrameRec &F : Frames) {
     for (const VarDecl *V : F.Fn->AllVars) {
-      uintptr_t Slot = F.slotAddr(V);
+      uintptr_t Slot = F.Slots + V->FrameOffset;
       if (V->MovedToHeap)
         H.gcScanRegion(Slot, Types.rawPtr(), 8);
       else if (V->Ty && V->Ty->hasPointers())
         H.gcScanRegion(Slot, Types.lower(V->Ty), V->Ty->size());
     }
-    for (const interp::StackObj &O : F.StackObjs)
-      H.gcScanRegion(O.Addr, O.Desc, O.Bytes);
-    for (const interp::DeferRecord &D : F.Defers)
-      for (const Value &V : D.Args)
-        interp::scanValueRoots(H, Types, V);
   }
-  for (const auto &Rets : ReturnedStack)
-    for (const Value &V : Rets)
-      interp::scanValueRoots(H, Types, V);
+  for (const interp::StackObj &O : StackObjs)
+    H.gcScanRegion(O.Addr, O.Desc, O.Bytes);
+  for (const Value &V : DeferArgs)
+    interp::scanValueRoots(H, Types, V);
+  // Pending return values sit on the operand stack while defers run.
   for (const Value *P = StackBuf.data(); P != Sp; ++P) {
     const Value &V = *P;
     if (!V.Ty)
@@ -99,15 +121,15 @@ void Vm::scanRoots(rt::Heap &H) {
 // Bookkeeping shared with the interpreter (same semantics; see Interp.cpp)
 //===----------------------------------------------------------------------===//
 
-uintptr_t Vm::varAddr(interp::Frame &F, const VarDecl *V) {
-  uintptr_t Slot = F.slotAddr(V);
+uintptr_t Vm::varAddr(uintptr_t SlotBase, const VarDecl *V) {
+  uintptr_t Slot = SlotBase + V->FrameOffset;
   if (!V->MovedToHeap)
     return Slot;
   return readU64(Slot); // Boxed: the slot holds the heap cell's address.
 }
 
-void Vm::initVarSlot(interp::Frame &F, const VarDecl *V) {
-  uintptr_t Slot = F.slotAddr(V);
+void Vm::initVarSlot(uintptr_t SlotBase, const VarDecl *V) {
+  uintptr_t Slot = SlotBase + V->FrameOffset;
   if (V->MovedToHeap) {
     uintptr_t Box = Heap.allocate(V->Ty->size(), Types.lower(V->Ty),
                                   rt::AllocCat::Other, Opts.CacheId);
@@ -148,19 +170,34 @@ void Vm::growStack(size_t N) {
 //===----------------------------------------------------------------------===//
 
 template <typename RegisterFn>
-uintptr_t Vm::siteStorage(interp::Frame &F, uint32_t Site, size_t Bytes,
-                          RegisterFn Register) {
-  uintptr_t Entry = reinterpret_cast<uintptr_t>(F.Slots.data()) +
-                    F.Fn->FrameSize + (uintptr_t)Site * 8;
+uintptr_t Vm::siteStorage(uint32_t Site, size_t Bytes, RegisterFn Register) {
+  const FrameRec &F = Frames.back();
+  uintptr_t Entry = F.Slots + F.Fn->FrameSize + (uintptr_t)Site * 8;
   uintptr_t Storage = readU64(Entry);
   if (Storage) {
     std::memset(reinterpret_cast<void *>(Storage), 0, Bytes);
     return Storage;
   }
-  Storage = F.Arena.allocate(Bytes ? Bytes : 8);
+  // The executing frame is the topmost region, so this extends it. The
+  // storage outlives every later temporary of the frame: raise the floor.
+  Storage = Slots.push(Bytes ? Bytes : 8);
+  std::memset(reinterpret_cast<void *>(Storage), 0, Bytes ? Bytes : 8);
+  Frames.back().TempFloor = Slots.mark();
   writeU64(Entry, Storage);
   Register(Storage);
   return Storage;
+}
+
+uintptr_t Vm::frameTemp(size_t Bytes) {
+  if (!Frames.empty()) {
+    const FrameRec &F = Frames.back();
+    const Value *P = StackBuf.data() + F.TransientBase;
+    while (P != Sp && !(P->Ty && P->Ty->isStruct()))
+      ++P;
+    if (P == Sp)
+      Slots.popTo(F.TempFloor);
+  }
+  return Slots.push(Bytes);
 }
 
 Vm::Flow Vm::doMake(const MakeSite &S) {
@@ -191,9 +228,8 @@ Vm::Flow Vm::doMake(const MakeSite &S) {
       assert(ME->SizeIsConst && Cap <= ME->ConstSize &&
              "stack slice exceeding its site size");
       size_t Bytes = (size_t)ME->ConstSize * ElemSize;
-      interp::Frame &F = *Frames.back();
-      V.S.Data = siteStorage(F, S.Site, Bytes, [&](uintptr_t At) {
-        F.StackObjs.push_back({At, ArrayDesc, Bytes});
+      V.S.Data = siteStorage(S.Site, Bytes, [&](uintptr_t At) {
+        StackObjs.push_back({At, ArrayDesc, Bytes});
       });
       Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Slice, Bytes);
     } else {
@@ -214,15 +250,14 @@ Vm::Flow Vm::doMake(const MakeSite &S) {
   V.Ty = ME->MadeTy;
   int64_t Hint = Len;
   if (OnStack) {
-    interp::Frame &F = *Frames.back();
     int64_t NBuckets = rt::mapBucketsForHint(Hint);
     size_t ValueSize = ME->MadeTy->elem()->size();
     size_t BucketBytes = rt::mapBucketBytes(NBuckets, ValueSize);
     const rt::TypeDesc *BucketDesc = MapCtxs[S.Map].BucketArrayDesc;
     uintptr_t Block = siteStorage(
-        F, S.Site, rt::HMapHeaderSize + BucketBytes, [&](uintptr_t At) {
-          F.StackObjs.push_back({At, Types.hmap(), rt::HMapHeaderSize});
-          F.StackObjs.push_back(
+        S.Site, rt::HMapHeaderSize + BucketBytes, [&](uintptr_t At) {
+          StackObjs.push_back({At, Types.hmap(), rt::HMapHeaderSize});
+          StackObjs.push_back(
               {At + rt::HMapHeaderSize, BucketDesc, BucketBytes});
         });
     rt::mapInit(Block, NBuckets, Block + rt::HMapHeaderSize, ValueSize);
@@ -244,9 +279,8 @@ Vm::Flow Vm::doNew(const ObjSite<NewExpr> &S) {
   uintptr_t Storage;
   size_t Bytes = NE->AllocTy->size();
   if (OnStack) {
-    interp::Frame &F = *Frames.back();
-    Storage = siteStorage(F, S.Site, Bytes, [&](uintptr_t At) {
-      F.StackObjs.push_back({At, Desc, Bytes});
+    Storage = siteStorage(S.Site, Bytes, [&](uintptr_t At) {
+      StackObjs.push_back({At, Desc, Bytes});
     });
     Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Other, Bytes);
   } else {
@@ -268,9 +302,8 @@ Vm::Flow Vm::doComposite(const ObjSite<CompositeExpr> &S) {
   bool OnStack = !CE->TakeAddr || (CE->AllocId < Analysis.SiteOnStack.size() &&
                                    Analysis.SiteOnStack[CE->AllocId]);
   if (OnStack) {
-    interp::Frame &F = *Frames.back();
-    Storage = siteStorage(F, S.Site, Bytes, [&](uintptr_t At) {
-      F.StackObjs.push_back({At, Desc, Bytes});
+    Storage = siteStorage(S.Site, Bytes, [&](uintptr_t At) {
+      StackObjs.push_back({At, Desc, Bytes});
     });
     if (CE->TakeAddr)
       Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Other, Bytes);
@@ -287,7 +320,7 @@ Vm::Flow Vm::doComposite(const ObjSite<CompositeExpr> &S) {
 }
 
 void Vm::doTcfree(const TcfreeStmt *TS) {
-  uintptr_t Addr = varAddr(*Frames.back(), TS->Var);
+  uintptr_t Addr = varAddr(Frames.back().Slots, TS->Var);
   switch (TS->FreeKind) {
   case TcfreeKind::Slice: {
     rt::SliceHeader Hdr;
@@ -309,20 +342,18 @@ void Vm::doTcfree(const TcfreeStmt *TS) {
 // Dispatch
 //===----------------------------------------------------------------------===//
 
-Vm::Flow Vm::execChunk(const Chunk &C) {
+Vm::Flow Vm::execChunk(const Chunk &C, const uintptr_t SlotBase) {
   const uint32_t *Code = C.Code.data();
   // Immutable pools, hoisted so stores through arbitrary Value addresses do
   // not force reloading them (the compiler cannot prove M is unclobbered).
   const Type *const *TypePool = M->Types.data();
   const int64_t *IntPool = M->Ints.data();
   const VarDecl *const *VarPool = M->Vars.data();
-  const FuncDecl *const *FuncPool = M->Funcs.data();
+  const Chunk *const *CalleePool = Callees.data();
   const rt::TypeDesc *const *DescPool = Descs.data();
-  // The executing frame is fixed for the duration of a chunk: runFunction
-  // pushes it before execChunk and pops it after, and nested calls restore
-  // Frames before returning here. Its slot buffer never moves either.
-  interp::Frame &CurF = *Frames.back();
-  const uintptr_t SlotBase = reinterpret_cast<uintptr_t>(CurF.Slots.data());
+  // SlotBase is the executing frame's slot region, which never moves:
+  // runFunction pushes the frame before execChunk and pops it after, and
+  // nested calls pop their own regions before returning here.
   size_t IP = 0;
   // Threaded dispatch: every handler knows its own static operand width and
   // jumps straight to the next handler through its own indirect branch,
@@ -392,7 +423,7 @@ Do_Nil: {
 }
 Do_LoadVar: {
   const VarDecl *Var = VarPool[Code[IP + 1]];
-  push(interp::loadValueAt(varAddr(CurF, Var), Var->Ty));
+  push(interp::loadValueAt(varAddr(SlotBase, Var), Var->Ty));
   NEXT(1);
 }
 Do_Pop:
@@ -418,6 +449,13 @@ Do_LoadSlotA: {
   Value &V = *Sp++;
   V.Ty = TypePool[Code[IP + 2]];
   V.A = readU64(SlotBase + Code[IP + 1]);
+  NEXT(2);
+}
+Do_LoadSlotS: {
+  Value &V = *Sp++;
+  V.Ty = TypePool[Code[IP + 2]];
+  std::memcpy(&V.S, reinterpret_cast<void *>(SlotBase + Code[IP + 1]),
+              sizeof(rt::SliceHeader));
   NEXT(2);
 }
 Do_StoreSlotI:
@@ -565,17 +603,20 @@ Do_IndexMap: {
   Value MV = pop();
   const Type *ValTy = TypePool[Code[IP + 1]];
   // Reading from a nil map yields the zero value, like Go.
-  interp::MapValueBuf Buf(ValTy->size());
-  if (MV.A)
-    rt::mapLookup(MV.A, K.I, Buf.data(), ValTy->size());
   if (ValTy->isStruct()) {
-    uintptr_t Tmp = CurF.Arena.allocate(ValTy->size());
-    std::memcpy(reinterpret_cast<void *>(Tmp), Buf.data(), ValTy->size());
+    uintptr_t Tmp = frameTemp(ValTy->size());
+    if (MV.A)
+      rt::mapLookup(MV.A, K.I, reinterpret_cast<void *>(Tmp), ValTy->size());
+    else
+      std::memset(reinterpret_cast<void *>(Tmp), 0, ValTy->size());
     Value V;
     V.Ty = ValTy;
     V.A = Tmp;
     push(V);
   } else {
+    interp::MapValueBuf Buf(ValTy->size());
+    if (MV.A)
+      rt::mapLookup(MV.A, K.I, Buf.data(), ValTy->size());
     push(interp::loadValueAt(Buf.addr(), ValTy));
   }
   NEXT(1);
@@ -583,7 +624,7 @@ Do_IndexMap: {
 
 Do_LvalVar: {
   Value V;
-  V.A = varAddr(CurF, VarPool[Code[IP + 1]]);
+  V.A = varAddr(SlotBase, VarPool[Code[IP + 1]]);
   push(V);
   NEXT(1);
 }
@@ -630,13 +671,14 @@ Do_Store:
   NEXT(0);
 Do_StoreVarInit: {
   const VarDecl *Var = VarPool[Code[IP + 1]];
-  initVarSlot(CurF, Var); // The value stays on the stack, rooted, meanwhile.
+  // The value stays on the stack, rooted, while the slot may heap-box.
+  initVarSlot(SlotBase, Var);
   Value V = pop();
-  interp::storeValueAt(Heap, Types, varAddr(CurF, Var), V);
+  interp::storeValueAt(Heap, Types, varAddr(SlotBase, Var), V);
   NEXT(1);
 }
 Do_InitVar:
-  initVarSlot(CurF, VarPool[Code[IP + 1]]);
+  initVarSlot(SlotBase, VarPool[Code[IP + 1]]);
   NEXT(1);
 Do_MapNilCheck:
   if (!top().A) {
@@ -656,66 +698,49 @@ Do_StoreMap: {
   NEXT(1);
 }
 
+// A call leaves the callee's results where its arguments were.
 Do_Call: {
-  uint32_t Argc = Code[IP + 2];
-  size_t ArgBase = depth() - Argc;
-  std::vector<Value> Results;
+  const size_t ArgBase = depth() - Code[IP + 2];
   FuelUsed = Fuel; // The callee burns fuel through the member.
-  Flow Fl = runFunction(FuncPool[Code[IP + 1]], ArgBase, Argc, Results);
+  Flow Fl = runFunction(CalleePool[Code[IP + 1]], ArgBase, Code[IP + 2]);
   Fuel = FuelUsed;
   if (Fl != Flow::Normal)
     return Fl;
-  setDepth(ArgBase);
-  if (Results.empty()) {
+  if (depth() == ArgBase) {
     Value V;
     V.Ty = TypePool[Code[IP + 3]];
     push(V);
   } else {
-    push(Results[0]);
+    setDepth(ArgBase + 1);
   }
   NEXT(3);
 }
-Do_CallMulti: {
-  uint32_t Argc = Code[IP + 2];
-  size_t ArgBase = depth() - Argc;
-  std::vector<Value> Results;
-  FuelUsed = Fuel; // The callee burns fuel through the member.
-  Flow Fl = runFunction(FuncPool[Code[IP + 1]], ArgBase, Argc, Results);
-  Fuel = FuelUsed;
-  if (Fl != Flow::Normal)
-    return Fl;
-  setDepth(ArgBase);
-  for (const Value &V : Results)
-    push(V);
-  NEXT(2);
-}
+Do_CallMulti:
 Do_CallStmt: {
-  uint32_t Argc = Code[IP + 2];
-  size_t ArgBase = depth() - Argc;
-  std::vector<Value> Results;
+  const size_t ArgBase = depth() - Code[IP + 2];
   FuelUsed = Fuel; // The callee burns fuel through the member.
-  Flow Fl = runFunction(FuncPool[Code[IP + 1]], ArgBase, Argc, Results);
+  Flow Fl = runFunction(CalleePool[Code[IP + 1]], ArgBase, Code[IP + 2]);
   Fuel = FuelUsed;
   if (Fl != Flow::Normal)
     return Fl;
-  setDepth(ArgBase);
+  if ((Op)Code[IP] == Op::CallStmt)
+    setDepth(ArgBase);
   NEXT(2);
 }
 Do_Defer: {
-  uint32_t Argc = Code[IP + 2];
-  interp::DeferRecord Rec;
-  Rec.Fn = FuncPool[Code[IP + 1]];
-  Rec.Args.assign(Sp - Argc, Sp);
+  const uint32_t Argc = Code[IP + 2];
+  Defers.push_back(
+      {CalleePool[Code[IP + 1]], (uint32_t)DeferArgs.size(), Argc});
+  DeferArgs.insert(DeferArgs.end(), Sp - Argc, Sp);
   Sp -= Argc;
-  CurF.Defers.push_back(std::move(Rec));
+  // The arguments may refer to the frame's struct temporaries; keep those.
+  Frames.back().TempFloor = Slots.mark();
   NEXT(2);
 }
-Do_Return: {
-  uint32_t N = Code[IP + 1];
-  ReturnedStack.back().assign(Sp - N, Sp);
-  Sp -= N;
+// The returned values stay on top of the operand stack; runFunction moves
+// them down over the arguments once the defers have run.
+Do_Return:
   return Flow::Return;
-}
 Do_MissingRet:
   fault("missing return in '" + C.Fn->Name + "'");
   return Flow::Fault;
@@ -848,16 +873,16 @@ Do_Tcfree:
 // Calls
 //===----------------------------------------------------------------------===//
 
-void Vm::runDefers(interp::Frame &F) {
-  while (!F.Defers.empty()) {
-    interp::DeferRecord Rec = std::move(F.Defers.back());
-    F.Defers.pop_back();
+void Vm::runDefers(size_t DeferBase) {
+  while (Defers.size() > DeferBase) {
+    Deferred D = Defers.back();
+    Defers.pop_back();
     size_t ArgBase = depth();
-    reserveStack(Rec.Args.size());
-    for (const Value &V : Rec.Args)
-      push(V); // Rooted for the duration of the deferred call.
-    std::vector<Value> Ignored;
-    runFunction(Rec.Fn, ArgBase, Rec.Args.size(), Ignored);
+    reserveStack(D.Argc);
+    for (uint32_t I = 0; I < D.Argc; ++I)
+      push(DeferArgs[D.ArgBegin + I]); // Rooted for the deferred call.
+    DeferArgs.resize(D.ArgBegin);
+    runFunction(D.Callee, ArgBase, D.Argc);
     setDepth(ArgBase);
     // A panic from a deferred call is recorded but does not stop the
     // remaining defers (matching the tree-walker); a fault does.
@@ -866,9 +891,8 @@ void Vm::runDefers(interp::Frame &F) {
   }
 }
 
-Vm::Flow Vm::runFunction(const FuncDecl *Fn, size_t ArgBase, size_t Argc,
-                         std::vector<Value> &Results) {
-  if (!Fn) {
+Vm::Flow Vm::runFunction(const Chunk *C, size_t ArgBase, size_t Argc) {
+  if (!C) {
     fault("call to unresolved function");
     return Flow::Fault;
   }
@@ -877,61 +901,74 @@ Vm::Flow Vm::runFunction(const FuncDecl *Fn, size_t ArgBase, size_t Argc,
     fault("call stack overflow");
     return Flow::Fault;
   }
-  const Chunk *C = M->chunkFor(Fn);
-  assert(C && "function without a compiled chunk");
+  const FuncDecl *Fn = C->Fn;
 
-  auto FramePtr = std::make_unique<interp::Frame>();
-  interp::Frame &F = *FramePtr;
-  F.Fn = Fn;
-  F.Slots.assign(Fn->FrameSize + 8 * (size_t)C->NumSites, 0);
-  Frames.push_back(std::move(FramePtr));
-  ReturnedStack.emplace_back();
+  // Struct results are copied out of the callee's region before it is
+  // popped, into temporaries of the caller's (still topmost) region below
+  // the callee's, so the copies never overlap their sources.
+  uintptr_t RetCopies =
+      C->StructResultBytes ? frameTemp(C->StructResultBytes) : 0;
+  const SlotStack::Mark Base = Slots.mark();
+  const size_t SlotBytes = Fn->FrameSize + 8 * (size_t)C->NumSites;
+  const uintptr_t SlotBase = Slots.push(SlotBytes);
+  std::memset(reinterpret_cast<void *>(SlotBase), 0, SlotBytes);
+  const size_t StackObjBase = StackObjs.size();
+  const size_t DeferBase = Defers.size();
+  const size_t DeferArgBase = DeferArgs.size();
+  const size_t TransientBase = ArgBase + Argc;
+  Frames.push_back({Fn, SlotBase, TransientBase, Slots.mark()});
 
   assert(Argc == Fn->Params.size() && "argument count mismatch");
   for (size_t I = 0; I < Argc; ++I) {
-    initVarSlot(F, Fn->Params[I]); // May heap-box escaped parameters; the
-                                   // argument stays rooted on the stack.
+    // May heap-box escaped parameters; the argument stays rooted on the
+    // stack.
+    initVarSlot(SlotBase, Fn->Params[I]);
     if (faulted())
       break;
-    interp::storeValueAt(Heap, Types, varAddr(F, Fn->Params[I]),
+    interp::storeValueAt(Heap, Types, varAddr(SlotBase, Fn->Params[I]),
                          StackBuf[ArgBase + I]);
   }
 
-  size_t TransientBase = ArgBase + Argc;
   assert(depth() == TransientBase && "arguments must be on top");
   reserveStack(C->MaxDepth);
-  Flow F1 = faulted() ? Flow::Fault : execChunk(*C);
-  // An abrupt exit (panic, fault) leaves partial expression state on the
-  // operand stack; drop it. The arguments below stay for the caller.
-  setDepth(TransientBase);
+  Flow F1 = faulted() ? Flow::Fault : execChunk(*C, SlotBase);
+  // A Return leaves exactly the returned values above the arguments
+  // (statements are depth-neutral). An abrupt exit (panic, fault) leaves
+  // partial expression state instead; drop it.
+  size_t NRet = F1 == Flow::Return ? depth() - TransientBase : 0;
+  setDepth(TransientBase + NRet);
 
   // Defers run on return and panic; a fault (including the missing-return
-  // fault) skips them, exactly like the tree-walker.
+  // fault) skips them, exactly like the tree-walker. Their arguments go
+  // above the pending returns, which stay rooted on the operand stack.
   if (F1 != Flow::Fault) {
-    runDefers(*Frames.back());
+    runDefers(DeferBase);
     if (faulted() && F1 != Flow::Panic)
       F1 = Flow::Fault;
   }
 
-  std::vector<Value> Returned = std::move(ReturnedStack.back());
-
-  // Struct-typed return values reference storage inside the dying frame;
-  // copy them into the caller's frame arena before the frame goes away.
-  if (Frames.size() >= 2) {
-    interp::Frame &Caller = *Frames[Frames.size() - 2];
-    for (Value &V : Returned) {
-      if (!V.Ty || !V.Ty->isStruct() || !V.A)
-        continue;
-      uintptr_t Copy = Caller.Arena.allocate(V.Ty->size());
-      std::memcpy(reinterpret_cast<void *>(Copy),
-                  reinterpret_cast<void *>(V.A), V.Ty->size());
-      V.A = Copy;
-    }
+  // Struct-typed return values reference storage that may lie inside the
+  // dying frame; copy them out before it is popped.
+  Value *Rets = StackBuf.data() + TransientBase;
+  for (size_t I = 0; I < NRet; ++I) {
+    Value &V = Rets[I];
+    if (!V.Ty || !V.Ty->isStruct() || !V.A)
+      continue;
+    size_t Bytes = V.Ty->size();
+    assert(RetCopies && "struct result without reserved storage");
+    std::memcpy(reinterpret_cast<void *>(RetCopies),
+                reinterpret_cast<void *>(V.A), Bytes);
+    V.A = RetCopies;
+    RetCopies += (Bytes + 7) & ~(size_t)7;
   }
+  std::copy(Rets, Rets + NRet, StackBuf.data() + ArgBase);
+  setDepth(ArgBase + NRet);
 
-  ReturnedStack.pop_back();
+  StackObjs.resize(StackObjBase);
+  Defers.resize(DeferBase);
+  DeferArgs.resize(DeferArgBase);
   Frames.pop_back();
-  Results = std::move(Returned);
+  Slots.popTo(Base);
   if (F1 == Flow::Return || F1 == Flow::Normal)
     return Flow::Normal;
   return F1; // Panic or Fault propagates.
@@ -946,8 +983,7 @@ interp::RunResult Vm::run(const std::string &Entry,
   Result = interp::RunResult{};
   FaultMsg.clear();
   FuelUsed = 0;
-  Frames.clear();
-  ReturnedStack.clear();
+  Slots.popTo({});
   if (StackBuf.empty())
     StackBuf.resize(256); // Grows on demand; see reserveStack.
   setDepth(0);
@@ -972,13 +1008,10 @@ interp::RunResult Vm::run(const std::string &Entry,
     }
     push(V);
   }
-  std::vector<Value> Results;
-  runFunction(Fn, 0, Args.size(), Results);
+  runFunction(M->chunkFor(Fn), 0, Args.size());
   Result.Steps = FuelUsed;
   if (!FaultMsg.empty() && !Result.OutOfFuel)
     Result.Error = FaultMsg;
-  Frames.clear();
-  ReturnedStack.clear();
   setDepth(0);
   return Result;
 }

@@ -12,8 +12,9 @@
 /// tree-walker produce bit-identical observables, enforced here on hand
 /// written programs and by the fuzz differ's 'vm' leg on generated ones),
 /// precise rooting of the operand stack (GC forced at every single opcode
-/// must not change behavior), module sharing across mutator threads, and
-/// the int64 boundary arithmetic the paper's Go semantics require.
+/// must not change behavior), the allocation-free call path, module sharing
+/// across mutator threads, and the int64 boundary arithmetic the paper's Go
+/// semantics require.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +26,55 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 using namespace gofree;
 using namespace gofree::compiler;
+
+//===----------------------------------------------------------------------===//
+// Counting global operator new (VmTest.CallsDoNotAllocate)
+//===----------------------------------------------------------------------===//
+
+namespace {
+std::atomic<uint64_t> NewCalls{0};
+
+void *countedAlloc(std::size_t Bytes, std::size_t Align) {
+  NewCalls.fetch_add(1, std::memory_order_relaxed);
+  if (Bytes == 0)
+    Bytes = 1;
+  void *P = Align > alignof(std::max_align_t)
+                ? std::aligned_alloc(Align, (Bytes + Align - 1) / Align * Align)
+                : std::malloc(Bytes);
+  if (!P)
+    throw std::bad_alloc();
+  return P;
+}
+} // namespace
+
+// Every replaceable allocation form, so new and delete always pair with
+// malloc and free (sanitizer builds check that they match).
+void *operator new(std::size_t N) { return countedAlloc(N, 0); }
+void *operator new[](std::size_t N) { return countedAlloc(N, 0); }
+void *operator new(std::size_t N, std::align_val_t A) {
+  return countedAlloc(N, (std::size_t)A);
+}
+void *operator new[](std::size_t N, std::align_val_t A) {
+  return countedAlloc(N, (std::size_t)A);
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete[](void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
 
 namespace {
 
@@ -163,6 +210,27 @@ TEST(VmCompilerTest, UnboxedIntLocalUsesSlotOperands) {
   EXPECT_EQ(Listing.find("loadvar"), std::string::npos) << Listing;
   EXPECT_EQ(Listing.find("lval.var"), std::string::npos) << Listing;
   EXPECT_EQ(Listing.find("storevar.init"), std::string::npos) << Listing;
+}
+
+TEST(VmCompilerTest, UnboxedSliceLocalUsesSlotOperands) {
+  // A slice local that is not MovedToHeap loads its 24-byte header straight
+  // from the frame slot; stores keep the general ops.
+  const char *Src = "func main(n int) {\n"
+                    "  s := make([]int, n)\n"
+                    "  s[0] = 7\n"
+                    "  t := s\n"
+                    "  sink(t[0] + len(s))\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "main");
+  EXPECT_NE(Listing.find("load.slot.s"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("; s"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("; t"), std::string::npos) << Listing;
+  EXPECT_EQ(Listing.find("loadvar"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("storevar.init"), std::string::npos) << Listing;
+  for (int64_t N : {1, 5})
+    expectEngineEquivalence(Src, {N});
 }
 
 TEST(VmCompilerTest, EscapedLocalKeepsVariableOps) {
@@ -564,6 +632,146 @@ TEST(VmTest, DeepRecursionGrowsOperandStackUnderGcTorture) {
     EXPECT_EQ(V.Run.Checksum, Ast.Run.Checksum) << Depth;
     EXPECT_EQ(V.Run.SinkCount, 1u);
   }
+}
+
+TEST(VmTest, DeepFramesWithStackSlicesAndStructReturnsUnderGcTorture) {
+  // Every frame holds a stack-placed 1 KiB slice and a stack-placed struct
+  // and returns a struct, so the frames span many slot-stack segments
+  // (SlotStack::SegmentBytes each), and each descent after the first reuses
+  // the segments the previous one popped. Each returned struct is a copy in
+  // the caller's frame that must survive every collection while it is
+  // read.
+  const char *Src = "type Acc struct { sum int\n depth int\n p *int\n }\n"
+                    "func deep(n int, salt int) Acc {\n"
+                    "  s := make([]int, 128)\n"
+                    "  s[n % 128] = n + salt\n"
+                    "  h := new(int)\n"
+                    "  *h = n\n"
+                    "  if n <= 0 { return Acc{sum: s[0], depth: 0, p: h} }\n"
+                    "  a := deep(n - 1, salt)\n"
+                    "  b := &Acc{sum: a.sum + s[n % 128] + *a.p,"
+                    " depth: a.depth + 1, p: h}\n"
+                    "  return *b\n"
+                    "}\n"
+                    "func main(n int) {\n"
+                    "  for r := 0; r < 3; r = r + 1 {\n"
+                    "    a := deep(n - r * (n / 3), r)\n"
+                    "    sink(a.sum)\n"
+                    "    sink(a.depth + *a.p)\n"
+                    "  }\n"
+                    "}\n";
+  for (int64_t Depth : {20, 150, 400}) {
+    ExecOutcome Ast =
+        runEngine(Src, ExecEngine::Ast, CompileMode::GoFree, {Depth});
+    ASSERT_TRUE(Ast.Run.ok()) << Ast.Run.Error;
+    ExecOptions EO;
+    EO.Interp.GcEveryNSteps = 1;
+    EO.Heap.Gc.Verify = true;
+    EO.Heap.Gc.MinHeapTrigger = 0;
+    ExecOutcome V =
+        runEngine(Src, ExecEngine::Vm, CompileMode::GoFree, {Depth}, EO);
+    EXPECT_TRUE(V.ok()) << Depth << ": " << V.Error;
+    EXPECT_EQ(V.Run.Checksum, Ast.Run.Checksum) << Depth;
+    EXPECT_EQ(V.Run.SinkCount, 6u);
+    EXPECT_GT(V.Stats.GcCycles, 0u);
+    // Every frame's slice is stack-placed, so the region sizes are real.
+    EXPECT_GT(V.Stats.StackAllocCountByCat[(int)rt::AllocCat::Slice],
+              (uint64_t)Depth);
+  }
+}
+
+TEST(VmTest, CallStackOverflowMatchesTreeWalker) {
+  // Unbounded recursion faults with "call stack overflow" at
+  // interp::MaxFrames frames in both engines, which a run reports as
+  // OutOfFuel with no runtime error -- long before the step budget. One
+  // sink per frame pins the depth: main is the first frame.
+  const char *Src = "func down(n int) int {\n"
+                    "  sink(n)\n"
+                    "  return down(n + 1) + 1\n"
+                    "}\n"
+                    "func main() { sink(down(1)) }\n";
+  for (ExecEngine Engine : {ExecEngine::Ast, ExecEngine::Vm}) {
+    ExecOutcome O = runEngine(Src, Engine);
+    EXPECT_TRUE(O.Run.OutOfFuel);
+    EXPECT_TRUE(O.Run.Error.empty()) << O.Run.Error;
+    EXPECT_FALSE(O.Run.Panicked);
+    EXPECT_LT(O.Run.Steps, interp::InterpOptions{}.MaxSteps);
+    EXPECT_EQ(O.Run.SinkCount, interp::MaxFrames - 1);
+  }
+  expectEngineEquivalence(Src);
+}
+
+TEST(VmTest, StructTemporariesMatchTreeWalker) {
+  // Struct results and struct map values are copies owned by the calling
+  // frame. The VM reuses a frame's copies once no operand-stack value
+  // refers to them; a copy still referenced -- by a pending argument, a
+  // deferred call's arguments, or a pending return -- must keep its value.
+  const char *Src = "type P struct { a int\n b int\n }\n"
+                    "func mk(i int) P { return P{a: i, b: i * 2} }\n"
+                    "func two(i int) (P, P) { return mk(i), mk(i + 1) }\n"
+                    "func sum(x P, y P) int {\n"
+                    "  return x.a + x.b * 3 + y.a * 5\n"
+                    "}\n"
+                    "func show(x P) { sink(x.a * 7 + x.b) }\n"
+                    "func late() P {\n"
+                    "  r := mk(40)\n"
+                    "  defer show(mk(41))\n"
+                    "  return r\n"
+                    "}\n"
+                    "func main(n int) {\n"
+                    "  m := make(map[int]P)\n"
+                    "  t := 0\n"
+                    "  for i := 0; i < n; i = i + 1 {\n"
+                    "    m[i % 4] = mk(i)\n"
+                    "    t = t + sum(mk(i), mk(i + 1)) + m[i % 4].b\n"
+                    "    x, y := two(i)\n"
+                    "    t = t + sum(m[(i + 1) % 4], x) + y.b\n"
+                    "    if i < 3 { defer show(mk(i + 100)) }\n"
+                    "  }\n"
+                    "  sink(t)\n"
+                    "  sink(late().b)\n"
+                    "}\n";
+  for (int64_t N : {0, 1, 5, 40})
+    expectEngineEquivalence(Src, {N});
+}
+
+TEST(VmTest, CallsDoNotAllocate) {
+  // Each call of f places a composite on the stack and returns a struct
+  // and a second value. Once the VM's buffers have grown to the deepest
+  // call chain, a call allocates nothing on the C++ heap, so the whole
+  // run -- heap setup included -- makes as many allocations for 100,000
+  // calls as for 1,000.
+  const char *Src = "type Pt struct { x int\n y int\n }\n"
+                    "func f(i int) (Pt, int) {\n"
+                    "  p := &Pt{x: i, y: i + 1}\n"
+                    "  return *p, p.x * p.y\n"
+                    "}\n"
+                    "func main(n int) {\n"
+                    "  t := 0\n"
+                    "  for i := 0; i < n; i = i + 1 {\n"
+                    "    q, k := f(i)\n"
+                    "    t = t + q.y + k\n"
+                    "  }\n"
+                    "  sink(t)\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  ASSERT_TRUE(C.ok());
+  ExecOptions EO;
+  EO.Engine = ExecEngine::Vm;
+  auto AllocsFor = [&](int64_t Calls) {
+    uint64_t Before = NewCalls.load();
+    ExecOutcome O = execute(C, "main", {Calls}, EO);
+    uint64_t After = NewCalls.load();
+    EXPECT_TRUE(O.ok()) << O.Error;
+    EXPECT_EQ(O.Stats.AllocCount, 0u) << "f must not touch the heap";
+    EXPECT_EQ(O.Stats.StackAllocCountByCat[(int)rt::AllocCat::Other],
+              (uint64_t)Calls);
+    return After - Before;
+  };
+  uint64_t Few = AllocsFor(1'000);
+  uint64_t Many = AllocsFor(100'000);
+  EXPECT_GT(Few, 0u) << "the counting operator new is not in use";
+  EXPECT_EQ(Many, Few);
 }
 
 //===----------------------------------------------------------------------===//
