@@ -10,7 +10,8 @@
 // engine-equivalence law the fuzz differ enforces); a mismatch is a hard
 // failure. Engine construction, including AST-to-bytecode compilation, is
 // excluded from the timed region by the pipeline itself, so the ratio is
-// pure dispatch cost.
+// pure dispatch cost. The engines alternate within each repetition (and
+// take turns going first), so a phase of host load slows both.
 //
 // --json prints a machine-readable summary (tools/check.sh bench pipes it
 // into BENCH_vm.json).
@@ -34,25 +35,20 @@ struct EngineSample {
   uint64_t Checksum = 0;
 };
 
-EngineSample runWithEngine(const compiler::Compilation &C, const Workload &W,
-                           compiler::ExecEngine Engine, int Runs) {
+/// Runs \p W once on \p Engine and records the wall time.
+void runOnce(const compiler::Compilation &C, const Workload &W,
+             const std::vector<int64_t> &Args, compiler::ExecEngine Engine,
+             EngineSample &Out) {
   compiler::ExecOptions EO;
   EO.Engine = Engine;
-  std::vector<int64_t> Args = W.Args;
-  for (int64_t &A : Args)
-    A = scaledArg(A);
-  EngineSample Out;
-  for (int R = 0; R < Runs; ++R) {
-    compiler::ExecOutcome O = compiler::execute(C, W.Entry, Args, EO);
-    if (!O.ok()) {
-      std::fprintf(stderr, "run failed for %s: %s\n", W.Name.c_str(),
-                   O.Error.c_str());
-      std::exit(1);
-    }
-    Out.TimeSec.push_back(O.WallSeconds);
-    Out.Checksum = O.Run.Checksum;
+  compiler::ExecOutcome O = compiler::execute(C, W.Entry, Args, EO);
+  if (!O.ok()) {
+    std::fprintf(stderr, "run failed for %s: %s\n", W.Name.c_str(),
+                 O.Error.c_str());
+    std::exit(1);
   }
-  return Out;
+  Out.TimeSec.push_back(O.WallSeconds);
+  Out.Checksum = O.Run.Checksum;
 }
 
 struct Row {
@@ -80,8 +76,21 @@ int main(int argc, char **argv) {
                    C.Errors.c_str());
       return 1;
     }
-    EngineSample Ast = runWithEngine(C, W, compiler::ExecEngine::Ast, Runs);
-    EngineSample Vm = runWithEngine(C, W, compiler::ExecEngine::Vm, Runs);
+    std::vector<int64_t> Args = W.Args;
+    for (int64_t &A : Args)
+      A = scaledArg(A);
+    // Each repetition runs both engines, in alternating order, so a phase
+    // of host load lands on both rather than on whichever ran in it.
+    EngineSample Ast, Vm;
+    for (int R = 0; R < Runs; ++R) {
+      if (R % 2 == 0) {
+        runOnce(C, W, Args, compiler::ExecEngine::Ast, Ast);
+        runOnce(C, W, Args, compiler::ExecEngine::Vm, Vm);
+      } else {
+        runOnce(C, W, Args, compiler::ExecEngine::Vm, Vm);
+        runOnce(C, W, Args, compiler::ExecEngine::Ast, Ast);
+      }
+    }
     if (Ast.Checksum != Vm.Checksum) {
       std::fprintf(stderr, "%s: engine checksum mismatch!\n", W.Name.c_str());
       return 1;

@@ -17,6 +17,17 @@ static void adoptNil(Expr *E, const Type *Target) {
     E->Ty = Target;
 }
 
+/// Whether \p E is a map element or a field path inside one (`m[k].f`).
+static bool isMapElement(const Expr *E) {
+  while (const auto *FE = dyn_cast<FieldExpr>(E)) {
+    if (FE->ThroughPointer)
+      return false;
+    E = FE->Base;
+  }
+  const auto *IE = dyn_cast<IndexExpr>(E);
+  return IE && IE->IsMap;
+}
+
 bool Sema::run() {
   for (FuncDecl *Fn : Prog.Funcs)
     checkFunc(Fn);
@@ -267,7 +278,9 @@ void Sema::checkAssignStmt(AssignStmt *AS) {
     }
     checkExpr(L);
     if (!isLvalue(L))
-      Diags.error(L->Loc, "cannot assign to this expression");
+      Diags.error(L->Loc, isMapElement(L)
+                              ? "cannot assign to a field of a map element"
+                              : "cannot assign to this expression");
   }
 
   bool MultiValue = AS->Rhs.size() == 1 && AS->Lhs.size() > 1 &&
@@ -297,20 +310,28 @@ void Sema::checkAssignStmt(AssignStmt *AS) {
   }
 }
 
-bool Sema::isLvalue(const Expr *E) const {
+bool Sema::isAddressable(const Expr *E) const {
   switch (E->kind()) {
   case ExprKind::Ident:
     return true;
   case ExprKind::Deref:
     return true;
   case ExprKind::Field:
-    return isLvalue(cast<FieldExpr>(E)->Base) ||
+    return isAddressable(cast<FieldExpr>(E)->Base) ||
            cast<FieldExpr>(E)->ThroughPointer;
   case ExprKind::Index:
-    return true; // Slice and map element stores are both allowed.
+    // A slice element lives in the backing array; a map element has no
+    // address (Go's rule), so neither it nor a field of it can be stored
+    // through or have its address taken.
+    return !cast<IndexExpr>(E)->IsMap;
   default:
     return false;
   }
+}
+
+bool Sema::isLvalue(const Expr *E) const {
+  // `m[k] = v` replaces the map element whole.
+  return isAddressable(E) || isa<IndexExpr>(E);
 }
 
 void Sema::requireAssignable(SourceLoc Loc, const Type *To, const Type *From,
@@ -490,8 +511,10 @@ const Type *Sema::checkExpr(Expr *E) {
   case ExprKind::AddrOf: {
     auto *AE = cast<AddrOfExpr>(E);
     const Type *ST = checkExpr(AE->Sub);
-    if (!isLvalue(AE->Sub))
-      Diags.error(AE->Loc, "cannot take the address of this expression");
+    if (!isAddressable(AE->Sub))
+      Diags.error(AE->Loc, isMapElement(AE->Sub)
+                               ? "cannot take the address of a map element"
+                               : "cannot take the address of this expression");
     E->Ty = Prog.Types->getPointer(ST);
     return E->Ty;
   }

@@ -50,6 +50,11 @@ private:
   // type is used as an error recovery type).
   const Type *checkExpr(Expr *E);
   const Type *checkCall(CallExpr *CE);
+  /// Go's addressability: variables, dereferences, slice elements and
+  /// fields of addressable structs -- not map elements.
+  bool isAddressable(const Expr *E) const;
+  /// What may appear on the left of `=`: an addressable expression or a
+  /// map element.
   bool isLvalue(const Expr *E) const;
   /// Checks that \p From is assignable to \p To, reporting otherwise.
   void requireAssignable(SourceLoc Loc, const Type *To, const Type *From,

@@ -25,6 +25,7 @@ const char *gofree::vm::opName(Op O) {
   case Op::LoadSlotS: return "load.slot.s";
   case Op::StoreSlotI: return "store.slot.i";
   case Op::StoreSlotA: return "store.slot.a";
+  case Op::IncSlotI: return "inc.slot.i";
   case Op::Jump: return "jump";
   case Op::JumpIfFalse: return "jfalse";
   case Op::JumpIfFalsePeek: return "jfalse.peek";
@@ -33,6 +34,7 @@ const char *gofree::vm::opName(Op O) {
   case Op::JumpIfNotLe: return "jnot.le";
   case Op::JumpIfNotGt: return "jnot.gt";
   case Op::JumpIfNotGe: return "jnot.ge";
+  case Op::JumpIfNotLtLen: return "jnot.lt.len";
   case Op::Neg: return "neg";
   case Op::Not: return "not";
   case Op::Add: return "add";
@@ -40,6 +42,9 @@ const char *gofree::vm::opName(Op O) {
   case Op::Mul: return "mul";
   case Op::Div: return "div";
   case Op::Mod: return "mod";
+  case Op::AddK: return "add.k";
+  case Op::MulK: return "mul.k";
+  case Op::ModK: return "mod.k";
   case Op::Lt: return "lt";
   case Op::Le: return "le";
   case Op::Gt: return "gt";
@@ -106,6 +111,9 @@ std::string gofree::vm::disassemble(const Module &M, const Chunk &C) {
     // Annotate the operands that resolve through a pool.
     switch (O) {
     case Op::Const:
+    case Op::AddK:
+    case Op::MulK:
+    case Op::ModK:
       Out += "\t; " + std::to_string(M.Ints[C.Code[I + 2]]);
       break;
     case Op::LoadVar:
@@ -122,6 +130,18 @@ std::string gofree::vm::disassemble(const Module &M, const Chunk &C) {
       if (const minigo::VarDecl *V = varAtOffset(C.Fn, C.Code[I + 1]))
         Out += "\t; " + V->Name;
       break;
+    case Op::IncSlotI:
+      if (const minigo::VarDecl *V = varAtOffset(C.Fn, C.Code[I + 1]))
+        Out += "\t; " + V->Name + " += " +
+               std::to_string(M.Ints[C.Code[I + 2]]);
+      break;
+    case Op::JumpIfNotLtLen: {
+      const minigo::VarDecl *IV = varAtOffset(C.Fn, C.Code[I + 1]);
+      const minigo::VarDecl *SV = varAtOffset(C.Fn, C.Code[I + 2]);
+      if (IV && SV)
+        Out += "\t; " + IV->Name + " < len(" + SV->Name + ")";
+      break;
+    }
     case Op::Call:
     case Op::CallMulti:
     case Op::CallStmt:

@@ -60,6 +60,9 @@ enum class Op : uint32_t {
   LoadSlotS,  ///< off t : push {Ty=t, S=the 24-byte slice header at slot}
   StoreSlotI, ///< off   : pop v, slot = v.I
   StoreSlotA, ///< off   : pop v, slot = v.A
+  IncSlotI,   ///< off k : slot += IntPool[k] (wrapping), no stack traffic:
+              ///<         `x = x + K`, `x += K`, `x++` (and the minus forms,
+              ///<         with k naming the wrapping negation of K)
 
   // Control flow (within one chunk).
   Jump,            ///< tgt
@@ -72,6 +75,9 @@ enum class Op : uint32_t {
   JumpIfNotLe, ///< tgt
   JumpIfNotGt, ///< tgt
   JumpIfNotGe, ///< tgt
+  /// `i < len(s)` for an unboxed int local i and an unboxed slice local s,
+  /// read straight from their slots (s's Len field) with no stack traffic.
+  JumpIfNotLtLen, ///< ioff soff tgt : jump unless i < len(s)
 
   // Arithmetic and logic (Go wrap semantics; see support/GoArith.h).
   Neg, ///< t : pop v, push -v (wrapping)
@@ -81,6 +87,12 @@ enum class Op : uint32_t {
   Mul, ///< t
   Div, ///< t : faults "integer divide by zero"
   Mod, ///< t
+  // Constant right operand: `l + K` etc. with K a literal rewrites the top
+  // of the stack in place, one dispatch instead of Const + the op.
+  AddK, ///< t k : top = top + IntPool[k]
+  MulK, ///< t k : top = top * IntPool[k]
+  ModK, ///< t k : top = top % IntPool[k]; only for a nonzero literal, so
+        ///<       `% 0` keeps Mod's faulting path
   Lt,  ///< t : pop r, l, push l<r     (likewise Le/Gt/Ge)
   Le,  ///< t
   Gt,  ///< t
@@ -151,9 +163,11 @@ enum class Op : uint32_t {
 #define GOFREE_VM_FOR_EACH_OP(X)                                             \
   X(Const) X(Nil) X(LoadVar) X(Pop) X(PopN) X(Pick)                          \
   X(LoadSlotI) X(LoadSlotA) X(LoadSlotS) X(StoreSlotI) X(StoreSlotA)         \
+  X(IncSlotI)                                                                \
   X(Jump) X(JumpIfFalse) X(JumpIfFalsePeek) X(JumpIfTruePeek)                \
   X(JumpIfNotLt) X(JumpIfNotLe) X(JumpIfNotGt) X(JumpIfNotGe)                \
-  X(Neg) X(Not) X(Add) X(Sub) X(Mul) X(Div) X(Mod)                           \
+  X(JumpIfNotLtLen)                                                          \
+  X(Neg) X(Not) X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(AddK) X(MulK) X(ModK)   \
   X(Lt) X(Le) X(Gt) X(Ge) X(Eq) X(Ne)                                        \
   X(Deref) X(MkPtr) X(FieldPtr) X(FieldVal) X(IndexSlice) X(IndexMap)        \
   X(LvalVar) X(LvalDeref) X(LvalFieldPtr) X(LvalField) X(LvalIndex)          \
@@ -317,6 +331,10 @@ constexpr unsigned opOperands(Op O) {
   case Op::LoadSlotI:
   case Op::LoadSlotA:
   case Op::LoadSlotS:
+  case Op::IncSlotI:
+  case Op::AddK:
+  case Op::MulK:
+  case Op::ModK:
   case Op::Eq:
   case Op::Ne:
   case Op::FieldPtr:
@@ -327,6 +345,7 @@ constexpr unsigned opOperands(Op O) {
   case Op::Append:
   case Op::Slicing:
     return 2;
+  case Op::JumpIfNotLtLen:
   case Op::Call:
   case Op::Copy:
     return 3;

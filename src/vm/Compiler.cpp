@@ -7,8 +7,11 @@
 
 #include "vm/Compiler.h"
 
+#include "support/GoArith.h"
+
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace gofree;
 using namespace gofree::vm;
@@ -150,12 +153,17 @@ private:
     case Op::New:
     case Op::Composite:
       return 1;
+    case Op::IncSlotI:
     case Op::Jump:
     case Op::JumpIfFalsePeek:
     case Op::JumpIfTruePeek:
+    case Op::JumpIfNotLtLen:
     case Op::Neg:
     case Op::Not:
     case Op::Deref:
+    case Op::AddK:
+    case Op::MulK:
+    case Op::ModK:
     case Op::MkPtr:
     case Op::FieldPtr:
     case Op::FieldVal:
@@ -237,9 +245,19 @@ private:
   void patch(uint32_t At, uint32_t Target) { C.Code[At] = Target; }
 
   /// Emits \p Cond and a jump taken when it is false; returns the jump's
-  /// operand position. An ordered comparison fuses into one JumpIfNot*.
+  /// operand position. An ordered comparison fuses into one JumpIfNot*,
+  /// and `i < len(s)` over slot locals into one JumpIfNotLtLen.
   uint32_t condJump(const minigo::Expr *Cond) {
     if (const auto *BE = dyn_cast<BinaryExpr>(Cond)) {
+      if (BE->Op == BinaryOp::Lt) {
+        const VarDecl *I = slotLocal(BE->Lhs, SlotKind::I);
+        const VarDecl *S = lenOfSlotSlice(BE->Rhs);
+        if (I && S) {
+          emit(Op::JumpIfNotLtLen,
+               {(uint32_t)I->FrameOffset, (uint32_t)S->FrameOffset, 0});
+          return here() - 1;
+        }
+      }
       Op Fused;
       switch (BE->Op) {
       case BinaryOp::Lt: Fused = Op::JumpIfNotLt; break;
@@ -257,6 +275,60 @@ private:
     expr(Cond);
     return emitJump(Op::JumpIfFalse);
   }
+  /// The local \p E names when it is an identifier with slot operands of
+  /// kind \p K; null otherwise.
+  static const VarDecl *slotLocal(const minigo::Expr *E, SlotKind K) {
+    const auto *Id = dyn_cast<IdentExpr>(E);
+    return Id && Id->Decl && slotKind(Id->Decl) == K ? Id->Decl : nullptr;
+  }
+  /// The slice local \p E takes the length of, when E is `len(s)` with s a
+  /// slot slice local; null otherwise.
+  static const VarDecl *lenOfSlotSlice(const minigo::Expr *E) {
+    const auto *LE = dyn_cast<LenExpr>(E);
+    return LE ? slotLocal(LE->Sub, SlotKind::S) : nullptr;
+  }
+  /// The value of \p E when it is an integer literal or the negation of
+  /// one (`-1` parses as a negated 1); nothing otherwise.
+  static std::optional<int64_t> intConst(const minigo::Expr *E) {
+    if (const auto *UE = dyn_cast<UnaryExpr>(E);
+        UE && UE->Op == UnaryOp::Neg)
+      if (std::optional<int64_t> K = intConst(UE->Sub))
+        return arith::wrapNeg(*K);
+    if (const auto *K = dyn_cast<IntLitExpr>(E))
+      return K->Value;
+    return std::nullopt;
+  }
+  /// `x = x + K` and `x = x - K` (which is also what the parser makes of
+  /// `x += K`, `x -= K`, `x++` and `x--`) on an int slot local: emits one
+  /// IncSlotI and returns true; emits nothing and returns false otherwise.
+  bool incSlot(const minigo::Expr *Lhs, const minigo::Expr *Rhs) {
+    const VarDecl *X = slotLocal(Lhs, SlotKind::I);
+    const auto *BE = dyn_cast<BinaryExpr>(Rhs);
+    if (!X || !BE || (BE->Op != BinaryOp::Add && BE->Op != BinaryOp::Sub) ||
+        slotLocal(BE->Lhs, SlotKind::I) != X)
+      return false;
+    std::optional<int64_t> K = intConst(BE->Rhs);
+    if (!K)
+      return false;
+    int64_t Step = BE->Op == BinaryOp::Add ? *K : arith::wrapNeg(*K);
+    emit(Op::IncSlotI, (uint32_t)X->FrameOffset, intIdx(Step));
+    return true;
+  }
+  /// The op that folds a constant right operand \p K into `l OP K`, if
+  /// any. (`sub.k` and `div.k` would each be under 0.5% of the ops the
+  /// subjects execute, too few to earn an opcode; see docs/VM.md.)
+  static std::optional<Op> constRhsOp(BinaryOp O, int64_t K) {
+    switch (O) {
+    case BinaryOp::Add: return Op::AddK;
+    case BinaryOp::Mul: return Op::MulK;
+    case BinaryOp::Mod:
+      if (K != 0)
+        return Op::ModK;
+      return std::nullopt; // `% 0` keeps Mod's fault.
+    default: return std::nullopt;
+    }
+  }
+
   /// Emits the slot store of the top of the stack into \p V when V has
   /// slot operands; returns false (emitting nothing) otherwise.
   bool storeSlot(const VarDecl *V) {
@@ -334,8 +406,14 @@ private:
         return;
       }
       expr(BE->Lhs);
-      expr(BE->Rhs);
       uint32_t T = typeIdx(E->Ty);
+      if (std::optional<int64_t> K = intConst(BE->Rhs)) {
+        if (std::optional<Op> Fused = constRhsOp(BE->Op, *K)) {
+          emit(*Fused, T, intIdx(*K));
+          return;
+        }
+      }
+      expr(BE->Rhs);
       switch (BE->Op) {
       case BinaryOp::Add: emit(Op::Add, T); return;
       case BinaryOp::Sub: emit(Op::Sub, T); return;
@@ -581,6 +659,8 @@ private:
         return;
       }
       for (size_t I = 0; I < AS->Lhs.size(); ++I) {
+        if (incSlot(AS->Lhs[I], AS->Rhs[I]))
+          continue;
         expr(AS->Rhs[I]); // RHS before the lvalue, like the tree-walker.
         storeTop(AS->Lhs[I]);
       }

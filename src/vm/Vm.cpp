@@ -10,6 +10,7 @@
 #include "support/GoArith.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 using namespace gofree;
@@ -356,29 +357,41 @@ Vm::Flow Vm::execChunk(const Chunk &C, const uintptr_t SlotBase) {
   // nested calls pop their own regions before returning here.
   size_t IP = 0;
   // Threaded dispatch: every handler knows its own static operand width and
-  // jumps straight to the next handler through its own indirect branch,
-  // which the branch predictor resolves far better than one shared switch
-  // dispatch. The jump table is generated from the same X-macro as enum Op
-  // (order-checked in Bytecode.h), so adding an opcode without a handler
-  // fails to compile instead of misdispatching. Every chunk ends in
-  // Return/MissingRet (the compiler's epilogue) or loops, so control never
-  // falls off the end of the code stream.
+  // ends in a computed jump to the next handler (GCC merges some of these
+  // tails; see docs/VM.md, "Dispatch"). The jump table is generated from
+  // the same X-macro as enum Op (order-checked in Bytecode.h), so adding an
+  // opcode without a handler fails to compile instead of misdispatching.
+  // Every chunk ends in Return/MissingRet (the compiler's epilogue) or
+  // loops, so control never falls off the end of the code stream.
 #define GOFREE_VM_LABEL(x) &&Do_##x,
   static const void *const Targets[] = {
       GOFREE_VM_FOR_EACH_OP(GOFREE_VM_LABEL)};
 #undef GOFREE_VM_LABEL
-  // Fuel lives in a register for the duration of the chunk; the member is
-  // the source of truth only across calls (flushed before runFunction,
-  // reloaded after) and on exit (the Sync destructor covers every return
-  // path). Without the GC-torture hook the per-opcode cost is one increment
-  // and one never-taken branch to the shared slow path below; with it
-  // FastLimit is 0 so every dispatch goes slow.
+  // The fuel counter and the operand-stack top live in registers for the
+  // duration of the chunk: in this function `Sp` names the local below,
+  // and the members Vm::FuelUsed and Vm::Sp are exact only where the rest
+  // of the VM or the runtime reads them (see the invariant in Vm.h). SPILL
+  // writes both back before every out-of-line call that can allocate (and
+  // so park at a safepoint or collect), run a callee or read the stack;
+  // RELOAD re-reads them after it, since a callee burns fuel and may push,
+  // pop or move the stack buffer. SyncOnExit writes both back on every
+  // return path. Without the GC-torture hook the per-opcode fuel cost is
+  // one increment and one never-taken branch to the shared slow path
+  // below; with it FastLimit is 0 so every dispatch goes slow.
   uint64_t Fuel = FuelUsed;
   const uint64_t FastLimit = FuelHooks ? 0 : Opts.MaxSteps;
-  struct FuelSync {
-    uint64_t &Mem, &Loc;
-    ~FuelSync() { Mem = Loc; }
-  } Sync{FuelUsed, Fuel};
+  Value *Sp = this->Sp;
+  struct SyncOnExit {
+    Vm &V;
+    const uint64_t &Fuel;
+    Value *const &Sp;
+    ~SyncOnExit() {
+      V.FuelUsed = Fuel;
+      V.Sp = Sp;
+    }
+  } Sync{*this, Fuel, Sp};
+#define SPILL() (FuelUsed = Fuel, this->Sp = Sp)
+#define RELOAD() (Fuel = FuelUsed, Sp = this->Sp)
 #define DISPATCH_AT(NewIP)                                                     \
   do {                                                                         \
     IP = (NewIP);                                                              \
@@ -393,7 +406,8 @@ Vm::Flow Vm::execChunk(const Chunk &C, const uintptr_t SlotBase) {
 #define NEXT(Words)                                                            \
   do {                                                                         \
     assert(opOperands((Op)Code[IP]) == (Words) && "operand width mismatch");   \
-    assert(depth() <= StackBuf.size() && "operand stack overflow");            \
+    assert((size_t)(Sp - StackBuf.data()) <= StackBuf.size() &&                \
+           "operand stack overflow");                                          \
     DISPATCH_AT(IP + 1 + (Words));                                             \
   } while (0)
 
@@ -403,27 +417,27 @@ SlowFuel:
   // One call-free branch target shared by all dispatch sites: run the rare
   // GC-torture hook (which also enforces MaxSteps) or report fuel
   // exhaustion.
-  FuelUsed = Fuel;
+  SPILL();
   if (!(FuelHooks ? burnFuelHooks() : outOfFuel()))
     return Flow::Fault;
+  RELOAD();
   goto *Targets[Code[IP]];
 
 Do_Const: {
-  Value V;
+  Value &V = *Sp++;
   V.Ty = TypePool[Code[IP + 1]];
   V.I = IntPool[Code[IP + 2]];
-  push(V);
   NEXT(2);
 }
 Do_Nil: {
-  Value V;
+  Value &V = *Sp++;
+  V = Value();
   V.Ty = TypePool[Code[IP + 1]];
-  push(V);
   NEXT(1);
 }
 Do_LoadVar: {
   const VarDecl *Var = VarPool[Code[IP + 1]];
-  push(interp::loadValueAt(varAddr(SlotBase, Var), Var->Ty));
+  *Sp++ = interp::loadValueAt(varAddr(SlotBase, Var), Var->Ty);
   NEXT(1);
 }
 Do_Pop:
@@ -432,11 +446,10 @@ Do_Pop:
 Do_PopN:
   Sp -= Code[IP + 1];
   NEXT(1);
-Do_Pick: {
-  Value V = Sp[-(ptrdiff_t)Code[IP + 1]];
-  push(V);
+Do_Pick:
+  *Sp = Sp[-(ptrdiff_t)Code[IP + 1]];
+  ++Sp;
   NEXT(1);
-}
 // Slot operands write only the fields their type reads; the rest of the
 // stack entry is dead (as after every in-place rewrite below).
 Do_LoadSlotI: {
@@ -466,6 +479,12 @@ Do_StoreSlotA:
   --Sp;
   writeU64(SlotBase + Code[IP + 1], Sp->A);
   NEXT(1);
+Do_IncSlotI: {
+  const uintptr_t Slot = SlotBase + Code[IP + 1];
+  writeU64(Slot, (uint64_t)arith::wrapAdd((int64_t)readU64(Slot),
+                                          IntPool[Code[IP + 2]]));
+  NEXT(2);
+}
 
 Do_Jump:
   DISPATCH_AT(Code[IP + 1]);
@@ -484,23 +503,31 @@ GOFREE_VM_CMPJUMP(JumpIfNotLe, <=)
 GOFREE_VM_CMPJUMP(JumpIfNotGt, >)
 GOFREE_VM_CMPJUMP(JumpIfNotGe, >=)
 #undef GOFREE_VM_CMPJUMP
+Do_JumpIfNotLtLen:
+  // Len is re-read from the slice's slot on every test, so a loop body
+  // that reassigns the slice bounds the next iteration by its new length.
+  if (!((int64_t)readU64(SlotBase + Code[IP + 1]) <
+        (int64_t)readU64(SlotBase + Code[IP + 2] +
+                         offsetof(rt::SliceHeader, Len))))
+    DISPATCH_AT(Code[IP + 3]);
+  NEXT(3);
 Do_JumpIfFalsePeek:
-  if (!top().I)
+  if (!Sp[-1].I)
     DISPATCH_AT(Code[IP + 1]);
   NEXT(1);
 Do_JumpIfTruePeek:
-  if (top().I)
+  if (Sp[-1].I)
     DISPATCH_AT(Code[IP + 1]);
   NEXT(1);
 
 Do_Neg: {
-  Value &T = top();
+  Value &T = Sp[-1];
   T.Ty = TypePool[Code[IP + 1]];
   T.I = arith::wrapNeg(T.I);
   NEXT(1);
 }
 Do_Not: {
-  Value &T = top();
+  Value &T = Sp[-1];
   T.Ty = TypePool[Code[IP + 1]];
   T.I = !T.I;
   NEXT(1);
@@ -538,10 +565,30 @@ Do_Mod: {
   }
   NEXT(1);
 }
+// Constant right operand: rewrite the top in place, nothing popped.
+#define GOFREE_VM_BINOP_K(name, expr)                                         \
+  Do_##name : {                                                               \
+    const int64_t R = IntPool[Code[IP + 2]];                                  \
+    Value &L = Sp[-1];                                                        \
+    L.Ty = TypePool[Code[IP + 1]];                                            \
+    L.I = (expr);                                                             \
+    NEXT(2);                                                                  \
+  }
+GOFREE_VM_BINOP_K(AddK, arith::wrapAdd(L.I, R))
+GOFREE_VM_BINOP_K(MulK, arith::wrapMul(L.I, R))
+#undef GOFREE_VM_BINOP_K
+Do_ModK: {
+  const int64_t R = IntPool[Code[IP + 2]];
+  Value &L = Sp[-1];
+  bool DivZero; // Never set: the compiler keeps Mod for `% 0`.
+  L.Ty = TypePool[Code[IP + 1]];
+  L.I = arith::goMod(L.I, R, DivZero);
+  NEXT(2);
+}
 Do_Eq:
 Do_Ne: {
-  const Value R = pop();
-  Value &L = top();
+  const Value &R = *--Sp;
+  Value &L = Sp[-1];
   bool Equal;
   switch (Code[IP + 2]) {
   case 0:
@@ -561,7 +608,7 @@ Do_Ne: {
 }
 
 Do_Deref: {
-  Value &T = top();
+  Value &T = Sp[-1];
   if (!T.A) {
     fault("nil pointer dereference");
     return Flow::Fault;
@@ -569,12 +616,11 @@ Do_Deref: {
   T = interp::loadValueAt(T.A, TypePool[Code[IP + 1]]);
   NEXT(1);
 }
-Do_MkPtr: {
-  top().Ty = TypePool[Code[IP + 1]]; // The raw address is already there.
+Do_MkPtr:
+  Sp[-1].Ty = TypePool[Code[IP + 1]]; // The raw address is already there.
   NEXT(1);
-}
 Do_FieldPtr: {
-  Value &T = top();
+  Value &T = Sp[-1];
   if (!T.A) {
     fault("nil pointer dereference");
     return Flow::Fault;
@@ -583,13 +629,13 @@ Do_FieldPtr: {
   NEXT(2);
 }
 Do_FieldVal: {
-  Value &T = top();
+  Value &T = Sp[-1];
   T = interp::loadValueAt(T.A + Code[IP + 1], TypePool[Code[IP + 2]]);
   NEXT(2);
 }
 Do_IndexSlice: {
   const int64_t Idx = (--Sp)->I;
-  Value &B = top();
+  Value &B = Sp[-1];
   if (Idx < 0 || Idx >= B.S.Len) {
     fault("slice index out of range");
     return Flow::Fault;
@@ -599,37 +645,40 @@ Do_IndexSlice: {
   NEXT(1);
 }
 Do_IndexMap: {
-  Value K = pop();
-  Value MV = pop();
+  Sp -= 2;
+  const int64_t K = Sp[1].I;
+  const uintptr_t Map = Sp[0].A;
   const Type *ValTy = TypePool[Code[IP + 1]];
   // Reading from a nil map yields the zero value, like Go.
   if (ValTy->isStruct()) {
+    SPILL(); // frameTemp reads the operand stack.
     uintptr_t Tmp = frameTemp(ValTy->size());
-    if (MV.A)
-      rt::mapLookup(MV.A, K.I, reinterpret_cast<void *>(Tmp), ValTy->size());
+    RELOAD();
+    if (Map)
+      rt::mapLookup(Map, K, reinterpret_cast<void *>(Tmp), ValTy->size());
     else
       std::memset(reinterpret_cast<void *>(Tmp), 0, ValTy->size());
-    Value V;
+    Value &V = *Sp++;
+    V = Value();
     V.Ty = ValTy;
     V.A = Tmp;
-    push(V);
   } else {
     interp::MapValueBuf Buf(ValTy->size());
-    if (MV.A)
-      rt::mapLookup(MV.A, K.I, Buf.data(), ValTy->size());
-    push(interp::loadValueAt(Buf.addr(), ValTy));
+    if (Map)
+      rt::mapLookup(Map, K, Buf.data(), ValTy->size());
+    *Sp++ = interp::loadValueAt(Buf.addr(), ValTy);
   }
   NEXT(1);
 }
 
 Do_LvalVar: {
-  Value V;
+  Value &V = *Sp++;
+  V = Value();
   V.A = varAddr(SlotBase, VarPool[Code[IP + 1]]);
-  push(V);
   NEXT(1);
 }
 Do_LvalDeref: {
-  Value &T = top();
+  Value &T = Sp[-1];
   if (!T.A) {
     fault("nil pointer dereference");
     return Flow::Fault;
@@ -638,7 +687,7 @@ Do_LvalDeref: {
   NEXT(0);
 }
 Do_LvalFieldPtr: {
-  Value &T = top();
+  Value &T = Sp[-1];
   if (!T.A) {
     fault("nil pointer dereference");
     return Flow::Fault;
@@ -648,14 +697,14 @@ Do_LvalFieldPtr: {
   NEXT(1);
 }
 Do_LvalField: {
-  Value &T = top();
+  Value &T = Sp[-1];
   T.A += Code[IP + 1];
   T.Ty = nullptr;
   NEXT(1);
 }
 Do_LvalIndex: {
   const int64_t Idx = (--Sp)->I;
-  Value &B = top();
+  Value &B = Sp[-1];
   if (Idx < 0 || Idx >= B.S.Len) {
     fault("slice index out of range");
     return Flow::Fault;
@@ -672,59 +721,65 @@ Do_Store:
 Do_StoreVarInit: {
   const VarDecl *Var = VarPool[Code[IP + 1]];
   // The value stays on the stack, rooted, while the slot may heap-box.
+  SPILL();
   initVarSlot(SlotBase, Var);
-  Value V = pop();
-  interp::storeValueAt(Heap, Types, varAddr(SlotBase, Var), V);
+  RELOAD();
+  --Sp;
+  interp::storeValueAt(Heap, Types, varAddr(SlotBase, Var), *Sp);
   NEXT(1);
 }
 Do_InitVar:
+  SPILL();
   initVarSlot(SlotBase, VarPool[Code[IP + 1]]);
+  RELOAD();
   NEXT(1);
 Do_MapNilCheck:
-  if (!top().A) {
+  if (!Sp[-1].A) {
     fault("assignment to entry in nil map");
     return Flow::Fault;
   }
   NEXT(0);
 Do_StoreMap: {
   // Stack: [v, m, k]; all three stay rooted while mapAssign may grow.
-  const Value &K = Sp[-1];
-  const Value &MV = Sp[-2];
-  const Value &V = Sp[-3];
-  interp::MapValueBuf Buf(V.Ty->size());
-  interp::storeValueAt(Buf.addr(), V);
-  rt::mapAssign(mapCtx(Code[IP + 1]), MV.A, K.I, Buf.data());
+  interp::MapValueBuf Buf(Sp[-3].Ty->size());
+  interp::storeValueAt(Buf.addr(), Sp[-3]);
+  SPILL();
+  rt::mapAssign(mapCtx(Code[IP + 1]), Sp[-2].A, Sp[-1].I, Buf.data());
+  RELOAD();
   Sp -= 3;
   NEXT(1);
 }
 
 // A call leaves the callee's results where its arguments were.
 Do_Call: {
-  const size_t ArgBase = depth() - Code[IP + 2];
-  FuelUsed = Fuel; // The callee burns fuel through the member.
-  Flow Fl = runFunction(CalleePool[Code[IP + 1]], ArgBase, Code[IP + 2]);
-  Fuel = FuelUsed;
+  const uint32_t Argc = Code[IP + 2];
+  const size_t ArgBase = (size_t)(Sp - StackBuf.data()) - Argc;
+  SPILL();
+  Flow Fl = runFunction(CalleePool[Code[IP + 1]], ArgBase, Argc);
+  RELOAD();
   if (Fl != Flow::Normal)
     return Fl;
-  if (depth() == ArgBase) {
-    Value V;
+  Value *Results = StackBuf.data() + ArgBase;
+  if (Sp == Results) {
+    Value &V = *Sp++;
+    V = Value();
     V.Ty = TypePool[Code[IP + 3]];
-    push(V);
   } else {
-    setDepth(ArgBase + 1);
+    Sp = Results + 1;
   }
   NEXT(3);
 }
 Do_CallMulti:
 Do_CallStmt: {
-  const size_t ArgBase = depth() - Code[IP + 2];
-  FuelUsed = Fuel; // The callee burns fuel through the member.
-  Flow Fl = runFunction(CalleePool[Code[IP + 1]], ArgBase, Code[IP + 2]);
-  Fuel = FuelUsed;
+  const uint32_t Argc = Code[IP + 2];
+  const size_t ArgBase = (size_t)(Sp - StackBuf.data()) - Argc;
+  SPILL();
+  Flow Fl = runFunction(CalleePool[Code[IP + 1]], ArgBase, Argc);
+  RELOAD();
   if (Fl != Flow::Normal)
     return Fl;
   if ((Op)Code[IP] == Op::CallStmt)
-    setDepth(ArgBase);
+    Sp = StackBuf.data() + ArgBase;
   NEXT(2);
 }
 Do_Defer: {
@@ -745,43 +800,39 @@ Do_MissingRet:
   fault("missing return in '" + C.Fn->Name + "'");
   return Flow::Fault;
 
-Do_Make: {
-  Flow Fl = doMake(M->Makes[Code[IP + 1]]);
-  if (Fl != Flow::Normal)
-    return Fl;
+// The allocation sites pop their operands and push the object through the
+// members.
+#define GOFREE_VM_SITE(name, fn, pool)                                        \
+  Do_##name : {                                                               \
+    SPILL();                                                                  \
+    Flow Fl = fn(M->pool[Code[IP + 1]]);                                      \
+    RELOAD();                                                                 \
+    if (Fl != Flow::Normal)                                                   \
+      return Fl;                                                              \
+    NEXT(1);                                                                  \
+  }
+GOFREE_VM_SITE(Make, doMake, Makes)
+GOFREE_VM_SITE(New, doNew, News)
+GOFREE_VM_SITE(Composite, doComposite, Composites)
+#undef GOFREE_VM_SITE
+Do_SetField:
+  --Sp;
+  interp::storeValueAt(Heap, Types, Sp[-1].A + Code[IP + 1], *Sp);
   NEXT(1);
-}
-Do_New: {
-  Flow Fl = doNew(M->News[Code[IP + 1]]);
-  if (Fl != Flow::Normal)
-    return Fl;
-  NEXT(1);
-}
-Do_Composite: {
-  Flow Fl = doComposite(M->Composites[Code[IP + 1]]);
-  if (Fl != Flow::Normal)
-    return Fl;
-  NEXT(1);
-}
-Do_SetField: {
-  Value V = pop();
-  interp::storeValueAt(Heap, Types, top().A + Code[IP + 1], V);
-  NEXT(1);
-}
 Do_LenSlice: {
-  Value &T = top();
+  Value &T = Sp[-1];
   T.I = T.S.Len;
   T.Ty = TypePool[Code[IP + 1]];
   NEXT(1);
 }
 Do_LenMap: {
-  Value &T = top();
+  Value &T = Sp[-1];
   T.I = T.A ? rt::mapLen(T.A) : 0;
   T.Ty = TypePool[Code[IP + 1]];
   NEXT(1);
 }
 Do_CapOf: {
-  Value &T = top();
+  Value &T = Sp[-1];
   T.I = T.S.Cap;
   T.Ty = TypePool[Code[IP + 1]];
   NEXT(1);
@@ -789,84 +840,80 @@ Do_CapOf: {
 Do_Append: {
   // Stack: [s, v]; both stay rooted while the backing array may grow.
   const Type *SliceTy = TypePool[Code[IP + 1]];
-  const Type *ElemTy = SliceTy->elem();
-  Value &S = Sp[-2];
-  Value &Elem = Sp[-1];
-  if (rt::sliceGrowForAppend(Heap, S.S, DescPool[Code[IP + 2]], ElemTy->size(),
-                             Opts.CacheId,
-                             Opts.Slice) == rt::SliceGrow::Overflow) {
+  const size_t ElemSize = SliceTy->elem()->size();
+  SPILL();
+  rt::SliceGrow G =
+      rt::sliceGrowForAppend(Heap, Sp[-2].S, DescPool[Code[IP + 2]], ElemSize,
+                             Opts.CacheId, Opts.Slice);
+  RELOAD();
+  if (G == rt::SliceGrow::Overflow) {
     fault("growslice: cap out of range");
     return Flow::Fault;
   }
-  interp::storeValueAt(Heap, Types,
-                       S.S.Data + (uintptr_t)S.S.Len * ElemTy->size(), Elem);
+  Value &S = Sp[-2];
+  interp::storeValueAt(Heap, Types, S.S.Data + (uintptr_t)S.S.Len * ElemSize,
+                       Sp[-1]);
   ++S.S.Len;
   S.Ty = SliceTy;
   --Sp;
   NEXT(2);
 }
 Do_Slicing: {
-  uint32_t Flags = Code[IP + 2];
-  Value HiV, LoV;
-  if (Flags & 2)
-    HiV = pop();
-  if (Flags & 1)
-    LoV = pop();
-  Value Base = pop();
-  int64_t Lo = (Flags & 1) ? LoV.I : 0;
-  int64_t Hi = (Flags & 2) ? HiV.I : Base.S.Len;
-  if (Lo < 0 || Lo > Hi || Hi > Base.S.Cap) {
+  const uint32_t Flags = Code[IP + 2];
+  const int64_t HiArg = (Flags & 2) ? (--Sp)->I : 0;
+  const int64_t Lo = (Flags & 1) ? (--Sp)->I : 0;
+  Value &B = Sp[-1];
+  const int64_t Hi = (Flags & 2) ? HiArg : B.S.Len;
+  if (Lo < 0 || Lo > Hi || Hi > B.S.Cap) {
     fault("slice bounds out of range");
     return Flow::Fault;
   }
-  Value V;
-  V.Ty = TypePool[Code[IP + 1]];
-  size_t ElemSize = V.Ty->elem()->size();
-  V.S.Data = Base.S.Data + (uintptr_t)Lo * ElemSize;
-  V.S.Len = Hi - Lo;
-  V.S.Cap = Base.S.Cap - Lo;
-  push(V);
+  B.Ty = TypePool[Code[IP + 1]];
+  B.S.Data += (uintptr_t)Lo * B.Ty->elem()->size();
+  B.S.Len = Hi - Lo;
+  B.S.Cap -= Lo;
   NEXT(2);
 }
 Do_Copy: {
-  Value Src = pop();
-  Value Dst = pop();
-  int64_t N = std::min(Dst.S.Len, Src.S.Len);
+  Sp -= 2;
+  const rt::SliceHeader Dst = Sp[0].S, Src = Sp[1].S;
+  int64_t N = std::min(Dst.Len, Src.Len);
   if (N > 0) {
-    Heap.gcCopyBarrier(Dst.S.Data, Src.S.Data, (size_t)N * Code[IP + 2],
+    Heap.gcCopyBarrier(Dst.Data, Src.Data, (size_t)N * Code[IP + 2],
                        DescPool[Code[IP + 3]]);
-    rt::copyWordsRelaxed(Dst.S.Data, Src.S.Data, (size_t)N * Code[IP + 2]);
+    rt::copyWordsRelaxed(Dst.Data, Src.Data, (size_t)N * Code[IP + 2]);
   }
-  Value V;
+  Value &V = *Sp++;
+  V = Value();
   V.Ty = TypePool[Code[IP + 1]];
   V.I = N;
-  push(V);
   NEXT(3);
 }
 
-Do_Panic: {
-  Value V = pop();
+Do_Panic:
+  --Sp;
   Result.Panicked = true;
-  Result.PanicValue = V.I;
+  Result.PanicValue = Sp->I;
   return Flow::Panic;
-}
 Do_Sink:
   --Sp;
   Result.Checksum = Result.Checksum * 1099511628211ULL ^ (uint64_t)Sp->I;
   ++Result.SinkCount;
   NEXT(0);
-Do_Delete: {
-  Value K = pop();
-  Value MV = pop();
-  if (MV.A)
-    rt::mapDelete(MV.A, K.I);
+Do_Delete:
+  Sp -= 2;
+  if (Sp[0].A)
+    rt::mapDelete(Sp[0].A, Sp[1].I);
   NEXT(0);
-}
 Do_Tcfree:
+  SPILL();
   doTcfree(M->Tcfrees[Code[IP + 1]]);
+  RELOAD();
   NEXT(1);
 #undef NEXT
 #undef DISPATCH_AT
+#undef RELOAD
+#undef SPILL
 }
 
 //===----------------------------------------------------------------------===//

@@ -168,9 +168,14 @@ private:
   // inside a chunk has room. Reserving may move the buffer; that is safe
   // because no handler holds a Value& or Value* into the stack across a
   // call -- call handlers keep stack positions as indices.
+  //
+  // execChunk keeps the top in a register and writes it back only around
+  // out-of-line calls and on return. The invariant: Vm::Sp is exact
+  // whenever this thread can park at a safepoint or scanRoots can run --
+  // inside every allocation, tcfree, callee and fuel hook -- and whenever
+  // these helpers run.
   void push(const interp::Value &V) { *Sp++ = V; }
   interp::Value pop() { return *--Sp; }
-  interp::Value &top() { return Sp[-1]; }
   size_t depth() const { return (size_t)(Sp - StackBuf.data()); }
   void setDepth(size_t D) { Sp = StackBuf.data() + D; }
   /// Makes room for \p N more entries above the top.

@@ -532,6 +532,67 @@ TEST(ParallelPipelineTest, ChecksumScalesWithWorkerCount) {
     EXPECT_LE(Merged[I - 1].TimeNs, Merged[I].TimeNs);
 }
 
+TEST(ParallelPipelineTest, OperandStackRootsExactWhileParked) {
+  // The VM keeps its operand-stack top in a register and writes it back
+  // before every call that can park. Here fresh heap objects are reachable
+  // only from the operand stack -- a call result waiting to be appended,
+  // to become an argument or to be stored into a map -- across append,
+  // make, a composite, a map store and calls, each of which can park this
+  // mutator while another one collects with heap verification on. An
+  // entry the scan missed would be freed under the program.
+  compiler::Compilation C = compiler::compile(
+      "type T struct { v int\n next *T\n }\n"
+      "func mk(v int) *T { return &T{v: v} }\n"
+      "func link(a *T, b *T) *T {\n"
+      "  a.next = b\n"
+      "  return a\n"
+      "}\n"
+      "func sum(p *T, s []*T, m map[int]*T) int {\n"
+      "  t := p.v + len(m)\n"
+      "  for i := 0; i < len(s); i++ {\n"
+      "    if q := s[i]; q != nil {\n"
+      "      t += q.v\n"
+      "      if q.next != nil { t += q.next.v }\n"
+      "    }\n"
+      "  }\n"
+      "  return t\n"
+      "}\n"
+      "func main(n int) {\n"
+      "  total := 0\n"
+      "  m := make(map[int]*T)\n"
+      "  for i := 0; i < n; i++ {\n"
+      "    s := make([]*T, 0)\n"
+      "    s = append(s, mk(i))\n"
+      "    total += sum(mk(i + 1), append(s, link(mk(i), &T{v: i * 3})), m)\n"
+      "    total += sum(mk(i + 2), make([]*T, i % 5 + 1), m)\n"
+      "    m[i % 64] = link(mk(i), mk(i + 2))\n"
+      "    total += m[i % 64].next.v\n"
+      "  }\n"
+      "  sink(total)\n"
+      "}\n",
+      {});
+  ASSERT_TRUE(C.ok()) << C.Errors;
+  const std::vector<int64_t> Args = {20000};
+
+  compiler::ExecOptions Oracle;
+  Oracle.Engine = compiler::ExecEngine::Ast;
+  compiler::ExecOutcome Ref = compiler::execute(C, "main", Args, Oracle);
+  ASSERT_TRUE(Ref.ok()) << Ref.Error;
+
+  for (bool Concurrent : {true, false}) {
+    compiler::ExecOptions EO;
+    EO.NumThreads = 3;
+    EO.Heap.Gc.Verify = true;
+    EO.Heap.Gc.MinHeapTrigger = 4 << 10;
+    EO.Heap.Gc.Concurrent = Concurrent;
+    compiler::ExecOutcome O = compiler::execute(C, "main", Args, EO);
+    ASSERT_TRUE(O.ok()) << O.Error << " (conc=" << Concurrent << ")";
+    EXPECT_EQ(O.Run.Checksum, Ref.Run.Checksum * 3) << "conc=" << Concurrent;
+    EXPECT_EQ(O.Run.SinkCount, 3u);
+    EXPECT_GT(O.Stats.GcCycles, 10u) << "too few collections to test";
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // TraceHub: per-thread sinks merge into one ordered stream
 //===----------------------------------------------------------------------===//

@@ -222,6 +222,39 @@ TEST(SemaTest, AddrOfRvalueRejected) {
              "cannot take the address");
 }
 
+// Go's rule: a map element is assignable as a whole but not addressable,
+// so neither a field of it nor its address can be the target of a store.
+const char *const MapOfStructs = "type T struct { a int\n s []int\n }\n"
+                                 "func main() {\n"
+                                 "  m := make(map[int]T)\n";
+
+TEST(SemaTest, FieldOfMapElementNotAssignable) {
+  for (const char *Stmt : {"  m[1].a = 9\n", "  m[1].a++\n",
+                           "  m[1].a += 2\n", "  m[1].a--\n"})
+    checkFails(std::string(MapOfStructs) + Stmt + "  sink(m[1].a)\n}\n",
+               "cannot assign to a field of a map element");
+}
+
+TEST(SemaTest, AddrOfMapElementRejected) {
+  checkFails(std::string(MapOfStructs) + "  p := &m[1]\n  sink(p.a)\n}\n",
+             "cannot take the address of a map element");
+  checkFails(std::string(MapOfStructs) + "  p := &m[1].a\n  sink(*p)\n}\n",
+             "cannot take the address of a map element");
+}
+
+TEST(SemaTest, MapElementStoredWhole) {
+  check(std::string(MapOfStructs) +
+        "  m[1] = T{a: 9}\n  sink(m[1].a)\n}\n");
+}
+
+TEST(SemaTest, SliceElementOfMapElementFieldAssignable) {
+  // m[1].s is a slice value; its elements live in the backing array.
+  check(std::string(MapOfStructs) +
+        "  m[1] = T{s: make([]int, 2)}\n"
+        "  m[1].s[0] = 7\n"
+        "  sink(m[1].s[0])\n}\n");
+}
+
 TEST(SemaTest, AppendElementTypeChecked) {
   checkFails("func main() {\n"
              "  s := make([]int, 0)\n"

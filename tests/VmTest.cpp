@@ -284,6 +284,88 @@ TEST(VmCompilerTest, OrderedConditionsFuseCompareAndBranch) {
     expectEngineEquivalence(Src, {N});
 }
 
+/// The listing lines from the first one containing \p From up to (not
+/// including) the next one containing \p To.
+std::string listingBetween(const std::string &Listing, const std::string &From,
+                           const std::string &To) {
+  size_t Begin = Listing.find(From);
+  if (Begin == std::string::npos)
+    return {};
+  size_t End = Listing.find(To, Listing.find('\n', Begin));
+  return Listing.substr(Begin, End == std::string::npos ? End : End - Begin);
+}
+
+TEST(VmCompilerTest, HotLoopUsesFusedOps) {
+  const char *Src = "func main(n int) {\n"
+                    "  s := make([]int, n)\n"
+                    "  for i := 0; i < len(s); i++ { s[i] = i * 3 % 7 + 1 }\n"
+                    "  t := 0\n"
+                    "  for i := 0; i < len(s); i++ { t += s[i] }\n"
+                    "  sink(t)\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "main");
+  for (const char *Op : {"jnot.lt.len", "inc.slot.i", "mul.k", "mod.k",
+                         "add.k"})
+    EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
+  EXPECT_NE(Listing.find("; i < len(s)"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("; i += 1"), std::string::npos) << Listing;
+  // `t += s[i]` adds no constant: it keeps the general ops.
+  EXPECT_EQ(Listing.find("; t += "), std::string::npos) << Listing;
+  // The first loop, from its test to its back edge, pushes no constant.
+  std::string Body = listingBetween(Listing, "jnot.lt.len", "\tjump ");
+  ASSERT_FALSE(Body.empty()) << Listing;
+  EXPECT_EQ(Body.find("\tconst "), std::string::npos) << Body;
+  EXPECT_EQ(Listing.find("len.slice"), std::string::npos) << Listing;
+  for (int64_t N : {0, 1, 9})
+    expectEngineEquivalence(Src, {N});
+}
+
+TEST(VmCompilerTest, BoxedLoopVariablesKeepGeneralOps) {
+  // Negative controls: i (in count) and s (in fill) have their address
+  // escape, so they are MovedToHeap and have no slot operands to fuse.
+  const char *Src = "func count(s []int) *int {\n"
+                    "  i := 0\n"
+                    "  p := &i\n"
+                    "  for i = 0; i < len(s); i++ { s[i] = i }\n"
+                    "  return p\n"
+                    "}\n"
+                    "func fill(n int) *[]int {\n"
+                    "  s := make([]int, n)\n"
+                    "  q := &s\n"
+                    "  for i := 0; i < len(s); i++ { s[i] = i * 2 }\n"
+                    "  return q\n"
+                    "}\n"
+                    "func main(n int) {\n"
+                    "  s := *fill(n)\n"
+                    "  sink(*count(s))\n"
+                    "  sink(s[n - 1])\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  auto MovedToHeap = [&](const char *Fn, const char *Var) {
+    for (const minigo::VarDecl *V : C.Prog->findFunc(Fn)->AllVars)
+      if (V->Name == Var)
+        return V->MovedToHeap;
+    return false;
+  };
+  ASSERT_TRUE(MovedToHeap("count", "i"));
+  ASSERT_TRUE(MovedToHeap("fill", "s"));
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Count = chunkListing(M, *C.Prog, "count");
+  EXPECT_EQ(Count.find("jnot.lt.len"), std::string::npos) << Count;
+  EXPECT_EQ(Count.find("inc.slot.i"), std::string::npos) << Count;
+  EXPECT_NE(Count.find("len.slice"), std::string::npos) << Count;
+  EXPECT_NE(Count.find("jnot.lt"), std::string::npos) << Count;
+  std::string Fill = chunkListing(M, *C.Prog, "fill");
+  EXPECT_EQ(Fill.find("jnot.lt.len"), std::string::npos) << Fill;
+  EXPECT_NE(Fill.find("len.slice"), std::string::npos) << Fill;
+  EXPECT_NE(Fill.find("inc.slot.i"), std::string::npos) << Fill
+      << "fill's i is an unboxed int local";
+  for (int64_t N : {1, 6})
+    expectEngineEquivalence(Src, {N});
+}
+
 TEST(VmCompilerTest, ChunkRecordsMaxOperandDepth) {
   // sink(a + (b + (c + d))) holds four operands at once.
   Compilation C = compiled("func main() {\n"
@@ -820,6 +902,130 @@ TEST(VmArithTest, MinInt64DivAndModByMinusOne) {
                                  "  sink(0)\n"
                                  "}\n");
   EXPECT_EQ(O.Run.Checksum, Expected);
+}
+
+TEST(VmArithTest, FusedOpsWrapLikeGeneralOps) {
+  // add.k, mul.k and mod.k (a negated literal is a constant too) and
+  // inc.slot.i, at the int64 boundaries; the tree-walker has no fused ops.
+  const char *Src = "func main() {\n"
+                    "  max := 9223372036854775807\n"
+                    "  min := -max - 1\n"
+                    "  sink(max + 1)\n"
+                    "  sink(max * 3)\n"
+                    "  sink(min % -1)\n"
+                    "  sink(min % 7)\n"
+                    "  x := max\n"
+                    "  x += 2\n"
+                    "  sink(x)\n"
+                    "  y := min\n"
+                    "  y--\n"
+                    "  sink(y)\n"
+                    "  z := -5\n"
+                    "  z -= 9223372036854775807\n"
+                    "  sink(z)\n"
+                    "  w := 0\n"
+                    "  w -= -3\n"
+                    "  sink(w)\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "main");
+  for (const char *Op : {"add.k", "mul.k", "mod.k", "inc.slot.i"})
+    EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
+  EXPECT_NE(Listing.find("mod.k 0 "), std::string::npos) << Listing;
+  ExecOutcome O = expectEngineEquivalence(Src);
+  ASSERT_TRUE(O.Run.ok()) << O.Run.Error;
+  uint64_t Expected = vmChecksum("func main() {\n"
+                                 "  sink(-9223372036854775807 - 1)\n"
+                                 "  sink(9223372036854775805)\n"
+                                 "  sink(0)\n"
+                                 "  sink(-1)\n"
+                                 "  sink(-9223372036854775807)\n"
+                                 "  sink(9223372036854775807)\n"
+                                 "  sink(9223372036854775804)\n"
+                                 "  sink(3)\n"
+                                 "}\n");
+  EXPECT_EQ(O.Run.Checksum, Expected);
+}
+
+TEST(VmArithTest, ModByZeroLiteralStillFaults) {
+  const char *Src = "func main() {\n  x := 5\n  sink(x % 0)\n}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  EXPECT_EQ(chunkListing(M, *C.Prog, "main").find("mod.k"),
+            std::string::npos);
+  ExecOutcome O = expectEngineEquivalence(Src);
+  EXPECT_NE(O.Run.Error.find("integer divide by zero"), std::string::npos)
+      << O.Run.Error;
+}
+
+TEST(VmTest, LenBoundReReadEveryIteration) {
+  // jnot.lt.len reads len(s) from s's slot on every test: over a nil
+  // slice, and when the body shrinks s or appends to it.
+  expectEngineEquivalence("func main() {\n"
+                          "  var s []int\n"
+                          "  n := 0\n"
+                          "  for i := 0; i < len(s); i++ { n++ }\n"
+                          "  sink(n)\n"
+                          "}\n");
+  const char *Src = "func main(n int) {\n"
+                    "  s := make([]int, n)\n"
+                    "  t := 0\n"
+                    "  for i := 0; i < len(s); i++ {\n"
+                    "    t += s[i] + i\n"
+                    "    if i % 3 == 0 { s = s[0:len(s) - 1] }\n"
+                    "  }\n"
+                    "  sink(t)\n"
+                    "  sink(len(s))\n"
+                    "  u := make([]int, 1)\n"
+                    "  for j := 0; j < len(u); j++ {\n"
+                    "    if len(u) < 40 { u = append(u, j) }\n"
+                    "  }\n"
+                    "  sink(len(u))\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "main");
+  EXPECT_NE(Listing.find("; i < len(s)"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("; j < len(u)"), std::string::npos) << Listing;
+  for (int64_t N : {0, 1, 2, 10}) {
+    ExecOutcome O = expectEngineEquivalence(Src, {N});
+    EXPECT_TRUE(O.Run.ok()) << O.Run.Error;
+  }
+  // 40 elements: the append loop ran until len(u) stopped growing.
+  EXPECT_EQ(vmChecksum("func main() {\n  u := make([]int, 1)\n"
+                       "  for j := 0; j < len(u); j++ {\n"
+                       "    if len(u) < 40 { u = append(u, j) }\n"
+                       "  }\n"
+                       "  sink(len(u))\n}\n"),
+            vmChecksum("func main() { sink(40) }\n"));
+}
+
+TEST(VmTest, FusedLoopUnderGcTorture) {
+  const char *Src = "type Node struct { v int\n next *Node\n }\n"
+                    "func main(n int) {\n"
+                    "  s := make([]*Node, 0)\n"
+                    "  for i := 0; i < n; i++ {\n"
+                    "    s = append(s, &Node{v: i * 3 % 7 + 1})\n"
+                    "  }\n"
+                    "  t := 0\n"
+                    "  for i := 0; i < len(s); i++ {\n"
+                    "    s[i].next = s[len(s) - 1 - i]\n"
+                    "    t += s[i].next.v * 2\n"
+                    "  }\n"
+                    "  sink(t)\n"
+                    "}\n";
+  ExecOutcome Plain = runEngine(Src, ExecEngine::Vm, CompileMode::GoFree, {24});
+  ASSERT_TRUE(Plain.Run.ok()) << Plain.Run.Error;
+  ExecOptions EO;
+  EO.Interp.GcEveryNSteps = 1;
+  EO.Heap.Gc.Verify = true;
+  EO.Heap.Gc.MinHeapTrigger = 0;
+  ExecOutcome Tortured =
+      runEngine(Src, ExecEngine::Vm, CompileMode::GoFree, {24}, EO);
+  EXPECT_TRUE(Tortured.ok()) << Tortured.Error;
+  EXPECT_EQ(Tortured.Run.Checksum, Plain.Run.Checksum);
+  expectEngineEquivalence(Src, {24});
 }
 
 TEST(VmArithTest, AddSubMulNegWrapAround) {
