@@ -77,8 +77,8 @@ int main() {
   ProgramAnalysis Go = analyzeProgram(*Prog);
   const BuildResult &B = Go.FuncGraphs.at(Fn);
   std::vector<std::string> GoNames;
-  for (uint32_t Id : pointsToSet(B.Graph, B.VarLoc.at(Pd2)))
-    GoNames.push_back(B.Graph.loc(Id).Name);
+  for (uint32_t Id : pointsToSet(B.Graph, B.varLoc(Pd2)))
+    GoNames.push_back(B.Graph.loc(Id).name());
   std::printf("%-28s  PointsTo(pd2) = %s\n", "Go escape graph (O(N^2))",
               joinNames(GoNames).c_str());
 
@@ -90,7 +90,7 @@ int main() {
   std::printf("\nGoFree's completeness analysis on the Go graph:\n");
   for (const char *Name : {"pc", "pd", "ppd", "pd2"}) {
     const VarDecl *V = findVar(Fn, Name);
-    const Location &L = B.Graph.loc(B.VarLoc.at(V));
+    const Location &L = B.Graph.loc(B.varLoc(V));
     std::printf("  %-4s Exposes=%-5s Incomplete=%-5s -> %s\n", Name,
                 L.exposes() ? "true" : "false",
                 L.incomplete() ? "true" : "false",

@@ -76,8 +76,9 @@ int main(int Argc, char **Argv) {
 
   for (const minigo::FuncDecl *Fn : C.Prog->Funcs) {
     const BuildResult &B = C.Analysis.FuncGraphs.at(Fn);
-    std::printf("=== func %s: %zu locations, %zu edges ===\n",
-                Fn->Name.c_str(), B.Graph.size(), B.Graph.edgeCount());
+    std::printf("=== func %.*s: %zu locations, %zu edges ===\n",
+                (int)Fn->Name.size(), Fn->Name.data(), B.Graph.size(),
+                B.Graph.edgeCount());
     std::printf("%-14s %-10s %5s %5s %5s %5s %5s %6s %5s %7s\n", "location",
                 "kind", "depth", "loop", "heap", "expos", "incmp", "outlvd",
                 "ptsHp", "TOFREE");
@@ -93,7 +94,7 @@ int main(int Argc, char **Argv) {
       case LocKind::ContentTag: Kind = "content"; break;
       }
       std::printf("%-14s %-10s %5d %5d %5s %5s %5s %6s %5s %7s\n",
-                  L.Name.c_str(), Kind,
+                  L.name().c_str(), Kind,
                   L.DeclDepth >= BigDepth ? 999 : L.DeclDepth,
                   L.LoopDepth >= BigDepth ? 999 : L.LoopDepth,
                   flag(L.HeapAlloc), flag(L.exposes()), flag(L.incomplete()),
@@ -109,10 +110,10 @@ int main(int Argc, char **Argv) {
       std::printf("#%zu ", I);
   std::printf("\nmoved-to-heap variables:   ");
   for (const minigo::VarDecl *V : C.Analysis.MovedToHeap)
-    std::printf("%s ", V->Name.c_str());
+    std::printf("%.*s ", (int)V->Name.size(), V->Name.data());
   std::printf("\ntcfree targets:            ");
   for (const minigo::VarDecl *V : C.Analysis.ToFreeVars)
-    std::printf("%s ", V->Name.c_str());
+    std::printf("%.*s ", (int)V->Name.size(), V->Name.data());
   std::printf("\n(%u slice frees, %u map frees, %u object frees inserted)\n\n",
               C.Instr.SliceFrees, C.Instr.MapFrees, C.Instr.ObjectFrees);
 

@@ -329,7 +329,7 @@ uint32_t ConnGraphAnalysis::nodeOf(const VarDecl *V) {
   auto It = VarNode.find(V);
   if (It != VarNode.end())
     return It->second;
-  uint32_t N = freshNode(V->Name);
+  uint32_t N = freshNode(std::string(V->Name));
   VarNode[V] = N;
   return N;
 }

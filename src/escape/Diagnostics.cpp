@@ -24,7 +24,7 @@ std::string allocSpelling(const Expr *E) {
   case ExprKind::New:
     return "new(" + cast<NewExpr>(E)->AllocTy->str() + ")";
   case ExprKind::Composite:
-    return "&" + cast<CompositeExpr>(E)->TypeName + "{...}";
+    return "&" + std::string(cast<CompositeExpr>(E)->TypeName) + "{...}";
   case ExprKind::Append:
     return "append growth";
   default:
@@ -68,10 +68,10 @@ gofree::escape::escapeDiagnostics(const FuncDecl *Fn,
       if (!L.Var)
         break;
       if (L.Var->MovedToHeap)
-        Out.push_back({L.Var->Loc, "moved to heap: " + L.Var->Name});
+        Out.push_back({L.Var->Loc, "moved to heap: " + std::string(L.Var->Name)});
       if (Analysis.ToFreeVars.count(L.Var))
         Out.push_back({L.Var->Loc,
-                       "tcfree: " + L.Var->Name + " (" +
+                       "tcfree: " + std::string(L.Var->Name) + " (" +
                            freeKindName(L.Var->Ty) + ") at end of scope"});
       break;
     }

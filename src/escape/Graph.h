@@ -30,7 +30,7 @@
 #include "minigo/Ast.h"
 
 #include <cstdint>
-#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,13 +56,18 @@ enum class LocKind : uint8_t {
 struct Location {
   uint32_t Id = 0;
   LocKind Kind = LocKind::Var;
-  std::string Name; ///< For reports and tests.
 
-  /// AST backing, when applicable.
+  /// AST backing, when applicable: the variable of a Var location, the
+  /// allocating expression of an Alloc location, and the call that
+  /// instantiated a ParamCopy, RetCopy or ContentTag location.
   const minigo::VarDecl *Var = nullptr;
   const minigo::Expr *AllocExpr = nullptr;
+  const minigo::CallExpr *Call = nullptr;
   /// Allocation-site id (minigo::InvalidAllocId if not a site).
   uint32_t AllocId = minigo::InvalidAllocId;
+  /// Result index of a Ret, RetCopy or ContentTag location; parameter
+  /// index of a ParamCopy location.
+  uint32_t Index = 0;
 
   // Static attributes (set by the builder).
   int DeclDepth = 0; ///< Definition 4.13; -1 for heapLoc/return.
@@ -88,12 +93,42 @@ struct Location {
   bool incomplete() const {
     return IncompleteParam || IncompleteStore || IncompleteRet;
   }
+
+  /// The name reports and tests know the location by: `heapLoc`, the
+  /// variable's name, `make@3:7` (also `new@`, `lit@`, `append@`), `ret0`,
+  /// or the callee's name with `.p0`, `.r0` or `.ct0`.
+  std::string name() const {
+    switch (Kind) {
+    case LocKind::HeapLoc:
+      return "heapLoc";
+    case LocKind::Var:
+      return std::string(Var->Name);
+    case LocKind::Alloc: {
+      minigo::ExprKind K = AllocExpr->kind();
+      const char *Prefix = K == minigo::ExprKind::Make        ? "make@"
+                           : K == minigo::ExprKind::New       ? "new@"
+                           : K == minigo::ExprKind::Composite ? "lit@"
+                                                              : "append@";
+      return Prefix + AllocExpr->Loc.str();
+    }
+    case LocKind::Ret:
+      return "ret" + std::to_string(Index);
+    case LocKind::ParamCopy:
+      return std::string(Call->Callee) + ".p" + std::to_string(Index);
+    case LocKind::RetCopy:
+      return std::string(Call->Callee) + ".r" + std::to_string(Index);
+    case LocKind::ContentTag:
+      return std::string(Call->Callee) + ".ct" + std::to_string(Index);
+    }
+    return "?";
+  }
 };
 
 /// A directed weighted edge Src -> Dst meaning "data flows from Src to Dst
 /// with Derefs dereferences" (table 2).
 struct Edge {
   uint32_t Src;
+  uint32_t Dst;
   int32_t Derefs;
 };
 
@@ -105,7 +140,7 @@ public:
     // Location 0 is always heapLoc (definition 4.2). Its value is a
     // wildcard: it exposes everything it points to and its own value is
     // untracked, so anything derived from it is incomplete.
-    Location &H = addLocation(LocKind::HeapLoc, "heapLoc");
+    Location &H = addLocation(LocKind::HeapLoc);
     H.DeclDepth = -1;
     H.LoopDepth = -1;
     H.OutermostRef = -1;
@@ -116,14 +151,11 @@ public:
 
   static constexpr uint32_t HeapLocId = 0;
 
-  Location &addLocation(LocKind Kind, std::string Name) {
-    Location L;
-    L.Id = (uint32_t)Locs.size();
+  Location &addLocation(LocKind Kind) {
+    Location &L = Locs.emplace_back();
+    L.Id = (uint32_t)Locs.size() - 1;
     L.Kind = Kind;
-    L.Name = std::move(Name);
-    Locs.push_back(std::move(L));
-    InEdges.emplace_back();
-    return Locs.back();
+    return L;
   }
 
   /// Adds the edge Src --Derefs--> Dst. Self-edges are dropped (they can
@@ -132,12 +164,32 @@ public:
     assert(Src < Locs.size() && Dst < Locs.size() && "edge endpoint missing");
     if (Src == Dst)
       return;
-    InEdges[Dst].push_back({Src, Derefs});
-    ++NumEdges;
+    Edges.push_back({Src, Dst, Derefs});
+    InStart.clear();
+  }
+
+  /// Orders the edge array by destination, stably, so each location's
+  /// in-edges stay in insertion order. Call it once every edge is added;
+  /// inEdges needs it.
+  void sortEdges() {
+    InStart.assign(Locs.size() + 1, 0);
+    for (const Edge &E : Edges)
+      ++InStart[E.Dst + 1];
+    for (size_t I = 1; I < InStart.size(); ++I)
+      InStart[I] += InStart[I - 1];
+    // Counting sort: place each edge at its destination's cursor, which
+    // leaves InStart[D] at the start of D + 1; shift it back afterwards.
+    std::vector<Edge> Sorted(Edges.size());
+    for (const Edge &E : Edges)
+      Sorted[InStart[E.Dst]++] = E;
+    for (size_t I = InStart.size() - 1; I > 0; --I)
+      InStart[I] = InStart[I - 1];
+    InStart[0] = 0;
+    Edges.swap(Sorted);
   }
 
   size_t size() const { return Locs.size(); }
-  size_t edgeCount() const { return NumEdges; }
+  size_t edgeCount() const { return Edges.size(); }
 
   Location &loc(uint32_t Id) {
     assert(Id < Locs.size() && "bad location id");
@@ -149,8 +201,9 @@ public:
   }
 
   /// Edges arriving at \p Dst (walked in reverse to enumerate Holds(Dst)).
-  const std::vector<Edge> &inEdges(uint32_t Dst) const {
-    return InEdges[Dst];
+  std::span<const Edge> inEdges(uint32_t Dst) const {
+    assert(InStart.size() == Locs.size() + 1 && "edges not sorted");
+    return {Edges.data() + InStart[Dst], InStart[Dst + 1] - InStart[Dst]};
   }
 
   std::vector<Location> &locations() { return Locs; }
@@ -161,8 +214,10 @@ public:
 
 private:
   std::vector<Location> Locs;
-  std::vector<std::vector<Edge>> InEdges;
-  size_t NumEdges = 0;
+  /// Every edge; grouped by destination once sortEdges has run.
+  std::vector<Edge> Edges;
+  /// InStart[D] .. InStart[D + 1] index D's in-edges; empty until sorted.
+  std::vector<uint32_t> InStart;
 };
 
 } // namespace escape

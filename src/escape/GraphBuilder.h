@@ -25,9 +25,9 @@
 #define GOFREE_ESCAPE_GRAPHBUILDER_H
 
 #include "escape/Graph.h"
+#include "escape/Solver.h"
 #include "minigo/Ast.h"
 
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -75,12 +75,16 @@ struct BuildOptions {
   bool UseTags = true;
 };
 
-/// The escape graph of one function plus AST-to-location mappings.
+/// The escape graph of one function.
 struct BuildResult {
   EscapeGraph Graph;
-  std::unordered_map<const minigo::VarDecl *, uint32_t> VarLoc;
-  /// Allocation-site id -> location id.
-  std::unordered_map<uint32_t, uint32_t> AllocLoc;
+
+  /// The location of variable \p V of the function. Variables come right
+  /// after heapLoc, in AllVars order, so V's location is 1 + VarDecl::Id.
+  uint32_t varLoc(const minigo::VarDecl *V) const {
+    assert(Graph.loc(1 + V->Id).Var == V && "variable of another function");
+    return 1 + V->Id;
+  }
 };
 
 /// Builds the escape graph of \p Fn. \p Tags supplies callee summaries for
@@ -90,7 +94,8 @@ BuildResult buildEscapeGraph(const minigo::FuncDecl *Fn, const TagMap &Tags,
                              const BuildOptions &Opts = {});
 
 /// Extracts the extended parameter tag from a solved graph (section 4.4).
-FuncTag extractTag(const minigo::FuncDecl *Fn, const BuildResult &Build);
+FuncTag extractTag(const minigo::FuncDecl *Fn, const BuildResult &Build,
+                   WalkBuffers &W);
 
 /// PointsTo(l) (definition 4.9): all leaves m with MinDerefs(m, l) == -1.
 std::vector<uint32_t> pointsToSet(const EscapeGraph &G, uint32_t LocId);

@@ -7,33 +7,33 @@
 
 #include "escape/Solver.h"
 
-#include "support/UniqueQueue.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
 
 using namespace gofree;
 using namespace gofree::escape;
 
 void gofree::escape::minDerefsFrom(const EscapeGraph &G, uint32_t Root,
-                                   std::vector<int8_t> &Dist,
-                                   SolverStats *Stats) {
+                                   WalkBuffers &W, SolverStats *Stats) {
+  std::vector<int8_t> &Dist = W.Dist;
+  std::vector<uint8_t> &InQueue = W.InQueue;
   Dist.assign(G.size(), NotHeld);
+  if (InQueue.size() < G.size())
+    InQueue.resize(G.size(), 0);
   Dist[Root] = 0;
   // SPFA over reversed edges. Distances only take values in {-1, 0, 1}
   // (clamped TrackDerefs, definition 4.7), so each node is re-relaxed at
   // most a constant number of times and one walk is O(N) on the sparse
-  // escape graph.
-  std::deque<uint32_t> Work;
-  std::vector<bool> InQueue(G.size(), false);
+  // escape graph. For the same reason a walk pushes O(N) entries in all,
+  // so the FIFO is a plain array read from the front.
+  std::vector<uint32_t> &Work = W.Fifo;
+  Work.clear();
   Work.push_back(Root);
-  InQueue[Root] = true;
-  while (!Work.empty()) {
-    uint32_t Cur = Work.front();
-    Work.pop_front();
-    InQueue[Cur] = false;
+  InQueue[Root] = 1;
+  for (size_t Head = 0; Head < Work.size(); ++Head) {
+    uint32_t Cur = Work[Head];
+    InQueue[Cur] = 0;
     int CurDist = Dist[Cur];
     for (const Edge &E : G.inEdges(Cur)) {
       if (Stats)
@@ -45,7 +45,7 @@ void gofree::escape::minDerefsFrom(const EscapeGraph &G, uint32_t Root,
       if (Cand < Dist[E.Src]) {
         Dist[E.Src] = (int8_t)Cand;
         if (!InQueue[E.Src]) {
-          InQueue[E.Src] = true;
+          InQueue[E.Src] = 1;
           Work.push_back(E.Src);
         }
       }
@@ -129,7 +129,8 @@ bool applyToRoot(Location &Root, const Location &Leaf, int D) {
 
 } // namespace
 
-SolverStats gofree::escape::solve(EscapeGraph &G, const SolverOptions &Opts) {
+SolverStats gofree::escape::solve(EscapeGraph &G, SolverBuffers &Buf,
+                                  const SolverOptions &Opts) {
   SolverStats Stats;
   auto StageStart = std::chrono::steady_clock::now();
   auto TakeStageNanos = [&StageStart] {
@@ -146,15 +147,16 @@ SolverStats gofree::escape::solve(EscapeGraph &G, const SolverOptions &Opts) {
   for (Location &L : G.locations())
     L.OutermostRef = L.DeclDepth;
 
-  UniqueQueue Work(N);
+  UniqueQueue &Work = Buf.Work;
+  Work.reset(N);
   for (uint32_t I = 0; I < N; ++I)
     Work.push(I);
 
-  std::vector<int8_t> Dist;
+  const std::vector<int8_t> &Dist = Buf.Walk.Dist;
   while (!Work.empty()) {
     uint32_t RootId = (uint32_t)Work.pop();
     ++Stats.RootWalks;
-    minDerefsFrom(G, RootId, Dist, &Stats);
+    minDerefsFrom(G, RootId, Buf.Walk, &Stats);
     bool RootRequeued = false;
     for (uint32_t LeafId = 0; LeafId < N && !RootRequeued; ++LeafId) {
       int D = Dist[LeafId];
@@ -188,7 +190,7 @@ SolverStats gofree::escape::solve(EscapeGraph &G, const SolverOptions &Opts) {
   // and ToFree (definition 4.17) consume the fixpoint and do not propagate.
   for (uint32_t RootId = 0; RootId < N; ++RootId) {
     Location &Root = G.loc(RootId);
-    minDerefsFrom(G, RootId, Dist, &Stats);
+    minDerefsFrom(G, RootId, Buf.Walk, &Stats);
     for (uint32_t LeafId = 0; LeafId < N; ++LeafId) {
       if (Dist[LeafId] != -1)
         continue;

@@ -25,8 +25,10 @@
 #define GOFREE_ESCAPE_SOLVER_H
 
 #include "escape/Graph.h"
+#include "support/UniqueQueue.h"
 
 #include <cstdint>
+#include <vector>
 
 namespace gofree {
 namespace escape {
@@ -37,12 +39,30 @@ struct SolverStats {
   uint64_t RootWalks = 0;   ///< Pops from the work queue.
   uint64_t Relaxations = 0; ///< SPFA edge relaxations across all walks.
   uint64_t LeafVisits = 0;  ///< Constraint applications.
-  // Wall time per stage, for the compiler's pass timing trace. BuildNanos
-  // is filled by the analysis driver (graph construction happens outside
-  // solve()).
-  uint64_t BuildNanos = 0;     ///< Escape-graph construction.
+  // Wall time per stage, for the compiler's pass timing trace. solve()
+  // fills the last two; analyzeProgram adds its own work to them so that
+  // the three stages cover all of it.
+  uint64_t BuildNanos = 0;     ///< Call graph, graph construction, bookkeeping.
   uint64_t PropagateNanos = 0; ///< Fixpoint loop, incl. back-propagation.
-  uint64_t LifetimeNanos = 0;  ///< Final Outlived/PointsToHeap/ToFree sweep.
+  /// Final Outlived/PointsToHeap/ToFree sweep; in analyzeProgram also tag
+  /// extraction and the distilled decisions.
+  uint64_t LifetimeNanos = 0;
+};
+
+/// The buffers of one minDerefsFrom walk. Dist is its result; the FIFO and
+/// the in-queue marks are working storage. A walk reuses them, so walks
+/// allocate nothing once the buffers have grown to the largest graph.
+struct WalkBuffers {
+  std::vector<int8_t> Dist;
+  std::vector<uint32_t> Fifo;
+  /// All zero between walks.
+  std::vector<uint8_t> InQueue;
+};
+
+/// The buffers solve() reuses from one graph to the next.
+struct SolverBuffers {
+  WalkBuffers Walk;
+  UniqueQueue Work;
 };
 
 /// Tuning knobs for the solver.
@@ -56,15 +76,16 @@ struct SolverOptions {
 
 /// Runs the propagation to fixpoint, then the final Outlived/PointsToHeap/
 /// ToFree sweep. Mutates the location properties in place.
-SolverStats solve(EscapeGraph &G, const SolverOptions &Opts = {});
+SolverStats solve(EscapeGraph &G, SolverBuffers &Buf,
+                  const SolverOptions &Opts = {});
 
-/// Computes MinDerefs(Leaf, Root) for every leaf reachable from \p Root
-/// against edge direction, clamped to {-1, 0, 1}; unreachable entries are
-/// set to NotHeld. Exposed for PointsTo queries, tag construction, tests and
-/// the baselines.
+/// Computes into W.Dist MinDerefs(Leaf, Root) for every leaf reachable from
+/// \p Root against edge direction, clamped to {-1, 0, 1}; unreachable
+/// entries are set to NotHeld. Exposed for PointsTo queries, tag
+/// construction, tests and the baselines.
 inline constexpr int NotHeld = 127;
-void minDerefsFrom(const EscapeGraph &G, uint32_t Root,
-                   std::vector<int8_t> &Dist, SolverStats *Stats = nullptr);
+void minDerefsFrom(const EscapeGraph &G, uint32_t Root, WalkBuffers &W,
+                   SolverStats *Stats = nullptr);
 
 } // namespace escape
 } // namespace gofree

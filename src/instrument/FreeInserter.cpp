@@ -7,6 +7,8 @@
 
 #include "instrument/FreeInserter.h"
 
+#include <charconv>
+
 using namespace gofree;
 using namespace gofree::instrument;
 using namespace gofree::minigo;
@@ -85,6 +87,11 @@ public:
         continue;
       CurFn = Fn;
       visitBlock(Fn->Body);
+      if (!Temps.empty()) {
+        // Temporaries join AllVars, which keeps their slots GC-scannable.
+        Fn->AllVars = concat<VarDecl *>(Fn->AllVars, Temps, Fn->AllVars.size());
+        Temps.clear();
+      }
     }
     CurFn = nullptr;
   }
@@ -107,13 +114,27 @@ private:
       ++Stats.ObjectFrees;
   }
 
+  /// An arena list of \p Items with \p Inserted spliced in before index
+  /// \p At.
+  template <typename T>
+  std::span<T> concat(std::span<T> Items, std::span<const T> Inserted,
+                      size_t At) {
+    std::span<T> Out =
+        Prog.Nodes.allocateList<T>(Items.size() + Inserted.size());
+    auto It = std::copy(Items.begin(), Items.begin() + (ptrdiff_t)At,
+                        Out.begin());
+    It = std::copy(Inserted.begin(), Inserted.end(), It);
+    std::copy(Items.begin() + (ptrdiff_t)At, Items.end(), It);
+    return Out;
+  }
+
   /// Collects the ToFree variables declared by \p S (a statement directly in
-  /// the block being processed).
-  void collectDeclared(const Stmt *S, std::vector<VarDecl *> &Out) const {
+  /// the block being processed) onto the ToFree stack.
+  void collectDeclared(const Stmt *S) {
     if (const auto *DS = dyn_cast<VarDeclStmt>(S))
       for (VarDecl *V : DS->Vars)
         if (Analysis.ToFreeVars.count(V))
-          Out.push_back(V);
+          ToFree.push_back(V);
   }
 
   void visitStmt(Stmt *S) {
@@ -139,13 +160,16 @@ private:
   /// Creates an instrumentation temporary in the current function's frame.
   VarDecl *makeTemp(const Type *Ty, SourceLoc Loc) {
     auto *V = Prog.Nodes.create<VarDecl>();
-    V->Name = "__gofree_rv" + std::to_string(CurFn->AllVars.size());
+    uint32_t Id = (uint32_t)(CurFn->AllVars.size() + Temps.size());
+    char Buf[32] = "__gofree_rv";
+    char *End = std::to_chars(Buf + 11, Buf + sizeof(Buf), Id).ptr;
+    V->Name = Prog.Nodes.copy(std::string_view(Buf, (size_t)(End - Buf)));
     V->Loc = Loc;
     V->Ty = Ty;
-    V->Id = (uint32_t)CurFn->AllVars.size();
+    V->Id = Id;
     V->FrameOffset = CurFn->FrameSize;
     CurFn->FrameSize += Ty->size();
-    CurFn->AllVars.push_back(V); // Keeps the slot GC-scannable.
+    Temps.push_back(V);
     return V;
   }
 
@@ -159,48 +183,51 @@ private:
     DS->Loc = RS->Loc;
     bool TupleForwarding =
         RS->Values.size() == 1 && RS->Values[0]->Ty->isTuple();
-    const std::vector<const Type *> *Types = nullptr;
-    std::vector<const Type *> Single;
-    if (TupleForwarding) {
-      Types = &RS->Values[0]->Ty->tupleElems();
-    } else {
-      for (const Expr *V : RS->Values)
-        Single.push_back(V->Ty);
-      Types = &Single;
-    }
-    std::vector<Expr *> NewValues;
-    for (const Type *Ty : *Types) {
-      VarDecl *Tmp = makeTemp(Ty, RS->Loc);
-      DS->Vars.push_back(Tmp);
-      auto *Ref = Prog.Nodes.create<IdentExpr>(Tmp->Name);
+    size_t N = TupleForwarding ? RS->Values[0]->Ty->tupleElems().size()
+                               : RS->Values.size();
+    std::span<VarDecl *> Vars = Prog.Nodes.allocateList<VarDecl *>(N);
+    std::span<Expr *> Refs = Prog.Nodes.allocateList<Expr *>(N);
+    for (size_t I = 0; I < N; ++I) {
+      const Type *Ty = TupleForwarding ? RS->Values[0]->Ty->tupleElems()[I]
+                                       : RS->Values[I]->Ty;
+      Vars[I] = makeTemp(Ty, RS->Loc);
+      auto *Ref = Prog.Nodes.create<IdentExpr>(Vars[I]->Name, NoSymbol);
       Ref->Loc = RS->Loc;
-      Ref->Decl = Tmp;
+      Ref->Decl = Vars[I];
       Ref->Ty = Ty;
-      NewValues.push_back(Ref);
+      Refs[I] = Ref;
     }
+    DS->Vars = Vars;
     DS->Inits = RS->Values;
-    RS->Values = std::move(NewValues);
+    RS->Values = Refs;
     size_t ReturnIdx = B->Stmts.size() - 1;
-    B->Stmts.insert(B->Stmts.begin() + (ptrdiff_t)ReturnIdx, DS);
+    Stmt *Decl = DS;
+    B->Stmts = concat<Stmt *>(B->Stmts, {&Decl, 1}, ReturnIdx);
     return ReturnIdx + 1; // Frees go between the temps and the return.
   }
 
   void visitBlock(BlockStmt *B) {
     // Depth-first so inner scopes are instrumented before we splice into
-    // this block's statement list.
-    std::vector<VarDecl *> ToFree;
+    // this block's statement list. This block's variables go on the ToFree
+    // stack above Mark; inner blocks push and pop above them.
+    size_t Mark = ToFree.size();
     for (Stmt *S : B->Stmts) {
       visitStmt(S);
-      collectDeclared(S, ToFree);
+      collectDeclared(S);
       // Variables declared in a for-statement's init clause live until the
       // loop ends; their frees land right here in the parent block, which
       // is handled by treating them as declared by the ForStmt itself.
       if (auto *FS = dyn_cast<ForStmt>(S); FS && FS->Init)
-        collectDeclared(FS->Init, ToFree);
+        collectDeclared(FS->Init);
     }
-    if (ToFree.empty())
+    if (ToFree.size() == Mark)
       return;
+    spliceFrees(B, {ToFree.data() + Mark, ToFree.size() - Mark});
+    ToFree.resize(Mark);
+  }
 
+  /// Splices a tcfree of each of \p Vars into the end of \p B.
+  void spliceFrees(BlockStmt *B, std::span<VarDecl *const> Vars) {
     // Find the splice point: after the last statement, or before a trailing
     // terminator. A terminator whose operands read memory cannot simply be
     // hoisted over (its reads could alias a freed object), but a return can
@@ -212,25 +239,30 @@ private:
       } else if (auto *RS = dyn_cast<ReturnStmt>(B->Stmts.back())) {
         InsertAt = splitReturnTail(B, RS);
       } else {
-        Stats.SkippedUnsafeTail += (unsigned)ToFree.size();
+        Stats.SkippedUnsafeTail += (unsigned)Vars.size();
         return; // A memory-reading panic tail: leave the frees to the GC.
       }
     }
 
-    std::vector<Stmt *> Frees;
-    for (VarDecl *V : ToFree) {
+    Frees.clear();
+    for (VarDecl *V : Vars) {
       TcfreeKind K = kindFor(V);
       auto *TS = Prog.Nodes.create<TcfreeStmt>(V, K);
       TS->Loc = V->Loc;
       Frees.push_back(TS);
       countFree(K);
     }
-    B->Stmts.insert(B->Stmts.begin() + (ptrdiff_t)InsertAt, Frees.begin(),
-                    Frees.end());
+    B->Stmts = concat<Stmt *>(B->Stmts, Frees, InsertAt);
   }
 
   Program &Prog;
   const escape::ProgramAnalysis &Analysis;
+  /// The ToFree variables of the blocks being visited, innermost on top.
+  std::vector<VarDecl *> ToFree;
+  /// The current function's instrumentation temporaries.
+  std::vector<VarDecl *> Temps;
+  /// The tcfree statements being spliced into one block.
+  std::vector<Stmt *> Frees;
 
 public:
   FuncDecl *CurFn = nullptr;

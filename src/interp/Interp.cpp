@@ -345,7 +345,7 @@ Value Interp::evalComposite(const CompositeExpr *CE) {
   if (CE->TakeAddr)
     pushTemp(Obj);
   for (size_t I = 0; I < CE->Inits.size(); ++I) {
-    Value Init = evalExpr(CE->Inits[I].second);
+    Value Init = evalExpr(CE->Inits[I].Value);
     if (interrupted()) {
       popTemps(Mark);
       return Value{};
@@ -1046,7 +1046,7 @@ Interp::Flow Interp::callFunction(const FuncDecl *Fn, std::vector<Value> Args,
   if (F1 == Flow::Return)
     Returned = std::move(PendingReturn);
   else if (F1 == Flow::Normal && !Fn->Results.empty()) {
-    fault("missing return in '" + Fn->Name + "'");
+    fault("missing return in '" + std::string(Fn->Name) + "'");
     F1 = Flow::Fault;
   }
 

@@ -11,6 +11,11 @@
 /// allocation sites. The GoFree instrumentation pass later splices
 /// TcfreeStmt nodes into blocks (section 4.5 of the paper).
 ///
+/// Every node, list and name lives in Program::Nodes: lists are std::span
+/// views of arena arrays and names are std::string_view copies interned by
+/// the parser, so no node owns heap memory and the arena releases the whole
+/// tree at once.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GOFREE_MINIGO_AST_H
@@ -21,7 +26,8 @@
 #include "support/SourceLoc.h"
 
 #include <cstdint>
-#include <string>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -35,6 +41,8 @@ class FuncDecl;
 
 /// Sentinel for "no allocation site id assigned".
 inline constexpr uint32_t InvalidAllocId = ~0u;
+/// Sentinel for a name the parser did not intern (compiler temporaries).
+inline constexpr uint32_t NoSymbol = ~0u;
 
 //===----------------------------------------------------------------------===//
 // Declarations
@@ -42,7 +50,8 @@ inline constexpr uint32_t InvalidAllocId = ~0u;
 
 /// A variable: local, parameter, or named result.
 struct VarDecl {
-  std::string Name;
+  std::string_view Name;
+  uint32_t Sym = NoSymbol; ///< Interned name id, for Sema's scope lookup.
   SourceLoc Loc;
   const Type *Ty = nullptr; ///< Set by Sema.
   bool IsParam = false;
@@ -118,8 +127,10 @@ struct NilLitExpr : Expr {
 };
 
 struct IdentExpr : Expr {
-  explicit IdentExpr(std::string N) : Expr(ExprKind::Ident), Name(std::move(N)) {}
-  std::string Name;
+  IdentExpr(std::string_view N, uint32_t Sym)
+      : Expr(ExprKind::Ident), Name(N), Sym(Sym) {}
+  std::string_view Name;
+  uint32_t Sym; ///< Interned name id.
   VarDecl *Decl = nullptr; ///< Resolved by Sema.
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Ident; }
 };
@@ -161,10 +172,10 @@ struct AddrOfExpr : Expr {
 };
 
 struct FieldExpr : Expr {
-  FieldExpr(Expr *B, std::string FN)
-      : Expr(ExprKind::Field), Base(B), FieldName(std::move(FN)) {}
+  FieldExpr(Expr *B, std::string_view FN)
+      : Expr(ExprKind::Field), Base(B), FieldName(FN) {}
   Expr *Base;
-  std::string FieldName;
+  std::string_view FieldName;
   const Field *F = nullptr;   ///< Resolved by Sema.
   bool ThroughPointer = false; ///< Base is a pointer (implicit deref).
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Field; }
@@ -179,10 +190,10 @@ struct IndexExpr : Expr {
 };
 
 struct CallExpr : Expr {
-  CallExpr(std::string C, std::vector<Expr *> A)
-      : Expr(ExprKind::Call), Callee(std::move(C)), Args(std::move(A)) {}
-  std::string Callee;
-  std::vector<Expr *> Args;
+  CallExpr(std::string_view C, std::span<Expr *> A)
+      : Expr(ExprKind::Call), Callee(C), Args(A) {}
+  std::string_view Callee;
+  std::span<Expr *> Args;
   FuncDecl *Fn = nullptr; ///< Resolved by Sema.
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Call; }
 };
@@ -208,16 +219,20 @@ struct NewExpr : Expr {
   static bool classof(const Expr *E) { return E->kind() == ExprKind::New; }
 };
 
+/// One `field: value` initializer of a composite literal.
+struct FieldInit {
+  std::string_view Name;
+  Expr *Value;
+};
+
 struct CompositeExpr : Expr {
-  CompositeExpr(std::string TN, std::vector<std::pair<std::string, Expr *>> I,
-                bool TakeAddr)
-      : Expr(ExprKind::Composite), TypeName(std::move(TN)),
-        Inits(std::move(I)), TakeAddr(TakeAddr) {}
-  std::string TypeName;
-  std::vector<std::pair<std::string, Expr *>> Inits;
+  CompositeExpr(std::string_view TN, std::span<FieldInit> I, bool TakeAddr)
+      : Expr(ExprKind::Composite), TypeName(TN), Inits(I), TakeAddr(TakeAddr) {}
+  std::string_view TypeName;
+  std::span<FieldInit> Inits;
   bool TakeAddr; ///< &T{...}: yields *T and is an allocation site.
-  const Type *StructTy = nullptr;        ///< Resolved by Sema.
-  std::vector<const Field *> InitFields; ///< Parallel to Inits, from Sema.
+  const Type *StructTy = nullptr;       ///< Resolved by Sema.
+  std::span<const Field *> InitFields;  ///< Parallel to Inits, from Sema.
   uint32_t AllocId = InvalidAllocId;     ///< Only when TakeAddr.
   static bool classof(const Expr *E) {
     return E->kind() == ExprKind::Composite;
@@ -302,25 +317,25 @@ private:
 
 struct BlockStmt : Stmt {
   BlockStmt() : Stmt(StmtKind::Block) {}
-  std::vector<Stmt *> Stmts;
+  std::span<Stmt *> Stmts;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Block; }
 };
 
 /// `x := e`, `var x T`, `var x T = e`, or `a, b := f()`.
 struct VarDeclStmt : Stmt {
   VarDeclStmt() : Stmt(StmtKind::VarDecl) {}
-  std::vector<VarDecl *> Vars;
+  std::span<VarDecl *> Vars;
   /// Either empty (zero-value init), one per var, or a single multi-value
   /// call initializing all vars.
-  std::vector<Expr *> Inits;
+  std::span<Expr *> Inits;
   const Type *DeclaredTy = nullptr; ///< For `var x T` forms.
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::VarDecl; }
 };
 
 struct AssignStmt : Stmt {
   AssignStmt() : Stmt(StmtKind::Assign) {}
-  std::vector<Expr *> Lhs; ///< lvalues
-  std::vector<Expr *> Rhs; ///< one per lvalue, or a single multi-value call
+  std::span<Expr *> Lhs; ///< lvalues
+  std::span<Expr *> Rhs; ///< one per lvalue, or a single multi-value call
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Assign; }
 };
 
@@ -343,7 +358,7 @@ struct ForStmt : Stmt {
 
 struct ReturnStmt : Stmt {
   ReturnStmt() : Stmt(StmtKind::Return) {}
-  std::vector<Expr *> Values;
+  std::span<Expr *> Values;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Return; }
 };
 
@@ -408,13 +423,15 @@ struct TcfreeStmt : Stmt {
 //===----------------------------------------------------------------------===//
 
 struct FuncDecl {
-  std::string Name;
+  std::string_view Name;
+  uint32_t Index = 0; ///< Position in Program::Funcs.
   SourceLoc Loc;
-  std::vector<VarDecl *> Params;
-  std::vector<const Type *> Results;
+  std::span<VarDecl *> Params;
+  std::span<const Type *> Results;
   BlockStmt *Body = nullptr;
-  /// All variables of the function in declaration order (Sema).
-  std::vector<VarDecl *> AllVars;
+  /// All variables of the function in declaration order (Sema); the i-th
+  /// has VarDecl::Id i.
+  std::span<VarDecl *> AllVars;
   /// Frame size in bytes for static slots (Sema).
   size_t FrameSize = 0;
 };
@@ -426,10 +443,12 @@ struct Program {
   Arena Nodes;
   std::unique_ptr<TypeTable> Types;
   std::vector<FuncDecl *> Funcs;
-  std::unordered_map<std::string, FuncDecl *> FuncByName;
+  /// Keys are the functions' arena names.
+  std::unordered_map<std::string_view, FuncDecl *> FuncByName;
   uint32_t NumAllocSites = 0; ///< Allocation sites numbered by Sema.
+  uint32_t NumSymbols = 0;    ///< Distinct names interned by the parser.
 
-  FuncDecl *findFunc(const std::string &Name) const {
+  FuncDecl *findFunc(std::string_view Name) const {
     auto It = FuncByName.find(Name);
     return It == FuncByName.end() ? nullptr : It->second;
   }

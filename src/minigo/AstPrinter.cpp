@@ -38,7 +38,7 @@ std::string gofree::minigo::printExpr(const Expr *E) {
   case ExprKind::NilLit:
     return "nil";
   case ExprKind::Ident:
-    return cast<IdentExpr>(E)->Name;
+    return std::string(cast<IdentExpr>(E)->Name);
   case ExprKind::Unary: {
     const auto *UE = cast<UnaryExpr>(E);
     return std::string(UE->Op == UnaryOp::Neg ? "-" : "!") + "(" +
@@ -55,13 +55,13 @@ std::string gofree::minigo::printExpr(const Expr *E) {
     return "&" + printExpr(cast<AddrOfExpr>(E)->Sub);
   case ExprKind::Field:
     return printExpr(cast<FieldExpr>(E)->Base) + "." +
-           cast<FieldExpr>(E)->FieldName;
+           std::string(cast<FieldExpr>(E)->FieldName);
   case ExprKind::Index:
     return printExpr(cast<IndexExpr>(E)->Base) + "[" +
            printExpr(cast<IndexExpr>(E)->Idx) + "]";
   case ExprKind::Call: {
     const auto *CE = cast<CallExpr>(E);
-    std::string Out = CE->Callee + "(";
+    std::string Out = std::string(CE->Callee) + "(";
     for (size_t I = 0; I < CE->Args.size(); ++I) {
       if (I)
         Out += ", ";
@@ -82,11 +82,13 @@ std::string gofree::minigo::printExpr(const Expr *E) {
     return "new(" + cast<NewExpr>(E)->AllocTy->str() + ")";
   case ExprKind::Composite: {
     const auto *CE = cast<CompositeExpr>(E);
-    std::string Out = (CE->TakeAddr ? "&" : "") + CE->TypeName + "{";
+    std::string Out =
+        (CE->TakeAddr ? "&" : "") + std::string(CE->TypeName) + "{";
     for (size_t I = 0; I < CE->Inits.size(); ++I) {
       if (I)
         Out += ", ";
-      Out += CE->Inits[I].first + ": " + printExpr(CE->Inits[I].second);
+      Out += std::string(CE->Inits[I].Name) + ": " +
+             printExpr(CE->Inits[I].Value);
     }
     return Out + "}";
   }
@@ -209,18 +211,18 @@ std::string gofree::minigo::printStmt(const Stmt *S, int Indent) {
     const char *Fn = TS->FreeKind == TcfreeKind::Slice  ? "tcfreeSlice"
                      : TS->FreeKind == TcfreeKind::Map ? "tcfreeMap"
                                                         : "tcfree";
-    return Pad + Fn + "(" + TS->Var->Name + ")\n";
+    return Pad + Fn + "(" + std::string(TS->Var->Name) + ")\n";
   }
   }
   return Pad + "<?stmt>\n";
 }
 
 std::string gofree::minigo::printFunc(const FuncDecl *Fn) {
-  std::string Out = "func " + Fn->Name + "(";
+  std::string Out = "func " + std::string(Fn->Name) + "(";
   for (size_t I = 0; I < Fn->Params.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += Fn->Params[I]->Name + " " +
+    Out += std::string(Fn->Params[I]->Name) + " " +
            (Fn->Params[I]->Ty ? Fn->Params[I]->Ty->str() : "?");
   }
   Out += ")";

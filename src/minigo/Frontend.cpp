@@ -16,40 +16,37 @@
 using namespace gofree;
 using namespace gofree::minigo;
 
-namespace {
-uint64_t nanosSince(std::chrono::steady_clock::time_point Start) {
-  return (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
-}
-} // namespace
-
 std::unique_ptr<Program> gofree::minigo::parseAndCheck(
     const std::string &Source, DiagSink &Diags, FrontendTimes *Times) {
-  auto Start = std::chrono::steady_clock::now();
+  // Each stage's time runs from the end of the previous one, so the three
+  // cover the whole call, the tokens' release included.
+  FrontendTimes Unused;
+  FrontendTimes &T = Times ? *Times : Unused;
+  auto Lap = std::chrono::steady_clock::now();
+  auto TakeLap = [&Lap] {
+    auto Now = std::chrono::steady_clock::now();
+    uint64_t Nanos =
+        (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(Now -
+                                                                       Lap)
+            .count();
+    Lap = Now;
+    return Nanos;
+  };
   // The tokens borrow Source; the parser copies every name it keeps into
-  // the AST, so nothing refers to Source once this function returns.
-  Lexer Lex(Source, Diags);
-  std::vector<Token> Toks = Lex.lexAll();
-  if (Times)
-    Times->LexNanos = nanosSince(Start);
+  // the program's arena, so nothing refers to Source once this returns.
+  std::vector<Token> Toks = Lexer(Source, Diags).lexAll();
+  T.LexNanos = TakeLap();
   if (Diags.hasErrors())
     return nullptr;
 
-  Start = std::chrono::steady_clock::now();
   auto Prog = std::make_unique<Program>();
-  Parser P(std::move(Toks), *Prog, Diags);
-  bool Parsed = P.parseProgram();
-  if (Times)
-    Times->ParseNanos = nanosSince(Start);
+  bool Parsed = Parser(std::move(Toks), *Prog, Diags).parseProgram();
+  T.ParseNanos = TakeLap();
   if (!Parsed)
     return nullptr;
 
-  Start = std::chrono::steady_clock::now();
-  Sema S(*Prog, Diags);
-  bool Checked = S.run();
-  if (Times)
-    Times->SemaNanos = nanosSince(Start);
+  bool Checked = Sema(*Prog, Diags).run();
+  T.SemaNanos = TakeLap();
   if (!Checked)
     return nullptr;
   return Prog;

@@ -7,6 +7,8 @@
 
 #include "minigo/Parser.h"
 
+#include <charconv>
+#include <functional>
 #include <optional>
 
 using namespace gofree;
@@ -49,7 +51,41 @@ bool Parser::parseProgram() {
     error("expected 'func' or 'type' at top level");
     advance();
   }
+  Prog.NumSymbols = (uint32_t)SymNames.size();
   return !Diags.hasErrors();
+}
+
+Parser::Name Parser::intern(std::string_view Text) {
+  // Keep the table at most half full.
+  if (SymNames.size() * 2 >= SymSlots.size()) {
+    SymSlots.assign(SymSlots.empty() ? 1024 : SymSlots.size() * 2, 0);
+    size_t Mask = SymSlots.size() - 1;
+    for (uint32_t Sym = 0; Sym < SymNames.size(); ++Sym) {
+      size_t I = std::hash<std::string_view>{}(SymNames[Sym]) & Mask;
+      while (SymSlots[I])
+        I = (I + 1) & Mask;
+      SymSlots[I] = Sym + 1;
+    }
+  }
+  size_t Mask = SymSlots.size() - 1;
+  size_t I = std::hash<std::string_view>{}(Text) & Mask;
+  for (; SymSlots[I]; I = (I + 1) & Mask) {
+    uint32_t Sym = SymSlots[I] - 1;
+    if (SymNames[Sym] == Text)
+      return {SymNames[Sym], Sym};
+  }
+  uint32_t Sym = (uint32_t)SymNames.size();
+  SymNames.push_back(Prog.Nodes.copy(Text));
+  SymSlots[I] = Sym + 1;
+  return {SymNames[Sym], Sym};
+}
+
+VarDecl *Parser::makeVar(Name N, SourceLoc Loc) {
+  auto *V = Prog.Nodes.create<VarDecl>();
+  V->Name = N.Text;
+  V->Sym = N.Sym;
+  V->Loc = Loc;
+  return V;
 }
 
 void Parser::parseTypeDecl() {
@@ -59,7 +95,7 @@ void Parser::parseTypeDecl() {
     syncToStmtBoundary();
     return;
   }
-  std::string Name(cur().Text);
+  std::string_view Name = cur().Text;
   advance();
   expect(TokKind::KwStruct, "type declaration");
   expect(TokKind::LBrace, "struct body");
@@ -88,7 +124,7 @@ void Parser::parseTypeDecl() {
   expect(TokKind::RBrace, "struct body");
   Type *StructTy = Prog.Types->declareStruct(Name);
   if (StructTy->size() != 0 || !StructTy->fields().empty()) {
-    Diags.error(cur().Loc, "struct '" + Name + "' redefined");
+    Diags.error(cur().Loc, "struct '" + std::string(Name) + "' redefined");
     return;
   }
   Prog.Types->finalizeStruct(StructTy, std::move(Fields));
@@ -119,7 +155,7 @@ const Type *Parser::parseType() {
     return Prog.Types->getMap(Key, Value);
   }
   if (at(TokKind::Ident)) {
-    std::string Name(cur().Text);
+    std::string_view Name = cur().Text;
     advance();
     return Prog.Types->declareStruct(Name);
   }
@@ -134,27 +170,27 @@ void Parser::parseFuncDecl() {
   auto *Fn = Prog.Nodes.create<FuncDecl>();
   Fn->Loc = Loc;
   if (at(TokKind::Ident)) {
-    Fn->Name = cur().Text;
+    Fn->Name = intern(cur().Text).Text;
     advance();
   } else {
     error("expected function name");
   }
   expect(TokKind::LParen, "parameter list");
+  size_t Mark = mark();
   while (!at(TokKind::RParen) && !at(TokKind::Eof)) {
     if (!at(TokKind::Ident)) {
       error("expected parameter name");
       break;
     }
-    auto *P = Prog.Nodes.create<VarDecl>();
-    P->Name = cur().Text;
-    P->Loc = cur().Loc;
+    VarDecl *P = makeVar(intern(cur().Text), cur().Loc);
     P->IsParam = true;
     advance();
     P->Ty = parseType();
-    Fn->Params.push_back(P);
+    push(P);
     if (!accept(TokKind::Comma))
       break;
   }
+  Fn->Params = take<VarDecl *>(Mark);
   expect(TokKind::RParen, "parameter list");
 
   // Results: none, a single type, or a parenthesized list. Names in the
@@ -162,6 +198,7 @@ void Parser::parseFuncDecl() {
   // requires explicit return statements.
   if (at(TokKind::LParen)) {
     advance();
+    Mark = mark();
     while (!at(TokKind::RParen) && !at(TokKind::Eof)) {
       // "name Type" or just "Type"; an identifier followed by the start of
       // a type is a result name.
@@ -177,37 +214,42 @@ void Parser::parseFuncDecl() {
       }
       const Type *RT = parseType();
       if (RT)
-        Fn->Results.push_back(RT);
+        push(RT);
       if (!accept(TokKind::Comma))
         break;
     }
+    Fn->Results = take<const Type *>(Mark);
     expect(TokKind::RParen, "result list");
   } else if (!at(TokKind::LBrace)) {
-    const Type *RT = parseType();
-    if (RT)
-      Fn->Results.push_back(RT);
+    if (const Type *RT = parseType())
+      Fn->Results = list({RT});
   }
 
   Fn->Body = parseBlock();
   accept(TokKind::Semi);
   if (Prog.FuncByName.count(Fn->Name)) {
-    Diags.error(Fn->Loc, "function '" + Fn->Name + "' redefined");
+    Diags.error(Fn->Loc, "function '" + std::string(Fn->Name) + "' redefined");
     return;
   }
+  Fn->Index = (uint32_t)Prog.Funcs.size();
   Prog.Funcs.push_back(Fn);
   Prog.FuncByName[Fn->Name] = Fn;
 }
 
-BlockStmt *Parser::parseBlock() {
+BlockStmt *Parser::parseBlock(Stmt *Prefix) {
   BlockStmt *B = make<BlockStmt>(cur().Loc);
   expect(TokKind::LBrace, "block");
+  size_t Mark = mark();
+  if (Prefix)
+    push(Prefix);
   while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
     if (accept(TokKind::Semi))
       continue;
     Stmt *S = parseStmt();
     if (S)
-      B->Stmts.push_back(S);
+      push(S);
   }
+  B->Stmts = take<Stmt *>(Mark);
   expect(TokKind::RBrace, "block");
   return B;
 }
@@ -225,14 +267,11 @@ Stmt *Parser::parseStmt() {
       syncToStmtBoundary();
       return nullptr;
     }
-    auto *V = Prog.Nodes.create<VarDecl>();
-    V->Name = cur().Text;
-    V->Loc = cur().Loc;
+    DS->Vars = list({makeVar(intern(cur().Text), cur().Loc)});
     advance();
-    DS->Vars.push_back(V);
     DS->DeclaredTy = parseType();
     if (accept(TokKind::Assign))
-      DS->Inits.push_back(parseExpr());
+      DS->Inits = list({parseExpr()});
     accept(TokKind::Semi);
     return DS;
   }
@@ -298,30 +337,29 @@ Stmt *Parser::parseStmt() {
 
 Stmt *Parser::parseSimpleStmt() {
   SourceLoc Loc = cur().Loc;
-  std::vector<Expr *> Lhs = parseExprList();
+  std::span<Expr *> Lhs = parseExprList();
   if (Lhs.empty()) {
     syncToStmtBoundary();
     return nullptr;
   }
   if (accept(TokKind::Define)) {
     auto *DS = make<VarDeclStmt>(Loc);
+    size_t Mark = mark();
     for (Expr *L : Lhs) {
       auto *Id = dyn_cast<IdentExpr>(L);
       if (!Id) {
         Diags.error(L->Loc, "left side of ':=' must be an identifier");
         continue;
       }
-      auto *V = Prog.Nodes.create<VarDecl>();
-      V->Name = Id->Name;
-      V->Loc = Id->Loc;
-      DS->Vars.push_back(V);
+      push(makeVar({Id->Name, Id->Sym}, Id->Loc));
     }
+    DS->Vars = take<VarDecl *>(Mark);
     DS->Inits = parseExprList();
     return DS;
   }
   if (accept(TokKind::Assign)) {
     auto *AS = make<AssignStmt>(Loc);
-    AS->Lhs = std::move(Lhs);
+    AS->Lhs = Lhs;
     AS->Rhs = parseExprList();
     return AS;
   }
@@ -348,8 +386,8 @@ Stmt *Parser::parseSimpleStmt() {
     if (!Rhs)
       return nullptr;
     auto *AS = make<AssignStmt>(Loc);
-    AS->Lhs = {Lhs[0]};
-    AS->Rhs = {make<BinaryExpr>(Loc, *Op, Lhs[0], Rhs)};
+    AS->Lhs = Lhs;
+    AS->Rhs = list<Expr *>({make<BinaryExpr>(Loc, *Op, Lhs[0], Rhs)});
     return AS;
   }
   if (at(TokKind::PlusPlus) || at(TokKind::MinusMinus)) {
@@ -360,8 +398,9 @@ Stmt *Parser::parseSimpleStmt() {
       return nullptr;
     }
     auto *AS = make<AssignStmt>(Loc);
-    AS->Lhs = {Lhs[0]};
-    AS->Rhs = {make<BinaryExpr>(Loc, Op, Lhs[0], make<IntLitExpr>(Loc, 1))};
+    AS->Lhs = Lhs;
+    AS->Rhs = list<Expr *>(
+        {make<BinaryExpr>(Loc, Op, Lhs[0], make<IntLitExpr>(Loc, 1))});
     return AS;
   }
   if (Lhs.size() != 1) {
@@ -403,14 +442,18 @@ Stmt *Parser::parseIf() {
   accept(TokKind::Semi);
   if (Init) {
     auto *Wrapper = make<BlockStmt>(S->Loc);
-    Wrapper->Stmts = {Init, S};
+    Wrapper->Stmts = list<Stmt *>({Init, S});
     return Wrapper;
   }
   return S;
 }
 
-std::string Parser::freshName() {
-  return "__gofree_syn" + std::to_string(SynthCounter++);
+Parser::Name Parser::freshName(const char *Prefix) {
+  char Buf[48];
+  size_t Len = std::strlen(Prefix);
+  std::memcpy(Buf, Prefix, Len);
+  char *End = std::to_chars(Buf + Len, Buf + sizeof(Buf), SynthCounter++).ptr;
+  return intern({Buf, (size_t)(End - Buf)});
 }
 
 /// `for i[, v] := range s { ... }`, desugared (evaluating the range
@@ -418,9 +461,9 @@ std::string Parser::freshName() {
 ///   { rng := s; n := len(rng)
 ///     for i := 0; i < n; i++ { v := rng[i]; ... } }
 Stmt *Parser::parseRangeFor(SourceLoc Loc) {
-  std::string IdxName(cur().Text);
+  Name IdxName = intern(cur().Text);
   advance();
-  std::string ValName;
+  Name ValName{};
   bool HasVal = false;
   if (accept(TokKind::Comma)) {
     if (!at(TokKind::Ident)) {
@@ -428,7 +471,7 @@ Stmt *Parser::parseRangeFor(SourceLoc Loc) {
       syncToStmtBoundary();
       return nullptr;
     }
-    ValName = cur().Text;
+    ValName = intern(cur().Text);
     HasVal = true;
     advance();
   }
@@ -440,50 +483,39 @@ Stmt *Parser::parseRangeFor(SourceLoc Loc) {
   CompositeOK = SavedCompositeOK;
   if (!RangeExpr)
     return nullptr;
-  if (IdxName == "_")
+  if (IdxName.Text == "_")
     IdxName = freshName();
 
-  auto MakeVar = [&](const std::string &Name) {
-    auto *V = Prog.Nodes.create<VarDecl>();
-    V->Name = Name;
-    V->Loc = Loc;
-    return V;
-  };
-  auto Ref = [&](const std::string &Name) {
-    return make<IdentExpr>(Loc, Name);
-  };
-  auto Decl1 = [&](const std::string &Name, Expr *Init) {
+  auto Ref = [&](Name N) { return make<IdentExpr>(Loc, N.Text, N.Sym); };
+  auto Decl1 = [&](Name N, Expr *Init) {
     auto *DS = make<VarDeclStmt>(Loc);
-    DS->Vars = {MakeVar(Name)};
-    DS->Inits = {Init};
+    DS->Vars = list({makeVar(N, Loc)});
+    DS->Inits = list({Init});
     return DS;
   };
 
   // The distinctive prefix lets Sema verify the ranged expression is a
   // slice (the desugaring would silently misbehave on maps).
-  std::string RngName = "__gofree_rng" + std::to_string(SynthCounter++);
-  std::string LenName = freshName();
+  Name RngName = freshName("__gofree_rng");
+  Name LenName = freshName();
   auto *Wrapper = make<BlockStmt>(Loc);
-  Wrapper->Stmts.push_back(Decl1(RngName, RangeExpr));
-  Wrapper->Stmts.push_back(Decl1(LenName, make<LenExpr>(Loc, Ref(RngName))));
+  VarDeclStmt *RngDecl = Decl1(RngName, RangeExpr);
+  VarDeclStmt *LenDecl = Decl1(LenName, make<LenExpr>(Loc, Ref(RngName)));
 
   auto *Loop = make<ForStmt>(Loc);
   Loop->Init = Decl1(IdxName, make<IntLitExpr>(Loc, 0));
   Loop->Cond = make<BinaryExpr>(Loc, BinaryOp::Lt, Ref(IdxName), Ref(LenName));
   auto *Post = make<AssignStmt>(Loc);
-  Post->Lhs = {Ref(IdxName)};
-  Post->Rhs = {make<BinaryExpr>(Loc, BinaryOp::Add, Ref(IdxName),
-                                make<IntLitExpr>(Loc, 1))};
+  Post->Lhs = list<Expr *>({Ref(IdxName)});
+  Post->Rhs = list<Expr *>({make<BinaryExpr>(
+      Loc, BinaryOp::Add, Ref(IdxName), make<IntLitExpr>(Loc, 1))});
   Loop->Post = Post;
 
-  BlockStmt *Body = parseBlock();
-  if (HasVal && ValName != "_") {
-    auto *ValDecl =
-        Decl1(ValName, make<IndexExpr>(Loc, Ref(RngName), Ref(IdxName)));
-    Body->Stmts.insert(Body->Stmts.begin(), ValDecl);
-  }
-  Loop->Body = Body;
-  Wrapper->Stmts.push_back(Loop);
+  VarDeclStmt *ValDecl = nullptr;
+  if (HasVal && ValName.Text != "_")
+    ValDecl = Decl1(ValName, make<IndexExpr>(Loc, Ref(RngName), Ref(IdxName)));
+  Loop->Body = parseBlock(ValDecl);
+  Wrapper->Stmts = list<Stmt *>({RngDecl, LenDecl, Loop});
   accept(TokKind::Semi);
   return Wrapper;
 }
@@ -501,29 +533,26 @@ Stmt *Parser::parseSwitch() {
   CompositeOK = SavedCompositeOK;
 
   auto *Wrapper = make<BlockStmt>(Loc);
-  std::string TagName;
+  Name TagName{};
+  VarDeclStmt *TagDecl = nullptr;
   if (Tag) {
     TagName = freshName();
-    auto *DS = make<VarDeclStmt>(Loc);
-    auto *V = Prog.Nodes.create<VarDecl>();
-    V->Name = TagName;
-    V->Loc = Loc;
-    DS->Vars = {V};
-    DS->Inits = {Tag};
-    Wrapper->Stmts.push_back(DS);
+    TagDecl = make<VarDeclStmt>(Loc);
+    TagDecl->Vars = list({makeVar(TagName, Loc)});
+    TagDecl->Inits = list({Tag});
   }
 
   expect(TokKind::LBrace, "switch body");
   struct Arm {
-    std::vector<Expr *> Guards; ///< Empty for default.
+    std::span<Expr *> Guards; ///< Empty for default.
     BlockStmt *Body;
     SourceLoc Loc;
   };
-  std::vector<Arm> Arms;
+  size_t ArmsMark = mark();
   while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
     if (accept(TokKind::Semi))
       continue;
-    Arm A;
+    Arm A{};
     A.Loc = cur().Loc;
     if (accept(TokKind::KwCase)) {
       A.Guards = parseExprList();
@@ -541,15 +570,18 @@ Stmt *Parser::parseSwitch() {
     }
     expect(TokKind::Colon, "switch case");
     A.Body = make<BlockStmt>(A.Loc);
+    size_t BodyMark = mark();
     while (!at(TokKind::KwCase) && !at(TokKind::KwDefault) &&
            !at(TokKind::RBrace) && !at(TokKind::Eof)) {
       if (accept(TokKind::Semi))
         continue;
       if (Stmt *Sub = parseStmt())
-        A.Body->Stmts.push_back(Sub);
+        push(Sub);
     }
-    Arms.push_back(A);
+    A.Body->Stmts = take<Stmt *>(BodyMark);
+    push(A);
   }
+  std::span<Arm> Arms = take<Arm>(ArmsMark);
   expect(TokKind::RBrace, "switch body");
   accept(TokKind::Semi);
 
@@ -566,7 +598,8 @@ Stmt *Parser::parseSwitch() {
     for (Expr *G : It->Guards) {
       Expr *One = Tag ? (Expr *)make<BinaryExpr>(
                             It->Loc, BinaryOp::Eq,
-                            make<IdentExpr>(It->Loc, TagName), G)
+                            make<IdentExpr>(It->Loc, TagName.Text, TagName.Sym),
+                            G)
                       : G;
       Cond = Cond ? make<BinaryExpr>(It->Loc, BinaryOp::Or, Cond, One) : One;
     }
@@ -576,8 +609,13 @@ Stmt *Parser::parseSwitch() {
     If->Else = Else;
     Else = If;
   }
+  Stmt *Parts[2];
+  size_t NumParts = 0;
+  if (TagDecl)
+    Parts[NumParts++] = TagDecl;
   if (Else)
-    Wrapper->Stmts.push_back(Else);
+    Parts[NumParts++] = Else;
+  Wrapper->Stmts = Prog.Nodes.copy<Stmt *>({Parts, NumParts});
   return Wrapper;
 }
 
@@ -643,15 +681,15 @@ Stmt *Parser::parseReturn() {
   return S;
 }
 
-std::vector<Expr *> Parser::parseExprList() {
-  std::vector<Expr *> Out;
+std::span<Expr *> Parser::parseExprList() {
+  size_t Mark = mark();
   do {
     Expr *E = parseExpr();
     if (!E)
       break;
-    Out.push_back(E);
+    push(E);
   } while (accept(TokKind::Comma));
-  return Out;
+  return take<Expr *>(Mark);
 }
 
 /// Binary operator precedence; higher binds tighter. Returns -1 for
@@ -738,9 +776,9 @@ Expr *Parser::parseUnary() {
   if (accept(TokKind::Amp)) {
     // &T{...} is an allocating composite literal.
     if (at(TokKind::Ident) && lookahead().is(TokKind::LBrace)) {
-      std::string Name(cur().Text);
+      std::string_view Name = intern(cur().Text).Text;
       advance();
-      return parseCompositeBody(std::move(Name), Loc, /*TakeAddr=*/true);
+      return parseCompositeBody(Name, Loc, /*TakeAddr=*/true);
     }
     Expr *Sub = parseUnary();
     return Sub ? make<AddrOfExpr>(Loc, Sub) : nullptr;
@@ -757,7 +795,7 @@ Expr *Parser::parsePostfix(Expr *Base) {
         error("expected field name after '.'");
         return Base;
       }
-      Base = make<FieldExpr>(Loc, Base, std::string(cur().Text));
+      Base = make<FieldExpr>(Loc, Base, intern(cur().Text).Text);
       advance();
       continue;
     }
@@ -780,14 +818,14 @@ Expr *Parser::parsePostfix(Expr *Base) {
     }
     if (at(TokKind::LParen) && Base->kind() == ExprKind::Ident) {
       advance();
-      std::vector<Expr *> Args;
+      std::span<Expr *> Args;
       bool SavedCompositeOK = CompositeOK;
       CompositeOK = true;
       if (!at(TokKind::RParen))
         Args = parseExprList();
       CompositeOK = SavedCompositeOK;
       expect(TokKind::RParen, "call");
-      Base = make<CallExpr>(Loc, cast<IdentExpr>(Base)->Name, std::move(Args));
+      Base = make<CallExpr>(Loc, cast<IdentExpr>(Base)->Name, Args);
       continue;
     }
     break;
@@ -795,10 +833,10 @@ Expr *Parser::parsePostfix(Expr *Base) {
   return Base;
 }
 
-Expr *Parser::parseCompositeBody(std::string TypeName, SourceLoc Loc,
+Expr *Parser::parseCompositeBody(std::string_view TypeName, SourceLoc Loc,
                                  bool TakeAddr) {
   expect(TokKind::LBrace, "composite literal");
-  std::vector<std::pair<std::string, Expr *>> Inits;
+  size_t Mark = mark();
   bool SavedCompositeOK = CompositeOK;
   CompositeOK = true;
   while (!at(TokKind::RBrace) && !at(TokKind::Eof)) {
@@ -806,18 +844,18 @@ Expr *Parser::parseCompositeBody(std::string TypeName, SourceLoc Loc,
       error("expected field name in composite literal");
       break;
     }
-    std::string FieldName(cur().Text);
+    std::string_view FieldName = intern(cur().Text).Text;
     advance();
     expect(TokKind::Colon, "composite literal");
     Expr *Init = parseExpr();
-    Inits.emplace_back(std::move(FieldName), Init);
+    push(FieldInit{FieldName, Init});
     if (!accept(TokKind::Comma))
       break;
   }
+  std::span<FieldInit> Inits = take<FieldInit>(Mark);
   CompositeOK = SavedCompositeOK;
   expect(TokKind::RBrace, "composite literal");
-  return make<CompositeExpr>(Loc, std::move(TypeName), std::move(Inits),
-                             TakeAddr);
+  return make<CompositeExpr>(Loc, TypeName, Inits, TakeAddr);
 }
 
 Expr *Parser::parsePrimary() {
@@ -838,11 +876,11 @@ Expr *Parser::parsePrimary() {
     advance();
     return make<NilLitExpr>(Loc);
   case TokKind::Ident: {
-    std::string Name(cur().Text);
+    Name N = intern(cur().Text);
     advance();
     if (CompositeOK && at(TokKind::LBrace))
-      return parseCompositeBody(std::move(Name), Loc, /*TakeAddr=*/false);
-    return make<IdentExpr>(Loc, std::move(Name));
+      return parseCompositeBody(N.Text, Loc, /*TakeAddr=*/false);
+    return make<IdentExpr>(Loc, N.Text, N.Sym);
   }
   case TokKind::LParen: {
     advance();

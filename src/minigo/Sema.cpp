@@ -29,29 +29,36 @@ static bool isMapElement(const Expr *E) {
 }
 
 bool Sema::run() {
+  Bound.assign(Prog.NumSymbols, nullptr);
   for (FuncDecl *Fn : Prog.Funcs)
     checkFunc(Fn);
   return !Diags.hasErrors();
 }
 
-VarDecl *Sema::lookup(const std::string &Name) const {
-  for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-    auto Found = It->find(Name);
-    if (Found != It->end())
-      return Found->second;
+void Sema::popScope() {
+  size_t Mark = ScopeMarks.back();
+  ScopeMarks.pop_back();
+  while (Shadowed.size() > Mark) {
+    Bound[Shadowed.back().first] = Shadowed.back().second;
+    Shadowed.pop_back();
   }
-  return nullptr;
 }
 
 bool Sema::declare(VarDecl *V) {
-  assert(!Scopes.empty() && "declare outside any scope");
+  assert(!ScopeMarks.empty() && "declare outside any scope");
+  assert(V->Sym < Bound.size() && "declaring a name the parser never saw");
   if (V->Name == "_")
     return true; // The blank identifier is never entered into scope.
-  auto [It, Inserted] = Scopes.back().emplace(V->Name, V);
-  (void)It;
-  if (!Inserted)
-    Diags.error(V->Loc, "'" + V->Name + "' redeclared in this scope");
-  return Inserted;
+  // Scopes nest, and Sema numbers them by depth, so a visible binding at
+  // the current depth was declared in the current scope.
+  VarDecl *Prev = Bound[V->Sym];
+  if (Prev && Prev->ScopeDepth == CurScopeDepth) {
+    Diags.error(V->Loc, "'" + std::string(V->Name) + "' redeclared in this scope");
+    return false;
+  }
+  Shadowed.emplace_back(V->Sym, Prev);
+  Bound[V->Sym] = V;
+  return true;
 }
 
 void Sema::layoutVar(VarDecl *V) {
@@ -61,7 +68,7 @@ void Sema::layoutVar(VarDecl *V) {
   V->FrameOffset = FrameCursor;
   assert(V->Ty && "layout before type assignment");
   FrameCursor += V->Ty->size();
-  CurFunc->AllVars.push_back(V);
+  FuncVars.push_back(V);
 }
 
 void Sema::checkFunc(FuncDecl *Fn) {
@@ -70,11 +77,12 @@ void Sema::checkFunc(FuncDecl *Fn) {
   CurLoopDepth = 0;
   FrameCursor = 0;
   NextVarId = 0;
-  Scopes.clear();
+  FuncVars.clear();
+  assert(ScopeMarks.empty() && Shadowed.empty() && "unbalanced scopes");
   pushScope();
   for (VarDecl *P : Fn->Params) {
     if (!P->Ty) {
-      Diags.error(P->Loc, "parameter '" + P->Name + "' has no type");
+      Diags.error(P->Loc, "parameter '" + std::string(P->Name) + "' has no type");
       P->Ty = Prog.Types->getInt();
     }
     declare(P);
@@ -83,6 +91,7 @@ void Sema::checkFunc(FuncDecl *Fn) {
   if (Fn->Body)
     checkBlock(Fn->Body);
   popScope();
+  Fn->AllVars = Prog.Nodes.copy<VarDecl *>(FuncVars);
   Fn->FrameSize = FrameCursor;
   CurFunc = nullptr;
 }
@@ -254,12 +263,12 @@ void Sema::checkVarDeclStmt(VarDeclStmt *DS) {
       V->Ty = InitTy;
       // Range-loop temporaries must range over a slice; the parser's
       // desugaring cannot check this itself.
-      if (V->Name.rfind("__gofree_rng", 0) == 0 && !V->Ty->isSlice())
+      if (V->Name.starts_with("__gofree_rng") && !V->Ty->isSlice())
         Diags.error(DS->Inits[I]->Loc,
                     "cannot range over " + V->Ty->str() +
                         " (MiniGo ranges over slices only)");
     } else {
-      Diags.error(V->Loc, "variable '" + V->Name + "' has no type");
+      Diags.error(V->Loc, "variable '" + std::string(V->Name) + "' has no type");
       V->Ty = Prog.Types->getInt();
     }
     declare(V);
@@ -385,13 +394,14 @@ const Type *Sema::checkCall(CallExpr *CE) {
     checkExpr(A);
   FuncDecl *Fn = Prog.findFunc(CE->Callee);
   if (!Fn) {
-    Diags.error(CE->Loc, "undefined function '" + CE->Callee + "'");
+    Diags.error(CE->Loc, "undefined function '" + std::string(CE->Callee) + "'");
     CE->Ty = Prog.Types->getVoid();
     return CE->Ty;
   }
   CE->Fn = Fn;
   if (CE->Args.size() != Fn->Params.size()) {
-    Diags.error(CE->Loc, "wrong number of arguments to '" + CE->Callee + "'");
+    Diags.error(CE->Loc,
+                "wrong number of arguments to '" + std::string(CE->Callee) + "'");
   } else {
     for (size_t I = 0; I < CE->Args.size(); ++I) {
       adoptNil(CE->Args[I], Fn->Params[I]->Ty);
@@ -423,9 +433,9 @@ const Type *Sema::checkExpr(Expr *E) {
     return E->Ty;
   case ExprKind::Ident: {
     auto *Id = cast<IdentExpr>(E);
-    Id->Decl = lookup(Id->Name);
+    Id->Decl = lookup(Id->Sym);
     if (!Id->Decl) {
-      Diags.error(Id->Loc, "undefined variable '" + Id->Name + "'");
+      Diags.error(Id->Loc, "undefined variable '" + std::string(Id->Name) + "'");
       E->Ty = IntTy;
       return E->Ty;
     }
@@ -533,8 +543,8 @@ const Type *Sema::checkExpr(Expr *E) {
     }
     FE->F = StructTy->findField(FE->FieldName);
     if (!FE->F) {
-      Diags.error(FE->Loc, "no field '" + FE->FieldName + "' in " +
-                               StructTy->structName());
+      Diags.error(FE->Loc, "no field '" + std::string(FE->FieldName) +
+                               "' in " + StructTy->structName());
       E->Ty = IntTy;
       return E->Ty;
     }
@@ -601,18 +611,20 @@ const Type *Sema::checkExpr(Expr *E) {
     auto *CE = cast<CompositeExpr>(E);
     Type *StructTy = Prog.Types->findStruct(CE->TypeName);
     if (!StructTy || StructTy->size() == 0) {
-      Diags.error(CE->Loc, "undefined struct '" + CE->TypeName + "'");
+      Diags.error(CE->Loc, "undefined struct '" + std::string(CE->TypeName) + "'");
       E->Ty = IntTy;
       return E->Ty;
     }
     CE->StructTy = StructTy;
-    for (auto &[FieldName, Init] : CE->Inits) {
+    CE->InitFields = Prog.Nodes.allocateList<const Field *>(CE->Inits.size());
+    for (size_t I = 0; I < CE->Inits.size(); ++I) {
+      auto [FieldName, Init] = CE->Inits[I];
       const Field *F = StructTy->findField(FieldName);
-      CE->InitFields.push_back(F);
+      CE->InitFields[I] = F;
       const Type *IT = checkExpr(Init);
       if (!F) {
-        Diags.error(Init->Loc, "no field '" + FieldName + "' in " +
-                                   StructTy->structName());
+        Diags.error(Init->Loc, "no field '" + std::string(FieldName) +
+                                   "' in " + StructTy->structName());
       } else {
         adoptNil(Init, F->Ty);
         requireAssignable(Init->Loc, F->Ty, Init->Ty, "composite literal");

@@ -18,7 +18,7 @@
 #include "minigo/Ast.h"
 #include "support/Diag.h"
 
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace gofree {
@@ -33,10 +33,12 @@ public:
   bool run();
 
 private:
-  // Scope management.
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
-  VarDecl *lookup(const std::string &Name) const;
+  // Scope management. Bound[Sym] is the declaration a use of symbol Sym
+  // resolves to; Shadowed logs, per declaration, the binding it replaced,
+  // and popScope undoes the log down to the scope's mark.
+  void pushScope() { ScopeMarks.push_back(Shadowed.size()); }
+  void popScope();
+  VarDecl *lookup(uint32_t Sym) const { return Bound[Sym]; }
   bool declare(VarDecl *V);
 
   // Declaration and statement analysis.
@@ -68,7 +70,11 @@ private:
   Program &Prog;
   DiagSink &Diags;
   FuncDecl *CurFunc = nullptr;
-  std::vector<std::unordered_map<std::string, VarDecl *>> Scopes;
+  std::vector<VarDecl *> Bound;
+  std::vector<std::pair<uint32_t, VarDecl *>> Shadowed;
+  std::vector<size_t> ScopeMarks;
+  /// The current function's variables in declaration order (its AllVars).
+  std::vector<VarDecl *> FuncVars;
   int CurScopeDepth = 0;
   int CurLoopDepth = 0;
   size_t FrameCursor = 0;

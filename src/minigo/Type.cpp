@@ -7,10 +7,12 @@
 
 #include "minigo/Type.h"
 
+#include <algorithm>
+
 using namespace gofree;
 using namespace gofree::minigo;
 
-const Field *Type::findField(const std::string &FieldName) const {
+const Field *Type::findField(std::string_view FieldName) const {
   for (const Field &F : Fields)
     if (F.Name == FieldName)
       return &F;
@@ -102,8 +104,7 @@ const Type *TypeTable::getSlice(const Type *Elem) {
 }
 
 const Type *TypeTable::getMap(const Type *Key, const Type *Value) {
-  std::string CacheKey = Key->str() + "\x01" + Value->str();
-  auto It = MapCache.find(CacheKey);
+  auto It = MapCache.find({Key, Value});
   if (It != MapCache.end())
     return It->second;
   Type *T = make();
@@ -112,35 +113,36 @@ const Type *TypeTable::getMap(const Type *Key, const Type *Value) {
   T->Elem = Value;
   T->Size = 8;
   T->HasPointers = true;
-  MapCache[CacheKey] = T;
+  MapCache[{Key, Value}] = T;
   return T;
 }
 
-const Type *TypeTable::getTuple(std::vector<const Type *> Elems) {
+const Type *TypeTable::getTuple(std::span<const Type *const> Elems) {
   for (const Type *T : Tuples) {
-    if (T->tupleElems() == Elems)
+    const std::vector<const Type *> &Members = T->tupleElems();
+    if (std::equal(Members.begin(), Members.end(), Elems.begin(), Elems.end()))
       return T;
   }
   Type *T = make();
   T->K = Type::TK_Tuple;
-  T->Members = std::move(Elems);
+  T->Members.assign(Elems.begin(), Elems.end());
   T->Size = 0;
   Tuples.push_back(T);
   return T;
 }
 
-Type *TypeTable::declareStruct(const std::string &Name) {
+Type *TypeTable::declareStruct(std::string_view Name) {
   auto It = Structs.find(Name);
   if (It != Structs.end())
     return It->second;
   Type *T = make();
   T->K = Type::TK_Struct;
   T->Name = Name;
-  Structs[Name] = T;
+  Structs[T->Name] = T;
   return T;
 }
 
-Type *TypeTable::findStruct(const std::string &Name) const {
+Type *TypeTable::findStruct(std::string_view Name) const {
   auto It = Structs.find(Name);
   return It == Structs.end() ? nullptr : It->second;
 }

@@ -19,8 +19,11 @@
 
 #include <cassert>
 #include <cstddef>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -85,7 +88,7 @@ public:
     return Fields;
   }
   /// Looks up a field by name; returns nullptr if absent.
-  const Field *findField(const std::string &FieldName) const;
+  const Field *findField(std::string_view FieldName) const;
 
   const std::vector<const Type *> &tupleElems() const {
     assert(isTuple() && "not a tuple");
@@ -131,13 +134,13 @@ public:
   const Type *getPointer(const Type *Pointee);
   const Type *getSlice(const Type *Elem);
   const Type *getMap(const Type *Key, const Type *Value);
-  const Type *getTuple(std::vector<const Type *> Elems);
+  const Type *getTuple(std::span<const Type *const> Elems);
 
   /// Declares a struct by name; fields are attached later with
   /// finalizeStruct. Returns the (possibly pre-existing) struct type.
-  Type *declareStruct(const std::string &Name);
+  Type *declareStruct(std::string_view Name);
   /// Looks up a previously declared struct; nullptr if unknown.
-  Type *findStruct(const std::string &Name) const;
+  Type *findStruct(std::string_view Name) const;
   /// Assigns fields and computes layout. Must be called exactly once.
   void finalizeStruct(Type *StructTy, std::vector<Field> Fields);
 
@@ -151,8 +154,9 @@ private:
   const Type *NilTy;
   std::unordered_map<const Type *, const Type *> PointerCache;
   std::unordered_map<const Type *, const Type *> SliceCache;
-  std::unordered_map<std::string, const Type *> MapCache;
-  std::unordered_map<std::string, Type *> Structs;
+  std::map<std::pair<const Type *, const Type *>, const Type *> MapCache;
+  /// Keys view the struct types' own names.
+  std::unordered_map<std::string_view, Type *> Structs;
   std::vector<const Type *> Tuples;
 };
 

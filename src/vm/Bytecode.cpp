@@ -101,7 +101,7 @@ static const minigo::VarDecl *varAtOffset(const minigo::FuncDecl *Fn,
 }
 
 std::string gofree::vm::disassemble(const Module &M, const Chunk &C) {
-  std::string Out = C.Fn->Name + ":\n";
+  std::string Out = std::string(C.Fn->Name) + ":\n";
   for (size_t I = 0; I < C.Code.size();) {
     Op O = (Op)C.Code[I];
     Out += "  " + std::to_string(I) + "\t" + opName(O);
@@ -120,7 +120,7 @@ std::string gofree::vm::disassemble(const Module &M, const Chunk &C) {
     case Op::LvalVar:
     case Op::StoreVarInit:
     case Op::InitVar:
-      Out += "\t; " + M.Vars[C.Code[I + 1]]->Name;
+      Out += "\t; " + std::string(M.Vars[C.Code[I + 1]]->Name);
       break;
     case Op::LoadSlotI:
     case Op::LoadSlotA:
@@ -128,18 +128,19 @@ std::string gofree::vm::disassemble(const Module &M, const Chunk &C) {
     case Op::StoreSlotI:
     case Op::StoreSlotA:
       if (const minigo::VarDecl *V = varAtOffset(C.Fn, C.Code[I + 1]))
-        Out += "\t; " + V->Name;
+        Out += "\t; " + std::string(V->Name);
       break;
     case Op::IncSlotI:
       if (const minigo::VarDecl *V = varAtOffset(C.Fn, C.Code[I + 1]))
-        Out += "\t; " + V->Name + " += " +
+        Out += "\t; " + std::string(V->Name) + " += " +
                std::to_string(M.Ints[C.Code[I + 2]]);
       break;
     case Op::JumpIfNotLtLen: {
       const minigo::VarDecl *IV = varAtOffset(C.Fn, C.Code[I + 1]);
       const minigo::VarDecl *SV = varAtOffset(C.Fn, C.Code[I + 2]);
       if (IV && SV)
-        Out += "\t; " + IV->Name + " < len(" + SV->Name + ")";
+        Out += "\t; " + std::string(IV->Name) + " < len(" +
+               std::string(SV->Name) + ")";
       break;
     }
     case Op::Call:
@@ -147,7 +148,7 @@ std::string gofree::vm::disassemble(const Module &M, const Chunk &C) {
     case Op::CallStmt:
     case Op::Defer: {
       const minigo::FuncDecl *F = M.Funcs[C.Code[I + 1]];
-      Out += "\t; " + (F ? F->Name : std::string("<unresolved>"));
+      Out += "\t; " + std::string(F ? F->Name : "<unresolved>");
       break;
     }
     default:

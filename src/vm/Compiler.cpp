@@ -489,7 +489,7 @@ private:
       emit(Op::Composite, (uint32_t)M.Composites.size() - 1);
       // The object stays on the stack (rooted) while initializers run.
       for (size_t I = 0; I < CE->Inits.size(); ++I) {
-        expr(CE->Inits[I].second);
+        expr(CE->Inits[I].Value);
         emit(Op::SetField, (uint32_t)CE->InitFields[I]->Offset);
       }
       return;

@@ -741,11 +741,15 @@ Do_MapNilCheck:
   NEXT(0);
 Do_StoreMap: {
   // Stack: [v, m, k]; all three stay rooted while mapAssign may grow.
-  interp::MapValueBuf Buf(Sp[-3].Ty->size());
-  interp::storeValueAt(Buf.addr(), Sp[-3]);
-  SPILL();
-  rt::mapAssign(mapCtx(Code[IP + 1]), Sp[-2].A, Sp[-1].I, Buf.data());
-  RELOAD();
+  {
+    // Its own scope: NEXT's computed goto runs no destructors, and a
+    // value over 64 bytes puts Buf on the C++ heap.
+    interp::MapValueBuf Buf(Sp[-3].Ty->size());
+    interp::storeValueAt(Buf.addr(), Sp[-3]);
+    SPILL();
+    rt::mapAssign(mapCtx(Code[IP + 1]), Sp[-2].A, Sp[-1].I, Buf.data());
+    RELOAD();
+  }
   Sp -= 3;
   NEXT(1);
 }
@@ -797,7 +801,7 @@ Do_Defer: {
 Do_Return:
   return Flow::Return;
 Do_MissingRet:
-  fault("missing return in '" + C.Fn->Name + "'");
+  fault("missing return in '" + std::string(C.Fn->Name) + "'");
   return Flow::Fault;
 
 // The allocation sites pop their operands and push the object through the

@@ -86,11 +86,11 @@ TEST(Table3Test, GoGraphSeesOnlyTrackedTarget) {
   ProgramAnalysis A = analyzeProgram(*P);
   const FuncDecl *Fn = P->Funcs[0];
   const BuildResult &B = A.FuncGraphs.at(Fn);
-  auto Pts = pointsToSet(B.Graph, B.VarLoc.at(findVar(Fn, "pd2")));
+  auto Pts = pointsToSet(B.Graph, B.varLoc(findVar(Fn, "pd2")));
   bool HasC = false, HasD = false;
   for (uint32_t Id : Pts) {
-    HasC |= B.Graph.loc(Id).Name == "c";
-    HasD |= B.Graph.loc(Id).Name == "d";
+    HasC |= B.Graph.loc(Id).name() == "c";
+    HasD |= B.Graph.loc(Id).name() == "d";
   }
   EXPECT_FALSE(HasC);
   EXPECT_TRUE(HasD);

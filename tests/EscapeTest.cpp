@@ -12,8 +12,13 @@
 
 #include "escape/Analysis.h"
 #include "minigo/Frontend.h"
+#include "workloads/Synth.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <sstream>
 
 using namespace gofree;
 using namespace gofree::escape;
@@ -44,19 +49,58 @@ struct Compiled {
                         const std::string &VName) const {
     const FuncDecl *Fn = func(FnName);
     const BuildResult &B = Analysis.FuncGraphs.at(Fn);
-    return B.Graph.loc(B.VarLoc.at(var(FnName, VName)));
+    return B.Graph.loc(B.varLoc(var(FnName, VName)));
   }
 
   /// The location of the AllocId-th allocation site of the whole program.
   const Location &allocLoc(const std::string &FnName, uint32_t AllocId) const {
     const BuildResult &B = Analysis.FuncGraphs.at(func(FnName));
-    return B.Graph.loc(B.AllocLoc.at(AllocId));
+    for (const Location &L : B.Graph.locations())
+      if (L.Kind == LocKind::Alloc && L.AllocId == AllocId)
+        return L;
+    ADD_FAILURE() << "no allocation site " << AllocId << " in " << FnName;
+    return B.Graph.loc(EscapeGraph::HeapLocId);
   }
 
   bool toFree(const std::string &FnName, const std::string &VName) const {
     return Analysis.ToFreeVars.count(var(FnName, VName)) != 0;
   }
 };
+
+// Figure 1's indirect store, figure 6's nested scopes and figure 7's
+// content tags, as MiniGo programs.
+const char *const Fig1Src = "type D struct { v int\n }\n"
+                            "func f() {\n"
+                            "  c := D{v: 1}\n"
+                            "  d := D{v: 2}\n"
+                            "  pd := &d\n"
+                            "  ppd := &pd\n"
+                            "  pc := &c\n"
+                            "  *ppd = pc\n"
+                            "  pd2 := *ppd\n"
+                            "  sink(pd2.v)\n"
+                            "}\n";
+const char *const Fig6Src = "func g(n int) []int {\n"
+                            "  s1 := make([]int, n)\n"
+                            "  {\n"
+                            "    s2 := make([]int, n)\n"
+                            "    sink(s2[0])\n"
+                            "  }\n"
+                            "  s3 := make([]int, n)\n"
+                            "  sink(s1[0] + s3[0])\n"
+                            "  return s3\n"
+                            "}\n";
+const char *const Fig7Src = "func partialNew(ps *[]int) ([]int, []int) {\n"
+                            "  pps := &ps\n"
+                            "  *pps = ps\n"
+                            "  made := make([]int, 3)\n"
+                            "  return made, **pps\n"
+                            "}\n"
+                            "func caller(n int) {\n"
+                            "  s := make([]int, n)\n"
+                            "  fresh, old := partialNew(&s)\n"
+                            "  sink(fresh[0] + old[0])\n"
+                            "}\n";
 
 Compiled analyze(const std::string &Src, AnalysisOptions Opts = {}) {
   DiagSink Diags;
@@ -100,17 +144,7 @@ TEST(EscapeTest, Fig3ConstSizeStacksVariableSizeFreed) {
 TEST(EscapeTest, Fig1IndirectStoreMakesDerivedPointerIncomplete) {
   // Modeled after fig. 1: *ppd = pc is an untracked indirect store, so
   // pd2 = *ppd has an incomplete points-to set and must not be freed.
-  Compiled C = analyze("type D struct { v int\n }\n"
-                       "func f() {\n"
-                       "  c := D{v: 1}\n"
-                       "  d := D{v: 2}\n"
-                       "  pd := &d\n"
-                       "  ppd := &pd\n"
-                       "  pc := &c\n"
-                       "  *ppd = pc\n"
-                       "  pd2 := *ppd\n"
-                       "  sink(pd2.v)\n"
-                       "}\n");
+  Compiled C = analyze(Fig1Src);
   const Location &Ppd = C.locOf("f", "ppd");
   const Location &Pc = C.locOf("f", "pc");
   const Location &Pd = C.locOf("f", "pd");
@@ -131,25 +165,15 @@ TEST(EscapeTest, Fig1IndirectStoreMakesDerivedPointerIncomplete) {
 TEST(EscapeTest, Fig1PointsToSetThroughGoGraph) {
   // PointsTo(pd2) computed from the Go escape graph contains d (via the
   // tracked flow) but misses c (the indirect store), cf. table 3.
-  Compiled C = analyze("type D struct { v int\n }\n"
-                       "func f() {\n"
-                       "  c := D{v: 1}\n"
-                       "  d := D{v: 2}\n"
-                       "  pd := &d\n"
-                       "  ppd := &pd\n"
-                       "  pc := &c\n"
-                       "  *ppd = pc\n"
-                       "  pd2 := *ppd\n"
-                       "  sink(pd2.v)\n"
-                       "}\n");
+  Compiled C = analyze(Fig1Src);
   const FuncDecl *Fn = C.func("f");
   const BuildResult &B = C.Analysis.FuncGraphs.at(Fn);
-  auto Pts = pointsToSet(B.Graph, B.VarLoc.at(C.var("f", "pd2")));
+  auto Pts = pointsToSet(B.Graph, B.varLoc(C.var("f", "pd2")));
   bool HasD = false, HasC = false;
   for (uint32_t Id : Pts) {
     const Location &L = B.Graph.loc(Id);
-    HasD |= L.Name == "d";
-    HasC |= L.Name == "c";
+    HasD |= L.name() == "d";
+    HasC |= L.name() == "c";
   }
   EXPECT_TRUE(HasD);
   EXPECT_FALSE(HasC) << "Go's graph omits the indirect store";
@@ -178,16 +202,7 @@ TEST(EscapeTest, IndirectStoreForcesValueToHeap) {
 //===----------------------------------------------------------------------===//
 
 TEST(EscapeTest, Fig6NestedScopes) {
-  Compiled C = analyze("func g(n int) []int {\n"
-                       "  s1 := make([]int, n)\n"
-                       "  {\n"
-                       "    s2 := make([]int, n)\n"
-                       "    sink(s2[0])\n"
-                       "  }\n"
-                       "  s3 := make([]int, n)\n"
-                       "  sink(s1[0] + s3[0])\n"
-                       "  return s3\n"
-                       "}\n");
+  Compiled C = analyze(Fig6Src);
   // s1 and s2 are complete and not outlived: freeable at their scope ends.
   EXPECT_TRUE(C.toFree("g", "s1"));
   EXPECT_TRUE(C.toFree("g", "s2"));
@@ -255,17 +270,7 @@ TEST(EscapeTest, ReturnedObjectIsHeap) {
 //===----------------------------------------------------------------------===//
 
 TEST(EscapeTest, Fig7ContentTagEnablesCallerFree) {
-  Compiled C = analyze("func partialNew(ps *[]int) ([]int, []int) {\n"
-                       "  pps := &ps\n"
-                       "  *pps = ps\n"
-                       "  made := make([]int, 3)\n"
-                       "  return made, **pps\n"
-                       "}\n"
-                       "func caller(n int) {\n"
-                       "  s := make([]int, n)\n"
-                       "  fresh, old := partialNew(&s)\n"
-                       "  sink(fresh[0] + old[0])\n"
-                       "}\n");
+  Compiled C = analyze(Fig7Src);
   // The callee's tag must advertise: r0 is a fresh heap object, r1 is not
   // known to be complete.
   const FuncTag &Tag = C.Analysis.Tags.at(C.func("partialNew"));
@@ -390,7 +395,7 @@ TEST(EscapeTest, AppendedPointerValueEscapes) {
   const BuildResult &B = C.Analysis.FuncGraphs.at(Fn);
   bool FoundLitOnHeap = false;
   for (const Location &L : B.Graph.locations())
-    if (L.Kind == LocKind::Alloc && L.Name.rfind("lit@", 0) == 0)
+    if (L.Kind == LocKind::Alloc && L.name().starts_with("lit@"))
       FoundLitOnHeap = L.HeapAlloc;
   EXPECT_TRUE(FoundLitOnHeap);
 }
@@ -531,4 +536,125 @@ TEST(EscapeTest, PointerTargets) {
   EXPECT_TRUE(WithAll.toFree("f", "t"));
   Compiled SliceMapOnly = analyze(Escaping);
   EXPECT_FALSE(SliceMapOnly.toFree("f", "t"));
+}
+
+//===----------------------------------------------------------------------===//
+// Recorded analysis digests
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Everything the analysis decides about \p Prog, as text: the stack
+/// sites; per function, each variable's moved-to-heap and tcfree flags, and
+/// each location's name, attributes, solved properties and in-edges in id
+/// order; and the solver's work counters.
+std::string analysisText(const Program &Prog, const ProgramAnalysis &A) {
+  std::string Out = "sites ";
+  for (bool OnStack : A.SiteOnStack)
+    Out += OnStack ? '1' : '0';
+  Out += "\n";
+  for (const FuncDecl *Fn : Prog.Funcs) {
+    Out += "func ";
+    Out += Fn->Name;
+    Out += "\n";
+    for (const VarDecl *V : Fn->AllVars) {
+      Out += "  var ";
+      Out += V->Name;
+      Out += A.MovedToHeap.count(V) ? " moved" : "";
+      Out += A.ToFreeVars.count(V) ? " free" : "";
+      Out += "\n";
+    }
+    const EscapeGraph &G = A.FuncGraphs.at(Fn).Graph;
+    for (uint32_t I = 0; I < G.size(); ++I) {
+      const Location &L = G.loc(I);
+      char Buf[256];
+      std::snprintf(Buf, sizeof Buf,
+                    " k%d d%d l%d p%d h%d es%d er%d ip%d is%d ir%d o%d ol%d "
+                    "pth%d tf%d <-",
+                    (int)L.Kind, L.DeclDepth, L.LoopDepth, (int)L.HasPointers,
+                    (int)L.HeapAlloc, (int)L.ExposesStore, (int)L.ExposesRet,
+                    (int)L.IncompleteParam, (int)L.IncompleteStore,
+                    (int)L.IncompleteRet, L.OutermostRef, (int)L.Outlived,
+                    (int)L.PointsToHeap, (int)L.ToFree);
+      Out += "  " + L.name() + Buf;
+      for (const Edge &E : G.inEdges(I))
+        Out += " " + std::to_string(E.Src) + ":" + std::to_string(E.Derefs);
+      Out += "\n";
+    }
+  }
+  Out += "stats " + std::to_string(A.Stats.RootWalks) + " " +
+         std::to_string(A.Stats.Relaxations) + " " +
+         std::to_string(A.Stats.LeafVisits) + "\n";
+  return Out;
+}
+
+uint64_t fnv1a(const std::string &S) {
+  uint64_t H = 1469598103934665603ull;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+} // namespace
+
+// The digests below were recorded with the analysis that kept the AST's
+// lists in std::vectors, named every location eagerly and walked with a
+// std::deque per walk. Every analysis decision, every location with its
+// properties and in-edges, and the solver's work counters must stay the
+// same.
+TEST(EscapeTest, AnalysesMatchRecordedDigests) {
+  struct Recorded {
+    const char *Name;
+    uint64_t Digest;
+  };
+  static const Recorded Want[] = {
+      {"subject gocompiler", 0x41a0c49f63c271ffull},
+      {"subject hugo", 0x3380da696f683608ull},
+      {"subject badger", 0xd73055404df4364aull},
+      {"subject gojson", 0x256c8b562958ca64ull},
+      {"subject scheck", 0xcaff65c42a24e47cull},
+      {"subject slayout", 0x247be6397ef6716eull},
+      {"fig1", 0x47a25f4697af0eeeull},
+      {"fig6", 0x2e32772b690d7a1aull},
+      {"fig7", 0x62c31a9f81f52467ull},
+      {"synth 60x30 seed 7", 0x710f0e4f2e411bc0ull},
+      {"synth 200x20 seed 3", 0x1b17b818003836c4ull},
+      {"synth 600x60 seed 12345", 0x672b7095ecddac78ull},
+  };
+
+  std::vector<std::pair<std::string, std::string>> Sources;
+  for (const workloads::Workload &W : workloads::subjectWorkloads())
+    Sources.emplace_back("subject " + W.Name, W.Source);
+  Sources.emplace_back("fig1", Fig1Src);
+  Sources.emplace_back("fig6", Fig6Src);
+  Sources.emplace_back("fig7", Fig7Src);
+  struct Synth {
+    int Funcs, Stmts;
+    uint64_t Seed;
+  };
+  for (Synth S : {Synth{60, 30, 7}, Synth{200, 20, 3}, Synth{600, 60, 12345}}) {
+    workloads::SynthOptions SO;
+    SO.NumFuncs = S.Funcs;
+    SO.StmtsPerFunc = S.Stmts;
+    SO.Seed = S.Seed;
+    Sources.emplace_back("synth " + std::to_string(S.Funcs) + "x" +
+                             std::to_string(S.Stmts) + " seed " +
+                             std::to_string(S.Seed),
+                         workloads::synthProgram(SO));
+  }
+
+  std::ostringstream Got;
+  for (const auto &[Name, Src] : Sources) {
+    Compiled C = analyze(Src);
+    ASSERT_NE(C.Prog, nullptr) << Name;
+    Got << "      {\"" << Name << "\", 0x" << std::hex
+        << fnv1a(analysisText(*C.Prog, C.Analysis)) << std::dec << "ull},\n";
+  }
+  std::ostringstream Expected;
+  for (const Recorded &R : Want)
+    Expected << "      {\"" << R.Name << "\", 0x" << std::hex << R.Digest
+             << std::dec << "ull},\n";
+  EXPECT_EQ(Got.str(), Expected.str());
 }

@@ -27,7 +27,7 @@ struct Built {
 
   uint32_t loc(const std::string &Name) const {
     for (const Location &L : Build.Graph.locations())
-      if (L.Name == Name)
+      if (L.name() == Name)
         return L.Id;
     ADD_FAILURE() << "no location " << Name;
     return 0;
@@ -43,9 +43,9 @@ struct Built {
 
   /// MinDerefs(M, L) via the solver's walk; NotHeld if M not in Holds(L).
   int minDerefs(const std::string &M, const std::string &L) {
-    std::vector<int8_t> Dist;
-    minDerefsFrom(Build.Graph, loc(L), Dist);
-    return Dist[loc(M)];
+    WalkBuffers W;
+    minDerefsFrom(Build.Graph, loc(L), W);
+    return W.Dist[loc(M)];
   }
 };
 
@@ -129,11 +129,11 @@ TEST(GraphShapeTest, MakeCreatesAllocPointedToByVar) {
                      "  sink(s[0])\n"
                      "}\n");
   // The allocation location flows into s at derefs -1: s points to it.
-  std::vector<int8_t> Dist;
-  minDerefsFrom(B.Build.Graph, B.loc("s"), Dist);
+  WalkBuffers W;
+  minDerefsFrom(B.Build.Graph, B.loc("s"), W);
   bool Found = false;
   for (const Location &L : B.Build.Graph.locations())
-    if (L.Kind == LocKind::Alloc && Dist[L.Id] == -1)
+    if (L.Kind == LocKind::Alloc && W.Dist[L.Id] == -1)
       Found = true;
   EXPECT_TRUE(Found);
 }

@@ -4,17 +4,81 @@
 // Collection via Compiler-Inserted Freeing" (CGO 2025).
 //
 // The compile()/execute() entry points are the library's public surface;
-// these tests pin their error handling and option plumbing.
+// these tests pin their error handling and option plumbing, and what a
+// compile costs: its allocations and the coverage of its pass times.
 //
 //===----------------------------------------------------------------------===//
 
+#include "CountingNew.h"
 #include "compiler/Pipeline.h"
 #include "support/Trace.h"
+#include "workloads/Synth.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 using namespace gofree;
 using namespace gofree::compiler;
+
+namespace {
+/// The 2 MB program of perfbench's compile workload: 600 functions of 60
+/// statements.
+const std::string &bigProgram() {
+  static const std::string Src = [] {
+    workloads::SynthOptions SO;
+    SO.NumFuncs = 600;
+    SO.StmtsPerFunc = 60;
+    SO.Seed = 12345;
+    return workloads::synthProgram(SO);
+  }();
+  return Src;
+}
+} // namespace
+
+TEST(PipelineTest, CompileAllocatesPerFunctionAndFreesAll) {
+  // The AST, its lists and names live in the program's arena and the
+  // escape analysis reuses its buffers, so a compile allocates per
+  // function, not per node: at most 100 times a function. Nothing in the
+  // arena owns heap memory, so destroying the compilation frees all of it.
+  const std::string &Src = bigProgram();
+  { Compilation Warm = compile("func main() {}\n"); } // First-use statics.
+  using counting_new::DeleteCalls;
+  using counting_new::NewCalls;
+  uint64_t News = NewCalls, Deletes = DeleteCalls;
+  uint64_t CompileNews;
+  bool Ok;
+  {
+    Compilation C = compile(Src);
+    Ok = C.ok();
+    CompileNews = NewCalls - News;
+  }
+  uint64_t Leaked = (NewCalls - News) - (DeleteCalls - Deletes);
+  ASSERT_TRUE(Ok);
+  EXPECT_LE(CompileNews, 60000u);
+  EXPECT_EQ(Leaked, 0u);
+}
+
+TEST(PipelineTest, PassTimesCoverCompile) {
+  // The seven pass times account for the wall time of compile(): the call
+  // graph, tag extraction and the bookkeeping between passes belong to a
+  // pass too. Best of five, to step around a busy host.
+  const std::string &Src = bigProgram();
+  double Best = 0;
+  for (int I = 0; I < 5; ++I) {
+    auto Start = std::chrono::steady_clock::now();
+    Compilation C = compile(Src);
+    double Wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - Start)
+                      .count();
+    ASSERT_TRUE(C.ok());
+    uint64_t Sum = 0;
+    for (uint64_t Nanos : C.Passes.Nanos)
+      Sum += Nanos;
+    Best = std::max(Best, (double)Sum * 1e-9 / Wall);
+  }
+  EXPECT_GE(Best, 0.95);
+}
 
 TEST(PipelineTest, CompileErrorsAreReportedNotThrown) {
   Compilation C = compile("func main( {\n}\n", {});

@@ -91,11 +91,11 @@ TEST_P(SynthPropertyTest, ToFreeInvariants) {
     for (const Location &L : Build.Graph.locations()) {
       if (!L.ToFree)
         continue;
-      EXPECT_FALSE(L.incomplete()) << L.Name;
-      EXPECT_FALSE(L.Outlived) << L.Name;
-      EXPECT_TRUE(L.PointsToHeap) << L.Name;
+      EXPECT_FALSE(L.incomplete()) << L.name();
+      EXPECT_FALSE(L.Outlived) << L.name();
+      EXPECT_TRUE(L.PointsToHeap) << L.name();
       if (L.Var) {
-        EXPECT_FALSE(L.Var->IsParam) << L.Name;
+        EXPECT_FALSE(L.Var->IsParam) << L.name();
       }
     }
   }
@@ -104,9 +104,9 @@ TEST_P(SynthPropertyTest, ToFreeInvariants) {
     bool Found = false;
     for (const auto &[Fn, Build] : C.Analysis.FuncGraphs) {
       (void)Fn;
-      auto It = Build.VarLoc.find(V);
-      if (It != Build.VarLoc.end() && Build.Graph.loc(It->second).ToFree)
-        Found = true;
+      for (const Location &L : Build.Graph.locations())
+        if (L.Var == V && L.ToFree)
+          Found = true;
     }
     EXPECT_TRUE(Found) << V->Name;
   }

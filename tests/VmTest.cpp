@@ -18,6 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CountingNew.h"
 #include "compiler/Pipeline.h"
 #include "fuzz/Differ.h"
 #include "vm/Compiler.h"
@@ -32,49 +33,6 @@
 
 using namespace gofree;
 using namespace gofree::compiler;
-
-//===----------------------------------------------------------------------===//
-// Counting global operator new (VmTest.CallsDoNotAllocate)
-//===----------------------------------------------------------------------===//
-
-namespace {
-std::atomic<uint64_t> NewCalls{0};
-
-void *countedAlloc(std::size_t Bytes, std::size_t Align) {
-  NewCalls.fetch_add(1, std::memory_order_relaxed);
-  if (Bytes == 0)
-    Bytes = 1;
-  void *P = Align > alignof(std::max_align_t)
-                ? std::aligned_alloc(Align, (Bytes + Align - 1) / Align * Align)
-                : std::malloc(Bytes);
-  if (!P)
-    throw std::bad_alloc();
-  return P;
-}
-} // namespace
-
-// Every replaceable allocation form, so new and delete always pair with
-// malloc and free (sanitizer builds check that they match).
-void *operator new(std::size_t N) { return countedAlloc(N, 0); }
-void *operator new[](std::size_t N) { return countedAlloc(N, 0); }
-void *operator new(std::size_t N, std::align_val_t A) {
-  return countedAlloc(N, (std::size_t)A);
-}
-void *operator new[](std::size_t N, std::align_val_t A) {
-  return countedAlloc(N, (std::size_t)A);
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
-  std::free(P);
-}
 
 namespace {
 
@@ -841,15 +799,16 @@ TEST(VmTest, CallsDoNotAllocate) {
   ExecOptions EO;
   EO.Engine = ExecEngine::Vm;
   auto AllocsFor = [&](int64_t Calls) {
-    uint64_t Before = NewCalls.load();
+    uint64_t Before = counting_new::NewCalls.load();
     ExecOutcome O = execute(C, "main", {Calls}, EO);
-    uint64_t After = NewCalls.load();
+    uint64_t After = counting_new::NewCalls.load();
     EXPECT_TRUE(O.ok()) << O.Error;
     EXPECT_EQ(O.Stats.AllocCount, 0u) << "f must not touch the heap";
     EXPECT_EQ(O.Stats.StackAllocCountByCat[(int)rt::AllocCat::Other],
               (uint64_t)Calls);
     return After - Before;
   };
+  AllocsFor(1'000); // First-use statics, so the test also passes alone.
   uint64_t Few = AllocsFor(1'000);
   uint64_t Many = AllocsFor(100'000);
   EXPECT_GT(Few, 0u) << "the counting operator new is not in use";

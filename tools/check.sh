@@ -22,10 +22,9 @@
 #                             slice under it (with a 256 MiB C stack: the
 #                             3000-frame tree-walker test overflows the
 #                             default 8 MiB under ASan's larger frames).
-#                             Leak checking is off: the compile-scoped
-#                             arenas (support/Arena.h) never run their
-#                             nodes' destructors by design, so leaks are
-#                             not checked by this mode
+#                             LeakSanitizer is on: arena payloads must be
+#                             trivially destructible (support/Arena.h), so
+#                             a compilation frees everything it allocated
 #   tools/check.sh fuzz       differential fuzzing pass: a 200-seed corpus
 #                             with the regular build, then a shorter corpus
 #                             with the ThreadSanitizer build (the fuzz legs
@@ -239,7 +238,6 @@ ubsan)
 asan)
   cmake -B "$ROOT/build-asan" -S "$ROOT" -DGOFREE_SANITIZE=address
   cmake --build "$ROOT/build-asan" -j
-  export ASAN_OPTIONS="detect_leaks=0${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
   (cd "$ROOT/build-asan" && ulimit -s 262144 && ctest --output-on-failure -j)
   (ulimit -s 262144 && "$ROOT/build-asan/tools/gofree" fuzz --seed=1 --count=100) \
     || fail "differential fuzz corpus failed under AddressSanitizer"

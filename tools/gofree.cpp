@@ -513,7 +513,7 @@ int main(int Argc, char **Argv) {
         std::printf("#%zu ", S);
     std::printf("\nmoved to heap: ");
     for (const minigo::VarDecl *V : C.Analysis.MovedToHeap)
-      std::printf("%s ", V->Name.c_str());
+      std::printf("%.*s ", (int)V->Name.size(), V->Name.data());
     std::printf("\n\n--- escape diagnostics (-m) ---\n%s",
                 escape::renderEscapeDiagnostics(*C.Prog, C.Analysis).c_str());
     std::printf("\n--- instrumented program ---\n%s",
