@@ -75,7 +75,7 @@ int main() {
 
   // Go escape graph: O(N^2), misses the indirect store.
   ProgramAnalysis Go = analyzeProgram(*Prog);
-  const BuildResult &B = Go.FuncGraphs.at(Fn);
+  const BuildResult &B = Go.FuncGraphs[Fn->Index];
   std::vector<std::string> GoNames;
   for (uint32_t Id : pointsToSet(B.Graph, B.varLoc(Pd2)))
     GoNames.push_back(B.Graph.loc(Id).name());

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Pipeline.h"
+#include "escape/Diagnostics.h"
 #include "minigo/AstPrinter.h"
 
 #include <cstdio>
@@ -75,7 +76,7 @@ int main(int Argc, char **Argv) {
   }
 
   for (const minigo::FuncDecl *Fn : C.Prog->Funcs) {
-    const BuildResult &B = C.Analysis.FuncGraphs.at(Fn);
+    const BuildResult &B = C.Analysis.FuncGraphs[Fn->Index];
     std::printf("=== func %.*s: %zu locations, %zu edges ===\n",
                 (int)Fn->Name.size(), Fn->Name.data(), B.Graph.size(),
                 B.Graph.edgeCount());
@@ -103,18 +104,9 @@ int main(int Argc, char **Argv) {
     std::printf("\n");
   }
 
-  std::printf("=== decisions ===\n");
-  std::printf("allocation sites on stack: ");
-  for (size_t I = 0; I < C.Analysis.SiteOnStack.size(); ++I)
-    if (C.Analysis.SiteOnStack[I])
-      std::printf("#%zu ", I);
-  std::printf("\nmoved-to-heap variables:   ");
-  for (const minigo::VarDecl *V : C.Analysis.MovedToHeap)
-    std::printf("%.*s ", (int)V->Name.size(), V->Name.data());
-  std::printf("\ntcfree targets:            ");
-  for (const minigo::VarDecl *V : C.Analysis.ToFreeVars)
-    std::printf("%.*s ", (int)V->Name.size(), V->Name.data());
-  std::printf("\n(%u slice frees, %u map frees, %u object frees inserted)\n\n",
+  std::printf("=== decisions (-m) ===\n%s",
+              renderEscapeDiagnostics(*C.Prog, C.Analysis).c_str());
+  std::printf("(%u slice frees, %u map frees, %u object frees inserted)\n\n",
               C.Instr.SliceFrees, C.Instr.MapFrees, C.Instr.ObjectFrees);
 
   std::printf("=== instrumented program ===\n%s",

@@ -75,7 +75,7 @@ Compilation gofree::compiler::compile(const std::string &Source,
   SetPass(trace::Pass::Lifetime, C.Analysis.Stats.LifetimeNanos);
   if (Opts.Mode == CompileMode::GoFree) {
     auto InsertStart = std::chrono::steady_clock::now();
-    C.Instr = instrument::insertFrees(*C.Prog, C.Analysis);
+    C.Instr = instrument::insertFrees(*C.Prog);
     SetPass(trace::Pass::Insert,
             (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - InsertStart)
@@ -119,10 +119,10 @@ ExecOutcome gofree::compiler::execute(const Compilation &C,
       Results[(size_t)W] = Engine.run(Entry, Args);
     };
     if (Opts.Engine == ExecEngine::Ast) {
-      interp::Interp I(*C.Prog, C.Analysis, Heap, IO);
+      interp::Interp I(*C.Prog, Heap, IO);
       Run(I);
     } else {
-      vm::Vm V(*C.Prog, C.Analysis, Heap, IO, SharedModule);
+      vm::Vm V(*C.Prog, Heap, IO, SharedModule);
       Run(V);
     }
   };

@@ -252,36 +252,24 @@ gofree::escape::callGraphSccs(const Program &Prog) {
 
 namespace {
 
-/// Distills one solved graph into the program-wide decisions.
-void distill(const BuildResult &Build, const AnalysisOptions &Opts,
-             ProgramAnalysis &Out) {
-  for (const Location &L : Build.Graph.locations()) {
-    switch (L.Kind) {
-    case LocKind::Alloc:
-      if (L.AllocId != InvalidAllocId && !L.HeapAlloc &&
-          L.AllocExpr->kind() != ExprKind::Append)
-        Out.SiteOnStack[L.AllocId] = true;
-      break;
-    case LocKind::Var: {
-      auto *V = const_cast<VarDecl *>(L.Var);
-      if (L.HeapAlloc) {
-        Out.MovedToHeap.insert(V);
-        V->MovedToHeap = true;
-      }
-      if (L.ToFree && Opts.Targets != FreeTargets::None) {
-        bool TypeOk = V->Ty->isSlice() || V->Ty->isMap() ||
-                      (Opts.Targets == FreeTargets::All && V->Ty->isPointer());
-        // Never free through parameters or escaped variables; both are
-        // already excluded by Incomplete/Outlived, this is belt and
-        // braces for the instrumentation.
-        if (TypeOk && !V->IsParam && !L.HeapAlloc)
-          Out.ToFreeVars.insert(V);
-      }
-      break;
-    }
-    default:
-      break;
-    }
+/// Records one solved graph's decisions on the AST nodes they decide. Every
+/// allocation site and variable of \p Fn gets each bit assigned.
+void distill(const FuncDecl *Fn, const BuildResult &Build,
+             const AnalysisOptions &Opts) {
+  for (const Location &L : Build.Graph.locations())
+    if (L.Kind == LocKind::Alloc)
+      if (bool *OnStack = onStackBit(L.AllocExpr))
+        *OnStack = !L.HeapAlloc;
+  for (VarDecl *V : Fn->AllVars) {
+    const Location &L = Build.Graph.loc(Build.varLoc(V));
+    V->MovedToHeap = L.HeapAlloc;
+    bool TypeOk = Opts.Targets != FreeTargets::None &&
+                  (V->Ty->isSlice() || V->Ty->isMap() ||
+                   (Opts.Targets == FreeTargets::All && V->Ty->isPointer()));
+    // Never free through parameters or escaped variables; both are already
+    // excluded by Incomplete/Outlived, this is belt and braces for the
+    // instrumentation.
+    V->ToFree = L.ToFree && TypeOk && !V->IsParam && !L.HeapAlloc;
   }
 }
 
@@ -294,14 +282,13 @@ uint64_t nanosBetween(std::chrono::steady_clock::time_point From,
 
 } // namespace
 
-ProgramAnalysis gofree::escape::analyzeProgram(const Program &Prog,
+ProgramAnalysis gofree::escape::analyzeProgram(Program &Prog,
                                                const AnalysisOptions &Opts) {
   using Clock = std::chrono::steady_clock;
   Clock::time_point Start = Clock::now();
   ProgramAnalysis Out;
-  Out.SiteOnStack.assign(Prog.NumAllocSites, false);
-  Out.Tags.reserve(Prog.Funcs.size());
-  Out.FuncGraphs.reserve(Prog.Funcs.size());
+  Out.Tags.resize(Prog.Funcs.size());
+  Out.FuncGraphs.resize(Prog.Funcs.size());
   SolverBuffers Buf;
 
   // Bottom-up over the call graph: Tarjan emits SCCs callee-first. Members
@@ -309,10 +296,8 @@ ProgramAnalysis gofree::escape::analyzeProgram(const Program &Prog,
   // cycle partners and fall back to the default tag, like Go.
   for (const auto &Scc : callGraphSccs(Prog)) {
     for (const FuncDecl *Fn : Scc) {
-      BuildResult &Build =
-          Out.FuncGraphs
-              .emplace(Fn, buildEscapeGraph(Fn, Out.Tags, Opts.Build))
-              .first->second;
+      BuildResult &Build = Out.FuncGraphs[Fn->Index] =
+          buildEscapeGraph(Fn, Out.Tags, Opts.Build);
       SolverStats S = solve(Build.Graph, Buf, Opts.Solve);
       Out.Stats.RootWalks += S.RootWalks;
       Out.Stats.Relaxations += S.Relaxations;
@@ -323,9 +308,9 @@ ProgramAnalysis gofree::escape::analyzeProgram(const Program &Prog,
     // Tags and decisions consume the solved lifetimes: Lifetime's time.
     Clock::time_point TagStart = Clock::now();
     for (const FuncDecl *Fn : Scc) {
-      const BuildResult &Build = Out.FuncGraphs.at(Fn);
-      Out.Tags.emplace(Fn, extractTag(Fn, Build, Buf.Walk));
-      distill(Build, Opts, Out);
+      const BuildResult &Build = Out.FuncGraphs[Fn->Index];
+      Out.Tags[Fn->Index] = extractTag(Fn, Build, Buf.Walk);
+      distill(Fn, Build, Opts);
     }
     Out.Stats.LifetimeNanos += nanosBetween(TagStart, Clock::now());
   }

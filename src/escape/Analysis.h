@@ -9,10 +9,9 @@
 /// Whole-program driver for the static analysis of section 4: orders
 /// functions bottom-up over the call graph (callees before callers, default
 /// tags inside recursion cycles, like Go), builds and solves each function's
-/// escape graph, extracts extended parameter tags, and distills the results
-/// the compiler pipeline needs: per-allocation-site stack/heap decisions,
-/// "moved to heap" variables, and the set of ToFree variables eligible for
-/// tcfree instrumentation.
+/// escape graph, extracts extended parameter tags, and records its decisions
+/// on the AST nodes they decide: OnStack on allocation sites,
+/// VarDecl::MovedToHeap, and VarDecl::ToFree for tcfree instrumentation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +22,6 @@
 #include "escape/Solver.h"
 #include "minigo/Ast.h"
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace gofree {
@@ -42,27 +39,24 @@ struct AnalysisOptions {
   FreeTargets Targets = FreeTargets::SlicesAndMaps;
 };
 
-/// Results of analyzing a whole program.
+/// The per-function results of analyzing a whole program. The decisions
+/// themselves live on the AST.
 struct ProgramAnalysis {
-  /// Indexed by allocation-site id: may the site allocate on the stack?
-  std::vector<bool> SiteOnStack;
-  /// Variables whose own storage escapes and must be heap-boxed.
-  std::unordered_set<const minigo::VarDecl *> MovedToHeap;
-  /// Variables whose ToFree property held and whose type matches the free
-  /// targets: tcfree is inserted at the end of their declaration scope.
-  std::unordered_set<const minigo::VarDecl *> ToFreeVars;
-  /// Extended parameter tags, by function.
+  /// Extended parameter tags, indexed by FuncDecl::Index.
   TagMap Tags;
-  /// Solved per-function graphs, for inspection, reports and tests.
-  std::unordered_map<const minigo::FuncDecl *, BuildResult> FuncGraphs;
+  /// Solved graphs, indexed by FuncDecl::Index, for inspection, reports
+  /// and tests.
+  std::vector<BuildResult> FuncGraphs;
   /// Aggregate solver work, for the complexity benchmark.
   SolverStats Stats;
 };
 
-/// Runs the analysis over every function of \p Prog. Also sets
-/// VarDecl::MovedToHeap on the AST (both Go and GoFree make identical
-/// stack-allocation decisions; they differ only in tcfree insertion).
-ProgramAnalysis analyzeProgram(const minigo::Program &Prog,
+/// Runs the analysis over every function of \p Prog and records its
+/// decisions on the AST. Every decision bit is assigned, true or false, so
+/// analyzing a program again leaves nothing of the previous run. Go and
+/// GoFree make identical stack-allocation decisions; they differ only in
+/// the ToFree bits.
+ProgramAnalysis analyzeProgram(minigo::Program &Prog,
                                const AnalysisOptions &Opts = {});
 
 /// Bottom-up SCC order of the call graph: callees first, cycles grouped.

@@ -32,6 +32,11 @@ std::string allocSpelling(const Expr *E) {
   }
 }
 
+bool onStack(Expr *Site) {
+  const bool *OnStack = onStackBit(Site);
+  return OnStack && *OnStack;
+}
+
 const char *freeKindName(const Type *Ty) {
   if (Ty->isSlice())
     return "slice";
@@ -42,42 +47,34 @@ const char *freeKindName(const Type *Ty) {
 
 } // namespace
 
+std::vector<uint32_t>
+gofree::escape::stackSiteIds(const Program &Prog,
+                             const ProgramAnalysis &Analysis) {
+  std::vector<uint32_t> Out;
+  for (const FuncDecl *Fn : Prog.Funcs)
+    for (const Location &L : Analysis.FuncGraphs[Fn->Index].Graph.locations())
+      if (L.Kind == LocKind::Alloc && onStack(L.AllocExpr))
+        Out.push_back(L.AllocId);
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
 std::vector<EscapeDiag>
 gofree::escape::escapeDiagnostics(const FuncDecl *Fn,
                                   const ProgramAnalysis &Analysis) {
   std::vector<EscapeDiag> Out;
-  auto It = Analysis.FuncGraphs.find(Fn);
-  if (It == Analysis.FuncGraphs.end())
-    return Out;
-  const BuildResult &Build = It->second;
-
-  for (const Location &L : Build.Graph.locations()) {
-    switch (L.Kind) {
-    case LocKind::Alloc: {
-      if (!L.AllocExpr || L.AllocExpr->kind() == ExprKind::Append)
-        break;
-      bool OnStack = L.AllocId < Analysis.SiteOnStack.size() &&
-                     Analysis.SiteOnStack[L.AllocId];
+  for (const Location &L : Analysis.FuncGraphs[Fn->Index].Graph.locations())
+    if (L.Kind == LocKind::Alloc && L.AllocExpr->kind() != ExprKind::Append)
       Out.push_back({L.AllocExpr->Loc,
                      allocSpelling(L.AllocExpr) +
-                         (OnStack ? " does not escape"
-                                  : " escapes to heap")});
-      break;
-    }
-    case LocKind::Var: {
-      if (!L.Var)
-        break;
-      if (L.Var->MovedToHeap)
-        Out.push_back({L.Var->Loc, "moved to heap: " + std::string(L.Var->Name)});
-      if (Analysis.ToFreeVars.count(L.Var))
-        Out.push_back({L.Var->Loc,
-                       "tcfree: " + std::string(L.Var->Name) + " (" +
-                           freeKindName(L.Var->Ty) + ") at end of scope"});
-      break;
-    }
-    default:
-      break;
-    }
+                         (onStack(L.AllocExpr) ? " does not escape"
+                                               : " escapes to heap")});
+  for (const VarDecl *V : Fn->AllVars) {
+    if (V->MovedToHeap)
+      Out.push_back({V->Loc, "moved to heap: " + std::string(V->Name)});
+    if (V->ToFree)
+      Out.push_back({V->Loc, "tcfree: " + std::string(V->Name) + " (" +
+                                 freeKindName(V->Ty) + ") at end of scope"});
   }
   std::sort(Out.begin(), Out.end(),
             [](const EscapeDiag &A, const EscapeDiag &B) {

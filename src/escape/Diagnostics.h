@@ -36,11 +36,17 @@ struct EscapeDiag {
   std::string Message;
 };
 
-/// Collects the per-function decisions of \p Analysis for \p Fn, sorted by
-/// source position: allocation-site stack/heap verdicts, moved-to-heap
-/// variables, and ToFree verdicts.
+/// Collects the decisions the analysis recorded on \p Fn's AST, sorted by
+/// source position: allocation-site stack/heap verdicts (the sites are the
+/// Alloc locations of Fn's graph in \p Analysis), moved-to-heap variables,
+/// and ToFree verdicts.
 std::vector<EscapeDiag> escapeDiagnostics(const minigo::FuncDecl *Fn,
                                           const ProgramAnalysis &Analysis);
+
+/// The ids of the allocation sites the analysis placed on the stack, in
+/// ascending order. The sites are found through the graphs in \p Analysis.
+std::vector<uint32_t> stackSiteIds(const minigo::Program &Prog,
+                                   const ProgramAnalysis &Analysis);
 
 /// Renders every function's diagnostics, one per line, prefixed with the
 /// function name — the whole-program `-m` dump.

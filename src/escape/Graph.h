@@ -61,7 +61,7 @@ struct Location {
   /// allocating expression of an Alloc location, and the call that
   /// instantiated a ParamCopy, RetCopy or ContentTag location.
   const minigo::VarDecl *Var = nullptr;
-  const minigo::Expr *AllocExpr = nullptr;
+  minigo::Expr *AllocExpr = nullptr;
   const minigo::CallExpr *Call = nullptr;
   /// Allocation-site id (minigo::InvalidAllocId if not a site).
   uint32_t AllocId = minigo::InvalidAllocId;

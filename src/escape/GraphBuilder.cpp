@@ -69,7 +69,7 @@ private:
   static uint32_t varLoc(const VarDecl *V) { return 1 + V->Id; }
 
   /// Creates an allocation-site location at the current scope/loop depth.
-  uint32_t makeAllocLoc(const Expr *E, uint32_t AllocId, bool ForceHeap) {
+  uint32_t makeAllocLoc(Expr *E, uint32_t AllocId, bool ForceHeap) {
     Location &L = graph().addLocation(LocKind::Alloc);
     L.AllocExpr = E;
     L.AllocId = AllocId;
@@ -92,7 +92,7 @@ private:
   }
 
   /// Evaluates \p E for its side effects only.
-  void evalDiscard(const Expr *E) {
+  void evalDiscard(Expr *E) {
     size_t Mark = Flows.size();
     evalExpr(E);
     Flows.resize(Mark);
@@ -120,7 +120,7 @@ private:
   //===--------------------------------------------------------------------===//
 
   /// Pushes the flows of \p E's value.
-  void evalExpr(const Expr *E) {
+  void evalExpr(Expr *E) {
     size_t Mark = Flows.size();
     switch (E->kind()) {
     case ExprKind::IntLit:
@@ -170,7 +170,7 @@ private:
       return;
     }
     case ExprKind::Make: {
-      const auto *ME = cast<MakeExpr>(E);
+      auto *ME = cast<MakeExpr>(E);
       if (ME->Len)
         evalDiscard(ME->Len);
       if (ME->CapExpr)
@@ -181,13 +181,13 @@ private:
       return;
     }
     case ExprKind::New: {
-      const auto *NE = cast<NewExpr>(E);
+      auto *NE = cast<NewExpr>(E);
       bool ForceHeap = NE->AllocTy->size() > MaxStackAllocBytes;
       Flows.push_back({makeAllocLoc(NE, NE->AllocId, ForceHeap), -1});
       return;
     }
     case ExprKind::Composite: {
-      const auto *CE = cast<CompositeExpr>(E);
+      auto *CE = cast<CompositeExpr>(E);
       if (CE->TakeAddr) {
         // &T{...}: an allocation holding the initializer values.
         uint32_t A = makeAllocLoc(CE, CE->AllocId, /*ForceHeap=*/false);
@@ -205,7 +205,7 @@ private:
       return;
     }
     case ExprKind::Append: {
-      const auto *AE = cast<AppendExpr>(E);
+      auto *AE = cast<AppendExpr>(E);
       evalExpr(AE->SliceArg);
       size_t ValueMark = Flows.size();
       // A pointer-bearing appended value is stored through the slice's data
@@ -268,7 +268,7 @@ private:
     // Marks[MarkBase + I] .. Marks[MarkBase + I + 1] bound argument I's
     // flows; calls nested in the arguments use the Marks above.
     size_t MarkBase = Marks.size();
-    for (const Expr *A : CE->Args) {
+    for (Expr *A : CE->Args) {
       Marks.push_back(Flows.size());
       evalExpr(A);
     }
@@ -278,11 +278,9 @@ private:
 
     size_t NumResults = CE->Fn ? CE->Fn->Results.size() : 0;
     const FuncTag *Tag = nullptr;
-    if (Opts.UseTags && CE->Fn) {
-      auto It = Tags.find(CE->Fn);
-      if (It != Tags.end())
-        Tag = &It->second;
-    }
+    if (Opts.UseTags && CE->Fn && CE->Fn->Index < Tags.size() &&
+        Tags[CE->Fn->Index])
+      Tag = &*Tags[CE->Fn->Index];
 
     if (!Tag) {
       // Default tag: all arguments flow to the heap; all results come from
@@ -351,7 +349,7 @@ private:
   /// Models `Dst = <the flows Flows[SrcBegin, SrcEnd)>` per table 2. \p SrcTy
   /// is the static type of the stored value: scalar stores cannot change
   /// any points-to set, so they generate no heap edge and no exposure.
-  void assignTo(const Expr *Dst, size_t SrcBegin, size_t SrcEnd,
+  void assignTo(Expr *Dst, size_t SrcBegin, size_t SrcEnd,
                 const Type *SrcTy) {
     if (const auto *Id = dyn_cast<IdentExpr>(Dst); Id && !Id->Decl)
       return; // Blank identifier discards.
@@ -405,11 +403,14 @@ private:
         Flows.resize(Mark);
         return;
       }
-      for (size_t I = 0; I < DS->Inits.size(); ++I)
-        if (DS->Vars[I]->Name != "_") {
-          evalExpr(DS->Inits[I]);
+      // A blank variable's initializer still runs (its calls may store
+      // their arguments); only its value is dropped.
+      for (size_t I = 0; I < DS->Inits.size(); ++I) {
+        evalExpr(DS->Inits[I]);
+        if (DS->Vars[I]->Name != "_")
           flowTo(Mark, varLoc(DS->Vars[I]));
-        }
+        Flows.resize(Mark);
+      }
       return;
     }
     case StmtKind::Assign: {
@@ -483,7 +484,7 @@ private:
       // freeing; route the arguments to heapLoc, which marks them exposed
       // and their pointees escaped.
       const auto *DS = cast<DeferStmt>(S);
-      for (const Expr *A : DS->Call->Args) {
+      for (Expr *A : DS->Call->Args) {
         evalExpr(A);
         flowTo(Mark, EscapeGraph::HeapLocId);
       }

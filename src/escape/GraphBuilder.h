@@ -28,7 +28,7 @@
 #include "escape/Solver.h"
 #include "minigo/Ast.h"
 
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 namespace gofree {
@@ -58,7 +58,10 @@ struct FuncTag {
   std::vector<bool> RetIncompleteStore;
 };
 
-using TagMap = std::unordered_map<const minigo::FuncDecl *, FuncTag>;
+/// Callee summaries, indexed by FuncDecl::Index. A function without an
+/// entry -- one not analyzed yet, such as a recursion partner -- gets the
+/// conservative default tag at its call sites.
+using TagMap = std::vector<std::optional<FuncTag>>;
 
 /// Largest constant-size allocation eligible for the stack, in bytes
 /// (mirrors Go's 64 KiB implicit-allocation limit).
@@ -89,7 +92,8 @@ struct BuildResult {
 
 /// Builds the escape graph of \p Fn. \p Tags supplies callee summaries for
 /// the inter-procedural analysis; callees without a tag (recursion, unknown)
-/// use the conservative default tag.
+/// use the conservative default tag. The graph's Alloc locations point at
+/// their (mutable) AST sites so the analysis can record its decisions there.
 BuildResult buildEscapeGraph(const minigo::FuncDecl *Fn, const TagMap &Tags,
                              const BuildOptions &Opts = {});
 

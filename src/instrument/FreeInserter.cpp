@@ -76,8 +76,7 @@ bool safeToHoistAbove(const Stmt *S) {
 
 class Inserter {
 public:
-  Inserter(Program &Prog, const escape::ProgramAnalysis &Analysis)
-      : Prog(Prog), Analysis(Analysis) {}
+  explicit Inserter(Program &Prog) : Prog(Prog) {}
 
   InstrumentStats Stats;
 
@@ -133,7 +132,7 @@ private:
   void collectDeclared(const Stmt *S) {
     if (const auto *DS = dyn_cast<VarDeclStmt>(S))
       for (VarDecl *V : DS->Vars)
-        if (Analysis.ToFreeVars.count(V))
+        if (V->ToFree)
           ToFree.push_back(V);
   }
 
@@ -256,7 +255,6 @@ private:
   }
 
   Program &Prog;
-  const escape::ProgramAnalysis &Analysis;
   /// The ToFree variables of the blocks being visited, innermost on top.
   std::vector<VarDecl *> ToFree;
   /// The current function's instrumentation temporaries.
@@ -270,9 +268,8 @@ public:
 
 } // namespace
 
-InstrumentStats gofree::instrument::insertFrees(
-    Program &Prog, const escape::ProgramAnalysis &Analysis) {
-  Inserter I(Prog, Analysis);
+InstrumentStats gofree::instrument::insertFrees(Program &Prog) {
+  Inserter I(Prog);
   I.run();
   return I.Stats;
 }

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// The instrumentation pass of section 4.5: for every variable whose ToFree
-/// property held, a TcfreeStmt (tcfree / tcfreeSlice / tcfreeMap, table 4)
+/// property held (VarDecl::ToFree, recorded on the AST by the escape
+/// analysis), a TcfreeStmt (tcfree / tcfreeSlice / tcfreeMap, table 4)
 /// is spliced in as the last statement of the variable's declaration scope.
 ///
 /// If the scope ends in a control-transfer statement the tcfree is placed
@@ -21,7 +22,6 @@
 #ifndef GOFREE_INSTRUMENT_FREEINSERTER_H
 #define GOFREE_INSTRUMENT_FREEINSERTER_H
 
-#include "escape/Analysis.h"
 #include "minigo/Ast.h"
 
 namespace gofree {
@@ -37,10 +37,9 @@ struct InstrumentStats {
   unsigned total() const { return SliceFrees + MapFrees + ObjectFrees; }
 };
 
-/// Splices tcfree statements into \p Prog for every variable in
-/// \p Analysis.ToFreeVars. Mutates the AST in place.
-InstrumentStats insertFrees(minigo::Program &Prog,
-                            const escape::ProgramAnalysis &Analysis);
+/// Splices tcfree statements into \p Prog for every variable the escape
+/// analysis marked VarDecl::ToFree. Mutates the AST in place.
+InstrumentStats insertFrees(minigo::Program &Prog);
 
 } // namespace instrument
 } // namespace gofree

@@ -43,9 +43,8 @@ uintptr_t FrameArena::allocate(size_t Bytes) {
 // Construction and roots
 //===----------------------------------------------------------------------===//
 
-Interp::Interp(const Program &Prog, const escape::ProgramAnalysis &Analysis,
-               rt::Heap &Heap, InterpOptions Opts)
-    : Prog(Prog), Analysis(Analysis), Heap(Heap), Opts(Opts) {
+Interp::Interp(const Program &Prog, rt::Heap &Heap, InterpOptions Opts)
+    : Prog(Prog), Heap(Heap), Opts(Opts) {
   // One scanner per interpreter: parallel workers each register their own,
   // and the collector walks all of them during the stopped world. Register
   // before the thread enters its MutatorScope (and deregister after it
@@ -228,6 +227,20 @@ uintptr_t Interp::evalLvalueAddr(const Expr *E, const Type **TyOut) {
   }
 }
 
+template <typename RegisterFn>
+uintptr_t Interp::siteStorage(uint32_t AllocId, size_t Bytes,
+                              RegisterFn Register) {
+  Frame &F = *Frames.back();
+  auto [It, Fresh] = F.SiteMem.try_emplace(AllocId);
+  if (!Fresh) {
+    std::memset(reinterpret_cast<void *>(It->second), 0, Bytes);
+    return It->second;
+  }
+  It->second = F.Arena.allocate(Bytes ? Bytes : 8);
+  Register(F.StackObjs, It->second);
+  return It->second;
+}
+
 Value Interp::evalMake(const MakeExpr *ME) {
   int64_t Len = 0, Cap = 0;
   if (ME->Len) {
@@ -241,9 +254,6 @@ Value Interp::evalMake(const MakeExpr *ME) {
     if (interrupted())
       return Value{};
   }
-  bool OnStack = ME->AllocId < Analysis.SiteOnStack.size() &&
-                 Analysis.SiteOnStack[ME->AllocId];
-
   if (ME->MadeTy->isSlice()) {
     if (Len < 0 || Cap < Len)
       return fault("make: invalid slice size");
@@ -252,23 +262,14 @@ Value Interp::evalMake(const MakeExpr *ME) {
     V.Ty = ME->MadeTy;
     V.S.Len = Len;
     V.S.Cap = Cap;
-    if (OnStack) {
+    if (ME->OnStack) {
       assert(ME->SizeIsConst && Cap <= ME->ConstSize &&
              "stack slice exceeding its site size");
-      Frame &F = *Frames.back();
-      auto It = F.SiteMem.find(ME->AllocId);
-      if (It != F.SiteMem.end()) {
-        V.S.Data = It->second;
-        std::memset(reinterpret_cast<void *>(V.S.Data), 0,
-                    (size_t)ME->ConstSize * Elem->size());
-      } else {
-        size_t Bytes = (size_t)ME->ConstSize * Elem->size();
-        V.S.Data = F.Arena.allocate(Bytes ? Bytes : 8);
-        F.SiteMem[ME->AllocId] = V.S.Data;
-        F.StackObjs.push_back({V.S.Data, Types.arrayOf(Elem), Bytes});
-      }
-      Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Slice,
-                          (size_t)ME->ConstSize * Elem->size());
+      size_t Bytes = (size_t)ME->ConstSize * Elem->size();
+      V.S.Data = siteStorage(ME->AllocId, Bytes, [&](auto &Objs, uintptr_t At) {
+        Objs.push_back({At, Types.arrayOf(Elem), Bytes});
+      });
+      Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Slice, Bytes);
     } else {
       V.S.Data = rt::sliceAllocArray(Heap, Types.arrayOf(Elem), Cap,
                                      Elem->size(), Opts.CacheId);
@@ -283,25 +284,17 @@ Value Interp::evalMake(const MakeExpr *ME) {
   Value V;
   V.Ty = ME->MadeTy;
   int64_t Hint = Len;
-  if (OnStack) {
-    Frame &F = *Frames.back();
+  if (ME->OnStack) {
     int64_t NBuckets = rt::mapBucketsForHint(Hint);
     size_t BucketBytes =
         rt::mapBucketBytes(NBuckets, ME->MadeTy->elem()->size());
-    auto It = F.SiteMem.find(ME->AllocId);
-    uintptr_t Block;
-    if (It != F.SiteMem.end()) {
-      Block = It->second;
-      std::memset(reinterpret_cast<void *>(Block), 0,
-                  rt::HMapHeaderSize + BucketBytes);
-    } else {
-      Block = F.Arena.allocate(rt::HMapHeaderSize + BucketBytes);
-      F.SiteMem[ME->AllocId] = Block;
-      F.StackObjs.push_back({Block, Types.hmap(), rt::HMapHeaderSize});
-      F.StackObjs.push_back({Block + rt::HMapHeaderSize,
-                             Types.mapBuckets(ME->MadeTy->elem()),
-                             BucketBytes});
-    }
+    uintptr_t Block = siteStorage(
+        ME->AllocId, rt::HMapHeaderSize + BucketBytes,
+        [&](auto &Objs, uintptr_t At) {
+          Objs.push_back({At, Types.hmap(), rt::HMapHeaderSize});
+          Objs.push_back({At + rt::HMapHeaderSize,
+                          Types.mapBuckets(ME->MadeTy->elem()), BucketBytes});
+        });
     rt::mapInit(Block, NBuckets, Block + rt::HMapHeaderSize,
                 ME->MadeTy->elem()->size());
     V.A = Block;
@@ -314,22 +307,13 @@ Value Interp::evalMake(const MakeExpr *ME) {
 }
 
 Value Interp::evalComposite(const CompositeExpr *CE) {
-  Frame &F = *Frames.back();
   const Type *StructTy = CE->StructTy;
   size_t Bytes = StructTy->size();
   uintptr_t Storage;
-  bool OnStack = !CE->TakeAddr || (CE->AllocId < Analysis.SiteOnStack.size() &&
-                                   Analysis.SiteOnStack[CE->AllocId]);
-  if (OnStack) {
-    auto It = F.SiteMem.find(CE->AllocId);
-    if (It != F.SiteMem.end()) {
-      Storage = It->second;
-      std::memset(reinterpret_cast<void *>(Storage), 0, Bytes);
-    } else {
-      Storage = F.Arena.allocate(Bytes ? Bytes : 8);
-      F.SiteMem[CE->AllocId] = Storage;
-      F.StackObjs.push_back({Storage, Types.lower(StructTy), Bytes});
-    }
+  if (!CE->TakeAddr || CE->OnStack) {
+    Storage = siteStorage(CE->AllocId, Bytes, [&](auto &Objs, uintptr_t At) {
+      Objs.push_back({At, Types.lower(StructTy), Bytes});
+    });
     if (CE->TakeAddr)
       Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Other, Bytes);
   } else {
@@ -593,21 +577,12 @@ Value Interp::evalExpr(const Expr *E) {
     return evalMake(cast<MakeExpr>(E));
   case ExprKind::New: {
     const auto *NE = cast<NewExpr>(E);
-    bool OnStack = NE->AllocId < Analysis.SiteOnStack.size() &&
-                   Analysis.SiteOnStack[NE->AllocId];
     uintptr_t Storage;
     size_t Bytes = NE->AllocTy->size();
-    if (OnStack) {
-      Frame &F = *Frames.back();
-      auto It = F.SiteMem.find(NE->AllocId);
-      if (It != F.SiteMem.end()) {
-        Storage = It->second;
-        std::memset(reinterpret_cast<void *>(Storage), 0, Bytes);
-      } else {
-        Storage = F.Arena.allocate(Bytes ? Bytes : 8);
-        F.SiteMem[NE->AllocId] = Storage;
-        F.StackObjs.push_back({Storage, Types.lower(NE->AllocTy), Bytes});
-      }
+    if (NE->OnStack) {
+      Storage = siteStorage(NE->AllocId, Bytes, [&](auto &Objs, uintptr_t At) {
+        Objs.push_back({At, Types.lower(NE->AllocTy), Bytes});
+      });
       Heap.noteStackAlloc(Opts.CacheId, rt::AllocCat::Other, Bytes);
     } else {
       Storage = Heap.allocate(Bytes, Types.lower(NE->AllocTy),

@@ -18,7 +18,6 @@
 #ifndef GOFREE_INTERP_INTERP_H
 #define GOFREE_INTERP_INTERP_H
 
-#include "escape/Analysis.h"
 #include "interp/TypeLower.h"
 #include "minigo/Ast.h"
 #include "runtime/Heap.h"
@@ -247,8 +246,7 @@ struct Frame {
 /// The interpreter. One instance runs one program against one heap.
 class Interp : public rt::RootScanner {
 public:
-  Interp(const minigo::Program &Prog, const escape::ProgramAnalysis &Analysis,
-         rt::Heap &Heap, InterpOptions Opts = {});
+  Interp(const minigo::Program &Prog, rt::Heap &Heap, InterpOptions Opts = {});
   ~Interp() override;
 
   /// Runs \p Entry with integer arguments. The entry function's parameters
@@ -275,6 +273,11 @@ private:
   Value evalAppend(const minigo::AppendExpr *AE);
   Value evalMake(const minigo::MakeExpr *ME);
   Value evalComposite(const minigo::CompositeExpr *CE);
+  /// Fixed storage of stack-placed site \p AllocId in the executing frame:
+  /// allocated (and registered for scanning via \p Register) the first
+  /// time, zeroed on every later execution.
+  template <typename RegisterFn>
+  uintptr_t siteStorage(uint32_t AllocId, size_t Bytes, RegisterFn Register);
 
   /// Resolves an lvalue to the address of its storage. Map element lvalues
   /// are handled separately in execAssign.
@@ -312,7 +315,6 @@ private:
   void popTemps(size_t Mark) { TempRoots.resize(Mark); }
 
   const minigo::Program &Prog;
-  const escape::ProgramAnalysis &Analysis;
   rt::Heap &Heap;
   const InterpOptions Opts;
   TypeLower Types;

@@ -11,6 +11,9 @@
 /// allocation sites. The GoFree instrumentation pass later splices
 /// TcfreeStmt nodes into blocks (section 4.5 of the paper).
 ///
+/// The escape analysis records its decisions on the nodes they decide
+/// (VarDecl::MovedToHeap and ToFree, OnStack on make/new/&T{...}).
+///
 /// Every node, list and name lives in Program::Nodes: lists are std::span
 /// views of arena arrays and names are std::string_view copies interned by
 /// the parser, so no node owns heap memory and the arena releases the whole
@@ -65,6 +68,10 @@ struct VarDecl {
   /// address outlives the frame), so the interpreter boxes it on the heap —
   /// Go's "moved to heap" decision.
   bool MovedToHeap = false;
+  /// Set by the escape analysis: the ToFree property held and the type
+  /// matches the free targets, so tcfree is inserted at the end of the
+  /// variable's declaration scope.
+  bool ToFree = false;
 };
 
 //===----------------------------------------------------------------------===//
@@ -209,6 +216,7 @@ struct MakeExpr : Expr {
   bool SizeIsConst = false;
   int64_t ConstSize = 0;
   uint32_t AllocId = InvalidAllocId; ///< Dense allocation-site id.
+  bool OnStack = false; ///< Set by the escape analysis.
   static bool classof(const Expr *E) { return E->kind() == ExprKind::Make; }
 };
 
@@ -216,6 +224,7 @@ struct NewExpr : Expr {
   explicit NewExpr(const Type *AT) : Expr(ExprKind::New), AllocTy(AT) {}
   const Type *AllocTy;
   uint32_t AllocId = InvalidAllocId;
+  bool OnStack = false; ///< Set by the escape analysis.
   static bool classof(const Expr *E) { return E->kind() == ExprKind::New; }
 };
 
@@ -233,7 +242,8 @@ struct CompositeExpr : Expr {
   bool TakeAddr; ///< &T{...}: yields *T and is an allocation site.
   const Type *StructTy = nullptr;       ///< Resolved by Sema.
   std::span<const Field *> InitFields;  ///< Parallel to Inits, from Sema.
-  uint32_t AllocId = InvalidAllocId;     ///< Only when TakeAddr.
+  uint32_t AllocId = InvalidAllocId;     ///< Also set for by-value literals.
+  bool OnStack = false; ///< Set by the escape analysis; only when TakeAddr.
   static bool classof(const Expr *E) {
     return E->kind() == ExprKind::Composite;
   }
@@ -478,6 +488,18 @@ template <typename T, typename U> T *dyn_cast(U *V) {
 
 template <typename T, typename U> const T *dyn_cast(const U *V) {
   return T::classof(V) ? static_cast<const T *>(V) : nullptr;
+}
+
+/// The OnStack bit of allocation site \p E (make, new or &T{...}); null for
+/// append growth, which always allocates on the heap, and non-sites.
+inline bool *onStackBit(Expr *E) {
+  if (auto *ME = dyn_cast<MakeExpr>(E))
+    return &ME->OnStack;
+  if (auto *NE = dyn_cast<NewExpr>(E))
+    return &NE->OnStack;
+  if (auto *CE = dyn_cast<CompositeExpr>(E))
+    return &CE->OnStack;
+  return nullptr;
 }
 
 } // namespace minigo

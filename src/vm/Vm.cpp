@@ -58,9 +58,9 @@ uintptr_t SlotStack::pushSlow(size_t Bytes) {
 // Construction and roots
 //===----------------------------------------------------------------------===//
 
-Vm::Vm(const Program &Prog, const escape::ProgramAnalysis &Analysis,
-       rt::Heap &Heap, interp::InterpOptions Opts, const Module &Mod)
-    : Prog(Prog), Analysis(Analysis), Heap(Heap), Opts(Opts), M(&Mod) {
+Vm::Vm(const Program &Prog, rt::Heap &Heap, interp::InterpOptions Opts,
+       const Module &Mod)
+    : Prog(Prog), Heap(Heap), Opts(Opts), M(&Mod) {
   assert(Mod.Prog == &Prog && "module compiled from a different program");
   FuelHooks = Opts.GcEveryNSteps != 0;
   // Resolve the module's callee and descriptor requests; ops index these
@@ -211,9 +211,6 @@ Vm::Flow Vm::doMake(const MakeSite &S) {
     Len = pop().I;
   if (!ME->CapExpr)
     Cap = Len;
-  bool OnStack = ME->AllocId < Analysis.SiteOnStack.size() &&
-                 Analysis.SiteOnStack[ME->AllocId];
-
   if (ME->MadeTy->isSlice()) {
     if (Len < 0 || Cap < Len) {
       fault("make: invalid slice size");
@@ -225,7 +222,7 @@ Vm::Flow Vm::doMake(const MakeSite &S) {
     V.Ty = ME->MadeTy;
     V.S.Len = Len;
     V.S.Cap = Cap;
-    if (OnStack) {
+    if (ME->OnStack) {
       assert(ME->SizeIsConst && Cap <= ME->ConstSize &&
              "stack slice exceeding its site size");
       size_t Bytes = (size_t)ME->ConstSize * ElemSize;
@@ -250,7 +247,7 @@ Vm::Flow Vm::doMake(const MakeSite &S) {
   Value V;
   V.Ty = ME->MadeTy;
   int64_t Hint = Len;
-  if (OnStack) {
+  if (ME->OnStack) {
     int64_t NBuckets = rt::mapBucketsForHint(Hint);
     size_t ValueSize = ME->MadeTy->elem()->size();
     size_t BucketBytes = rt::mapBucketBytes(NBuckets, ValueSize);
@@ -274,12 +271,10 @@ Vm::Flow Vm::doMake(const MakeSite &S) {
 
 Vm::Flow Vm::doNew(const ObjSite<NewExpr> &S) {
   const NewExpr *NE = S.E;
-  bool OnStack = NE->AllocId < Analysis.SiteOnStack.size() &&
-                 Analysis.SiteOnStack[NE->AllocId];
   const rt::TypeDesc *Desc = Descs[S.Desc];
   uintptr_t Storage;
   size_t Bytes = NE->AllocTy->size();
-  if (OnStack) {
+  if (NE->OnStack) {
     Storage = siteStorage(S.Site, Bytes, [&](uintptr_t At) {
       StackObjs.push_back({At, Desc, Bytes});
     });
@@ -300,9 +295,7 @@ Vm::Flow Vm::doComposite(const ObjSite<CompositeExpr> &S) {
   const rt::TypeDesc *Desc = Descs[S.Desc];
   size_t Bytes = StructTy->size();
   uintptr_t Storage;
-  bool OnStack = !CE->TakeAddr || (CE->AllocId < Analysis.SiteOnStack.size() &&
-                                   Analysis.SiteOnStack[CE->AllocId]);
-  if (OnStack) {
+  if (!CE->TakeAddr || CE->OnStack) {
     Storage = siteStorage(S.Site, Bytes, [&](uintptr_t At) {
       StackObjs.push_back({At, Desc, Bytes});
     });

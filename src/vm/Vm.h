@@ -85,8 +85,8 @@ class Vm : public rt::RootScanner {
 public:
   /// Runs \p Mod, the vm::compileProgram of \p Prog. The module is
   /// immutable during execution, so every worker of a run shares one.
-  Vm(const minigo::Program &Prog, const escape::ProgramAnalysis &Analysis,
-     rt::Heap &Heap, interp::InterpOptions Opts, const Module &Mod);
+  Vm(const minigo::Program &Prog, rt::Heap &Heap, interp::InterpOptions Opts,
+     const Module &Mod);
   ~Vm() override;
 
   /// Runs \p Entry with integer arguments (same contract as Interp::run).
@@ -186,7 +186,6 @@ private:
   void growStack(size_t N);
 
   const minigo::Program &Prog;
-  const escape::ProgramAnalysis &Analysis;
   rt::Heap &Heap;
   const interp::InterpOptions Opts;
   interp::TypeLower Types;

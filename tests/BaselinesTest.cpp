@@ -13,6 +13,7 @@
 
 #include "escape/Analysis.h"
 #include "escape/Baselines.h"
+#include "escape/Diagnostics.h"
 #include "minigo/Frontend.h"
 
 #include <gtest/gtest.h>
@@ -85,7 +86,7 @@ TEST(Table3Test, GoGraphSeesOnlyTrackedTarget) {
   auto P = parse(Fig1Src);
   ProgramAnalysis A = analyzeProgram(*P);
   const FuncDecl *Fn = P->Funcs[0];
-  const BuildResult &B = A.FuncGraphs.at(Fn);
+  const BuildResult &B = A.FuncGraphs.at(Fn->Index);
   auto Pts = pointsToSet(B.Graph, B.varLoc(findVar(Fn, "pd2")));
   bool HasC = false, HasD = false;
   for (uint32_t Id : Pts) {
@@ -160,7 +161,7 @@ TEST(FastEscapeTest, MorePessimisticThanGoGraph) {
   auto P2 = parse(Src);
   ProgramAnalysis Go = analyzeProgram(*P2);
   // With the extended tags, Go/GoFree knows `use` leaks nothing.
-  EXPECT_TRUE(Go.SiteOnStack[0]);
+  EXPECT_EQ(stackSiteIds(*P2, Go), std::vector<uint32_t>{0});
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,12 +11,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "escape/Analysis.h"
+#include "escape/Diagnostics.h"
 #include "minigo/Frontend.h"
 #include "workloads/Synth.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -48,13 +50,13 @@ struct Compiled {
   const Location &locOf(const std::string &FnName,
                         const std::string &VName) const {
     const FuncDecl *Fn = func(FnName);
-    const BuildResult &B = Analysis.FuncGraphs.at(Fn);
+    const BuildResult &B = Analysis.FuncGraphs.at(Fn->Index);
     return B.Graph.loc(B.varLoc(var(FnName, VName)));
   }
 
   /// The location of the AllocId-th allocation site of the whole program.
   const Location &allocLoc(const std::string &FnName, uint32_t AllocId) const {
-    const BuildResult &B = Analysis.FuncGraphs.at(func(FnName));
+    const BuildResult &B = Analysis.FuncGraphs.at(func(FnName)->Index);
     for (const Location &L : B.Graph.locations())
       if (L.Kind == LocKind::Alloc && L.AllocId == AllocId)
         return L;
@@ -63,7 +65,13 @@ struct Compiled {
   }
 
   bool toFree(const std::string &FnName, const std::string &VName) const {
-    return Analysis.ToFreeVars.count(var(FnName, VName)) != 0;
+    return var(FnName, VName)->ToFree;
+  }
+
+  /// The stack verdict recorded on the AllocId-th allocation site.
+  bool siteOnStack(uint32_t AllocId) const {
+    std::vector<uint32_t> Ids = stackSiteIds(*Prog, Analysis);
+    return std::find(Ids.begin(), Ids.end(), AllocId) != Ids.end();
   }
 };
 
@@ -102,6 +110,27 @@ const char *const Fig7Src = "func partialNew(ps *[]int) ([]int, []int) {\n"
                             "  sink(fresh[0] + old[0])\n"
                             "}\n";
 
+/// Stores slice s into h.s through a call whose result \p Discard (`_ :=`
+/// or `_ =`) drops; s then outlives its block.
+std::string stashSrc(const std::string &Discard) {
+  return "type H struct { s []int\n }\n"
+         "func stash(h *H, s []int) int {\n"
+         "  h.s = s\n"
+         "  return 0\n"
+         "}\n"
+         "func main(n int) {\n"
+         "  h := &H{}\n"
+         "  {\n"
+         "    s := make([]int, n)\n"
+         "    s[0] = n\n"
+         "    " + Discard + " stash(h, s)\n"
+         "  }\n"
+         "  t := make([]int, n)\n"
+         "  t[0] = 7\n"
+         "  sink(h.s[0])\n"
+         "}\n";
+}
+
 Compiled analyze(const std::string &Src, AnalysisOptions Opts = {}) {
   DiagSink Diags;
   Compiled C;
@@ -129,9 +158,9 @@ TEST(EscapeTest, Fig3ConstSizeStacksVariableSizeFreed) {
                        "}\n");
   // make1 is constant-size and non-escaping: stack-allocated.
   EXPECT_FALSE(C.locOf("analyses", "s1").PointsToHeap);
-  EXPECT_TRUE(C.Analysis.SiteOnStack[0]);
+  EXPECT_TRUE(C.siteOnStack(0));
   // make2 has variable size: heap-allocated, and explicitly freeable.
-  EXPECT_FALSE(C.Analysis.SiteOnStack[1]);
+  EXPECT_FALSE(C.siteOnStack(1));
   EXPECT_TRUE(C.locOf("analyses", "s2").PointsToHeap);
   EXPECT_TRUE(C.toFree("analyses", "s2"));
   EXPECT_FALSE(C.toFree("analyses", "s1"));
@@ -167,7 +196,7 @@ TEST(EscapeTest, Fig1PointsToSetThroughGoGraph) {
   // tracked flow) but misses c (the indirect store), cf. table 3.
   Compiled C = analyze(Fig1Src);
   const FuncDecl *Fn = C.func("f");
-  const BuildResult &B = C.Analysis.FuncGraphs.at(Fn);
+  const BuildResult &B = C.Analysis.FuncGraphs.at(Fn->Index);
   auto Pts = pointsToSet(B.Graph, B.varLoc(C.var("f", "pd2")));
   bool HasD = false, HasC = false;
   for (uint32_t Id : Pts) {
@@ -194,7 +223,7 @@ TEST(EscapeTest, IndirectStoreForcesValueToHeap) {
                        "  sink(p.v)\n"
                        "}\n");
   EXPECT_TRUE(C.locOf("f", "c").HeapAlloc);
-  EXPECT_TRUE(C.Analysis.MovedToHeap.count(C.var("f", "c")));
+  EXPECT_TRUE(C.var("f", "c")->MovedToHeap);
 }
 
 //===----------------------------------------------------------------------===//
@@ -241,7 +270,7 @@ TEST(EscapeTest, LoopDepthForcesHeap) {
                        "  sink(keep.v)\n"
                        "}\n");
   // The allocation site of &T{} must be on the heap.
-  EXPECT_FALSE(C.Analysis.SiteOnStack[0]);
+  EXPECT_FALSE(C.siteOnStack(0));
 }
 
 TEST(EscapeTest, NonEscapingLiteralStaysOnStack) {
@@ -250,7 +279,7 @@ TEST(EscapeTest, NonEscapingLiteralStaysOnStack) {
                        "  t := &T{v: 3}\n"
                        "  sink(t.v)\n"
                        "}\n");
-  EXPECT_TRUE(C.Analysis.SiteOnStack[0]);
+  EXPECT_TRUE(C.siteOnStack(0));
   EXPECT_FALSE(C.locOf("f", "t").PointsToHeap);
 }
 
@@ -260,7 +289,7 @@ TEST(EscapeTest, ReturnedObjectIsHeap) {
                        "  t := &T{v: 3}\n"
                        "  return t\n"
                        "}\n");
-  EXPECT_FALSE(C.Analysis.SiteOnStack[0]);
+  EXPECT_FALSE(C.siteOnStack(0));
   EXPECT_TRUE(C.locOf("f", "t").Outlived);
   EXPECT_FALSE(C.toFree("f", "t"));
 }
@@ -273,7 +302,7 @@ TEST(EscapeTest, Fig7ContentTagEnablesCallerFree) {
   Compiled C = analyze(Fig7Src);
   // The callee's tag must advertise: r0 is a fresh heap object, r1 is not
   // known to be complete.
-  const FuncTag &Tag = C.Analysis.Tags.at(C.func("partialNew"));
+  const FuncTag &Tag = *C.Analysis.Tags.at(C.func("partialNew")->Index);
   ASSERT_EQ(Tag.RetPointsToHeap.size(), 2u);
   EXPECT_TRUE(Tag.RetPointsToHeap[0]);
   // In the caller, fresh can be freed; old (an alias of s's array seen
@@ -296,7 +325,7 @@ TEST(EscapeTest, CalleeIndirectStoreReachesCallerViaTag) {
                        "  poke(t, &y)\n"
                        "  sink(*t.p)\n"
                        "}\n");
-  const FuncTag &Tag = C.Analysis.Tags.at(C.func("poke"));
+  const FuncTag &Tag = *C.Analysis.Tags.at(C.func("poke")->Index);
   ASSERT_EQ(Tag.ParamExposes.size(), 2u);
   EXPECT_TRUE(Tag.ParamExposes[0]);
 }
@@ -351,7 +380,7 @@ TEST(EscapeTest, ReturnedParamAliasingFlowsThroughTag) {
                        "  b := identity(a)\n"
                        "  sink(b[0])\n"
                        "}\n");
-  const FuncTag &Tag = C.Analysis.Tags.at(C.func("identity"));
+  const FuncTag &Tag = *C.Analysis.Tags.at(C.func("identity")->Index);
   ASSERT_EQ(Tag.Edges.size(), 1u);
   EXPECT_EQ(Tag.Edges[0].Derefs, 0);
   // The callee must not advertise a fresh heap object for its result.
@@ -392,7 +421,7 @@ TEST(EscapeTest, AppendedPointerValueEscapes) {
   // The appended pointer goes through an untracked store: its referent is
   // heap-allocated.
   const FuncDecl *Fn = C.func("f");
-  const BuildResult &B = C.Analysis.FuncGraphs.at(Fn);
+  const BuildResult &B = C.Analysis.FuncGraphs.at(Fn->Index);
   bool FoundLitOnHeap = false;
   for (const Location &L : B.Graph.locations())
     if (L.Kind == LocKind::Alloc && L.name().starts_with("lit@"))
@@ -406,7 +435,7 @@ TEST(EscapeTest, SmallConstMapCanStack) {
                        "  m[1] = 2\n"
                        "  sink(m[1])\n"
                        "}\n");
-  EXPECT_TRUE(C.Analysis.SiteOnStack[0]);
+  EXPECT_TRUE(C.siteOnStack(0));
   EXPECT_FALSE(C.toFree("f", "m"));
 }
 
@@ -416,7 +445,7 @@ TEST(EscapeTest, LargeOrDynamicMapIsFreed) {
                        "  m[1] = 2\n"
                        "  sink(m[1])\n"
                        "}\n");
-  EXPECT_FALSE(C.Analysis.SiteOnStack[0]);
+  EXPECT_FALSE(C.siteOnStack(0));
   EXPECT_TRUE(C.toFree("f", "m"));
 }
 
@@ -444,7 +473,7 @@ TEST(EscapeTest, MultipleReturnValuesAnalyzedIndependently) {
                        "  f, old := mixed(a, n)\n"
                        "  sink(f[0] + old[0])\n"
                        "}\n");
-  const FuncTag &Tag = C.Analysis.Tags.at(C.func("mixed"));
+  const FuncTag &Tag = *C.Analysis.Tags.at(C.func("mixed")->Index);
   EXPECT_TRUE(Tag.RetPointsToHeap[0]);
   EXPECT_FALSE(Tag.RetPointsToHeap[1]);
   EXPECT_TRUE(C.toFree("main", "f"));
@@ -494,8 +523,8 @@ TEST(EscapeTest, SolverIsIdempotent) {
                     "}\n";
   Compiled A = analyze(Src);
   Compiled B = analyze(Src);
-  const BuildResult &Ba = A.Analysis.FuncGraphs.at(A.func("g"));
-  const BuildResult &Bb = B.Analysis.FuncGraphs.at(B.func("g"));
+  const BuildResult &Ba = A.Analysis.FuncGraphs.at(A.func("g")->Index);
+  const BuildResult &Bb = B.Analysis.FuncGraphs.at(B.func("g")->Index);
   ASSERT_EQ(Ba.Graph.size(), Bb.Graph.size());
   for (uint32_t I = 0; I < Ba.Graph.size(); ++I) {
     const Location &La = Ba.Graph.loc(I);
@@ -518,7 +547,7 @@ TEST(EscapeTest, PointerTargets) {
   Compiled Default = analyze(Src);
   // new(T) with constant size that does not escape is stack allocated, so
   // even FreeTargets::All has nothing to free here.
-  EXPECT_TRUE(Default.Analysis.SiteOnStack[0]);
+  EXPECT_TRUE(Default.siteOnStack(0));
 
   const char *Escaping = "type T struct { v int\n }\n"
                          "func mk(n int) *T {\n"
@@ -538,6 +567,39 @@ TEST(EscapeTest, PointerTargets) {
   EXPECT_FALSE(SliceMapOnly.toFree("f", "t"));
 }
 
+TEST(EscapeTest, BlankInitializerStillRunsItsCall) {
+  // The call stores s into h even though its result is dropped, so s
+  // outlives its block and must not be freed.
+  for (const char *Discard : {"_ :=", "_ ="}) {
+    Compiled C = analyze(stashSrc(Discard));
+    EXPECT_FALSE(C.toFree("main", "s")) << Discard;
+    EXPECT_TRUE(C.toFree("main", "t")) << Discard;
+  }
+}
+
+TEST(EscapeTest, ReanalysisRewritesEveryDecision) {
+  // The decisions live on the AST: analyzing the program again under other
+  // options overwrites every bit, true or false.
+  Compiled C = analyze("type T struct { v int\n }\n"
+                       "func use(t *T) int {\n  return t.v\n}\n"
+                       "func f(n int) {\n"
+                       "  t := &T{v: n}\n"
+                       "  s := make([]int, n)\n"
+                       "  sink(use(t) + s[0])\n"
+                       "}\n");
+  EXPECT_TRUE(C.siteOnStack(0));
+  EXPECT_TRUE(C.toFree("f", "s"));
+  AnalysisOptions Go; // Default tags at every call, nothing freed.
+  Go.Build.UseTags = false;
+  Go.Targets = FreeTargets::None;
+  C.Analysis = analyzeProgram(*C.Prog, Go);
+  EXPECT_FALSE(C.siteOnStack(0));
+  EXPECT_FALSE(C.toFree("f", "s"));
+  C.Analysis = analyzeProgram(*C.Prog);
+  EXPECT_TRUE(C.siteOnStack(0));
+  EXPECT_TRUE(C.toFree("f", "s"));
+}
+
 //===----------------------------------------------------------------------===//
 // Recorded analysis digests
 //===----------------------------------------------------------------------===//
@@ -545,14 +607,15 @@ TEST(EscapeTest, PointerTargets) {
 namespace {
 
 /// Everything the analysis decides about \p Prog, as text: the stack
-/// sites; per function, each variable's moved-to-heap and tcfree flags, and
+/// sites; per function, each variable's moved-to-heap and tcfree bits, and
 /// each location's name, attributes, solved properties and in-edges in id
 /// order; and the solver's work counters.
 std::string analysisText(const Program &Prog, const ProgramAnalysis &A) {
   std::string Out = "sites ";
-  for (bool OnStack : A.SiteOnStack)
-    Out += OnStack ? '1' : '0';
-  Out += "\n";
+  std::string Sites(Prog.NumAllocSites, '0');
+  for (uint32_t Id : stackSiteIds(Prog, A))
+    Sites[Id] = '1';
+  Out += Sites + "\n";
   for (const FuncDecl *Fn : Prog.Funcs) {
     Out += "func ";
     Out += Fn->Name;
@@ -560,11 +623,11 @@ std::string analysisText(const Program &Prog, const ProgramAnalysis &A) {
     for (const VarDecl *V : Fn->AllVars) {
       Out += "  var ";
       Out += V->Name;
-      Out += A.MovedToHeap.count(V) ? " moved" : "";
-      Out += A.ToFreeVars.count(V) ? " free" : "";
+      Out += V->MovedToHeap ? " moved" : "";
+      Out += V->ToFree ? " free" : "";
       Out += "\n";
     }
-    const EscapeGraph &G = A.FuncGraphs.at(Fn).Graph;
+    const EscapeGraph &G = A.FuncGraphs.at(Fn->Index).Graph;
     for (uint32_t I = 0; I < G.size(); ++I) {
       const Location &L = G.loc(I);
       char Buf[256];

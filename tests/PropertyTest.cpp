@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "compiler/Pipeline.h"
+#include "escape/Diagnostics.h"
 #include "workloads/Synth.h"
 
 #include <gtest/gtest.h>
@@ -86,8 +87,7 @@ TEST_P(SynthPropertyTest, ToFreeInvariants) {
   std::string Src = sourceFor(GetParam());
   Compilation C = compile(Src, {});
   ASSERT_TRUE(C.ok());
-  for (const auto &[Fn, Build] : C.Analysis.FuncGraphs) {
-    (void)Fn;
+  for (const BuildResult &Build : C.Analysis.FuncGraphs) {
     for (const Location &L : Build.Graph.locations()) {
       if (!L.ToFree)
         continue;
@@ -100,15 +100,13 @@ TEST_P(SynthPropertyTest, ToFreeInvariants) {
     }
   }
   // Every variable scheduled for freeing carries the ToFree property.
-  for (const minigo::VarDecl *V : C.Analysis.ToFreeVars) {
-    bool Found = false;
-    for (const auto &[Fn, Build] : C.Analysis.FuncGraphs) {
-      (void)Fn;
-      for (const Location &L : Build.Graph.locations())
-        if (L.Var == V && L.ToFree)
-          Found = true;
+  for (const minigo::FuncDecl *Fn : C.Prog->Funcs) {
+    const BuildResult &Build = C.Analysis.FuncGraphs[Fn->Index];
+    for (const minigo::VarDecl *V : Fn->AllVars) {
+      if (V->ToFree) {
+        EXPECT_TRUE(Build.Graph.loc(Build.varLoc(V)).ToFree) << V->Name;
+      }
     }
-    EXPECT_TRUE(Found) << V->Name;
   }
 }
 
@@ -117,8 +115,16 @@ TEST_P(SynthPropertyTest, AnalysisIsDeterministic) {
   Compilation A = compile(Src, {});
   Compilation B = compile(Src, {});
   ASSERT_TRUE(A.ok() && B.ok());
-  EXPECT_EQ(A.Analysis.SiteOnStack, B.Analysis.SiteOnStack);
-  EXPECT_EQ(A.Analysis.ToFreeVars.size(), B.Analysis.ToFreeVars.size());
+  EXPECT_EQ(escape::stackSiteIds(*A.Prog, A.Analysis),
+            escape::stackSiteIds(*B.Prog, B.Analysis));
+  auto ToFreeCount = [](const Compilation &C) {
+    size_t N = 0;
+    for (const minigo::FuncDecl *Fn : C.Prog->Funcs)
+      for (const minigo::VarDecl *V : Fn->AllVars)
+        N += V->ToFree;
+    return N;
+  };
+  EXPECT_EQ(ToFreeCount(A), ToFreeCount(B));
   EXPECT_EQ(A.Instr.total(), B.Instr.total());
 }
 

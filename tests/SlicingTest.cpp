@@ -182,7 +182,7 @@ TEST(SlicingEscapeTest, SubsliceAliasBlocksFreeAcrossScopes) {
     if (V->Name == "s")
       S = V;
   ASSERT_NE(S, nullptr);
-  EXPECT_FALSE(A.ToFreeVars.count(S))
+  EXPECT_FALSE(S->ToFree)
       << "the sub-slice alias outlives s's scope";
 }
 

@@ -518,7 +518,7 @@ TEST(TraceEndToEndTest, PanicTailSkippedFreesReclaimedByGc) {
   // panic unwinds and watch the sweep reclaim the skipped objects.
   TraceSink Sink;
   rt::Heap H;
-  interp::Interp I(*C.Prog, C.Analysis, H, {});
+  interp::Interp I(*C.Prog, H, {});
   rt::Heap::MutatorScope Scope(H, 0, &Sink);
   interp::RunResult R = I.run("main", {100});
   EXPECT_TRUE(R.Panicked);

@@ -78,7 +78,8 @@
 # `run` rejects a non-integer program argument (exit 2), that it exits 1
 # with the diagnostic on an overflowing integer literal and on an
 # unterminated block comment, and that serve-sim rejects --rps=nan,
-# --rps=-1 and --theta=nan.
+# --rps=-1 and --theta=nan, that GoFree matches Go on a `_ := f(x)` fixture
+# and that `dump` lists moved-to-heap variables in declaration order.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -188,6 +189,30 @@ PYEOF
     [ "$rc" -eq 1 ] || fail "run of the $src fixture exited $rc, want 1"
     grep -qF "$want" <<< "$out" || fail "run of the $src fixture did not print '$want'"
   done
+
+  # A dropped call result still runs the call: stash stores s into h, so
+  # s outlives its block and freeing it would let t overwrite h.s[0].
+  cat > "$tmp/blank.minigo" <<'EOF'
+type H struct { s []int; }
+func stash(h *H, s []int) int { h.s = s; return 0 }
+func main(n int) {
+	h := &H{}
+	{ s := make([]int, n); s[0] = n; _ := stash(h, s) }
+	t := make([]int, n); t[0] = 7
+	sink(h.s[0])
+}
+EOF
+  "$gofree" compare "$tmp/blank.minigo" 5 | grep -x 'checksums match' > /dev/null \
+    || fail "compare of the blank-initializer fixture did not print 'checksums match'"
+
+  # The dump lists moved-to-heap variables in declaration order.
+  cat > "$tmp/moved.minigo" <<'EOF'
+func keep(n int) *int { a := n; return &a }
+func pair(n int) (*int, *int) { b := n; c := n + 1; return &b, &c }
+func main(n int) { p := keep(n); q, r := pair(n); sink(*p + *q + *r) }
+EOF
+  "$gofree" dump "$tmp/moved.minigo" | grep -x 'moved to heap: a b c ' > /dev/null \
+    || fail "dump of the moved fixture did not print 'moved to heap: a b c '"
 
   # serve-sim must refuse rates that are not a finite non-negative number.
   local rps

@@ -508,12 +508,13 @@ int main(int Argc, char **Argv) {
                 C.Instr.SliceFrees, C.Instr.MapFrees, C.Instr.ObjectFrees,
                 C.Instr.SkippedUnsafeTail);
     std::printf("stack sites: ");
-    for (size_t S = 0; S < C.Analysis.SiteOnStack.size(); ++S)
-      if (C.Analysis.SiteOnStack[S])
-        std::printf("#%zu ", S);
+    for (uint32_t S : escape::stackSiteIds(*C.Prog, C.Analysis))
+      std::printf("#%u ", S);
     std::printf("\nmoved to heap: ");
-    for (const minigo::VarDecl *V : C.Analysis.MovedToHeap)
-      std::printf("%.*s ", (int)V->Name.size(), V->Name.data());
+    for (const minigo::FuncDecl *Fn : C.Prog->Funcs)
+      for (const minigo::VarDecl *V : Fn->AllVars)
+        if (V->MovedToHeap)
+          std::printf("%.*s ", (int)V->Name.size(), V->Name.data());
     std::printf("\n\n--- escape diagnostics (-m) ---\n%s",
                 escape::renderEscapeDiagnostics(*C.Prog, C.Analysis).c_str());
     std::printf("\n--- instrumented program ---\n%s",
