@@ -11,23 +11,21 @@
 // keys, mixed hugo/gojson/badger handlers -- precomputed from the seed,
 // byte-identical everywhere) is served by every cell of the
 //
-//     {go, gofree} x {marksweep conc off, marksweep conc on, rc}
+//     {go, gofree} x {marksweep conc off, marksweep conc on}
 //
 // matrix. Per cell: p50/p99/p999 request latency measured from the
 // *scheduled* arrival (queueing included -- no coordinated omission),
 // per-request allocation-stall time (safepoint parks + mark assists),
 // GC pause percentiles from the pause histogram, and the summed handler
-// checksum. The checksums must agree across all six cells; a mismatch
+// checksum. The checksums must agree across all four cells; a mismatch
 // means a collector configuration changed program behavior, and the run
 // says so loudly.
 //
 // Honesty notes (same contract as bench_gc_pause):
 //   * hardware_threads and scaling_valid are recorded; with fewer cores
 //     than workers the latency numbers include timesharing noise.
-//   * rc has no concurrent mark, so it gets one cell, reported with
-//     "conc": false (a conc=1 request would run identically).
-//   * rc is validated single-threaded (GcRc.cpp); its cell runs the
-//     multi-worker stream outside that envelope.
+//   * rc serves one mutator (rt::gcServesMutators), so it has no cell in
+//     a multi-worker matrix.
 //   * Latencies are wall-clock and vary run to run; the request stream,
 //     per-cell GC work, and checksums are seed-deterministic.
 //
@@ -54,7 +52,6 @@ namespace {
 
 struct Cell {
   const char *ModeName;
-  const char *BackendName; ///< Requested; the run's backend must match.
   bool Conc;
   ServeSimResult R;
 };
@@ -108,26 +105,17 @@ int main(int argc, char **argv) {
     CompileMode Mode;
     const char *Name;
   } Modes[] = {{CompileMode::Go, "go"}, {CompileMode::GoFree, "gofree"}};
-  struct {
-    rt::GcBackendKind Kind;
-    const char *Name;
-    bool Conc;
-  } Backends[] = {{rt::GcBackendKind::MarkSweep, "marksweep", false},
-                  {rt::GcBackendKind::MarkSweep, "marksweep", true},
-                  {rt::GcBackendKind::Rc, "rc", false}};
-
   std::vector<Cell> Cells;
   bool AllOk = true;
   for (const auto &M : Modes)
-    for (const auto &B : Backends) {
+    for (bool Conc : {false, true}) {
       ServeSimOptions SO = Base;
       SO.Mode = M.Mode;
-      SO.Heap.Gc.Backend = B.Kind;
-      SO.Heap.Gc.Concurrent = B.Conc;
-      Cell C{M.Name, B.Name, B.Conc, runServeSim(SO)};
+      SO.Heap.Gc.Concurrent = Conc;
+      Cell C{M.Name, Conc, runServeSim(SO)};
       if (!C.R.ok()) {
-        std::fprintf(stderr, "bench_server: %s/%s/conc=%d failed: %s\n",
-                     M.Name, B.Name, (int)B.Conc, C.R.Error.c_str());
+        std::fprintf(stderr, "bench_server: %s/conc=%d failed: %s\n", M.Name,
+                     (int)Conc, C.R.Error.c_str());
         AllOk = false;
       }
       Cells.push_back(std::move(C));

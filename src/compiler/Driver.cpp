@@ -143,6 +143,15 @@ bool parseGcConfig(std::string_view Spec, rt::GcConfig &Cfg,
   return true;
 }
 
+/// The backend x mutator-count rule, checked after `--gc` and after
+/// `--num-threads` so that the pair is refused in either order.
+FlagParse checkMutators(const PipelineOptions &Opts, std::string *Err) {
+  const rt::GcConfig &Gc = Opts.Exec.Heap.Gc;
+  if (rt::gcServesMutators(Gc.Backend, Opts.Exec.NumThreads))
+    return FlagParse::Ok;
+  return invalid(Err, rt::gcMutatorsError(Gc.Backend, Opts.Exec.NumThreads));
+}
+
 } // namespace
 
 FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
@@ -220,7 +229,7 @@ FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
       return Bad;
     if (!parseGcConfig(Value, Opts.Exec.Heap.Gc, Err))
       return FlagParse::Invalid;
-    return FlagParse::Ok;
+    return checkMutators(Opts, Err);
   }
   if (N == "mock") {
     if (!WantValue(Bad))
@@ -242,7 +251,7 @@ FlagParse gofree::compiler::driver::parseFlag(std::string_view Flag,
     if (IV < 1 || IV > 1024)
       return invalid(Err, "--num-threads: must be in [1, 1024]");
     Opts.Exec.NumThreads = (int)IV;
-    return FlagParse::Ok;
+    return checkMutators(Opts, Err);
   }
   if (N == "max-steps") {
     int64_t IV;

@@ -90,6 +90,11 @@ ExecOutcome gofree::compiler::execute(const Compilation &C,
                                       ExecOptions Opts) {
   assert(C.ok() && "executing a failed compilation");
   ExecOutcome O;
+  int N = std::max(Opts.NumThreads, 1);
+  if (!rt::gcServesMutators(Opts.Heap.Gc.Backend, N)) {
+    O.Error = rt::gcMutatorsError(Opts.Heap.Gc.Backend, N);
+    return O;
+  }
   // The runtime-only optimizations (GrowMapAndFreeOld, and the slice-grow
   // ablation) belong to GoFree's runtime; stock Go has no tcfree at all.
   if (C.Mode == CompileMode::Go) {
@@ -97,7 +102,6 @@ ExecOutcome gofree::compiler::execute(const Compilation &C,
     Opts.Interp.Slice.FreeOldOnGrow = false;
   }
   // N workers share one heap, each owning cache id = its worker index.
-  int N = std::max(Opts.NumThreads, 1);
   if (Opts.Heap.NumCaches < N)
     Opts.Heap.NumCaches = N;
   rt::Heap Heap(Opts.Heap);

@@ -96,6 +96,8 @@ struct ExecOptions {
   /// root scanner, as a registered mutator inside the GC's stop-the-world
   /// handshake. Worker 0 runs on the calling thread. Per-worker results
   /// are combined: checksums/steps add (wrapping), the first failure wins.
+  /// A count the backend does not serve (rt::gcServesMutators) is refused:
+  /// execute returns the error without running.
   int NumThreads = 1;
   /// Each worker traces into its own sink from here (merged at drain
   /// time). Not owned. Null disables runtime tracing.

@@ -187,40 +187,36 @@ DiffResult gofree::fuzz::diffProgram(const std::string &Source,
       return R;
     }
 
-  const interp::RunResult &G = Ref.Outcome.Run;
+  R.Failure = firstDivergence(R);
+  if (!R.Failure.empty())
+    R.Status = DiffStatus::Mismatch;
+  return R;
+}
+
+std::string gofree::fuzz::firstDivergence(const DiffResult &R) {
+  const interp::RunResult &G = R.Legs.front().Outcome.Run;
   for (size_t I = 1; I < R.Legs.size(); ++I) {
     const LegResult &L = R.Legs[I];
     const interp::RunResult &O = L.Outcome.Run;
     uint64_t F = (uint64_t)L.Factor;
-    auto Fail = [&](const std::string &What) {
-      R.Status = DiffStatus::Mismatch;
-      R.Failure = "leg '" + L.Name + "' diverged from 'go': " + What;
-    };
-    if (O.Panicked != G.Panicked) {
-      Fail(std::string("panicked=") + (O.Panicked ? "true" : "false") +
-           ", go panicked=" + (G.Panicked ? "true" : "false"));
-      return R;
-    }
-    if (G.Panicked && O.PanicValue != G.PanicValue) {
-      Fail("panic value " + std::to_string(O.PanicValue) + ", go " +
-           std::to_string(G.PanicValue));
-      return R;
-    }
-    if (O.Error != G.Error) {
-      Fail("runtime fault '" + O.Error + "', go '" + G.Error + "'");
-      return R;
-    }
-    if (O.Checksum != G.Checksum * F) {
-      Fail("checksum " + hex64(O.Checksum) + ", expected " +
-           hex64(G.Checksum * F) +
-           (F > 1 ? " (go x " + std::to_string(L.Factor) + ")" : ""));
-      return R;
-    }
-    if (O.SinkCount != G.SinkCount * F) {
-      Fail("sinks " + std::to_string(O.SinkCount) + ", expected " +
-           std::to_string(G.SinkCount * F));
-      return R;
-    }
+    std::string What;
+    if (O.Panicked != G.Panicked)
+      What = std::string("panicked=") + (O.Panicked ? "true" : "false") +
+             ", go panicked=" + (G.Panicked ? "true" : "false");
+    else if (G.Panicked && O.PanicValue != G.PanicValue)
+      What = "panic value " + std::to_string(O.PanicValue) + ", go " +
+             std::to_string(G.PanicValue);
+    else if (O.Error != G.Error)
+      What = "runtime fault '" + O.Error + "', go '" + G.Error + "'";
+    else if (O.Checksum != G.Checksum * F)
+      What = "checksum " + hex64(O.Checksum) + ", expected " +
+             hex64(G.Checksum * F) +
+             (F > 1 ? " (go x " + std::to_string(L.Factor) + ")" : "");
+    else if (O.SinkCount != G.SinkCount * F)
+      What = "sinks " + std::to_string(O.SinkCount) + ", expected " +
+             std::to_string(G.SinkCount * F);
+    if (!What.empty())
+      return "leg '" + L.Name + "' diverged from 'go': " + What;
   }
-  return R;
+  return "";
 }

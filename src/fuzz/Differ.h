@@ -93,6 +93,11 @@ std::vector<LegResult> standardLegs(const DiffOptions &Opts);
 /// Runs \p Source through every standard leg and compares observables.
 DiffResult diffProgram(const std::string &Source, const DiffOptions &Opts);
 
+/// Describes the first leg of \p R whose observables (panic, runtime
+/// fault, checksum, sink count) differ from the reference leg's, scaled
+/// by the leg's Factor; empty when they all agree.
+std::string firstDivergence(const DiffResult &R);
+
 } // namespace fuzz
 } // namespace gofree
 

@@ -92,12 +92,17 @@ FuzzReport gofree::fuzz::runFuzz(const FuzzOptions &Opts) {
       if (Opts.Reduce) {
         // Keep the failure *class* fixed while shrinking: a mismatch must
         // stay a mismatch (a candidate that merely stops compiling is
-        // FrontendRejected and therefore rejected), and a generator bug
-        // must keep being rejected by the frontend.
+        // FrontendRejected and therefore rejected), an observable
+        // divergence must stay one (a verify-only failure such as the rc
+        // count check needs a drain, so it keeps programs large), and a
+        // generator bug must keep being rejected by the frontend.
+        bool Diverged = !firstDivergence(R).empty();
         auto StillFails = [&](const std::string &Cand) {
           DiffResult CR = diffProgram(Cand, D);
-          return Frontend ? CR.Status == DiffStatus::FrontendRejected
-                          : CR.Status == DiffStatus::Mismatch;
+          if (Frontend)
+            return CR.Status == DiffStatus::FrontendRejected;
+          return CR.Status == DiffStatus::Mismatch &&
+                 (!Diverged || !firstDivergence(CR).empty());
         };
         Rep.Reduced = reduceProgram(Prog, StillFails);
         if (Opts.Out)

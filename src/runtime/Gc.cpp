@@ -920,6 +920,10 @@ void Heap::pushGray(int Worker, const MarkItem &Item) {
 }
 
 void Heap::gcMarkAddr(uintptr_t Addr) {
+  if (RootLog) {
+    RootLog->push_back({Addr, nullptr, 0});
+    return;
+  }
   assert(Phase.load(std::memory_order_relaxed) == GcPhase::Marking &&
          "gcMarkAddr outside mark phase");
   if (!Addr)
@@ -968,6 +972,11 @@ void Heap::gcMarkAddr(uintptr_t Addr) {
 }
 
 void Heap::gcScanRegion(uintptr_t Addr, const TypeDesc *Desc, size_t Bytes) {
+  if (RootLog) {
+    if (Desc) // A null Desc marks a bare address in the log.
+      RootLog->push_back({Addr, Desc, Bytes});
+    return;
+  }
   assert(Phase.load(std::memory_order_relaxed) == GcPhase::Marking &&
          "gcScanRegion outside mark phase");
   if (!Desc || !Desc->hasPointers())
@@ -1197,7 +1206,7 @@ void Heap::finishSweepStw() {
   // thread cache (Go flushes mcaches at every GC; the owner simply
   // refills on its next miss).
   uint32_t G = SweepGenGlobal.load(std::memory_order_relaxed);
-  std::vector<MSpan *> ToRetire;
+  std::vector<MSpan *> Swept;
   for (const auto &SP : AllSpans) {
     MSpan *S = SP.get();
     if (S->State.load(std::memory_order_relaxed) != SpanState::InUse)
@@ -1206,42 +1215,46 @@ void Heap::finishSweepStw() {
       continue;
     S->SweepGen.store(G - 1, std::memory_order_relaxed);
     sweepSpanSlots(S, trace::SweepWhere::Stw);
-    stwFixSpanPlacement(S, ToRetire);
+    Swept.push_back(S);
   }
-  if (!ToRetire.empty()) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (MSpan *S : ToRetire)
-      retireSpan(S);
-  }
+  stwSettleSpans(Swept);
 }
 
-void Heap::stwFixSpanPlacement(MSpan *S, std::vector<MSpan *> &ToRetire) {
-  if (S->liveCount() == 0) {
-    int Owner = S->OwnerCache.load(std::memory_order_relaxed);
-    if (Owner != NoOwner) {
-      Cache &C = Caches[(size_t)Owner];
-      if (S->SizeClass >= 0 && C.Current[(size_t)S->SizeClass] == S)
-        C.Current[(size_t)S->SizeClass] = nullptr;
-      S->OwnerCache.store(NoOwner, std::memory_order_relaxed);
-    }
-    if (S->SizeClass >= 0 && S->OnList != SpanList::None) {
+void Heap::stwSettleSpans(const std::vector<MSpan *> &Spans) {
+  std::vector<MSpan *> ToRetire;
+  for (MSpan *S : Spans) {
+    if (S->liveCount() == 0) {
+      int Owner = S->OwnerCache.load(std::memory_order_relaxed);
+      if (Owner != NoOwner) {
+        Cache &C = Caches[(size_t)Owner];
+        if (S->SizeClass >= 0 && C.Current[(size_t)S->SizeClass] == S)
+          C.Current[(size_t)S->SizeClass] = nullptr;
+        S->OwnerCache.store(NoOwner, std::memory_order_relaxed);
+      }
+      if (S->SizeClass >= 0 && S->OnList != SpanList::None) {
+        CentralList &CL = Central[(size_t)S->SizeClass];
+        // Crossing the list mutex (uncontended -- everyone is parked) is
+        // what hands the edit over to post-restart refills.
+        std::lock_guard<std::mutex> Lock(CL.Mu);
+        auto &V = S->OnList == SpanList::Partial ? CL.Partial : CL.Full;
+        V.erase(std::find(V.begin(), V.end(), S));
+        S->OnList = SpanList::None;
+      }
+      ToRetire.push_back(S);
+    } else if (S->SizeClass >= 0 && S->OnList == SpanList::Full &&
+               S->nextFree() != S->NElems) {
       CentralList &CL = Central[(size_t)S->SizeClass];
-      // Crossing the list mutex (uncontended -- everyone is parked) is
-      // what hands the edit over to post-restart refills.
       std::lock_guard<std::mutex> Lock(CL.Mu);
-      auto &V = S->OnList == SpanList::Partial ? CL.Partial : CL.Full;
-      V.erase(std::find(V.begin(), V.end(), S));
-      S->OnList = SpanList::None;
+      CL.Full.erase(std::find(CL.Full.begin(), CL.Full.end(), S));
+      S->OnList = SpanList::Partial;
+      CL.Partial.push_back(S);
     }
-    ToRetire.push_back(S);
-  } else if (S->SizeClass >= 0 && S->OnList == SpanList::Full &&
-             S->nextFree() != S->NElems) {
-    CentralList &CL = Central[(size_t)S->SizeClass];
-    std::lock_guard<std::mutex> Lock(CL.Mu);
-    CL.Full.erase(std::find(CL.Full.begin(), CL.Full.end(), S));
-    S->OnList = SpanList::Partial;
-    CL.Partial.push_back(S);
   }
+  if (ToRetire.empty())
+    return;
+  std::lock_guard<std::mutex> Lock(Mu);
+  for (MSpan *S : ToRetire)
+    retireSpan(S);
 }
 
 void Heap::buildSweepQueue() {

@@ -39,6 +39,12 @@ bool parseGcBackendKind(std::string_view Name, GcBackendKind &Out) {
   return false;
 }
 
+std::string gcMutatorsError(GcBackendKind K, int Mutators) {
+  return std::string("the ") + gcBackendName(K) +
+         " collector serves exactly one mutator, not " +
+         std::to_string(Mutators);
+}
+
 /// The paper's baseline collector. Everything interesting lives in Gc.cpp;
 /// this class only supplies the pacing decision and names the full cycle.
 class MarkSweepGc : public GcBackend {

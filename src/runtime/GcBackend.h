@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <string_view>
 
 namespace gofree {
@@ -92,9 +93,21 @@ struct GcConfig {
   bool Concurrent = true;
 };
 
+/// Whether backend \p K serves \p Mutators mutator threads. rc keeps its
+/// counts and zero-count table as single-writer data (GcRc.cpp), so it
+/// serves exactly one; marksweep serves any number. driver::parseFlag,
+/// compiler::execute and workloads::runServeSim refuse any other
+/// configuration before a thread starts, and Heap::MutatorScope asserts it.
+inline bool gcServesMutators(GcBackendKind K, int Mutators) {
+  return K != GcBackendKind::Rc || Mutators <= 1;
+}
+/// The refusal for a configuration gcServesMutators rejects.
+std::string gcMutatorsError(GcBackendKind K, int Mutators);
+
 /// One collector policy. Constructed against a heap; all methods except
-/// collectStw are called from running mutators and must synchronize
-/// internally. collectStw runs with the world stopped and GcMu held.
+/// collectStw are called from running mutators, and a backend that serves
+/// several (gcServesMutators) must synchronize them internally. collectStw
+/// runs with the world stopped and GcMu held.
 class GcBackend {
 public:
   explicit GcBackend(Heap &H) : H(H) {}

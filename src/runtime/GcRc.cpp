@@ -23,10 +23,10 @@
 // object's children before the slot is reused, which feeds tcfree'd
 // structures' children straight into the ZCT.
 //
-// Concurrency: counts and ZCT flags are atomics, so barriers from several
-// mutators do not corrupt them; but the dec-vs-span-reuse and
-// dec-vs-recompute windows are not closed. The rc backend is validated
-// single-threaded (see docs/GC.md); the differential fuzz leg runs it so.
+// Single writer: rc serves exactly one mutator (gcServesMutators), so the
+// counts and the ZCT are plain data that only that mutator touches, or the
+// collector with the world stopped, ordered by the park handshake; mark
+// helpers never touch either.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +34,6 @@
 #include "runtime/Heap.h"
 
 #include <algorithm>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -57,8 +56,7 @@ public:
     // A fresh object has no heap referents yet: count zero, ZCT candidate
     // until some heap object takes a reference (or a drain proves it
     // root-reachable and re-tables it).
-    std::atomic_ref<uint32_t>(S.RefCnt[Slot]).store(0,
-                                                    std::memory_order_relaxed);
+    S.RefCnt[Slot] = 0;
     zctAdd(S, Slot);
   }
 
@@ -72,8 +70,7 @@ public:
                        if (P)
                          decRef(P);
                      });
-    std::atomic_ref<uint32_t>(S.RefCnt[Slot]).store(0,
-                                                    std::memory_order_relaxed);
+    S.RefCnt[Slot] = 0;
   }
 
   void writeBarrier(MSpan &, uintptr_t, uintptr_t OldVal,
@@ -89,7 +86,7 @@ public:
   GcCycleKind pace(uint64_t Live) override {
     if (Live >= H.NextTrigger.load(std::memory_order_relaxed))
       return GcCycleKind::Full;
-    if (ZctCount.load(std::memory_order_relaxed) >= ZctThreshold)
+    if (Zct.size() >= ZctThreshold)
       return GcCycleKind::ZctDrain;
     return GcCycleKind::None;
   }
@@ -107,60 +104,34 @@ public:
   }
 
 private:
-  static constexpr size_t NumShards = 8;
-  struct Shard {
-    std::mutex Mu;
-    std::vector<uintptr_t> Objs; ///< Object base addresses; may hold dupes
-                                 ///< across entries (InZct dedups claims).
-  };
-
-  /// Resolves \p Addr to its live slot, if the address is a heap object
-  /// with rc metadata. Interior pointers resolve to the containing object.
-  MSpan *resolve(uintptr_t Addr, size_t &Slot) {
-    MSpan *S = H.lookupSpan(Addr);
-    if (!S || S->State.load(std::memory_order_relaxed) != SpanState::InUse ||
-        S->RefCnt.size() != S->NElems)
-      return nullptr;
-    Slot = S->slotOf(Addr);
-    return S->allocBit(Slot) ? S : nullptr;
-  }
-
   void incRef(uintptr_t Addr) {
     size_t Slot;
-    if (MSpan *S = resolve(Addr, Slot))
-      std::atomic_ref<uint32_t>(S->RefCnt[Slot])
-          .fetch_add(1, std::memory_order_relaxed);
+    if (MSpan *S = H.rcObject(Addr, Slot))
+      ++S->RefCnt[Slot];
   }
 
-  /// Decrement, saturating at zero (a dangling old-value can race a count
-  /// already consumed); a transition to zero tables the object.
+  /// Decrement, saturating at zero (the old value may point at an object
+  /// whose count never saw it, e.g. one allocated into a freed slot after
+  /// the store); a count at zero tables the object.
   void decRef(uintptr_t Addr) {
     size_t Slot;
-    MSpan *S = resolve(Addr, Slot);
+    MSpan *S = H.rcObject(Addr, Slot);
     if (!S)
       return;
-    std::atomic_ref<uint32_t> Rc(S->RefCnt[Slot]);
-    uint32_t V = Rc.load(std::memory_order_relaxed);
-    while (V != 0 &&
-           !Rc.compare_exchange_weak(V, V - 1, std::memory_order_relaxed))
-      ;
-    if (V <= 1)
+    uint32_t &V = S->RefCnt[Slot];
+    if (V)
+      --V;
+    if (!V)
       zctAdd(*S, Slot);
   }
 
   /// Tables slotAddr(Slot) unless already tabled (the InZct flag is the
   /// claim; exactly one list entry per claim).
   void zctAdd(MSpan &S, size_t Slot) {
-    if (std::atomic_ref<uint8_t>(S.InZct[Slot])
-            .exchange(1, std::memory_order_acq_rel))
+    if (S.InZct[Slot])
       return;
-    uintptr_t Addr = S.slotAddr(Slot);
-    Shard &Sh = Shards[(Addr / 8) % NumShards];
-    {
-      std::lock_guard<std::mutex> Lock(Sh.Mu);
-      Sh.Objs.push_back(Addr);
-    }
-    ZctCount.fetch_add(1, std::memory_order_relaxed);
+    S.InZct[Slot] = 1;
+    Zct.push_back(S.slotAddr(Slot));
   }
 
   /// Frees one slot inside the pause (the drain's sweep). Mirrors
@@ -170,8 +141,7 @@ private:
     uint8_t Cat = S->SlotCats[Slot];
     S->SlotDescs[Slot] = nullptr;
     S->FreeIndex = 0;
-    std::atomic_ref<uint32_t>(S->RefCnt[Slot]).store(0,
-                                                     std::memory_order_relaxed);
+    S->RefCnt[Slot] = 0;
     H.Stats.GcSweptCountByCat[Cat].fetch_add(1, std::memory_order_relaxed);
     H.Stats.GcSweptCount.fetch_add(1, std::memory_order_relaxed);
     H.Stats.GcSweptBytes.fetch_add(S->ElemSize, std::memory_order_relaxed);
@@ -198,14 +168,13 @@ private:
               S->slotAddr(Slot), Desc, S->ElemSize,
               [&](uintptr_t, uintptr_t P) {
                 size_t CSlot;
-                MSpan *CS = P ? resolve(P, CSlot) : nullptr;
+                MSpan *CS = P ? H.rcObject(P, CSlot) : nullptr;
                 if (!CS)
                   return;
-                std::atomic_ref<uint32_t> Rc(CS->RefCnt[CSlot]);
-                uint32_t V = Rc.load(std::memory_order_relaxed);
-                if (V != 0)
-                  Rc.store(V - 1, std::memory_order_relaxed);
-                if (V > 1)
+                uint32_t &V = CS->RefCnt[CSlot];
+                if (V)
+                  --V;
+                if (V)
                   return;
                 // Count hit zero. Root-marked children survive this drain
                 // but stay candidates; unrooted ones die in the cascade.
@@ -229,12 +198,7 @@ private:
     H.markPhase(Heap::GcMarkMode::RootsOnly);
 
     std::vector<uintptr_t> Pending;
-    for (Shard &Sh : Shards) {
-      std::lock_guard<std::mutex> Lock(Sh.Mu);
-      Pending.insert(Pending.end(), Sh.Objs.begin(), Sh.Objs.end());
-      Sh.Objs.clear();
-    }
-    ZctCount.store(0, std::memory_order_relaxed);
+    Pending.swap(Zct);
 
     // Only this drain frees slots while the world is stopped, so the
     // counter deltas are exactly its sweep (like Heap::sweepOrQueueStw).
@@ -251,13 +215,12 @@ private:
       // Claim the entry; a second (stale) entry for the same slot is a
       // no-op, and whatever object now occupies the slot re-tables itself
       // through its own zctAdd if it needs to.
-      if (!std::atomic_ref<uint8_t>(S->InZct[Slot])
-               .exchange(0, std::memory_order_acq_rel))
+      if (!S->InZct[Slot])
         continue;
+      S->InZct[Slot] = 0;
       if (!S->allocBit(Slot))
         continue; // Freed (tcfree or an earlier cascade) since tabled.
-      if (std::atomic_ref<uint32_t>(S->RefCnt[Slot])
-              .load(std::memory_order_relaxed) != 0)
+      if (S->RefCnt[Slot] != 0)
         continue; // Re-referenced since tabled; no longer a candidate.
       if (S->markBit(Slot)) {
         zctAdd(*S, Slot); // Root-reachable: stays a candidate for later.
@@ -269,14 +232,7 @@ private:
     // Fix list placement / retire emptied spans, once per span.
     std::sort(Touched.begin(), Touched.end());
     Touched.erase(std::unique(Touched.begin(), Touched.end()), Touched.end());
-    std::vector<MSpan *> ToRetire;
-    for (MSpan *S : Touched)
-      H.stwFixSpanPlacement(S, ToRetire);
-    if (!ToRetire.empty()) {
-      std::lock_guard<std::mutex> Lock(H.Mu);
-      for (MSpan *S : ToRetire)
-        H.retireSpan(S);
-    }
+    H.stwSettleSpans(Touched);
 
     H.Phase.store(GcPhase::Idle, std::memory_order_release);
     H.verifyAtSafepoint("post-drain");
@@ -292,11 +248,7 @@ private:
   /// and a poisoned field at worst inflates a count (leak-safe direction;
   /// the next backup cycle still reclaims).
   void recomputeStw() {
-    for (Shard &Sh : Shards) {
-      std::lock_guard<std::mutex> Lock(Sh.Mu);
-      Sh.Objs.clear();
-    }
-    ZctCount.store(0, std::memory_order_relaxed);
+    Zct.clear();
     for (const auto &SP : H.AllSpans) {
       MSpan *S = SP.get();
       if (S->State.load(std::memory_order_relaxed) != SpanState::InUse ||
@@ -327,17 +279,25 @@ private:
           S->RefCnt.size() != S->NElems)
         continue;
       for (size_t Slot = 0; Slot < S->NElems; ++Slot)
-        if (S->allocBit(Slot) &&
-            std::atomic_ref<uint32_t>(S->RefCnt[Slot])
-                    .load(std::memory_order_relaxed) == 0)
+        if (S->allocBit(Slot) && S->RefCnt[Slot] == 0)
           zctAdd(*S, Slot);
     }
   }
 
   const uint64_t ZctThreshold;
-  std::atomic<uint64_t> ZctCount{0};
-  Shard Shards[NumShards];
+  /// Object base addresses; may hold stale entries for slots freed since
+  /// (InZct dedups claims).
+  std::vector<uintptr_t> Zct;
 };
+
+MSpan *Heap::rcObject(uintptr_t Addr, size_t &Slot) const {
+  MSpan *S = lookupSpan(Addr);
+  if (!S || S->State.load(std::memory_order_relaxed) != SpanState::InUse ||
+      S->RefCnt.size() != S->NElems)
+    return nullptr;
+  Slot = S->slotOf(Addr);
+  return S->allocBit(Slot) ? S : nullptr;
+}
 
 std::unique_ptr<GcBackend> makeRcGc(Heap &H, const GcConfig &Cfg) {
   return std::make_unique<RcGc>(H, Cfg);

@@ -17,6 +17,7 @@
 #include "runtime/Heap.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstring>
 #include <new>
@@ -147,6 +148,10 @@ Heap::MutatorScope::MutatorScope(Heap &H, int CacheId, trace::TraceSink *Sink)
       return !H.StopWorld.load(std::memory_order_relaxed);
     });
     ++H.RegisteredMutators;
+    // rc's counts are plain single-writer data; its front ends refuse a
+    // second mutator before starting one.
+    assert(gcServesMutators(H.Opts.Gc.Backend, H.RegisteredMutators) &&
+           "a second mutator registered on a backend that serves one");
   }
 }
 

@@ -192,10 +192,12 @@ public:
   void removeRootScanner(RootScanner *S);
 
   /// During the mark phase: marks the object containing \p Addr (no-op for
-  /// null/stack/freed addresses) and queues it for scanning.
+  /// null/stack/freed addresses) and queues it for scanning. While
+  /// RootLog is set, records the root instead (rc count cross-check).
   void gcMarkAddr(uintptr_t Addr);
   /// During the mark phase: precisely scans a root region (e.g. a stack
-  /// frame slot) of \p Bytes bytes laid out as \p Desc.
+  /// frame slot) of \p Bytes bytes laid out as \p Desc. While RootLog is
+  /// set, records the region instead.
   void gcScanRegion(uintptr_t Addr, const TypeDesc *Desc, size_t Bytes);
 
   GcPhase phase() const { return Phase.load(std::memory_order_relaxed); }
@@ -408,6 +410,10 @@ private:
     return std::atomic_ref<MSpan *>(PageMap[Off >> PageShift])
         .load(std::memory_order_acquire);
   }
+  /// The allocated object containing \p Addr (interior pointers included)
+  /// on an in-use span that carries rc counts, or null; sets \p Slot.
+  /// Shared by the rc backend (GcRc.cpp) and its count cross-check.
+  MSpan *rcObject(uintptr_t Addr, size_t &Slot) const;
 
   // GC internals.
   /// Runs verifyInvariants (HeapOptions::Verify only) and records the
@@ -520,11 +526,10 @@ private:
   /// Sweeps every remaining unswept span while the world is stopped
   /// (start of a cycle, or the eager path). Requires stopped world.
   void finishSweepStw();
-  /// After freeing slots of \p S inside a pause: detach it from its owner
-  /// cache and queue it on \p ToRetire if now empty, else fix its
-  /// central-list placement (Full -> Partial when a slot opened up).
-  /// Stopped world; caller retires the batch under Mu afterwards.
-  void stwFixSpanPlacement(MSpan *S, std::vector<MSpan *> &ToRetire);
+  /// After freeing slots of \p Spans inside a pause: detach each emptied
+  /// span from its owner cache and central list and retire it, and move a
+  /// span with a newly opened slot from Full to Partial. Stopped world.
+  void stwSettleSpans(const std::vector<MSpan *> &Spans);
   /// Rebuilds SweepWork from every unswept in-use span. Stopped world.
   void buildSweepQueue();
 
@@ -557,6 +562,11 @@ private:
   std::vector<RootScanner *> Scanners;
   std::vector<uintptr_t> InternalRoots;
   std::atomic<bool> HasScanner{false};
+  /// Set only by verifyInvariants' rc count check, with the world stopped:
+  /// the root scanners' gcMarkAddr/gcScanRegion calls land here (a null
+  /// Desc marks a bare address), so the check traces privately and leaves
+  /// the mark bits alone.
+  std::vector<MarkItem> *RootLog = nullptr;
 
   // GC state.
   std::atomic<GcPhase> Phase{GcPhase::Idle};

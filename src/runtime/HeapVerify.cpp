@@ -27,7 +27,13 @@
 //     slots is legal only while it is stale-full, i.e. unswept);
 //   - lazy sweep: every in-use span's SweepGen is the current generation
 //     or exactly two behind it, and every unowned small span is reachable
-//     through a central list (nothing leaks off-list).
+//     through a central list (nothing leaks off-list);
+//   - rc counts (aquario's reference_check, SNIPPETS.md 2): every
+//     allocated object's RefCnt is at least the number of pointer fields of
+//     root-reachable heap objects that point into it. One-sided, because
+//     unreachable garbage may still hold pointers its targets' counts no
+//     longer cover; skipped under mock tcfree, whose poisoned fields are
+//     not pointers the counts ever saw.
 //
 // Precondition: the heap is quiesced (world stopped, or no concurrent
 // users). Locks are still taken -- cheap, and keeps TSan quiet.
@@ -39,6 +45,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -284,6 +291,63 @@ bool Heap::verifyInvariants(std::string *Report) {
     V.add("live bytes=%" PRIu64 " but alloc bits say %" PRIu64
           " bytes across %zu spans",
           StatLive, LiveBytes, InUseSpans);
+
+  // Phase 5 (rc): the count cross-check. The root scanners report into
+  // RootLog rather than marking, and the trace keeps its own visited set,
+  // so the mark bits stay as the last cycle left them.
+  if (Opts.Gc.Backend == GcBackendKind::Rc && Opts.Mock == MockTcfree::Off) {
+    std::vector<MarkItem> Roots;
+    std::vector<RootScanner *> Providers;
+    {
+      std::lock_guard<std::mutex> Lock(RootsMu);
+      for (uintptr_t A : InternalRoots)
+        Roots.push_back({A, nullptr, 0});
+      Providers = Scanners;
+    }
+    RootLog = &Roots;
+    for (RootScanner *P : Providers)
+      P->scanRoots(*this);
+    RootLog = nullptr;
+
+    std::unordered_set<uintptr_t> Seen;
+    std::vector<std::pair<MSpan *, size_t>> Work;
+    // The object P points into (0 if none), queued on first sight.
+    auto Reach = [&](uintptr_t P) -> uintptr_t {
+      size_t Slot;
+      MSpan *S = rcObject(P, Slot);
+      if (!S)
+        return 0;
+      uintptr_t Obj = S->slotAddr(Slot);
+      if (Seen.insert(Obj).second)
+        Work.push_back({S, Slot});
+      return Obj;
+    };
+    for (const MarkItem &R : Roots) {
+      if (!R.Desc)
+        Reach(R.Addr);
+      else
+        forEachPtrSlot(R.Addr, R.Desc, R.Bytes,
+                       [&](uintptr_t, uintptr_t P) { Reach(P); });
+    }
+    std::map<uintptr_t, uint32_t> Pointers; ///< Object -> heap fields into it.
+    while (!Work.empty()) {
+      auto [S, Slot] = Work.back();
+      Work.pop_back();
+      forEachPtrSlot(S->slotAddr(Slot), S->SlotDescs[Slot], S->ElemSize,
+                     [&](uintptr_t, uintptr_t P) {
+                       if (uintptr_t Obj = Reach(P))
+                         ++Pointers[Obj];
+                     });
+    }
+    for (auto [Addr, N] : Pointers) {
+      size_t Slot;
+      MSpan *S = rcObject(Addr, Slot);
+      if (S->RefCnt[Slot] < N)
+        V.add("rc count: object %p (span %p slot %zu) has count %u but "
+              "%u reachable heap pointers",
+              (void *)Addr, (void *)S, Slot, S->RefCnt[Slot], N);
+    }
+  }
 
   if (!V.any())
     return true;

@@ -104,7 +104,8 @@ struct MSpan {
   std::vector<uint8_t> SlotCats;
   /// Per-slot deferred reference counts and ZCT membership flags (rc
   /// backend only; sized by GcBackend::spanCreated, empty otherwise).
-  /// Mutators update them through atomic_ref at barrier sites.
+  /// Plain data: rc's one mutator updates them at barrier sites, the
+  /// collector with the world stopped.
   std::vector<uint32_t> RefCnt;
   std::vector<uint8_t> InZct;
 

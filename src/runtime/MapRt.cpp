@@ -122,9 +122,11 @@ void mapGrow(const MapCtx &Ctx, HMapView M) {
   M.setNBuckets(NewN);
   M.setTombs(0);
   // GrowMapAndFreeOld (section 4.6.2): the abandoned array is exclusively
-  // owned by this map, so it can be freed immediately. Best effort: stack
-  // arrays and unsafe moments simply fall back to the GC.
-  if (Ctx.Opts.GrowFreeOld)
+  // owned by this map, so it can be freed immediately. A stack map's first
+  // array sits inline right behind its header, in the same stack block,
+  // and is not the heap's to free (a heap map allocates the two apart).
+  // Best effort otherwise: unsafe moments simply fall back to the GC.
+  if (Ctx.Opts.GrowFreeOld && OldBuckets != M.HMap + HMapHeaderSize)
     Ctx.H->tcfreeObject(OldBuckets, Ctx.CacheId, FreeSource::MapGrowOld);
 }
 

@@ -154,6 +154,11 @@ uint64_t ServeSimResult::percentileNs(const std::vector<uint64_t> &V,
 ServeSimResult gofree::workloads::runServeSim(const ServeSimOptions &Opts) {
   ServeSimResult Res;
   Res.OpenLoop = Opts.OfferedRps > 0.0;
+  int Workers = std::max(Opts.Workers, 1);
+  if (!rt::gcServesMutators(Opts.Heap.Gc.Backend, Workers)) {
+    Res.Error = rt::gcMutatorsError(Opts.Heap.Gc.Backend, Workers);
+    return Res;
+  }
 
   // --- 1. Compile the profiles and precompute the request stream. ---
   compiler::CompileOptions CO;
@@ -173,7 +178,6 @@ ServeSimResult gofree::workloads::runServeSim(const ServeSimOptions &Opts) {
   uint64_t NumReq = Opts.Requests;
   uint64_t Sessions = std::max<uint64_t>(Opts.Sessions, 1);
   uint64_t Slots = std::max<uint64_t>(Opts.CacheSlots, 1);
-  int Workers = std::max(Opts.Workers, 1);
 
   std::vector<Request> Reqs(NumReq);
   {

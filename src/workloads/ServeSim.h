@@ -51,7 +51,8 @@ namespace workloads {
 /// Configuration of one serve-sim run.
 struct ServeSimOptions {
   uint64_t Seed = 1;
-  /// Mutator worker threads serving requests.
+  /// Mutator worker threads serving requests. A count the backend does not
+  /// serve (rt::gcServesMutators) is refused before any thread starts.
   int Workers = 4;
   /// Total requests to serve.
   uint64_t Requests = 2000;

@@ -121,6 +121,27 @@ TEST(DriverFlagTest, GcRoundTrips) {
   EXPECT_EQ(P.Exec.Heap.Gc.MinHeapTrigger, 4096u);
 }
 
+// rc serves one mutator: the pair is refused whichever flag comes second,
+// with a message that names the backend and the count.
+TEST(DriverFlagTest, RcWithSeveralMutatorsIsRefusedInEitherOrder) {
+  for (auto [First, Second] :
+       {std::pair{"--gc=rc", "--num-threads=3"},
+        std::pair{"--num-threads=3", "--gc=rc,zct-threshold=64"}}) {
+    PipelineOptions P;
+    std::string Err;
+    EXPECT_EQ(parseFlag(First, P, &Err), FlagParse::Ok) << First << ": " << Err;
+    EXPECT_EQ(parseFlag(Second, P, &Err), FlagParse::Invalid)
+        << First << " " << Second;
+    EXPECT_NE(Err.find("rc"), std::string::npos) << Err;
+    EXPECT_NE(Err.find("one mutator, not 3"), std::string::npos) << Err;
+  }
+  PipelineOptions One, Many;
+  std::string Err;
+  EXPECT_TRUE(parseFlags({"--gc=rc", "--num-threads=1"}, One, &Err)) << Err;
+  EXPECT_TRUE(parseFlags({"--num-threads=3", "--gc=marksweep"}, Many, &Err))
+      << Err;
+}
+
 TEST(DriverFlagTest, MockRoundTrips) {
   EXPECT_EQ(parsedOk("--mock=off").Exec.Heap.Mock, rt::MockTcfree::Off);
   EXPECT_EQ(parsedOk("--mock=zero").Exec.Heap.Mock, rt::MockTcfree::Zero);

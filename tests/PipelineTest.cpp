@@ -143,6 +143,24 @@ TEST(PipelineTest, OneCompilationManyExecutions) {
   EXPECT_NE(Different.Run.Checksum, First.Run.Checksum);
 }
 
+TEST(PipelineTest, RcWithSeveralMutatorsIsRefusedBeforeRunning) {
+  Compilation C = compile("func main(n int) {\n"
+                          "  s := make([]int, n)\n"
+                          "  sink(len(s))\n"
+                          "}\n",
+                          {});
+  ASSERT_TRUE(C.ok());
+  ExecOptions EO;
+  EO.Heap.Gc.Backend = rt::GcBackendKind::Rc;
+  EO.NumThreads = 2;
+  ExecOutcome O = execute(C, "main", {100}, EO);
+  EXPECT_EQ(O.Error, "the rc collector serves exactly one mutator, not 2");
+  EXPECT_EQ(O.Run.SinkCount, 0u) << "no worker may run";
+  EXPECT_EQ(O.Stats.AllocCount, 0u);
+  EO.NumThreads = 1;
+  EXPECT_TRUE(execute(C, "main", {100}, EO).ok());
+}
+
 TEST(PipelineTest, BlankInitializerCallMatchesGoOnBothEngines) {
   // stash stores s into h; the call's dropped result must not hide that
   // from the escape analysis, or s is freed and t reuses its memory.

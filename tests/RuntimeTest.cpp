@@ -790,6 +790,40 @@ TEST(MapRtTest, GrowFreeOldDisabledLeavesGarbageToGc) {
       H.stats().snap().FreedCountBySource[(int)FreeSource::MapGrowOld], 0u);
 }
 
+TEST(MapRtTest, GrowingInlineBucketsFreesOnlyHeapArrays) {
+  // A stack map's first bucket array sits inline behind its header, in one
+  // block (as the engines lay it out). Its first growth must not hand that
+  // block to tcfree; the next growth frees the heap array it moved into.
+  Heap H;
+  MapCtx Ctx = makeIntMapCtx(H);
+  alignas(8) unsigned char Block[HMapHeaderSize + 8 * 24] = {};
+  uintptr_t M = reinterpret_cast<uintptr_t>(Block);
+  mapInit(M, 8, M + HMapHeaderSize, Ctx.ValueSize);
+  auto GiveUps = [&] {
+    uint64_t N = 0;
+    for (uint64_t C : H.stats().snap().TcfreeGiveUpsByReason)
+      N += C;
+    return N;
+  };
+  for (int64_t K = 0; K < 7; ++K) // The 7th insert passes 13/16 of 8.
+    mapAssign(Ctx, M, K, &K);
+  EXPECT_NE(readWord(M + HMapBucketsOff), M + HMapHeaderSize)
+      << "the map did not grow";
+  EXPECT_EQ(H.stats().snap().TcfreeCalls, 0u);
+  EXPECT_EQ(GiveUps(), 0u);
+  for (int64_t K = 7; K < 14; ++K) // The 14th passes 13/16 of 16.
+    mapAssign(Ctx, M, K, &K);
+  EXPECT_EQ(H.stats().snap().TcfreeCalls, 1u);
+  EXPECT_EQ(
+      H.stats().snap().FreedCountBySource[(int)FreeSource::MapGrowOld], 1u);
+  EXPECT_EQ(GiveUps(), 0u);
+  for (int64_t K = 0; K < 14; ++K) {
+    int64_t Out = -1;
+    ASSERT_TRUE(mapLookup(M, K, &Out, 8)) << K;
+    EXPECT_EQ(Out, K);
+  }
+}
+
 TEST(MapRtTest, ManyDeletesViaTombstonesStillWork) {
   Heap H;
   MapCtx Ctx = makeIntMapCtx(H);

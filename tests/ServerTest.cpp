@@ -55,10 +55,12 @@ TEST(ServeSimTest, DeterministicChecksumAcrossRunsAndBackends) {
   ASSERT_TRUE(Again.ok()) << Again.Error;
   EXPECT_EQ(Again.Checksum, First.Checksum);
 
-  // The rc backend and the stock-Go mode serve the identical stream --
-  // the differential-honesty law bench_server enforces.
+  // The rc backend (on the one worker it serves) and the stock-Go mode
+  // serve the identical stream -- the differential-honesty law
+  // bench_server enforces.
   ServeSimOptions RcO = O;
   RcO.Heap.Gc.Backend = rt::GcBackendKind::Rc;
+  RcO.Workers = 1;
   ServeSimResult Rc = runServeSim(RcO);
   ASSERT_TRUE(Rc.ok()) << Rc.Error;
   EXPECT_EQ(Rc.Checksum, First.Checksum) << "backend rc changed behavior";
@@ -67,6 +69,16 @@ TEST(ServeSimTest, DeterministicChecksumAcrossRunsAndBackends) {
   ServeSimResult Go = runServeSim(GoO);
   ASSERT_TRUE(Go.ok()) << Go.Error;
   EXPECT_EQ(Go.Checksum, First.Checksum) << "go leg changed behavior";
+}
+
+TEST(ServeSimTest, RcWithSeveralWorkersIsRefused) {
+  ServeSimOptions O = smokeOpts();
+  O.Heap.Gc.Backend = rt::GcBackendKind::Rc;
+  ASSERT_EQ(O.Workers, 3);
+  ServeSimResult R = runServeSim(O);
+  EXPECT_EQ(R.Error, "the rc collector serves exactly one mutator, not 3");
+  EXPECT_EQ(R.Requests, 0u) << "no request may be served";
+  EXPECT_TRUE(R.LatencyNs.empty());
 }
 
 TEST(ServeSimTest, DifferentSeedsProduceDifferentStreams) {

@@ -66,7 +66,7 @@
 #                             then bench_server --json into
 #                             BENCH_server.json at the repo root (the
 #                             {go, gofree} x {marksweep conc off, marksweep
-#                             conc on, rc} matrix)
+#                             conc on} matrix)
 #
 # The smoke test runs examples/quickstart.minigo under --trace-out, once
 # on one mutator thread and once on two, and asserts each trace is valid
@@ -75,7 +75,9 @@
 # counters report has the give-up, free-source and pass rows, that
 # --trace-summary is rejected (exit 2), and that --json compare and
 # --json serve-sim print only v3 run records. It also checks that
-# `run` rejects a non-integer program argument (exit 2), that it exits 1
+# `run` rejects a non-integer program argument (exit 2), that `run` and
+# `serve-sim` refuse rc with several mutators (exit 2, naming rc and the
+# count), that `run` exits 1
 # with the diagnostic on an overflowing integer literal and on an
 # unterminated block comment, and that serve-sim rejects --rps=nan,
 # --rps=-1 and --theta=nan, that GoFree matches Go on a `_ := f(x)` fixture
@@ -189,6 +191,16 @@ PYEOF
     [ "$rc" -eq 1 ] || fail "run of the $src fixture exited $rc, want 1"
     grep -qF "$want" <<< "$out" || fail "run of the $src fixture did not print '$want'"
   done
+
+  # rc serves exactly one mutator; asking for two is a usage error.
+  rc=0
+  out="$("$gofree" --gc=rc --num-threads=2 run "$ROOT/examples/quickstart.minigo" 10 2>&1)" || rc=$?
+  [ "$rc" -eq 2 ] || fail "--gc=rc --num-threads=2 exited $rc, want 2"
+  want="the rc collector serves exactly one mutator, not 2"
+  grep -qF "$want" <<< "$out" || fail "--gc=rc --num-threads=2 did not print '$want'"
+  rc=0
+  "$gofree" --gc=rc serve-sim --requests=1 > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || fail "--gc=rc serve-sim on 4 workers exited $rc, want 2"
 
   # A dropped call result still runs the call: stash stores s into h, so
   # s outlives its block and freeing it would let t overwrite h.s[0].
@@ -372,7 +384,7 @@ server)
     || fail "serve-sim lost requests: $out"
   echo "$out" | grep -q '"ok":true' || fail "serve-sim run not ok: $out"
   # The headline artifact: the {go,gofree} x {marksweep conc off, marksweep
-  # conc on, rc} matrix with tail-latency SLO metrics.
+  # conc on} matrix with tail-latency SLO metrics.
   "$ROOT/build/bench/bench_server" --json > "$ROOT/BENCH_server.json" \
     || fail "bench_server failed (cell error or checksum mismatch)"
   echo "check.sh: server OK (smoke + tsan + wrote BENCH_server.json)"

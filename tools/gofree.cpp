@@ -329,6 +329,12 @@ int cmdServeSim(int Argc, char **Argv, int I, driver::PipelineOptions P,
       return usage();
     }
   }
+  // Refused like `--gc=rc --num-threads=N`: a usage error, before any run.
+  if (!rt::gcServesMutators(SO.Heap.Gc.Backend, SO.Workers)) {
+    std::fprintf(stderr, "gofree serve-sim: %s\n",
+                 rt::gcMutatorsError(SO.Heap.Gc.Backend, SO.Workers).c_str());
+    return 2;
+  }
 
   trace::TraceHub Hub;
   if (!TraceOut.empty())
