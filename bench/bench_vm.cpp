@@ -14,11 +14,14 @@
 // take turns going first), so a phase of host load slows both.
 //
 // --json prints a machine-readable summary (tools/check.sh bench pipes it
-// into BENCH_vm.json).
+// into BENCH_vm.json). A -DGOFREE_VM_PROFILE=ON build also prints the
+// `vm.ops` table of the VM runs (on stderr under --json), headed by the
+// steps those runs reported.
 //
 //===----------------------------------------------------------------------===//
 
 #include "../bench/BenchUtil.h"
+#include "vm/Vm.h"
 
 #include <cmath>
 #include <cstdio>
@@ -35,6 +38,9 @@ struct EngineSample {
   uint64_t Checksum = 0;
 };
 
+/// Steps of every VM run, which the op profile's total must equal.
+uint64_t VmSteps = 0;
+
 /// Runs \p W once on \p Engine and records the wall time.
 void runOnce(const compiler::Compilation &C, const Workload &W,
              const std::vector<int64_t> &Args, compiler::ExecEngine Engine,
@@ -49,6 +55,8 @@ void runOnce(const compiler::Compilation &C, const Workload &W,
   }
   Out.TimeSec.push_back(O.WallSeconds);
   Out.Checksum = O.Run.Checksum;
+  if (Engine == compiler::ExecEngine::Vm)
+    VmSteps += O.Run.Steps;
 }
 
 struct Row {
@@ -105,6 +113,10 @@ int main(int argc, char **argv) {
     Rows.push_back(R);
   }
   double Geomean = std::exp(LogSum / (double)Rows.size());
+  if (vm::OpProfileEnabled)
+    std::fprintf(Json ? stderr : stdout, "vm.steps %llu\n%s",
+                 (unsigned long long)VmSteps,
+                 vm::formatOpProfile(vm::opProfile()).c_str());
 
   if (Json) {
     std::printf("{\n  \"bench\": \"vm\",\n  \"runs\": %d,\n", Runs);

@@ -41,6 +41,10 @@ std::vector<int> assignArchetypes(const GenOptions &Opts, int NumFuncs) {
   return Arch;
 }
 
+/// The six comparison operators, so every one of them reaches `if` and
+/// `for` conditions and comparison values.
+const char *const CmpOps[] = {"<", "<=", ">", ">=", "==", "!="};
+
 /// Emits one random statement into a helper's inner loop. Statements only
 /// touch names the prelude guarantees: acc, x0..x3, the loop var j, slices
 /// buf and sl, and (option-gated) map m, struct pr, box pointer bx. Every
@@ -233,6 +237,94 @@ void emitStmt(std::string &Out, Rng &R, const GenOptions &Opts) {
   }
 }
 
+/// Emits one statement aimed at the bytecode compiler's shapes rather than
+/// the analysis: every comparison in `if` and `for` conditions and as a
+/// value, `&&`/`||`/`!`/unary minus, loops over `k < len(buf)` with
+/// continue and break, non-constant `*` and `/`, cap(), nil comparisons, a
+/// call statement (to the leaf helper note) and loads and stores through
+/// computed addresses. Same contract as emitStmt; its only divisor is
+/// `x % 7 + 8`, which lies in 2..14.
+void emitShapeStmt(std::string &Out, Rng &R) {
+  std::string X = "x" + num((int64_t)R.below(4));
+  std::string C = num(R.range(1, 97));
+  switch (R.below(5)) {
+  case 0: {
+    // A comparison as a branch, as a value, and under && / || and !.
+    std::string Op = CmpOps[R.below(6)];
+    std::string Op2 = CmpOps[R.below(6)];
+    Out += "    if " + X + " " + Op + " x" + num((int64_t)R.below(4)) +
+           " {\n"
+           "      acc = acc + " + C + "\n"
+           "    }\n"
+           "    {\n"
+           "      lo := acc % 5 " + Op2 + " j\n"
+           "      if lo && !(x1 " + Op + " " + C + ") || x3 == j {\n"
+           "        acc = acc - 1\n"
+           "      }\n"
+           "    }\n";
+    return;
+  }
+  case 1: {
+    // A counted loop on each comparison; up or down, at most j+4 trips.
+    std::string Op = CmpOps[R.below(6)];
+    std::string Head;
+    if (Op == "<" || Op == "<=")
+      Head = "k := 0; k " + Op + " j + 2; k++";
+    else if (Op == ">" || Op == ">=")
+      Head = "k := j + 3; k " + Op + " 0; k--";
+    else if (Op == "!=")
+      Head = "k := 0; k != j + 3; k++";
+    else
+      Head = "k := j; k == j; k += 2";
+    Out += "    for " + Head + " {\n"
+           "      if k == " + num(R.range(1, 3)) + " {\n"
+           "        continue\n"
+           "      }\n"
+           "      acc = acc + (k*" + C + " + x2)\n"
+           "      if acc % 11 == 4 {\n"
+           "        break\n"
+           "      }\n"
+           "    }\n";
+    return;
+  }
+  case 2:
+    // `k < len(buf)` with continue and break, indexing buf by k.
+    Out += "    for k := 0; k < len(buf); k++ {\n"
+           "      if buf[k] % 5 == 1 {\n"
+           "        continue\n"
+           "      }\n"
+           "      if k > " + C + " {\n"
+           "        break\n"
+           "      }\n"
+           "      buf[k] = buf[k] + k*3 + x1 % 17\n"
+           "      acc = acc + buf[k] % 97\n"
+           "    }\n";
+    return;
+  case 3:
+    // Non-constant * and /, negation, and a constant multiplier.
+    Out += "    " + X + " = -" + X + " + (acc + 1) * 3 % 101\n"
+           "    acc = acc + x0 * x1 % 8191 - acc / (x2 % 7 + 8)\n";
+    return;
+  case 4:
+    // A declared zero value, nil comparisons, cap(), a call statement, a
+    // load through a computed pointer and a store through a general
+    // slice element.
+    Out += "    {\n"
+           "      var z int\n"
+           "      var ns []int\n"
+           "      if ns == nil {\n"
+           "        z = cap(buf[0:]) - len(sl)\n"
+           "      }\n"
+           "      t := make([]int, 3)\n"
+           "      pt := &t\n"
+           "      (*pt)[1] = z + *(&x" + num((int64_t)R.below(4)) + ")\n"
+           "      note(t[1] + acc % " + C + ")\n"
+           "      acc = acc + t[1] % 31\n"
+           "    }\n";
+    return;
+  }
+}
+
 /// Emits a call to helper \p J into a tail (outside the loop), folding the
 /// result into acc. The call shape follows the callee's archetype.
 void emitCall(std::string &Out, Rng &R, int J, int CalleeArch) {
@@ -269,6 +361,9 @@ void emitCall(std::string &Out, Rng &R, int J, int CalleeArch) {
 
 std::string gofree::fuzz::generateProgram(const GenOptions &Opts) {
   Rng R(Opts.Seed);
+  // The shape statements draw from a stream of their own, so R, and with
+  // it the rest of each seed's program, is what it was without them.
+  Rng Shapes(Rng(Opts.Seed + 0x632be59bd9b4e019ULL).next());
   int NumFuncs = Opts.NumFuncs < 4 ? 4 : Opts.NumFuncs;
   std::vector<int> Arch = assignArchetypes(Opts, NumFuncs);
 
@@ -280,6 +375,7 @@ std::string gofree::fuzz::generateProgram(const GenOptions &Opts) {
     if (Opts.UsePointers)
       Out += "type Box struct {\n  n int\n  buf []int\n}\n\n";
   }
+  Out += "func note(v int) {\n  sink(v % 4093)\n}\n\n";
   if (Opts.UseDefer)
     Out += "func drop0(v int) {\n  sink(v % 8191)\n}\n\n"
            "func drop1(v int) {\n  sink(v % 127 + 1)\n}\n\n";
@@ -323,8 +419,13 @@ std::string gofree::fuzz::generateProgram(const GenOptions &Opts) {
       Out += "  defer drop0(acc + " + num(R.range(1, 97)) + ")\n";
 
     Out += "  for j := 0; j < a % 4 + 2; j = j + 1 {\n";
-    for (int S = 0; S < Opts.StmtsPerFunc; ++S)
-      emitStmt(Out, R, Opts);
+    const int ShapeAt = (int)Shapes.below((uint64_t)Opts.StmtsPerFunc + 1);
+    for (int S = 0; S <= Opts.StmtsPerFunc; ++S) {
+      if (S == ShapeAt)
+        emitShapeStmt(Out, Shapes);
+      if (S < Opts.StmtsPerFunc)
+        emitStmt(Out, R, Opts);
+    }
     Out += "  }\n";
 
     // Calls live in the tail, outside the loop: every helper calls its

@@ -46,13 +46,13 @@ enum class Op : uint32_t {
   Const,    ///< t k    : push {Ty, I=IntPool[k]}
   Nil,      ///< t      : push the zero value of Ty
   LoadVar,  ///< v      : push load(varAddr(v), v->Ty)
-  Pop,      ///<        : drop the top value
   PopN,     ///< n      : drop the top n values
   Pick,     ///< n      : push a copy of the value n slots below the top
             ///<          (n=1 duplicates the top)
   // Slot operands: a local that is not MovedToHeap, of int/bool (I),
-  // pointer/map (A) or slice (S, loads only) type, is read and written at
-  // its frame offset with no varAddr/type dispatch. Slot stores skip the
+  // pointer/map (A) or slice (S) type, is read and written at its frame
+  // offset with no varAddr/type dispatch. `len(s)` and `cap(s)` of a slice
+  // local are LoadSlotI of its Len or Cap word. Slot stores skip the
   // write barrier: a frame slot is never a heap word (the barrier's span
   // filter drops it anyway) and the final mark flip rescans frame roots.
   LoadSlotI,  ///< off t : push {Ty=t, I=slot}
@@ -60,28 +60,44 @@ enum class Op : uint32_t {
   LoadSlotS,  ///< off t : push {Ty=t, S=the 24-byte slice header at slot}
   StoreSlotI, ///< off   : pop v, slot = v.I
   StoreSlotA, ///< off   : pop v, slot = v.A
+  StoreSlotS, ///< off   : pop v, slot = v.S (the 24-byte header)
   IncSlotI,   ///< off k : slot += IntPool[k] (wrapping), no stack traffic:
               ///<         `x = x + K`, `x += K`, `x++` (and the minus forms,
               ///<         with k naming the wrapping negation of K)
+  AddToSlot,  ///< off   : pop v, slot += v.I (wrapping): `x = x + e`, `x += e`
 
   // Control flow (within one chunk).
-  Jump,            ///< tgt
-  JumpIfFalse,     ///< tgt : pop cond, jump when zero
-  JumpIfFalsePeek, ///< tgt : peek cond, jump when zero (And short-circuit)
-  JumpIfTruePeek,  ///< tgt : peek cond, jump when non-zero (Or)
-  // Fused compare-and-branch for `if`/`for` conditions `l < r` etc.: one
-  // dispatch (and one fuel step) instead of Lt + JumpIfFalse.
-  JumpIfNotLt, ///< tgt : pop r, l, jump unless l < r
-  JumpIfNotLe, ///< tgt
-  JumpIfNotGt, ///< tgt
-  JumpIfNotGe, ///< tgt
-  /// `i < len(s)` for an unboxed int local i and an unboxed slice local s,
-  /// read straight from their slots (s's Len field) with no stack traffic.
-  JumpIfNotLtLen, ///< ioff soff tgt : jump unless i < len(s)
+  Jump,        ///< tgt
+  JumpIfFalse, ///< tgt   : pop cond, jump when zero
+  JumpIfPeek,  ///< tgt b : peek cond, jump when (cond != 0) == b: the
+               ///<          short circuit of `&&` (b=0) and `||` (b=1)
+  // Fused compare-and-branch on two popped int/bool operands: pop r, l,
+  // jump when `l OP r`. One dispatch (and one fuel step) instead of a
+  // comparison and a jfalse. An `if` (and a loop's entry test) jumps on
+  // the negated condition, which is exact for int64: !(l < r) is l >= r.
+  // A loop whose condition fuses is inverted: the test sits at the bottom
+  // and jumps back on the condition itself, so no `jump` runs per
+  // iteration.
+  JumpIfLt, ///< tgt
+  JumpIfLe, ///< tgt
+  JumpIfGt, ///< tgt
+  JumpIfGe, ///< tgt
+  JumpIfEq, ///< tgt : scalars only (eq class 0)
+  JumpIfNe, ///< tgt
+  // `i < n` for an unboxed int local i and a bound n read from the frame:
+  // boff is the slot of an unboxed int local or the Len word of an unboxed
+  // slice local (`i < len(s)`). Both words are read straight from their
+  // slots on every test, so a loop body that reassigns the bound (or the
+  // slice) limits the next iteration by the new value.
+  JumpIfNotLtSlot, ///< ioff boff tgt : jump unless i < n
+  /// The bottom of an inverted `for ...; i < n; i += K` loop: the post
+  /// statement and the test in one dispatch.
+  IncJumpIfLtSlot, ///< ioff k boff tgt : i += IntPool[k] (wrapping); jump
+                   ///<                   when i < n
 
-  // Arithmetic and logic (Go wrap semantics; see support/GoArith.h).
-  Neg, ///< t : pop v, push -v (wrapping)
-  Not, ///< t : pop v, push !v
+  // Arithmetic and logic (Go wrap semantics; see support/GoArith.h). Unary
+  // `-v` compiles to `0 - v` (a literal folds to a constant) and `!v` to
+  // `v == false`.
   Add, ///< t : pop r, l, push l+r     (likewise Sub/Mul/Div/Mod)
   Sub, ///< t
   Mul, ///< t
@@ -93,19 +109,26 @@ enum class Op : uint32_t {
   MulK, ///< t k : top = top * IntPool[k]
   ModK, ///< t k : top = top % IntPool[k]; only for a nonzero literal, so
         ///<       `% 0` keeps Mod's faulting path
-  Lt,  ///< t : pop r, l, push l<r     (likewise Le/Gt/Ge)
-  Le,  ///< t
-  Gt,  ///< t
-  Ge,  ///< t
-  Eq,  ///< t cls : cls 0 = scalar, 1 = slice, 2 = address (ptr/map)
-  Ne,  ///< t cls
+  // An unboxed int local as an operand, read from its slot: one dispatch
+  // instead of LoadSlotI + the op.
+  AddSlot,  ///< off t   : top = top + slot (the local is the right operand)
+  MulSlotK, ///< off t k : push slot * IntPool[k]
+  ModSlotK, ///< off t k : push slot % IntPool[k]; nonzero literals only
+  MulAddSlot, ///< xoff t k yoff : push x * IntPool[k] + y (wrapping)
+  /// A comparison whose value is used (not branched on): pop r, l, push
+  /// `l cond r` (CmpCond). For Eq/Ne, cls 0 = scalar, 1 = slice,
+  /// 2 = address (ptr/map); the ordered conditions ignore cls.
+  Cmp, ///< t cond cls
 
   // Loads through pointers, fields, and indices.
-  Deref,      ///< t     : pop p (nil check), push load(p, t)
+  Deref,      ///< off t : pop p (nil check), push load(p.A+off, t): `*p`
+              ///<         (off 0) and `p.f` through a pointer
+  DerefSlot,  ///< poff off t : Deref of the unboxed pointer local at poff
   MkPtr,      ///< t     : pop raw address, push {Ty=t, A=addr} (AddrOf)
-  FieldPtr,   ///< off t : pop p (nil check), push load(p.A+off, t)
   FieldVal,   ///< off t : pop struct s, push load(s.A+off, t)
   IndexSlice, ///< t     : pop i, s (bounds check), push load of element
+  IndexSlot,  ///< soff ioff t : push s[i] for an unboxed slice local s and
+              ///<               an unboxed int local i (bounds check)
   IndexMap,   ///< t     : pop k, m; nil map reads zero; struct values get
               ///<         a copy that extends the executing frame
 
@@ -114,18 +137,23 @@ enum class Op : uint32_t {
   // of an address computation and the Store that consumes it, so the GC
   // never sees an unrooted interior address with a dead base (the same
   // window discipline Interp::evalLvalueAddr relies on).
-  LvalVar,      ///< v   : push {A=varAddr(v)}
-  LvalDeref,    ///<     : pop p (nil check), push {A=p.A}
-  LvalFieldPtr, ///< off : pop p (nil check), push {A=p.A+off}
-  LvalField,    ///< off : pop raw a, push {A=a+off}
-  LvalIndex,    ///< sz  : pop i, s (bounds check), push {A=data+i*sz}
+  LvalVar,   ///< v   : push {A=varAddr(v)}
+  LvalDeref, ///< off : pop p (nil check), push {A=p.A+off}: `*p` (off 0),
+             ///<       `p.f` through a pointer, and `x.f` on a raw
+             ///<       address (never nil, so the check never fires)
+  LvalIndex, ///< sz  : pop i, s (bounds check), push {A=data+i*sz}
 
   // Stores.
-  Store,        ///<     : pop raw addr, pop v, storeValue(addr, v)
-  StoreVarInit, ///< v   : initVarSlot(v) (may heap-box), pop v, store
-  InitVar,      ///< v   : initVarSlot(v) only (zero / fresh box)
-  MapNilCheck,  ///<     : peek map, fault "assignment to entry in nil map"
-  StoreMap,     ///< mt  : stack [v, m, k]; mapAssign(m, k, v); pop 3
+  Store,          ///<     : pop raw addr, pop v, storeValue(addr, v)
+  /// `s[i] = v` for an unboxed slice local s and an unboxed int local i,
+  /// after v is evaluated: the bounds check, then the barrier-aware store.
+  StoreIndexSlot, ///< soff ioff sz : pop v, storeValue(data+i*sz, v)
+  /// Likewise with the index computed on the stack: `s[e] = v`.
+  StoreIndexS,    ///< soff sz : pop i, v; storeValue(data+i*sz, v)
+  StoreVarInit,   ///< v   : initVarSlot(v) (may heap-box), pop v, store
+  InitVar,        ///< v   : initVarSlot(v) only (zero / fresh box)
+  MapNilCheck,    ///<     : peek map, fault "assignment to entry in nil map"
+  StoreMap,       ///< mt  : stack [v, m, k]; mapAssign(m, k, v); pop 3
 
   // Calls, defers, returns.
   Call,      ///< f argc t : args on stack; push one result (zero {t} if
@@ -142,9 +170,8 @@ enum class Op : uint32_t {
   New,       ///< n   : News[n]
   Composite, ///< c   : Composites[c]; push the (rooted) object
   SetField,  ///< off : pop v, peek obj, store into obj.A+off
-  LenSlice,  ///< t
+  LenCap,    ///< t w : pop s, push len(s) (w 0) or cap(s) (w 1)
   LenMap,    ///< t
-  CapOf,     ///< t
   Append,    ///< t d : stack [s, v] (both stay rooted across growth);
              ///<         d is the backing array's descriptor
   Slicing,   ///< t flags : bit0 = has lo, bit1 = has hi
@@ -157,24 +184,29 @@ enum class Op : uint32_t {
   Tcfree, ///< s : Tcfrees[s]
 };
 
+/// The condition operand of Op::Cmp.
+enum class CmpCond : uint32_t { Lt, Le, Gt, Ge, Eq, Ne };
+
 /// X-macro over every opcode, in encoding order. The VM's threaded-dispatch
 /// jump table is generated from this list; the static_asserts below pin it
 /// to the enum so the two cannot drift.
 #define GOFREE_VM_FOR_EACH_OP(X)                                             \
-  X(Const) X(Nil) X(LoadVar) X(Pop) X(PopN) X(Pick)                          \
+  X(Const) X(Nil) X(LoadVar) X(PopN) X(Pick)                                 \
   X(LoadSlotI) X(LoadSlotA) X(LoadSlotS) X(StoreSlotI) X(StoreSlotA)         \
-  X(IncSlotI)                                                                \
-  X(Jump) X(JumpIfFalse) X(JumpIfFalsePeek) X(JumpIfTruePeek)                \
-  X(JumpIfNotLt) X(JumpIfNotLe) X(JumpIfNotGt) X(JumpIfNotGe)                \
-  X(JumpIfNotLtLen)                                                          \
-  X(Neg) X(Not) X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(AddK) X(MulK) X(ModK)   \
-  X(Lt) X(Le) X(Gt) X(Ge) X(Eq) X(Ne)                                        \
-  X(Deref) X(MkPtr) X(FieldPtr) X(FieldVal) X(IndexSlice) X(IndexMap)        \
-  X(LvalVar) X(LvalDeref) X(LvalFieldPtr) X(LvalField) X(LvalIndex)          \
-  X(Store) X(StoreVarInit) X(InitVar) X(MapNilCheck) X(StoreMap)             \
+  X(StoreSlotS) X(IncSlotI) X(AddToSlot)                                     \
+  X(Jump) X(JumpIfFalse) X(JumpIfPeek)                                       \
+  X(JumpIfLt) X(JumpIfLe) X(JumpIfGt) X(JumpIfGe) X(JumpIfEq) X(JumpIfNe)    \
+  X(JumpIfNotLtSlot) X(IncJumpIfLtSlot)                                      \
+  X(Add) X(Sub) X(Mul) X(Div) X(Mod) X(AddK) X(MulK) X(ModK)                \
+  X(AddSlot) X(MulSlotK) X(ModSlotK) X(MulAddSlot) X(Cmp)                    \
+  X(Deref) X(DerefSlot) X(MkPtr) X(FieldVal) X(IndexSlice) X(IndexSlot)      \
+  X(IndexMap)                                                                \
+  X(LvalVar) X(LvalDeref) X(LvalIndex)                                       \
+  X(Store) X(StoreIndexSlot) X(StoreIndexS) X(StoreVarInit) X(InitVar)      \
+  X(MapNilCheck) X(StoreMap)                                                 \
   X(Call) X(CallMulti) X(CallStmt) X(Defer) X(Return) X(MissingRet)          \
   X(Make) X(New) X(Composite) X(SetField)                                    \
-  X(LenSlice) X(LenMap) X(CapOf) X(Append) X(Slicing) X(Copy)                \
+  X(LenCap) X(LenMap) X(Append) X(Slicing) X(Copy)                          \
   X(Panic) X(Sink) X(Delete) X(Tcfree)
 
 namespace detail {
@@ -194,6 +226,12 @@ GOFREE_VM_FOR_EACH_OP(GOFREE_VM_OP_CHECK)
 static_assert((uint32_t)OpOrder::Count_ == (uint32_t)Op::Tcfree + 1,
               "GOFREE_VM_FOR_EACH_OP misses an opcode");
 } // namespace detail
+
+/// Number of opcodes.
+inline constexpr uint32_t NumOps = (uint32_t)detail::OpOrder::Count_;
+/// The op set may not grow: a new fused op pays for itself by folding cold
+/// ones, chosen by the committed op profile (docs/VM.md, "The op set").
+static_assert(NumOps <= 73, "the VM op set is capped at 73 opcodes");
 
 /// The compiled body of one function.
 struct Chunk {
@@ -272,8 +310,6 @@ const char *opName(Op O);
 /// because the dispatch loop decodes with it once per executed opcode.
 constexpr unsigned opOperands(Op O) {
   switch (O) {
-  case Op::Pop:
-  case Op::LvalDeref:
   case Op::Store:
   case Op::MapNilCheck:
   case Op::Panic:
@@ -287,32 +323,26 @@ constexpr unsigned opOperands(Op O) {
   case Op::Pick:
   case Op::StoreSlotI:
   case Op::StoreSlotA:
+  case Op::StoreSlotS:
   case Op::Jump:
   case Op::JumpIfFalse:
-  case Op::JumpIfFalsePeek:
-  case Op::JumpIfTruePeek:
-  case Op::JumpIfNotLt:
-  case Op::JumpIfNotLe:
-  case Op::JumpIfNotGt:
-  case Op::JumpIfNotGe:
-  case Op::Neg:
-  case Op::Not:
+  case Op::JumpIfLt:
+  case Op::JumpIfLe:
+  case Op::JumpIfGt:
+  case Op::JumpIfGe:
+  case Op::JumpIfEq:
+  case Op::JumpIfNe:
+  case Op::AddToSlot:
   case Op::Add:
   case Op::Sub:
   case Op::Mul:
   case Op::Div:
   case Op::Mod:
-  case Op::Lt:
-  case Op::Le:
-  case Op::Gt:
-  case Op::Ge:
-  case Op::Deref:
   case Op::MkPtr:
   case Op::IndexSlice:
   case Op::IndexMap:
   case Op::LvalVar:
-  case Op::LvalFieldPtr:
-  case Op::LvalField:
+  case Op::LvalDeref:
   case Op::LvalIndex:
   case Op::StoreVarInit:
   case Op::InitVar:
@@ -322,9 +352,7 @@ constexpr unsigned opOperands(Op O) {
   case Op::New:
   case Op::Composite:
   case Op::SetField:
-  case Op::LenSlice:
   case Op::LenMap:
-  case Op::CapOf:
   case Op::Tcfree:
     return 1;
   case Op::Const:
@@ -332,23 +360,34 @@ constexpr unsigned opOperands(Op O) {
   case Op::LoadSlotA:
   case Op::LoadSlotS:
   case Op::IncSlotI:
+  case Op::JumpIfPeek:
   case Op::AddK:
   case Op::MulK:
   case Op::ModK:
-  case Op::Eq:
-  case Op::Ne:
-  case Op::FieldPtr:
+  case Op::AddSlot:
+  case Op::Deref:
   case Op::FieldVal:
   case Op::CallMulti:
   case Op::CallStmt:
   case Op::Defer:
   case Op::Append:
   case Op::Slicing:
+  case Op::StoreIndexS:
+  case Op::LenCap:
     return 2;
-  case Op::JumpIfNotLtLen:
+  case Op::JumpIfNotLtSlot:
+  case Op::DerefSlot:
+  case Op::MulSlotK:
+  case Op::ModSlotK:
+  case Op::Cmp:
+  case Op::IndexSlot:
+  case Op::StoreIndexSlot:
   case Op::Call:
   case Op::Copy:
     return 3;
+  case Op::IncJumpIfLtSlot:
+  case Op::MulAddSlot:
+    return 4;
   }
   assert(false && "unknown opcode");
   return 0;

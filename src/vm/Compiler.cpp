@@ -7,10 +7,12 @@
 
 #include "vm/Compiler.h"
 
+#include "runtime/SliceRt.h"
 #include "support/GoArith.h"
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <optional>
 
 using namespace gofree;
@@ -29,8 +31,7 @@ struct Pools {
   std::unordered_map<const Type *, uint32_t> MapTypes;
 };
 
-/// Which slot opcodes a local gets, if any (see Op::LoadSlotI). Slice
-/// locals (S) get the load only.
+/// Which slot opcodes a local gets, if any (see Op::LoadSlotI).
 enum class SlotKind { None, I, A, S };
 
 SlotKind slotKind(const VarDecl *V) {
@@ -149,53 +150,50 @@ private:
     case Op::LoadSlotI:
     case Op::LoadSlotA:
     case Op::LoadSlotS:
+    case Op::MulSlotK:
+    case Op::ModSlotK:
+    case Op::MulAddSlot:
+    case Op::IndexSlot:
+    case Op::DerefSlot:
     case Op::LvalVar:
     case Op::New:
     case Op::Composite:
       return 1;
     case Op::IncSlotI:
     case Op::Jump:
-    case Op::JumpIfFalsePeek:
-    case Op::JumpIfTruePeek:
-    case Op::JumpIfNotLtLen:
-    case Op::Neg:
-    case Op::Not:
-    case Op::Deref:
+    case Op::JumpIfPeek:
+    case Op::JumpIfNotLtSlot:
+    case Op::IncJumpIfLtSlot:
     case Op::AddK:
     case Op::MulK:
     case Op::ModK:
+    case Op::AddSlot:
+    case Op::Deref:
     case Op::MkPtr:
-    case Op::FieldPtr:
     case Op::FieldVal:
     case Op::LvalDeref:
-    case Op::LvalFieldPtr:
-    case Op::LvalField:
     case Op::InitVar:
     case Op::MapNilCheck:
     case Op::MissingRet:
-    case Op::LenSlice:
+    case Op::LenCap:
     case Op::LenMap:
-    case Op::CapOf:
     case Op::Tcfree:
       return 0;
-    case Op::Pop:
     case Op::StoreSlotI:
     case Op::StoreSlotA:
+    case Op::StoreSlotS:
+    case Op::AddToSlot:
     case Op::JumpIfFalse:
     case Op::Add:
     case Op::Sub:
     case Op::Mul:
     case Op::Div:
     case Op::Mod:
-    case Op::Lt:
-    case Op::Le:
-    case Op::Gt:
-    case Op::Ge:
-    case Op::Eq:
-    case Op::Ne:
+    case Op::Cmp:
     case Op::IndexSlice:
     case Op::IndexMap:
     case Op::LvalIndex:
+    case Op::StoreIndexSlot:
     case Op::StoreVarInit:
     case Op::SetField:
     case Op::Append:
@@ -203,11 +201,14 @@ private:
     case Op::Panic:
     case Op::Sink:
       return -1;
-    case Op::JumpIfNotLt:
-    case Op::JumpIfNotLe:
-    case Op::JumpIfNotGt:
-    case Op::JumpIfNotGe:
+    case Op::JumpIfLt:
+    case Op::JumpIfLe:
+    case Op::JumpIfGt:
+    case Op::JumpIfGe:
+    case Op::JumpIfEq:
+    case Op::JumpIfNe:
     case Op::Store:
+    case Op::StoreIndexS:
     case Op::Delete:
       return -2;
     case Op::StoreMap:
@@ -241,39 +242,75 @@ private:
     emit(O, 0);
     return here() - 1;
   }
+  /// Likewise for a jump with one more operand \p B after the target.
+  uint32_t emitJump(Op O, uint32_t B) {
+    emit(O, 0, B);
+    return here() - 2;
+  }
   void patch(uint32_t At) { C.Code[At] = here(); }
   void patch(uint32_t At, uint32_t Target) { C.Code[At] = Target; }
 
+  /// The fused compare-and-branch that jumps when `l OP r` is \p Sense,
+  /// for \p BE an ordered comparison or a scalar ==/!=; nothing otherwise.
+  /// The false sense jumps on the negated comparison, which is exact for
+  /// int64 and bool operands.
+  static std::optional<Op> cmpJump(const BinaryExpr *BE, bool Sense) {
+    BinaryOp O = BE->Op;
+    if (!Sense) {
+      switch (O) {
+      case BinaryOp::Lt: O = BinaryOp::Ge; break;
+      case BinaryOp::Le: O = BinaryOp::Gt; break;
+      case BinaryOp::Gt: O = BinaryOp::Le; break;
+      case BinaryOp::Ge: O = BinaryOp::Lt; break;
+      case BinaryOp::Eq: O = BinaryOp::Ne; break;
+      case BinaryOp::Ne: O = BinaryOp::Eq; break;
+      default: return std::nullopt;
+      }
+    }
+    switch (O) {
+    case BinaryOp::Lt: return Op::JumpIfLt;
+    case BinaryOp::Le: return Op::JumpIfLe;
+    case BinaryOp::Gt: return Op::JumpIfGt;
+    case BinaryOp::Ge: return Op::JumpIfGe;
+    case BinaryOp::Eq:
+    case BinaryOp::Ne:
+      if (eqClass(BE->Lhs->Ty) != 0)
+        return std::nullopt;
+      return O == BinaryOp::Eq ? Op::JumpIfEq : Op::JumpIfNe;
+    default: return std::nullopt;
+    }
+  }
   /// Emits \p Cond and a jump taken when it is false; returns the jump's
-  /// operand position. An ordered comparison fuses into one JumpIfNot*,
-  /// and `i < len(s)` over slot locals into one JumpIfNotLtLen.
+  /// operand position. A comparison fuses into one compare-and-branch, and
+  /// `i < n` or `i < len(s)` over slot locals into one JumpIfNotLtSlot.
   uint32_t condJump(const minigo::Expr *Cond) {
     if (const auto *BE = dyn_cast<BinaryExpr>(Cond)) {
-      if (BE->Op == BinaryOp::Lt) {
-        const VarDecl *I = slotLocal(BE->Lhs, SlotKind::I);
-        const VarDecl *S = lenOfSlotSlice(BE->Rhs);
-        if (I && S) {
-          emit(Op::JumpIfNotLtLen,
-               {(uint32_t)I->FrameOffset, (uint32_t)S->FrameOffset, 0});
-          return here() - 1;
-        }
+      if (std::optional<uint32_t> Bound = ltSlotBound(BE)) {
+        emit(Op::JumpIfNotLtSlot,
+             {(uint32_t)slotLocal(BE->Lhs, SlotKind::I)->FrameOffset, *Bound,
+              0});
+        return here() - 1;
       }
-      Op Fused;
-      switch (BE->Op) {
-      case BinaryOp::Lt: Fused = Op::JumpIfNotLt; break;
-      case BinaryOp::Le: Fused = Op::JumpIfNotLe; break;
-      case BinaryOp::Gt: Fused = Op::JumpIfNotGt; break;
-      case BinaryOp::Ge: Fused = Op::JumpIfNotGe; break;
-      default: Fused = Op::JumpIfFalse; break;
-      }
-      if (Fused != Op::JumpIfFalse) {
+      if (std::optional<Op> J = cmpJump(BE, false)) {
         expr(BE->Lhs);
         expr(BE->Rhs);
-        return emitJump(Fused);
+        return emitJump(*J);
       }
     }
     expr(Cond);
     return emitJump(Op::JumpIfFalse);
+  }
+  /// For \p BE `i < n` or `i < len(s)` with i and n int slot locals and s
+  /// a slice slot local: the frame offset of the bound's word (n's slot or
+  /// s's Len field); nothing otherwise.
+  static std::optional<uint32_t> ltSlotBound(const BinaryExpr *BE) {
+    if (BE->Op != BinaryOp::Lt || !slotLocal(BE->Lhs, SlotKind::I))
+      return std::nullopt;
+    if (const VarDecl *N = slotLocal(BE->Rhs, SlotKind::I))
+      return (uint32_t)N->FrameOffset;
+    if (const VarDecl *S = lenOfSlotSlice(BE->Rhs))
+      return (uint32_t)(S->FrameOffset + offsetof(rt::SliceHeader, Len));
+    return std::nullopt;
   }
   /// The local \p E names when it is an identifier with slot operands of
   /// kind \p K; null otherwise.
@@ -287,6 +324,14 @@ private:
     const auto *LE = dyn_cast<LenExpr>(E);
     return LE ? slotLocal(LE->Sub, SlotKind::S) : nullptr;
   }
+  /// The slice and index locals of `s[i]` when \p IE indexes a slice slot
+  /// local with an int slot local; nulls otherwise.
+  static std::pair<const VarDecl *, const VarDecl *>
+  slotIndex(const IndexExpr *IE) {
+    const VarDecl *S = IE->IsMap ? nullptr : slotLocal(IE->Base, SlotKind::S);
+    const VarDecl *I = S ? slotLocal(IE->Idx, SlotKind::I) : nullptr;
+    return I ? std::pair{S, I} : std::pair<const VarDecl *, const VarDecl *>{};
+  }
   /// The value of \p E when it is an integer literal or the negation of
   /// one (`-1` parses as a negated 1); nothing otherwise.
   static std::optional<int64_t> intConst(const minigo::Expr *E) {
@@ -299,18 +344,27 @@ private:
     return std::nullopt;
   }
   /// `x = x + K` and `x = x - K` (which is also what the parser makes of
-  /// `x += K`, `x -= K`, `x++` and `x--`) on an int slot local: emits one
-  /// IncSlotI and returns true; emits nothing and returns false otherwise.
-  bool incSlot(const minigo::Expr *Lhs, const minigo::Expr *Rhs) {
+  /// `x += K`, `x -= K`, `x++` and `x--`) on an int slot local x: x and the
+  /// step to add (the wrapping negation of K for the minus forms); a null
+  /// local otherwise.
+  static std::pair<const VarDecl *, int64_t> slotStep(const minigo::Expr *Lhs,
+                                                      const minigo::Expr *Rhs) {
     const VarDecl *X = slotLocal(Lhs, SlotKind::I);
     const auto *BE = dyn_cast<BinaryExpr>(Rhs);
     if (!X || !BE || (BE->Op != BinaryOp::Add && BE->Op != BinaryOp::Sub) ||
         slotLocal(BE->Lhs, SlotKind::I) != X)
-      return false;
+      return {nullptr, 0};
     std::optional<int64_t> K = intConst(BE->Rhs);
     if (!K)
+      return {nullptr, 0};
+    return {X, BE->Op == BinaryOp::Add ? *K : arith::wrapNeg(*K)};
+  }
+  /// Emits one IncSlotI for a slotStep assignment and returns true; emits
+  /// nothing and returns false otherwise.
+  bool incSlot(const minigo::Expr *Lhs, const minigo::Expr *Rhs) {
+    auto [X, Step] = slotStep(Lhs, Rhs);
+    if (!X)
       return false;
-    int64_t Step = BE->Op == BinaryOp::Add ? *K : arith::wrapNeg(*K);
     emit(Op::IncSlotI, (uint32_t)X->FrameOffset, intIdx(Step));
     return true;
   }
@@ -333,9 +387,11 @@ private:
   /// slot operands; returns false (emitting nothing) otherwise.
   bool storeSlot(const VarDecl *V) {
     SlotKind K = slotKind(V);
-    if (K != SlotKind::I && K != SlotKind::A)
+    if (K == SlotKind::None)
       return false;
-    emit(K == SlotKind::I ? Op::StoreSlotI : Op::StoreSlotA,
+    emit(K == SlotKind::I   ? Op::StoreSlotI
+         : K == SlotKind::A ? Op::StoreSlotA
+                            : Op::StoreSlotS,
          (uint32_t)V->FrameOffset);
     return true;
   }
@@ -356,6 +412,29 @@ private:
     if (T->isSlice())
       return 1;
     return 2; // Pointer / map: compare addresses.
+  }
+
+  /// `*p` (\p Off 0) or `p.f` (\p Off the field's) for the pointer \p P,
+  /// loading a \p Ty: one DerefSlot when P is a pointer slot local.
+  void deref(const minigo::Expr *P, uint32_t Off, const Type *Ty) {
+    if (const VarDecl *V = slotLocal(P, SlotKind::A)) {
+      emit(Op::DerefSlot, (uint32_t)V->FrameOffset, Off, typeIdx(Ty));
+      return;
+    }
+    expr(P);
+    emit(Op::Deref, Off, typeIdx(Ty));
+  }
+
+  /// `len(s)` or `cap(s)` (\p Word the header offset of Len or Cap): a
+  /// LoadSlotI of that word when s is a slice slot local.
+  void sliceWord(const minigo::Expr *S, size_t Word, const Type *Ty) {
+    if (const VarDecl *V = slotLocal(S, SlotKind::S)) {
+      emit(Op::LoadSlotI, (uint32_t)(V->FrameOffset + Word), typeIdx(Ty));
+      return;
+    }
+    expr(S);
+    emit(Op::LenCap, typeIdx(Ty),
+         Word == offsetof(rt::SliceHeader, Len) ? 0 : 1);
   }
 
   void callArgs(const CallExpr *CE) {
@@ -388,9 +467,23 @@ private:
       return;
     }
     case ExprKind::Unary: {
+      // `-v` is `0 - v` and `!v` is `v == false`: the same wrapping result
+      // and the same value, with no op of their own.
       const auto *UE = cast<UnaryExpr>(E);
+      const uint32_t T = typeIdx(E->Ty);
+      if (UE->Op == UnaryOp::Neg) {
+        if (std::optional<int64_t> K = intConst(E)) {
+          emit(Op::Const, T, intIdx(*K));
+          return;
+        }
+        emit(Op::Const, T, intIdx(0));
+        expr(UE->Sub);
+        emit(Op::Sub, T);
+        return;
+      }
       expr(UE->Sub);
-      emit(UE->Op == UnaryOp::Neg ? Op::Neg : Op::Not, typeIdx(E->Ty));
+      emit(Op::Const, T, intIdx(0));
+      emit(Op::Cmp, T, (uint32_t)CmpCond::Eq, 0);
       return;
     }
     case ExprKind::Binary: {
@@ -398,34 +491,63 @@ private:
       if (BE->Op == BinaryOp::And || BE->Op == BinaryOp::Or) {
         // Short-circuit: the left value is the result when it decides.
         expr(BE->Lhs);
-        uint32_t End = emitJump(BE->Op == BinaryOp::And ? Op::JumpIfFalsePeek
-                                                        : Op::JumpIfTruePeek);
-        emit(Op::Pop);
+        uint32_t End =
+            emitJump(Op::JumpIfPeek, BE->Op == BinaryOp::And ? 0 : 1);
+        emit(Op::PopN, 1);
         expr(BE->Rhs);
         patch(End);
         return;
       }
-      expr(BE->Lhs);
       uint32_t T = typeIdx(E->Ty);
-      if (std::optional<int64_t> K = intConst(BE->Rhs)) {
+      // `x * K + y` on int slot locals x and y: one op, no loads.
+      if (const auto *ML = dyn_cast<BinaryExpr>(BE->Lhs);
+          ML && ML->Op == BinaryOp::Mul && BE->Op == BinaryOp::Add) {
+        const VarDecl *X = slotLocal(ML->Lhs, SlotKind::I);
+        const VarDecl *Y = slotLocal(BE->Rhs, SlotKind::I);
+        if (std::optional<int64_t> MK = intConst(ML->Rhs); X && Y && MK) {
+          emit(Op::MulAddSlot, {(uint32_t)X->FrameOffset, T, intIdx(*MK),
+                                (uint32_t)Y->FrameOffset});
+          return;
+        }
+      }
+      std::optional<int64_t> K = intConst(BE->Rhs);
+      // `x * K` and `x % K` on an int slot local x: one op, no load.
+      if (const VarDecl *X = slotLocal(BE->Lhs, SlotKind::I); X && K) {
+        std::optional<Op> Fused = constRhsOp(BE->Op, *K);
+        if (Fused == Op::MulK || Fused == Op::ModK) {
+          emit(*Fused == Op::MulK ? Op::MulSlotK : Op::ModSlotK,
+               (uint32_t)X->FrameOffset, T, intIdx(*K));
+          return;
+        }
+      }
+      expr(BE->Lhs);
+      if (K) {
         if (std::optional<Op> Fused = constRhsOp(BE->Op, *K)) {
           emit(*Fused, T, intIdx(*K));
           return;
         }
       }
+      if (const VarDecl *Y = slotLocal(BE->Rhs, SlotKind::I);
+          Y && BE->Op == BinaryOp::Add) {
+        emit(Op::AddSlot, (uint32_t)Y->FrameOffset, T);
+        return;
+      }
       expr(BE->Rhs);
+      auto Compare = [&](CmpCond Cond, uint32_t Cls = 0) {
+        emit(Op::Cmp, T, (uint32_t)Cond, Cls);
+      };
       switch (BE->Op) {
       case BinaryOp::Add: emit(Op::Add, T); return;
       case BinaryOp::Sub: emit(Op::Sub, T); return;
       case BinaryOp::Mul: emit(Op::Mul, T); return;
       case BinaryOp::Div: emit(Op::Div, T); return;
       case BinaryOp::Mod: emit(Op::Mod, T); return;
-      case BinaryOp::Lt: emit(Op::Lt, T); return;
-      case BinaryOp::Le: emit(Op::Le, T); return;
-      case BinaryOp::Gt: emit(Op::Gt, T); return;
-      case BinaryOp::Ge: emit(Op::Ge, T); return;
-      case BinaryOp::Eq: emit(Op::Eq, T, eqClass(BE->Lhs->Ty)); return;
-      case BinaryOp::Ne: emit(Op::Ne, T, eqClass(BE->Lhs->Ty)); return;
+      case BinaryOp::Lt: Compare(CmpCond::Lt); return;
+      case BinaryOp::Le: Compare(CmpCond::Le); return;
+      case BinaryOp::Gt: Compare(CmpCond::Gt); return;
+      case BinaryOp::Ge: Compare(CmpCond::Ge); return;
+      case BinaryOp::Eq: Compare(CmpCond::Eq, eqClass(BE->Lhs->Ty)); return;
+      case BinaryOp::Ne: Compare(CmpCond::Ne, eqClass(BE->Lhs->Ty)); return;
       case BinaryOp::And:
       case BinaryOp::Or:
         break;
@@ -434,8 +556,7 @@ private:
       return;
     }
     case ExprKind::Deref:
-      expr(cast<DerefExpr>(E)->Sub);
-      emit(Op::Deref, typeIdx(E->Ty));
+      deref(cast<DerefExpr>(E)->Sub, 0, E->Ty);
       return;
     case ExprKind::AddrOf:
       lvalue(cast<AddrOfExpr>(E)->Sub);
@@ -443,13 +564,21 @@ private:
       return;
     case ExprKind::Field: {
       const auto *FE = cast<FieldExpr>(E);
+      if (FE->ThroughPointer) {
+        deref(FE->Base, (uint32_t)FE->F->Offset, E->Ty);
+        return;
+      }
       expr(FE->Base);
-      emit(FE->ThroughPointer ? Op::FieldPtr : Op::FieldVal,
-           (uint32_t)FE->F->Offset, typeIdx(E->Ty));
+      emit(Op::FieldVal, (uint32_t)FE->F->Offset, typeIdx(E->Ty));
       return;
     }
     case ExprKind::Index: {
       const auto *IE = cast<IndexExpr>(E);
+      if (auto [S, I] = slotIndex(IE); S) {
+        emit(Op::IndexSlot, (uint32_t)S->FrameOffset, (uint32_t)I->FrameOffset,
+             typeIdx(E->Ty));
+        return;
+      }
       expr(IE->Base);
       expr(IE->Idx);
       emit(IE->IsMap ? Op::IndexMap : Op::IndexSlice, typeIdx(E->Ty));
@@ -496,13 +625,17 @@ private:
     }
     case ExprKind::Len: {
       const auto *LE = cast<LenExpr>(E);
-      expr(LE->Sub);
-      emit(LE->Sub->Ty->isMap() ? Op::LenMap : Op::LenSlice, typeIdx(E->Ty));
+      if (LE->Sub->Ty->isMap()) {
+        expr(LE->Sub);
+        emit(Op::LenMap, typeIdx(E->Ty));
+        return;
+      }
+      sliceWord(LE->Sub, offsetof(rt::SliceHeader, Len), E->Ty);
       return;
     }
     case ExprKind::Cap:
-      expr(cast<minigo::CapExpr>(E)->Sub);
-      emit(Op::CapOf, typeIdx(E->Ty));
+      sliceWord(cast<minigo::CapExpr>(E)->Sub, offsetof(rt::SliceHeader, Cap),
+                E->Ty);
       return;
     case ExprKind::Append: {
       const auto *AE = cast<AppendExpr>(E);
@@ -555,17 +688,15 @@ private:
     }
     case ExprKind::Deref:
       expr(cast<DerefExpr>(E)->Sub);
-      emit(Op::LvalDeref);
+      emit(Op::LvalDeref, 0);
       return;
     case ExprKind::Field: {
       const auto *FE = cast<FieldExpr>(E);
-      if (FE->ThroughPointer) {
+      if (FE->ThroughPointer)
         expr(FE->Base);
-        emit(Op::LvalFieldPtr, (uint32_t)FE->F->Offset);
-      } else {
-        lvalue(FE->Base);
-        emit(Op::LvalField, (uint32_t)FE->F->Offset);
-      }
+      else
+        lvalue(FE->Base); // A raw address, never nil.
+      emit(Op::LvalDeref, (uint32_t)FE->F->Offset);
       return;
     }
     case ExprKind::Index: {
@@ -585,7 +716,7 @@ private:
   /// StoreInto: blank discards, map elements check nil before the key).
   void storeTop(const minigo::Expr *Lhs) {
     if (const auto *Id = dyn_cast<IdentExpr>(Lhs); Id && !Id->Decl) {
-      emit(Op::Pop); // Blank identifier discards.
+      emit(Op::PopN, 1); // Blank identifier discards.
       return;
     }
     if (const auto *IE = dyn_cast<IndexExpr>(Lhs); IE && IE->IsMap) {
@@ -597,6 +728,21 @@ private:
     }
     if (const auto *Id = dyn_cast<IdentExpr>(Lhs); Id && storeSlot(Id->Decl))
       return;
+    if (const auto *IE = dyn_cast<IndexExpr>(Lhs)) {
+      if (auto [S, I] = slotIndex(IE); S) {
+        emit(Op::StoreIndexSlot, (uint32_t)S->FrameOffset,
+             (uint32_t)I->FrameOffset, (uint32_t)IE->Ty->size());
+        return;
+      }
+      // The slice is read after the index: the index cannot write it.
+      if (const VarDecl *S =
+              IE->IsMap ? nullptr : slotLocal(IE->Base, SlotKind::S)) {
+        expr(IE->Idx);
+        emit(Op::StoreIndexS, (uint32_t)S->FrameOffset,
+             (uint32_t)IE->Ty->size());
+        return;
+      }
+    }
     lvalue(Lhs);
     emit(Op::Store);
   }
@@ -604,6 +750,24 @@ private:
   //===--------------------------------------------------------------------===//
   // Statements
   //===--------------------------------------------------------------------===//
+
+  /// The bottom of an inverted `for ...; i < n; i += K` loop (or with the
+  /// bound `len(s)`) over slot locals: emits one IncJumpIfLtSlot back to
+  /// \p Top and returns true; emits nothing and returns false for any
+  /// other condition or post.
+  bool incJumpLtSlot(const ForStmt *FS, uint32_t Top) {
+    const auto *BE = dyn_cast<BinaryExpr>(FS->Cond);
+    std::optional<uint32_t> Bound = BE ? ltSlotBound(BE) : std::nullopt;
+    const auto *AS = FS->Post ? dyn_cast<AssignStmt>(FS->Post) : nullptr;
+    if (!Bound || !AS || AS->Lhs.size() != 1 || AS->Rhs.size() != 1)
+      return false;
+    auto [I, Step] = slotStep(AS->Lhs[0], AS->Rhs[0]);
+    if (!I || I != slotLocal(BE->Lhs, SlotKind::I))
+      return false;
+    emit(Op::IncJumpIfLtSlot,
+         {(uint32_t)I->FrameOffset, intIdx(Step), *Bound, Top});
+    return true;
+  }
 
   void block(const BlockStmt *B) {
     for (const minigo::Stmt *S : B->Stmts)
@@ -661,6 +825,18 @@ private:
       for (size_t I = 0; I < AS->Lhs.size(); ++I) {
         if (incSlot(AS->Lhs[I], AS->Rhs[I]))
           continue;
+        // `x = x + e` on an int slot local x: e, then one AddToSlot. e
+        // cannot write x (its address is never taken), so reading x after
+        // e is exact.
+        if (const VarDecl *X = slotLocal(AS->Lhs[I], SlotKind::I)) {
+          const auto *BE = dyn_cast<BinaryExpr>(AS->Rhs[I]);
+          if (BE && BE->Op == BinaryOp::Add &&
+              slotLocal(BE->Lhs, SlotKind::I) == X) {
+            expr(BE->Rhs);
+            emit(Op::AddToSlot, (uint32_t)X->FrameOffset);
+            continue;
+          }
+        }
         expr(AS->Rhs[I]); // RHS before the lvalue, like the tree-walker.
         storeTop(AS->Lhs[I]);
       }
@@ -681,23 +857,37 @@ private:
       return;
     }
     case StmtKind::For: {
+      // A loop whose condition fuses into a compare-and-branch is
+      // inverted: the entry test jumps past the loop on the negated
+      // condition, and the bottom test jumps back to the body on the
+      // condition itself. Any other loop tests at the top and jumps back
+      // to that test.
       const auto *FS = cast<ForStmt>(S);
       if (FS->Init)
         stmt(FS->Init);
+      const auto *CondBE =
+          FS->Cond ? dyn_cast<BinaryExpr>(FS->Cond) : nullptr;
+      const bool Inverted = CondBE && cmpJump(CondBE, true);
       uint32_t CondAt = here();
-      uint32_t ExitJump = 0;
-      bool HasCond = FS->Cond != nullptr;
-      if (HasCond)
-        ExitJump = condJump(FS->Cond);
+      uint32_t ExitJump = FS->Cond ? condJump(FS->Cond) : 0;
+      uint32_t Top = here();
       Loops.emplace_back();
       block(FS->Body);
       uint32_t PostAt = here();
-      if (FS->Post)
-        stmt(FS->Post);
-      emit(Op::Jump, CondAt);
+      if (!Inverted) {
+        if (FS->Post)
+          stmt(FS->Post);
+        emit(Op::Jump, CondAt);
+      } else if (!incJumpLtSlot(FS, Top)) {
+        if (FS->Post)
+          stmt(FS->Post);
+        expr(CondBE->Lhs);
+        expr(CondBE->Rhs);
+        emit(*cmpJump(CondBE, true), Top);
+      }
       LoopInfo L = std::move(Loops.back());
       Loops.pop_back();
-      if (HasCond)
+      if (FS->Cond)
         patch(ExitJump);
       for (uint32_t At : L.Breaks)
         patch(At);

@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
+#include <mutex>
 
 using namespace gofree;
 using namespace gofree::vm;
@@ -30,7 +32,88 @@ void writeU64(uintptr_t Addr, uint64_t V) {
   std::memcpy(reinterpret_cast<void *>(Addr), &V, 8);
 }
 
+/// Sets \p Addr to element \p Idx (of \p ElemSize bytes) of the slice
+/// whose header is the frame slot at \p Hdr; false when Idx is out of
+/// range.
+bool slotElemAt(uintptr_t Hdr, int64_t Idx, size_t ElemSize,
+                uintptr_t &Addr) {
+  if (Idx < 0 || Idx >= (int64_t)readU64(Hdr + offsetof(rt::SliceHeader, Len)))
+    return false;
+  Addr = readU64(Hdr + offsetof(rt::SliceHeader, Data)) +
+         (uintptr_t)Idx * ElemSize;
+  return true;
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Op profile
+//===----------------------------------------------------------------------===//
+
+uint64_t OpProfile::total() const {
+  uint64_t T = 0;
+  for (uint64_t N : Ops)
+    T += N;
+  return T;
+}
+
+void OpProfile::add(const OpProfile &O) {
+  for (uint32_t A = 0; A < NumOps; ++A) {
+    Ops[A] += O.Ops[A];
+    for (uint32_t B = 0; B < NumOps; ++B)
+      Pairs[A][B] += O.Pairs[A][B];
+  }
+}
+
+namespace {
+std::mutex ProfileMu;
+OpProfile &processProfile() {
+  static OpProfile *P = new OpProfile(); // Outlives every Vm.
+  return *P;
+}
+} // namespace
+
+OpProfile gofree::vm::opProfile() {
+  std::lock_guard<std::mutex> L(ProfileMu);
+  return processProfile();
+}
+
+std::string gofree::vm::formatOpProfile(const OpProfile &P, size_t TopPairs) {
+  const uint64_t Total = P.total();
+  auto Share = [&](uint64_t N) { return Total ? 100.0 * N / Total : 0.0; };
+  char Line[128];
+  std::snprintf(Line, sizeof(Line), "--- vm.ops: %llu dispatches ---\n",
+                (unsigned long long)Total);
+  std::string Out = Line;
+  std::vector<uint32_t> Order(NumOps);
+  for (uint32_t O = 0; O < NumOps; ++O)
+    Order[O] = O;
+  std::stable_sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+    return P.Ops[A] > P.Ops[B];
+  });
+  for (uint32_t O : Order) {
+    std::snprintf(Line, sizeof(Line), "op %-16s %12llu %6.2f%%\n",
+                  opName((Op)O), (unsigned long long)P.Ops[O],
+                  Share(P.Ops[O]));
+    Out += Line;
+  }
+  std::vector<std::pair<uint64_t, uint32_t>> Pairs;
+  for (uint32_t A = 0; A < NumOps; ++A)
+    for (uint32_t B = 0; B < NumOps; ++B)
+      if (P.Pairs[A][B])
+        Pairs.push_back({P.Pairs[A][B], A * NumOps + B});
+  std::sort(Pairs.begin(), Pairs.end(), std::greater<>());
+  if (Pairs.size() > TopPairs)
+    Pairs.resize(TopPairs);
+  for (const auto &[N, AB] : Pairs) {
+    std::string Name = std::string(opName((Op)(AB / NumOps))) + " " +
+                       opName((Op)(AB % NumOps));
+    std::snprintf(Line, sizeof(Line), "pair %-28s %12llu %6.2f%%\n",
+                  Name.c_str(), (unsigned long long)N, Share(N));
+    Out += Line;
+  }
+  return Out;
+}
 
 //===----------------------------------------------------------------------===//
 // Slot stack
@@ -385,9 +468,18 @@ Vm::Flow Vm::execChunk(const Chunk &C, const uintptr_t SlotBase) {
   } Sync{*this, Fuel, Sp};
 #define SPILL() (FuelUsed = Fuel, this->Sp = Sp)
 #define RELOAD() (Fuel = FuelUsed, Sp = this->Sp)
+  // Every dispatch, the fuel-exhausting one included, burns one fuel unit
+  // and (in a GOFREE_VM_PROFILE build) counts once, so the profile's total
+  // is the run's steps.
+#ifdef GOFREE_VM_PROFILE
+#define COUNT_OP() countOp(Code[IP])
+#else
+#define COUNT_OP() ((void)0)
+#endif
 #define DISPATCH_AT(NewIP)                                                     \
   do {                                                                         \
     IP = (NewIP);                                                              \
+    COUNT_OP();                                                                \
     if (++Fuel > FastLimit)                                                    \
       goto SlowFuel;                                                           \
     goto *Targets[Code[IP]];                                                   \
@@ -433,9 +525,6 @@ Do_LoadVar: {
   *Sp++ = interp::loadValueAt(varAddr(SlotBase, Var), Var->Ty);
   NEXT(1);
 }
-Do_Pop:
-  --Sp;
-  NEXT(0);
 Do_PopN:
   Sp -= Code[IP + 1];
   NEXT(1);
@@ -472,11 +561,22 @@ Do_StoreSlotA:
   --Sp;
   writeU64(SlotBase + Code[IP + 1], Sp->A);
   NEXT(1);
+Do_StoreSlotS:
+  --Sp;
+  std::memcpy(reinterpret_cast<void *>(SlotBase + Code[IP + 1]), &Sp->S,
+              sizeof(rt::SliceHeader));
+  NEXT(1);
 Do_IncSlotI: {
   const uintptr_t Slot = SlotBase + Code[IP + 1];
   writeU64(Slot, (uint64_t)arith::wrapAdd((int64_t)readU64(Slot),
                                           IntPool[Code[IP + 2]]));
   NEXT(2);
+}
+Do_AddToSlot: {
+  const uintptr_t Slot = SlotBase + Code[IP + 1];
+  --Sp;
+  writeU64(Slot, (uint64_t)arith::wrapAdd((int64_t)readU64(Slot), Sp->I));
+  NEXT(1);
 }
 
 Do_Jump:
@@ -486,45 +586,40 @@ Do_JumpIfFalse:
   if (!Sp->I)
     DISPATCH_AT(Code[IP + 1]);
   NEXT(1);
+Do_JumpIfPeek:
+  if ((Sp[-1].I != 0) == (Code[IP + 2] != 0))
+    DISPATCH_AT(Code[IP + 1]);
+  NEXT(2);
 #define GOFREE_VM_CMPJUMP(name, cmp)                                          \
   Do_##name : Sp -= 2;                                                        \
-  if (!(Sp[0].I cmp Sp[1].I))                                                 \
+  if (Sp[0].I cmp Sp[1].I)                                                    \
     DISPATCH_AT(Code[IP + 1]);                                                \
   NEXT(1);
-GOFREE_VM_CMPJUMP(JumpIfNotLt, <)
-GOFREE_VM_CMPJUMP(JumpIfNotLe, <=)
-GOFREE_VM_CMPJUMP(JumpIfNotGt, >)
-GOFREE_VM_CMPJUMP(JumpIfNotGe, >=)
+GOFREE_VM_CMPJUMP(JumpIfLt, <)
+GOFREE_VM_CMPJUMP(JumpIfLe, <=)
+GOFREE_VM_CMPJUMP(JumpIfGt, >)
+GOFREE_VM_CMPJUMP(JumpIfGe, >=)
+GOFREE_VM_CMPJUMP(JumpIfEq, ==)
+GOFREE_VM_CMPJUMP(JumpIfNe, !=)
 #undef GOFREE_VM_CMPJUMP
-Do_JumpIfNotLtLen:
-  // Len is re-read from the slice's slot on every test, so a loop body
-  // that reassigns the slice bounds the next iteration by its new length.
+// The bound (an int local or a slice local's Len word) is re-read from the
+// frame on every test, so a loop body that reassigns it bounds the next
+// iteration by the new value.
+Do_JumpIfNotLtSlot:
   if (!((int64_t)readU64(SlotBase + Code[IP + 1]) <
-        (int64_t)readU64(SlotBase + Code[IP + 2] +
-                         offsetof(rt::SliceHeader, Len))))
+        (int64_t)readU64(SlotBase + Code[IP + 2])))
     DISPATCH_AT(Code[IP + 3]);
   NEXT(3);
-Do_JumpIfFalsePeek:
-  if (!Sp[-1].I)
-    DISPATCH_AT(Code[IP + 1]);
-  NEXT(1);
-Do_JumpIfTruePeek:
-  if (Sp[-1].I)
-    DISPATCH_AT(Code[IP + 1]);
-  NEXT(1);
+Do_IncJumpIfLtSlot: {
+  const uintptr_t Slot = SlotBase + Code[IP + 1];
+  const int64_t I =
+      arith::wrapAdd((int64_t)readU64(Slot), IntPool[Code[IP + 2]]);
+  writeU64(Slot, (uint64_t)I);
+  if (I < (int64_t)readU64(SlotBase + Code[IP + 3]))
+    DISPATCH_AT(Code[IP + 4]);
+  NEXT(4);
+}
 
-Do_Neg: {
-  Value &T = Sp[-1];
-  T.Ty = TypePool[Code[IP + 1]];
-  T.I = arith::wrapNeg(T.I);
-  NEXT(1);
-}
-Do_Not: {
-  Value &T = Sp[-1];
-  T.Ty = TypePool[Code[IP + 1]];
-  T.I = !T.I;
-  NEXT(1);
-}
 // The binary scalar ops pop the right operand and rewrite the left in
 // place; 48-byte Value copies through pop()/push() are what made the
 // dispatch loop lose to the tree-walker before.
@@ -539,10 +634,6 @@ Do_Not: {
 GOFREE_VM_BINOP(Add, arith::wrapAdd(L.I, R))
 GOFREE_VM_BINOP(Sub, arith::wrapSub(L.I, R))
 GOFREE_VM_BINOP(Mul, arith::wrapMul(L.I, R))
-GOFREE_VM_BINOP(Lt, L.I < R)
-GOFREE_VM_BINOP(Le, L.I <= R)
-GOFREE_VM_BINOP(Gt, L.I > R)
-GOFREE_VM_BINOP(Ge, L.I >= R)
 #undef GOFREE_VM_BINOP
 Do_Div:
 Do_Mod: {
@@ -578,26 +669,74 @@ Do_ModK: {
   L.I = arith::goMod(L.I, R, DivZero);
   NEXT(2);
 }
-Do_Eq:
-Do_Ne: {
+// An unboxed int local as an operand, read from its frame slot.
+Do_AddSlot: {
+  Value &L = Sp[-1];
+  L.Ty = TypePool[Code[IP + 2]];
+  L.I = arith::wrapAdd(L.I, (int64_t)readU64(SlotBase + Code[IP + 1]));
+  NEXT(2);
+}
+Do_MulSlotK: {
+  Value &V = *Sp++;
+  V.Ty = TypePool[Code[IP + 2]];
+  V.I = arith::wrapMul((int64_t)readU64(SlotBase + Code[IP + 1]),
+                       IntPool[Code[IP + 3]]);
+  NEXT(3);
+}
+Do_ModSlotK: {
+  Value &V = *Sp++;
+  bool DivZero; // Never set: the compiler keeps Mod for `% 0`.
+  V.Ty = TypePool[Code[IP + 2]];
+  V.I = arith::goMod((int64_t)readU64(SlotBase + Code[IP + 1]),
+                     IntPool[Code[IP + 3]], DivZero);
+  NEXT(3);
+}
+Do_MulAddSlot: {
+  Value &V = *Sp++;
+  V.Ty = TypePool[Code[IP + 2]];
+  const int64_t X = (int64_t)readU64(SlotBase + Code[IP + 1]);
+  V.I = arith::wrapAdd(arith::wrapMul(X, IntPool[Code[IP + 3]]),
+                       (int64_t)readU64(SlotBase + Code[IP + 4]));
+  NEXT(4);
+}
+Do_Cmp: {
   const Value &R = *--Sp;
   Value &L = Sp[-1];
-  bool Equal;
-  switch (Code[IP + 2]) {
-  case 0:
-    Equal = L.I == R.I;
+  bool B;
+  switch ((CmpCond)Code[IP + 2]) {
+  case CmpCond::Lt:
+    B = L.I < R.I;
     break;
-  case 1:
-    // Only nil comparisons pass Sema; a made slice is never nil.
-    Equal = L.S.Data == R.S.Data && L.S.Len == R.S.Len && L.S.Cap == R.S.Cap;
+  case CmpCond::Le:
+    B = L.I <= R.I;
     break;
-  default:
-    Equal = L.A == R.A;
+  case CmpCond::Gt:
+    B = L.I > R.I;
+    break;
+  case CmpCond::Ge:
+    B = L.I >= R.I;
+    break;
+  default: {
+    bool Equal;
+    switch (Code[IP + 3]) {
+    case 0:
+      Equal = L.I == R.I;
+      break;
+    case 1:
+      // Only nil comparisons pass Sema; a made slice is never nil.
+      Equal = L.S.Data == R.S.Data && L.S.Len == R.S.Len && L.S.Cap == R.S.Cap;
+      break;
+    default:
+      Equal = L.A == R.A;
+      break;
+    }
+    B = (CmpCond)Code[IP + 2] == CmpCond::Eq ? Equal : !Equal;
     break;
   }
+  }
   L.Ty = TypePool[Code[IP + 1]];
-  L.I = (Op)Code[IP] == Op::Eq ? Equal : !Equal;
-  NEXT(2);
+  L.I = B;
+  NEXT(3);
 }
 
 Do_Deref: {
@@ -606,21 +745,21 @@ Do_Deref: {
     fault("nil pointer dereference");
     return Flow::Fault;
   }
-  T = interp::loadValueAt(T.A, TypePool[Code[IP + 1]]);
-  NEXT(1);
+  T = interp::loadValueAt(T.A + Code[IP + 1], TypePool[Code[IP + 2]]);
+  NEXT(2);
+}
+Do_DerefSlot: {
+  const uintptr_t P = readU64(SlotBase + Code[IP + 1]);
+  if (!P) {
+    fault("nil pointer dereference");
+    return Flow::Fault;
+  }
+  *Sp++ = interp::loadValueAt(P + Code[IP + 2], TypePool[Code[IP + 3]]);
+  NEXT(3);
 }
 Do_MkPtr:
   Sp[-1].Ty = TypePool[Code[IP + 1]]; // The raw address is already there.
   NEXT(1);
-Do_FieldPtr: {
-  Value &T = Sp[-1];
-  if (!T.A) {
-    fault("nil pointer dereference");
-    return Flow::Fault;
-  }
-  T = interp::loadValueAt(T.A + Code[IP + 1], TypePool[Code[IP + 2]]);
-  NEXT(2);
-}
 Do_FieldVal: {
   Value &T = Sp[-1];
   T = interp::loadValueAt(T.A + Code[IP + 1], TypePool[Code[IP + 2]]);
@@ -636,6 +775,21 @@ Do_IndexSlice: {
   const Type *ElemTy = TypePool[Code[IP + 1]];
   B = interp::loadValueAt(B.S.Data + (uintptr_t)Idx * ElemTy->size(), ElemTy);
   NEXT(1);
+}
+// `s[i]` and `s[i] = v` on slot locals read the slice's Data and Len and
+// the index straight from the frame: no 24-byte header copy, no operand
+// pushes.
+Do_IndexSlot: {
+  const Type *ElemTy = TypePool[Code[IP + 3]];
+  uintptr_t Elem;
+  if (!slotElemAt(SlotBase + Code[IP + 1],
+                  (int64_t)readU64(SlotBase + Code[IP + 2]), ElemTy->size(),
+                  Elem)) {
+    fault("slice index out of range");
+    return Flow::Fault;
+  }
+  *Sp++ = interp::loadValueAt(Elem, ElemTy);
+  NEXT(3);
 }
 Do_IndexMap: {
   Sp -= 2;
@@ -676,23 +830,8 @@ Do_LvalDeref: {
     fault("nil pointer dereference");
     return Flow::Fault;
   }
+  T.A += Code[IP + 1];
   T.Ty = nullptr; // Becomes a raw address; the scanner marks via A.
-  NEXT(0);
-}
-Do_LvalFieldPtr: {
-  Value &T = Sp[-1];
-  if (!T.A) {
-    fault("nil pointer dereference");
-    return Flow::Fault;
-  }
-  T.A += Code[IP + 1];
-  T.Ty = nullptr;
-  NEXT(1);
-}
-Do_LvalField: {
-  Value &T = Sp[-1];
-  T.A += Code[IP + 1];
-  T.Ty = nullptr;
   NEXT(1);
 }
 Do_LvalIndex: {
@@ -711,6 +850,30 @@ Do_Store:
   interp::storeValueAt(Heap, Types, Sp[-1].A, Sp[-2]);
   Sp -= 2;
   NEXT(0);
+Do_StoreIndexSlot: {
+  // The value was evaluated first and stays rooted on the stack until the
+  // store: the bounds check faults after the RHS, like the tree-walker.
+  uintptr_t Elem;
+  if (!slotElemAt(SlotBase + Code[IP + 1],
+                  (int64_t)readU64(SlotBase + Code[IP + 2]), Code[IP + 3],
+                  Elem)) {
+    fault("slice index out of range");
+    return Flow::Fault;
+  }
+  --Sp;
+  interp::storeValueAt(Heap, Types, Elem, *Sp);
+  NEXT(3);
+}
+Do_StoreIndexS: {
+  uintptr_t Elem;
+  if (!slotElemAt(SlotBase + Code[IP + 1], Sp[-1].I, Code[IP + 2], Elem)) {
+    fault("slice index out of range");
+    return Flow::Fault;
+  }
+  Sp -= 2;
+  interp::storeValueAt(Heap, Types, Elem, Sp[0]);
+  NEXT(2);
+}
 Do_StoreVarInit: {
   const VarDecl *Var = VarPool[Code[IP + 1]];
   // The value stays on the stack, rooted, while the slot may heap-box.
@@ -816,21 +979,15 @@ Do_SetField:
   --Sp;
   interp::storeValueAt(Heap, Types, Sp[-1].A + Code[IP + 1], *Sp);
   NEXT(1);
-Do_LenSlice: {
+Do_LenCap: {
   Value &T = Sp[-1];
-  T.I = T.S.Len;
+  T.I = Code[IP + 2] ? T.S.Cap : T.S.Len;
   T.Ty = TypePool[Code[IP + 1]];
-  NEXT(1);
+  NEXT(2);
 }
 Do_LenMap: {
   Value &T = Sp[-1];
   T.I = T.A ? rt::mapLen(T.A) : 0;
-  T.Ty = TypePool[Code[IP + 1]];
-  NEXT(1);
-}
-Do_CapOf: {
-  Value &T = Sp[-1];
-  T.I = T.S.Cap;
   T.Ty = TypePool[Code[IP + 1]];
   NEXT(1);
 }
@@ -909,6 +1066,7 @@ Do_Tcfree:
   NEXT(1);
 #undef NEXT
 #undef DISPATCH_AT
+#undef COUNT_OP
 #undef RELOAD
 #undef SPILL
 }
@@ -1054,6 +1212,14 @@ interp::RunResult Vm::run(const std::string &Entry,
   }
   runFunction(M->chunkFor(Fn), 0, Args.size());
   Result.Steps = FuelUsed;
+#ifdef GOFREE_VM_PROFILE
+  {
+    std::lock_guard<std::mutex> L(ProfileMu);
+    processProfile().add(*Prof);
+  }
+  *Prof = OpProfile();
+  ProfPrev = NumOps;
+#endif
   if (!FaultMsg.empty() && !Result.OutOfFuel)
     Result.Error = FaultMsg;
   setDepth(0);

@@ -78,6 +78,33 @@ private:
   size_t Used = 0; ///< Bytes of it in use.
 };
 
+/// Dispatch counts by op and by op pair: Pairs[a][b] counts dispatches of
+/// b right after a on the same VM (across calls and returns too). Only a
+/// -DGOFREE_VM_PROFILE=ON build collects them: there every dispatch counts
+/// once, so total() equals the run's steps, and each Vm adds its counts to
+/// one process-wide profile when its run ends.
+struct OpProfile {
+  uint64_t Ops[NumOps] = {};
+  uint64_t Pairs[NumOps][NumOps] = {};
+
+  uint64_t total() const;
+  void add(const OpProfile &O);
+};
+
+#ifdef GOFREE_VM_PROFILE
+inline constexpr bool OpProfileEnabled = true;
+#else
+inline constexpr bool OpProfileEnabled = false;
+#endif
+
+/// The process-wide profile of every Vm run that has ended (all zero
+/// unless OpProfileEnabled).
+OpProfile opProfile();
+/// The `vm.ops` table: every op with its count and share, most frequent
+/// first (ops that never ran included), then the \p TopPairs most frequent
+/// op pairs.
+std::string formatOpProfile(const OpProfile &P, size_t TopPairs = 20);
+
 /// The bytecode engine. One instance runs one program against one heap.
 /// Observable behavior (checksum, sink count, panic, faults) matches
 /// interp::Interp exactly; the fuzz differ enforces this law.
@@ -214,6 +241,16 @@ private:
   /// True when GcEveryNSteps is set (it needs a per-step modulo check);
   /// false keeps the dispatch loop's fuel check branchless of it.
   bool FuelHooks = false;
+#ifdef GOFREE_VM_PROFILE
+  void countOp(uint32_t O) {
+    ++Prof->Ops[O];
+    if (ProfPrev < NumOps)
+      ++Prof->Pairs[ProfPrev][O];
+    ProfPrev = O;
+  }
+  std::unique_ptr<OpProfile> Prof = std::make_unique<OpProfile>();
+  uint32_t ProfPrev = NumOps; ///< The op dispatched last; NumOps: none yet.
+#endif
 };
 
 } // namespace vm

@@ -132,8 +132,9 @@ TEST(VmCompilerTest, DisassemblyListsFunctionsAndOpcodes) {
 }
 
 TEST(VmCompilerTest, ShortCircuitCompilesToJumpsNotCalls) {
-  // && / || become peek-jumps over the right operand; there is no
-  // short-circuit "operator" at runtime.
+  // && / || become peek-jumps over the right operand (jpeek's last
+  // operand: 0 jumps on false, 1 on true); there is no short-circuit
+  // "operator" at runtime.
   Compilation C = compiled("func main() {\n"
                            "  a := true\n"
                            "  b := false\n"
@@ -142,8 +143,14 @@ TEST(VmCompilerTest, ShortCircuitCompilesToJumpsNotCalls) {
                            "}\n");
   vm::Module M = vm::compileProgram(*C.Prog);
   std::string Listing = vm::disassemble(M);
-  EXPECT_NE(Listing.find("jfalse.peek"), std::string::npos);
-  EXPECT_NE(Listing.find("jtrue.peek"), std::string::npos);
+  size_t And = Listing.find("jpeek");
+  ASSERT_NE(And, std::string::npos) << Listing;
+  size_t Or = Listing.find("jpeek", And + 1);
+  ASSERT_NE(Or, std::string::npos) << Listing;
+  EXPECT_EQ(Listing.substr(And, Listing.find('\n', And) - And).back(), '0')
+      << Listing;
+  EXPECT_EQ(Listing.substr(Or, Listing.find('\n', Or) - Or).back(), '1')
+      << Listing;
 }
 
 /// Listing of the chunk compiled for function \p Name.
@@ -171,8 +178,9 @@ TEST(VmCompilerTest, UnboxedIntLocalUsesSlotOperands) {
 }
 
 TEST(VmCompilerTest, UnboxedSliceLocalUsesSlotOperands) {
-  // A slice local that is not MovedToHeap loads its 24-byte header straight
-  // from the frame slot; stores keep the general ops.
+  // A slice local that is not MovedToHeap loads and stores its 24-byte
+  // header straight from and to the frame slot, and len(s) reads the Len
+  // word there.
   const char *Src = "func main(n int) {\n"
                     "  s := make([]int, n)\n"
                     "  s[0] = 7\n"
@@ -183,10 +191,13 @@ TEST(VmCompilerTest, UnboxedSliceLocalUsesSlotOperands) {
   vm::Module M = vm::compileProgram(*C.Prog);
   std::string Listing = chunkListing(M, *C.Prog, "main");
   EXPECT_NE(Listing.find("load.slot.s"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("store.slot.s"), std::string::npos) << Listing;
   EXPECT_NE(Listing.find("; s"), std::string::npos) << Listing;
   EXPECT_NE(Listing.find("; t"), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("; len(s)"), std::string::npos) << Listing;
   EXPECT_EQ(Listing.find("loadvar"), std::string::npos) << Listing;
-  EXPECT_NE(Listing.find("storevar.init"), std::string::npos) << Listing;
+  EXPECT_EQ(Listing.find("storevar.init"), std::string::npos) << Listing;
+  EXPECT_EQ(Listing.find("lencap"), std::string::npos) << Listing;
   for (int64_t N : {1, 5})
     expectEngineEquivalence(Src, {N});
 }
@@ -234,10 +245,13 @@ TEST(VmCompilerTest, OrderedConditionsFuseCompareAndBranch) {
   Compilation C = compiled(Src);
   vm::Module M = vm::compileProgram(*C.Prog);
   std::string Listing = vm::disassemble(M);
-  for (const char *Op : {"jnot.lt", "jnot.le", "jnot.gt", "jnot.ge"})
+  // Each `if` jumps over its body on the negated comparison, == included;
+  // the loop tests i < n at the top and at the bottom.
+  for (const char *Op : {"\tjgt ", "\tjle ", "\tjlt ", "\tjne ",
+                         "\tjnot.lt.slot ", "\tinc.jlt.slot "})
     EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
-  // == is not an ordered comparison: it keeps eq + jfalse.
-  EXPECT_NE(Listing.find("jfalse"), std::string::npos) << Listing;
+  for (const char *Op : {"\tjfalse ", "\tcmp ", "\tjump "})
+    EXPECT_EQ(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
   for (int64_t N : {0, 1, 4, 6, 9, 12})
     expectEngineEquivalence(Src, {N});
 }
@@ -264,18 +278,23 @@ TEST(VmCompilerTest, HotLoopUsesFusedOps) {
   Compilation C = compiled(Src, CompileMode::GoFree);
   vm::Module M = vm::compileProgram(*C.Prog);
   std::string Listing = chunkListing(M, *C.Prog, "main");
-  for (const char *Op : {"jnot.lt.len", "inc.slot.i", "mul.k", "mod.k",
-                         "add.k"})
+  for (const char *Op : {"jnot.lt.slot", "inc.jlt.slot", "mul.slot.k",
+                         "mod.k", "add.k", "store.index.slot", "index.slot",
+                         "add.to.slot"})
     EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
   EXPECT_NE(Listing.find("; i < len(s)"), std::string::npos) << Listing;
-  EXPECT_NE(Listing.find("; i += 1"), std::string::npos) << Listing;
-  // `t += s[i]` adds no constant: it keeps the general ops.
-  EXPECT_EQ(Listing.find("; t += "), std::string::npos) << Listing;
-  // The first loop, from its test to its back edge, pushes no constant.
-  std::string Body = listingBetween(Listing, "jnot.lt.len", "\tjump ");
+  EXPECT_NE(Listing.find("; i += 1; i < len(s)"), std::string::npos)
+      << Listing;
+  EXPECT_NE(Listing.find("; s[i]"), std::string::npos) << Listing;
+  // The first loop, from its entry test to its bottom test, is four ops:
+  // no constant, no slice or index load, no back-edge jump.
+  std::string Body = listingBetween(Listing, "jnot.lt.slot", "inc.jlt.slot");
   ASSERT_FALSE(Body.empty()) << Listing;
-  EXPECT_EQ(Body.find("\tconst "), std::string::npos) << Body;
-  EXPECT_EQ(Listing.find("len.slice"), std::string::npos) << Listing;
+  EXPECT_EQ(std::count(Body.begin(), Body.end(), '\n'), 5) << Body;
+  for (const char *Op : {"\tconst ", "\tload.slot"})
+    EXPECT_EQ(Body.find(Op), std::string::npos) << Op << "\n" << Body;
+  for (const char *Op : {"\tjump ", "lencap"})
+    EXPECT_EQ(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
   for (int64_t N : {0, 1, 9})
     expectEngineEquivalence(Src, {N});
 }
@@ -310,14 +329,19 @@ TEST(VmCompilerTest, BoxedLoopVariablesKeepGeneralOps) {
   ASSERT_TRUE(MovedToHeap("count", "i"));
   ASSERT_TRUE(MovedToHeap("fill", "s"));
   vm::Module M = vm::compileProgram(*C.Prog);
+  // Both loops are still inverted, on the general compare-and-branch.
   std::string Count = chunkListing(M, *C.Prog, "count");
-  EXPECT_EQ(Count.find("jnot.lt.len"), std::string::npos) << Count;
+  EXPECT_EQ(Count.find("jnot.lt.slot"), std::string::npos) << Count;
+  EXPECT_EQ(Count.find("inc.jlt.slot"), std::string::npos) << Count;
   EXPECT_EQ(Count.find("inc.slot.i"), std::string::npos) << Count;
-  EXPECT_NE(Count.find("len.slice"), std::string::npos) << Count;
-  EXPECT_NE(Count.find("jnot.lt"), std::string::npos) << Count;
+  EXPECT_NE(Count.find("; len(s)"), std::string::npos)
+      << Count << "count's s is an unboxed slice local";
+  EXPECT_NE(Count.find("\tjge "), std::string::npos) << Count;
+  EXPECT_NE(Count.find("\tjlt "), std::string::npos) << Count;
   std::string Fill = chunkListing(M, *C.Prog, "fill");
-  EXPECT_EQ(Fill.find("jnot.lt.len"), std::string::npos) << Fill;
-  EXPECT_NE(Fill.find("len.slice"), std::string::npos) << Fill;
+  EXPECT_EQ(Fill.find("jnot.lt.slot"), std::string::npos) << Fill;
+  EXPECT_EQ(Fill.find("inc.jlt.slot"), std::string::npos) << Fill;
+  EXPECT_NE(Fill.find("lencap"), std::string::npos) << Fill;
   EXPECT_NE(Fill.find("inc.slot.i"), std::string::npos) << Fill
       << "fill's i is an unboxed int local";
   for (int64_t N : {1, 6})
@@ -325,10 +349,10 @@ TEST(VmCompilerTest, BoxedLoopVariablesKeepGeneralOps) {
 }
 
 TEST(VmCompilerTest, ChunkRecordsMaxOperandDepth) {
-  // sink(a + (b + (c + d))) holds four operands at once.
+  // sink(a * (b * (c * d))) holds four operands at once.
   Compilation C = compiled("func main() {\n"
                            "  a := 1\n  b := 2\n  c := 3\n  d := 4\n"
-                           "  sink(a + (b + (c + d)))\n"
+                           "  sink(a * (b * (c * d)))\n"
                            "}\n");
   vm::Module M = vm::compileProgram(*C.Prog);
   EXPECT_EQ(M.chunkFor(C.Prog->findFunc("main"))->MaxDepth, 4u);
@@ -864,8 +888,9 @@ TEST(VmArithTest, MinInt64DivAndModByMinusOne) {
 }
 
 TEST(VmArithTest, FusedOpsWrapLikeGeneralOps) {
-  // add.k, mul.k and mod.k (a negated literal is a constant too) and
-  // inc.slot.i, at the int64 boundaries; the tree-walker has no fused ops.
+  // add.k, mul.slot.k and mod.slot.k (a negated literal is a constant
+  // too) and inc.slot.i, at the int64 boundaries; the tree-walker has no
+  // fused ops.
   const char *Src = "func main() {\n"
                     "  max := 9223372036854775807\n"
                     "  min := -max - 1\n"
@@ -889,9 +914,9 @@ TEST(VmArithTest, FusedOpsWrapLikeGeneralOps) {
   Compilation C = compiled(Src, CompileMode::GoFree);
   vm::Module M = vm::compileProgram(*C.Prog);
   std::string Listing = chunkListing(M, *C.Prog, "main");
-  for (const char *Op : {"add.k", "mul.k", "mod.k", "inc.slot.i"})
+  for (const char *Op : {"add.k", "mul.slot.k", "mod.slot.k", "inc.slot.i"})
     EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
-  EXPECT_NE(Listing.find("mod.k 0 "), std::string::npos) << Listing;
+  EXPECT_NE(Listing.find("; min % -1"), std::string::npos) << Listing;
   ExecOutcome O = expectEngineEquivalence(Src);
   ASSERT_TRUE(O.Run.ok()) << O.Run.Error;
   uint64_t Expected = vmChecksum("func main() {\n"
@@ -919,8 +944,8 @@ TEST(VmArithTest, ModByZeroLiteralStillFaults) {
 }
 
 TEST(VmTest, LenBoundReReadEveryIteration) {
-  // jnot.lt.len reads len(s) from s's slot on every test: over a nil
-  // slice, and when the body shrinks s or appends to it.
+  // jnot.lt.slot and inc.jlt.slot read len(s) from s's slot on every
+  // test: over a nil slice, and when the body shrinks s or appends to it.
   expectEngineEquivalence("func main() {\n"
                           "  var s []int\n"
                           "  n := 0\n"
@@ -1006,6 +1031,227 @@ TEST(VmArithTest, AddSubMulNegWrapAround) {
                                  "  sink(min)\n  sink(min)\n"
                                  "}\n");
   EXPECT_EQ(O.Run.Checksum, Expected);
+}
+
+//===----------------------------------------------------------------------===//
+// Inverted loops and slot-operand index, store and arithmetic ops
+//===----------------------------------------------------------------------===//
+
+TEST(VmFusedShapeTest, InvertedLoopsZeroTripBreakContinue) {
+  // Every loop shape the compiler inverts (i < n, i < len(s), a general
+  // comparison) and one it does not (a bool condition), entered zero
+  // times, left by break and resumed by continue, alone and nested.
+  const char *Src = "func main(n int) {\n"
+                    "  var none []int\n"
+                    "  s := make([]int, n)\n"
+                    "  t := 0\n"
+                    "  for i := 0; i < len(none); i++ { t += 1000 }\n"
+                    "  for i := 5; i < 3; i++ { t += 1000 }\n"
+                    "  for i := 0; i < n; i++ {\n"
+                    "    if i % 3 == 1 { continue }\n"
+                    "    if i > 7 { break }\n"
+                    "    t += i\n"
+                    "  }\n"
+                    "  for i := 0; i < len(s); i += 2 {\n"
+                    "    s[i] = i\n"
+                    "    for j := i; j < len(s); j++ {\n"
+                    "      if j == i + 2 { continue }\n"
+                    "      if j >= i + 4 { break }\n"
+                    "      t += s[j] * 3\n"
+                    "    }\n"
+                    "    if i >= 6 { continue }\n"
+                    "    t += 7\n"
+                    "  }\n"
+                    "  for k := n * 2; k >= n; k-- {\n"
+                    "    if k != n + 1 { t += k }\n"
+                    "  }\n"
+                    "  more := n > 2\n"
+                    "  for more {\n"
+                    "    t++\n"
+                    "    more = !more\n"
+                    "  }\n"
+                    "  sink(t)\n"
+                    "  sink(-t)\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "main");
+  for (const char *Op : {"\tinc.jlt.slot ", "\tjge ", "\tjump "})
+    EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
+  for (int64_t N : {0, 1, 2, 3, 9, 14})
+    expectEngineEquivalence(Src, {N});
+}
+
+TEST(VmFusedShapeTest, LoopBoundReassignedInBody) {
+  // inc.jlt.slot reads the bound n from its slot after each step: a body
+  // that moves n moves the exit, like the tree-walker's re-evaluation.
+  const char *Src = "func main(n int) {\n"
+                    "  t := 0\n"
+                    "  for i := 0; i < n; i++ {\n"
+                    "    t += i\n"
+                    "    if i == 2 { n = n - 3 }\n"
+                    "    if i == 4 { n = n + 1 }\n"
+                    "  }\n"
+                    "  sink(t)\n"
+                    "  sink(n)\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  EXPECT_NE(chunkListing(M, *C.Prog, "main").find("; i += 1; i < n"),
+            std::string::npos);
+  for (int64_t N : {0, 3, 4, 6, 12})
+    expectEngineEquivalence(Src, {N});
+}
+
+TEST(VmFusedShapeTest, FusedIndexAndStoreFaultsMatchTreeWalker) {
+  // index.slot, store.index.slot, store.index.s and deref.slot fault with
+  // the tree-walker's messages, out of range and on nil, and a store
+  // checks its bounds only after its right-hand side ran (the sinks and
+  // the divide fault in f come first).
+  const char *Src = "type T struct { v int\n next *T\n }\n"
+                    "func f(x int, z int) int {\n"
+                    "  sink(x)\n"
+                    "  return x / z\n"
+                    "}\n"
+                    "func main(mode int, i int) {\n"
+                    "  var none []int\n"
+                    "  s := make([]int, 4)\n"
+                    "  var p *T\n"
+                    "  if mode == 0 { sink(s[i]) }\n"
+                    "  if mode == 1 { s[i] = f(i, 1) }\n"
+                    "  if mode == 2 { s[i] = f(i, 0) }\n"
+                    "  if mode == 3 { s[i * 2] = f(i, 1) }\n"
+                    "  if mode == 4 { none[i] = f(i, 1) }\n"
+                    "  if mode == 5 { sink(none[i]) }\n"
+                    "  if mode == 6 { sink(p.v) }\n"
+                    "  if mode == 7 { sink((*p).v) }\n"
+                    "  sink(s[0] + s[3])\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "main");
+  for (const char *Op : {"\tindex.slot ", "\tstore.index.slot ",
+                         "\tstore.index.s ", "\tderef.slot "})
+    EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
+  for (int64_t Mode = 0; Mode <= 7; ++Mode) {
+    for (int64_t I : {-1, 0, 3, 4, 9}) {
+      ExecOutcome O = expectEngineEquivalence(Src, {Mode, I});
+      if (Mode == 2) {
+        EXPECT_NE(O.Run.Error.find("integer divide by zero"),
+                  std::string::npos)
+            << "i=" << I << ": " << O.Run.Error;
+      }
+    }
+  }
+  ExecOutcome O = expectEngineEquivalence(Src, {1, 4});
+  EXPECT_NE(O.Run.Error.find("slice index out of range"), std::string::npos)
+      << O.Run.Error;
+  EXPECT_EQ(O.Run.SinkCount, 1u) << "the RHS's sink runs before the fault";
+  O = expectEngineEquivalence(Src, {6, 0});
+  EXPECT_NE(O.Run.Error.find("nil pointer dereference"), std::string::npos)
+      << O.Run.Error;
+}
+
+TEST(VmFusedShapeTest, ConstantModAndMulAddWithNegativeOperands) {
+  // mod.slot.k, mod.k and muladd.slot keep Go's truncated remainder (its
+  // sign follows the dividend) and wrapping arithmetic.
+  const char *Src = "func main(a int, b int) {\n"
+                    "  s := make([]int, 3)\n"
+                    "  s[1] = a\n"
+                    "  for i := -9; i < 10; i += 4 {\n"
+                    "    sink(i % 7)\n"
+                    "    sink(i % -7)\n"
+                    "    sink((i - a) % 3)\n"
+                    "    sink(s[1] % -5)\n"
+                    "    sink(a * -3 + i)\n"
+                    "    sink(b * 9223372036854775807 + a)\n"
+                    "  }\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "main");
+  for (const char *Op : {"\tmod.slot.k ", "\tmod.k ", "\tmuladd.slot "})
+    EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
+  for (int64_t A : {-17, -1, 0, 5})
+    for (int64_t B : {-3, 0, 2})
+      expectEngineEquivalence(Src, {A, B});
+}
+
+TEST(VmFusedShapeTest, PointerElementStoresShadeDuringConcurrentMark) {
+  // Pointers move between the heap backing arrays of two slice locals only
+  // through store.index.slot and store.index.s, each one dropped from its
+  // old element and from every local right after. An object stored into
+  // an already-scanned (black) array during a concurrent mark window
+  // survives only if that store shaded it; verify=1 runs the tricolor
+  // check at each final flip and the heap verifier at every cycle. Whether
+  // a store lands inside a window depends on the thread schedule, so the
+  // deterministic check is the rc leg: it counts references through the
+  // same barrier, and its verifier cross-checks every count against a
+  // trace from the roots (a fused store without the barrier fails it on
+  // every run).
+  const char *Src = "type T struct { v int\n next *T\n }\n"
+                    "func main(n int, w int) {\n"
+                    "  a := make([]*T, w)\n"
+                    "  b := make([]*T, w)\n"
+                    "  for i := 0; i < w; i++ {\n"
+                    "    a[i] = &T{v: i, next: &T{v: i * 2}}\n"
+                    "  }\n"
+                    "  var live *T\n"
+                    "  for i := 0; i < n / 4; i++ { live = &T{v: i, next: live} }\n"
+                    "  total := 0\n"
+                    "  for r := 0; r < n; r++ {\n"
+                    "    i := r % w\n"
+                    "    j := (r * 7 + 3) % w\n"
+                    "    p := a[i]\n"
+                    "    q := b[j]\n"
+                    "    b[j] = p\n"
+                    "    a[i] = nil\n"
+                    "    a[(i + 5) % w] = q\n"
+                    "    if a[i] == nil { a[i] = &T{v: r, next: &T{v: r + 1}} }\n"
+                    "    p = nil\n"
+                    "    q = nil\n"
+                    "    g := make([]int, r % 40 + w)\n"
+                    "    g[1] = r\n"
+                    "    total += g[1] % 3\n"
+                    "  }\n"
+                    "  for i := 0; i < w; i++ {\n"
+                    "    if a[i] != nil { total += a[i].v + a[i].next.v }\n"
+                    "    if b[i] != nil { total += b[i].v * 3 + b[i].next.v }\n"
+                    "  }\n"
+                    "  for live != nil {\n"
+                    "    total += live.v % 5\n"
+                    "    live = live.next\n"
+                    "  }\n"
+                    "  sink(total)\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "main");
+  for (const char *Op : {"\tstore.index.slot ", "\tstore.index.s "})
+    EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
+  const std::vector<int64_t> Args = {8000, 48};
+  ExecOptions Oracle;
+  Oracle.Engine = ExecEngine::Ast;
+  ExecOutcome Ref = execute(C, "main", Args, Oracle);
+  ASSERT_TRUE(Ref.ok()) << Ref.Error;
+
+  ExecOptions Conc;
+  Conc.NumThreads = 3;
+  Conc.Heap.Gc.Verify = true;
+  Conc.Heap.Gc.MinHeapTrigger = 4 << 10;
+  ExecOutcome O = execute(C, "main", Args, Conc);
+  ASSERT_TRUE(O.ok()) << O.Error;
+  EXPECT_EQ(O.Run.Checksum, Ref.Run.Checksum * 3);
+  EXPECT_GT(O.Stats.GcConcCycles, 10u) << "too few concurrent cycles";
+
+  ExecOptions Rc;
+  Rc.Heap.Gc.Backend = rt::GcBackendKind::Rc;
+  Rc.Heap.Gc.ZctThreshold = 64;
+  Rc.Heap.Gc.Verify = true;
+  O = execute(C, "main", Args, Rc);
+  ASSERT_TRUE(O.ok()) << O.Error;
+  EXPECT_EQ(O.Run.Checksum, Ref.Run.Checksum);
+  EXPECT_GT(O.Stats.GcBarrierHits, 2u * 8000) << "pointer stores missed it";
 }
 
 //===----------------------------------------------------------------------===//

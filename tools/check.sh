@@ -48,6 +48,13 @@
 #                             tcfree while one collects) with heap
 #                             verification (including the tricolor check at
 #                             both flips) on every leg
+#   tools/check.sh vmprof     VM op profile pass: configure a separate
+#                             build-vmprof tree with -DGOFREE_VM_PROFILE=ON,
+#                             run bench_vm once per subject, a quickstart
+#                             run and a 500-seed fuzz slice, check that each
+#                             `vm.ops` table's dispatch total equals the
+#                             steps the runs reported, and that the fuzz
+#                             corpus executes every op but missing.ret
 #   tools/check.sh bench      benchmarks: runs bench_gc_pause, bench_vm and
 #                             bench_mt_contention and writes
 #                             BENCH_gc_pause.json / BENCH_vm.json /
@@ -332,6 +339,40 @@ conc)
     || fail "concurrent-mark fuzz slice failed (gofree-conc: 3 real mutators, conc=1)"
   echo "check.sh: conc pass OK (tsan torture + 200-seed fuzz)"
   ;;
+vmprof)
+  cmake -B "$ROOT/build-vmprof" -S "$ROOT" -DGOFREE_VM_PROFILE=ON
+  cmake --build "$ROOT/build-vmprof" -j 4 --target bench_vm --target gofree
+  tmp="$(mktemp -d)"
+  # shellcheck disable=SC2064
+  trap "rm -rf '$tmp'" EXIT
+  GOFREE_BENCH_RUNS=1 "$ROOT/build-vmprof/bench/bench_vm" > "$tmp/bench.out" \
+    || fail "bench_vm failed in the profile build"
+  "$ROOT/build-vmprof/tools/gofree" --stats run \
+    "$ROOT/examples/quickstart.minigo" 200 > "$tmp/run.out" \
+    || fail "gofree --stats run failed in the profile build"
+  "$ROOT/build-vmprof/tools/gofree" --stats fuzz --seed=1 --count=500 \
+    > "$tmp/fuzz.out" || fail "500-seed fuzz corpus failed in the profile build"
+  python3 - "$tmp/bench.out" "$tmp/run.out" "$tmp/fuzz.out" <<'PYEOF' || fail "vm.ops profile check failed"
+import re, sys
+def table(path):
+    text = open(path).read()
+    total = int(re.search(r"^--- vm.ops: (\d+) dispatches ---$", text, re.M).group(1))
+    ops = {m.group(1): int(m.group(2))
+           for m in re.finditer(r"^op (\S+) +(\d+) ", text, re.M)}
+    assert sum(ops.values()) == total, path + ": op counts do not sum to the total"
+    steps = re.search(r"^vm.steps (\d+)$", text, re.M)
+    return total, ops, int(steps.group(1)) if steps else None
+for path in sys.argv[1:3]:
+    total, _, steps = table(path)
+    assert total == steps, "%s: %d dispatches counted, %d steps run" % (path, total, steps)
+    print("check.sh: vmprof: %s: %d dispatches = steps" % (path.rsplit("/", 1)[1], total))
+_, ops, _ = table(sys.argv[3])
+idle = sorted(op for op, n in ops.items() if n == 0 and op != "missing.ret")
+assert not idle, "ops the 500-seed fuzz corpus never executes: " + " ".join(idle)
+print("check.sh: vmprof: the fuzz corpus executes all %d ops but missing.ret" % (len(ops) - 1))
+PYEOF
+  echo "check.sh: vmprof OK (profile totals = steps; fuzz corpus runs every op)"
+  ;;
 bench)
   cmake -B "$ROOT/build" -S "$ROOT"
   cmake --build "$ROOT/build" -j --target bench_gc_pause --target bench_vm \
@@ -390,6 +431,6 @@ server)
   echo "check.sh: server OK (smoke + tsan + wrote BENCH_server.json)"
   ;;
 *)
-  fail "unknown mode '$MODE' (expected 'all', 'smoke', 'tsan', 'ubsan', 'asan', 'fuzz', 'gc', 'conc', 'bench', or 'server')"
+  fail "unknown mode '$MODE' (expected 'all', 'smoke', 'tsan', 'ubsan', 'asan', 'fuzz', 'gc', 'conc', 'vmprof', 'bench', or 'server')"
   ;;
 esac

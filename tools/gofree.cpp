@@ -17,7 +17,9 @@
 // end through compiler::driver -- see `gofree` with no arguments for the
 // list. CLI-only flags:
 //   --stats               print the counters report after the run (compare
-//                         always prints it, one column per leg)
+//                         always prints it, one column per leg); in a
+//                         -DGOFREE_VM_PROFILE=ON build, `run` and `fuzz`
+//                         then also print the `vm.ops` table
 //   --json                print only the JSON run record, one line per run
 //   --trace-out=FILE      write the event trace as JSON-lines (for compare,
 //                         FILE.go and FILE.gofree, one per leg)
@@ -39,6 +41,7 @@
 #include "fuzz/Fuzzer.h"
 #include "minigo/AstPrinter.h"
 #include "support/Trace.h"
+#include "vm/Vm.h"
 #include "workloads/ServeSim.h"
 
 #include <cerrno>
@@ -249,6 +252,13 @@ void printReport(
   }
 }
 
+/// In a GOFREE_VM_PROFILE build, prints the `vm.ops` table of every VM run
+/// of this process; its dispatch total equals the runs' steps.
+void printOpProfile() {
+  if (vm::OpProfileEnabled)
+    std::printf("%s", vm::formatOpProfile(vm::opProfile()).c_str());
+}
+
 /// Parses the decimal integer after \p Prefix characters of \p Flag; \p Ok
 /// is false for trailing junk, an empty value or one outside int64.
 int64_t parseCliInt(const std::string &Flag, size_t Prefix, bool &Ok) {
@@ -404,7 +414,7 @@ int cmdServeSim(int Argc, char **Argv, int I, driver::PipelineOptions P,
   return R.ok() ? 0 : 1;
 }
 
-int cmdFuzz(int Argc, char **Argv, int I) {
+int cmdFuzz(int Argc, char **Argv, int I, bool Stats) {
   fuzz::FuzzOptions FO;
   FO.Out = stdout;
   for (; I < Argc; ++I) {
@@ -433,6 +443,8 @@ int cmdFuzz(int Argc, char **Argv, int I) {
     }
   }
   fuzz::FuzzReport R = fuzz::runFuzz(FO);
+  if (Stats)
+    printOpProfile();
   if (!R.ok()) {
     std::fprintf(stderr, "gofree fuzz: seed %llu failed: %s\n",
                  (unsigned long long)R.FailingSeed, R.Failure.c_str());
@@ -479,7 +491,7 @@ int main(int Argc, char **Argv) {
   std::string Command = Argv[I++];
 
   if (Command == "fuzz")
-    return cmdFuzz(Argc, Argv, I);
+    return cmdFuzz(Argc, Argv, I, Stats);
   if (Command == "serve-sim")
     return cmdServeSim(Argc, Argv, I, P, Stats, Json, TraceOut);
 
@@ -547,8 +559,12 @@ int main(int Argc, char **Argv) {
       std::printf("checksum %016llx over %llu sink() calls\n",
                   (unsigned long long)O.Run.Checksum,
                   (unsigned long long)O.Run.SinkCount);
-      if (Stats)
+      if (Stats) {
         printReport({{Leg, reportRows(O.Stats, O.WallSeconds, &C.Passes)}});
+        if (vm::OpProfileEnabled)
+          std::printf("vm.steps %llu\n", (unsigned long long)O.Run.Steps);
+        printOpProfile();
+      }
     }
     if (C.ok() && Tracing && !writeTrace(TraceOut, Hub, Leg))
       return 1;
