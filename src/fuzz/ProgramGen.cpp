@@ -241,8 +241,9 @@ void emitStmt(std::string &Out, Rng &R, const GenOptions &Opts) {
 /// the analysis: every comparison in `if` and `for` conditions and as a
 /// value, `&&`/`||`/`!`/unary minus, loops over `k < len(buf)` with
 /// continue and break, non-constant `*` and `/`, cap(), nil comparisons, a
-/// call statement (to the leaf helper note) and loads and stores through
-/// computed addresses. Same contract as emitStmt; its only divisor is
+/// call statement (to the leaf helper note), loads and stores through
+/// computed addresses, and calls (setp, regrow) that write a local while
+/// an assignment to it reads it. Same contract as emitStmt; its only divisor is
 /// `x % 7 + 8`, which lies in 2..14.
 void emitShapeStmt(std::string &Out, Rng &R) {
   std::string X = "x" + num((int64_t)R.below(4));
@@ -308,7 +309,11 @@ void emitShapeStmt(std::string &Out, Rng &R) {
   case 4:
     // A declared zero value, nil comparisons, cap(), a call statement, a
     // load through a computed pointer and a store through a general
-    // slice element.
+    // slice element. Then calls that write a local through its address
+    // while an assignment to it is under way: `w = w + setp(&w, j)` adds
+    // to the w read before the call, and `t[regrow(&t, ..)] = w` stores
+    // into the slice read before the call, which a later t[1] no longer
+    // sees.
     Out += "    {\n"
            "      var z int\n"
            "      var ns []int\n"
@@ -320,6 +325,10 @@ void emitShapeStmt(std::string &Out, Rng &R) {
            "      (*pt)[1] = z + *(&x" + num((int64_t)R.below(4)) + ")\n"
            "      note(t[1] + acc % " + C + ")\n"
            "      acc = acc + t[1] % 31\n"
+           "      w := acc % 89\n"
+           "      w = w + setp(&w, j)\n"
+           "      t[regrow(&t, j + 2)] = w\n"
+           "      acc = acc + w + t[1]\n"
            "    }\n";
     return;
   }
@@ -375,7 +384,10 @@ std::string gofree::fuzz::generateProgram(const GenOptions &Opts) {
     if (Opts.UsePointers)
       Out += "type Box struct {\n  n int\n  buf []int\n}\n\n";
   }
-  Out += "func note(v int) {\n  sink(v % 4093)\n}\n\n";
+  Out += "func note(v int) {\n  sink(v % 4093)\n}\n\n"
+         "func setp(p *int, v int) int {\n  *p = v\n  return v % 3\n}\n\n"
+         "func regrow(p *[]int, n int) int {\n  *p = make([]int, n)\n"
+         "  return 1\n}\n\n";
   if (Opts.UseDefer)
     Out += "func drop0(v int) {\n  sink(v % 8191)\n}\n\n"
            "func drop1(v int) {\n  sink(v % 127 + 1)\n}\n\n";

@@ -65,6 +65,7 @@ enum class Op : uint32_t {
               ///<         `x = x + K`, `x += K`, `x++` (and the minus forms,
               ///<         with k naming the wrapping negation of K)
   AddToSlot,  ///< off   : pop v, slot += v.I (wrapping): `x = x + e`, `x += e`
+              ///<         for an e that calls no function (x is read after e)
 
   // Control flow (within one chunk).
   Jump,        ///< tgt
@@ -148,7 +149,8 @@ enum class Op : uint32_t {
   /// `s[i] = v` for an unboxed slice local s and an unboxed int local i,
   /// after v is evaluated: the bounds check, then the barrier-aware store.
   StoreIndexSlot, ///< soff ioff sz : pop v, storeValue(data+i*sz, v)
-  /// Likewise with the index computed on the stack: `s[e] = v`.
+  /// Likewise with the index computed on the stack: `s[e] = v`, for an e
+  /// that calls no function (s is read after e).
   StoreIndexS,    ///< soff sz : pop i, v; storeValue(data+i*sz, v)
   StoreVarInit,   ///< v   : initVarSlot(v) (may heap-box), pop v, store
   InitVar,        ///< v   : initVarSlot(v) only (zero / fresh box)

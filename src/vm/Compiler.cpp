@@ -332,6 +332,65 @@ private:
     const VarDecl *I = S ? slotLocal(IE->Idx, SlotKind::I) : nullptr;
     return I ? std::pair{S, I} : std::pair<const VarDecl *, const VarDecl *>{};
   }
+  /// True when evaluating \p E calls no function. A slot local is written
+  /// only by this function's own stores or by a callee holding its
+  /// address, so a fused op may read one after such an E where the
+  /// tree-walker reads it before.
+  static bool callFree(const minigo::Expr *E) {
+    auto Ok = [](const minigo::Expr *Sub) { return !Sub || callFree(Sub); };
+    switch (E->kind()) {
+    case ExprKind::IntLit:
+    case ExprKind::BoolLit:
+    case ExprKind::NilLit:
+    case ExprKind::Ident:
+    case ExprKind::New:
+      return true;
+    case ExprKind::Call:
+      return false;
+    case ExprKind::Unary:
+      return Ok(cast<UnaryExpr>(E)->Sub);
+    case ExprKind::Binary: {
+      const auto *BE = cast<BinaryExpr>(E);
+      return Ok(BE->Lhs) && Ok(BE->Rhs);
+    }
+    case ExprKind::Deref:
+      return Ok(cast<DerefExpr>(E)->Sub);
+    case ExprKind::AddrOf:
+      return Ok(cast<AddrOfExpr>(E)->Sub);
+    case ExprKind::Field:
+      return Ok(cast<FieldExpr>(E)->Base);
+    case ExprKind::Index: {
+      const auto *IE = cast<IndexExpr>(E);
+      return Ok(IE->Base) && Ok(IE->Idx);
+    }
+    case ExprKind::Make: {
+      const auto *ME = cast<MakeExpr>(E);
+      return Ok(ME->Len) && Ok(ME->CapExpr);
+    }
+    case ExprKind::Composite:
+      for (const minigo::FieldInit &FI : cast<CompositeExpr>(E)->Inits)
+        if (!Ok(FI.Value))
+          return false;
+      return true;
+    case ExprKind::Len:
+      return Ok(cast<LenExpr>(E)->Sub);
+    case ExprKind::Cap:
+      return Ok(cast<minigo::CapExpr>(E)->Sub);
+    case ExprKind::Append: {
+      const auto *AE = cast<AppendExpr>(E);
+      return Ok(AE->SliceArg) && Ok(AE->Value);
+    }
+    case ExprKind::Slicing: {
+      const auto *SE = cast<SlicingExpr>(E);
+      return Ok(SE->Base) && Ok(SE->Lo) && Ok(SE->Hi);
+    }
+    case ExprKind::CopyFn: {
+      const auto *CE = cast<CopyExpr>(E);
+      return Ok(CE->Dst) && Ok(CE->Src);
+    }
+    }
+    return false;
+  }
   /// The value of \p E when it is an integer literal or the negation of
   /// one (`-1` parses as a negated 1); nothing otherwise.
   static std::optional<int64_t> intConst(const minigo::Expr *E) {
@@ -734,9 +793,10 @@ private:
              (uint32_t)I->FrameOffset, (uint32_t)IE->Ty->size());
         return;
       }
-      // The slice is read after the index: the index cannot write it.
-      if (const VarDecl *S =
-              IE->IsMap ? nullptr : slotLocal(IE->Base, SlotKind::S)) {
+      // The slice is read after the index, so the index must not write it.
+      const VarDecl *S =
+          IE->IsMap ? nullptr : slotLocal(IE->Base, SlotKind::S);
+      if (S && callFree(IE->Idx)) {
         expr(IE->Idx);
         emit(Op::StoreIndexS, (uint32_t)S->FrameOffset,
              (uint32_t)IE->Ty->size());
@@ -825,13 +885,13 @@ private:
       for (size_t I = 0; I < AS->Lhs.size(); ++I) {
         if (incSlot(AS->Lhs[I], AS->Rhs[I]))
           continue;
-        // `x = x + e` on an int slot local x: e, then one AddToSlot. e
-        // cannot write x (its address is never taken), so reading x after
-        // e is exact.
+        // `x = x + e` on an int slot local x: e, then one AddToSlot, which
+        // reads x after e; exact only when e cannot write x.
         if (const VarDecl *X = slotLocal(AS->Lhs[I], SlotKind::I)) {
           const auto *BE = dyn_cast<BinaryExpr>(AS->Rhs[I]);
           if (BE && BE->Op == BinaryOp::Add &&
-              slotLocal(BE->Lhs, SlotKind::I) == X) {
+              slotLocal(BE->Lhs, SlotKind::I) == X &&
+              callFree(BE->Rhs)) {
             expr(BE->Rhs);
             emit(Op::AddToSlot, (uint32_t)X->FrameOffset);
             continue;

@@ -1107,11 +1107,16 @@ TEST(VmFusedShapeTest, FusedIndexAndStoreFaultsMatchTreeWalker) {
   // index.slot, store.index.slot, store.index.s and deref.slot fault with
   // the tree-walker's messages, out of range and on nil, and a store
   // checks its bounds only after its right-hand side ran (the sinks and
-  // the divide fault in f come first).
+  // the divide fault in f come first). An index that calls a function
+  // which replaces s (mode 8) indexes the slice read before the call.
   const char *Src = "type T struct { v int\n next *T\n }\n"
                     "func f(x int, z int) int {\n"
                     "  sink(x)\n"
                     "  return x / z\n"
+                    "}\n"
+                    "func grow(p *[]int, i int) int {\n"
+                    "  *p = make([]int, 8)\n"
+                    "  return i\n"
                     "}\n"
                     "func main(mode int, i int) {\n"
                     "  var none []int\n"
@@ -1125,6 +1130,7 @@ TEST(VmFusedShapeTest, FusedIndexAndStoreFaultsMatchTreeWalker) {
                     "  if mode == 5 { sink(none[i]) }\n"
                     "  if mode == 6 { sink(p.v) }\n"
                     "  if mode == 7 { sink((*p).v) }\n"
+                    "  if mode == 8 { s[grow(&s, i)] = 1 }\n"
                     "  sink(s[0] + s[3])\n"
                     "}\n";
   Compilation C = compiled(Src, CompileMode::GoFree);
@@ -1133,7 +1139,7 @@ TEST(VmFusedShapeTest, FusedIndexAndStoreFaultsMatchTreeWalker) {
   for (const char *Op : {"\tindex.slot ", "\tstore.index.slot ",
                          "\tstore.index.s ", "\tderef.slot "})
     EXPECT_NE(Listing.find(Op), std::string::npos) << Op << "\n" << Listing;
-  for (int64_t Mode = 0; Mode <= 7; ++Mode) {
+  for (int64_t Mode = 0; Mode <= 8; ++Mode) {
     for (int64_t I : {-1, 0, 3, 4, 9}) {
       ExecOutcome O = expectEngineEquivalence(Src, {Mode, I});
       if (Mode == 2) {
@@ -1150,6 +1156,47 @@ TEST(VmFusedShapeTest, FusedIndexAndStoreFaultsMatchTreeWalker) {
   O = expectEngineEquivalence(Src, {6, 0});
   EXPECT_NE(O.Run.Error.find("nil pointer dereference"), std::string::npos)
       << O.Run.Error;
+  O = expectEngineEquivalence(Src, {8, 5});
+  EXPECT_NE(O.Run.Error.find("slice index out of range"), std::string::npos)
+      << "s is read before grow replaces it: " << O.Run.Error;
+}
+
+TEST(VmFusedShapeTest, SlotLocalWrittenByACallInTheRightHandSide) {
+  // A local whose address only reaches a callee that does not keep it
+  // stays in its frame slot. `x = x + set(&x)` reads x before the call
+  // writes it, so it must not become add.to.slot, which reads x after
+  // its operand; `y = y + 2 * z` has no call and still does.
+  const char *Src = "func set(p *int, v int) int {\n"
+                    "  *p = v\n"
+                    "  return 1\n"
+                    "}\n"
+                    "func main(n int) {\n"
+                    "  x := n\n"
+                    "  x = x + set(&x, 10)\n"
+                    "  sink(x)\n"
+                    "  x += set(&x, 20) * 3\n"
+                    "  sink(x)\n"
+                    "  y := n\n"
+                    "  z := n + 1\n"
+                    "  y = y + 2 * z\n"
+                    "  sink(y)\n"
+                    "}\n";
+  Compilation C = compiled(Src, CompileMode::GoFree);
+  vm::Module M = vm::compileProgram(*C.Prog);
+  std::string Listing = chunkListing(M, *C.Prog, "main");
+  EXPECT_NE(Listing.find("\tstore.slot.i "), std::string::npos)
+      << "x keeps its frame slot\n" << Listing;
+  size_t At = Listing.find("\tadd.to.slot ");
+  EXPECT_NE(At, std::string::npos) << Listing;
+  EXPECT_EQ(Listing.find("\tadd.to.slot ", At + 1), std::string::npos)
+      << "only y = y + 2 * z fuses\n" << Listing;
+  for (int64_t N : {-4, 0, 1, 7}) {
+    ExecOutcome O = expectEngineEquivalence(Src, {N});
+    EXPECT_TRUE(O.Run.ok()) << O.Run.Error;
+  }
+  EXPECT_EQ(vmChecksum(Src, {1}),
+            vmChecksum("func main() {\n  sink(2)\n  sink(5)\n"
+                       "  sink(5)\n}\n"));
 }
 
 TEST(VmFusedShapeTest, ConstantModAndMulAddWithNegativeOperands) {
