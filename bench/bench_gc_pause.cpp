@@ -25,7 +25,12 @@
 //      two flips (root scan + residual drain), so they must stay within
 //      a small factor of their 1x value -- the "pauses bounded by root
 //      scan, not live heap" claim, checked in CI by
-//      GcBackendsTest.ConcurrentMarkPausesStayBelowEagerStw.
+//      GcBackendsTest.ConcurrentMarkPausesStayBelowEagerStw. A cycle
+//      opens its concurrent window only when another mutator can run in
+//      it, so both legs run a second mutator that allocates garbage
+//      throughout (and both wait for it to reach a safepoint at every
+//      stop). Sections 1 and 2 run one mutator, so every cycle there is
+//      one pause.
 //
 // GOFREE_BENCH_THREADS=N widens the mark-scaling worker sweep to N (the
 // points become 1, 2, N), deliberately allowing oversubscription; when N
@@ -44,6 +49,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "../tests/SecondMutator.h"
 #include "runtime/Heap.h"
 #include "runtime/TypeDesc.h"
 
@@ -166,8 +172,9 @@ struct ScalePoint {
 };
 
 /// Max pause over paced cycles against a retained graph of \p NumChains
-/// roots x \p ChainLen nodes. Root count is the caller's to hold constant
-/// while ChainLen scales the live heap.
+/// roots x \p ChainLen nodes, with a second mutator running throughout.
+/// Root count is the caller's to hold constant while ChainLen scales the
+/// live heap.
 ScalePoint measureScale(bool Conc, size_t NumChains, size_t ChainLen,
                         size_t Churn) {
   HeapOptions O;
@@ -177,6 +184,8 @@ ScalePoint measureScale(bool Conc, size_t NumChains, size_t ChainLen,
   Heap H(O);
   Retained R;
   H.addRootScanner(&R);
+  Heap::MutatorScope Scope(H, 0);
+  SecondMutator Other(H, 1);
   buildGraph(H, R, NumChains, ChainLen);
   // Churn paced cycles at full heap size; the pacer retriggers at ~2x the
   // marked live set, so every cycle marks the whole retained graph.
@@ -187,6 +196,7 @@ ScalePoint measureScale(bool Conc, size_t NumChains, size_t ChainLen,
       std::abort();
     ++I;
   }
+  Other.stop(/*CallerCache=*/0);
   StatsSnapshot S = H.stats().snap();
   ScalePoint P;
   P.RetainedBytes = (uint64_t)NumChains * ChainLen * 32;

@@ -94,8 +94,8 @@ std::vector<LegResult> gofree::fuzz::standardLegs(const DiffOptions &Opts) {
   // collection marks with two workers, the others keep running, storing
   // through the write barrier and taking tcfree's GcRunning give-up.
   // Observables may depend on neither -- a skipped free is just garbage
-  // the next cycle collects. (With one mutator the collecting thread
-  // drains the window itself, so nothing would overlap it.)
+  // the next cycle collects. (A cycle opens its window only while another
+  // mutator is registered, so a one-mutator leg would have none.)
   if (Opts.MtThreads > 1)
     Legs.push_back(Leg("gofree-conc",
                        {"--mode=gofree", Threads, "--gc=workers=2,conc=1"},

@@ -3,12 +3,14 @@
 // Part of the GoFree-CPP project, reproducing "GoFree: Reducing Garbage
 // Collection via Compiler-Inserted Freeing" (CGO 2025).
 //
-// Like Go's, the collector is concurrent tri-color by default
-// (GcConfig::Concurrent): a short stop-the-world flip scans the roots and
-// turns on the Dijkstra write barrier, the workers mark while mutators run,
-// and a second flip drains the residual gray (see "Concurrent tricolor
-// mark" below). `--gc=...,conc=0` marks entirely inside one pause instead.
-// Both shapes share two more of Go's scalability devices:
+// Like Go's, the collector is concurrent tri-color (GcConfig::Concurrent,
+// on by default) -- but only when a second mutator can use the overlap. A
+// full cycle scans the roots in a stop-the-world flip and drains the gray
+// in a second one; when another mutator is registered, the world restarts
+// between the two flips and that mutator runs behind the Dijkstra write
+// barrier while the workers mark (see "The cycle" below). With no one else
+// to run, or with `--gc=...,conc=0`, both flips are one pause.
+// Every cycle uses two more of Go's scalability devices:
 //
 //  * **Parallel marking.** Marking runs GcWorkers mark workers (the
 //    collecting thread is worker 0; the rest are persistent helper threads
@@ -103,14 +105,15 @@ uint64_t nanosSince(std::chrono::steady_clock::time_point T0) {
 /// Shared state of one mark phase. Lives across cycles (allocated lazily,
 /// reset each cycle) so the per-worker vectors keep their capacity.
 struct Heap::GcMarkShared {
-  /// What one runMarkJob pass does. A fully-STW cycle runs one JobFull; a
-  /// concurrent cycle runs JobFlip1 inside the first pause, JobDrain
-  /// passes while mutators run, and JobFinal inside the second pause.
+  /// What one runMarkJob pass does. Every mark ends with a JobFull; a
+  /// cycle with a concurrent window runs JobFlip1 inside the first pause
+  /// and JobDrain passes while mutators run before it. No job clears mark
+  /// bits: every in-use span's are clear before a mark starts (sweeping
+  /// clears them, and so does the rc drain once it is done with them).
   enum Job : uint8_t {
-    JobFull = 0, ///< Clear marks, scan roots, drain to quiescence.
-    JobFlip1,    ///< Clear marks and scan roots only -- no draining.
+    JobFull = 0, ///< Scan (or rescan) roots, then drain to quiescence.
+    JobFlip1,    ///< Scan roots only -- no draining.
     JobDrain,    ///< Drain/steal whatever gray is seeded -- no roots.
-    JobFinal,    ///< Rescan roots, then drain to quiescence.
   };
   /// Job of the pass being published. Plain: written by the collector
   /// before the PoolMu handshake that wakes the helpers.
@@ -161,14 +164,6 @@ struct Heap::GcMarkShared {
   /// voids the (otherwise possibly stale) scan.
   std::atomic<uint64_t> PublishSeq{0};
 
-  // Cycle-start barrier (between the partitioned clearMarks and the first
-  // marking): no worker may set a mark bit in a span another worker has
-  // not cleared yet.
-  std::mutex BMu;
-  std::condition_variable BCv;
-  int BArrived = 0;
-  uint64_t BGen = 0;
-
   /// Sum of Worker::MarkedBytes, i.e. the live bytes this cycle found;
   /// what the pacer uses (HeapLive still counts unswept garbage).
   uint64_t MarkedBytesTotal = 0;
@@ -177,18 +172,6 @@ struct Heap::GcMarkShared {
   // start; workers consume it by strided partition.
   std::vector<uintptr_t> Roots;
   std::vector<RootScanner *> Providers;
-
-  void barrier() {
-    std::unique_lock<std::mutex> Lock(BMu);
-    uint64_t Gen = BGen;
-    if (++BArrived == NumWorkers) {
-      BArrived = 0;
-      ++BGen;
-      BCv.notify_all();
-      return;
-    }
-    BCv.wait(Lock, [&] { return BGen != Gen; });
-  }
 };
 
 // Lives here (not Heap.cpp) because destroying the GcMarkShared block needs
@@ -304,29 +287,19 @@ void Heap::runGcImpl(GcCycleKind Kind, bool Forced) {
 
   GcThread.store(std::this_thread::get_id(), std::memory_order_relaxed);
 
-  // Concurrent tricolor mark when configured and the backend's cycle kind
-  // supports it; everything else runs the classic stop-the-world body.
-  bool Conc = Opts.Gc.Concurrent && Backend->supportsConcurrentMark(Kind);
-  uint64_t CycleNanos;
-  if (Conc) {
-    auto Start = std::chrono::steady_clock::now();
-    // Manages its own two pauses (and their notePause / GcCycleEnd
-    // bookkeeping) and returns with the world running.
-    concurrentMarkCycle(Kind, Forced);
-    CycleNanos = nanosSince(Start);
-  } else {
-    // The pause clock starts before the stop request: time spent waiting
-    // for mutators to park is pause the program observes.
-    auto PauseStart = std::chrono::steady_clock::now();
-    stopTheWorld();
-    auto Start = std::chrono::steady_clock::now();
-    Backend->collectStw(Kind, Forced);
-    CycleNanos = nanosSince(Start);
-    Stats.notePause(nanosSince(PauseStart));
-    if (trace::TraceSink *T = traceSink())
-      T->emit(trace::EventKind::GcCycleEnd, (uint32_t)Kind, CycleNanos,
-              Stats.HeapLive.load(std::memory_order_relaxed));
-  }
+  // The pause clock starts before the stop request: time spent waiting for
+  // mutators to park is pause the program observes. A cycle that opens a
+  // concurrent mark window ends this pause there and starts the clock of
+  // its second one (markWindow); either way the last pause ends here.
+  PauseStart = std::chrono::steady_clock::now();
+  stopTheWorld();
+  auto Start = std::chrono::steady_clock::now();
+  Backend->collectStw(Kind, Forced);
+  uint64_t CycleNanos = nanosSince(Start);
+  Stats.notePause(nanosSince(PauseStart));
+  if (trace::TraceSink *T = traceSink())
+    T->emit(trace::EventKind::GcCycleEnd, (uint32_t)Kind, CycleNanos,
+            Stats.HeapLive.load(std::memory_order_relaxed));
 
   Stats.GcNanos.fetch_add(CycleNanos, std::memory_order_relaxed);
   switch (Kind) {
@@ -339,14 +312,12 @@ void Heap::runGcImpl(GcCycleKind Kind, bool Forced) {
   case GcCycleKind::None:
     break;
   }
-  Backend->concCycleEnd(Kind);
   // The release bumps are what losers of the GcMu race key off; everything
   // above must be visible before them.
   Seq.fetch_add(1, std::memory_order_release);
   Stats.GcCycles.fetch_add(1, std::memory_order_release);
 
-  if (!Conc)
-    startTheWorld();
+  startTheWorld();
   GcThread.store(std::thread::id{}, std::memory_order_relaxed);
 
   // A forced full cycle promises "garbage is collected" even with other
@@ -422,7 +393,38 @@ void Heap::repace() {
                     std::memory_order_relaxed);
 }
 
-void Heap::fullMarkSweepStw(bool Forced) {
+//===----------------------------------------------------------------------===//
+// The full cycle
+//===----------------------------------------------------------------------===//
+//
+// One body for every full mark-sweep (marksweep's cycle, rc's backup
+// collector). It starts and ends with the world stopped:
+//
+//   flip 1        finish leftover sweep (which leaves every mark bit
+//                 clear), scan the roots. O(roots).
+//   conc window   only with GcConfig::Concurrent and another registered
+//                 mutator: the world restarts, the collector's worker pool
+//                 drains gray while the other mutators run. New
+//                 allocations are born black (Heap::allocSmall/allocLarge),
+//                 the Dijkstra barrier shades every stored pointer, and
+//                 allocation debt past a threshold makes mutators assist.
+//                 All spans stay unswept-free during the window (the sweep
+//                 generation bumps at flip 2), so no slot is freed or
+//                 recycled mid-mark; tcfree's GcRunning give-up covers the
+//                 rest. The world then stops again.
+//   flip 2        rescan roots if the window ran (stacks changed), drain to
+//                 quiescence, verify the tricolor invariant (Verify
+//                 builds), bump the sweep generation and sweep or queue
+//                 the spans.
+//
+// Without a window the two flips are one pause: a lone mutator that
+// collected would only drain the window itself, paying the flips and the
+// barrier for no overlap. Termination of a window: only pre-existing white
+// objects can turn gray (allocate-black removes new objects from the race,
+// tryMarkBit dedups), so the gray supply is finite even though mutators
+// keep allocating.
+
+void Heap::fullMarkSweep(bool Forced) {
   trace::TraceSink *T = traceSink();
   backstopSweepStw();
 
@@ -438,74 +440,50 @@ void Heap::fullMarkSweepStw(bool Forced) {
   if (T)
     T->emit(trace::EventKind::GcMarkStart, 0,
             Stats.HeapLive.load(std::memory_order_relaxed));
-  markPhase(GcMarkMode::Full);
+  markSetup(GcMarkMode::Full);
+  size_t Roots = snapshotMarkRoots();
+  // Decided with the world stopped, so the mutator count cannot grow
+  // before the window would open. rc serves one mutator, so it opens one
+  // only for a cycle some other, unregistered thread forced.
+  bool Window = Opts.Gc.Concurrent && !soloWorld();
+  uint64_t WindowNanos = 0;
+  if (Window) {
+    runMarkJob(GcMarkShared::JobFlip1);
+    WindowNanos = markWindow(Roots);
+    Roots = snapshotMarkRoots();
+  }
+  runMarkJob(GcMarkShared::JobFull);
+  Stats.GcMarkNanos.fetch_add(nanosSince(Start), std::memory_order_relaxed);
+  markFold();
   if (T)
     T->emit(trace::EventKind::GcMarkEnd, 0, nanosSince(Start));
+  verifyTricolor("post-mark");
 
   retireDanglingSpans();
   sweepOrQueueStw(Forced);
   repace();
+  if (!Window)
+    return;
+  Stats.GcConcCycles.fetch_add(1, std::memory_order_relaxed);
+  if (T) {
+    T->emit(trace::EventKind::GcStwFlip, 1, nanosSince(PauseStart), Roots);
+    T->emit(trace::EventKind::GcConcMark, 0, WindowNanos,
+            Mark->MarkedBytesTotal);
+  }
 }
 
-//===----------------------------------------------------------------------===//
-// Concurrent tricolor mark
-//===----------------------------------------------------------------------===//
-//
-// The cycle body when GcConfig::Concurrent is on and the backend supports
-// the kind (marksweep Full). Structure:
-//
-//   flip 1 (STW)  finish leftover sweep, clear marks, scan roots, turn the
-//                 Dijkstra barrier on. O(roots), not O(live heap).
-//   conc window   mutators run; the worker pool drains gray. New
-//                 allocations are born black (Heap::allocSmall/allocLarge),
-//                 the barrier shades every stored pointer, and allocation
-//                 debt past a threshold makes mutators assist. All spans
-//                 are unswept-free during the window (the sweep generation
-//                 bumps at flip 2), so no slot is freed or recycled
-//                 mid-mark; tcfree's GcRunning give-up covers the rest.
-//   flip 2 (STW)  rescan roots (stacks changed), drain residual gray,
-//                 verify the tricolor invariant (Verify builds), bump the
-//                 sweep generation and start lazy sweep. O(roots + delta),
-//                 where delta is whatever the window did not finish.
-//
-// Termination: only pre-existing white objects can turn gray (allocate-
-// black removes new objects from the race, tryMarkBit dedups), so the gray
-// supply is finite even though mutators keep allocating.
-
-void Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
-  (void)Kind; // Only root-to-full kinds reach here (supportsConcurrentMark).
-  trace::TraceSink *T = traceSink();
-  auto CycleStart = std::chrono::steady_clock::now();
-
-  // Pay the previous cycle's sweep debt with the world still running, so
-  // the flip-1 backstop usually has nothing left to do inside the pause.
-  drainSweepQueue();
-
-  // --- Flip 1: stop, finish sweep, clear marks, snapshot roots. ---
-  auto Pause1Start = std::chrono::steady_clock::now();
-  stopTheWorld();
-  backstopSweepStw();
-  verifyAtSafepoint("pre-mark");
-  Phase.store(GcPhase::Marking, std::memory_order_release);
-  if (T)
-    T->emit(trace::EventKind::GcMarkStart, 0,
-            Stats.HeapLive.load(std::memory_order_relaxed));
-  auto MarkT0 = std::chrono::steady_clock::now();
-  markSetup(GcMarkMode::Full);
-  size_t Roots1 = snapshotMarkRoots();
-  runMarkJob(GcMarkShared::JobFlip1);
+uint64_t Heap::markWindow(size_t Roots) {
   // Everything below is published to resuming mutators by the park
   // handshake (they re-cross ParkMu), so relaxed stores suffice.
   ConcMarkActive.store(true, std::memory_order_relaxed);
   BarrierOn.store(true, std::memory_order_relaxed);
-  uint64_t Pause1 = nanosSince(Pause1Start);
+  uint64_t Pause1 = nanosSince(PauseStart);
   Stats.notePause(Pause1);
-  if (T)
-    T->emit(trace::EventKind::GcStwFlip, 0, Pause1, Roots1);
+  if (trace::TraceSink *T = traceSink())
+    T->emit(trace::EventKind::GcStwFlip, 0, Pause1, Roots);
   startTheWorld();
 
-  // --- Concurrent window: drain gray while mutators run. ---
-  auto ConcT0 = std::chrono::steady_clock::now();
+  auto Start = std::chrono::steady_clock::now();
   for (;;) {
     runMarkJob(GcMarkShared::JobDrain);
     // The workers went dry; collect whatever barrier shades and assist
@@ -532,12 +510,10 @@ void Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
     for (size_t I = 0; I < Residual.size(); ++I)
       M.Workers[I % (size_t)M.NumWorkers]->Active.push_back(Residual[I]);
   }
-  uint64_t ConcNanos = nanosSince(ConcT0);
+  uint64_t WindowNanos = nanosSince(Start);
 
-  // --- Flip 2: stop, rescan roots, drain the residue, start the sweep. ---
-  auto Pause2Start = std::chrono::steady_clock::now();
+  PauseStart = std::chrono::steady_clock::now();
   stopTheWorld();
-  size_t Roots2 = snapshotMarkRoots();
   {
     // Late barrier shades (between the last drain and the stop) seed the
     // final job alongside the rescanned roots.
@@ -547,33 +523,10 @@ void Heap::concurrentMarkCycle(GcCycleKind Kind, bool Forced) {
       M.Workers[I % (size_t)M.NumWorkers]->Active.push_back(ConcGray[I]);
     ConcGray.clear();
   }
-  runMarkJob(GcMarkShared::JobFinal);
-  Stats.GcMarkNanos.fetch_add(nanosSince(MarkT0), std::memory_order_relaxed);
-  if (T)
-    T->emit(trace::EventKind::GcMarkEnd, 0, nanosSince(MarkT0));
-  markFold();
-  verifyTricolor("final-flip");
+  // Nothing runs until flip 2 ends, so nothing allocates or stores.
   ConcMarkActive.store(false, std::memory_order_relaxed);
   BarrierOn.store(BarrierAlways, std::memory_order_relaxed);
-
-  retireDanglingSpans();
-  sweepOrQueueStw(Forced);
-  repace();
-  Stats.GcConcCycles.fetch_add(1, std::memory_order_relaxed);
-
-  uint64_t Pause2 = nanosSince(Pause2Start);
-  Stats.notePause(Pause2);
-  if (T) {
-    T->emit(trace::EventKind::GcStwFlip, 1, Pause2, Roots2);
-    T->emit(trace::EventKind::GcConcMark, 0, ConcNanos,
-            Mark->MarkedBytesTotal);
-    // Emitted here, inside the pause, so the shared sink never sees the
-    // collector and a resumed mutator producing at the same time.
-    T->emit(trace::EventKind::GcCycleEnd, (uint32_t)Kind,
-            nanosSince(CycleStart),
-            Stats.HeapLive.load(std::memory_order_relaxed));
-  }
-  startTheWorld();
+  return WindowNanos;
 }
 
 void Heap::gcMaybeAssist() {
@@ -594,7 +547,7 @@ void Heap::gcMaybeAssist() {
     return; // Mark workers and the collector never assist themselves.
   auto T0 = std::chrono::steady_clock::now();
   // Counted from before the batch leaves the shared queues until its
-  // leftovers are back in ConcGray (see concurrentMarkCycle).
+  // leftovers are back in ConcGray (see markWindow).
   AssistsActive.fetch_add(1, std::memory_order_seq_cst);
   std::vector<MarkItem> Batch;
   {
@@ -789,27 +742,10 @@ void Heap::runMarkWorker(int Index) {
   uint8_t Job = M.JobKind;
   TlsMarkIdx = Index;
 
-  if (Job == GcMarkShared::JobFull) {
-    // 1. Clear mark bits, partitioned by span index. (AllSpans is stable:
-    // the world is stopped and we hold GcMu.)
-    // JobFlip1 skips this pass entirely -- that is what keeps the initial
-    // flip O(roots), not O(spans): sweepSpanSlots clears a span's marks
-    // after consuming them, and flip 1's finishSweepStw backstop has just
-    // forced every InUse span swept, so all bits are already clear. (The
-    // STW paths keep the explicit clear: an rc ZCT drain root-marks
-    // without a sweep ever consuming those bits.)
-    for (size_t I = (size_t)Index; I < AllSpans.size(); I += (size_t)N) {
-      MSpan *S = AllSpans[I].get();
-      if (S->State.load(std::memory_order_relaxed) == SpanState::InUse)
-        S->clearMarks();
-    }
-    // 2. Barrier: nobody marks until every span's bits are clear.
-    M.barrier();
-  }
   if (Job != GcMarkShared::JobDrain) {
-    // 3. Roots, partitioned the same way.
-    // JobFinal rescans them from scratch (tryMarkBit dedups): roots and
-    // provider stacks changed while the concurrent window ran.
+    // 1. Roots, partitioned by index. After a window JobFull rescans them
+    // from scratch (tryMarkBit dedups): roots and provider stacks changed
+    // while the window ran.
     for (size_t I = (size_t)Index; I < M.Roots.size(); I += (size_t)N)
       gcMarkAddr(M.Roots[I]);
     for (size_t I = (size_t)Index; I < M.Providers.size(); I += (size_t)N)
@@ -824,7 +760,7 @@ void Heap::runMarkWorker(int Index) {
     return;
   }
 
-  // 4. Drain and steal until global quiescence.
+  // 2. Drain and steal until global quiescence.
   for (;;) {
     // Drain local work: the private stack, then our own published chunks
     // (LIFO -- the hot end of the object graph).
@@ -1051,11 +987,11 @@ uint64_t Heap::sweepSpanSlots(MSpan *S, trace::SweepWhere Where) {
     Stats.GcSweptBytes.fetch_add(FreedBytes, std::memory_order_relaxed);
     Stats.HeapLive.fetch_sub(FreedBytes, std::memory_order_relaxed);
   }
-  // The marks are consumed; clear them now so the next cycle's initial
-  // flip needn't visit this span at all (see runMarkWorker's JobFull
-  // clear pass). No marker can be reading the bits here: lazy sweeping
-  // never runs while a mark is in progress (all spans are already swept
-  // during a concurrent window, and STW marks have the world stopped).
+  // The marks are consumed; clear them now so the next mark needn't visit
+  // this span at all (no mark job clears bits). No marker can be reading
+  // the bits here: lazy sweeping never runs while a mark is in progress
+  // (all spans are already swept during a concurrent window, and STW
+  // marks have the world stopped).
   S->clearMarks();
   // Publish: the generation store is the release edge every waiter in
   // ensureSwept acquires. (SweepGenGlobal is stable for the duration --

@@ -60,11 +60,7 @@ public:
 
   void collectStw(GcCycleKind, bool Forced) override {
     // Always Full: Heap::runGcCycle relabels a forced ZctDrain as one.
-    H.fullMarkSweepStw(Forced);
-  }
-
-  bool supportsConcurrentMark(GcCycleKind Kind) const override {
-    return Kind == GcCycleKind::Full;
+    H.fullMarkSweep(Forced);
   }
 };
 

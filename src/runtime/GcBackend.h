@@ -14,8 +14,8 @@
 /// Heap; backends compose it into different reclamation schemes:
 ///
 ///  * `marksweep` -- the paper's baseline: parallel-mark, lazy-sweep
-///                   cycles (Gc.cpp), concurrent tricolor mark by default,
-///                   no standing barrier.
+///                   cycles (Gc.cpp) that mark concurrently when another
+///                   mutator can run meanwhile; no standing barrier.
 ///  * `rc`        -- deferred reference counting with a zero-count table
 ///                   (aquario's design, SNIPPETS.md 1-3): the barrier
 ///                   adjusts per-object counts, objects whose count reaches
@@ -87,9 +87,11 @@ struct GcConfig {
   bool Verify = false;
   /// rc: a ZCT drain triggers once the table holds this many entries.
   uint64_t ZctThreshold = 4096;
-  /// Run full cycles as concurrent tricolor mark (two short STW flips with
-  /// background marking between them) on backends that support it
-  /// (supportsConcurrentMark). `--gc=...,conc=0` restores fully-STW marking.
+  /// Lets a full cycle open a concurrent mark window: the world restarts
+  /// between its two flips and the other mutators run while the workers
+  /// mark. The window opens only when another mutator is registered at the
+  /// cycle's start; otherwise both flips are one pause. `--gc=...,conc=0`
+  /// keeps every cycle in one pause.
   bool Concurrent = true;
 };
 
@@ -107,7 +109,7 @@ std::string gcMutatorsError(GcBackendKind K, int Mutators);
 /// One collector policy. Constructed against a heap; all methods except
 /// collectStw are called from running mutators, and a backend that serves
 /// several (gcServesMutators) must synchronize them internally. collectStw
-/// runs with the world stopped and GcMu held.
+/// is entered and left with the world stopped and GcMu held.
 class GcBackend {
 public:
   explicit GcBackend(Heap &H) : H(H) {}
@@ -136,22 +138,13 @@ public:
   /// Pacing: what cycle (if any) should run, given current live bytes.
   /// Called from the allocation slow path with the world running.
   virtual GcCycleKind pace(uint64_t Live) = 0;
-  /// The collection body. World stopped, GcMu held by the caller.
+  /// The collection body. World stopped, GcMu held by the caller. A full
+  /// cycle (Heap::fullMarkSweep) may restart the world for its concurrent
+  /// mark window, but it returns with the world stopped again.
   /// \p Forced: the cycle was requested (runGc/runGcCycle), not paced; a
   /// forced full cycle with no other mutator sweeps inside the pause
   /// (see Heap::sweepOrQueueStw).
   virtual void collectStw(GcCycleKind Kind, bool Forced) = 0;
-  /// Whether cycles of \p Kind may run as concurrent tricolor mark
-  /// (Heap::concurrentMarkCycle) instead of collectStw. Only whole-heap
-  /// marking is eligible; the partial zct-drain cycle frees objects
-  /// in-pause and stays STW.
-  virtual bool supportsConcurrentMark(GcCycleKind /*Kind*/) const {
-    return false;
-  }
-  /// Post-cycle bookkeeping a backend would otherwise do inside
-  /// collectStw; called for every cycle (STW or concurrent) after the
-  /// heap's cycle machinery finishes, still under GcMu.
-  virtual void concCycleEnd(GcCycleKind /*Kind*/) {}
 
 protected:
   Heap &H;

@@ -96,7 +96,7 @@ public:
       // Backup collector: cycles (and anything the counts missed) fall to
       // tracing; afterwards the counts are recomputed from the surviving
       // object graph because sweeping freed objects behind their back.
-      H.fullMarkSweepStw(Forced);
+      H.fullMarkSweep(Forced);
       recomputeStw();
       return;
     }
@@ -192,8 +192,8 @@ private:
   void drainStw() {
     H.verifyAtSafepoint("pre-drain");
 
-    // Non-tracing root scan: clears every mark bit, then marks objects the
-    // roots reference directly. Heap->heap edges are the counts' job.
+    // Non-tracing root scan: marks objects the roots reference directly.
+    // Heap->heap edges are the counts' job.
     H.Phase.store(GcPhase::Marking, std::memory_order_release);
     H.markPhase(Heap::GcMarkMode::RootsOnly);
 
@@ -233,6 +233,12 @@ private:
     std::sort(Touched.begin(), Touched.end());
     Touched.erase(std::unique(Touched.begin(), Touched.end()), Touched.end());
     H.stwSettleSpans(Touched);
+
+    // Leave every mark bit clear, as a sweep does: no mark clears them
+    // before it starts.
+    for (const auto &SP : H.AllSpans)
+      if (SP->State.load(std::memory_order_relaxed) == SpanState::InUse)
+        SP->clearMarks();
 
     H.Phase.store(GcPhase::Idle, std::memory_order_release);
     H.verifyAtSafepoint("post-drain");

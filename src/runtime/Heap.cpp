@@ -548,6 +548,7 @@ uintptr_t Heap::allocLarge(size_t Bytes, const TypeDesc *Desc, AllocCat Cat,
     size_t Pages = (Bytes + PageSize - 1) / PageSize;
     Run R = allocPages(Pages);
     S = newSpan(R, Pages * PageSize, /*Class=*/-1);
+    S->AllocCache = CacheId;
     S->FreeIndex = 1;
     S->SlotDescs[0] = Desc;
     S->SlotCats[0] = (uint8_t)Cat;
@@ -631,6 +632,11 @@ bool Heap::tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source) {
     if (S->State.load(std::memory_order_acquire) != SpanState::InUse)
       return GiveUp(
           trace::GiveUpReason::DoubleFree); // Raced retirement.
+    // Like a small span, a large one is the allocating cache's to free: a
+    // second tcfree of a freed object must not free another cache's
+    // object that now occupies the same pages.
+    if (S->AllocCache != CacheId)
+      return GiveUp(trace::GiveUpReason::ForeignSpan);
     // Lazy sweep: the span may still hold an object the last mark already
     // condemned. Sweep first -- if the object was garbage, its alloc bit
     // clears and this call is a double free (the liveness contract says a

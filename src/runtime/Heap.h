@@ -9,11 +9,12 @@
 /// The runtime substrate of sections 3.3 and 5: a TCMalloc-style heap
 /// (page heap -> central lists -> per-thread caches of size-classed spans),
 /// a non-moving mark-sweep collector with Go's GOGC pacing rule (concurrent
-/// tricolor mark by default, stop-the-world with `conc=0`; see
-/// docs/GC.md), and the tcfree family of best-effort explicit deallocation
-/// primitives. tcfree never compromises safety: whenever freeing would be
-/// unsafe (GC running, span owned by another cache, unknown address) it
-/// gives up and leaves the object to the GC.
+/// tricolor mark when another mutator can run meanwhile, stop-the-world
+/// otherwise or with `conc=0`; see docs/GC.md), and the tcfree family of
+/// best-effort explicit deallocation primitives. tcfree never compromises
+/// safety: whenever freeing would be unsafe (GC running, span owned by
+/// another cache, unknown address) it gives up and leaves the object to
+/// the GC.
 ///
 /// The page heap lives in one address range reserved when the heap is
 /// built (ArenaBytes, backed by the OS only where spans are used). A flat
@@ -62,6 +63,7 @@
 #include "runtime/TypeDesc.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -127,12 +129,11 @@ public:
   /// Liveness contract: \p Addr must stay reachable from a GC root until
   /// the call returns. The compiler-inserted call sites satisfy this for
   /// free (the interpreter still holds the freed variable in its rooted
-  /// frame). An address dropped from the roots *before* the call can be
-  /// swept by a concurrent GC cycle at the entry safepoint and its pages
-  /// reallocated -- small spans stay pinned to the caller's cache and
-  /// turn that into a clean give-up, but a freshly registered *large*
-  /// span at the same address is indistinguishable from the original,
-  /// and tcfree would free another thread's live object.
+  /// frame). An address dropped from the roots *before* the call (or
+  /// already freed) can have its slot or pages reused. Reuse by another
+  /// cache is a clean give-up: small spans stay pinned to their owning
+  /// cache, and a large span remembers the cache that allocated it. Reuse
+  /// by the caller's own cache is indistinguishable from the original.
   bool tcfreeObject(uintptr_t Addr, int CacheId, FreeSource Source);
 
   /// Records an escape-analysis stack allocation of \p Bytes (table 8's
@@ -422,16 +423,17 @@ private:
   void poison(uintptr_t Addr, size_t Bytes);
   /// The pacer, run at allocation entry on cache \p CacheId.
   void maybeTriggerGc(int CacheId);
-  /// One stop-the-world entry: serializes on GcMu (losers of the race park
-  /// and accept the winner's completed cycle of the same kind), stops the
-  /// world, delegates the body to Backend->collectStw, and restarts.
+  /// One cycle: serializes on GcMu (losers of the race park and accept the
+  /// winner's completed cycle of the same kind), stops the world,
+  /// delegates the body to Backend->collectStw, accounts the last pause,
+  /// and restarts.
   void runGcImpl(GcCycleKind Kind, bool Forced);
   /// True when no other mutator is registered (collector may be); under
-  /// this condition a forced cycle sweeps eagerly so its caller observes
-  /// the seed's exact post-GC state.
+  /// this condition a full cycle opens no concurrent window, and a forced
+  /// one sweeps eagerly so its caller observes the seed's exact post-GC
+  /// state.
   bool soloWorld();
-  // Cycle steps shared by the full STW cycle and the concurrent cycle
-  // (Gc.cpp). Stopped world, GcMu held.
+  // Steps of the full cycle (Gc.cpp). Stopped world, GcMu held.
   /// Sweeps whatever the previous cycle left unswept and traces it as a
   /// GcSweepEnd (only when something was swept). Start of a full cycle.
   void backstopSweepStw();
@@ -453,19 +455,23 @@ private:
   // Parallel mark (Gc.cpp). GcMarkShared holds the worker contexts and the
   // steal/termination state; defined in Gc.cpp only, hence the pointer.
   struct GcMarkShared;
-  /// What a mark pass covers.
-  ///  * Full:      clear all marks, trace the whole reachable graph.
-  ///  * RootsOnly: clear all marks, mark objects directly referenced from
-  ///               roots but do not trace through them (the rc drain's
-  ///               rooted-object check).
+  /// What a mark pass covers. Both start from clear mark bits (sweeping
+  /// and the rc drain leave them clear).
+  ///  * Full:      trace the whole reachable graph.
+  ///  * RootsOnly: mark objects directly referenced from roots but do not
+  ///               trace through them (the rc drain's rooted-object
+  ///               check).
   enum class GcMarkMode : uint8_t { Full, RootsOnly };
-  /// Runs one parallel stop-the-world mark pass from the snapshotted roots.
+  /// Runs one parallel stop-the-world mark pass from the snapshotted roots
+  /// (the rc drain's RootsOnly pass).
   void markPhase(GcMarkMode Mode);
-  /// The shared full mark-sweep cycle body (stopped world, GcMu held):
-  /// backstop sweep, full mark, dangling retirement, eager or queued
+  /// The full mark-sweep cycle body (entered and left with the world
+  /// stopped, GcMu held): backstop sweep, root scan, the concurrent mark
+  /// window when GcConfig::Concurrent is on and another mutator is
+  /// registered, final drain, dangling retirement, eager or queued
   /// sweeping, re-pace. The marksweep backend's whole collectStw; the rc
   /// backup collector calls it too.
-  void fullMarkSweepStw(bool Forced);
+  void fullMarkSweep(bool Forced);
   void markWorkerMain(int Index);          ///< Helper-thread loop.
   void runMarkWorker(int Index);           ///< One worker's cycle work.
   void pushMark(int Worker, const MarkItem &Item);
@@ -480,14 +486,14 @@ private:
   /// global ConcGray list under GrayMu.
   void pushGray(int Worker, const MarkItem &Item);
 
-  // Concurrent tricolor mark (Gc.cpp). The cycle body used instead of
-  // Backend->collectStw when GcConfig::Concurrent is on and the backend
-  // supports it: flip 1 (STW: finish sweep, clear marks, scan roots, turn
-  // the Dijkstra barrier on), a mark window with mutators running (the
-  // worker pool drains gray; barrier hits and fresh allocations shade into
-  // ConcGray), flip 2 (STW: rescan roots, drain residual gray, start lazy
-  // sweep). Returns with the world running.
-  void concurrentMarkCycle(GcCycleKind Kind, bool Forced);
+  /// The concurrent mark window of a full cycle (Gc.cpp), entered after
+  /// flip 1's root scan (\p Roots root slots): turns the Dijkstra barrier
+  /// and allocate-black on, ends the first pause and restarts the world,
+  /// drains gray with the worker pool while mutators run (barrier shades
+  /// and assist leftovers come back through ConcGray), then stops the
+  /// world, starts the second pause's clock and seeds the late shades for
+  /// the final drain. Returns the window's wall time.
+  uint64_t markWindow(size_t Roots);
   /// Publishes one job of \p Job kind (GcMarkShared::Job values) to the
   /// worker pool, participates as worker 0, and waits for completion.
   /// Requires Mark set up for the cycle.
@@ -581,9 +587,9 @@ private:
   /// permanently true; marksweep leaves this false and raises BarrierOn
   /// only during concurrent mark.
   bool BarrierAlways = false;
-  /// True between flip 1 and flip 2 of a concurrent mark: allocations are
-  /// born black, the write barrier shades stored values, and tcfree's
-  /// GcRunning give-up stays load-bearing for the whole window.
+  /// True while a concurrent mark window runs: allocations are born
+  /// black, the write barrier shades stored values, and tcfree's GcRunning
+  /// give-up stays load-bearing for the whole window.
   std::atomic<bool> ConcMarkActive{false};
   /// Gray overflow shared between mutators and the mark workers during the
   /// concurrent window: barrier shades from threads without a worker
@@ -600,6 +606,9 @@ private:
   /// Current mark pass mode; written by the collector before workers
   /// start, read by them during the pass (stopped world).
   GcMarkMode MarkMode = GcMarkMode::Full;
+  /// Start of the pause in progress; the window restarts it for flip 2.
+  /// Guarded by GcMu.
+  std::chrono::steady_clock::time_point PauseStart;
   /// Completed-cycle counters per kind, for the lost-the-GcMu-race
   /// protocol: a parked forced Full must not be satisfied by a ZCT drain
   /// that finished in the meantime. Bumped with release under GcMu.

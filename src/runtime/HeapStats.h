@@ -135,10 +135,11 @@ struct StatsSnapshot {
   uint64_t GcMajorCycles = 0;
   uint64_t GcZctDrains = 0;
   uint64_t GcBarrierHits = 0;
-  // Concurrent-mark counters: GcPauses counts every notePause (one per STW
-  // cycle, two per concurrent cycle -- GcPauses == GcCycles + GcConcCycles
-  // once mutators quiesce); GcConcCycles counts cycles whose mark phase ran
-  // with mutators going; assists are mutator-paid mark work.
+  // Concurrent-mark counters: GcPauses counts every notePause (one per
+  // cycle, two per cycle that opened a concurrent window -- GcPauses ==
+  // GcCycles + GcConcCycles once mutators quiesce); GcConcCycles counts the
+  // cycles that opened one, i.e. marked while other mutators ran; assists
+  // are mutator-paid mark work.
   uint64_t GcPauses = 0;
   uint64_t GcConcCycles = 0;
   uint64_t GcAssists = 0;

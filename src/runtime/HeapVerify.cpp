@@ -359,11 +359,12 @@ bool Heap::verifyInvariants(std::string *Report) {
 void Heap::verifyTricolor(const char *When) {
   if (!Opts.Gc.Verify)
     return;
-  // The tricolor invariant at a mark-complete safepoint (both flips run it
-  // with the world stopped and all gray drained): no marked (black) object
-  // may point at an unmarked (white) live object. A violation means the
-  // write barrier missed a store -- the white target would be swept while
-  // still reachable.
+  // The tricolor invariant at a mark-complete safepoint (every full mark
+  // ends with this check, the world stopped and all gray drained): no
+  // marked (black) object may point at an unmarked (white) live object. A
+  // violation means the write barrier missed a store, or a mark started
+  // from stale bits -- the white target would be swept while still
+  // reachable.
   Violations V;
   std::vector<MSpan *> InUse;
   {

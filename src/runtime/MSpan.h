@@ -93,6 +93,11 @@ struct MSpan {
   std::atomic<uint32_t> SweepGen{0};
   /// Central-list membership; guarded by the owning CentralList::Mu.
   SpanList OnList = SpanList::None;
+  /// Large spans only: the cache whose allocation the span holds. tcfree
+  /// from any other cache gives up, because once freed pages are
+  /// re-registered to another cache's object, the address alone cannot
+  /// tell the two apart. Guarded by the page-heap lock (Heap::Mu).
+  int AllocCache = NoOwner;
   /// Next slot to try when bump-allocating; tcfreeSmall rewinds it. Owner
   /// thread (or stopped-world collector) only.
   size_t FreeIndex = 0;
@@ -120,6 +125,7 @@ struct MSpan {
     State.store(SpanState::InUse, std::memory_order_release);
     SweepGen.store(SweepG, std::memory_order_relaxed);
     OnList = SpanList::None;
+    AllocCache = NoOwner;
     FreeIndex = 0;
     AllocBits.assign((NElems + 63) / 64, 0);
     MarkBits.assign((NElems + 63) / 64, 0);

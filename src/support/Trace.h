@@ -56,7 +56,7 @@ enum class EventKind : uint8_t {
                      ///< V1 = objects marked.
   GcSweepLazy,       ///< One span swept outside the pause. Arg = where
                      ///< (SweepWhere), V0 = bytes reclaimed, V1 = slots.
-  GcStwFlip,         ///< One concurrent-cycle stop-the-world flip. Arg =
+  GcStwFlip,         ///< One flip of a cycle with a concurrent window. Arg =
                      ///< 0 initial (roots scanned, barrier on) / 1 final
                      ///< (residual gray drained, sweep starts), V0 = pause
                      ///< nanos, V1 = root slots scanned in the flip.

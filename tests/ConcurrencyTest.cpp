@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -121,8 +122,8 @@ TEST(ConcurrencyTortureTest, MixedAllocFreeGcWithMockFlip) {
           // Keep a bounded live set: verify-then-free the oldest object.
           // tcfree's liveness contract (see Heap.h): the victim stays
           // rooted *across* the call -- a GC at the entry safepoint must
-          // not be able to sweep it and hand its pages to another thread,
-          // or a large-object tcfree would poison the new tenant. The
+          // not be able to sweep it and hand its slot or pages to a new
+          // tenant, or the call would no longer be about the victim. The
           // root entry is dropped only after tcfree returns.
           if (R.Objs.size() > 64) {
             RetainedRoots::Obj Victim = R.Objs.front();
@@ -384,6 +385,52 @@ TEST(ConcurrencyTest, StatShardsFoldExactly) {
   EXPECT_TRUE(H.verifyInvariants(&Report)) << Report;
   for (auto &R : Roots)
     H.removeRootScanner(R.get());
+}
+
+// The interleaving StatShardsFoldExactly can hit by chance, forced: A
+// frees its large object X, B allocates a large object on X's freed pages,
+// then A frees X again. The second free must give up (the pages now hold
+// another cache's object), and B's object must stay live and B's to free.
+TEST(ConcurrencyTest, SecondTcfreeSparesAnotherCachesLargeObject) {
+  HeapOptions HO;
+  HO.Gc.Gogc = -1;
+  Heap H(HO);
+  const size_t Bytes = MaxSmallSize + 64;
+  uintptr_t X = 0, Y = 0;
+  bool FreedX = false, FreedXAgain = true, YLive = false, FreedY = false;
+  std::atomic<int> Turn{0};
+  auto WaitTurn = [&](int T) {
+    while (Turn.load(std::memory_order_acquire) != T)
+      std::this_thread::yield();
+  };
+  std::thread A([&] {
+    X = H.allocate(Bytes, nullptr, AllocCat::Slice, 0);
+    FreedX = H.tcfreeObject(X, 0, FreeSource::TcfreeSlice);
+    Turn.store(1, std::memory_order_release);
+    WaitTurn(2);
+    FreedXAgain = H.tcfreeObject(X, 0, FreeSource::TcfreeSlice);
+    Turn.store(3, std::memory_order_release);
+  });
+  std::thread B([&] {
+    WaitTurn(1);
+    Y = H.allocate(Bytes, nullptr, AllocCat::Slice, 1);
+    Turn.store(2, std::memory_order_release);
+    WaitTurn(3);
+    YLive = H.isLiveObject(Y);
+    FreedY = H.tcfreeObject(Y, 1, FreeSource::TcfreeSlice);
+  });
+  A.join();
+  B.join();
+
+  ASSERT_EQ(Y, X) << "the page heap did not reuse the freed pages";
+  EXPECT_TRUE(FreedX);
+  EXPECT_FALSE(FreedXAgain) << "a stale tcfree freed another cache's object";
+  EXPECT_TRUE(YLive);
+  EXPECT_TRUE(FreedY);
+  StatsSnapshot S = H.stats().snap();
+  EXPECT_EQ(S.TcfreeGiveUpsByReason[(int)trace::GiveUpReason::ForeignSpan],
+            1u);
+  EXPECT_EQ(S.TcfreeGiveUps, 1u);
 }
 
 //===----------------------------------------------------------------------===//

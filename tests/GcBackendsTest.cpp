@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SecondMutator.h"
 #include "compiler/Driver.h"
 #include "runtime/Heap.h"
 #include "support/Trace.h"
@@ -161,7 +162,8 @@ TEST(GcBackendsTest, PartialCycleCountersReachTheSnapshot) {
 
 // A forced cycle of a kind the backend does not implement runs as the Full
 // cycle every backend has, and must be counted and traced as Full: a
-// marksweep "ZCT drain" is a whole-heap mark-sweep, not a drain.
+// marksweep "ZCT drain" is a whole-heap mark-sweep, not a drain. The conc
+// leg runs a second mutator, so the cycle opens its concurrent window.
 TEST(GcBackendsTest, ForcedCycleTheBackendLacksIsLabelledFull) {
   for (bool Conc : {false, true}) {
     trace::TraceSink Sink;
@@ -172,10 +174,14 @@ TEST(GcBackendsTest, ForcedCycleTheBackendLacksIsLabelledFull) {
     Heap::MutatorScope Scope(H, 0, &Sink);
     ASSERT_NE(H.allocate(16, nodeDesc(), AllocCat::Other, 0), 0u);
 
-    H.runGcCycle(GcCycleKind::ZctDrain);
+    {
+      SecondMutator Other(H, 1);
+      H.runGcCycle(GcCycleKind::ZctDrain);
+    }
     StatsSnapshot S = H.stats().snap();
     EXPECT_EQ(S.GcMajorCycles, 1u) << "conc=" << Conc;
     EXPECT_EQ(S.GcZctDrains, 0u) << "conc=" << Conc;
+    EXPECT_EQ(S.GcConcCycles, Conc ? 1u : 0u) << "conc=" << Conc;
     std::vector<uint8_t> Kinds;
     for (size_t I = 0; I < Sink.size(); ++I)
       if (Sink[I].Kind == trace::EventKind::GcCycleEnd)
@@ -313,10 +319,20 @@ TEST(GcBackendsTest, TcfreeInteropOnEveryBackend) {
 
 namespace {
 
-/// Grows a ~1 MiB retained linked chain under tight pacing, then churns
-/// garbage through four more paced cycles at full heap size, so the
-/// collector repeatedly marks a large live set from a single root.
-StatsSnapshot retainedHeapCycles(bool Conc) {
+struct RetainedRun {
+  StatsSnapshot S;
+  /// Allocations, by either mutator, that returned inside a concurrent
+  /// window (marksweep raises the barrier only there).
+  uint64_t AllocsInWindow = 0;
+};
+
+/// Grows a retained linked chain of \p Nodes 16-byte nodes under tight
+/// pacing, then churns garbage through four more paced cycles at full heap
+/// size, so the collector repeatedly marks a large live set from a single
+/// root. A second mutator runs throughout in both legs, so the conc leg's
+/// windows overlap it and both legs wait for it at every stop. The
+/// snapshot is taken once it has stopped, with no cycle in flight.
+RetainedRun retainedHeapCycles(bool Conc, int Nodes = 60000) {
   HeapOptions HO;
   HO.Gc.Concurrent = Conc;
   HO.Gc.EagerSweep = !Conc; // The baseline leg is the classic eager STW.
@@ -324,24 +340,32 @@ StatsSnapshot retainedHeapCycles(bool Conc) {
   Heap H(HO);
   Roots R;
   H.addRootScanner(&R);
-  StatsSnapshot S;
+  RetainedRun Run;
   {
     Heap::MutatorScope Scope(H, 0);
+    SecondMutator Other(H, 1);
+    uint64_t InWindow = 0;
     R.Addrs.push_back(0);
     uintptr_t Head = 0;
-    for (int I = 0; I < 60000; ++I) {
+    for (int I = 0; I < Nodes; ++I) {
       uintptr_t N = H.allocate(16, nodeDesc(), AllocCat::Other, 0);
+      InWindow += H.gcBarrierActive();
       storePtr(H, N, Head);
       Head = N;
       R.Addrs[0] = N; // Only the head is rooted; marking walks the rest.
     }
     uint64_t Until = H.stats().GcCycles.load() + 4;
-    while (H.stats().GcCycles.load() < Until)
+    while (H.stats().GcCycles.load() < Until) {
       H.allocate(64, nullptr, AllocCat::Other, 0);
-    S = H.stats().snap();
+      InWindow += H.gcBarrierActive();
+    }
+    // Every cycle ran with both mutators registered.
+    Other.stop(/*CallerCache=*/0);
+    Run.AllocsInWindow = InWindow + Other.allocsInWindow();
+    Run.S = H.stats().snap();
   }
   H.removeRootScanner(&R);
-  return S;
+  return Run;
 }
 
 /// Index of the slowest nonzero pause bucket (log2-microsecond scale).
@@ -357,34 +381,42 @@ int highestPauseBucket(const StatsSnapshot &S) {
 
 TEST(GcBackendsTest, PauseHistogramAccountsForEveryPause) {
   for (bool Conc : {false, true}) {
-    StatsSnapshot S = retainedHeapCycles(Conc);
+    RetainedRun Run = retainedHeapCycles(Conc);
+    const StatsSnapshot &S = Run.S;
     ASSERT_GE(S.GcCycles, 4u);
-    // One pause per STW cycle, two per concurrent cycle; the histogram
-    // buckets every one of them, no pause lost or double-counted.
+    // One pause per cycle, two per cycle that opened a window; the
+    // histogram buckets every one of them, no pause lost or
+    // double-counted.
     EXPECT_EQ(S.GcPauses, S.GcCycles + S.GcConcCycles) << "conc=" << Conc;
     uint64_t HistSum = 0;
     for (uint64_t B : S.GcPauseHist)
       HistSum += B;
     EXPECT_EQ(HistSum, S.GcPauses) << "conc=" << Conc;
-    if (Conc)
+    if (Conc) {
       EXPECT_EQ(S.GcConcCycles, S.GcCycles)
-          << "a paced marksweep full cycle fell back to STW";
-    else
+          << "a full cycle with another mutator opened no window";
+      EXPECT_GT(Run.AllocsInWindow, 0u) << "no window overlapped a mutator";
+    } else {
       EXPECT_EQ(S.GcConcCycles, 0u) << "conc=0 still ran a concurrent cycle";
+      EXPECT_EQ(Run.AllocsInWindow, 0u);
+    }
   }
 }
 
 TEST(GcBackendsTest, ConcurrentMarkPausesStayBelowEagerStw) {
-  // The tentpole claim, pinned at the bucket level so machine speed cannot
-  // flake it: with ~1 MiB retained through every cycle, eager-STW pauses
-  // scale with the live heap (the whole chain walk happens inside the
-  // pause) while concurrent-mark pauses scale with the root count (one
-  // root here; marking runs between the flips). Log2 buckets separate the
-  // two by orders of magnitude, so strict inequality on the slowest
-  // nonzero bucket is a stable assertion of "pauses bounded by roots, not
-  // live heap".
-  StatsSnapshot Stw = retainedHeapCycles(false);
-  StatsSnapshot Conc = retainedHeapCycles(true);
+  // The bounded-pause claim, pinned at the bucket level so machine speed
+  // cannot flake it: with ~3 MiB retained through every cycle, eager-STW
+  // pauses scale with the live heap (the whole chain walk happens inside
+  // the pause) while concurrent-mark pauses scale with the root count (one
+  // root here; marking runs in the window, beside the second mutator).
+  // Log2 buckets separate the two by orders of magnitude, so strict
+  // inequality on the slowest nonzero bucket is a stable assertion of
+  // "pauses bounded by roots, not live heap". The heap is large enough
+  // that an eager-STW pause (about 10 ms unloaded) outlasts the scheduling
+  // delays a loaded host adds to a concurrent pause while it waits for the
+  // second mutator to reach a safepoint.
+  StatsSnapshot Stw = retainedHeapCycles(false, 200000).S;
+  StatsSnapshot Conc = retainedHeapCycles(true, 200000).S;
   ASSERT_GT(Stw.GcMaxPauseNanos, 0u);
   ASSERT_GT(Conc.GcMaxPauseNanos, 0u);
   EXPECT_LT(highestPauseBucket(Conc), highestPauseBucket(Stw))

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SecondMutator.h"
 #include "compiler/Driver.h"
 #include "compiler/Pipeline.h"
 #include "interp/Interp.h"
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -215,23 +217,30 @@ TEST(TraceRuntimeTest, AllocationsAreCategorized) {
 }
 
 TEST(TraceRuntimeTest, GcCycleEmitsPhaseEvents) {
-  // The STW and concurrent cycle bodies share their end-of-cycle steps
-  // (dangling retirement, sweep-or-queue, re-pace); pin each body's exact
-  // GC event order so the shared tail is checked in both.
+  // A full cycle with and without its concurrent window runs the same
+  // body; pin the exact GC event order of both shapes. The conc leg runs
+  // a second (untraced) mutator so the window opens, and sweeps eagerly
+  // so the sweep stays inside the last pause as in the solo conc=0 leg.
   for (bool Conc : {false, true}) {
     SCOPED_TRACE(Conc ? "conc=1" : "conc=0");
     TraceHub Hub;
     TraceSink &Sink = *Hub.makeSink();
     rt::HeapOptions HO;
     HO.Gc.Concurrent = Conc;
+    HO.Gc.EagerSweep = Conc;
     rt::Heap H(HO);
     rt::Heap::MutatorScope Scope(H, 0, &Sink);
 
     // Unreachable garbage (no root scanner installed), then a forced
-    // cycle. Solo and forced, so it sweeps inside the (last) pause.
+    // cycle.
     for (int I = 0; I < 64; ++I)
       H.allocate(256, nullptr, rt::AllocCat::Other, 0);
-    H.runGc();
+    {
+      std::unique_ptr<SecondMutator> Other;
+      if (Conc)
+        Other = std::make_unique<SecondMutator>(H, 1);
+      H.runGc();
+    }
 
     std::vector<std::string> Got;
     for (size_t I = 0, N = Sink.size(); I < N; ++I)
@@ -240,8 +249,8 @@ TEST(TraceRuntimeTest, GcCycleEmitsPhaseEvents) {
     std::vector<EventKind> Want =
         Conc ? std::vector<EventKind>{EventKind::GcMarkStart,
                                       EventKind::GcStwFlip,
-                                      EventKind::GcMarkEnd,
                                       EventKind::GcMarkWorker,
+                                      EventKind::GcMarkEnd,
                                       EventKind::GcSweepEnd,
                                       EventKind::GcStwFlip,
                                       EventKind::GcConcMark,

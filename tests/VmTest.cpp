@@ -1230,12 +1230,12 @@ TEST(VmFusedShapeTest, PointerElementStoresShadeDuringConcurrentMark) {
   // old element and from every local right after. An object stored into
   // an already-scanned (black) array during a concurrent mark window
   // survives only if that store shaded it; verify=1 runs the tricolor
-  // check at each final flip and the heap verifier at every cycle. Whether
-  // a store lands inside a window depends on the thread schedule, so the
-  // deterministic check is the rc leg: it counts references through the
-  // same barrier, and its verifier cross-checks every count against a
-  // trace from the roots (a fused store without the barrier fails it on
-  // every run).
+  // check at the end of every mark and the heap verifier at every cycle.
+  // Whether a store lands inside a window depends on the thread schedule,
+  // so the deterministic check is the rc leg: it counts references
+  // through the same barrier, and its verifier cross-checks every count
+  // against a trace from the roots (a fused store without the barrier
+  // fails it on every run).
   const char *Src = "type T struct { v int\n next *T\n }\n"
                     "func main(n int, w int) {\n"
                     "  a := make([]*T, w)\n"
@@ -1286,6 +1286,10 @@ TEST(VmFusedShapeTest, PointerElementStoresShadeDuringConcurrentMark) {
   Conc.NumThreads = 3;
   Conc.Heap.Gc.Verify = true;
   Conc.Heap.Gc.MinHeapTrigger = 4 << 10;
+  // A cycle opens a window only while another mutator is registered, and
+  // on a loaded host the three overlap for only part of the run: frequent
+  // cycles keep enough of them inside the overlap.
+  Conc.Heap.Gc.Gogc = 25;
   ExecOutcome O = execute(C, "main", Args, Conc);
   ASSERT_TRUE(O.ok()) << O.Error;
   EXPECT_EQ(O.Run.Checksum, Ref.Run.Checksum * 3);

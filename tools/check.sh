@@ -47,7 +47,7 @@
 #                             --gc=workers=2,conc=1 (the others store and
 #                             tcfree while one collects) with heap
 #                             verification (including the tricolor check at
-#                             both flips) on every leg
+#                             the end of every mark) on every leg
 #   tools/check.sh vmprof     VM op profile pass: configure a separate
 #                             build-vmprof tree with -DGOFREE_VM_PROFILE=ON,
 #                             run bench_vm once per subject, a quickstart
@@ -78,7 +78,10 @@
 # The smoke test runs examples/quickstart.minigo under --trace-out, once
 # on one mutator thread and once on two, and asserts each trace is valid
 # JSON-lines containing at least one GC event, one tcfree outcome with a
-# give-up reason, and per-pass compiler timings. It checks that the --stats
+# give-up reason, and per-pass compiler timings. On one mutator the trace
+# must have no concurrent mark window (no gc-stw-flip or gc-conc-mark) and
+# the --json run record one pause per cycle (gc.pauses ==
+# gc.major_cycles). It checks that the --stats
 # counters report has the give-up, free-source and pass rows, that
 # --trace-summary is rejected (exit 2), and that --json compare and
 # --json serve-sim print only v3 run records. It also checks that
@@ -142,6 +145,18 @@ smoke() {
     run "$ROOT/examples/quickstart.minigo" 2000 > "$tmp/run1.out" \
     || fail "traced run exited non-zero"
   check_trace "$tmp/t1.jsonl" "default threads"
+  # One mutator has no one to run in a concurrent mark window, so every
+  # cycle is one pause: no flips, no window, one pause per cycle.
+  if grep -Eq '"ev":"gc-(stw-flip|conc-mark)"' "$tmp/t1.jsonl"; then
+    fail "the one-mutator trace has a concurrent mark window"
+  fi
+  "$gofree" --json run "$ROOT/examples/quickstart.minigo" 2000 > "$tmp/run1.json" \
+    || fail "--json run exited non-zero"
+  python3 - "$tmp/run1.json" <<'PYEOF' || fail "one-mutator gc.pauses != gc.major_cycles"
+import json, sys
+gc = json.loads(open(sys.argv[1]).read())["gc"]
+assert gc["major_cycles"] > 0 and gc["pauses"] == gc["major_cycles"], gc
+PYEOF
   "$gofree" --num-threads=2 --trace-out="$tmp/t2.jsonl" \
     --stats run "$ROOT/examples/quickstart.minigo" 2000 > "$tmp/run2.out" \
     || fail "traced 2-thread run exited non-zero"
@@ -321,7 +336,7 @@ gc)
   ;;
 conc)
   # Concurrent-mark torture under TSan: mutator threads splice and sever
-  # linked chains through the write barrier while JobFlip1/JobDrain/JobFinal
+  # linked chains through the write barrier while JobFlip1/JobDrain/JobFull
   # run on the worker pool and allocation debt triggers mutator assists.
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DGOFREE_SANITIZE=thread
   cmake --build "$ROOT/build-tsan" -j --target concurrency_test
